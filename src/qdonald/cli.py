@@ -1,7 +1,9 @@
 """Command-line front end: series printing, tables, verification suites.
 
 Output is deterministic: identical invocations produce byte-identical text.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  A usage
+error (an unknown series name, a malformed or negative order or bound) is
+one line on stderr, reported before anything is computed.
 """
 
 from __future__ import annotations
@@ -10,20 +12,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import forms, invariants, mock, sw
 from .series import InsufficientPrecision, QSeries
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QDONALD_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -35,15 +28,73 @@ def _emit(text: str, out: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
+# argument types
+
+# parametrized series names: (parameter count, validity test, usage)
+_PARAM_NAMES = {
+    "fm": (1, lambda m: m >= 0, "fm:<m> needs an integer m >= 0"),
+    "Ft": (1, lambda t: t >= 0 and t % 2 == 0,
+           "Ft:<t> needs an even integer t >= 0"),
+    "calFt": (1, lambda t: t >= 0 and t % 2 == 0,
+              "calFt:<t> needs an even integer t >= 0"),
+    "ebracket": (2, lambda i, j: 0 <= j <= i,
+                 "ebracket:<i>,<j> needs integers 0 <= j <= i"),
+}
+
+
+def _series_name(text: str) -> str:
+    """A name ``_series_by_name`` resolves, with well-formed parameters."""
+    kind, sep, arg = text.partition(":")
+    if not sep and (text in _plain_series() or text in forms.FORM_NAMES):
+        return text
+    if sep and kind in _PARAM_NAMES:
+        count, valid, usage = _PARAM_NAMES[kind]
+        try:
+            params = [int(x) for x in arg.split(",")]
+        except ValueError:
+            params = []
+        if len(params) == count and valid(*params):
+            return text
+        raise argparse.ArgumentTypeError(f"bad series name {text!r}: {usage}")
+    raise argparse.ArgumentTypeError(f"unknown series name {text!r}")
+
+
+def _non_negative(parse, what: str):
+    """An argparse type: ``parse`` the text and reject negative values."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(
+                f"invalid {what} {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} must be >= 0, got {text}")
+        return value
+    return convert
+
+
+_order = _non_negative(Fraction, "order")  # a rational such as 60 or 5/2
+_bound = _non_negative(int, "bound")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
 # series resolution
 
+def _plain_series() -> dict:
+    """Parameter-free series names outside ``forms`` and their constructors."""
+    return {"M": mock.mock_m, "Qplus": mock.q_plus, "QcalQ": mock.cal_q,
+            "QtransS": mock.q_transform_s, "Z0": invariants.z0_series}
+
+
 def _series_by_name(name: str, order) -> QSeries:
-    mock_names = {
-        "M": mock.mock_m, "Qplus": mock.q_plus, "QcalQ": mock.cal_q,
-        "QtransS": mock.q_transform_s,
-    }
-    if name in mock_names:
-        return mock_names[name](order)
+    plain = _plain_series()
+    if name in plain:
+        return plain[name](order)
     if name.startswith("Ft:"):
         return mock.f_t(int(name.split(":", 1)[1]), order)
     if name.startswith("calFt:"):
@@ -51,13 +102,11 @@ def _series_by_name(name: str, order) -> QSeries:
     if name.startswith("ebracket:"):
         i, j = (int(x) for x in name.split(":", 1)[1].split(","))
         return mock.e_bracket(i, j, order)
-    if name == "Z0":
-        return invariants.z0_series(order)
     return forms.by_name(name, order)
 
 
 def cmd_series(args) -> int:
-    series = _series_by_name(args.name, Fraction(args.order))
+    series = _series_by_name(args.name, args.order)
     if args.format == "json":
         _emit(json.dumps(series.to_json_dict()) + "\n", args.out)
     else:
@@ -67,17 +116,6 @@ def cmd_series(args) -> int:
 
 # ---------------------------------------------------------------------------
 # tables
-
-def _table_rows(nf: int, max_weight: int) -> list:
-    cells = []
-    for weight in range(max_weight + 1):
-        for m in range(weight + 1):
-            cells.append((m, weight - m))
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = list(pool.map(lambda mn: invariants.uplane_D(nf, *mn), cells))
-    return [(m, n, invariants.monomial_label(m, n), cell)
-            for (m, n), cell in zip(cells, results)]
-
 
 def _format_table(nf: int, rows, fmt: str) -> str:
     if fmt == "json":
@@ -102,7 +140,7 @@ def _format_table(nf: int, rows, fmt: str) -> str:
 
 
 def cmd_invariants(args) -> int:
-    rows = _table_rows(args.nf, args.max_weight)
+    rows = invariants.invariant_table(args.nf, args.max_weight)
     _emit(_format_table(args.nf, rows, args.format), args.out)
     return 0
 
@@ -139,7 +177,7 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_nf4(args) -> int:
-    series = invariants.nf4_partition(Fraction(args.order))
+    series = invariants.nf4_partition(args.order)
     _emit(series.to_text(max_terms=args.terms) + "\n", args.out)
     return 0
 
@@ -286,9 +324,9 @@ def cmd_verify(args) -> int:
     suites = {
         "criterion": lambda: _suite_criterion(args.max, args.order),
         "identities": lambda: _suite_identities(args.order),
-        "swcurves": lambda: _suite_swcurves(min(Fraction(args.order), 24)),
+        "swcurves": lambda: _suite_swcurves(min(args.order, 24)),
         "tables": _suite_tables,
-        "nf4": lambda: _suite_nf4(min(Fraction(args.order), 16)),
+        "nf4": lambda: _suite_nf4(min(args.order, 16)),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     failures = 0
@@ -309,7 +347,7 @@ def cmd_verify(args) -> int:
 def cmd_swcheck(args) -> int:
     failures = 0
     lines = []
-    for name, ok, bad in sw.check_family(args.nf, Fraction(args.order)):
+    for name, ok, bad in sw.check_family(args.nf, args.order):
         extra = "" if ok or bad is None else f" (first failing exponent {bad})"
         lines.append(f"nf={args.nf} {name}: {'ok' if ok else 'FAIL'}{extra}")
         if not ok:
@@ -321,15 +359,15 @@ def cmd_swcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdonald",
         description="Exact q-series engine for mock theta functions and "
                     "Donaldson invariants of the projective plane.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("series", help="print a named q-series")
-    p.add_argument("--name", required=True)
-    p.add_argument("--order", default="60")
+    p.add_argument("--name", type=_series_name, required=True)
+    p.add_argument("--order", type=_order, default="60")
     p.add_argument("--terms", type=int, default=12)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
@@ -337,13 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="u-plane invariant table")
     p.add_argument("--nf", type=int, choices=(0, 2, 3), required=True)
-    p.add_argument("--max-weight", type=int, default=4)
+    p.add_argument("--max-weight", type=_bound, default=4)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("goettsche", help="instanton-side invariant table")
-    p.add_argument("--max-weight", type=int, default=4)
+    p.add_argument("--max-weight", type=_bound, default=4)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_goettsche)
@@ -352,27 +390,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    choices=("criterion", "identities", "swcurves", "tables",
                             "nf4", "all"))
-    p.add_argument("--max", type=int, default=4,
+    p.add_argument("--max", type=_bound, default=4,
                    help="criterion grid bound on m+n")
-    p.add_argument("--order", default="60")
+    p.add_argument("--order", type=_order, default="60")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("hurwitz", help="Hurwitz class numbers")
-    p.add_argument("--max", type=int, default=24)
+    p.add_argument("--max", type=_bound, default=24)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_hurwitz)
 
     p = sub.add_parser("nf4", help="conformal-point partition function")
-    p.add_argument("--order", default="8")
+    p.add_argument("--order", type=_order, default="8")
     p.add_argument("--terms", type=int, default=12)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_nf4)
 
     p = sub.add_parser("swcheck", help="Seiberg-Witten family identities")
     p.add_argument("--nf", type=int, choices=(0, 2, 3), required=True)
-    p.add_argument("--order", default="24")
+    p.add_argument("--order", type=_order, default="24")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_swcheck)
 

@@ -15,9 +15,6 @@ from math import gcd
 
 DEFAULT_ORDER = 24
 
-Scalar = "Fraction | Cyclo"
-
-
 class DivisionByZero(ZeroDivisionError):
     pass
 
@@ -290,10 +287,6 @@ def as_rational(x):
     if isinstance(x, Cyclo):
         return x.as_rational()
     return Fraction(x)
-
-
-def scalar_is_zero(x) -> bool:
-    return not x
 
 
 def rat_arith(a, b, op: str) -> Fraction:

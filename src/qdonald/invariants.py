@@ -83,14 +83,9 @@ def goettsche_phi(k: int, m: int, n: int) -> Fraction:
         return Fraction(0)
 
     def attempt(margin):
-        pt = Fraction(2 * m + 2 * n + 3, 4) + 2 + margin
+        pt, base, p4_pows = _theta_frame(m, n, margin, 8)
+        e2_pows = _power_list(forms.eisenstein_e2(pt), n)
         ps = Fraction(2 * m + 2 * n + 3, 8) + 1 + margin
-        t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
-        e2 = forms.eisenstein_e2(pt)
-        base = t4 ** 8 * ((t2 * t3) ** (2 * m + 2 * n + 3)).inverse()
-        p4 = t2 ** 4 + t3 ** 4
-        p4_pows = _power_list(p4, m + n)
-        e2_pows = _power_list(e2, n)
         total = Fraction(0)
         for l in range(n + 1):
             slot = mock.f_t(2 * (n - l), ps)
@@ -115,6 +110,16 @@ def _power_list(series: QSeries, top: int) -> list:
     return pows
 
 
+def _theta_frame(m: int, n: int, margin, t4_exp: int):
+    """Kernel precision pt, the base t4^t4_exp / (t2 t3)^(2m+2n+3) and the
+    ladder (t2^4 + t3^4)^k, k <= m + n, in the vartheta frame shared by
+    nf=0, nf=2 and the Goettsche formula."""
+    pt = Fraction(2 * m + 2 * n + 3, 4) + 2 + margin
+    t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
+    base = t4 ** t4_exp * ((t2 * t3) ** (2 * m + 2 * n + 3)).inverse()
+    return pt, base, _power_list(t2 ** 4 + t3 ** 4, m + n)
+
+
 # ---------------------------------------------------------------------------
 # u-plane coefficients
 
@@ -127,83 +132,61 @@ class DCell:
     h_combo: tuple  # ((alpha, weight), ...) with value = sum w_a H_a
 
 
-def _slot_grid(start: Fraction, step: Fraction):
-    """Exponent of the alpha-th coefficient slot of the mock series."""
-    return lambda alpha: start + alpha * step
-
-
-def _d_kernels(nf: int, m: int, n: int, margin):
-    """Kernel list [(coeff, kernel, j)] and the slot series for D^nf_(m,2n)."""
+def _frame(nf: int, m: int, n: int, margin):
+    """Per-family data of D^nf_(m,2n): the base kernel, the theta and E2
+    power ladders, the slot series with its exponent grid (start, step), the
+    H-combo sign, and the coefficient row (sign, 2-power offset, 2-power
+    slope in j) read by :func:`_d_kernels`."""
     if nf == 0:
-        pt = Fraction(2 * m + 2 * n + 3, 4) + 2 + margin
-        t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
-        e2 = forms.eisenstein_e2(pt)
-        base = t4 ** 9 * ((t2 * t3) ** (2 * m + 2 * n + 3)).inverse()
-        p4_pows = _power_list(t2 ** 4 + t3 ** 4, m + n)
-        e2_pows = _power_list(e2, n)
-        slot_prec = Fraction(2 * m + 2 * n + 3, 8) + 1 + margin
-        slot = mock.q_plus(slot_prec)
-        eps = _slot_grid(Fraction(-1, 8), Fraction(1, 2))
-        kernels = []
-        for i in range(n + 1):
-            for j in range(i + 1):
-                c = (Fraction((-1) ** (i + j + 1) * 2 ** (2 * j + 1), 2 ** n)
-                     * Fraction(1, 3 ** (n - j))
-                     * Fraction(factorial(2 * n),
-                                factorial(n - i) * factorial(j) * factorial(i - j))
-                     * mock.gamma_half_ratio(j))
-                kernels.append((c, base * p4_pows[m + n - i] * e2_pows[i - j], j))
-        return kernels, slot, eps, 1
+        pt, base, pows = _theta_frame(m, n, margin, 9)
+        e2_pows = _power_list(forms.eisenstein_e2(pt), n)
+        slot = mock.q_plus(Fraction(2 * m + 2 * n + 3, 8) + 1 + margin)
+        return (base, pows, e2_pows, slot, (Fraction(-1, 8), Fraction(1, 2)),
+                1, (-1, 1 - n, 2))
     if nf == 2:
-        pt = Fraction(2 * m + 2 * n + 3, 4) + 2 + margin
-        t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
-        t2h = forms.vartheta(2, 2 * pt).rescale(1, 2)
-        e2h = forms.eisenstein_e2(2 * pt).rescale(1, 2)
-        base = (t4 ** 10 * ((t2 * t3) ** (2 * m + 2 * n + 3)).inverse()
-                * t2h.inverse())
-        p4_pows = _power_list(t2 ** 4 + t3 ** 4, m + n)
-        e2_pows = _power_list(e2h, n)
+        pt, base, pows = _theta_frame(m, n, margin, 10)
+        base = base * forms.vartheta(2, 2 * pt).rescale(1, 2).inverse()
+        e2_pows = _power_list(forms.eisenstein_e2(2 * pt).rescale(1, 2), n)
         slot_prec = Fraction(2 * m + 2 * n + 5, 8) + 1 + margin
         slot = mock.q_plus(2 * slot_prec).rescale(1, 2)
-        eps = _slot_grid(Fraction(-1, 16), Fraction(1, 4))
-        kernels = []
-        for i in range(n + 1):
-            for j in range(i + 1):
-                c = (Fraction((-1) ** (i + j + 1) * 2 ** (3 * j + 2), 2 ** n)
-                     * Fraction(1, 3 ** (n - j))
-                     * Fraction(factorial(2 * n),
-                                factorial(n - i) * factorial(j) * factorial(i - j))
-                     * mock.gamma_half_ratio(j))
-                kernels.append((c, base * p4_pows[m + n - i] * e2_pows[i - j], j))
-        return kernels, slot, eps, 1
+        return (base, pows, e2_pows, slot, (Fraction(-1, 16), Fraction(1, 4)),
+                1, (-1, 2 - n, 3))
     if nf == 3:
         pt = Fraction(m + n + 3) + 2 + margin
         t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
-        e2 = forms.eisenstein_e2(pt)
-        s2 = t3 ** 2 - t4 ** 2
-        base = t2 ** 9 * (s2 ** (2 * m + 2 * n + 6)).inverse()
         tt = t3 * t4
-        tt_pows = _power_list(tt ** 2, m + n)
-        tt3 = tt ** 3
-        e2_pows = _power_list(e2, n)
-        slot_prec = Fraction(m + n + 3) + 1 + margin
-        slot = mock.q_transform_s(slot_prec)
-        eps = _slot_grid(Fraction(-1, 8), Fraction(1, 2))
-        kernels = []
-        for i in range(n + 1):
-            for j in range(i + 1):
-                # sign (-1)^(i+j) without the displayed extra (-1)^(m+n-j):
-                # the printed invariant table is the arbiter, and only this
-                # choice also satisfies the duality between the two slots
-                c = (Fraction((-1) ** (i + j)
-                              * 2 ** (3 * m + 2 * n + 2 * j + 5), 3 ** (n - j))
-                     * Fraction(factorial(2 * n),
-                                factorial(n - i) * factorial(j) * factorial(i - j))
-                     * mock.gamma_half_ratio(j))
-                kernels.append((c, base * tt_pows[m + n - i] * tt3
-                                * e2_pows[i - j], j))
-        return kernels, slot, eps, -1
+        base = (t2 ** 9 * ((t3 ** 2 - t4 ** 2) ** (2 * m + 2 * n + 6)).inverse()
+                * tt ** 3)
+        pows = _power_list(tt ** 2, m + n)
+        e2_pows = _power_list(forms.eisenstein_e2(pt), n)
+        slot = mock.q_transform_s(Fraction(m + n + 3) + 1 + margin)
+        # sign (-1)^(i+j) without the displayed extra (-1)^(m+n-j): the
+        # printed invariant table is the arbiter, and only this choice also
+        # satisfies the duality between the two slots
+        return (base, pows, e2_pows, slot, (Fraction(-1, 8), Fraction(1, 2)),
+                -1, (1, 3 * m + 2 * n + 5, 2))
     raise ConstraintViolation(f"no u-plane family for nf={nf}")
+
+
+def _d_kernels(nf: int, m: int, n: int, margin):
+    """Kernel list [(coeff, kernel, j)], the slot series, its exponent grid
+    and the H-combo sign for D^nf_(m,2n).
+
+    The (i, j) coefficient is sign (-1)^(i+j) 2^(offset + slope j) / 3^(n-j)
+    (2n)! / ((n-i)! j! (i-j)!) Gamma(1/2) / Gamma(1/2+j).
+    """
+    base, pows, e2_pows, slot, grid, combo_sign, (sign, off, slope) = \
+        _frame(nf, m, n, margin)
+    kernels = []
+    for i in range(n + 1):
+        for j in range(i + 1):
+            c = (sign * (-1) ** (i + j) * Fraction(2) ** (off + slope * j)
+                 / 3 ** (n - j)
+                 * Fraction(factorial(2 * n),
+                            factorial(n - i) * factorial(j) * factorial(i - j))
+                 * mock.gamma_half_ratio(j))
+            kernels.append((c, base * pows[m + n - i] * e2_pows[i - j], j))
+    return kernels, slot, grid, combo_sign
 
 
 def uplane_D(nf: int, m: int, n: int) -> DCell:
@@ -217,7 +200,7 @@ def uplane_D(nf: int, m: int, n: int) -> DCell:
         raise ConstraintViolation("m, n must be non-negative")
 
     def attempt(margin):
-        kernels, slot, eps, combo_sign = _d_kernels(nf, m, n, margin)
+        kernels, slot, (start, step), combo_sign = _d_kernels(nf, m, n, margin)
         value = Fraction(0)
         weights: dict = {}
         for c, kernel, j in kernels:
@@ -225,7 +208,7 @@ def uplane_D(nf: int, m: int, n: int) -> DCell:
             lead_q = Fraction(kernel.lead, kernel.ram)
             alpha = 0
             while True:
-                e = eps(alpha)
+                e = start + alpha * step
                 if e > -lead_q:
                     break
                 ck = kernel.coeff(-e)

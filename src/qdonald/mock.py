@@ -11,23 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, lcm
 
 from . import forms
 from .exact import Cyclo, unity
-from .series import QSeries
-
-_CACHE: dict = {}
-
-
-def _cached(key, build):
-    try:
-        return _CACHE[key]
-    except KeyError:
-        value = build()
-        _CACHE[key] = value
-        return value
-
+from .series import QSeries, memo
 
 class OddT(ValueError):
     pass
@@ -53,27 +41,26 @@ def gamma_half_ratio(j: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # F_t and its renormalization
 
+@memo
 def cal_f(t: int, prec) -> QSeries:
     """calF_t = sum_{b>=0} sum_{a>b} (-1)^(a+b) (2b+1)^t q^(4a^2-(2b+1)^2)."""
     if t < 0 or t % 2:
         raise OddT("t must be a non-negative even integer")
-    def build():
-        top = int(Fraction(prec))
-        terms: dict = {}
-        beta = 0
-        while 4 * (beta + 1) ** 2 - (2 * beta + 1) ** 2 < top:
-            w = Fraction((2 * beta + 1) ** t)
-            alpha = beta + 1
-            while True:
-                e = 4 * alpha * alpha - (2 * beta + 1) ** 2
-                if e >= top:
-                    break
-                s = w if (alpha + beta) % 2 == 0 else -w
-                terms[e] = terms.get(e, Fraction(0)) + s
-                alpha += 1
-            beta += 1
-        return QSeries.from_terms(terms, top)
-    return _cached(("calF", t, Fraction(prec)), build)
+    top = int(Fraction(prec))
+    terms: dict = {}
+    beta = 0
+    while 4 * (beta + 1) ** 2 - (2 * beta + 1) ** 2 < top:
+        w = Fraction((2 * beta + 1) ** t)
+        alpha = beta + 1
+        while True:
+            e = 4 * alpha * alpha - (2 * beta + 1) ** 2
+            if e >= top:
+                break
+            s = w if (alpha + beta) % 2 == 0 else -w
+            terms[e] = terms.get(e, Fraction(0)) + s
+            alpha += 1
+        beta += 1
+    return QSeries.from_terms(terms, top)
 
 
 def f_t(t: int, prec) -> QSeries:
@@ -84,29 +71,28 @@ def f_t(t: int, prec) -> QSeries:
 # ---------------------------------------------------------------------------
 # The mock theta function M
 
+@memo
 def mock_m(prec) -> QSeries:
     """M via the q-hypergeometric sum in the defining display."""
-    def build():
-        top = int(Fraction(prec)) + 1
-        num_top = top + 1
-        total = QSeries.zero(num_top, 1)
-        # running products over n of (1 - q^(16k-8)) and (1 + q^(16k-8))^-2
-        num = QSeries.one()
-        den = QSeries.from_terms({0: Fraction(1)}, num_top)
-        n = 0
-        while 8 * (n + 1) ** 2 - 1 < top:
-            factor = QSeries.from_terms(
-                {0: Fraction(1), 16 * (n + 1) - 8: Fraction(1)}, num_top)
-            den = den * factor * factor
-            if n:
-                num = num * QSeries.from_terms(
-                    {0: Fraction(1), 16 * n - 8: Fraction(-1)}, num_top)
-            sign = Fraction(-1) if n % 2 == 0 else Fraction(1)
-            term = (num * den.inverse()).shift_exponent(8 * (n + 1) ** 2 - 1)
-            total = total + sign * term.truncate(top)
-            n += 1
-        return total.truncate(prec)
-    return _cached(("M", Fraction(prec)), build)
+    top = int(Fraction(prec)) + 1
+    num_top = top + 1
+    total = QSeries.zero(num_top, 1)
+    # running products over n of (1 - q^(16k-8)) and (1 + q^(16k-8))^-2
+    num = QSeries.one()
+    den = QSeries.from_terms({0: Fraction(1)}, num_top)
+    n = 0
+    while 8 * (n + 1) ** 2 - 1 < top:
+        factor = QSeries.from_terms(
+            {0: Fraction(1), 16 * (n + 1) - 8: Fraction(1)}, num_top)
+        den = den * factor * factor
+        if n:
+            num = num * QSeries.from_terms(
+                {0: Fraction(1), 16 * n - 8: Fraction(-1)}, num_top)
+        sign = Fraction(-1) if n % 2 == 0 else Fraction(1)
+        term = (num * den.inverse()).shift_exponent(8 * (n + 1) ** 2 - 1)
+        total = total + sign * term.truncate(top)
+        n += 1
+    return total.truncate(prec)
 
 
 def mock_m_bilateral(prec) -> QSeries:
@@ -186,15 +172,11 @@ class LerchSpec:
             raise ValueError("tau multiplier must be positive")
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def jacobi_theta(spec: LerchSpec, prec) -> QSeries:
     """theta(v; tau') = sum_{nu in Z+1/2} (-1)^(nu-1/2) b^nu q'^(nu^2/2)."""
     vt, tm = spec.v_tau, spec.tau_mult
     top = Fraction(prec)
-    ram = _lcm(_lcm(2 * vt.denominator, 8 * tm.denominator), 1)
+    ram = lcm(2 * vt.denominator, 8 * tm.denominator)
     terms: dict = {}
     # exponent(m) = vt*(m+1/2) + tm*(m+1/2)^2/2, minimized near the vertex
     vertex = -vt / tm - Fraction(1, 2)
@@ -219,86 +201,85 @@ def jacobi_theta(spec: LerchSpec, prec) -> QSeries:
     return series
 
 
+@memo
 def lerch_mu(spec: LerchSpec, prec) -> QSeries:
     """Formal expansion of Zwegers' mu(u, v; tau') at the given specialization.
 
     The bilateral sum is split into two one-sided geometric expansions at the
     index where 1 - a q'^n changes expansion direction.
     """
-    key = ("mu", spec, Fraction(prec))
-    def build():
-        ut, vt, tm = spec.u_tau, spec.v_tau, spec.tau_mult
-        ram = 1
-        for f in (ut / 2, vt, tm, ut + vt):
-            ram = _lcm(ram, Fraction(f).denominator)
-        ram = _lcm(ram, 8 * tm.denominator)
-        theta = jacobi_theta(spec, Fraction(prec))
-        vtheta = theta.valuation()
-        top = Fraction(prec) + max(-vtheta, 0) + 1
-        terms: dict = {}
-        wram = _lcm(ram, theta.ram)
+    ut, vt, tm = spec.u_tau, spec.v_tau, spec.tau_mult
+    ram = 1
+    for f in (ut / 2, vt, tm, ut + vt):
+        ram = lcm(ram, Fraction(f).denominator)
+    ram = lcm(ram, 8 * tm.denominator)
+    theta = jacobi_theta(spec, Fraction(prec))
+    vtheta = theta.valuation()
+    top = Fraction(prec) + max(-vtheta, 0) + 1
+    terms: dict = {}
+    wram = lcm(ram, theta.ram)
 
-        def add(e: Fraction, c):
-            w = int(e * wram)
-            prev = terms.get(w, Fraction(0))
-            terms[w] = prev + c
+    def add(e: Fraction, c):
+        w = int(e * wram)
+        prev = terms.get(w, Fraction(0))
+        terms[w] = prev + c
 
-        def min_exponent(n: int) -> Fraction:
-            """Lowest exponent contributed by the n-th bilateral term."""
-            base_e = ut / 2 + vt * n + tm * Fraction(n * (n + 1), 2)
-            expo = ut + tm * n
-            return base_e if expo >= 0 else base_e - expo
+    def min_exponent(n: int) -> Fraction:
+        """Lowest exponent contributed by the n-th bilateral term."""
+        base_e = ut / 2 + vt * n + tm * Fraction(n * (n + 1), 2)
+        expo = ut + tm * n
+        return base_e if expo >= 0 else base_e - expo
 
-        def emit(n: int) -> None:
-            # term_n = (-b)^n q'^(n(n+1)/2) / (1 - a q'^n), a = e(u_rat) q^ut;
-            # base_e / base_c carry the a^(1/2) monomial and phase up front
-            base_e = ut / 2 + vt * n + tm * Fraction(n * (n + 1), 2)
-            expo = ut + tm * n
-            base_c = unity(spec.u_rat / 2 + spec.v_rat * n)
-            if n % 2:
-                base_c = -base_c
-            if expo == 0:
-                z = unity(spec.u_rat)
-                if z == 1:
-                    raise NonExpandableDenominator(
-                        f"1 - a q'^{n} degenerates to zero")
-                inv = (1 / (1 - z)) if not isinstance(z, Cyclo) \
-                    else (Cyclo.from_rational(1, z.order) - z).inverse()
-                if base_e < top:
-                    add(base_e, base_c * inv)
-            elif expo > 0:
-                x = 0
-                while base_e + expo * x < top:
-                    add(base_e + expo * x, base_c * unity(spec.u_rat * x))
-                    x += 1
+    def emit(n: int) -> None:
+        # term_n = (-b)^n q'^(n(n+1)/2) / (1 - a q'^n), a = e(u_rat) q^ut;
+        # base_e / base_c carry the a^(1/2) monomial and phase up front
+        base_e = ut / 2 + vt * n + tm * Fraction(n * (n + 1), 2)
+        expo = ut + tm * n
+        base_c = unity(spec.u_rat / 2 + spec.v_rat * n)
+        if n % 2:
+            base_c = -base_c
+        if expo == 0:
+            z = unity(spec.u_rat)
+            if z == 1:
+                raise NonExpandableDenominator(
+                    f"1 - a q'^{n} degenerates to zero")
+            inv = (1 / (1 - z)) if not isinstance(z, Cyclo) \
+                else (Cyclo.from_rational(1, z.order) - z).inverse()
+            if base_e < top:
+                add(base_e, base_c * inv)
+        elif expo > 0:
+            x = 0
+            while base_e + expo * x < top:
+                add(base_e + expo * x, base_c * unity(spec.u_rat * x))
+                x += 1
+        else:
+            x = 1
+            while base_e - expo * x < top:
+                add(base_e - expo * x, -(base_c * unity(-spec.u_rat * x)))
+                x += 1
+
+    # min_exponent is a positive-leading quadratic in n, hence strictly
+    # monotone once |n| clears this bound: two consecutive exceeds past it
+    # end the sweep on that side of the bilateral sum.
+    n_safe = int((abs(vt) + abs(ut) + 2) / tm) + 3
+    for direction in (1, -1):
+        n = 0 if direction == 1 else -1
+        misses = 0
+        while True:
+            if min_exponent(n) < top:
+                emit(n)
+                misses = 0
             else:
-                x = 1
-                while base_e - expo * x < top:
-                    add(base_e - expo * x, -(base_c * unity(-spec.u_rat * x)))
-                    x += 1
-
-        # min_exponent is a positive-leading quadratic in n, hence strictly
-        # monotone once |n| clears this bound: two consecutive exceeds past it
-        # end the sweep on that side of the bilateral sum.
-        n_safe = int((abs(vt) + abs(ut) + 2) / tm) + 3
-        for direction in (1, -1):
-            n = 0 if direction == 1 else -1
-            misses = 0
-            while True:
-                if min_exponent(n) < top:
-                    emit(n)
-                    misses = 0
-                else:
-                    misses += 1
-                    if misses >= 2 and abs(n) > n_safe:
-                        break
-                n += direction
-        bilateral = QSeries.from_terms(terms, top, ram=wram)
-        result = bilateral * theta.inverse()
-        return result.truncate(prec).demote().reduce_ram()
-    return _cached(key, build)
+                misses += 1
+                if misses >= 2 and abs(n) > n_safe:
+                    break
+            n += direction
+    bilateral = QSeries.from_terms(terms, top, ram=wram)
+    result = bilateral * theta.inverse()
+    return result.truncate(prec).demote().reduce_ram()
 
 
+@memo
 def lerch_mu_weighted(t: int, prec) -> QSeries:
     """(1/2) D_omega^t mu(4 tau + 2 omega, 4 tau; 8 tau) at omega = 0.
 
@@ -308,49 +289,46 @@ def lerch_mu_weighted(t: int, prec) -> QSeries:
     """
     if t < 0 or t % 2:
         raise OddT("t must be a non-negative even integer")
-    def build():
-        top = int(Fraction(prec)) + 2
-        terms: dict = {}
-        n = 0
-        while 4 * n * n + 8 * n + 3 <= top:
-            base = 4 * n * n + 8 * n + 3
-            sgn = 1 if n % 2 == 0 else -1
-            e = 8 * n + 4
-            x = 0
-            while base + e * x <= top:
-                w = Fraction((2 * x + 1) ** t * sgn)
-                terms[base + e * x] = terms.get(base + e * x, Fraction(0)) + w
-                x += 1
-            n += 1
-        n = -1
-        while 4 * n * n + 8 * n + 3 <= top:
-            base = 4 * n * n + 8 * n + 3
-            sgn = 1 if n % 2 == 0 else -1
-            e = -(8 * n + 4)
-            x = 1
-            while base + e * x <= top:
-                w = Fraction((2 * x - 1) ** t * sgn)
-                terms[base + e * x] = terms.get(base + e * x, Fraction(0)) - w
-                x += 1
-            n -= 1
-        s = QSeries.from_terms(terms, top)
-        theta4 = forms.theta_big(4, top)
-        return (Fraction(-1, 2) * s * theta4.inverse()).truncate(prec)
-    return _cached(("muw", t, Fraction(prec)), build)
+    top = int(Fraction(prec)) + 2
+    terms: dict = {}
+    n = 0
+    while 4 * n * n + 8 * n + 3 <= top:
+        base = 4 * n * n + 8 * n + 3
+        sgn = 1 if n % 2 == 0 else -1
+        e = 8 * n + 4
+        x = 0
+        while base + e * x <= top:
+            w = Fraction((2 * x + 1) ** t * sgn)
+            terms[base + e * x] = terms.get(base + e * x, Fraction(0)) + w
+            x += 1
+        n += 1
+    n = -1
+    while 4 * n * n + 8 * n + 3 <= top:
+        base = 4 * n * n + 8 * n + 3
+        sgn = 1 if n % 2 == 0 else -1
+        e = -(8 * n + 4)
+        x = 1
+        while base + e * x <= top:
+            w = Fraction((2 * x - 1) ** t * sgn)
+            terms[base + e * x] = terms.get(base + e * x, Fraction(0)) - w
+            x += 1
+        n -= 1
+    s = QSeries.from_terms(terms, top)
+    theta4 = forms.theta_big(4, top)
+    return (Fraction(-1, 2) * s * theta4.inverse()).truncate(prec)
 
 
 # ---------------------------------------------------------------------------
 # calQ and Q+
 
+@memo
 def cal_q(prec) -> QSeries:
     """calQ = -(7/2) A38 + (3/2) A78 - (1/2) B + 4 M (integer exponents)."""
-    def build():
-        p = Fraction(prec)
-        return (Fraction(-7, 2) * forms.form_a38(p)
-                + Fraction(3, 2) * forms.form_a78(p)
-                + Fraction(-1, 2) * forms.form_b(p)
-                + 4 * mock_m(p)).truncate(p).reduce_ram()
-    return _cached(("calQ", Fraction(prec)), build)
+    p = Fraction(prec)
+    return (Fraction(-7, 2) * forms.form_a38(p)
+            + Fraction(3, 2) * forms.form_a78(p)
+            + Fraction(-1, 2) * forms.form_b(p)
+            + 4 * mock_m(p)).truncate(p).reduce_ram()
 
 
 def q_plus(prec) -> QSeries:
@@ -367,6 +345,7 @@ def h_coefficients(count: int) -> list:
 # ---------------------------------------------------------------------------
 # The inversion transform of Q
 
+@memo
 def s_transform_parts(prec) -> dict:
     """(1/sqrt(-i tau)) X(-1/tau) for each constituent X of Q, renormalized.
 
@@ -374,40 +353,37 @@ def s_transform_parts(prec) -> dict:
     of the mu-hat specialization.  All series carry integer exponents in the
     renormalized variable (q -> q^8 relative to the tau picture).
     """
-    def build():
-        p = Fraction(prec)
-        sA38 = Fraction(-1, 2) * forms.form_a(p)
-        sB = 4 * forms.eta_quotient([(8, 5), (4, -4)], p)
-        sA78 = sB + Fraction(1, 2) * forms.eta_quotient(
-            [(2, 8), (8, -3), (4, -4)], p)
-        # The sign convention for b^nu at half-integer characteristics is
-        # fixed end-to-end by the printed rational expansion of the
-        # transformed series; with the literal theta convention used here the
-        # mu-prefactors enter with a plus sign.
-        mu1 = lerch_mu(LerchSpec(Fraction(1, 2), 0, Fraction(1, 4), -1, 2), p + 1)
-        mu2 = lerch_mu(LerchSpec(Fraction(1, 2), 0, Fraction(3, 4), -1, 2), p + 1)
-        z8 = unity(Fraction(1, 8))
-        sM = (Fraction(1, 4) * z8 * mu1
-              + Fraction(1, 4) * (1 / z8) * mu2).shift_exponent(Fraction(-1, 4))
-        sM = sM.truncate(p).demote()
-        return {"A38": sA38, "A78": sA78, "B": sB, "M": sM}
-    return _cached(("sparts", Fraction(prec)), build)
+    p = Fraction(prec)
+    sA38 = Fraction(-1, 2) * forms.form_a(p)
+    sB = 4 * forms.eta_quotient([(8, 5), (4, -4)], p)
+    sA78 = sB + Fraction(1, 2) * forms.eta_quotient(
+        [(2, 8), (8, -3), (4, -4)], p)
+    # The sign convention for b^nu at half-integer characteristics is
+    # fixed end-to-end by the printed rational expansion of the
+    # transformed series; with the literal theta convention used here the
+    # mu-prefactors enter with a plus sign.
+    mu1 = lerch_mu(LerchSpec(Fraction(1, 2), 0, Fraction(1, 4), -1, 2), p + 1)
+    mu2 = lerch_mu(LerchSpec(Fraction(1, 2), 0, Fraction(3, 4), -1, 2), p + 1)
+    z8 = unity(Fraction(1, 8))
+    sM = (Fraction(1, 4) * z8 * mu1
+          + Fraction(1, 4) * (1 / z8) * mu2).shift_exponent(Fraction(-1, 4))
+    sM = sM.truncate(p).demote()
+    return {"A38": sA38, "A78": sA78, "B": sB, "M": sM}
 
 
+@memo
 def q_transform_s_ren(prec) -> QSeries:
     """(1/sqrt(-i tau)) Q(-1/tau) in the renormalized (integer-exponent) frame."""
-    def build():
-        parts = s_transform_parts(prec)
-        total = (Fraction(-7, 2) * parts["A38"]
-                 + Fraction(3, 2) * parts["A78"]
-                 + Fraction(-1, 2) * parts["B"]
-                 + 4 * parts["M"])
-        total = total.demote()
-        if not total.is_rational():
-            raise NonRationalResult(
-                "transform assembly left irrational coefficients")
-        return total.truncate(prec)
-    return _cached(("QtransSren", Fraction(prec)), build)
+    parts = s_transform_parts(prec)
+    total = (Fraction(-7, 2) * parts["A38"]
+             + Fraction(3, 2) * parts["A78"]
+             + Fraction(-1, 2) * parts["B"]
+             + 4 * parts["M"])
+    total = total.demote()
+    if not total.is_rational():
+        raise NonRationalResult(
+            "transform assembly left irrational coefficients")
+    return total.truncate(prec)
 
 
 def q_transform_s(prec) -> QSeries:

@@ -11,7 +11,8 @@ shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import cache, wraps
+from math import gcd, lcm
 
 from .exact import Cyclo, as_rational, root_of_unity
 
@@ -35,8 +36,19 @@ class IrrepresentableExponent(ValueError):
 _ZERO = Fraction(0)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+def memo(fn):
+    """Memoize a series constructor whose last argument is a precision.
+
+    The precision is keyed as a Fraction so that an int and an equal
+    Fraction share one entry: ``functools.cache`` keys a lone int argument
+    by the int itself, which never matches the key of a Fraction.
+    """
+    cached = cache(fn)
+
+    @wraps(fn)
+    def call(*args):
+        return cached(*args[:-1], Fraction(args[-1]))
+    return call
 
 
 class QSeries:
@@ -195,7 +207,7 @@ class QSeries:
         return QSeries(ram, lead, coeffs, prec)
 
     def _align(self, other: "QSeries"):
-        ram = _lcm(self.ram, other.ram)
+        ram = lcm(self.ram, other.ram)
         return self.to_ram(ram), other.to_ram(ram)
 
     # ------------------------------------------------------------------
@@ -436,7 +448,7 @@ class QSeries:
     def shift_exponent(self, delta) -> "QSeries":
         """Multiply by the exact monomial q^delta."""
         d = Fraction(delta)
-        ram = _lcm(self.ram, d.denominator)
+        ram = lcm(self.ram, d.denominator)
         s = self.to_ram(ram)
         off = int(d * ram)
         prec = None if s.prec is None else s.prec + off

@@ -116,10 +116,33 @@ def test_threads_env_var(monkeypatch, capsys):
     assert serial == pooled
 
 
-def test_usage_error_exit_code():
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--nf", "5"],
+    ["series", "--name", "nope"],
+    ["series", "--name", "eta", "--order", "abc"],
+    ["series", "--name", "eta", "--order", "1/0"],
+    ["series", "--name", "eta", "--order", "-5"],
+    ["series", "--name", "fm:x"],
+    ["series", "--name", "fm:-1"],
+    ["series", "--name", "Ft:3"],
+    ["series", "--name", "calFt:x"],
+    ["series", "--name", "ebracket:1"],
+    ["series", "--name", "ebracket:1,2"],
+    ["swcheck", "--nf", "0", "--order", "-4"],
+    ["hurwitz", "--max", "-3"],
+    ["goettsche", "--max-weight", "-2"],
+    ["invariants", "--nf", "0", "--max-weight", "x"],
+    ["verify", "--suite", "criterion", "--max", "-1"],
+])
+def test_usage_error_exit_code(argv, capsys):
+    """Bad input exits 2 with one error line on stderr, before any output."""
     with pytest.raises(SystemExit) as exc:
-        main(["invariants", "--nf", "5"])
+        main(argv)
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "error:" in captured.err
 
 
 def test_out_file(tmp_path, capsys):

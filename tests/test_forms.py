@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qdonald import QSeries, forms
+from qdonald import QSeries, forms, mock
 
 
 def literal_eta_product(prec: int) -> QSeries:
@@ -193,3 +193,30 @@ def test_constructor_precision_is_honored():
     for name in ("eta", "theta2", "E2", "A", "h"):
         s = forms.by_name(name, 17)
         assert s.prec_q() >= 17
+
+
+def test_memo_keys_share_entries():
+    """Equal requests hit one memo entry: the constructors return the same
+    object for an int and an equal Fraction precision, for eta-quotient
+    factors in any order or container, and for euler_product's default."""
+    same_prec = [
+        lambda p: forms.euler_product(p, 2),
+        lambda p: forms.eta_power(8, -3, p),
+        lambda p: forms.eta_quotient([(2, 4), (4, -8)], p),
+        lambda p: forms.theta_big(3, p),
+        lambda p: forms.vartheta(2, p),
+        forms.eisenstein_e2, forms.eisenstein_estar, forms.eisenstein_eodd,
+        forms.form_a38, forms.form_a78, forms.form_h,
+        lambda p: forms.form_fm(1, p),
+        lambda p: mock.cal_f(2, p), mock.mock_m,
+        lambda p: mock.lerch_mu_weighted(0, p), mock.cal_q,
+        mock.s_transform_parts, mock.q_transform_s_ren,
+        lambda p: mock.lerch_mu(
+            mock.LerchSpec(0, -16, F(-1, 2), -24, 32), p),
+    ]
+    for build in same_prec:
+        assert build(7) is build(F(7))
+    assert (forms.eta_quotient([(8, 5), (16, -4)], 9)
+            is forms.eta_quotient(((16, -4), (8, 5)), 9)
+            is forms.eta_quotient([[8, 5], [16, -4]], F(9)))
+    assert forms.euler_product(11) is forms.euler_product(11, 1)
