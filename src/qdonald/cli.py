@@ -2,8 +2,9 @@
 
 Output is deterministic: identical invocations produce byte-identical text.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  A usage
-error (an unknown series name, a malformed or negative order or bound) is
-one line on stderr, reported before anything is computed.
+error (an unknown series name, a malformed or negative order or bound, a
+``--terms`` below 1, an ``--out`` file that cannot be written) is one line
+on stderr; all but the last are reported before anything is computed.
 """
 
 from __future__ import annotations
@@ -14,67 +15,88 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import forms, invariants, mock, sw
 from .series import InsufficientPrecision, QSeries
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"qdonald: error: argument --out: cannot write "
+                         f"{out!r}: {exc.strerror or exc}\n")
+        raise SystemExit(2) from None
 
 
 # ---------------------------------------------------------------------------
 # argument types
 
-# parametrized series names: (parameter count, validity test, usage)
-_PARAM_NAMES = {
-    "fm": (1, lambda m: m >= 0, "fm:<m> needs an integer m >= 0"),
-    "Ft": (1, lambda t: t >= 0 and t % 2 == 0,
-           "Ft:<t> needs an even integer t >= 0"),
-    "calFt": (1, lambda t: t >= 0 and t % 2 == 0,
-              "calFt:<t> needs an even integer t >= 0"),
-    "ebracket": (2, lambda i, j: 0 <= j <= i,
-                 "ebracket:<i>,<j> needs integers 0 <= j <= i"),
-}
+def _series_table() -> dict:
+    """Series names: a plain name maps to its constructor, a ``kind:<p>,...``
+    kind to (parameter count, validity test, constructor, usage).  Built per
+    lookup, so the constructors are read from their modules at parse time."""
+    return {
+        "eta": forms.eta, "Delta": forms.delta,
+        **{f"theta{i}": partial(forms.theta_big, i) for i in (2, 3, 4)},
+        **{f"vtheta{i}": partial(forms.vartheta, i) for i in (2, 3, 4)},
+        "E2": forms.eisenstein_e2, "Estar": forms.eisenstein_estar,
+        "Eodd": forms.eisenstein_eodd, "A": forms.form_a, "B": forms.form_b,
+        "A38": forms.form_a38, "A78": forms.form_a78, "h": forms.form_h,
+        "M": mock.mock_m, "Qplus": mock.q_plus, "QcalQ": mock.cal_q,
+        "QtransS": mock.q_transform_s, "Z0": invariants.z0_series,
+        "fm": (1, lambda m: m >= 0, forms.form_fm,
+               "fm:<m> needs an integer m >= 0"),
+        "Ft": (1, lambda t: t >= 0 and t % 2 == 0, mock.f_t,
+               "Ft:<t> needs an even integer t >= 0"),
+        "calFt": (1, lambda t: t >= 0 and t % 2 == 0, mock.cal_f,
+                  "calFt:<t> needs an even integer t >= 0"),
+        "ebracket": (2, lambda i, j: 0 <= j <= i, mock.e_bracket,
+                     "ebracket:<i>,<j> needs integers 0 <= j <= i"),
+    }
 
 
-def _series_name(text: str) -> str:
-    """A name ``_series_by_name`` resolves, with well-formed parameters."""
+def _series_name(text: str):
+    """The constructor, a function of the order, that a series name names."""
     kind, sep, arg = text.partition(":")
-    if not sep and (text in _plain_series() or text in forms.FORM_NAMES):
-        return text
-    if sep and kind in _PARAM_NAMES:
-        count, valid, usage = _PARAM_NAMES[kind]
+    entry = _series_table().get(kind)
+    if not sep and callable(entry):
+        return entry
+    if sep and isinstance(entry, tuple):
+        count, valid, build, usage = entry
         try:
             params = [int(x) for x in arg.split(",")]
         except ValueError:
             params = []
         if len(params) == count and valid(*params):
-            return text
+            return partial(build, *params)
         raise argparse.ArgumentTypeError(f"bad series name {text!r}: {usage}")
     raise argparse.ArgumentTypeError(f"unknown series name {text!r}")
 
 
-def _non_negative(parse, what: str):
-    """An argparse type: ``parse`` the text and reject negative values."""
+def _at_least(low: int, parse, what: str):
+    """An argparse type: ``parse`` the text and reject values below ``low``."""
     def convert(text: str):
         try:
             value = parse(text)
         except (ValueError, ZeroDivisionError):
             raise argparse.ArgumentTypeError(
                 f"invalid {what} {text!r}") from None
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"{what} must be >= 0, got {text}")
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be >= {low}, got {text}")
         return value
     return convert
 
 
-_order = _non_negative(Fraction, "order")  # a rational such as 60 or 5/2
-_bound = _non_negative(int, "bound")
+_order = _at_least(0, Fraction, "order")  # a rational such as 60 or 5/2
+_bound = _at_least(0, int, "bound")
+_terms = _at_least(1, int, "terms")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,31 +104,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-# ---------------------------------------------------------------------------
-# series resolution
-
-def _plain_series() -> dict:
-    """Parameter-free series names outside ``forms`` and their constructors."""
-    return {"M": mock.mock_m, "Qplus": mock.q_plus, "QcalQ": mock.cal_q,
-            "QtransS": mock.q_transform_s, "Z0": invariants.z0_series}
-
-
-def _series_by_name(name: str, order) -> QSeries:
-    plain = _plain_series()
-    if name in plain:
-        return plain[name](order)
-    if name.startswith("Ft:"):
-        return mock.f_t(int(name.split(":", 1)[1]), order)
-    if name.startswith("calFt:"):
-        return mock.cal_f(int(name.split(":", 1)[1]), order)
-    if name.startswith("ebracket:"):
-        i, j = (int(x) for x in name.split(":", 1)[1].split(","))
-        return mock.e_bracket(i, j, order)
-    return forms.by_name(name, order)
-
-
 def cmd_series(args) -> int:
-    series = _series_by_name(args.name, args.order)
+    series = args.name(args.order)
     if args.format == "json":
         _emit(json.dumps(series.to_json_dict()) + "\n", args.out)
     else:
@@ -191,7 +190,7 @@ def _first_bad(series: QSeries):
     return None
 
 
-def _suite_criterion(max_weight: int, order) -> list:
+def _suite_criterion(max_weight: int) -> list:
     checks = []
     for weight in range(max_weight + 1):
         for m in range(weight + 1):
@@ -322,7 +321,7 @@ def _suite_nf4(order) -> list:
 
 def cmd_verify(args) -> int:
     suites = {
-        "criterion": lambda: _suite_criterion(args.max, args.order),
+        "criterion": lambda: _suite_criterion(args.max),
         "identities": lambda: _suite_identities(args.order),
         "swcurves": lambda: _suite_swcurves(min(args.order, 24)),
         "tables": _suite_tables,
@@ -368,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="print a named q-series")
     p.add_argument("--name", type=_series_name, required=True)
     p.add_argument("--order", type=_order, default="60")
-    p.add_argument("--terms", type=int, default=12)
+    p.add_argument("--terms", type=_terms, default=12)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_series)
@@ -404,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nf4", help="conformal-point partition function")
     p.add_argument("--order", type=_order, default="8")
-    p.add_argument("--terms", type=int, default=12)
+    p.add_argument("--terms", type=_terms, default=12)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_nf4)
 

@@ -213,35 +213,3 @@ def form_fm(m: int, prec) -> QSeries:
     num = t4 ** 9 * (16 * t2 ** 4 + t3 ** 4) ** m
     den = (t2 * t3) ** (2 * m + 3)
     return (num * den.inverse()).truncate(prec)
-
-
-# ---------------------------------------------------------------------------
-# CLI name registry
-
-def _plain_forms() -> dict:
-    """Parameter-free CLI form names and their constructors."""
-    return {
-        "eta": eta, "Delta": delta,
-        "theta2": lambda p: theta_big(2, p),
-        "theta3": lambda p: theta_big(3, p),
-        "theta4": lambda p: theta_big(4, p),
-        "vtheta2": lambda p: vartheta(2, p),
-        "vtheta3": lambda p: vartheta(3, p),
-        "vtheta4": lambda p: vartheta(4, p),
-        "E2": eisenstein_e2, "Estar": eisenstein_estar, "Eodd": eisenstein_eodd,
-        "A": form_a, "B": form_b, "A38": form_a38, "A78": form_a78,
-        "h": form_h,
-    }
-
-
-FORM_NAMES = frozenset(_plain_forms())
-
-
-def by_name(name: str, prec) -> QSeries:
-    """Resolve a CLI-facing form name (eta, theta2, vtheta3, fm:2, ...)."""
-    plain = _plain_forms()
-    if name in plain:
-        return plain[name](prec)
-    if name.startswith("fm:"):
-        return form_fm(int(name.split(":", 1)[1]), prec)
-    raise KeyError(f"unknown form name {name!r}")

@@ -59,9 +59,12 @@ def pair_constant_term(kernel: QSeries, slot: QSeries, j: int = 0) -> Fraction:
     return total
 
 
-def _retrying(fn, margins=(0, 8, 24, 64)):
+_MARGINS = (0, 8, 24, 64)
+
+
+def _retrying(fn):
     last = None
-    for margin in margins:
+    for margin in _MARGINS:
         try:
             return fn(margin)
         except InsufficientPrecision as exc:  # pragma: no cover - safety net
@@ -81,26 +84,32 @@ def goettsche_phi(k: int, m: int, n: int) -> Fraction:
     """
     if m < 0 or n < 0 or k < 1 or m + n != 2 * (k - 1):
         return Fraction(0)
+    return _retrying(lambda margin: sum(
+        (c * pair_constant_term(kernel, slot)
+         for _, c, kernel, slot in _goettsche_kernels(m, n, margin)),
+        Fraction(0)))
 
-    def attempt(margin):
-        pt, base, p4_pows = _theta_frame(m, n, margin, 8)
-        e2_pows = _power_list(forms.eisenstein_e2(pt), n)
-        ps = Fraction(2 * m + 2 * n + 3, 8) + 1 + margin
-        total = Fraction(0)
-        for l in range(n + 1):
-            slot = mock.f_t(2 * (n - l), ps)
-            for j in range(l + 1):
-                # sign (-1)^(n+j): fixed against the printed invariant table,
-                # the worked (3,1) summands, and the Z0 reduction, which all
-                # carry one sign more than the displayed closed formula
-                c = (Fraction(8 * (-1) ** (n + j), 2 ** l * 3 ** l)
-                     * Fraction(factorial(2 * n),
-                                factorial(2 * n - 2 * l) * factorial(j)
-                                * factorial(l - j)))
-                kernel = base * p4_pows[m + j] * e2_pows[l - j]
-                total += c * pair_constant_term(kernel, slot)
-        return total
-    return _retrying(attempt)
+
+def _goettsche_kernels(m: int, n: int, margin) -> list:
+    """Kernel list [((l, j), coeff, kernel, slot)] of the Goettsche double
+    sum for p^m S^(2n), with slot F_(2(n-l))."""
+    pt, base, p4_pows = _theta_frame(m, n, margin, 8)
+    e2_pows = _power_list(forms.eisenstein_e2(pt), n)
+    ps = Fraction(2 * m + 2 * n + 3, 8) + 1 + margin
+    kernels = []
+    for l in range(n + 1):
+        slot = mock.f_t(2 * (n - l), ps)
+        for j in range(l + 1):
+            # sign (-1)^(n+j): fixed against the printed invariant table,
+            # the worked (3,1) summands, and the Z0 reduction, which all
+            # carry one sign more than the displayed closed formula
+            c = (Fraction(8 * (-1) ** (n + j), 2 ** l * 3 ** l)
+                 * Fraction(factorial(2 * n),
+                            factorial(2 * n - 2 * l) * factorial(j)
+                            * factorial(l - j)))
+            kernels.append(((l, j), c, base * p4_pows[m + j] * e2_pows[l - j],
+                            slot))
+    return kernels
 
 
 def _power_list(series: QSeries, top: int) -> list:
@@ -169,8 +178,8 @@ def _frame(nf: int, m: int, n: int, margin):
 
 
 def _d_kernels(nf: int, m: int, n: int, margin):
-    """Kernel list [(coeff, kernel, j)], the slot series, its exponent grid
-    and the H-combo sign for D^nf_(m,2n).
+    """Kernel list [((i, j), coeff, kernel)], the slot series, its exponent
+    grid and the H-combo sign for D^nf_(m,2n).
 
     The (i, j) coefficient is sign (-1)^(i+j) 2^(offset + slope j) / 3^(n-j)
     (2n)! / ((n-i)! j! (i-j)!) Gamma(1/2) / Gamma(1/2+j).
@@ -185,7 +194,7 @@ def _d_kernels(nf: int, m: int, n: int, margin):
                  * Fraction(factorial(2 * n),
                             factorial(n - i) * factorial(j) * factorial(i - j))
                  * mock.gamma_half_ratio(j))
-            kernels.append((c, base * pows[m + n - i] * e2_pows[i - j], j))
+            kernels.append(((i, j), c, base * pows[m + n - i] * e2_pows[i - j]))
     return kernels, slot, grid, combo_sign
 
 
@@ -203,7 +212,7 @@ def uplane_D(nf: int, m: int, n: int) -> DCell:
         kernels, slot, (start, step), combo_sign = _d_kernels(nf, m, n, margin)
         value = Fraction(0)
         weights: dict = {}
-        for c, kernel, j in kernels:
+        for (_, j), c, kernel in kernels:
             value += c * pair_constant_term(kernel, slot, j)
             lead_q = Fraction(kernel.lead, kernel.ram)
             alpha = 0
@@ -225,8 +234,8 @@ def uplane_value_with_slot(nf: int, m: int, n: int, slot: QSeries) -> Fraction:
     """The D-sum evaluated against a caller-supplied slot series."""
     def attempt(margin):
         kernels, _, _, _ = _d_kernels(nf, m, n, margin)
-        return sum((c * pair_constant_term(k, slot, j) for c, k, j in kernels),
-                   Fraction(0))
+        return sum((c * pair_constant_term(k, slot, j)
+                    for (_, j), c, k in kernels), Fraction(0))
     return _retrying(attempt)
 
 
@@ -245,38 +254,32 @@ def lambda_summand(side: int, m: int, n: int, k: int, j: int, prec) -> QSeries:
     """
     if not (0 <= j <= k <= n):
         raise ConstraintViolation("need 0 <= j <= k <= n")
+    return _lambda_side(side, m, n, prec)[(k, j)]
+
+
+def _lambda_side(side: int, m: int, n: int, prec) -> dict:
+    """All summands of one side keyed by (k, j): the Goettsche kernels times
+    their F-slots (side 1) or the nf=0 kernels times (q d/dq)^j Q+ (side 2),
+    built with margin p0 = prec/8, known below q^p0, then renormalized."""
     p0 = Fraction(prec) / 8
-    pt = p0 + Fraction(2 * m + 2 * n + 3, 4) + 2
-    t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
-    e2 = forms.eisenstein_e2(pt)
-    p4 = t2 ** 4 + t3 ** 4
-    common = (Fraction((-1) ** j)
-              * Fraction(factorial(2 * n),
-                         factorial(n - k) * factorial(j) * factorial(k - j))
-              * t4 ** 8 * p4 ** m
-              * ((t2 * t3) ** (2 * m + 2 * n + 3)).inverse()
-              * e2 ** (k - j))
     if side == 1:
-        # (-1)^n rather than the displayed (-1)^(n+1); see goettsche_phi
-        c = (Fraction(8 * (-1) ** n, 2 ** k * 3 ** k)
-             * Fraction(factorial(n - k), factorial(2 * n - 2 * k)))
-        out = c * common * p4 ** j * mock.f_t(2 * (n - k), pt)
+        terms = [(key, c * kernel * slot)
+                 for key, c, kernel, slot in _goettsche_kernels(m, n, p0)]
     elif side == 2:
-        c = (Fraction((-1) ** (k + 1) * 2 ** (2 * j + 1), 2 ** n * 3 ** (n - j))
-             * mock.gamma_half_ratio(j))
-        out = c * common * t4 * p4 ** (n - k) * mock.q_plus(pt).qdq(j)
+        kernels, slot, _, _ = _d_kernels(0, m, n, p0)
+        terms = [(key, c * kernel * slot.qdq(key[1]))
+                 for key, c, kernel in kernels]
     else:
         raise ConstraintViolation("side must be 1 or 2")
-    return out.truncate(p0).rescale(8, 1)
+    return {key: t.truncate(p0).rescale(8, 1) for key, t in terms}
 
 
 def criterion_series(m: int, n: int, prec) -> QSeries:
     """Renormalized difference of the two criterion brackets, all (k, j)."""
+    side1, side2 = (_lambda_side(side, m, n, prec) for side in (1, 2))
     total = QSeries.zero(Fraction(prec), 1)
-    for k in range(n + 1):
-        for j in range(k + 1):
-            total = total + lambda_summand(1, m, n, k, j, prec) \
-                - lambda_summand(2, m, n, k, j, prec)
+    for key in side1:
+        total = total + side1[key] - side2[key]
     return total
 
 

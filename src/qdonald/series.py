@@ -122,9 +122,6 @@ class QSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_exact(self) -> bool:
-        return self.prec is None
-
     def valuation(self) -> Fraction:
         if not self.coeffs:
             raise ValueError("zero series has no valuation")
@@ -172,10 +169,13 @@ class QSeries:
             return self
         if ram % self.ram:
             raise ValueError(f"{self.ram} does not divide {ram}")
-        s = ram // self.ram
+        return self._spread(ram // self.ram, ram)
+
+    def _spread(self, s: int, ram: int) -> "QSeries":
+        """Stretch every w-exponent by s and read the result on the 1/ram
+        grid, padding the window with zeros up to the stretched precision."""
         coeffs = [_ZERO] * (s * (len(self.coeffs) - 1) + 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            coeffs[s * i] = c
+        coeffs[::s] = self.coeffs
         lead = self.lead * s
         prec = None if self.prec is None else self.prec * s
         if prec is not None and coeffs:
@@ -393,17 +393,7 @@ class QSeries:
         """Argument rescaling tau -> (num/den) tau, i.e. q -> q^(num/den)."""
         if num <= 0 or den <= 0:
             raise ValueError("rescale factors must be positive")
-        ram = self.ram * den
-        coeffs = []
-        if self.coeffs:
-            coeffs = [_ZERO] * (num * (len(self.coeffs) - 1) + 1)
-            for i, c in enumerate(self.coeffs):
-                coeffs[num * i] = c
-        lead = self.lead * num
-        prec = None if self.prec is None else self.prec * num
-        if prec is not None and coeffs:
-            coeffs += [_ZERO] * (prec - lead - len(coeffs))
-        return QSeries(ram, lead, coeffs, prec).reduce_ram()
+        return self._spread(num, self.ram * den).reduce_ram()
 
     def shift_tau(self, k: int) -> "QSeries":
         """tau -> tau + k: multiply the w^m coefficient by zeta_ram^(k m)."""

@@ -1,10 +1,12 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import argparse
 import json
 
 import pytest
 
-from qdonald.cli import main
+from qdonald import forms
+from qdonald.cli import _series_name, main
 
 
 def run_cli(capsys, *argv):
@@ -107,7 +109,7 @@ def test_determinism(capsys):
 
 
 def test_threads_env_var(monkeypatch, capsys):
-    """QDONALD_THREADS caps the table worker pool without changing output."""
+    """QDONALD_THREADS is ignored: setting it leaves the output unchanged."""
     _, serial = run_cli(capsys, "invariants", "--nf", "0", "--max-weight", "2",
                         "--format", "json")
     monkeypatch.setenv("QDONALD_THREADS", "4")
@@ -133,6 +135,8 @@ def test_threads_env_var(monkeypatch, capsys):
     ["goettsche", "--max-weight", "-2"],
     ["invariants", "--nf", "0", "--max-weight", "x"],
     ["verify", "--suite", "criterion", "--max", "-1"],
+    ["series", "--name", "eta", "--order", "5", "--terms", "0"],
+    ["nf4", "--order", "3", "--terms", "-1"],
 ])
 def test_usage_error_exit_code(argv, capsys):
     """Bad input exits 2 with one error line on stderr, before any output."""
@@ -151,3 +155,27 @@ def test_out_file(tmp_path, capsys):
                         "--format", "json", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["rows"][0]["value"] == "-1"
+    missing = tmp_path / "missing" / "table.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "--nf", "0", "--max-weight", "0", "--out",
+              str(missing)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert not missing.parent.exists()
+
+
+def test_series_name_registry():
+    assert (_series_name("theta2")(20) - forms.theta_big(2, 20)).is_zero()
+    assert (_series_name("fm:2")(12) - forms.form_fm(2, 12)).is_zero()
+    assert (_series_name("Delta")(6) - forms.eta_power(1, 24, 6)).is_zero()
+    with pytest.raises(argparse.ArgumentTypeError):
+        _series_name("nope")
+
+
+def test_constructor_precision_is_honored():
+    for name in ("eta", "theta2", "E2", "A", "h"):
+        s = _series_name(name)(17)
+        assert s.prec_q() >= 17

@@ -181,20 +181,6 @@ def test_h_ode_printed_defect_is_pinned():
     assert (defect - 128 * forms.eisenstein_eodd(44)).is_zero()
 
 
-def test_by_name_registry():
-    assert (forms.by_name("theta2", 20) - forms.theta_big(2, 20)).is_zero()
-    assert (forms.by_name("fm:2", 12) - forms.form_fm(2, 12)).is_zero()
-    assert (forms.by_name("Delta", 6) - forms.eta_power(1, 24, 6)).is_zero()
-    with pytest.raises(KeyError):
-        forms.by_name("nope", 5)
-
-
-def test_constructor_precision_is_honored():
-    for name in ("eta", "theta2", "E2", "A", "h"):
-        s = forms.by_name(name, 17)
-        assert s.prec_q() >= 17
-
-
 def test_memo_keys_share_entries():
     """Equal requests hit one memo entry: the constructors return the same
     object for an int and an equal Fraction precision, for eta-quotient

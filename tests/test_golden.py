@@ -1,0 +1,44 @@
+"""Golden outputs: the stdout bytes of fixed CLI invocations never change.
+
+Each hash is the sha256 of the stdout of ``qdonald <argv>``.  A change that
+alters any of them alters the program's exact output and needs a reason.
+"""
+
+import hashlib
+
+import pytest
+
+from qdonald.cli import main
+
+GOLDEN = [
+    (["series", "--name", "Qplus", "--order", "20", "--format", "json"],
+     "b9ced97d599b92b98fa3cc3053d2d1b2a2678a781c398d56eb0a63e5ce5444b3"),
+    (["series", "--name", "QtransS", "--order", "6", "--format", "json"],
+     "7d80e74817d4ee56651f22a5b37f74a472752e60d729206ede3cbc562b4f44a0"),
+    (["series", "--name", "Delta", "--order", "60", "--format", "json"],
+     "e01e581e17a6573bf9ac1f57a25849a2014bb6db2c02a911fd8b609a31e40005"),
+    (["series", "--name", "ebracket:2,1", "--order", "10", "--format", "json"],
+     "60f5ccf9156259c02b91d75b9fa100886c2a0e0a082597eb2c920ad6e713f824"),
+    (["invariants", "--nf", "0", "--max-weight", "4", "--format", "json"],
+     "448d71deecbf91b6b2a05ead5fa7e857da4c7dc1bb9c431de0ecddb78faf1cc1"),
+    (["invariants", "--nf", "2", "--max-weight", "3", "--format", "csv"],
+     "315269cfb6cf31e64c07674c692385488cac511f60c99df1bd1ad0fad108b495"),
+    (["invariants", "--nf", "3", "--max-weight", "2"],
+     "0c3c603bdedae2601bfe3a0f4ad233c93cd7124edffc8035e31c0b2c26d922f8"),
+    (["goettsche", "--max-weight", "4"],
+     "ae70799c5f4d542ea9fa463ca108ecdd92ea1a9391655c836b99a6fa4e114fc9"),
+    (["nf4", "--order", "4"],
+     "eb6251206d48cbf579bce3b2cda14ec6a591f645dfb4c464ef127ec005be2e94"),
+    (["hurwitz", "--max", "24", "--format", "json"],
+     "c4490878b3d281778d17020b116b6f164f4bdf1b06f9f6823b500738f82f5bd4"),
+    (["verify", "--suite", "criterion", "--max", "2"],
+     "9503402b97cb4c7f3ee76ddfb773e5bda2214f6248786473c9d0dc3fa0e23d6f"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN])
+def test_golden_stdout(argv, digest, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -196,6 +196,38 @@ def test_rescale_roundtrip(a, p, q):
     assert a.rescale(p, q).rescale(q, p).agrees_with(a)
 
 
+def spread_reference(a: QSeries, s: int, ram: int) -> QSeries:
+    """Plain reference for the coefficient spread of to_ram and rescale:
+    the w^i coefficient moves to w^(s i) on the 1/ram grid."""
+    coeffs = []
+    if a.coeffs:
+        coeffs = [F(0)] * (s * (len(a.coeffs) - 1) + 1)
+        for i, c in enumerate(a.coeffs):
+            coeffs[s * i] = c
+    lead = a.lead * s
+    prec = None if a.prec is None else a.prec * s
+    if prec is not None and coeffs:
+        coeffs += [F(0)] * (prec - lead - len(coeffs))
+    return QSeries(ram, lead, coeffs, prec)
+
+
+def window(s: QSeries):
+    return s.ram, s.lead, s.prec, s.coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(qseries(), qseries(exact=True)),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4))
+def test_spread_matches_reference(a, num, den, k):
+    """rescale and to_ram keep the exact window of the plain spread."""
+    assert window(a.rescale(num, den)) == \
+        window(spread_reference(a, num, a.ram * den).reduce_ram())
+    assert window(a.to_ram(k * a.ram)) == \
+        window(spread_reference(a, k, k * a.ram))
+
+
 @settings(max_examples=200, deadline=None)
 @given(qseries())
 def test_shift_inverse(a):
