@@ -86,15 +86,15 @@ def goettsche_phi(k: int, m: int, n: int) -> Fraction:
         return Fraction(0)
     return _retrying(lambda margin: sum(
         (c * pair_constant_term(kernel, slot)
-         for _, c, kernel, slot in _goettsche_kernels(m, n, margin)),
+         for _, c, kernel, slot in _goettsche_kernels(
+             m, n, margin, _theta_frame(m, n, margin, forms.eisenstein_e2))),
         Fraction(0)))
 
 
-def _goettsche_kernels(m: int, n: int, margin) -> list:
+def _goettsche_kernels(m: int, n: int, margin, theta) -> list:
     """Kernel list [((l, j), coeff, kernel, slot)] of the Goettsche double
-    sum for p^m S^(2n), with slot F_(2(n-l))."""
-    pt, base, p4_pows = _theta_frame(m, n, margin, 8)
-    e2_pows = _power_list(forms.eisenstein_e2(pt), n)
+    sum for p^m S^(2n), with slot F_(2(n-l)), on the E2 theta frame."""
+    _, _, base, p4_pows, e2_pows = theta
     ps = Fraction(2 * m + 2 * n + 3, 8) + 1 + margin
     kernels = []
     for l in range(n + 1):
@@ -119,14 +119,16 @@ def _power_list(series: QSeries, top: int) -> list:
     return pows
 
 
-def _theta_frame(m: int, n: int, margin, t4_exp: int):
-    """Kernel precision pt, the base t4^t4_exp / (t2 t3)^(2m+2n+3) and the
-    ladder (t2^4 + t3^4)^k, k <= m + n, in the vartheta frame shared by
-    nf=0, nf=2 and the Goettsche formula."""
+def _theta_frame(m: int, n: int, margin, e2):
+    """The vartheta frame shared by the Goettsche formula, nf=0 and nf=2:
+    kernel precision pt, t4, the Goettsche base t4^8 / (t2 t3)^(2m+2n+3)
+    (nf=0 and nf=2 take one and two more factors t4), the ladder
+    (t2^4 + t3^4)^k for k <= m + n, and the ladder e2(pt)^k for k <= n."""
     pt = Fraction(2 * m + 2 * n + 3, 4) + 2 + margin
     t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
-    base = t4 ** t4_exp * ((t2 * t3) ** (2 * m + 2 * n + 3)).inverse()
-    return pt, base, _power_list(t2 ** 4 + t3 ** 4, m + n)
+    base = t4 ** 8 * ((t2 * t3) ** (2 * m + 2 * n + 3)).inverse()
+    return (pt, t4, base, _power_list(t2 ** 4 + t3 ** 4, m + n),
+            _power_list(e2(pt), n))
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +149,13 @@ def _frame(nf: int, m: int, n: int, margin):
     H-combo sign, and the coefficient row (sign, 2-power offset, 2-power
     slope in j) read by :func:`_d_kernels`."""
     if nf == 0:
-        pt, base, pows = _theta_frame(m, n, margin, 9)
-        e2_pows = _power_list(forms.eisenstein_e2(pt), n)
-        slot = mock.q_plus(Fraction(2 * m + 2 * n + 3, 8) + 1 + margin)
-        return (base, pows, e2_pows, slot, (Fraction(-1, 8), Fraction(1, 2)),
-                1, (-1, 1 - n, 2))
+        return _nf0_frame(m, n, margin,
+                          _theta_frame(m, n, margin, forms.eisenstein_e2))
     if nf == 2:
-        pt, base, pows = _theta_frame(m, n, margin, 10)
-        base = base * forms.vartheta(2, 2 * pt).rescale(1, 2).inverse()
-        e2_pows = _power_list(forms.eisenstein_e2(2 * pt).rescale(1, 2), n)
+        pt, t4, base, pows, e2_pows = _theta_frame(
+            m, n, margin, lambda p: forms.eisenstein_e2(2 * p).rescale(1, 2))
+        base = (base * (t4 * t4)
+                * forms.vartheta(2, 2 * pt).rescale(1, 2).inverse())
         slot_prec = Fraction(2 * m + 2 * n + 5, 8) + 1 + margin
         slot = mock.q_plus(2 * slot_prec).rescale(1, 2)
         return (base, pows, e2_pows, slot, (Fraction(-1, 16), Fraction(1, 4)),
@@ -177,15 +177,23 @@ def _frame(nf: int, m: int, n: int, margin):
     raise ConstraintViolation(f"no u-plane family for nf={nf}")
 
 
-def _d_kernels(nf: int, m: int, n: int, margin):
+def _nf0_frame(m: int, n: int, margin, theta):
+    """The nf=0 frame on a built E2 theta frame, which a criterion cell
+    shares with its Goettsche kernels."""
+    _, t4, base, pows, e2_pows = theta
+    slot = mock.q_plus(Fraction(2 * m + 2 * n + 3, 8) + 1 + margin)
+    return (base * t4, pows, e2_pows, slot, (Fraction(-1, 8), Fraction(1, 2)),
+            1, (-1, 1 - n, 2))
+
+
+def _d_kernels(m: int, n: int, frame):
     """Kernel list [((i, j), coeff, kernel)], the slot series, its exponent
-    grid and the H-combo sign for D^nf_(m,2n).
+    grid and the H-combo sign for D^nf_(m,2n) on the family's frame.
 
     The (i, j) coefficient is sign (-1)^(i+j) 2^(offset + slope j) / 3^(n-j)
     (2n)! / ((n-i)! j! (i-j)!) Gamma(1/2) / Gamma(1/2+j).
     """
-    base, pows, e2_pows, slot, grid, combo_sign, (sign, off, slope) = \
-        _frame(nf, m, n, margin)
+    base, pows, e2_pows, slot, grid, combo_sign, (sign, off, slope) = frame
     kernels = []
     for i in range(n + 1):
         for j in range(i + 1):
@@ -209,7 +217,8 @@ def uplane_D(nf: int, m: int, n: int) -> DCell:
         raise ConstraintViolation("m, n must be non-negative")
 
     def attempt(margin):
-        kernels, slot, (start, step), combo_sign = _d_kernels(nf, m, n, margin)
+        kernels, slot, (start, step), combo_sign = _d_kernels(
+            m, n, _frame(nf, m, n, margin))
         value = Fraction(0)
         weights: dict = {}
         for (_, j), c, kernel in kernels:
@@ -230,15 +239,6 @@ def uplane_D(nf: int, m: int, n: int) -> DCell:
     return _retrying(attempt)
 
 
-def uplane_value_with_slot(nf: int, m: int, n: int, slot: QSeries) -> Fraction:
-    """The D-sum evaluated against a caller-supplied slot series."""
-    def attempt(margin):
-        kernels, _, _, _ = _d_kernels(nf, m, n, margin)
-        return sum((c * pair_constant_term(k, slot, j)
-                    for (_, j), c, k in kernels), Fraction(0))
-    return _retrying(attempt)
-
-
 def evaluate_h_combo(combo, h_values) -> Fraction:
     return sum((w * h_values[a] for a, w in combo), Fraction(0))
 
@@ -254,19 +254,21 @@ def lambda_summand(side: int, m: int, n: int, k: int, j: int, prec) -> QSeries:
     """
     if not (0 <= j <= k <= n):
         raise ConstraintViolation("need 0 <= j <= k <= n")
-    return _lambda_side(side, m, n, prec)[(k, j)]
+    p0 = Fraction(prec) / 8
+    theta = _theta_frame(m, n, p0, forms.eisenstein_e2)
+    return _lambda_side(side, m, n, p0, theta)[(k, j)]
 
 
-def _lambda_side(side: int, m: int, n: int, prec) -> dict:
+def _lambda_side(side: int, m: int, n: int, p0, theta) -> dict:
     """All summands of one side keyed by (k, j): the Goettsche kernels times
     their F-slots (side 1) or the nf=0 kernels times (q d/dq)^j Q+ (side 2),
-    built with margin p0 = prec/8, known below q^p0, then renormalized."""
-    p0 = Fraction(prec) / 8
+    built on the E2 theta frame with margin p0 = prec/8, known below q^p0,
+    then renormalized."""
     if side == 1:
-        terms = [(key, c * kernel * slot)
-                 for key, c, kernel, slot in _goettsche_kernels(m, n, p0)]
+        terms = [(key, c * kernel * slot) for key, c, kernel, slot
+                 in _goettsche_kernels(m, n, p0, theta)]
     elif side == 2:
-        kernels, slot, _, _ = _d_kernels(0, m, n, p0)
+        kernels, slot, _, _ = _d_kernels(m, n, _nf0_frame(m, n, p0, theta))
         terms = [(key, c * kernel * slot.qdq(key[1]))
                  for key, c, kernel in kernels]
     else:
@@ -276,7 +278,9 @@ def _lambda_side(side: int, m: int, n: int, prec) -> dict:
 
 def criterion_series(m: int, n: int, prec) -> QSeries:
     """Renormalized difference of the two criterion brackets, all (k, j)."""
-    side1, side2 = (_lambda_side(side, m, n, prec) for side in (1, 2))
+    p0 = Fraction(prec) / 8
+    theta = _theta_frame(m, n, p0, forms.eisenstein_e2)
+    side1, side2 = (_lambda_side(side, m, n, p0, theta) for side in (1, 2))
     total = QSeries.zero(Fraction(prec), 1)
     for key in side1:
         total = total + side1[key] - side2[key]

@@ -73,80 +73,26 @@ def f_t(t: int, prec) -> QSeries:
 
 @memo
 def mock_m(prec) -> QSeries:
-    """M via the q-hypergeometric sum in the defining display."""
-    top = int(Fraction(prec)) + 1
-    num_top = top + 1
-    total = QSeries.zero(num_top, 1)
-    # running products over n of (1 - q^(16k-8)) and (1 + q^(16k-8))^-2
-    num = QSeries.one()
-    den = QSeries.from_terms({0: Fraction(1)}, num_top)
-    n = 0
-    while 8 * (n + 1) ** 2 - 1 < top:
-        factor = QSeries.from_terms(
-            {0: Fraction(1), 16 * (n + 1) - 8: Fraction(1)}, num_top)
-        den = den * factor * factor
-        if n:
-            num = num * QSeries.from_terms(
-                {0: Fraction(1), 16 * n - 8: Fraction(-1)}, num_top)
-        sign = Fraction(-1) if n % 2 == 0 else Fraction(1)
-        term = (num * den.inverse()).shift_exponent(8 * (n + 1) ** 2 - 1)
-        total = total + sign * term.truncate(top)
-        n += 1
-    return total.truncate(prec)
+    """M via the bilateral Lerch-type sum
 
+        M = -(1/(2 Theta2)) sum_(n in Z) q^(16n^2-8n) / (1 + q^(16n-8)).
 
-def mock_m_bilateral(prec) -> QSeries:
-    """M via the bilateral Lerch-type sum -(1/(2 Theta2)) sum q^(16n^2-8n)/(1+q^(16n-8))."""
-    top = int(Fraction(prec)) + 2
-    terms: dict = {}
-    n = 0
-    while True:
-        base = 16 * n * n - 8 * n
-        if n > 1 and base > top:
-            break
-        e = 16 * n - 8
-        if e > 0:
-            x = 0
-            while base + e * x <= top:
-                s = Fraction(-1) if x % 2 else Fraction(1)
-                terms[base + e * x] = terms.get(base + e * x, Fraction(0)) + s
-                x += 1
-        else:  # n = 0: e = -8 < 0: 1/(1+q^e) = q^|e| / (1 + q^|e|)
-            x = 1
-            while base - e * x <= top:
-                s = Fraction(1) if x % 2 else Fraction(-1)
-                terms[base - e * x] = terms.get(base - e * x, Fraction(0)) + s
-                x += 1
-        n += 1
-    n = -1
-    while True:
-        base = 16 * n * n - 8 * n
-        if base > top:
-            break
-        e = -(16 * n - 8)
-        x = 1
-        while base + e * x <= top:
-            s = Fraction(1) if x % 2 else Fraction(-1)
-            terms[base + e * x] = terms.get(base + e * x, Fraction(0)) + s
-            x += 1
-        n -= 1
-    bilateral = QSeries.from_terms(terms, top)
-    theta2 = forms.theta_big(2, top)
-    return (Fraction(-1, 2) * bilateral * theta2.inverse()).truncate(prec)
-
-
-def mock_m_mu(prec) -> QSeries:
-    """M via the difference of two mu-specializations at 32 tau.
-
-    Sign convention as in :func:`s_transform_parts`: relative to the printed
-    prefactors the literal theta convention flips the overall sign.
+    The n-th and (1-n)-th terms are equal, so the sum is twice its n >= 1
+    half, and every term there expands geometrically in q^(16n-8) > 0.
     """
-    p = Fraction(prec)
-    m1 = lerch_mu(LerchSpec(0, -16, Fraction(-1, 2), -24, 32), p + 2)
-    m2 = lerch_mu(LerchSpec(0, -16, Fraction(-1, 2), -8, 32), p + 2)
-    i = unity(Fraction(1, 4))
-    out = (Fraction(1, 2) * i * (m1 - m2)).shift_exponent(-1)
-    return out.truncate(p).demote()
+    # top >= 2 keeps the q^1 term of Theta2: a negative precision gives the
+    # empty window rather than a zero divisor
+    top = max(int(Fraction(prec)), 0) + 2
+    terms: dict = {}
+    n = 1
+    while 16 * n * n - 8 * n < top:
+        step = 16 * n - 8
+        for x, e in enumerate(range(16 * n * n - 8 * n, top, step)):
+            terms[e] = terms.get(e, 0) + (-1) ** x
+        n += 1
+    half = QSeries.from_terms(terms, top)
+    theta2 = forms.theta_big(2, top)
+    return (-(half * theta2.inverse())).truncate(prec)
 
 
 # ---------------------------------------------------------------------------

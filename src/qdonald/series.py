@@ -480,6 +480,8 @@ class QSeries:
 
     def to_text(self, max_terms: int = 12) -> str:
         """Render as 'q^(-1/8) * (1 + 28*q^(1/2) + ...)'."""
+        if max_terms < 1:
+            raise ValueError(f"max_terms must be at least 1, got {max_terms}")
         terms = list(self.terms())
         if not terms:
             return "0"

@@ -15,6 +15,8 @@ GOLDEN = [
      "b9ced97d599b92b98fa3cc3053d2d1b2a2678a781c398d56eb0a63e5ce5444b3"),
     (["series", "--name", "QtransS", "--order", "6", "--format", "json"],
      "7d80e74817d4ee56651f22a5b37f74a472752e60d729206ede3cbc562b4f44a0"),
+    (["series", "--name", "M", "--order", "300", "--format", "json"],
+     "6284639481a834295b56a767ffa7d8941b9bc24a8ade70b9b447b6e77ef66da8"),
     (["series", "--name", "Delta", "--order", "60", "--format", "json"],
      "e01e581e17a6573bf9ac1f57a25849a2014bb6db2c02a911fd8b609a31e40005"),
     (["series", "--name", "ebracket:2,1", "--order", "10", "--format", "json"],

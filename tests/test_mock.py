@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import oracles
 import pytest
 
 from qdonald import QSeries, forms, mock, root_of_unity
@@ -53,10 +54,23 @@ def test_mock_m_printed():
     assert [m.coeff(e) for e in (7, 15, 23)] == [-1, 2, -3]
 
 
-def test_mock_m_three_routes_agree():
-    hyp = mock.mock_m(80)
-    assert (hyp - mock.mock_m_bilateral(80)).is_zero()
-    assert (hyp.truncate(60) - mock.mock_m_mu(60)).is_zero()
+M_PRECISIONS = [F(-5, 2), -1, 0, F(1, 3), F(1, 2), 1, 2, 3, 6, 7, F(13, 2),
+                F(15, 2), 8, 9, 15, 16, 17, 23, 24, 25, 30, 61, F(121, 3),
+                700, 900, 3200, 3840, 4800]
+
+
+@pytest.mark.parametrize("prec", M_PRECISIONS, ids=str)
+def test_mock_m_matches_oracles(prec):
+    """M equals the hypergeometric route on the whole window, empty windows
+    at negative precision included, and the mu route from -1 (at -5/2 its
+    theta vanishes in the window) up to 61 (beyond, it is slow)."""
+    m = mock.mock_m(prec)
+    window = (m.ram, m.lead, m.prec, m.coeffs)
+    hyp = oracles.mock_m_hypergeometric(prec)
+    assert window == (hyp.ram, hyp.lead, hyp.prec, hyp.coeffs)
+    if -1 <= prec <= 61:
+        mu = oracles.mock_m_mu(prec)
+        assert window == (mu.ram, mu.lead, mu.prec, mu.coeffs)
 
 
 def test_jacobi_theta_specialization():
@@ -118,10 +132,6 @@ def test_qasmu_identity():
              + F(1, 2) * forms.form_b(p))
     assert resid.is_zero()
     assert resid.prec_q() >= p
-
-
-def test_mu_difference_formula_for_m():
-    assert (mock.mock_m_mu(50) - mock.mock_m(50)).is_zero()
 
 
 def test_q_transform_printed():

@@ -151,6 +151,13 @@ def test_text_and_json_forms():
     assert (rebuilt - q).is_zero()
 
 
+@pytest.mark.parametrize("max_terms", [0, -1])
+def test_to_text_rejects_max_terms_below_one(max_terms):
+    with pytest.raises(ValueError):
+        forms.eta(5).to_text(max_terms)
+    assert forms.eta(5).to_text(1) == "q^(1/24) * (1 ...)"
+
+
 # ---------------------------------------------------------------------------
 # randomized property suites (the 1000-case versions run in the acceptance
 # module; these are quicker smoke versions of the same properties)
