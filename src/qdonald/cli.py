@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import forms, invariants, mock, sw
-from .series import InsufficientPrecision, QSeries
+from .series import InsufficientPrecision
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -116,51 +116,53 @@ def cmd_series(args) -> int:
 # ---------------------------------------------------------------------------
 # tables
 
-def _format_table(nf: int, rows, fmt: str) -> str:
+def _combo(pairs, sep: str) -> str:
+    return sep.join(f"({w})*{a}" for a, w in pairs) or "0"
+
+
+def _format_table(fmt: str, rows: list, meta: dict, title: tuple,
+                  line: str) -> str:
+    """A table in the json, csv or text layout.
+
+    ``rows`` are dicts with the same keys, in column order; a list value is
+    a combination [[name, weight], ...], written as ``(weight)*name`` terms
+    in csv and text.  json is ``meta`` followed by the rows; csv repeats the
+    ``meta`` columns in front of every row; text is the ``title`` lines and
+    then the ``line`` template filled from each row.
+    """
     if fmt == "json":
-        payload = {"nf": nf, "rows": [
-            {"m": m, "n": n, "monomial": label, "value": str(cell.value),
-             "h_combo": [[f"H{a}", str(w)] for a, w in cell.h_combo]}
-            for m, n, label, cell in rows]}
-        return json.dumps(payload) + "\n"
+        return json.dumps({**meta, "rows": rows}) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["nf", "m", "n", "monomial", "value", "h_combo"])
-        for m, n, label, cell in rows:
-            combo = "+".join(f"({w})*H{a}" for a, w in cell.h_combo) or "0"
-            writer.writerow([nf, m, n, label, str(cell.value), combo])
+        writer.writerow([*meta, *rows[0]])
+        for row in rows:
+            writer.writerow([*meta.values(), *(
+                _combo(v, "+") if isinstance(v, list) else v
+                for v in row.values())])
         return buf.getvalue()
-    lines = [f"# u-plane invariants, nf={nf}"]
-    for m, n, label, cell in rows:
-        combo = " + ".join(f"({w})*H{a}" for a, w in cell.h_combo) or "0"
-        lines.append(f"{label:<12} {str(cell.value):>16}   = {combo}")
+    lines = [*title, *(line.format(**{
+        key: _combo(v, " + ") if isinstance(v, list) else v
+        for key, v in row.items()}) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
 def cmd_invariants(args) -> int:
-    rows = invariants.invariant_table(args.nf, args.max_weight)
-    _emit(_format_table(args.nf, rows, args.format), args.out)
+    rows = [{"m": m, "n": n, "monomial": label, "value": str(cell.value),
+             "h_combo": [[f"H{a}", str(w)] for a, w in cell.h_combo]}
+            for m, n, label, cell
+            in invariants.invariant_table(args.nf, args.max_weight)]
+    _emit(_format_table(args.format, rows, {"nf": args.nf},
+                        (f"# u-plane invariants, nf={args.nf}",),
+                        "{monomial:<12} {value:>16}   = {h_combo}"), args.out)
     return 0
 
 
 def cmd_goettsche(args) -> int:
-    rows = invariants.goettsche_table(args.max_weight)
-    if args.format == "json":
-        payload = {"rows": [
-            {"k": k, "m": m, "n": n, "monomial": label, "value": str(v)}
-            for k, m, n, label, v in rows]}
-        _emit(json.dumps(payload) + "\n", args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "m", "n", "monomial", "value"])
-        for k, m, n, label, v in rows:
-            writer.writerow([k, m, n, label, str(v)])
-        _emit(buf.getvalue(), args.out)
-    else:
-        lines = [f"k={k} {label:<12} {v}" for k, m, n, label, v in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+    rows = [{"k": k, "m": m, "n": n, "monomial": label, "value": str(v)}
+            for k, m, n, label, v in invariants.goettsche_table(args.max_weight)]
+    _emit(_format_table(args.format, rows, {}, (),
+                        "k={k} {monomial:<12} {value}"), args.out)
     return 0
 
 
@@ -184,20 +186,10 @@ def cmd_nf4(args) -> int:
 # ---------------------------------------------------------------------------
 # verification
 
-def _first_bad(series: QSeries):
-    for e, _ in series.terms():
-        return e
-    return None
-
-
 def _suite_criterion(max_weight: int) -> list:
-    checks = []
-    for weight in range(max_weight + 1):
-        for m in range(weight + 1):
-            n = weight - m
-            ok = invariants.criterion_check(m, n)
-            checks.append((f"criterion constant term ({m},{n})", ok, None))
-    return checks
+    return [(f"criterion constant term ({m},{n})",
+             invariants.criterion_check(m, n), None)
+            for m, n in invariants.weight_grid(max_weight)]
 
 
 def _suite_identities(order) -> list:
@@ -205,8 +197,7 @@ def _suite_identities(order) -> list:
     checks = []
 
     def zero_check(name, series):
-        bad = _first_bad(series)
-        checks.append((name, bad is None, bad))
+        checks.append(sw.vanishing(name, series))
 
     q = mock.cal_q(p)
     zero_check("QasMu: calQ + 7/2 A38 - 3/2 A78 + 1/2 B - 4M",
@@ -215,9 +206,8 @@ def _suite_identities(order) -> list:
     for t in (0, 2, 4):
         lhs = mock.cal_f(t, p / 2 + 2) * forms.theta_big(4, p / 2 + 2).inverse()
         zero_check(f"FasMu t={t}", (lhs - mock.lerch_mu_weighted(t, p / 2)).truncate(p / 2))
-    zero_check("Z0 = E*(4tau)/eta(8tau)^3",
-               invariants.z0_series(p) - invariants.z0_closed_form(p))
     z0 = invariants.z0_series(p)
+    zero_check("Z0 = E*(4tau)/eta(8tau)^3", z0 - invariants.z0_closed_form(p))
     for m_kernel in range(7):
         ct = (z0 * forms.form_fm(m_kernel, p)).constant_term()
         checks.append((f"constant term of Z0 f_{m_kernel}", ct == 0, None))
@@ -307,16 +297,31 @@ def _suite_nf4(order) -> list:
     p = Fraction(order)
     checks = []
     z4 = invariants.nf4_partition(p)
-    diff = (z4.shift_tau(2) - z4).demote()
-    bad = _first_bad(diff)
-    checks.append(("nf4 partition invariant under tau -> tau+2",
-                   bad is None, bad))
+    checks.append(sw.vanishing("nf4 partition invariant under tau -> tau+2",
+                               (z4.shift_tau(2) - z4).demote()))
     vw = invariants.vafa_witten_series(8)
     expected = [1, 9, 48, 203, 729, 2346, 6918]
     got = [vw.coeff(Fraction(2 * k - 1, 2)) for k in range(1, 8)]
     checks.append(("Vafa-Witten series q + 9q^2 + 48q^3 + ...",
                    got == expected, None))
     return checks
+
+
+def _report(records, out, summary: bool) -> int:
+    """Print ``prefix + label: ok|FAIL`` for each (prefix, check record),
+    with the first failing exponent when the record has one, and with a
+    ``PASS/FAIL: N failing check(s)`` line if ``summary``; exit 0 or 1."""
+    failures = 0
+    lines = []
+    for prefix, (label, ok, bad) in records:
+        extra = "" if ok or bad is None else f" (first failing exponent {bad})"
+        lines.append(f"{prefix}{label}: {'ok' if ok else 'FAIL'}{extra}")
+        failures += not ok
+    if summary:
+        lines.append(f"{'PASS' if failures == 0 else 'FAIL'}: "
+                     f"{failures} failing check(s)")
+    _emit("\n".join(lines) + "\n", out)
+    return 0 if failures == 0 else 1
 
 
 def cmd_verify(args) -> int:
@@ -328,31 +333,14 @@ def cmd_verify(args) -> int:
         "nf4": lambda: _suite_nf4(min(args.order, 16)),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
-    failures = 0
-    lines = []
-    for name in names:
-        for label, ok, bad in suites[name]():
-            status = "ok" if ok else "FAIL"
-            extra = "" if ok or bad is None else f" (first failing exponent {bad})"
-            lines.append(f"[{name}] {label}: {status}{extra}")
-            if not ok:
-                failures += 1
-    lines.append(f"{'PASS' if failures == 0 else 'FAIL'}: "
-                 f"{failures} failing check(s)")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if failures == 0 else 1
+    return _report(((f"[{name}] ", record) for name in names
+                    for record in suites[name]()), args.out, summary=True)
 
 
 def cmd_swcheck(args) -> int:
-    failures = 0
-    lines = []
-    for name, ok, bad in sw.check_family(args.nf, args.order):
-        extra = "" if ok or bad is None else f" (first failing exponent {bad})"
-        lines.append(f"nf={args.nf} {name}: {'ok' if ok else 'FAIL'}{extra}")
-        if not ok:
-            failures += 1
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if failures == 0 else 1
+    return _report(((f"nf={args.nf} ", record)
+                    for record in sw.check_family(args.nf, args.order)),
+                   args.out, summary=False)
 
 
 # ---------------------------------------------------------------------------

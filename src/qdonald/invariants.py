@@ -246,41 +246,29 @@ def evaluate_h_combo(combo, h_values) -> Fraction:
 # ---------------------------------------------------------------------------
 # the vanishing criterion and its summands
 
-def lambda_summand(side: int, m: int, n: int, k: int, j: int, prec) -> QSeries:
-    """(k, j) summand of the renormalized criterion sum for side 1 or 2.
+def criterion_summands(m: int, n: int, prec) -> tuple:
+    """The (k, j) summands of both sides of the renormalized criterion sum,
+    as two dicts keyed by (k, j) with 0 <= j <= k <= n.
 
-    Side 1 carries the F-bracket, side 2 the bracket with derivatives of the
-    mock series; exponents are renormalized (q -> q^8) to integers.
+    Side 1 is the Goettsche kernels times their F-slots (the F-bracket),
+    side 2 the nf=0 kernels times (q d/dq)^j Q+ (the bracket with
+    derivatives of the mock series).  Both are built on one E2 theta frame
+    with margin p0 = prec/8, known below q^p0, then renormalized
+    (q -> q^8) to integer exponents.
     """
-    if not (0 <= j <= k <= n):
-        raise ConstraintViolation("need 0 <= j <= k <= n")
     p0 = Fraction(prec) / 8
     theta = _theta_frame(m, n, p0, forms.eisenstein_e2)
-    return _lambda_side(side, m, n, p0, theta)[(k, j)]
-
-
-def _lambda_side(side: int, m: int, n: int, p0, theta) -> dict:
-    """All summands of one side keyed by (k, j): the Goettsche kernels times
-    their F-slots (side 1) or the nf=0 kernels times (q d/dq)^j Q+ (side 2),
-    built on the E2 theta frame with margin p0 = prec/8, known below q^p0,
-    then renormalized."""
-    if side == 1:
-        terms = [(key, c * kernel * slot) for key, c, kernel, slot
-                 in _goettsche_kernels(m, n, p0, theta)]
-    elif side == 2:
-        kernels, slot, _, _ = _d_kernels(m, n, _nf0_frame(m, n, p0, theta))
-        terms = [(key, c * kernel * slot.qdq(key[1]))
-                 for key, c, kernel in kernels]
-    else:
-        raise ConstraintViolation("side must be 1 or 2")
-    return {key: t.truncate(p0).rescale(8, 1) for key, t in terms}
+    side1 = {key: c * kernel * f_slot for key, c, kernel, f_slot
+             in _goettsche_kernels(m, n, p0, theta)}
+    kernels, slot, _, _ = _d_kernels(m, n, _nf0_frame(m, n, p0, theta))
+    side2 = {key: c * kernel * slot.qdq(key[1]) for key, c, kernel in kernels}
+    return tuple({key: t.truncate(p0).rescale(8, 1) for key, t in side.items()}
+                 for side in (side1, side2))
 
 
 def criterion_series(m: int, n: int, prec) -> QSeries:
     """Renormalized difference of the two criterion brackets, all (k, j)."""
-    p0 = Fraction(prec) / 8
-    theta = _theta_frame(m, n, p0, forms.eisenstein_e2)
-    side1, side2 = (_lambda_side(side, m, n, p0, theta) for side in (1, 2))
+    side1, side2 = criterion_summands(m, n, prec)
     total = QSeries.zero(Fraction(prec), 1)
     for key in side1:
         total = total + side1[key] - side2[key]
@@ -295,7 +283,7 @@ def criterion_check(m: int, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the Z0 suite
+# the Z0 series
 
 def z0_series(prec) -> QSeries:
     """Z0 = calQ + 4 calF0 / Theta4 = E*(4 tau)/eta(8 tau)^3."""
@@ -309,24 +297,6 @@ def z0_closed_form(prec) -> QSeries:
     p = Fraction(prec)
     est = forms.eisenstein_estar(p / 4 + 1).rescale(4, 1)
     return (est * forms.eta_power(8, -3, p + 2)).truncate(p)
-
-
-def z0_suite(mmax: int = 10, prec=None) -> dict:
-    """Verify the Z0 identity and the vanishing constant terms of Z0 f_m."""
-    if prec is None:
-        prec = 4 * mmax + 24
-    p = Fraction(prec)
-    z0 = z0_series(p)
-    report = {
-        "z0_matches_closed_form": (z0 - z0_closed_form(p)).is_zero(),
-        "z0_leading": {str(e): str(c) for e, c in list(z0.terms())[:4]},
-        "constant_terms": {},
-    }
-    for m in range(mmax + 1):
-        fm = forms.form_fm(m, p)
-        report["constant_terms"][m] = str((z0 * fm).constant_term())
-    report["all_zero"] = all(v == "0" for v in report["constant_terms"].values())
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -509,22 +479,23 @@ def monomial_label(m: int, n: int) -> str:
     return " ".join(parts)
 
 
+def weight_grid(max_weight: int) -> list:
+    """The (m, n) with m + n <= max_weight, by weight, then by m."""
+    return [(m, weight - m) for weight in range(max_weight + 1)
+            for m in range(weight + 1)]
+
+
 def invariant_table(nf: int, max_weight: int) -> list:
     """Rows [(m, n, label, DCell)] for all m + n <= max_weight."""
-    rows = []
-    for weight in range(max_weight + 1):
-        for m in range(weight + 1):
-            n = weight - m
-            cell = uplane_D(nf, m, n)
-            rows.append((m, n, monomial_label(m, n), cell))
-    return rows
+    return [(m, n, monomial_label(m, n), uplane_D(nf, m, n))
+            for m, n in weight_grid(max_weight)]
 
 
 def goettsche_table(max_weight: int) -> list:
+    """Rows [(k, m, n, label, value)] for even m + n = 2(k - 1) <= max_weight."""
     rows = []
-    for weight in range(0, max_weight + 1, 2):
-        k = weight // 2 + 1
-        for m in range(weight + 1):
-            n = weight - m
+    for m, n in weight_grid(max_weight):
+        if (m + n) % 2 == 0:
+            k = (m + n) // 2 + 1
             rows.append((k, m, n, monomial_label(m, n), goettsche_phi(k, m, n)))
     return rows

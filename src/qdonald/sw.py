@@ -68,8 +68,7 @@ def sw_family(nf: int, prec) -> SWFamily:
         # that makes the normalized square negative.  The sign is pinned by
         # T = O(1/u) and the Picard-Fuchs check below.
         _, t3, t4 = _theta_set(p + 4)
-        s = t3 ** 2 - t4 ** 2
-        u = -4 * (t3 * t4) ** 2 * (s ** 2).inverse() - Fraction(1, 2)
+        u, s = _nf3_u(t3, t4)
         omega2 = -(s ** 2) / 4
         g2 = u ** 2 / 12 - 5 * u / 4 + Fraction(11, 16)
         g3 = u ** 3 / 216 + 7 * u ** 2 / 48 - 29 * u / 96 + Fraction(7, 64)
@@ -79,6 +78,13 @@ def sw_family(nf: int, prec) -> SWFamily:
     return SWFamily(nf=nf, u=u.truncate(p), omega2=omega2.truncate(p),
                     g2n=g2, g3n=g3, deltan=delta,
                     kodaira_infty=f"I*_{4 - nf}")
+
+
+def _nf3_u(t3: QSeries, t: QSeries):
+    """(u, s) with u = -4 (t3 t)^2 / s^2 - 1/2 and s = t3^2 - t^2: the nf=3
+    coordinate with t = theta_4, or in the S-dual chart with t = theta_2."""
+    s = t3 ** 2 - t ** 2
+    return -4 * (t3 * t) ** 2 * (s ** 2).inverse() - Fraction(1, 2), s
 
 
 def u3_from_u0(prec) -> QSeries:
@@ -143,30 +149,40 @@ def period_residual(fam: SWFamily) -> QSeries:
     return a_hat.qdq(1) * w + a_hat * w.qdq(1) / 2 - w * fam.u.qdq(1)
 
 
+def vanishing(label: str, series: QSeries, below=None) -> tuple:
+    """Check record (label, ok, first failing exponent): the series must
+    vanish (below the exponent ``below``, when given)."""
+    bad = next((e for e, _ in series.terms()), None)
+    if bad is not None and below is not None and bad >= below:
+        bad = None
+    return label, bad is None, bad
+
+
 def check_family(nf: int, prec) -> list:
     """Run the per-family identity suite; returns (name, ok, first_bad)."""
-    fam = sw_family(nf, prec)
-    results = []
-
-    def record(name, series):
-        bad = [e for e, c in series.terms()]
-        results.append((name, not bad, bad[0] if bad else None))
-
-    record("weierstrass g2^3-27g3^2=Delta", weierstrass_residual(fam))
-    record("discriminant Delta*(omega/pi)^12=eta^24", delta_eta_residual(fam))
+    p = Fraction(prec)
+    fam = sw_family(nf, p)
     ct = contact_term(fam)
-    low = [e for e, c in ct.t_series.terms() if e < ct.vanishing_threshold]
-    results.append(("contact term T=O(1/u)", not low, low[0] if low else None))
-    record("picard-fuchs d(a)/du=omega", period_residual(fam))
+    results = [
+        vanishing("weierstrass g2^3-27g3^2=Delta", weierstrass_residual(fam)),
+        vanishing("discriminant Delta*(omega/pi)^12=eta^24",
+                  delta_eta_residual(fam)),
+        vanishing("contact term T=O(1/u)", ct.t_series,
+                  below=ct.vanishing_threshold),
+        vanishing("picard-fuchs d(a)/du=omega", period_residual(fam)),
+    ]
     if nf == 3:
-        c0 = fam.u.coeff(-1)
-        results.append(("leading constant c0=-1/16", c0 == Fraction(-1, 16),
-                        None if c0 == Fraction(-1, 16) else Fraction(-1)))
-        swap = sw_family_swapped_u3(prec)
-        record("u3 = -2/(u0-1) - 1/2", swap - u3_from_u0(prec))
+        results.append(vanishing(
+            "leading constant c0=-1/16",
+            fam.u + QSeries.monomial(-1, Fraction(1, 16)), below=0))
+        results.append(vanishing("u3 = -2/(u0-1) - 1/2",
+                                 sw_family_swapped_u3(p) - u3_from_u0(p)))
     if nf == 2:
-        u0 = sw_family(0, Fraction(prec) / 2 + 1).u.rescale(2, 1)
-        record("u2 = u0 at tau/2", (fam.u - u0))
+        # the duplication formula u0(tau/2) = (t3^4 + t4^4) / t2^4, built
+        # from the theta constants rather than from the nf=0 family
+        t2, t3, t4 = _theta_set(p + 1)
+        dup = (t3 ** 4 + t4 ** 4) * (t2 ** 4).inverse()
+        results.append(vanishing("u2 = u0 at tau/2", fam.u - dup.truncate(p)))
     return results
 
 
@@ -174,5 +190,4 @@ def sw_family_swapped_u3(prec) -> QSeries:
     """nf=3 u-series with theta_2 and theta_4 exchanged (the S-dual chart)."""
     p = Fraction(prec)
     t2, t3, _ = _theta_set(p + 4)
-    s = t3 ** 2 - t2 ** 2
-    return (-4 * (t3 * t2) ** 2 * (s ** 2).inverse() - Fraction(1, 2)).truncate(p)
+    return _nf3_u(t3, t2)[0].truncate(p)

@@ -249,8 +249,9 @@ def test_criterion_11_lambda_example():
                     0: F(85, 16)},
     }
     ok = True
+    sides = inv.criterion_summands(3, 1, 8)
     for (side, k, j), coeffs in printed.items():
-        lam = inv.lambda_summand(side, 3, 1, k, j, 8)
+        lam = sides[side - 1][(k, j)]
         ok = ok and all(lam.coeff(e) == c for e, c in coeffs.items())
     telescoping = [F(7, 16), F(-13, 48), F(-85, 96),
                    F(85, 96), F(247, 48), F(-85, 16)]

@@ -2,10 +2,11 @@
 
 import argparse
 import json
+from fractions import Fraction as F
 
 import pytest
 
-from qdonald import forms
+from qdonald import QSeries, forms, invariants
 from qdonald.cli import _series_name, main
 
 
@@ -86,6 +87,39 @@ def test_swcheck(capsys):
     code, out = run_cli(capsys, "swcheck", "--nf", "0", "--order", "12")
     assert code == 0
     assert "weierstrass" in out and "FAIL" not in out
+
+
+def test_verify_failure_contract(monkeypatch, capsys):
+    """A check that sees a nonzero series prints FAIL with its first
+    nonzero exponent, the summary counts it, and the exit code is 1."""
+    build = invariants.nf4_partition
+    monkeypatch.setattr(invariants, "nf4_partition",
+                        lambda p: build(p) + QSeries.monomial(F(5, 4)))
+    code, out = run_cli(capsys, "verify", "--suite", "nf4", "--order", "4")
+    assert code == 1
+    assert out.splitlines() == [
+        "[nf4] nf4 partition invariant under tau -> tau+2: FAIL "
+        "(first failing exponent 5/4)",
+        "[nf4] Vafa-Witten series q + 9q^2 + 48q^3 + ...: ok",
+        "FAIL: 1 failing check(s)",
+    ]
+
+
+def test_swcheck_failure_contract(monkeypatch, capsys):
+    """swcheck prints the FAIL line with its exponent, no summary line, and
+    exits 1."""
+    build = forms.delta
+    monkeypatch.setattr(forms, "delta",
+                        lambda p: build(p) + QSeries.monomial(3))
+    code, out = run_cli(capsys, "swcheck", "--nf", "0", "--order", "12")
+    assert code == 1
+    assert out.splitlines() == [
+        "nf=0 weierstrass g2^3-27g3^2=Delta: ok",
+        "nf=0 discriminant Delta*(omega/pi)^12=eta^24: FAIL "
+        "(first failing exponent 3)",
+        "nf=0 contact term T=O(1/u): ok",
+        "nf=0 picard-fuchs d(a)/du=omega: ok",
+    ]
 
 
 def test_hurwitz_output(capsys):

@@ -2,13 +2,15 @@
 
 Each hash is the sha256 of the stdout of ``qdonald <argv>``.  A change that
 alters any of them alters the program's exact output and needs a reason.
+Every subcommand has a pinned invocation for each ``--format`` it offers.
 """
 
+import argparse
 import hashlib
 
 import pytest
 
-from qdonald.cli import main
+from qdonald.cli import build_parser, main
 
 GOLDEN = [
     (["series", "--name", "Qplus", "--order", "20", "--format", "json"],
@@ -35,6 +37,18 @@ GOLDEN = [
      "c4490878b3d281778d17020b116b6f164f4bdf1b06f9f6823b500738f82f5bd4"),
     (["verify", "--suite", "criterion", "--max", "2"],
      "9503402b97cb4c7f3ee76ddfb773e5bda2214f6248786473c9d0dc3fa0e23d6f"),
+    (["goettsche", "--max-weight", "4", "--format", "json"],
+     "4f032af8c960e3fc5ec7928c650b6df9633fd276ce7c99111cd479156feefb9d"),
+    (["goettsche", "--max-weight", "4", "--format", "csv"],
+     "b2d340c150a3930acfb1cd444006ff9f9c1cc271437fde050701362e6dcef208"),
+    (["swcheck", "--nf", "2", "--order", "16"],
+     "0b70856415ce499549c6cc43b563b9cd03769e5ba33b024e0c850e04ef944288"),
+    (["verify", "--suite", "all", "--order", "24"],
+     "1be6ac599e7c1fb406225c93bb94978f784b8431cf987fbce946403acf27d8f3"),
+    (["hurwitz", "--max", "12"],
+     "16f134b3b446c8591b5ed0878bbd09990e03a06372df5507857d6b16e0833c89"),
+    (["series", "--name", "Qplus", "--order", "20"],
+     "542cd0b9aeacdcfe430e869dbe601dc607542ff9ac43bf7f126a70f4a33b03ba"),
 ]
 
 
@@ -44,3 +58,31 @@ def test_golden_stdout(argv, digest, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _format_choices(parser):
+    """{subcommand: (--format choices, default)}; no --format is (None,)."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    formats = {}
+    for name, subparser in sub.choices.items():
+        action = next((a for a in subparser._actions
+                       if "--format" in a.option_strings), None)
+        formats[name] = ((None,), None) if action is None else \
+            (action.choices, action.default)
+    return formats
+
+
+def test_golden_covers_every_format():
+    """Every subcommand, with every --format choice it has, has a golden
+    invocation, so no output layout can change unpinned."""
+    covered = set()
+    formats = _format_choices(build_parser())
+    for argv, _ in GOLDEN:
+        _, default = formats[argv[0]]
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv \
+            else default
+        covered.add((argv[0], fmt))
+    wanted = {(name, fmt) for name, (choices, _) in formats.items()
+              for fmt in choices}
+    assert wanted <= covered, sorted(wanted - covered)

@@ -126,16 +126,18 @@ PRINTED_LAMBDA = {
 
 
 def test_lambda_summands_printed():
+    sides = inv.criterion_summands(3, 1, 8)
     for (side, k, j), coeffs in PRINTED_LAMBDA.items():
-        lam = inv.lambda_summand(side, 3, 1, k, j, 8)
+        lam = sides[side - 1][(k, j)]
         for e, c in coeffs.items():
             assert lam.coeff(e) == c, (side, k, j, e)
 
 
 def test_lambda_constant_telescoping():
-    consts = [inv.lambda_summand(1, 3, 1, k, j, 8).constant_term()
+    side1, side2 = inv.criterion_summands(3, 1, 8)
+    consts = [side1[(k, j)].constant_term()
               for k in range(2) for j in range(k + 1)]
-    consts += [-inv.lambda_summand(2, 3, 1, k, j, 8).constant_term()
+    consts += [-side2[(k, j)].constant_term()
                for k in range(2) for j in range(k + 1)]
     assert consts == [F(7, 16), F(-13, 48), F(-85, 96),
                       F(85, 96), F(247, 48), F(-85, 16)]
@@ -150,8 +152,9 @@ def test_lambda_general_corner_agreement():
     orientation holds (checked on a grid of small (m, n)).
     """
     for (m, n) in [(3, 1), (1, 1), (0, 2), (2, 2), (0, 1)]:
-        c1 = inv.lambda_summand(1, m, n, n, n, 8).constant_term()
-        c2 = inv.lambda_summand(2, m, n, 0, 0, 8).constant_term()
+        side1, side2 = inv.criterion_summands(m, n, 8)
+        c1 = side1[(n, n)].constant_term()
+        c2 = side2[(0, 0)].constant_term()
         assert c1 == c2
 
 
@@ -159,9 +162,10 @@ def test_lambda_sums_recover_both_sides():
     """Summing the renormalized summands recovers the two invariant values:
     side 1 totals the instanton side, side 2 the u-plane side."""
     for (m, n) in [(0, 0), (1, 1), (0, 2), (2, 0)]:
-        s1 = sum(inv.lambda_summand(1, m, n, k, j, 8).constant_term()
+        side1, side2 = inv.criterion_summands(m, n, 8)
+        s1 = sum(side1[(k, j)].constant_term()
                  for k in range(n + 1) for j in range(k + 1))
-        s2 = sum(inv.lambda_summand(2, m, n, k, j, 8).constant_term()
+        s2 = sum(side2[(k, j)].constant_term()
                  for k in range(n + 1) for j in range(k + 1))
         k_inst = (m + n) // 2 + 1
         assert s1 == inv.goettsche_phi(k_inst, m, n)
@@ -194,12 +198,6 @@ def test_z0_fm_products_printed():
     prod3 = z0 * forms.form_fm(3, 40)
     assert [prod3.coeff(e) for e in (-10, -6, -2, 0, 2)] == \
         [1, 60, 738, 0, -11256]
-
-
-def test_z0_suite_report():
-    report = inv.z0_suite(4, prec=40)
-    assert report["z0_matches_closed_form"]
-    assert report["all_zero"]
 
 
 def test_hurwitz_values():

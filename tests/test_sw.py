@@ -1,10 +1,11 @@
 """Seiberg-Witten family series: Weierstrass data, contact term, periods."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from qdonald import forms, sw
+from qdonald import QSeries, forms, sw
 
 
 @pytest.mark.parametrize("nf", [0, 2, 3])
@@ -60,6 +61,21 @@ def test_nf2_is_rescaled_nf0():
     u0 = sw.sw_family(0, 6).u.rescale(2, 1)
     assert (fam2.u - u0).is_zero()
     assert fam2.kodaira_infty == "I*_2"
+
+
+def test_nf2_duplication_check_sees_a_perturbed_u(monkeypatch):
+    """The nf=2 u-series is built from the nf=0 one, so a fault there must
+    make the check against the theta duplication formula fail."""
+    build = sw.sw_family
+
+    def perturbed(nf, prec):
+        fam = build(nf, prec)
+        if nf == 0:
+            fam = replace(fam, u=fam.u + QSeries.monomial(1))
+        return fam
+    monkeypatch.setattr(sw, "sw_family", perturbed)
+    results = {name: (ok, bad) for name, ok, bad in sw.check_family(2, 12)}
+    assert results["u2 = u0 at tau/2"] == (False, 2)
 
 
 def test_u3_series_identity():
