@@ -1,18 +1,16 @@
 """Exact q-series engine for mock theta functions and Donaldson invariants."""
 
-from .exact import (Cyclo, DivisionByZero, IncompatibleOrder, OrderMismatch,
-                    cyclo_arith, parse_rational, format_rational, rat_arith,
-                    root_of_unity, unity)
+from .exact import (Cyclo, DivisionByZero, IncompatibleOrder, root_of_unity,
+                    unity)
 from .series import (InsufficientPrecision, IrrepresentableExponent,
                      NotInvertible, PrecisionUnderflow, QSeries)
 
 __all__ = [
     "Cyclo", "QSeries",
-    "DivisionByZero", "OrderMismatch", "IncompatibleOrder",
+    "DivisionByZero", "IncompatibleOrder",
     "NotInvertible", "PrecisionUnderflow", "InsufficientPrecision",
     "IrrepresentableExponent",
-    "rat_arith", "cyclo_arith", "root_of_unity", "unity",
-    "parse_rational", "format_rational",
+    "root_of_unity", "unity",
 ]
 
 __version__ = "0.1.0"

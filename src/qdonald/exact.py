@@ -19,10 +19,6 @@ class DivisionByZero(ZeroDivisionError):
     pass
 
 
-class OrderMismatch(ValueError):
-    pass
-
-
 class IncompatibleOrder(ValueError):
     pass
 
@@ -287,46 +283,3 @@ def as_rational(x):
     if isinstance(x, Cyclo):
         return x.as_rational()
     return Fraction(x)
-
-
-def rat_arith(a, b, op: str) -> Fraction:
-    """Exact rational arithmetic; op in {add, sub, mul, div}."""
-    a, b = Fraction(a), Fraction(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise DivisionByZero("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def cyclo_arith(a: Cyclo, b: Cyclo, op: str) -> Cyclo:
-    """Exact field arithmetic in Q(zeta_N); both operands of the same order."""
-    if a.order != b.order:
-        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if not b:
-            raise DivisionByZero("cyclotomic division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'num/den' or bare 'n'."""
-    return Fraction(text.strip())
-
-
-def format_rational(x: Fraction) -> str:
-    """Serialize as 'num/den', or bare 'n' for integers."""
-    return str(Fraction(x))

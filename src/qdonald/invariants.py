@@ -28,8 +28,12 @@ class ConstraintViolation(ValueError):
 def pair_constant_term(kernel: QSeries, slot: QSeries, j: int = 0) -> Fraction:
     """Coeff_{q^0}[ kernel * (q d/dq)^j slot ] by coefficient pairing.
 
-    Requires the kernel to be known through -val(slot) and the slot through
-    -val(kernel); raises InsufficientPrecision otherwise.
+    A product kernel * slot is known through q^target when the kernel is
+    known through target - val(slot) and the slot through target -
+    val(kernel); a window is exclusive, so "known through e" means
+    prec > e.  A pairing is target = 0: it raises InsufficientPrecision
+    unless the kernel is known through -val(slot) and the slot through
+    -val(kernel).
     """
     k, s = kernel._align(slot)
     if not k.coeffs or not s.coeffs:
@@ -59,17 +63,40 @@ def pair_constant_term(kernel: QSeries, slot: QSeries, j: int = 0) -> Fraction:
     return total
 
 
-_MARGINS = (0, 8, 24, 64)
+def _pair_sum(kernels) -> Fraction:
+    """Sum of c * pair_constant_term(kernel, slot, d) over a kernel list
+    [(key, c, kernel, slot, d)]."""
+    return sum((c * pair_constant_term(kernel, slot, d)
+                for _, c, kernel, slot, d in kernels), Fraction(0))
 
 
-def _retrying(fn):
-    last = None
-    for margin in _MARGINS:
-        try:
-            return fn(margin)
-        except InsufficientPrecision as exc:  # pragma: no cover - safety net
-            last = exc
-    raise last  # pragma: no cover
+# ---------------------------------------------------------------------------
+# pairing windows
+#
+# Every kernel is a theta quotient whose theta constants and E2 are known
+# below q^pt.  E2 is cut at floor(pt), so pt is an integer.  A kernel is
+# then known below val(kernel) + pt - loss, where loss is the valuation of
+# the theta factor it divides by: 1/8 for t2 t3, 1/2 for t3^2 - t4^2.  By
+# the rule of pair_constant_term, a product known through q^target needs
+#     pt   = the least integer above  target - val(slot) - val(kernel) + loss,
+#     slot = the least point of the slot's exponent grid above
+#            target - val(kernel).
+# The closed-form valuations, with w = m + n, are
+#     kernels: -(2w+3)/8 on the theta frame, -(4w+7)/16 for nf=2,
+#              -(8w+15)/8 for nf=3;
+#     slots:   3/8 for F_t, -1/8 for Q+ and for its S-transform, -1/16 for
+#              Q+ at tau/2 (nf=2).
+
+def _windows(target, val_kernel, val_slot, step=Fraction(1, 8),
+             loss=Fraction(1, 8)) -> tuple:
+    """(pt, slot precision) of a kernel family paired with one slot."""
+    return ((target - val_slot - val_kernel + loss) // 1 + 1,
+            ((target - val_kernel) // step + 1) * step)
+
+
+def _theta_val(m: int, n: int) -> Fraction:
+    """Valuation of the kernels on the theta frame of p^m S^(2n)."""
+    return Fraction(-(2 * m + 2 * n + 3), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -84,18 +111,16 @@ def goettsche_phi(k: int, m: int, n: int) -> Fraction:
     """
     if m < 0 or n < 0 or k < 1 or m + n != 2 * (k - 1):
         return Fraction(0)
-    return _retrying(lambda margin: sum(
-        (c * pair_constant_term(kernel, slot)
-         for _, c, kernel, slot in _goettsche_kernels(
-             m, n, margin, _theta_frame(m, n, margin, forms.eisenstein_e2))),
-        Fraction(0)))
+    pt, ps = _windows(0, _theta_val(m, n), Fraction(3, 8))
+    return _pair_sum(_goettsche_kernels(
+        m, n, ps, _theta_frame(m, n, pt, forms.eisenstein_e2)))
 
 
-def _goettsche_kernels(m: int, n: int, margin, theta) -> list:
-    """Kernel list [((l, j), coeff, kernel, slot)] of the Goettsche double
-    sum for p^m S^(2n), with slot F_(2(n-l)), on the E2 theta frame."""
-    _, _, base, p4_pows, e2_pows = theta
-    ps = Fraction(2 * m + 2 * n + 3, 8) + 1 + margin
+def _goettsche_kernels(m: int, n: int, ps, theta) -> list:
+    """Kernel list [((l, j), coeff, kernel, slot, 0)] of the Goettsche double
+    sum for p^m S^(2n), with slot F_(2(n-l)) known below q^ps, on the E2
+    theta frame."""
+    _, base, p4_pows, e2_pows = theta
     kernels = []
     for l in range(n + 1):
         slot = mock.f_t(2 * (n - l), ps)
@@ -108,7 +133,7 @@ def _goettsche_kernels(m: int, n: int, margin, theta) -> list:
                             factorial(2 * n - 2 * l) * factorial(j)
                             * factorial(l - j)))
             kernels.append(((l, j), c, base * p4_pows[m + j] * e2_pows[l - j],
-                            slot))
+                            slot, 0))
     return kernels
 
 
@@ -119,15 +144,15 @@ def _power_list(series: QSeries, top: int) -> list:
     return pows
 
 
-def _theta_frame(m: int, n: int, margin, e2):
-    """The vartheta frame shared by the Goettsche formula, nf=0 and nf=2:
-    kernel precision pt, t4, the Goettsche base t4^8 / (t2 t3)^(2m+2n+3)
-    (nf=0 and nf=2 take one and two more factors t4), the ladder
-    (t2^4 + t3^4)^k for k <= m + n, and the ladder e2(pt)^k for k <= n."""
-    pt = Fraction(2 * m + 2 * n + 3, 4) + 2 + margin
+def _theta_frame(m: int, n: int, pt, e2):
+    """The vartheta frame shared by the Goettsche formula, nf=0 and nf=2,
+    with theta constants known below q^pt: t4, the Goettsche base
+    t4^8 / (t2 t3)^(2m+2n+3) (nf=0 and nf=2 take one and two more factors
+    t4), the ladder (t2^4 + t3^4)^k for k <= m + n, and the ladder e2(pt)^k
+    for k <= n."""
     t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
     base = t4 ** 8 * ((t2 * t3) ** (2 * m + 2 * n + 3)).inverse()
-    return (pt, t4, base, _power_list(t2 ** 4 + t3 ** 4, m + n),
+    return (t4, base, _power_list(t2 ** 4 + t3 ** 4, m + n),
             _power_list(e2(pt), n))
 
 
@@ -143,32 +168,35 @@ class DCell:
     h_combo: tuple  # ((alpha, weight), ...) with value = sum w_a H_a
 
 
-def _frame(nf: int, m: int, n: int, margin):
-    """Per-family data of D^nf_(m,2n): the base kernel, the theta and E2
-    power ladders, the slot series with its exponent grid (start, step), the
-    H-combo sign, and the coefficient row (sign, 2-power offset, 2-power
-    slope in j) read by :func:`_d_kernels`."""
+def _frame(nf: int, m: int, n: int):
+    """Per-family data of D^nf_(m,2n), with windows for the pairing: the
+    base kernel, the theta and E2 power ladders, the slot series with its
+    exponent grid (start, step), the H-combo sign, and the coefficient row
+    (sign, 2-power offset, 2-power slope in j) read by :func:`_d_kernels`."""
     if nf == 0:
-        return _nf0_frame(m, n, margin,
-                          _theta_frame(m, n, margin, forms.eisenstein_e2))
+        pt, ps = _windows(0, _theta_val(m, n), Fraction(-1, 8))
+        return _nf0_frame(n, ps, _theta_frame(m, n, pt, forms.eisenstein_e2))
+    w = m + n
     if nf == 2:
-        pt, t4, base, pows, e2_pows = _theta_frame(
-            m, n, margin, lambda p: forms.eisenstein_e2(2 * p).rescale(1, 2))
+        pt, ps = _windows(0, Fraction(-(4 * w + 7), 16), Fraction(-1, 16),
+                          Fraction(1, 16))
+        t4, base, pows, e2_pows = _theta_frame(
+            m, n, pt, lambda p: forms.eisenstein_e2(2 * p).rescale(1, 2))
         base = (base * (t4 * t4)
                 * forms.vartheta(2, 2 * pt).rescale(1, 2).inverse())
-        slot_prec = Fraction(2 * m + 2 * n + 5, 8) + 1 + margin
-        slot = mock.q_plus(2 * slot_prec).rescale(1, 2)
+        slot = mock.q_plus(2 * ps).rescale(1, 2)
         return (base, pows, e2_pows, slot, (Fraction(-1, 16), Fraction(1, 4)),
                 1, (-1, 2 - n, 3))
     if nf == 3:
-        pt = Fraction(m + n + 3) + 2 + margin
+        pt, ps = _windows(0, Fraction(-(8 * w + 15), 8), Fraction(-1, 8),
+                          loss=Fraction(1, 2))
         t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
         tt = t3 * t4
-        base = (t2 ** 9 * ((t3 ** 2 - t4 ** 2) ** (2 * m + 2 * n + 6)).inverse()
+        base = (t2 ** 9 * ((t3 ** 2 - t4 ** 2) ** (2 * w + 6)).inverse()
                 * tt ** 3)
-        pows = _power_list(tt ** 2, m + n)
+        pows = _power_list(tt ** 2, w)
         e2_pows = _power_list(forms.eisenstein_e2(pt), n)
-        slot = mock.q_transform_s(Fraction(m + n + 3) + 1 + margin)
+        slot = mock.q_transform_s(ps)
         # sign (-1)^(i+j) without the displayed extra (-1)^(m+n-j): the
         # printed invariant table is the arbiter, and only this choice also
         # satisfies the duality between the two slots
@@ -177,17 +205,16 @@ def _frame(nf: int, m: int, n: int, margin):
     raise ConstraintViolation(f"no u-plane family for nf={nf}")
 
 
-def _nf0_frame(m: int, n: int, margin, theta):
-    """The nf=0 frame on a built E2 theta frame, which a criterion cell
-    shares with its Goettsche kernels."""
-    _, t4, base, pows, e2_pows = theta
-    slot = mock.q_plus(Fraction(2 * m + 2 * n + 3, 8) + 1 + margin)
-    return (base * t4, pows, e2_pows, slot, (Fraction(-1, 8), Fraction(1, 2)),
-            1, (-1, 1 - n, 2))
+def _nf0_frame(n: int, ps, theta):
+    """The nf=0 frame, with Q+ known below q^ps, on a built E2 theta frame,
+    which a criterion cell shares with its Goettsche kernels."""
+    t4, base, pows, e2_pows = theta
+    return (base * t4, pows, e2_pows, mock.q_plus(ps),
+            (Fraction(-1, 8), Fraction(1, 2)), 1, (-1, 1 - n, 2))
 
 
 def _d_kernels(m: int, n: int, frame):
-    """Kernel list [((i, j), coeff, kernel)], the slot series, its exponent
+    """Kernel list [((i, j), coeff, kernel, slot, j)], the slot's exponent
     grid and the H-combo sign for D^nf_(m,2n) on the family's frame.
 
     The (i, j) coefficient is sign (-1)^(i+j) 2^(offset + slope j) / 3^(n-j)
@@ -202,8 +229,9 @@ def _d_kernels(m: int, n: int, frame):
                  * Fraction(factorial(2 * n),
                             factorial(n - i) * factorial(j) * factorial(i - j))
                  * mock.gamma_half_ratio(j))
-            kernels.append(((i, j), c, base * pows[m + n - i] * e2_pows[i - j]))
-    return kernels, slot, grid, combo_sign
+            kernels.append(((i, j), c, base * pows[m + n - i] * e2_pows[i - j],
+                            slot, j))
+    return kernels, grid, combo_sign
 
 
 def uplane_D(nf: int, m: int, n: int) -> DCell:
@@ -215,28 +243,22 @@ def uplane_D(nf: int, m: int, n: int) -> DCell:
     """
     if m < 0 or n < 0:
         raise ConstraintViolation("m, n must be non-negative")
-
-    def attempt(margin):
-        kernels, slot, (start, step), combo_sign = _d_kernels(
-            m, n, _frame(nf, m, n, margin))
-        value = Fraction(0)
-        weights: dict = {}
-        for (_, j), c, kernel in kernels:
-            value += c * pair_constant_term(kernel, slot, j)
-            lead_q = Fraction(kernel.lead, kernel.ram)
-            alpha = 0
-            while True:
-                e = start + alpha * step
-                if e > -lead_q:
-                    break
-                ck = kernel.coeff(-e)
-                if ck:
-                    w = combo_sign * c * ck * e ** j
-                    weights[alpha] = weights.get(alpha, Fraction(0)) + w
-                alpha += 1
-        combo = tuple((a, weights[a]) for a in sorted(weights) if weights[a])
-        return DCell(nf=nf, m=m, n=n, value=value, h_combo=combo)
-    return _retrying(attempt)
+    kernels, (start, step), combo_sign = _d_kernels(m, n, _frame(nf, m, n))
+    weights: dict = {}
+    for _, c, kernel, _, j in kernels:
+        lead_q = Fraction(kernel.lead, kernel.ram)
+        alpha = 0
+        while True:
+            e = start + alpha * step
+            if e > -lead_q:
+                break
+            ck = kernel.coeff(-e)
+            if ck:
+                w = combo_sign * c * ck * e ** j
+                weights[alpha] = weights.get(alpha, Fraction(0)) + w
+            alpha += 1
+    combo = tuple((a, weights[a]) for a in sorted(weights) if weights[a])
+    return DCell(nf=nf, m=m, n=n, value=_pair_sum(kernels), h_combo=combo)
 
 
 def evaluate_h_combo(combo, h_values) -> Fraction:
@@ -246,24 +268,33 @@ def evaluate_h_combo(combo, h_values) -> Fraction:
 # ---------------------------------------------------------------------------
 # the vanishing criterion and its summands
 
+def _criterion_kernels(m: int, n: int, target) -> tuple:
+    """The Goettsche kernels with their F-slots and the nf=0 kernels with
+    Q+, on one E2 theta frame, with products known through q^target.
+
+    The slot window depends only on the kernels' valuation, which the two
+    lists share; Q+ has the lower valuation, so its pt serves the F-slots.
+    """
+    pt, ps = _windows(target, _theta_val(m, n), Fraction(-1, 8))
+    theta = _theta_frame(m, n, pt, forms.eisenstein_e2)
+    return (_goettsche_kernels(m, n, ps, theta),
+            _d_kernels(m, n, _nf0_frame(n, ps, theta))[0])
+
+
 def criterion_summands(m: int, n: int, prec) -> tuple:
     """The (k, j) summands of both sides of the renormalized criterion sum,
     as two dicts keyed by (k, j) with 0 <= j <= k <= n.
 
     Side 1 is the Goettsche kernels times their F-slots (the F-bracket),
     side 2 the nf=0 kernels times (q d/dq)^j Q+ (the bracket with
-    derivatives of the mock series).  Both are built on one E2 theta frame
-    with margin p0 = prec/8, known below q^p0, then renormalized
-    (q -> q^8) to integer exponents.
+    derivatives of the mock series).  The products are known through
+    q^p0, p0 = prec/8, then cut below q^p0 and renormalized (q -> q^8) to
+    integer exponents.
     """
     p0 = Fraction(prec) / 8
-    theta = _theta_frame(m, n, p0, forms.eisenstein_e2)
-    side1 = {key: c * kernel * f_slot for key, c, kernel, f_slot
-             in _goettsche_kernels(m, n, p0, theta)}
-    kernels, slot, _, _ = _d_kernels(m, n, _nf0_frame(m, n, p0, theta))
-    side2 = {key: c * kernel * slot.qdq(key[1]) for key, c, kernel in kernels}
-    return tuple({key: t.truncate(p0).rescale(8, 1) for key, t in side.items()}
-                 for side in (side1, side2))
+    return tuple({key: (c * kernel * slot.qdq(d)).truncate(p0).rescale(8, 1)
+                  for key, c, kernel, slot, d in kernels}
+                 for kernels in _criterion_kernels(m, n, p0))
 
 
 def criterion_series(m: int, n: int, prec) -> QSeries:
@@ -276,10 +307,10 @@ def criterion_series(m: int, n: int, prec) -> QSeries:
 
 
 def criterion_check(m: int, n: int) -> bool:
-    """True iff the criterion series has (exactly) vanishing constant term."""
-    def attempt(margin):
-        return criterion_series(m, n, 8 + margin).constant_term() == 0
-    return _retrying(attempt)
+    """True iff the criterion series has (exactly) vanishing constant term:
+    the Goettsche pairing sum equals the nf=0 pairing sum."""
+    goettsche, nf0 = _criterion_kernels(m, n, 0)
+    return _pair_sum(goettsche) == _pair_sum(nf0)
 
 
 # ---------------------------------------------------------------------------

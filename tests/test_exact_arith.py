@@ -5,31 +5,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdonald import (Cyclo, DivisionByZero, IncompatibleOrder, OrderMismatch,
-                     cyclo_arith, format_rational, parse_rational, rat_arith,
-                     root_of_unity, unity)
+from qdonald import (Cyclo, DivisionByZero, IncompatibleOrder, root_of_unity,
+                     unity)
 from qdonald.exact import cyclotomic_polynomial, euler_phi
 
 
 def test_rat_arith_basics():
-    assert rat_arith(F(1, 2), F(1, 3), "add") == F(5, 6)
-    x = F(-19, 16)
-    assert rat_arith(x, 1, "mul") == x
     # the S^4 table row as an H-combination
     assert (F(-49, 64) * 39 + F(9, 4) * 28 - F(2133, 64) * 1) == F(-3, 16)
-
-
-def test_rat_div_by_zero():
-    with pytest.raises(DivisionByZero):
-        rat_arith(1, 0, "div")
-
-
-def test_rational_serialization():
-    assert parse_rational("-19/16") == F(-19, 16)
-    assert parse_rational("7") == 7
-    assert parse_rational("7/1") == 7
-    assert format_rational(F(-19, 16)) == "-19/16"
-    assert format_rational(F(4, 2)) == "2"
 
 
 def test_cyclotomic_polynomials():
@@ -67,12 +50,10 @@ def test_unity_helper():
 def test_cyclo_arith_contract():
     a = root_of_unity(8, 1, order=8)
     b = root_of_unity(8, 3, order=8)
-    assert cyclo_arith(a, b, "mul").as_rational() == -1
-    with pytest.raises(OrderMismatch):
-        cyclo_arith(a, root_of_unity(24, 1, order=24), "add")
+    assert (a * b).as_rational() == -1
     zero = Cyclo.from_rational(0, 8)
     with pytest.raises(DivisionByZero):
-        cyclo_arith(a, zero, "div")
+        a / zero
 
 
 def test_cyclo_rational_roundtrip():

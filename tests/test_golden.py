@@ -49,6 +49,17 @@ GOLDEN = [
      "16f134b3b446c8591b5ed0878bbd09990e03a06372df5507857d6b16e0833c89"),
     (["series", "--name", "Qplus", "--order", "20"],
      "542cd0b9aeacdcfe430e869dbe601dc607542ff9ac43bf7f126a70f4a33b03ba"),
+    # larger tables, whose cells reach the widest pairing windows
+    (["invariants", "--nf", "0", "--max-weight", "10", "--format", "json"],
+     "9fce96b20273a50e325128eeaedd238019ad6e6a402653ff1af6094804b6a0c4"),
+    (["invariants", "--nf", "2", "--max-weight", "8", "--format", "json"],
+     "68d1340d7e95d99d8081da5c2b94f77f36ef4b5c25e265d1ccb100c6a08c2377"),
+    (["invariants", "--nf", "3", "--max-weight", "6", "--format", "json"],
+     "b236f24475c1fa8742d155ba33aa43719298f71a623aee2cffb2ebcba04305c3"),
+    (["goettsche", "--max-weight", "12", "--format", "json"],
+     "2fcada252980b97dd255faa22d0ebf289b8d130fd8174c3e2872bb79d8e64335"),
+    (["verify", "--suite", "criterion", "--max", "6"],
+     "dd38f11c82b0fa8c8894326d59b336a6f7f245da3774f7b8dce028ed53f9e0b0"),
 ]
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from qdonald import QSeries, forms, invariants as inv, mock
+from qdonald import (InsufficientPrecision, QSeries, forms, invariants as inv,
+                     mock)
 
 
 PRINTED_NF0 = {
@@ -107,12 +108,58 @@ def test_nf3_s_duality():
     """The transform slot and -Q give the same invariant values."""
     for (m, n) in [(0, 0), (1, 0), (0, 1), (1, 1)]:
         slot = -mock.q_plus(m + n + 6)
+        kernels, _, _ = inv._d_kernels(m, n, inv._frame(3, m, n))
+        value = sum((c * inv.pair_constant_term(k, slot, j)
+                     for _, c, k, _, j in kernels), F(0))
+        assert value == inv.uplane_D(3, m, n).value
 
-        def value(margin):
-            kernels, _, _, _ = inv._d_kernels(m, n, inv._frame(3, m, n, margin))
-            return sum((c * inv.pair_constant_term(k, slot, j)
-                        for (_, j), c, k in kernels), F(0))
-        assert inv._retrying(value) == inv.uplane_D(3, m, n).value
+
+def _shorten(monkeypatch, name, step):
+    """Make mock.<name>(..., prec) known one grid step less far than asked."""
+    build = getattr(mock, name)
+    monkeypatch.setattr(mock, name,
+                        lambda *args: build(*args).truncate(args[-1] - step))
+
+
+@pytest.mark.parametrize("nf, slot, step", [
+    ("goettsche", "f_t", F(1, 8)),
+    (0, "q_plus", F(1, 8)),
+    (2, "q_plus", F(1, 8)),  # Q+ at tau/2: one 1/16 step
+    (3, "q_transform_s", F(1, 8)),
+])
+def test_pairing_windows_are_exact(nf, slot, step, monkeypatch):
+    """The window rule leaves no slack: a slot known one grid step less far
+    than it gives makes every cell of weight <= 4 raise, never return."""
+    cells = inv.weight_grid(4)
+    if nf == "goettsche":
+        cells = [(m, n) for m, n in cells if (m + n) % 2 == 0]
+    _shorten(monkeypatch, slot, step)
+    for m, n in cells:
+        with pytest.raises(InsufficientPrecision):
+            if nf == "goettsche":
+                inv.goettsche_phi.__wrapped__((m + n) // 2 + 1, m, n)
+            else:
+                inv.uplane_D(nf, m, n)
+
+
+def test_criterion_summand_windows_are_exact(monkeypatch):
+    """criterion_summands builds its products known through q^p0: the
+    coefficient at q^p0 is the pairing of q^-p0 kernel with the slot, and a
+    slot one 1/8 step shorter no longer reaches it."""
+    m, n, p0 = 1, 1, F(1)
+    for short in (False, True):
+        if short:
+            _shorten(monkeypatch, "f_t", F(1, 8))
+            _shorten(monkeypatch, "q_plus", F(1, 8))
+        for kernels in inv._criterion_kernels(m, n, p0):
+            for _, c, kernel, slot, d in kernels:
+                shifted = kernel.shift_exponent(-p0)
+                if short:
+                    with pytest.raises(InsufficientPrecision):
+                        inv.pair_constant_term(shifted, slot, d)
+                else:
+                    assert inv.pair_constant_term(shifted, slot, d) == \
+                        (kernel * slot.qdq(d)).coeff(p0)
 
 
 PRINTED_LAMBDA = {
@@ -160,13 +207,17 @@ def test_lambda_general_corner_agreement():
 
 def test_lambda_sums_recover_both_sides():
     """Summing the renormalized summands recovers the two invariant values:
-    side 1 totals the instanton side, side 2 the u-plane side."""
-    for (m, n) in [(0, 0), (1, 1), (0, 2), (2, 0)]:
+    side 1 totals the instanton side, side 2 the u-plane side, and each
+    equals the pairing sum that criterion_check compares."""
+    for (m, n) in inv.weight_grid(3):
         side1, side2 = inv.criterion_summands(m, n, 8)
         s1 = sum(side1[(k, j)].constant_term()
                  for k in range(n + 1) for j in range(k + 1))
         s2 = sum(side2[(k, j)].constant_term()
                  for k in range(n + 1) for j in range(k + 1))
+        goettsche, nf0 = inv._criterion_kernels(m, n, 0)
+        assert s1 == inv._pair_sum(goettsche)
+        assert s2 == inv._pair_sum(nf0)
         k_inst = (m + n) // 2 + 1
         assert s1 == inv.goettsche_phi(k_inst, m, n)
         assert s2 == inv.uplane_D(0, m, n).value

@@ -56,16 +56,22 @@ def test_nf3_leading_constant():
     assert fam.u.coeff(-1) == F(-1, 16)
 
 
+def _u2_is_eta_quotient(p) -> bool:
+    """u2(tau) = u0(2 tau) with u0(tau) = h(tau/4)/8, h the eta quotient
+    eta(2t)^4/eta(4t)^8 E*(2t); compared with its window."""
+    u = sw.sw_family(2, p).u
+    h = (forms.form_h(2 * p).rescale(1, 2) / 8).truncate(p)
+    return ((u.ram, u.lead, u.prec, u.coeffs)
+            == (h.ram, h.lead, h.prec, h.coeffs))
+
+
 def test_nf2_is_rescaled_nf0():
-    fam2 = sw.sw_family(2, 10)
-    u0 = sw.sw_family(0, 6).u.rescale(2, 1)
-    assert (fam2.u - u0).is_zero()
-    assert fam2.kodaira_infty == "I*_2"
+    assert _u2_is_eta_quotient(10)
+    assert sw.sw_family(2, 10).kodaira_infty == "I*_2"
 
 
-def test_nf2_duplication_check_sees_a_perturbed_u(monkeypatch):
-    """The nf=2 u-series is built from the nf=0 one, so a fault there must
-    make the check against the theta duplication formula fail."""
+def _perturb_u0(monkeypatch):
+    """Add q to the nf=0 u-series, which the nf=2 family is built from."""
     build = sw.sw_family
 
     def perturbed(nf, prec):
@@ -74,6 +80,17 @@ def test_nf2_duplication_check_sees_a_perturbed_u(monkeypatch):
             fam = replace(fam, u=fam.u + QSeries.monomial(1))
         return fam
     monkeypatch.setattr(sw, "sw_family", perturbed)
+
+
+def test_nf2_eta_quotient_check_sees_a_perturbed_u(monkeypatch):
+    _perturb_u0(monkeypatch)
+    assert not _u2_is_eta_quotient(10)
+
+
+def test_nf2_duplication_check_sees_a_perturbed_u(monkeypatch):
+    """The nf=2 u-series is built from the nf=0 one, so a fault there must
+    make the check against the theta duplication formula fail."""
+    _perturb_u0(monkeypatch)
     results = {name: (ok, bad) for name, ok, bad in sw.check_family(2, 12)}
     assert results["u2 = u0 at tau/2"] == (False, 2)
 
