@@ -4,8 +4,15 @@ A :class:`QSeries` stores coefficients for exponents m/ram with integer m in
 the window [lead, prec); everything below ``lead`` is exactly zero and
 everything at or above ``prec`` is unknown.  ``prec is None`` marks an exact
 series (a Laurent polynomial, known everywhere).  Coefficients are Fractions
-or :class:`~qdonald.exact.Cyclo` values; both are immutable, so series can be
-shared freely between threads.
+or :class:`~qdonald.exact.Cyclo` values.  Both are immutable, and so is a
+series, which is what makes memoizing series constructors safe.
+
+Products and inverses of series without Cyclo coefficients run on integers:
+each operand is cleared to one integer vector over one common denominator,
+the integers are convolved, and the result is divided once.  A long dense
+product is one big-int multiply by Kronecker substitution (Harvey,
+arXiv:0712.4046); a short or sparse one is a loop over the nonzero pairs.
+Series with Cyclo coefficients take the generic loops.
 """
 
 from __future__ import annotations
@@ -15,6 +22,11 @@ from functools import cache, wraps
 from math import gcd, lcm
 
 from .exact import Cyclo, as_rational, root_of_unity
+
+# An integer product loops over the nonzero pairs while their count is at
+# most this many times the number of Kronecker slots (both operands plus the
+# output); past that, one big-int multiply is faster.
+_SCHOOLBOOK_PAIRS_PER_SLOT = 4
 
 
 class NotInvertible(ZeroDivisionError):
@@ -284,64 +296,41 @@ class QSeries:
         prec = min(cands) if cands else None
         if prec is not None and prec <= lead:
             raise PrecisionUnderflow("product has an empty known window")
-        hi = prec if prec is not None else lead + len(a.coeffs) + len(b.coeffs) - 1
-        out = [_ZERO] * (hi - lead)
-        # schoolbook convolution, skipping zero coefficients of the sparser side
-        if sum(1 for c in a.coeffs if c) > sum(1 for c in b.coeffs if c):
-            a, b = b, a
-        nb = len(b.coeffs)
-        for i, ca in enumerate(a.coeffs):
-            if not ca:
-                continue
-            base = a.lead + i + b.lead - lead
-            jmax = min(nb, hi - lead - base)
-            for j in range(jmax):
-                cb = b.coeffs[j]
-                if cb:
-                    out[base + j] = out[base + j] + ca * cb
+        n = (prec if prec is not None
+             else lead + len(a.coeffs) + len(b.coeffs) - 1) - lead
+        x, y = a.coeffs[:n], b.coeffs[:n]
+        cx, cy = _clear(x), _clear(y)
+        if cx is None or cy is None:
+            out = _convolve(x, y, n)
+        else:
+            out = _from_ints(_int_product(cx[0], cy[0], n), cx[1] * cy[1])
         return QSeries(a.ram, lead, out, prec)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def inverse(self, prec=None) -> "QSeries":
-        """Multiplicative inverse.  Exact series need an explicit target
-        precision (q-units) since their inverses are genuinely infinite."""
+        """Multiplicative inverse.  An exact series has an infinite inverse,
+        so it needs ``prec``: the q-exponent below which the result is known.
+        A truncated series ignores ``prec``; its own window sets the result's.
+        """
         if not self.coeffs:
             raise NotInvertible("inverse of a zero series")
         if self.prec is None:
             if prec is None:
                 raise ValueError("inverting an exact series needs a precision")
-            rel = _to_w(prec, self.ram) + len(self.coeffs)
-            u = self.coeffs + (_ZERO,) * max(rel - len(self.coeffs), 0)
+            n = _to_w(prec, self.ram) + self.lead
+            if n <= 0:
+                raise PrecisionUnderflow("inverse has an empty known window")
         else:
-            rel = self.prec - self.lead
-            u = self.coeffs
-        c0 = u[0]
-        if isinstance(c0, Cyclo):
-            inv0 = c0.inverse()
+            n = self.prec - self.lead
+        u = self.coeffs[:n]
+        cleared = _clear(u)
+        if cleared is None:
+            out = _generic_inverse(u, n)
         else:
-            if c0 == 0:
-                raise NotInvertible("leading coefficient is zero")
-            inv0 = 1 / c0
-        out = [_ZERO] * rel
-        out[0] = inv0
-        n_u = len(u)
-        for n in range(1, rel):
-            acc = _ZERO
-            for k in range(1, min(n, n_u - 1) + 1):
-                uk = u[k]
-                if uk:
-                    o = out[n - k]
-                    if o:
-                        acc = acc + uk * o
-            if acc:
-                out[n] = -(inv0 * acc)
-        lead = -self.lead
-        prec = None if self.prec is None else self.prec - 2 * self.lead
-        if prec is None:
-            prec = lead + rel
-        return QSeries(self.ram, lead, out, prec)
+            out = _int_inverse(*cleared, n)
+        return QSeries(self.ram, -self.lead, out, n - self.lead)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
@@ -355,12 +344,13 @@ class QSeries:
             if self.prec is None:
                 raise ValueError("dividing exact by exact needs a precision; "
                                  "use .inverse(prec) explicitly")
-            # unknowns of the numerator shift by the divisor's valuation
+            # unknowns of the numerator shift by the divisor's valuation; the
+            # inverse is needed up to bound - val(self), and a zero numerator
+            # needs only its first term
             bound = self.prec_q() - other.valuation()
-            rel = bound - (0 if self.is_zero() else self.valuation()) \
-                + other.valuation()
-            inv = other.inverse(max(rel, Fraction(1, other.ram)))
-            return (self * inv).truncate(bound)
+            need = bound - self.valuation() if self.coeffs \
+                else Fraction(1, other.ram) - other.valuation()
+            return (self * other.inverse(need)).truncate(bound)
         return self * other.inverse()
 
     def __pow__(self, k: int):
@@ -525,6 +515,153 @@ def _to_w(prec, ram: int, up: bool = True) -> int:
     if up:
         return -((-p.numerator) // p.denominator)
     return p.numerator // p.denominator
+
+
+def _clear(coeffs):
+    """``(ints, den)`` with ``coeffs[i] == ints[i] / den``, or None when a
+    coefficient is a Cyclo."""
+    try:
+        den = lcm(*{c.denominator for c in coeffs})
+    except AttributeError:
+        return None
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _from_ints(ints, den) -> list:
+    if den == 1:
+        return [Fraction(v) if v else _ZERO for v in ints]
+    return [Fraction(v, den) if v else _ZERO for v in ints]
+
+
+def _int_product(x, y, n) -> list:
+    """The first n coefficients of the product of integer vectors x and y."""
+    nx = [(i, v) for i, v in enumerate(x) if v]
+    ny = [(j, v) for j, v in enumerate(y) if v]
+    # nonzero terms on a sublattice (as in a ramified series read on a finer
+    # grid) are convolved without the zeros between them
+    g = gcd(*(i for i, _ in nx), *(j for j, _ in ny))
+    if g > 1:
+        out = [0] * n
+        out[::g] = _int_product(x[::g], y[::g], len(range(0, n, g)))
+        return out
+    if len(nx) * len(ny) > _SCHOOLBOOK_PAIRS_PER_SLOT * (len(x) + len(y) + n):
+        return _kronecker(x, y, n, min(len(nx), len(ny)))
+    out = [0] * n
+    for i, u in nx:
+        top = n - i
+        for j, v in ny:
+            if j >= top:
+                break
+            out[i + j] += u * v
+    return out
+
+
+def _kronecker(x, y, n, terms) -> list:
+    """The first n coefficients of x * y by one big-int multiply.
+
+    Each vector is packed into an integer with one slot of whole bytes per
+    coefficient, wide enough that no product coefficient (a sum of at most
+    ``terms`` products) reaches half a slot.  Negative coefficients make the
+    packed values and the product signed; the low n slots of the product,
+    read back as a two's-complement tail, unpack with a signed borrow.
+    """
+    bound = max(map(abs, x)) * max(map(abs, y)) * terms
+    k = (bound.bit_length() + 9) // 8
+    bits = 8 * k
+    low = (_pack(x, k) * _pack(y, k)) & ((1 << (bits * n)) - 1)
+    buf = low.to_bytes(k * n, "little")
+    half, full = 1 << (bits - 1), 1 << bits
+    from_bytes = int.from_bytes
+    out = []
+    borrow = 0
+    for j in range(0, k * n, k):
+        v = from_bytes(buf[j:j + k], "little") + borrow
+        if v >= half:
+            v -= full
+            borrow = 1
+        else:
+            borrow = 0
+        out.append(v)
+    return out
+
+
+def _pack(x, k) -> int:
+    """sum x[i] * 256^(k i) for signed x[i] with |x[i]| < 256^k."""
+    zero = bytes(k)
+    packed = int.from_bytes(b"".join(
+        v.to_bytes(k, "little") if v > 0 else zero for v in x), "little")
+    if min(x) < 0:
+        packed -= int.from_bytes(b"".join(
+            (-v).to_bytes(k, "little") if v < 0 else zero for v in x), "little")
+    return packed
+
+
+def _int_inverse(u, den, n) -> list:
+    """The first n coefficients of den / (u_0 + u_1 q + ...) for integer u.
+
+    The loop runs on V_m = out_m * u_0^(m+1) / den, which stays integral:
+    V_0 = 1 and V_m = -sum_k u_k u_0^(k-1) V_(m-k) over the nonzero u_k.
+    """
+    u0 = u[0]
+    steps = []
+    scale = 1
+    for k in range(1, len(u)):
+        if u[k]:
+            steps.append((k, u[k] * scale))
+        scale *= u0
+    vs = [1] + [0] * (n - 1)
+    for m in range(1, n):
+        acc = 0
+        for k, w in steps:
+            if k > m:
+                break
+            acc += w * vs[m - k]
+        vs[m] = -acc
+    out = []
+    power = u0
+    for v in vs:
+        out.append(Fraction(den * v, power) if v else _ZERO)
+        power *= u0
+    return out
+
+
+def _convolve(x, y, n) -> list:
+    """First n coefficients of x * y for any coefficient type (the Cyclo
+    path): schoolbook, skipping zeros of the sparser side."""
+    out = [_ZERO] * n
+    if sum(1 for c in x if c) > sum(1 for c in y if c):
+        x, y = y, x
+    for i, cx in enumerate(x):
+        if not cx:
+            continue
+        for j in range(min(len(y), n - i)):
+            cy = y[j]
+            if cy:
+                out[i + j] = out[i + j] + cx * cy
+    return out
+
+
+def _generic_inverse(u, n) -> list:
+    """First n coefficients of 1 / (u_0 + u_1 q + ...) for any coefficient
+    type (the Cyclo path)."""
+    c0 = u[0]
+    inv0 = c0.inverse() if isinstance(c0, Cyclo) else 1 / c0
+    steps = [(k, c) for k, c in enumerate(u) if k and c]
+    out = [_ZERO] * n
+    out[0] = inv0
+    for m in range(1, n):
+        acc = _ZERO
+        for k, c in steps:
+            if k > m:
+                break
+            o = out[m - k]
+            if o:
+                acc = acc + c * o
+        if acc:
+            out[m] = -(inv0 * acc)
+    return out
 
 
 def _scalar_series(c) -> QSeries:

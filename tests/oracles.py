@@ -1,15 +1,70 @@
 """Reference implementations that tests compare the production code with.
 
 Each oracle computes the same object as a production function by an
-independent route; it is kept only to cross-check, never called by
-``qdonald`` itself.
+independent route, or by the plain ``Fraction`` loop that a fast path
+replaced; it is kept only to cross-check, never called by ``qdonald`` itself.
 """
 
 from fractions import Fraction
 
-from qdonald.exact import unity
+from qdonald.exact import Cyclo, unity
 from qdonald.mock import LerchSpec, lerch_mu
-from qdonald.series import QSeries
+from qdonald.series import PrecisionUnderflow, QSeries, _to_w
+
+_ZERO = Fraction(0)
+
+
+def schoolbook_mul(a: QSeries, b: QSeries) -> QSeries:
+    """a * b by the plain coefficient loop, with the product window rule:
+    lead a.lead + b.lead, prec min(a.prec + b.lead, b.prec + a.lead)."""
+    a, b = a._align(b)
+    if not a.coeffs or not b.coeffs:
+        return a * b  # a known-zero operand: no coefficient loop to check
+    lead = a.lead + b.lead
+    cands = [p + s.lead for p, s in ((a.prec, b), (b.prec, a)) if p is not None]
+    prec = min(cands) if cands else None
+    if prec is not None and prec <= lead:
+        raise PrecisionUnderflow("product has an empty known window")
+    hi = prec if prec is not None else lead + len(a.coeffs) + len(b.coeffs) - 1
+    out = [_ZERO] * (hi - lead)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            if i + j < hi - lead and ca and cb:
+                out[i + j] = out[i + j] + ca * cb
+    return QSeries(a.ram, lead, out, prec)
+
+
+def schoolbook_inverse(s: QSeries, prec=None) -> QSeries:
+    """1 / s by the plain recurrence out_n = -(1/u_0) sum u_k out_(n-k).
+
+    A truncated s is inverted on its own window; an exact s is inverted
+    up to the q-exponent ``prec``.
+    """
+    n = s.prec - s.lead if s.prec is not None else _to_w(prec, s.ram) + s.lead
+    if n <= 0:
+        raise PrecisionUnderflow("inverse has an empty known window")
+    u = list(s.coeffs[:n]) + [_ZERO] * (n - len(s.coeffs))
+    inv0 = u[0].inverse() if isinstance(u[0], Cyclo) else 1 / u[0]
+    out = [_ZERO] * n
+    out[0] = inv0
+    for m in range(1, n):
+        acc = _ZERO
+        for k in range(1, m + 1):
+            if u[k] and out[m - k]:
+                acc = acc + u[k] * out[m - k]
+        if acc:
+            out[m] = -(inv0 * acc)
+    return QSeries(s.ram, -s.lead, out, n - s.lead)
+
+
+def schoolbook_pow(s: QSeries, k: int) -> QSeries:
+    """s ** k by repeated schoolbook products; negative k inverts first."""
+    if k < 0:
+        s, k = schoolbook_inverse(s), -k
+    out = QSeries.one()
+    for _ in range(k):
+        out = schoolbook_mul(out, s)
+    return out
 
 
 def mock_m_hypergeometric(prec) -> QSeries:

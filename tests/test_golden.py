@@ -60,6 +60,11 @@ GOLDEN = [
      "2fcada252980b97dd255faa22d0ebf289b8d130fd8174c3e2872bb79d8e64335"),
     (["verify", "--suite", "criterion", "--max", "6"],
      "dd38f11c82b0fa8c8894326d59b336a6f7f245da3774f7b8dce028ed53f9e0b0"),
+    # large orders, where long products and inverses of sparse divisors run
+    (["series", "--name", "Delta", "--order", "1000", "--format", "json"],
+     "4b9e4b376c186bd59d1e0b9cadfd7bed0a51d588e2a01d6c6ed6f90d3641cf1b"),
+    (["series", "--name", "Z0", "--order", "600", "--format", "json"],
+     "652f58f5381d073281b3deee7832c96ef3c202426b6a33ad18114a5541eb9d41"),
 ]
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdonald import (InsufficientPrecision, IrrepresentableExponent,
-                     NotInvertible, QSeries, root_of_unity)
+                     NotInvertible, PrecisionUnderflow, QSeries,
+                     root_of_unity)
 from qdonald import forms, mock
 
 
@@ -138,6 +139,37 @@ def test_exact_series_need_explicit_inverse_precision():
     assert all(inv.coeff(k) == 1 for k in range(6))
 
 
+def test_exact_inverse_is_known_below_its_precision_argument():
+    """inverse(prec) of an exact series is known exactly below q^prec."""
+    inv = QSeries.monomial(5).inverse(10)
+    assert (inv.valuation(), inv.prec_q()) == (-5, 10)
+    assert [inv.coeff(e) for e in range(-5, 10)] == [1] + [0] * 14
+    # q^-2 (1 - q) with lead != 0: q^2 + q^3 + ... below q^7
+    s = QSeries.from_terms({-2: F(1), -1: F(-1)}, None)
+    inv = s.inverse(7)
+    assert (inv.valuation(), inv.prec_q()) == (2, 7)
+    assert all(inv.coeff(e) == 1 for e in range(2, 7))
+    with pytest.raises(InsufficientPrecision):
+        inv.coeff(7)
+    # ramified: 2 q^(-1/2) + q^(1/2) on the 1/2 grid
+    s = QSeries.from_terms({-1: F(2), 1: F(1)}, None, ram=2)
+    inv = s.inverse(F(7, 2))
+    assert (inv.valuation(), inv.prec_q()) == (F(1, 2), F(7, 2))
+    assert (inv * s - 1).truncate(3).is_zero()
+    with pytest.raises(PrecisionUnderflow):
+        QSeries.monomial(5).inverse(-5)
+
+
+def test_division_by_an_exact_series_keeps_the_numerator_window():
+    num = forms.theta_big(3, 20)
+    den = QSeries.from_terms({2: F(1), 3: F(-1)}, None)   # q^2 - q^3
+    quot = num / den
+    assert (quot.valuation(), quot.prec_q()) == (-2, 18)
+    assert (quot * den).agrees_with(num)
+    zero = QSeries.zero(5) / den
+    assert zero.is_zero() and zero.prec_q() == 3
+
+
 def test_text_and_json_forms():
     q = mock.q_plus(3)
     text = q.to_text()
@@ -185,15 +217,33 @@ def test_ring_laws(a, b, c):
 
 
 @settings(max_examples=200, deadline=None)
-@given(qseries(), qseries())
+@given(st.one_of(qseries(), qseries(exact=True)),
+       st.one_of(qseries(), qseries(exact=True)))
 def test_product_matches_brute_convolution(a, b):
+    """Every exponent of the product window, and every oracle term inside
+    it, agree; the window is lead a.lead + b.lead and prec
+    min(a.prec + b.lead, b.prec + a.lead)."""
     try:
         prod = a * b
-    except Exception:
+    except PrecisionUnderflow:
         return
+    if a.is_zero() or b.is_zero():
+        assert prod.is_zero()
+        return
+    val = a.valuation() + b.valuation()
+    bounds = [p + v for p, v in ((a.prec_q(), b.valuation()),
+                                 (b.prec_q(), a.valuation())) if p is not None]
+    prec = min(bounds) if bounds else None
+    assert prod.valuation() == val
+    assert prod.prec_q() == prec
     oracle = brute_convolution(a, b)
-    for e, c in prod.terms():
-        assert oracle.get(e, 0) == c
+    top = prod.lead + len(prod.coeffs) if prec is None else prod.prec
+    for m in range(prod.lead, top):
+        e = F(m, prod.ram)
+        assert prod.coeff(e) == oracle.get(e, 0)
+    for e, c in oracle.items():
+        if prec is None or e < prec:
+            assert prod.coeff(e) == c
 
 
 @settings(max_examples=200, deadline=None)
@@ -247,7 +297,7 @@ def test_shift_inverse(a):
 def test_qdq_is_a_derivation(a, b):
     try:
         prod = (a * b).qdq(1)
-    except Exception:
+    except PrecisionUnderflow:
         return
     assert prod.agrees_with(a.qdq(1) * b + a * b.qdq(1))
 
