@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 DEFAULT_ORDER = 24
+_ZERO = Fraction(0)
+
 
 class DivisionByZero(ZeroDivisionError):
     pass
@@ -23,6 +25,7 @@ class IncompatibleOrder(ValueError):
     pass
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result, m, p = 1, n, 2
     while p * p <= m:
@@ -69,23 +72,56 @@ def cyclotomic_polynomial(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple:
-    """Reduction of zeta_n^k, 0 <= k < n, to the canonical basis."""
+def _phi_tail(n: int) -> tuple:
+    """Phi_n = x^phi(n) + sum c_j x^j: the nonzero (j, c_j) with j < phi(n)."""
+    poly = cyclotomic_polynomial(n)
+    return tuple((j, c) for j, c in enumerate(poly[:-1]) if c)
+
+
+def reduce_ints(n: int, poly) -> list:
+    """The phi(n) integer components of sum poly[k] zeta_n^k, for integer
+    poly of any length, by long division by the monic integer Phi_n."""
     ph = euler_phi(n)
-    mod = cyclotomic_polynomial(n)
-    rows = []
-    cur = [Fraction(1)] + [Fraction(0)] * (ph - 1)
-    for _ in range(n):
-        rows.append(tuple(cur))
-        nxt = [Fraction(0)] * (ph + 1)
-        for i, c in enumerate(cur):
-            nxt[i + 1] = c
-        top = nxt.pop()
-        if top:
-            for i in range(ph):
-                nxt[i] -= top * mod[i]
-        cur = nxt
-    return tuple(rows)
+    tail = _phi_tail(n)
+    p = list(poly)
+    if len(p) < ph:
+        return p + [0] * (ph - len(p))
+    for d in range(len(p) - 1, ph - 1, -1):
+        c = p[d]
+        if c:
+            base = d - ph
+            for j, m in tail:
+                p[base + j] -= c * m
+    del p[ph:]
+    return p
+
+
+def poly_product(x, y, acc=None) -> list:
+    """The product of integer polynomials x and y, added into acc if given."""
+    if acc is None:
+        acc = [0] * (len(x) + len(y) - 1)
+    for i, u in enumerate(x):
+        if u:
+            for j, v in enumerate(y):
+                if v:
+                    acc[i + j] += u * v
+    return acc
+
+
+def clear(values):
+    """``(ints, den)`` with ``values[i] == ints[i] / den`` for rational values,
+    ``den`` their least common denominator."""
+    den = lcm(*{v.denominator for v in values})
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def from_ints(ints, den) -> list:
+    """The Fractions ``ints[i] / den``; zeros are the shared zero."""
+    if den == 1:
+        return [Fraction(v) if v else _ZERO for v in ints]
+    return [Fraction(v, den) if v else _ZERO for v in ints]
 
 
 class Cyclo:
@@ -95,7 +131,7 @@ class Cyclo:
 
     def __init__(self, order: int, coeffs):
         ph = euler_phi(order)
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(coeffs) != ph:
             raise ValueError(f"need {ph} coefficients for order {order}")
         object.__setattr__(self, "order", order)
@@ -111,18 +147,9 @@ class Cyclo:
 
     @staticmethod
     def from_poly(order: int, poly) -> "Cyclo":
-        """Build from arbitrary-degree polynomial in zeta_order."""
-        table = _power_table(order)
-        ph = euler_phi(order)
-        acc = [Fraction(0)] * ph
-        for k, c in enumerate(poly):
-            if c:
-                row = table[k % order]
-                c = Fraction(c)
-                for i in range(ph):
-                    if row[i]:
-                        acc[i] += c * row[i]
-        return Cyclo(order, acc)
+        """Build from arbitrary-degree rational polynomial in zeta_order."""
+        ints, den = clear(poly)
+        return Cyclo(order, from_ints(reduce_ints(order, ints), den))
 
     def promote(self, order: int) -> "Cyclo":
         if order == self.order:
@@ -173,13 +200,9 @@ class Cyclo:
         a, b = self._pair(other)
         if b is NotImplemented:
             return NotImplemented
-        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyclo.from_poly(a.order, prod)
+        (x, dx), (y, dy) = clear(a.coeffs), clear(b.coeffs)
+        prod = reduce_ints(a.order, poly_product(x, y))
+        return Cyclo(a.order, from_ints(prod, dx * dy))
 
     __rmul__ = __mul__
 

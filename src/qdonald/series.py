@@ -7,12 +7,16 @@ series (a Laurent polynomial, known everywhere).  Coefficients are Fractions
 or :class:`~qdonald.exact.Cyclo` values.  Both are immutable, and so is a
 series, which is what makes memoizing series constructors safe.
 
-Products and inverses of series without Cyclo coefficients run on integers:
-each operand is cleared to one integer vector over one common denominator,
-the integers are convolved, and the result is divided once.  A long dense
-product is one big-int multiply by Kronecker substitution (Harvey,
-arXiv:0712.4046); a short or sparse one is a loop over the nonzero pairs.
-Series with Cyclo coefficients take the generic loops.
+Products and inverses run on integers.  The coefficients of both operands
+lie in one field Q(zeta_L), L the lcm of their Cyclo orders (L = 1 when all
+are rational).  Each operand is cleared to one integer vector over one
+common denominator, coefficient k's phi(L) components at the integer index
+k (2 phi - 1) + i; a product coefficient has zeta-degree below 2 phi - 1,
+so the slots never overlap and the whole product is one integer
+convolution, after which each slot is reduced modulo the monic Phi_L and
+divided once.  A long dense convolution is one big-int multiply by
+Kronecker substitution (Harvey, arXiv:0712.4046); a short or sparse one is
+a loop over the nonzero pairs.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from fractions import Fraction
 from functools import cache, wraps
 from math import gcd, lcm
 
-from .exact import Cyclo, as_rational, root_of_unity
+from .exact import (Cyclo, as_rational, clear, euler_phi, from_ints,
+                    poly_product, reduce_ints, root_of_unity)
 
 # An integer product loops over the nonzero pairs while their count is at
 # most this many times the number of Kronecker slots (both operands plus the
@@ -298,12 +303,7 @@ class QSeries:
             raise PrecisionUnderflow("product has an empty known window")
         n = (prec if prec is not None
              else lead + len(a.coeffs) + len(b.coeffs) - 1) - lead
-        x, y = a.coeffs[:n], b.coeffs[:n]
-        cx, cy = _clear(x), _clear(y)
-        if cx is None or cy is None:
-            out = _convolve(x, y, n)
-        else:
-            out = _from_ints(_int_product(cx[0], cy[0], n), cx[1] * cy[1])
+        out = _product(a.coeffs[:n], b.coeffs[:n], n)
         return QSeries(a.ram, lead, out, prec)
 
     def __rmul__(self, other):
@@ -325,9 +325,10 @@ class QSeries:
         else:
             n = self.prec - self.lead
         u = self.coeffs[:n]
-        cleared = _clear(u)
-        if cleared is None:
-            out = _generic_inverse(u, n)
+        try:
+            cleared = clear(u)
+        except AttributeError:  # a Cyclo coefficient has no denominator
+            out = _cyclo_inverse(u, n)
         else:
             out = _int_inverse(*cleared, n)
         return QSeries(self.ram, -self.lead, out, n - self.lead)
@@ -517,22 +518,78 @@ def _to_w(prec, ram: int, up: bool = True) -> int:
     return p.numerator // p.denominator
 
 
-def _clear(coeffs):
-    """``(ints, den)`` with ``coeffs[i] == ints[i] / den``, or None when a
-    coefficient is a Cyclo."""
+def _order(*vectors) -> int:
+    """The least L with every coefficient in Q(zeta_L): the lcm of the Cyclo
+    orders."""
+    return lcm(*{c.order for v in vectors for c in v if type(c) is Cyclo})
+
+
+def _clear(coeffs, order: int):
+    """``(rows, den)``: coefficient k is sum_i rows[k][i] zeta_order^i / den,
+    with one integer for a rational coefficient and none for a zero."""
+    comps = [(c.promote(order).coeffs if type(c) is Cyclo else (c,)) if c
+             else () for c in coeffs]
+    den = lcm(*{v.denominator for row in comps for v in row})
+    return [[v.numerator * (den // v.denominator) for v in row] if row else ()
+            for row in comps], den
+
+
+def _cyclo_flags(x, big: int) -> list:
+    """big at a nonzero Cyclo, 1 at a nonzero rational, 0 at a zero."""
+    return [(big if type(c) is Cyclo else 1) if c else 0 for c in x]
+
+
+def _product(x, y, n) -> list:
+    """The first n coefficients of the product of coefficient lists x and y."""
     try:
-        den = lcm(*{c.denominator for c in coeffs})
-    except AttributeError:
-        return None
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+        (cx, dx), (cy, dy) = clear(x), clear(y)
+    except AttributeError:  # a Cyclo coefficient has no denominator
+        return _cyclo_product(x, y, n)
+    return from_ints(_int_product(cx, cy, n), dx * dy)
 
 
-def _from_ints(ints, den) -> list:
-    if den == 1:
-        return [Fraction(v) if v else _ZERO for v in ints]
-    return [Fraction(v, den) if v else _ZERO for v in ints]
+def _cyclo_product(x, y, n) -> list:
+    """:func:`_product` in Q(zeta_L), one slot of 2 phi(L) - 1 integers per
+    coefficient.
+
+    A coefficient is a Cyclo exactly when a nonzero Cyclo term met a nonzero
+    term at its exponent, as in the plain coefficient loop; a second
+    convolution, of 0/1 weights with the Cyclo terms weighted past any count
+    of rational pairs, finds those exponents.
+    """
+    big = n + 1
+    fx, fy = _cyclo_flags(x, big), _cyclo_flags(y, big)
+    # nonzero terms on a sublattice are multiplied without the zeros between
+    # them, before each term widens to a slot
+    g = gcd(*(i for i, f in enumerate(fx) if f),
+            *(j for j, f in enumerate(fy) if f))
+    if g > 1:
+        out = [_ZERO] * n
+        out[::g] = _cyclo_product(x[::g], y[::g], len(range(0, n, g)))
+        return out
+    order = _order(x, y)
+    w = 2 * euler_phi(order) - 1
+    (rx, dx), (ry, dy) = _clear(x, order), _clear(y, order)
+    ints = _int_product(_slots(rx, w), _slots(ry, w), n * w)
+    kinds = _int_product(fx, fy, n)
+    den = dx * dy
+    out = []
+    for k, kind in enumerate(kinds):
+        if kind >= big:
+            slot = reduce_ints(order, ints[k * w:(k + 1) * w])
+            out.append(Cyclo(order, from_ints(slot, den)))
+        else:
+            out.append(Fraction(ints[k * w], den) if ints[k * w] else _ZERO)
+    return out
+
+
+def _slots(rows, w) -> list:
+    """The integer rows laid out one slot of w entries per coefficient."""
+    ints = [0] * (w * len(rows))
+    for k, row in enumerate(rows):
+        if row:
+            ints[k * w:k * w + len(row)] = row
+    return ints
 
 
 def _int_product(x, y, n) -> list:
@@ -627,40 +684,58 @@ def _int_inverse(u, den, n) -> list:
     return out
 
 
-def _convolve(x, y, n) -> list:
-    """First n coefficients of x * y for any coefficient type (the Cyclo
-    path): schoolbook, skipping zeros of the sparser side."""
-    out = [_ZERO] * n
-    if sum(1 for c in x if c) > sum(1 for c in y if c):
-        x, y = y, x
-    for i, cx in enumerate(x):
-        if not cx:
-            continue
-        for j in range(min(len(y), n - i)):
-            cy = y[j]
-            if cy:
-                out[i + j] = out[i + j] + cx * cy
-    return out
+def _cyclo_inverse(u, n) -> list:
+    """The first n coefficients of 1 / (u_0 + u_1 q + ...) in Q(zeta_L), L
+    the lcm of the Cyclo orders in u.
 
-
-def _generic_inverse(u, n) -> list:
-    """First n coefficients of 1 / (u_0 + u_1 q + ...) for any coefficient
-    type (the Cyclo path)."""
-    c0 = u[0]
-    inv0 = c0.inverse() if isinstance(c0, Cyclo) else 1 / c0
-    steps = [(k, c) for k, c in enumerate(u) if k and c]
-    out = [_ZERO] * n
-    out[0] = inv0
+    With u = U / den over Z[zeta] and 1 / U_0 = J / e (J over Z[zeta], e an
+    integer), W = J U has W_0 = e and 1 / u = den J / W.  The loop of
+    :func:`_int_inverse` runs on V_m = (1/W)_m e^(m+1) in Z[zeta]: V_0 = 1
+    and V_m = -sum_k W_k e^(k-1) V_(m-k) over the nonzero W_k, reduced
+    modulo Phi_L once per m.  A coefficient is a Cyclo when u_0 is, or
+    when a Cyclo divisor term or a Cyclo earlier coefficient reaches it.
+    """
+    order = _order(u)
+    ph = euler_phi(order)
+    rows, den = _clear(u, order)
+    jinv, e = clear(Cyclo.from_poly(order, rows[0]).inverse().coeffs)
+    cyclo = [type(c) is Cyclo and bool(c) for c in u]
+    steps = []
+    scale = 1
+    for k in range(1, len(rows)):
+        if rows[k]:
+            wk = reduce_ints(order, poly_product(rows[k], jinv))
+            steps.append((k, [v * scale for v in wk], cyclo[k]))
+        scale *= e
+    vs = [None] * n
+    vs[0] = [1] + [0] * (ph - 1)
+    kinds = [cyclo[0]] * n
     for m in range(1, n):
-        acc = _ZERO
-        for k, c in steps:
+        acc = None
+        kind = cyclo[0]
+        for k, wk, ck in steps:
             if k > m:
                 break
-            o = out[m - k]
-            if o:
-                acc = acc + c * o
-        if acc:
-            out[m] = -(inv0 * acc)
+            v = vs[m - k]
+            if v is not None:
+                acc = poly_product(wk, v, acc)
+                kind = kind or ck or kinds[m - k]
+        if acc is not None:
+            v = reduce_ints(order, acc)
+            if any(v):
+                vs[m] = [-c for c in v]
+                kinds[m] = kind
+    out = []
+    power = e
+    for v, kind in zip(vs, kinds):
+        if v is not None:
+            comps = from_ints([den * c for c in
+                               reduce_ints(order, poly_product(jinv, v))],
+                              power)
+            out.append(Cyclo(order, comps) if kind else comps[0])
+        else:
+            out.append(_ZERO)
+        power *= e
     return out
 
 

@@ -7,11 +7,50 @@ replaced; it is kept only to cross-check, never called by ``qdonald`` itself.
 
 from fractions import Fraction
 
-from qdonald.exact import Cyclo, unity
+from qdonald.exact import Cyclo, cyclotomic_polynomial, euler_phi, unity
 from qdonald.mock import LerchSpec, lerch_mu
 from qdonald.series import PrecisionUnderflow, QSeries, _to_w
 
 _ZERO = Fraction(0)
+
+
+def power_table(n: int) -> tuple:
+    """zeta_n^k for 0 <= k < n in the basis 1, zeta, ..., zeta^(phi(n)-1),
+    by repeated multiplication by zeta and one reduction step each."""
+    ph = euler_phi(n)
+    mod = cyclotomic_polynomial(n)
+    rows = []
+    cur = [_ZERO] * ph
+    cur[0] = Fraction(1)
+    for _ in range(n):
+        rows.append(tuple(cur))
+        nxt = [_ZERO] + cur
+        top = nxt.pop()
+        if top:
+            nxt = [c - top * m for c, m in zip(nxt, mod)]
+        cur = nxt
+    return tuple(rows)
+
+
+def cyclo_from_poly(order: int, poly) -> Cyclo:
+    """sum poly[k] zeta^k by the power table, in Fractions."""
+    table = power_table(order)
+    acc = [_ZERO] * euler_phi(order)
+    for k, c in enumerate(poly):
+        if c:
+            row = table[k % order]
+            acc = [x + Fraction(c) * r for x, r in zip(acc, row)]
+    return Cyclo(order, acc)
+
+
+def cyclo_mul(a: Cyclo, b: Cyclo) -> Cyclo:
+    """a * b for equal orders: the Fraction polynomial product, reduced by
+    the power table."""
+    prod = [_ZERO] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            prod[i + j] += x * y
+    return cyclo_from_poly(a.order, prod)
 
 
 def schoolbook_mul(a: QSeries, b: QSeries) -> QSeries:

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: rationals and cyclotomic field elements."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from qdonald import (Cyclo, DivisionByZero, IncompatibleOrder, root_of_unity,
                      unity)
 from qdonald.exact import cyclotomic_polynomial, euler_phi
+
+from oracles import cyclo_from_poly, cyclo_mul
 
 
 def test_rat_arith_basics():
@@ -63,6 +66,16 @@ def test_cyclo_rational_roundtrip():
     assert (c - c).as_rational() == 0
 
 
+def test_cyclo_keeps_fraction_components():
+    fracs = [F(k, 7) for k in range(8)]
+    c = Cyclo(24, fracs)
+    assert all(c.coeffs[i] is fracs[i] for i in range(8))
+    assert Cyclo(24, range(8)).coeffs == tuple(F(k) for k in range(8))
+    assert all(type(x) is F for x in Cyclo(24, range(8)).coeffs)
+    with pytest.raises(ValueError):
+        Cyclo(24, fracs[:7])
+
+
 def test_cyclo_promotion():
     z8 = root_of_unity(8, 1, order=8)
     z24 = z8.promote(24)
@@ -99,3 +112,38 @@ def test_rational_embedding_is_homomorphic(x, y):
     cx, cy = Cyclo.from_rational(x, 24), Cyclo.from_rational(y, 24)
     assert (cx * cy).as_rational() == x * y
     assert (cx + cy).as_rational() == x + y
+
+
+def _component(rng, big):
+    if big:
+        return F(rng.choice([-1, 1]) * rng.getrandbits(rng.randint(65, 130)),
+                 rng.choice([1, 3, 8, 2 ** 67 + 1]))
+    return F(rng.randint(-9, 9), rng.choice([1, 2, 5, 12]))
+
+
+@st.composite
+def cyclo_operands(draw):
+    """(order, a, b, poly): two elements of Q(zeta_order), dense or sparse,
+    and a polynomial in zeta of any degree below three times the order."""
+    order = draw(st.sampled_from([8, 12, 24, 48]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    big = draw(st.booleans())
+
+    def values(count):
+        density = rng.choice([0.15, 0.5, 1.0])
+        return [_component(rng, big) if rng.random() < density else 0
+                for _ in range(count)]
+    ph = euler_phi(order)
+    return (order, Cyclo(order, values(ph)), Cyclo(order, values(ph)),
+            values(rng.randint(0, 3 * order)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclo_operands())
+def test_cyclo_product_and_reduction_match_oracle(args):
+    """The integer reduction modulo Phi_N against the Fraction power table."""
+    order, a, b, poly = args
+    assert (a * b).coeffs == cyclo_mul(a, b).coeffs
+    assert (a * b).order == order
+    assert Cyclo.from_poly(order, poly).coeffs == \
+        cyclo_from_poly(order, poly).coeffs

@@ -65,6 +65,9 @@ GOLDEN = [
      "4b9e4b376c186bd59d1e0b9cadfd7bed0a51d588e2a01d6c6ed6f90d3641cf1b"),
     (["series", "--name", "Z0", "--order", "600", "--format", "json"],
      "652f58f5381d073281b3deee7832c96ef3c202426b6a33ad18114a5541eb9d41"),
+    # dominated by products and inverses of series with Cyclo coefficients
+    (["series", "--name", "QtransS", "--order", "60", "--format", "json"],
+     "2f336607babb6d131dcd04fab60f65e47bd71f0346d64c031f068663be82934b"),
 ]
 
 
