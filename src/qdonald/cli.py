@@ -283,7 +283,8 @@ def _suite_tables() -> list:
         for (m, n), expected in sorted(table.items()):
             cell = invariants.uplane_D(nf, m, n)
             ok = str(cell.value) == expected
-            combo_ok = invariants.evaluate_h_combo(cell.h_combo, h) == cell.value
+            # against the printed value: value and combination share reads
+            combo_ok = str(invariants.evaluate_h_combo(cell.h_combo, h)) == expected
             checks.append((f"nf={nf} D[{m},{n}] = {expected}", ok, None))
             checks.append((f"nf={nf} combo[{m},{n}] evaluates", combo_ok, None))
     for (m, n), expected in sorted(_TABLE_NF0.items()):

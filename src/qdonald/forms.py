@@ -1,13 +1,14 @@
 """Named q-expansions of the classical modular forms used downstream.
 
 All constructors take a target precision in q-units and return a QSeries
-whose known window reaches at least that far.  Results are memoized by
-(parameters, precision) with :func:`~qdonald.series.memo`.
+whose known window reaches at least that far.  Results are memoized with
+:func:`~qdonald.series.memo`, which serves lower precisions by truncation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil
 
 from .series import QSeries, memo
 
@@ -22,7 +23,7 @@ def euler_product(prec, arg: int = 1) -> QSeries:
 
 @memo
 def _euler_product(arg: int, prec) -> QSeries:
-    top = int(Fraction(prec))
+    top = ceil(prec)
     terms = {}
     k = 1
     terms[0] = Fraction(1)
@@ -87,7 +88,7 @@ def delta(prec) -> QSeries:
 @memo
 def theta_big(which: int, prec) -> QSeries:
     """Theta_2/3/4 by direct lattice sum (integer exponents)."""
-    top = int(Fraction(prec))
+    top = ceil(prec)
     terms = {}
     if which == 2:
         n = 0
@@ -108,9 +109,13 @@ def theta_big(which: int, prec) -> QSeries:
 
 @memo
 def vartheta(which: int, prec) -> QSeries:
-    """Jacobi theta constants: 2*Theta2(tau/8), Theta3(tau/8), Theta4(tau/8)."""
-    base = theta_big(which, Fraction(prec) * 8).rescale(1, 8)
-    return (2 * base if which == 2 else base).truncate(prec)
+    """Jacobi theta constants: 2*Theta2(tau/8) on the q^(1/8) grid,
+    Theta3(tau/8) and Theta4(tau/8) on the q^(1/2) grid."""
+    step = 1 if which == 2 else 4  # the lattice sum's exponents lie in step*Z
+    base = theta_big(which, prec * 8)
+    series = QSeries(8 // step, -(-base.lead // step), base.coeffs[::step],
+                     -(-base.prec // step))
+    return 2 * series if which == 2 else series
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +132,7 @@ def _sigma1_table(top: int) -> list:
 @memo
 def eisenstein_e2(prec) -> QSeries:
     """E_2 = 1 - 24 sum sigma_1(n) q^n."""
-    top = int(Fraction(prec))
+    top = ceil(prec)
     sig = _sigma1_table(top)
     terms = {0: Fraction(1)}
     for n in range(1, top):
@@ -138,7 +143,7 @@ def eisenstein_e2(prec) -> QSeries:
 @memo
 def eisenstein_estar(prec) -> QSeries:
     """E* = 1 + 24 sum sigma_odd(n) q^n (sum over positive odd divisors)."""
-    top = int(Fraction(prec))
+    top = ceil(prec)
     sig = [0] * max(top, 1)
     for d in range(1, top, 2):
         for m in range(d, top, d):
@@ -152,7 +157,7 @@ def eisenstein_estar(prec) -> QSeries:
 @memo
 def eisenstein_eodd(prec) -> QSeries:
     """E_odd = sum sigma_1(2n+1) q^(2n+1)."""
-    top = int(Fraction(prec))
+    top = ceil(prec)
     sig = _sigma1_table(top)
     terms = {n: Fraction(sig[n]) for n in range(1, top, 2)}
     return QSeries.from_terms(terms, top)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from . import forms, mock
-from .series import InsufficientPrecision, QSeries
+from .series import InsufficientPrecision, QSeries, memo
 
 
 class ConstraintViolation(ValueError):
@@ -23,118 +22,62 @@ class ConstraintViolation(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# constant-term pairing
-
-def pair_constant_term(kernel: QSeries, slot: QSeries, j: int = 0) -> Fraction:
-    """Coeff_{q^0}[ kernel * (q d/dq)^j slot ] by coefficient pairing.
-
-    A product kernel * slot is known through q^target when the kernel is
-    known through target - val(slot) and the slot through target -
-    val(kernel); a window is exclusive, so "known through e" means
-    prec > e.  A pairing is target = 0: it raises InsufficientPrecision
-    unless the kernel is known through -val(slot) and the slot through
-    -val(kernel).
-    """
-    k, s = kernel._align(slot)
-    if not k.coeffs or not s.coeffs:
-        kp, sp = k.prec, s.prec
-        if (kp is not None and not k.coeffs and kp <= -s.lead) or \
-           (sp is not None and not s.coeffs and sp <= -k.lead):
-            raise InsufficientPrecision("pairing windows do not overlap q^0")
-        return Fraction(0)
-    if s.prec is not None and s.prec <= -k.lead:
-        raise InsufficientPrecision("slot window too short for the pairing")
-    if k.prec is not None and k.prec <= -s.lead:
-        raise InsufficientPrecision("kernel window too short for the pairing")
-    total = Fraction(0)
-    ram = s.ram
-    hi = min(s.lead + len(s.coeffs) - 1, -k.lead)
-    for m in range(s.lead, hi + 1):
-        cs = s.coeffs[m - s.lead]
-        if not cs:
-            continue
-        ck = k.coeffs[-m - k.lead] if k.lead <= -m < k.lead + len(k.coeffs) else 0
-        if not ck:
-            continue
-        w = ck * cs
-        if j:
-            w = w * Fraction(m, ram) ** j
-        total += w
-    return total
-
-
-def _pair_sum(kernels) -> Fraction:
-    """Sum of c * pair_constant_term(kernel, slot, d) over a kernel list
-    [(key, c, kernel, slot, d)]."""
-    return sum((c * pair_constant_term(kernel, slot, d)
-                for _, c, kernel, slot, d in kernels), Fraction(0))
-
-
-# ---------------------------------------------------------------------------
-# pairing windows
+# kernel frames, read by pairing
 #
-# Every kernel is a theta quotient whose theta constants and E2 are known
-# below q^pt.  E2 is cut at floor(pt), so pt is an integer.  A kernel is
-# then known below val(kernel) + pt - loss, where loss is the valuation of
-# the theta factor it divides by: 1/8 for t2 t3, 1/2 for t3^2 - t4^2.  By
-# the rule of pair_constant_term, a product known through q^target needs
-#     pt   = the least integer above  target - val(slot) - val(kernel) + loss,
-#     slot = the least point of the slot's exponent grid above
-#            target - val(kernel).
-# The closed-form valuations, with w = m + n, are
-#     kernels: -(2w+3)/8 on the theta frame, -(4w+7)/16 for nf=2,
-#              -(8w+15)/8 for nf=3;
-#     slots:   3/8 for F_t, -1/8 for Q+ and for its S-transform, -1/16 for
-#              Q+ at tau/2 (nf=2).
+# A cell of weight w = m + n pairs kernels P_k E_l (k + l <= w; P_k = base *
+# pows^k a theta quotient, E_l = E2^l) with a slot.  The kernel coefficient
+# at q^-x meets the slot coefficient at x for x on the slot grid start +
+# step Z, so a cell reads each kernel there only, as a sum over its two
+# factors, and no kernel product is formed.
+#
+# Windows.  With theta constants and E2 known below q^pt (pt an integer: E2
+# is cut at floor(pt)), P_k is known below val + pt - loss, where val is
+# the kernels' valuation and loss that of the theta factor the base divides
+# by (t2 t3 or t3^2 - t4^2).  A product a * b is known through q^e when a
+# is known through e - val(b) and b through e - val(a).  So a pairing
+# (e = 0) needs the kernels known below top = -start + 1/ram, 1/ram their
+# grid step, which gives pt = the least integer at or above top - val +
+# loss; and the slot known through -val, at the least grid point above it.
 
-def _windows(target, val_kernel, val_slot, step=Fraction(1, 8),
-             loss=Fraction(1, 8)) -> tuple:
-    """(pt, slot precision) of a kernel family paired with one slot."""
-    return ((target - val_slot - val_kernel + loss) // 1 + 1,
-            ((target - val_kernel) // step + 1) * step)
-
-
-def _theta_val(m: int, n: int) -> Fraction:
-    """Valuation of the kernels on the theta frame of p^m S^(2n)."""
-    return Fraction(-(2 * m + 2 * n + 3), 8)
-
-
-# ---------------------------------------------------------------------------
-# Goettsche's closed formula
-
-@lru_cache(maxsize=None)
-def goettsche_phi(k: int, m: int, n: int) -> Fraction:
-    """Instanton invariant for p^m S^(2n) at instanton number k.
-
-    Zero unless m + n = 2(k - 1); the nonzero values are double sums of
-    constant terms of theta-quotient kernels against the F_t series.
-    """
-    if m < 0 or n < 0 or k < 1 or m + n != 2 * (k - 1):
-        return Fraction(0)
-    pt, ps = _windows(0, _theta_val(m, n), Fraction(3, 8))
-    return _pair_sum(_goettsche_kernels(
-        m, n, ps, _theta_frame(m, n, pt, forms.eisenstein_e2)))
+# family: (slot grid start, step, kernel grid 1/ram, loss, (a, b)) with
+# val = -(a w + b)/ram; the slots are F_t, Q+, Q+ at tau/2, S-transformed Q+
+_FAMILIES = {
+    "goettsche": (Fraction(3, 8), Fraction(1, 2), 8, Fraction(1, 8), (2, 3)),
+    0: (Fraction(-1, 8), Fraction(1, 2), 8, Fraction(1, 8), (2, 3)),
+    2: (Fraction(-1, 16), Fraction(1, 4), 16, Fraction(1, 8), (4, 7)),
+    3: (Fraction(-1, 8), Fraction(1, 2), 8, Fraction(1, 2), (8, 15)),
+}
 
 
-def _goettsche_kernels(m: int, n: int, ps, theta) -> list:
-    """Kernel list [((l, j), coeff, kernel, slot, 0)] of the Goettsche double
-    sum for p^m S^(2n), with slot F_(2(n-l)) known below q^ps, on the E2
-    theta frame."""
-    _, base, p4_pows, e2_pows = theta
-    kernels = []
-    for l in range(n + 1):
-        slot = mock.f_t(2 * (n - l), ps)
-        for j in range(l + 1):
-            # sign (-1)^(n+j): fixed against the printed invariant table,
-            # the worked (3,1) summands, and the Z0 reduction, which all
-            # carry one sign more than the displayed closed formula
-            c = (Fraction(8 * (-1) ** (n + j), 2 ** l * 3 ** l)
-                 * Fraction(factorial(2 * n),
-                            factorial(2 * n - 2 * l) * factorial(j)
-                            * factorial(l - j)))
-            kernels.append(((l, j), c, base * p4_pows[m + j] * e2_pows[l - j],
-                            slot, 0))
-    return kernels
+def _windows(family, w: int, target=0) -> tuple:
+    """(pt, ps): the least integer pt at which the family's weight-w
+    kernels are known below q^top, top = target - start + 1/ram, and the
+    least point ps of their grid above target - val; products of kernels
+    and a slot known below q^ps are known through q^target."""
+    start, _, ram, loss, (a, b) = _FAMILIES[family]
+    val = Fraction(-(a * w + b), ram)
+    top = target - start + Fraction(1, ram)
+    return -((val - loss - top) // 1), Fraction((target - val) * ram // 1 + 1, ram)
+
+
+def _factors(family, w: int, pt) -> tuple:
+    """(base, pows, e2) of the family's weight-w kernels base * pows^k *
+    e2^l, from theta constants and E2 known below q^pt."""
+    t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
+    e2 = forms.eisenstein_e2(pt)
+    if family == 3:
+        tt = t3 * t4
+        base = (t2 ** 9 * ((t3 ** 2 - t4 ** 2) ** (2 * w + 6)).inverse()
+                * tt ** 3)
+        return base, tt ** 2, e2
+    base = t4 ** 8 * ((t2 * t3) ** (2 * w + 3)).inverse()
+    if family == 0:
+        base = base * t4
+    elif family == 2:
+        base = (base * (t4 * t4)
+                * forms.vartheta(2, 2 * pt).rescale(1, 2).inverse())
+        e2 = forms.eisenstein_e2(2 * pt).rescale(1, 2)
+    return base, t2 ** 4 + t3 ** 4, e2
 
 
 def _power_list(series: QSeries, top: int) -> list:
@@ -144,16 +87,101 @@ def _power_list(series: QSeries, top: int) -> list:
     return pows
 
 
-def _theta_frame(m: int, n: int, pt, e2):
-    """The vartheta frame shared by the Goettsche formula, nf=0 and nf=2,
-    with theta constants known below q^pt: t4, the Goettsche base
-    t4^8 / (t2 t3)^(2m+2n+3) (nf=0 and nf=2 take one and two more factors
-    t4), the ladder (t2^4 + t3^4)^k for k <= m + n, and the ladder e2(pt)^k
-    for k <= n."""
-    t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
-    base = t4 ** 8 * ((t2 * t3) ** (2 * m + 2 * n + 3)).inverse()
-    return (t4, base, _power_list(t2 ** 4 + t3 ** 4, m + n),
-            _power_list(e2(pt), n))
+@memo
+def _frame(family, w: int, top) -> dict:
+    """The family's weight-w kernels P_k E_l, k + l <= w, read on the slot
+    grid: {(k, l): the terms of P_k E_l at q^-x for slot-grid points x, known
+    below q^top}.  Each term is a sum over the two factors; reading a
+    product where it is not known raises InsufficientPrecision."""
+    start, step, ram = _FAMILIES[family][:3]
+    bound = -(-top * ram // 1)  # top on the kernel grid, rounded up
+    pt = _windows(family, w, top + start - Fraction(1, ram))[0]
+    base, pows, e2 = _factors(family, w, pt)
+    ladder = [e.to_ram(ram) for e in _power_list(e2, w)]
+    frame = {}
+    for k, pk in enumerate(_power_list(pows, w)):
+        p = base * pk
+        points = [t for t in range(int(-start * ram), p.lead - 1,
+                                   -int(step * ram)) if t < bound]
+        for l, e in enumerate(ladder[:w + 1 - k]):
+            if points and (p.prec <= points[0] - e.lead or (
+                    e.prec is not None and e.prec <= points[0] - p.lead)):
+                raise InsufficientPrecision("kernel window too short to read")
+            terms = [(i + p.lead, c)
+                     for i, c in enumerate(e.coeffs, e.lead) if c]
+            reads = {t: sum(c * p.coeffs[t - j] for j, c in terms
+                            if j <= t and p.coeffs[t - j])
+                     for t in points}
+            frame[(k, l)] = QSeries.from_terms(reads, Fraction(bound, ram), ram)
+    return frame
+
+
+def _slot(family, w: int, t=None) -> QSeries:
+    """The family's slot for weight w (F_t for the Goettsche family), known
+    through -val; raises InsufficientPrecision when it is not."""
+    ps = _windows(family, w)[1]
+    slot = (mock.f_t(t, ps) if family == "goettsche" else
+            mock.q_plus(2 * ps).rescale(1, 2) if family == 2 else
+            mock.q_transform_s(ps) if family == 3 else mock.q_plus(ps))
+    if slot.prec_q() < ps:
+        raise InsufficientPrecision("slot window too short for the pairing")
+    return slot
+
+
+def _pairing(family, w: int, rows) -> tuple:
+    """(value, weights) of one cell of weight w from its rows [(key, c, k, l,
+    t, d)]: kernel c * P_k E_l paired with (q d/dq)^d of the slot (F_t in the
+    Goettsche family; t is None in the others).  weights[a] = sum of
+    c * kernel(-x) * x^d over the rows, at the slot-grid point
+    x = start + a step, so that value = sum over a of weights[a] * slot(x)."""
+    start, step, ram = _FAMILIES[family][:3]
+    frame = _frame(family, w, Fraction(1, ram) - start)
+    t0, dt = int(-start * ram), int(step * ram)
+    weights = {}  # t: {a: weight}
+    for _, c, k, l, t, d in rows:
+        read = frame[(k, l)]
+        acc = weights.setdefault(t, {})
+        for i, r in enumerate(read.coeffs):
+            if r:
+                a = (t0 - read.lead - i) // dt
+                v = c * r * (start + a * step) ** d if d else c * r
+                acc[a] = acc.get(a, 0) + v
+    value = Fraction(0)
+    for t, acc in weights.items():
+        slot = _slot(family, w, t)
+        for a, v in acc.items():
+            value += v * slot.coeff(start + a * step)
+    return value, weights.get(None, {})
+
+
+# ---------------------------------------------------------------------------
+# Goettsche's closed formula
+
+def _goettsche_rows(m: int, n: int):
+    """Rows ((l, j), c, k, l', t, 0) of the Goettsche double sum for
+    p^m S^(2n): kernel c * P_k E_l', k = m + j, l' = l - j, against F_t,
+    t = 2(n - l)."""
+    for l in range(n + 1):
+        for j in range(l + 1):
+            # sign (-1)^(n+j): fixed against the printed invariant table,
+            # the worked (3,1) summands, and the Z0 reduction, which all
+            # carry one sign more than the displayed closed formula
+            c = (Fraction(8 * (-1) ** (n + j), 2 ** l * 3 ** l)
+                 * Fraction(factorial(2 * n),
+                            factorial(2 * n - 2 * l) * factorial(j)
+                            * factorial(l - j)))
+            yield (l, j), c, m + j, l - j, 2 * (n - l), 0
+
+
+def goettsche_phi(k: int, m: int, n: int) -> Fraction:
+    """Instanton invariant for p^m S^(2n) at instanton number k.
+
+    Zero unless m + n = 2(k - 1); the nonzero values are double sums of
+    constant terms of theta-quotient kernels against the F_t series.
+    """
+    if m < 0 or n < 0 or k < 1 or m + n != 2 * (k - 1):
+        return Fraction(0)
+    return _pairing("goettsche", m + n, _goettsche_rows(m, n))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -168,60 +196,18 @@ class DCell:
     h_combo: tuple  # ((alpha, weight), ...) with value = sum w_a H_a
 
 
-def _frame(nf: int, m: int, n: int):
-    """Per-family data of D^nf_(m,2n), with windows for the pairing: the
-    base kernel, the theta and E2 power ladders, the slot series with its
-    exponent grid (start, step), the H-combo sign, and the coefficient row
-    (sign, 2-power offset, 2-power slope in j) read by :func:`_d_kernels`."""
-    if nf == 0:
-        pt, ps = _windows(0, _theta_val(m, n), Fraction(-1, 8))
-        return _nf0_frame(n, ps, _theta_frame(m, n, pt, forms.eisenstein_e2))
-    w = m + n
-    if nf == 2:
-        pt, ps = _windows(0, Fraction(-(4 * w + 7), 16), Fraction(-1, 16),
-                          Fraction(1, 16))
-        t4, base, pows, e2_pows = _theta_frame(
-            m, n, pt, lambda p: forms.eisenstein_e2(2 * p).rescale(1, 2))
-        base = (base * (t4 * t4)
-                * forms.vartheta(2, 2 * pt).rescale(1, 2).inverse())
-        slot = mock.q_plus(2 * ps).rescale(1, 2)
-        return (base, pows, e2_pows, slot, (Fraction(-1, 16), Fraction(1, 4)),
-                1, (-1, 2 - n, 3))
-    if nf == 3:
-        pt, ps = _windows(0, Fraction(-(8 * w + 15), 8), Fraction(-1, 8),
-                          loss=Fraction(1, 2))
-        t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
-        tt = t3 * t4
-        base = (t2 ** 9 * ((t3 ** 2 - t4 ** 2) ** (2 * w + 6)).inverse()
-                * tt ** 3)
-        pows = _power_list(tt ** 2, w)
-        e2_pows = _power_list(forms.eisenstein_e2(pt), n)
-        slot = mock.q_transform_s(ps)
-        # sign (-1)^(i+j) without the displayed extra (-1)^(m+n-j): the
-        # printed invariant table is the arbiter, and only this choice also
-        # satisfies the duality between the two slots
-        return (base, pows, e2_pows, slot, (Fraction(-1, 8), Fraction(1, 2)),
-                -1, (1, 3 * m + 2 * n + 5, 2))
-    raise ConstraintViolation(f"no u-plane family for nf={nf}")
-
-
-def _nf0_frame(n: int, ps, theta):
-    """The nf=0 frame, with Q+ known below q^ps, on a built E2 theta frame,
-    which a criterion cell shares with its Goettsche kernels."""
-    t4, base, pows, e2_pows = theta
-    return (base * t4, pows, e2_pows, mock.q_plus(ps),
-            (Fraction(-1, 8), Fraction(1, 2)), 1, (-1, 1 - n, 2))
-
-
-def _d_kernels(m: int, n: int, frame):
-    """Kernel list [((i, j), coeff, kernel, slot, j)], the slot's exponent
-    grid and the H-combo sign for D^nf_(m,2n) on the family's frame.
+def _d_rows(nf: int, m: int, n: int):
+    """Rows ((i, j), c, k, l, None, j) of D^nf_(m,2n): kernel c * P_k E_l,
+    k = m + n - i, l = i - j, against (q d/dq)^j of the slot.
 
     The (i, j) coefficient is sign (-1)^(i+j) 2^(offset + slope j) / 3^(n-j)
-    (2n)! / ((n-i)! j! (i-j)!) Gamma(1/2) / Gamma(1/2+j).
+    (2n)! / ((n-i)! j! (i-j)!) Gamma(1/2) / Gamma(1/2+j).  For nf=3 the sign
+    is (-1)^(i+j) without the displayed extra (-1)^(m+n-j): the printed
+    invariant table is the arbiter, and only this choice also satisfies the
+    duality between the two slots.
     """
-    base, pows, e2_pows, slot, grid, combo_sign, (sign, off, slope) = frame
-    kernels = []
+    sign, off, slope = {0: (-1, 1 - n, 2), 2: (-1, 2 - n, 3),
+                        3: (1, 3 * m + 2 * n + 5, 2)}[nf]
     for i in range(n + 1):
         for j in range(i + 1):
             c = (sign * (-1) ** (i + j) * Fraction(2) ** (off + slope * j)
@@ -229,9 +215,7 @@ def _d_kernels(m: int, n: int, frame):
                  * Fraction(factorial(2 * n),
                             factorial(n - i) * factorial(j) * factorial(i - j))
                  * mock.gamma_half_ratio(j))
-            kernels.append(((i, j), c, base * pows[m + n - i] * e2_pows[i - j],
-                            slot, j))
-    return kernels, grid, combo_sign
+            yield (i, j), c, m + n - i, i - j, None, j
 
 
 def uplane_D(nf: int, m: int, n: int) -> DCell:
@@ -243,22 +227,12 @@ def uplane_D(nf: int, m: int, n: int) -> DCell:
     """
     if m < 0 or n < 0:
         raise ConstraintViolation("m, n must be non-negative")
-    kernels, (start, step), combo_sign = _d_kernels(m, n, _frame(nf, m, n))
-    weights: dict = {}
-    for _, c, kernel, _, j in kernels:
-        lead_q = Fraction(kernel.lead, kernel.ram)
-        alpha = 0
-        while True:
-            e = start + alpha * step
-            if e > -lead_q:
-                break
-            ck = kernel.coeff(-e)
-            if ck:
-                w = combo_sign * c * ck * e ** j
-                weights[alpha] = weights.get(alpha, Fraction(0)) + w
-            alpha += 1
-    combo = tuple((a, weights[a]) for a in sorted(weights) if weights[a])
-    return DCell(nf=nf, m=m, n=n, value=_pair_sum(kernels), h_combo=combo)
+    if nf not in (0, 2, 3):
+        raise ConstraintViolation(f"no u-plane family for nf={nf}")
+    value, weights = _pairing(nf, m + n, _d_rows(nf, m, n))
+    sign = -1 if nf == 3 else 1
+    combo = tuple((a, sign * weights[a]) for a in sorted(weights) if weights[a])
+    return DCell(nf=nf, m=m, n=n, value=value, h_combo=combo)
 
 
 def evaluate_h_combo(combo, h_values) -> Fraction:
@@ -268,19 +242,6 @@ def evaluate_h_combo(combo, h_values) -> Fraction:
 # ---------------------------------------------------------------------------
 # the vanishing criterion and its summands
 
-def _criterion_kernels(m: int, n: int, target) -> tuple:
-    """The Goettsche kernels with their F-slots and the nf=0 kernels with
-    Q+, on one E2 theta frame, with products known through q^target.
-
-    The slot window depends only on the kernels' valuation, which the two
-    lists share; Q+ has the lower valuation, so its pt serves the F-slots.
-    """
-    pt, ps = _windows(target, _theta_val(m, n), Fraction(-1, 8))
-    theta = _theta_frame(m, n, pt, forms.eisenstein_e2)
-    return (_goettsche_kernels(m, n, ps, theta),
-            _d_kernels(m, n, _nf0_frame(n, ps, theta))[0])
-
-
 def criterion_summands(m: int, n: int, prec) -> tuple:
     """The (k, j) summands of both sides of the renormalized criterion sum,
     as two dicts keyed by (k, j) with 0 <= j <= k <= n.
@@ -289,12 +250,23 @@ def criterion_summands(m: int, n: int, prec) -> tuple:
     side 2 the nf=0 kernels times (q d/dq)^j Q+ (the bracket with
     derivatives of the mock series).  The products are known through
     q^p0, p0 = prec/8, then cut below q^p0 and renormalized (q -> q^8) to
-    integer exponents.
+    integer exponents.  The slot window depends only on the kernels'
+    valuation, which the two sides share; Q+ has the lower valuation, so
+    its theta precision serves the F-slots.
     """
     p0 = Fraction(prec) / 8
-    return tuple({key: (c * kernel * slot.qdq(d)).truncate(p0).rescale(8, 1)
-                  for key, c, kernel, slot, d in kernels}
-                 for kernels in _criterion_kernels(m, n, p0))
+    w = m + n
+    pt, ps = _windows(0, w, p0)
+    sides = []
+    for family, rows in (("goettsche", _goettsche_rows(m, n)),
+                         (0, _d_rows(0, m, n))):
+        base, pows, e2 = _factors(family, w, pt)
+        sides.append({
+            key: (c * base * pows ** k * e2 ** l
+                  * (mock.q_plus(ps) if t is None else mock.f_t(t, ps)).qdq(d)
+                  ).truncate(p0).rescale(8, 1)
+            for key, c, k, l, t, d in rows})
+    return tuple(sides)
 
 
 def criterion_series(m: int, n: int, prec) -> QSeries:
@@ -309,8 +281,9 @@ def criterion_series(m: int, n: int, prec) -> QSeries:
 def criterion_check(m: int, n: int) -> bool:
     """True iff the criterion series has (exactly) vanishing constant term:
     the Goettsche pairing sum equals the nf=0 pairing sum."""
-    goettsche, nf0 = _criterion_kernels(m, n, 0)
-    return _pair_sum(goettsche) == _pair_sum(nf0)
+    w = m + n
+    return (_pairing("goettsche", w, _goettsche_rows(m, n))[0]
+            == _pairing(0, w, _d_rows(0, m, n))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +490,19 @@ def weight_grid(max_weight: int) -> list:
 
 
 def invariant_table(nf: int, max_weight: int) -> list:
-    """Rows [(m, n, label, DCell)] for all m + n <= max_weight."""
-    return [(m, n, monomial_label(m, n), uplane_D(nf, m, n))
-            for m, n in weight_grid(max_weight)]
+    """Rows [(m, n, label, DCell)] for all m + n <= max_weight.  The cells
+    are computed from the highest weight down, so that every smaller window
+    is served by truncating a memoized series."""
+    grid = weight_grid(max_weight)
+    cells = {(m, n): uplane_D(nf, m, n) for m, n in reversed(grid)}
+    return [(m, n, monomial_label(m, n), cells[(m, n)]) for m, n in grid]
 
 
 def goettsche_table(max_weight: int) -> list:
-    """Rows [(k, m, n, label, value)] for even m + n = 2(k - 1) <= max_weight."""
-    rows = []
-    for m, n in weight_grid(max_weight):
-        if (m + n) % 2 == 0:
-            k = (m + n) // 2 + 1
-            rows.append((k, m, n, monomial_label(m, n), goettsche_phi(k, m, n)))
-    return rows
+    """Rows [(k, m, n, label, value)] for even m + n = 2(k - 1) <= max_weight,
+    computed from the highest weight down as in :func:`invariant_table`."""
+    grid = [(m, n) for m, n in weight_grid(max_weight) if (m + n) % 2 == 0]
+    values = {(m, n): goettsche_phi((m + n) // 2 + 1, m, n)
+              for m, n in reversed(grid)}
+    return [((m + n) // 2 + 1, m, n, monomial_label(m, n), values[(m, n)])
+            for m, n in grid]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import ceil, comb, factorial, lcm
 
 from . import forms
 from .exact import Cyclo, unity
@@ -46,7 +46,7 @@ def cal_f(t: int, prec) -> QSeries:
     """calF_t = sum_{b>=0} sum_{a>b} (-1)^(a+b) (2b+1)^t q^(4a^2-(2b+1)^2)."""
     if t < 0 or t % 2:
         raise OddT("t must be a non-negative even integer")
-    top = int(Fraction(prec))
+    top = ceil(prec)
     terms: dict = {}
     beta = 0
     while 4 * (beta + 1) ** 2 - (2 * beta + 1) ** 2 < top:

@@ -22,7 +22,7 @@ a loop over the nonzero pairs.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, wraps
+from functools import wraps
 from math import gcd, lcm
 
 from .exact import (Cyclo, as_rational, clear, euler_phi, from_ints,
@@ -56,15 +56,28 @@ _ZERO = Fraction(0)
 def memo(fn):
     """Memoize a series constructor whose last argument is a precision.
 
-    The precision is keyed as a Fraction so that an int and an equal
-    Fraction share one entry: ``functools.cache`` keys a lone int argument
-    by the int itself, which never matches the key of a Fraction.
+    One entry per value of the other arguments holds the result at the
+    highest precision asked for; a higher request replaces it, and a lower
+    one gets its ``truncate`` (of each value, for a dict result).  Every
+    memoized constructor returns at a precision p what it returns at any
+    higher one, truncated at p.  An int and an equal Fraction precision
+    share the entry.  ``fn.entries`` is the cache; ``fn.clear()`` empties it.
     """
-    cached = cache(fn)
+    entries = {}
 
     @wraps(fn)
     def call(*args):
-        return cached(*args[:-1], Fraction(args[-1]))
+        key, prec = args[:-1], Fraction(args[-1])
+        held = entries.get(key)
+        if held is None or held[0] < prec:
+            held = entries[key] = (prec, fn(*key, prec))
+        if held[0] == prec:
+            return held[1]
+        if isinstance(held[1], dict):
+            return {k: v.truncate(prec) for k, v in held[1].items()}
+        return held[1].truncate(prec)
+    call.entries = entries
+    call.clear = entries.clear
     return call
 
 
@@ -200,17 +213,19 @@ class QSeries:
         return QSeries(ram, lead, coeffs, prec)
 
     def reduce_ram(self) -> "QSeries":
-        """Shrink the ramification when all nonzero exponents allow it."""
+        """Shrink the ramification when all nonzero exponents allow it.  With
+        no known nonzero term the window's bound must lie on the coarser
+        grid, so that the window claims no exponent it did not cover."""
         g = self.ram
+        if not self.coeffs and self.prec is not None:
+            g = gcd(g, self.prec)
         for i, c in enumerate(self.coeffs):
             if c:
                 g = gcd(g, self.lead + i)
                 if g == 1:
                     return self
-        if g == self.ram and self.ram == 1:
+        if g == 1:
             return self
-        if not self.coeffs:
-            g = self.ram
         ram = self.ram // g
         lead = -((-self.lead) // g)
         prec = None if self.prec is None else (self.prec + g - 1) // g
@@ -277,8 +292,10 @@ class QSeries:
             if not other:
                 prec = self.prec_q()
                 return QSeries.zero(prec, self.ram)
+            zero = _ZERO * other  # a rational zero times other, made once
             return QSeries(self.ram, self.lead,
-                           [c * other for c in self.coeffs], self.prec)
+                           [c * other if c or type(c) is Cyclo else zero
+                            for c in self.coeffs], self.prec)
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._align(other)

@@ -6,10 +6,13 @@ replaced; it is kept only to cross-check, never called by ``qdonald`` itself.
 """
 
 from fractions import Fraction
+from math import factorial
 
+from qdonald import forms, mock
 from qdonald.exact import Cyclo, cyclotomic_polynomial, euler_phi, unity
-from qdonald.mock import LerchSpec, lerch_mu
-from qdonald.series import PrecisionUnderflow, QSeries, _to_w
+from qdonald.mock import LerchSpec, gamma_half_ratio, lerch_mu
+from qdonald.series import (InsufficientPrecision, PrecisionUnderflow,
+                            QSeries, _to_w)
 
 _ZERO = Fraction(0)
 
@@ -137,8 +140,188 @@ def mock_m_mu(prec) -> QSeries:
     sign.
     """
     p = Fraction(prec)
-    m1 = lerch_mu(LerchSpec(0, -16, Fraction(-1, 2), -24, 32), p + 2)
-    m2 = lerch_mu(LerchSpec(0, -16, Fraction(-1, 2), -8, 32), p + 2)
+    # mu is built to an integer precision: its windows then end on the
+    # integer grid that M lives on, also when they hold no nonzero term
+    top = -(-p // 1) + 2
+    m1 = lerch_mu(LerchSpec(0, -16, Fraction(-1, 2), -24, 32), top)
+    m2 = lerch_mu(LerchSpec(0, -16, Fraction(-1, 2), -8, 32), top)
     i = unity(Fraction(1, 4))
     out = (Fraction(1, 2) * i * (m1 - m2)).shift_exponent(-1)
     return out.truncate(p).demote()
+
+
+# ---------------------------------------------------------------------------
+# The kernel-product route to the invariant tables: every kernel is
+# multiplied out to a full series and paired with its slot coefficient by
+# coefficient, each cell on its own theta frame.
+
+def pair_constant_term(kernel: QSeries, slot: QSeries, j: int = 0) -> Fraction:
+    """Coeff_{q^0}[ kernel * (q d/dq)^j slot ] by coefficient pairing.
+
+    A product kernel * slot is known through q^target when the kernel is
+    known through target - val(slot) and the slot through target -
+    val(kernel).  A pairing is target = 0: it raises InsufficientPrecision
+    unless the kernel is known through -val(slot) and the slot through
+    -val(kernel).
+    """
+    k, s = kernel._align(slot)
+    if not k.coeffs or not s.coeffs:
+        kp, sp = k.prec, s.prec
+        if (kp is not None and not k.coeffs and kp <= -s.lead) or \
+           (sp is not None and not s.coeffs and sp <= -k.lead):
+            raise InsufficientPrecision("pairing windows do not overlap q^0")
+        return Fraction(0)
+    if s.prec is not None and s.prec <= -k.lead:
+        raise InsufficientPrecision("slot window too short for the pairing")
+    if k.prec is not None and k.prec <= -s.lead:
+        raise InsufficientPrecision("kernel window too short for the pairing")
+    total = Fraction(0)
+    ram = s.ram
+    hi = min(s.lead + len(s.coeffs) - 1, -k.lead)
+    for m in range(s.lead, hi + 1):
+        cs = s.coeffs[m - s.lead]
+        if not cs:
+            continue
+        ck = k.coeffs[-m - k.lead] if k.lead <= -m < k.lead + len(k.coeffs) else 0
+        if not ck:
+            continue
+        w = ck * cs
+        if j:
+            w = w * Fraction(m, ram) ** j
+        total += w
+    return total
+
+
+def pair_sum(kernels) -> Fraction:
+    """Sum of c * pair_constant_term(kernel, slot, d) over a kernel list
+    [(key, c, kernel, slot, d)]."""
+    return sum((c * pair_constant_term(kernel, slot, d)
+                for _, c, kernel, slot, d in kernels), Fraction(0))
+
+
+def _windows(target, val_kernel, val_slot, step=Fraction(1, 8),
+             loss=Fraction(1, 8)) -> tuple:
+    """(pt, slot precision) of a kernel family paired with one slot."""
+    return ((target - val_slot - val_kernel + loss) // 1 + 1,
+            ((target - val_kernel) // step + 1) * step)
+
+
+def _theta_val(m: int, n: int) -> Fraction:
+    return Fraction(-(2 * m + 2 * n + 3), 8)
+
+
+def _power_list(series: QSeries, top: int) -> list:
+    pows = [QSeries.one()]
+    for _ in range(top):
+        pows.append(pows[-1] * series)
+    return pows
+
+
+def _theta_frame(m: int, n: int, pt, e2):
+    """t4, the Goettsche base t4^8 / (t2 t3)^(2m+2n+3), the ladder
+    (t2^4 + t3^4)^k for k <= m + n and the ladder e2(pt)^k for k <= n."""
+    t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
+    base = t4 ** 8 * ((t2 * t3) ** (2 * m + 2 * n + 3)).inverse()
+    return (t4, base, _power_list(t2 ** 4 + t3 ** 4, m + n),
+            _power_list(e2(pt), n))
+
+
+def _goettsche_kernels(m: int, n: int, ps, theta) -> list:
+    """[((l, j), coeff, kernel, F_(2(n-l)), 0)] of the Goettsche double sum."""
+    _, base, p4_pows, e2_pows = theta
+    kernels = []
+    for l in range(n + 1):
+        slot = mock.f_t(2 * (n - l), ps)
+        for j in range(l + 1):
+            c = (Fraction(8 * (-1) ** (n + j), 2 ** l * 3 ** l)
+                 * Fraction(factorial(2 * n),
+                            factorial(2 * n - 2 * l) * factorial(j)
+                            * factorial(l - j)))
+            kernels.append(((l, j), c, base * p4_pows[m + j] * e2_pows[l - j],
+                            slot, 0))
+    return kernels
+
+
+def goettsche_value(m: int, n: int) -> Fraction:
+    """The Goettsche double sum for p^m S^(2n) by kernel products."""
+    pt, ps = _windows(0, _theta_val(m, n), Fraction(3, 8))
+    return pair_sum(_goettsche_kernels(
+        m, n, ps, _theta_frame(m, n, pt, forms.eisenstein_e2)))
+
+
+def _nf0_frame(n: int, ps, theta):
+    t4, base, pows, e2_pows = theta
+    return (base * t4, pows, e2_pows, mock.q_plus(ps),
+            (Fraction(-1, 8), Fraction(1, 2)), 1, (-1, 1 - n, 2))
+
+
+def uplane_frame(nf: int, m: int, n: int):
+    """(base, theta ladder, E2 ladder, slot, slot grid, H-combo sign,
+    coefficient row) of D^nf_(m,2n)."""
+    if nf == 0:
+        pt, ps = _windows(0, _theta_val(m, n), Fraction(-1, 8))
+        return _nf0_frame(n, ps, _theta_frame(m, n, pt, forms.eisenstein_e2))
+    w = m + n
+    if nf == 2:
+        pt, ps = _windows(0, Fraction(-(4 * w + 7), 16), Fraction(-1, 16),
+                          Fraction(1, 16))
+        t4, base, pows, e2_pows = _theta_frame(
+            m, n, pt, lambda p: forms.eisenstein_e2(2 * p).rescale(1, 2))
+        base = (base * (t4 * t4)
+                * forms.vartheta(2, 2 * pt).rescale(1, 2).inverse())
+        slot = mock.q_plus(2 * ps).rescale(1, 2)
+        return (base, pows, e2_pows, slot, (Fraction(-1, 16), Fraction(1, 4)),
+                1, (-1, 2 - n, 3))
+    pt, ps = _windows(0, Fraction(-(8 * w + 15), 8), Fraction(-1, 8),
+                      loss=Fraction(1, 2))
+    t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
+    tt = t3 * t4
+    base = t2 ** 9 * ((t3 ** 2 - t4 ** 2) ** (2 * w + 6)).inverse() * tt ** 3
+    return (base, _power_list(tt ** 2, w),
+            _power_list(forms.eisenstein_e2(pt), n), mock.q_transform_s(ps),
+            (Fraction(-1, 8), Fraction(1, 2)), -1, (1, 3 * m + 2 * n + 5, 2))
+
+
+def uplane_kernels(m: int, n: int, frame) -> list:
+    """[((i, j), coeff, kernel, slot, j)] of D^nf_(m,2n) on its frame."""
+    base, pows, e2_pows, slot, _, _, (sign, off, slope) = frame
+    kernels = []
+    for i in range(n + 1):
+        for j in range(i + 1):
+            c = (sign * (-1) ** (i + j) * Fraction(2) ** (off + slope * j)
+                 / 3 ** (n - j)
+                 * Fraction(factorial(2 * n),
+                            factorial(n - i) * factorial(j) * factorial(i - j))
+                 * gamma_half_ratio(j))
+            kernels.append(((i, j), c, base * pows[m + n - i] * e2_pows[i - j],
+                            slot, j))
+    return kernels
+
+
+def uplane_cell(nf: int, m: int, n: int) -> tuple:
+    """(value, h_combo) of D^nf_(m,2n) by kernel products."""
+    frame = uplane_frame(nf, m, n)
+    (start, step), combo_sign = frame[4], frame[5]
+    kernels = uplane_kernels(m, n, frame)
+    weights: dict = {}
+    for _, c, kernel, _, j in kernels:
+        lead_q = Fraction(kernel.lead, kernel.ram)
+        alpha = 0
+        while start + alpha * step <= -lead_q:
+            e = start + alpha * step
+            ck = kernel.coeff(-e)
+            if ck:
+                weights[alpha] = weights.get(alpha, Fraction(0)) \
+                    + combo_sign * c * ck * e ** j
+            alpha += 1
+    combo = tuple((a, weights[a]) for a in sorted(weights) if weights[a])
+    return pair_sum(kernels), combo
+
+
+def criterion_kernels(m: int, n: int, target) -> tuple:
+    """The Goettsche kernels with their F-slots and the nf=0 kernels with
+    Q+, on one E2 theta frame, with products known through q^target."""
+    pt, ps = _windows(target, _theta_val(m, n), Fraction(-1, 8))
+    theta = _theta_frame(m, n, pt, forms.eisenstein_e2)
+    return (_goettsche_kernels(m, n, ps, theta),
+            uplane_kernels(m, n, _nf0_frame(n, ps, theta)))

@@ -211,5 +211,6 @@ def test_series_name_registry():
 
 def test_constructor_precision_is_honored():
     for name in ("eta", "theta2", "E2", "A", "h"):
-        s = _series_name(name)(17)
-        assert s.prec_q() >= 17
+        for prec in (17, F(35, 2)):
+            s = _series_name(name)(prec)
+            assert s.prec_q() >= prec

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qdonald import QSeries, forms, mock
+from qdonald import QSeries, forms, invariants as inv, mock
 
 
 def literal_eta_product(prec: int) -> QSeries:
@@ -65,6 +65,17 @@ def test_vartheta2_brute_force():
     assert (forms.vartheta(2, 10) - oracle).is_zero()
     lead = forms.vartheta(2, 10)
     assert lead.coeff(F(1, 8)) == 2 and lead.coeff(F(9, 8)) == 2
+
+
+def test_vartheta_windows_claim_no_more_than_computed():
+    """Theta3(tau/8) and Theta4(tau/8) live on the q^(1/2) grid and theta2
+    on the q^(1/8) grid at every precision, also when the window holds only
+    the first term: it ends where the lattice sum stopped."""
+    for which, ram in ((2, 8), (3, 2), (4, 2)):
+        for p in (F(1, 8), F(1, 2), F(5, 8), F(7, 3), 4):
+            s = forms.vartheta.__wrapped__(which, F(p))
+            assert s.ram == ram and s.prec_q() == F(-(-p * ram // 1), ram)
+    assert forms.vartheta(3, F(5, 8)).coeff(F(1, 2)) == 2
 
 
 def test_jacobi_identity():
@@ -181,28 +192,99 @@ def test_h_ode_printed_defect_is_pinned():
     assert (defect - 128 * forms.eisenstein_eodd(44)).is_zero()
 
 
+# Every series.memo constructor, with a map from a precision to its
+# arguments.
+MEMOIZED = [
+    (forms._euler_product, lambda p: (2, p)),
+    (forms.eta_power, lambda p: (8, -3, p)),
+    (forms.eta_power, lambda p: (1, 3, p)),
+    (forms._eta_quotient, lambda p: (((2, 4), (4, -8)), p)),
+    (forms.theta_big, lambda p: (2, p)),
+    (forms.theta_big, lambda p: (4, p)),
+    (forms.vartheta, lambda p: (2, p)),
+    (forms.vartheta, lambda p: (3, p)),
+    (forms.eisenstein_e2, lambda p: (p,)),
+    (forms.eisenstein_estar, lambda p: (p,)),
+    (forms.eisenstein_eodd, lambda p: (p,)),
+    (forms.form_a38, lambda p: (p,)),
+    (forms.form_a78, lambda p: (p,)),
+    (forms.form_h, lambda p: (p,)),
+    (forms.form_fm, lambda p: (1, p)),
+    (mock.cal_f, lambda p: (2, p)),
+    (mock.mock_m, lambda p: (p,)),
+    (mock.lerch_mu_weighted, lambda p: (0, p)),
+    (mock.cal_q, lambda p: (p,)),
+    (mock.s_transform_parts, lambda p: (p,)),
+    (mock.q_transform_s_ren, lambda p: (p,)),
+    (mock.lerch_mu, lambda p: (mock.LerchSpec(0, -16, F(-1, 2), -24, 32), p)),
+    (mock.lerch_mu, lambda p: (mock.LerchSpec(F(1, 2), 0, F(1, 4), -1, 2), p)),
+    # kernel frames, at their pairing bound q^(1/4 or 1/8 or -1/4) for p = 12
+    (inv._frame, lambda p: (0, 3, (p - 8) / 16)),
+    (inv._frame, lambda p: (2, 2, (p - 10) / 16)),
+    (inv._frame, lambda p: (3, 2, (p - 8) / 16)),
+    (inv._frame, lambda p: ("goettsche", 4, (p - 16) / 16)),
+]
+
+
+def _window(s):
+    return s.ram, s.lead, s.prec, s.coeffs, tuple(type(c) for c in s.coeffs)
+
+
+def test_memo_covers_every_memoized_constructor():
+    memoized = {fn for module in (forms, mock, inv)
+                for fn in vars(module).values() if hasattr(fn, "entries")}
+    assert memoized == {fn for fn, _ in MEMOIZED}
+
+
 def test_memo_keys_share_entries():
     """Equal requests hit one memo entry: the constructors return the same
     object for an int and an equal Fraction precision, for eta-quotient
     factors in any order or container, and for euler_product's default."""
-    same_prec = [
-        lambda p: forms.euler_product(p, 2),
-        lambda p: forms.eta_power(8, -3, p),
-        lambda p: forms.eta_quotient([(2, 4), (4, -8)], p),
-        lambda p: forms.theta_big(3, p),
-        lambda p: forms.vartheta(2, p),
-        forms.eisenstein_e2, forms.eisenstein_estar, forms.eisenstein_eodd,
-        forms.form_a38, forms.form_a78, forms.form_h,
-        lambda p: forms.form_fm(1, p),
-        lambda p: mock.cal_f(2, p), mock.mock_m,
-        lambda p: mock.lerch_mu_weighted(0, p), mock.cal_q,
-        mock.s_transform_parts, mock.q_transform_s_ren,
-        lambda p: mock.lerch_mu(
-            mock.LerchSpec(0, -16, F(-1, 2), -24, 32), p),
-    ]
-    for build in same_prec:
-        assert build(7) is build(F(7))
+    for fn, args in MEMOIZED:
+        fn.clear()
+        assert fn(*args(7)) is fn(*args(F(7)))
+        assert len(fn.entries) == 1
+    forms._eta_quotient.clear()
     assert (forms.eta_quotient([(8, 5), (16, -4)], 9)
             is forms.eta_quotient(((16, -4), (8, 5)), 9)
             is forms.eta_quotient([[8, 5], [16, -4]], F(9)))
+    assert len(forms._eta_quotient.entries) == 1
     assert forms.euler_product(11) is forms.euler_product(11, 1)
+
+
+def _pieces(value):
+    return value.values() if isinstance(value, dict) else [value]
+
+
+@pytest.mark.parametrize("prec", [F(1, 4), F(1, 2), F(7, 8), 1, F(17, 16),
+                                  F(13, 8), F(9, 4), F(5, 2), 3, F(11, 3), 6],
+                         ids=str)
+def test_memo_serves_lower_precisions_by_truncation(prec):
+    """A request below the cached precision equals a fresh build, window and
+    coefficient types included.  A window with no known nonzero term is the
+    one exception: a fresh build has no term to learn the series' grid from
+    and claims zero up to its precision on the grid it computed on, while
+    the served window ends on the grid of the cached series.  Both are
+    empty then, and the served one reaches at least as far."""
+    for fn, args in MEMOIZED:
+        fn.clear()
+        fn(*args(12))
+        served = fn(*args(prec))
+        assert len(fn.entries) == 1
+        for s, f in zip(_pieces(served), _pieces(fn.__wrapped__(*args(F(prec))))):
+            if f.coeffs:
+                assert _window(s) == _window(f), fn
+            else:
+                assert not s.coeffs and s.prec_q() >= f.prec_q(), fn
+
+
+def test_memo_holds_one_entry_per_object():
+    """Increasing requests replace the entry; clear() empties the cache."""
+    for fn, args in MEMOIZED:
+        fn.clear()
+        for k in range(50):
+            fn(*args(1 + F(k, 16)))
+        assert [held for held, _ in fn.entries.values()] == \
+            [args(1 + F(49, 16))[-1]]
+        fn.clear()
+        assert not fn.entries

@@ -2,10 +2,11 @@
 
 from fractions import Fraction as F
 
+import oracles
 import pytest
 
-from qdonald import (InsufficientPrecision, QSeries, forms, invariants as inv,
-                     mock)
+from qdonald import (InsufficientPrecision, NotInvertible, QSeries, forms,
+                     invariants as inv, mock)
 
 
 PRINTED_NF0 = {
@@ -96,29 +97,63 @@ def test_uplane_nf3_printed():
 
 
 def test_combos_evaluate_to_values():
+    """The H-combination of each printed cell, evaluated on the H_a read off
+    calQ, gives the printed value."""
     h = mock.h_coefficients(14)
     assert h[:6] == [1, 28, 39, 196, 161, 756]
     for nf, table in ((0, PRINTED_NF0), (2, PRINTED_NF2), (3, PRINTED_NF3)):
-        for (m, n) in table:
+        for (m, n), value in table.items():
             cell = inv.uplane_D(nf, m, n)
-            assert inv.evaluate_h_combo(cell.h_combo, h) == cell.value
+            assert inv.evaluate_h_combo(cell.h_combo, h) == value
+
+
+@pytest.mark.parametrize("nf", [0, 2, 3])
+def test_tables_match_kernel_products(nf):
+    """Every cell to weight 8 equals the route that multiplies every kernel
+    out and pairs it coefficient by coefficient, value and H-combination."""
+    for m, n in inv.weight_grid(8):
+        cell = inv.uplane_D(nf, m, n)
+        assert (cell.value, cell.h_combo) == oracles.uplane_cell(nf, m, n)
+
+
+def test_goettsche_matches_kernel_products():
+    for m, n in inv.weight_grid(8):
+        if (m + n) % 2 == 0:
+            assert inv.goettsche_phi((m + n) // 2 + 1, m, n) == \
+                oracles.goettsche_value(m, n)
 
 
 def test_nf3_s_duality():
     """The transform slot and -Q give the same invariant values."""
     for (m, n) in [(0, 0), (1, 0), (0, 1), (1, 1)]:
         slot = -mock.q_plus(m + n + 6)
-        kernels, _, _ = inv._d_kernels(m, n, inv._frame(3, m, n))
-        value = sum((c * inv.pair_constant_term(k, slot, j)
+        kernels = oracles.uplane_kernels(m, n, oracles.uplane_frame(3, m, n))
+        value = sum((c * oracles.pair_constant_term(k, slot, j)
                      for _, c, k, _, j in kernels), F(0))
         assert value == inv.uplane_D(3, m, n).value
 
 
-def _shorten(monkeypatch, name, step):
-    """Make mock.<name>(..., prec) known one grid step less far than asked."""
-    build = getattr(mock, name)
-    monkeypatch.setattr(mock, name,
+def _shorten(monkeypatch, module, name, step):
+    """Make module.<name>(..., prec) known one grid step less far than
+    asked, with no kernel frame cached from before."""
+    build = getattr(module, name)
+    monkeypatch.setattr(module, name,
                         lambda *args: build(*args).truncate(args[-1] - step))
+    inv._frame.clear()
+
+
+def _cells(nf) -> list:
+    """The cells of weight <= 4, the Goettsche ones on their stratum."""
+    cells = inv.weight_grid(4)
+    if nf == "goettsche":
+        cells = [(m, n) for m, n in cells if (m + n) % 2 == 0]
+    return cells
+
+
+def _cell(nf, m, n):
+    if nf == "goettsche":
+        return inv.goettsche_phi((m + n) // 2 + 1, m, n)
+    return inv.uplane_D(nf, m, n)
 
 
 @pytest.mark.parametrize("nf, slot, step", [
@@ -130,35 +165,47 @@ def _shorten(monkeypatch, name, step):
 def test_pairing_windows_are_exact(nf, slot, step, monkeypatch):
     """The window rule leaves no slack: a slot known one grid step less far
     than it gives makes every cell of weight <= 4 raise, never return."""
-    cells = inv.weight_grid(4)
-    if nf == "goettsche":
-        cells = [(m, n) for m, n in cells if (m + n) % 2 == 0]
-    _shorten(monkeypatch, slot, step)
-    for m, n in cells:
+    _shorten(monkeypatch, mock, slot, step)
+    for m, n in _cells(nf):
         with pytest.raises(InsufficientPrecision):
-            if nf == "goettsche":
-                inv.goettsche_phi.__wrapped__((m + n) // 2 + 1, m, n)
-            else:
-                inv.uplane_D(nf, m, n)
+            _cell(nf, m, n)
+
+
+@pytest.mark.parametrize("nf", ["goettsche", 0, 2, 3])
+def test_theta_windows_are_exact(nf, monkeypatch):
+    """Theta constants known one step (1: pt is an integer) less far than
+    the window rule gives make every cell of weight <= 4 raise.  Where the
+    rule gives pt = 1 they have an empty window, and the kernel base is not
+    invertible."""
+    _shorten(monkeypatch, forms, "vartheta", 1)
+    for m, n in _cells(nf):
+        with pytest.raises((InsufficientPrecision, NotInvertible)):
+            _cell(nf, m, n)
 
 
 def test_criterion_summand_windows_are_exact(monkeypatch):
-    """criterion_summands builds its products known through q^p0: the
-    coefficient at q^p0 is the pairing of q^-p0 kernel with the slot, and a
-    slot one 1/8 step shorter no longer reaches it."""
+    """The criterion products are known through q^p0: the coefficient at
+    q^p0 is the pairing of q^-p0 kernel with the slot, and a slot one 1/8
+    step shorter no longer reaches it.  criterion_summands cuts the same
+    products below q^p0."""
     m, n, p0 = 1, 1, F(1)
+    sides = inv.criterion_summands(m, n, 8 * p0)
+    for side, kernels in zip(sides, oracles.criterion_kernels(m, n, p0)):
+        for key, c, kernel, slot, d in kernels:
+            assert side[key] == \
+                (c * kernel * slot.qdq(d)).truncate(p0).rescale(8, 1)
     for short in (False, True):
         if short:
-            _shorten(monkeypatch, "f_t", F(1, 8))
-            _shorten(monkeypatch, "q_plus", F(1, 8))
-        for kernels in inv._criterion_kernels(m, n, p0):
+            _shorten(monkeypatch, mock, "f_t", F(1, 8))
+            _shorten(monkeypatch, mock, "q_plus", F(1, 8))
+        for kernels in oracles.criterion_kernels(m, n, p0):
             for _, c, kernel, slot, d in kernels:
                 shifted = kernel.shift_exponent(-p0)
                 if short:
                     with pytest.raises(InsufficientPrecision):
-                        inv.pair_constant_term(shifted, slot, d)
+                        oracles.pair_constant_term(shifted, slot, d)
                 else:
-                    assert inv.pair_constant_term(shifted, slot, d) == \
+                    assert oracles.pair_constant_term(shifted, slot, d) == \
                         (kernel * slot.qdq(d)).coeff(p0)
 
 
@@ -215,9 +262,9 @@ def test_lambda_sums_recover_both_sides():
                  for k in range(n + 1) for j in range(k + 1))
         s2 = sum(side2[(k, j)].constant_term()
                  for k in range(n + 1) for j in range(k + 1))
-        goettsche, nf0 = inv._criterion_kernels(m, n, 0)
-        assert s1 == inv._pair_sum(goettsche)
-        assert s2 == inv._pair_sum(nf0)
+        goettsche, nf0 = oracles.criterion_kernels(m, n, 0)
+        assert s1 == oracles.pair_sum(goettsche)
+        assert s2 == oracles.pair_sum(nf0)
         k_inst = (m + n) // 2 + 1
         assert s1 == inv.goettsche_phi(k_inst, m, n)
         assert s2 == inv.uplane_D(0, m, n).value

@@ -49,6 +49,15 @@ def test_rescale_theta2():
     assert r.coeff(F(2, 8)) == 0
 
 
+def test_reduce_ram_keeps_an_empty_window():
+    """A window with no known nonzero term moves to a coarser grid only as
+    far as its bound lies on it."""
+    for ram, prec, want in ((8, 1, (8, 1)), (8, 4, (2, 1)), (8, 16, (1, 2)),
+                            (8, 0, (1, 0)), (6, -9, (2, -3))):
+        s = QSeries(ram, prec, [], prec).reduce_ram()
+        assert (s.ram, s.prec) == want and not s.coeffs
+
+
 def test_rescale_identity():
     a = forms.eisenstein_e2(12)
     assert a.rescale(1, 1) == a

@@ -115,6 +115,21 @@ def test_exact_power_matches_schoolbook(a, k):
     assert window(a ** k) == window(schoolbook_pow(a, k))
 
 
+@settings(max_examples=60, deadline=None)
+@given(operands(max_len=60), st.sampled_from(["int", "fraction", "z8", "z24"]))
+def test_scalar_product_matches_each_coefficient(a, kind):
+    """a * c is the coefficient-by-coefficient product: each coefficient's
+    type and Cyclo order included, also where a rational zero is not
+    multiplied."""
+    c = {"int": 3, "fraction": F(-2, 3), "z8": root_of_unity(8, 1),
+         "z24": _dense_cyclo(random.Random(1), "odd")}[kind]
+    expected = QSeries(a.ram, a.lead, [x * c for x in a.coeffs], a.prec)
+    got = a * c
+    assert window(got) == window(expected)
+    assert [getattr(x, "order", None) for x in got.coeffs] == \
+        [getattr(x, "order", None) for x in expected.coeffs]
+
+
 def test_cyclo_zero_inside_the_window_stays_a_cyclo():
     """(1 + z q)(1 - z q) has a Cyclo zero at q^1, as in the plain loop."""
     z = root_of_unity(24, 5)
