@@ -1,35 +1,22 @@
 """Holomorphic parts of the mock modular objects.
 
 Everything here is a formal q-expansion: the F_t double sums, the mock theta
-function M, the Appell-Lerch mu-sum and its weighted variants, the assembled
-series calQ / Q+, and the inversion transform of Q+ needed for the third
-monopole family.  Non-holomorphic completions are never materialized; each
+function M, the weighted Appell-Lerch kernels, the assembled series calQ / Q+,
+and the inversion transform of Q+ needed for the third monopole family, in Q
+throughout.  Non-holomorphic completions are never materialized; each
 identity is checked on holomorphic parts only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, factorial, lcm
+from math import ceil, comb, factorial
 
 from . import forms
-from .exact import Cyclo, unity
 from .series import QSeries, memo
 
+
 class OddT(ValueError):
-    pass
-
-
-class ThetaNotInvertible(ArithmeticError):
-    pass
-
-
-class NonExpandableDenominator(ArithmeticError):
-    pass
-
-
-class NonRationalResult(ArithmeticError):
     pass
 
 
@@ -96,134 +83,7 @@ def mock_m(prec) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# Appell-Lerch mu
-
-@dataclass(frozen=True)
-class LerchSpec:
-    """mu(u, v; tau') with u = u_rat + u_tau*tau, v = v_rat + v_tau*tau,
-    tau' = tau_mult*tau, all parameters rational."""
-    u_rat: Fraction
-    u_tau: Fraction
-    v_rat: Fraction
-    v_tau: Fraction
-    tau_mult: Fraction
-
-    def __init__(self, u_rat, u_tau, v_rat, v_tau, tau_mult):
-        object.__setattr__(self, "u_rat", Fraction(u_rat))
-        object.__setattr__(self, "u_tau", Fraction(u_tau))
-        object.__setattr__(self, "v_rat", Fraction(v_rat))
-        object.__setattr__(self, "v_tau", Fraction(v_tau))
-        object.__setattr__(self, "tau_mult", Fraction(tau_mult))
-        if self.tau_mult <= 0:
-            raise ValueError("tau multiplier must be positive")
-
-
-def jacobi_theta(spec: LerchSpec, prec) -> QSeries:
-    """theta(v; tau') = sum_{nu in Z+1/2} (-1)^(nu-1/2) b^nu q'^(nu^2/2)."""
-    vt, tm = spec.v_tau, spec.tau_mult
-    top = Fraction(prec)
-    ram = lcm(2 * vt.denominator, 8 * tm.denominator)
-    terms: dict = {}
-    # exponent(m) = vt*(m+1/2) + tm*(m+1/2)^2/2, minimized near the vertex
-    vertex = -vt / tm - Fraction(1, 2)
-    m0 = int(vertex)
-    for direction in (1, -1):
-        m = m0 if direction == 1 else m0 - 1
-        while True:
-            nu = Fraction(2 * m + 1, 2)
-            e = vt * nu + tm * nu * nu / 2
-            if e >= top and (m - vertex) * direction > 1:
-                break
-            if e < top:
-                c = unity(spec.v_rat * nu)
-                if m % 2:
-                    c = -c
-                w = int(e * ram)
-                terms[w] = terms.get(w, Fraction(0)) + c
-            m += direction
-    series = QSeries.from_terms(terms, top, ram=ram).demote().reduce_ram()
-    if series.is_zero():
-        raise ThetaNotInvertible("theta specialization vanishes in the window")
-    return series
-
-
-@memo
-def lerch_mu(spec: LerchSpec, prec) -> QSeries:
-    """Formal expansion of Zwegers' mu(u, v; tau') at the given specialization.
-
-    The bilateral sum is split into two one-sided geometric expansions at the
-    index where 1 - a q'^n changes expansion direction.
-    """
-    ut, vt, tm = spec.u_tau, spec.v_tau, spec.tau_mult
-    ram = 1
-    for f in (ut / 2, vt, tm, ut + vt):
-        ram = lcm(ram, Fraction(f).denominator)
-    ram = lcm(ram, 8 * tm.denominator)
-    theta = jacobi_theta(spec, Fraction(prec))
-    vtheta = theta.valuation()
-    top = Fraction(prec) + max(-vtheta, 0) + 1
-    terms: dict = {}
-    wram = lcm(ram, theta.ram)
-
-    def add(e: Fraction, c):
-        w = int(e * wram)
-        prev = terms.get(w, Fraction(0))
-        terms[w] = prev + c
-
-    def min_exponent(n: int) -> Fraction:
-        """Lowest exponent contributed by the n-th bilateral term."""
-        base_e = ut / 2 + vt * n + tm * Fraction(n * (n + 1), 2)
-        expo = ut + tm * n
-        return base_e if expo >= 0 else base_e - expo
-
-    def emit(n: int) -> None:
-        # term_n = (-b)^n q'^(n(n+1)/2) / (1 - a q'^n), a = e(u_rat) q^ut;
-        # base_e / base_c carry the a^(1/2) monomial and phase up front
-        base_e = ut / 2 + vt * n + tm * Fraction(n * (n + 1), 2)
-        expo = ut + tm * n
-        base_c = unity(spec.u_rat / 2 + spec.v_rat * n)
-        if n % 2:
-            base_c = -base_c
-        if expo == 0:
-            z = unity(spec.u_rat)
-            if z == 1:
-                raise NonExpandableDenominator(
-                    f"1 - a q'^{n} degenerates to zero")
-            inv = (1 / (1 - z)) if not isinstance(z, Cyclo) \
-                else (Cyclo.from_rational(1, z.order) - z).inverse()
-            if base_e < top:
-                add(base_e, base_c * inv)
-        elif expo > 0:
-            x = 0
-            while base_e + expo * x < top:
-                add(base_e + expo * x, base_c * unity(spec.u_rat * x))
-                x += 1
-        else:
-            x = 1
-            while base_e - expo * x < top:
-                add(base_e - expo * x, -(base_c * unity(-spec.u_rat * x)))
-                x += 1
-
-    # min_exponent is a positive-leading quadratic in n, hence strictly
-    # monotone once |n| clears this bound: two consecutive exceeds past it
-    # end the sweep on that side of the bilateral sum.
-    n_safe = int((abs(vt) + abs(ut) + 2) / tm) + 3
-    for direction in (1, -1):
-        n = 0 if direction == 1 else -1
-        misses = 0
-        while True:
-            if min_exponent(n) < top:
-                emit(n)
-                misses = 0
-            else:
-                misses += 1
-                if misses >= 2 and abs(n) > n_safe:
-                    break
-            n += direction
-    bilateral = QSeries.from_terms(terms, top, ram=wram)
-    result = bilateral * theta.inverse()
-    return result.truncate(prec).demote().reduce_ram()
-
+# The weighted Appell-Lerch kernel
 
 @memo
 def lerch_mu_weighted(t: int, prec) -> QSeries:
@@ -235,7 +95,9 @@ def lerch_mu_weighted(t: int, prec) -> QSeries:
     """
     if t < 0 or t % 2:
         raise OddT("t must be a non-negative even integer")
-    top = int(Fraction(prec)) + 2
+    # as in mock_m: a negative precision gives the empty window rather than
+    # a Theta4 with an empty window
+    top = max(int(Fraction(prec)), 0) + 2
     terms: dict = {}
     n = 0
     while 4 * n * n + 8 * n + 3 <= top:
@@ -298,22 +160,38 @@ def s_transform_parts(prec) -> dict:
     Keys A38/A78/B are eta-quotient transforms; key M is the holomorphic part
     of the mu-hat specialization.  All series carry integer exponents in the
     renormalized variable (q -> q^8 relative to the tau picture).
+
+    M is (1/4)(zeta8 mu1 + zeta8^-1 mu2) q^(-1/4) for two complex-conjugate
+    specializations mu2 = conj(mu1) of Zwegers' mu.  With mu1 = i N / theta,
+    N = sum_(n in Z) (-i)^n q^(n^2) / (1 + q^(2n)) and theta = zeta8 q^(-1/4)
+    Theta4, this is -(1/2) Im(N) / Theta4; pairing n with -n gives
+
+        sM = (1/(2 Theta4)) sum_(n odd > 0) (-1)^((n-1)/2) q^(n^2)
+                                            (1 - q^(2n)) / (1 + q^(2n)).
+
+    It is read on the q^(1/4) grid of theta's q^(-1/4), which fixes where its
+    window ends at a fractional precision.
     """
     p = Fraction(prec)
     sA38 = Fraction(-1, 2) * forms.form_a(p)
     sB = 4 * forms.eta_quotient([(8, 5), (4, -4)], p)
     sA78 = sB + Fraction(1, 2) * forms.eta_quotient(
         [(2, 8), (8, -3), (4, -4)], p)
-    # The sign convention for b^nu at half-integer characteristics is
-    # fixed end-to-end by the printed rational expansion of the
-    # transformed series; with the literal theta convention used here the
-    # mu-prefactors enter with a plus sign.
-    mu1 = lerch_mu(LerchSpec(Fraction(1, 2), 0, Fraction(1, 4), -1, 2), p + 1)
-    mu2 = lerch_mu(LerchSpec(Fraction(1, 2), 0, Fraction(3, 4), -1, 2), p + 1)
-    z8 = unity(Fraction(1, 8))
-    sM = (Fraction(1, 4) * z8 * mu1
-          + Fraction(1, 4) * (1 / z8) * mu2).shift_exponent(Fraction(-1, 4))
-    sM = sM.truncate(p).demote()
+    # Theta4 starts at q^0, so the sum and Theta4 are needed to ceil(p); the
+    # bound stays >= 1 so that Theta4 keeps its constant term
+    top = max(ceil(p), 1)
+    terms: dict = {}
+    n = 1
+    while n * n < top:
+        sign = 1 if n % 4 == 1 else -1
+        # (1 - x) / (1 + x) = 1 + 2 sum_(j >= 1) (-x)^j with x = q^(2n)
+        terms[n * n] = terms.get(n * n, 0) + sign
+        for j, e in enumerate(range(n * n + 2 * n, top, 2 * n), 1):
+            terms[e] = terms.get(e, 0) + 2 * sign * (-1) ** j
+        n += 2
+    num = QSeries.from_terms(terms, top)
+    sM = Fraction(1, 2) * num * forms.theta_big(4, top).inverse()
+    sM = sM.to_ram(4).truncate(p)
     return {"A38": sA38, "A78": sA78, "B": sB, "M": sM}
 
 
@@ -321,15 +199,10 @@ def s_transform_parts(prec) -> dict:
 def q_transform_s_ren(prec) -> QSeries:
     """(1/sqrt(-i tau)) Q(-1/tau) in the renormalized (integer-exponent) frame."""
     parts = s_transform_parts(prec)
-    total = (Fraction(-7, 2) * parts["A38"]
-             + Fraction(3, 2) * parts["A78"]
-             + Fraction(-1, 2) * parts["B"]
-             + 4 * parts["M"])
-    total = total.demote()
-    if not total.is_rational():
-        raise NonRationalResult(
-            "transform assembly left irrational coefficients")
-    return total.truncate(prec)
+    return (Fraction(-7, 2) * parts["A38"]
+            + Fraction(3, 2) * parts["A78"]
+            + Fraction(-1, 2) * parts["B"]
+            + 4 * parts["M"]).truncate(prec)
 
 
 def q_transform_s(prec) -> QSeries:

@@ -5,16 +5,25 @@ independent route, or by the plain ``Fraction`` loop that a fast path
 replaced; it is kept only to cross-check, never called by ``qdonald`` itself.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from qdonald import forms, mock
 from qdonald.exact import Cyclo, cyclotomic_polynomial, euler_phi, unity
-from qdonald.mock import LerchSpec, gamma_half_ratio, lerch_mu
+from qdonald.mock import gamma_half_ratio
 from qdonald.series import (InsufficientPrecision, PrecisionUnderflow,
                             QSeries, _to_w)
 
 _ZERO = Fraction(0)
+
+
+class ThetaNotInvertible(ArithmeticError):
+    pass
+
+
+class NonExpandableDenominator(ArithmeticError):
+    pass
 
 
 def power_table(n: int) -> tuple:
@@ -109,6 +118,136 @@ def schoolbook_pow(s: QSeries, k: int) -> QSeries:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Appell-Lerch mu (Zwegers, arXiv:0807.4834) at rational specializations, in
+# Q(zeta): the generic route to M and to the M part of the S-transform
+
+@dataclass(frozen=True)
+class LerchSpec:
+    """mu(u, v; tau') with u = u_rat + u_tau*tau, v = v_rat + v_tau*tau,
+    tau' = tau_mult*tau, all parameters rational."""
+    u_rat: Fraction
+    u_tau: Fraction
+    v_rat: Fraction
+    v_tau: Fraction
+    tau_mult: Fraction
+
+    def __init__(self, u_rat, u_tau, v_rat, v_tau, tau_mult):
+        object.__setattr__(self, "u_rat", Fraction(u_rat))
+        object.__setattr__(self, "u_tau", Fraction(u_tau))
+        object.__setattr__(self, "v_rat", Fraction(v_rat))
+        object.__setattr__(self, "v_tau", Fraction(v_tau))
+        object.__setattr__(self, "tau_mult", Fraction(tau_mult))
+        if self.tau_mult <= 0:
+            raise ValueError("tau multiplier must be positive")
+
+
+def jacobi_theta(spec: LerchSpec, prec) -> QSeries:
+    """theta(v; tau') = sum_{nu in Z+1/2} (-1)^(nu-1/2) b^nu q'^(nu^2/2)."""
+    vt, tm = spec.v_tau, spec.tau_mult
+    top = Fraction(prec)
+    ram = lcm(2 * vt.denominator, 8 * tm.denominator)
+    terms: dict = {}
+    # exponent(m) = vt*(m+1/2) + tm*(m+1/2)^2/2, minimized near the vertex
+    vertex = -vt / tm - Fraction(1, 2)
+    m0 = int(vertex)
+    for direction in (1, -1):
+        m = m0 if direction == 1 else m0 - 1
+        while True:
+            nu = Fraction(2 * m + 1, 2)
+            e = vt * nu + tm * nu * nu / 2
+            if e >= top and (m - vertex) * direction > 1:
+                break
+            if e < top:
+                c = unity(spec.v_rat * nu)
+                if m % 2:
+                    c = -c
+                w = int(e * ram)
+                terms[w] = terms.get(w, Fraction(0)) + c
+            m += direction
+    series = QSeries.from_terms(terms, top, ram=ram).demote().reduce_ram()
+    if series.is_zero():
+        raise ThetaNotInvertible("theta specialization vanishes in the window")
+    return series
+
+
+def lerch_mu(spec: LerchSpec, prec) -> QSeries:
+    """Formal expansion of Zwegers' mu(u, v; tau') at the given specialization.
+
+    The bilateral sum is split into two one-sided geometric expansions at the
+    index where 1 - a q'^n changes expansion direction.
+    """
+    ut, vt, tm = spec.u_tau, spec.v_tau, spec.tau_mult
+    ram = 1
+    for f in (ut / 2, vt, tm, ut + vt):
+        ram = lcm(ram, Fraction(f).denominator)
+    ram = lcm(ram, 8 * tm.denominator)
+    theta = jacobi_theta(spec, Fraction(prec))
+    vtheta = theta.valuation()
+    top = Fraction(prec) + max(-vtheta, 0) + 1
+    terms: dict = {}
+    wram = lcm(ram, theta.ram)
+
+    def add(e: Fraction, c):
+        w = int(e * wram)
+        prev = terms.get(w, Fraction(0))
+        terms[w] = prev + c
+
+    def min_exponent(n: int) -> Fraction:
+        """Lowest exponent contributed by the n-th bilateral term."""
+        base_e = ut / 2 + vt * n + tm * Fraction(n * (n + 1), 2)
+        expo = ut + tm * n
+        return base_e if expo >= 0 else base_e - expo
+
+    def emit(n: int) -> None:
+        # term_n = (-b)^n q'^(n(n+1)/2) / (1 - a q'^n), a = e(u_rat) q^ut;
+        # base_e / base_c carry the a^(1/2) monomial and phase up front
+        base_e = ut / 2 + vt * n + tm * Fraction(n * (n + 1), 2)
+        expo = ut + tm * n
+        base_c = unity(spec.u_rat / 2 + spec.v_rat * n)
+        if n % 2:
+            base_c = -base_c
+        if expo == 0:
+            z = unity(spec.u_rat)
+            if z == 1:
+                raise NonExpandableDenominator(
+                    f"1 - a q'^{n} degenerates to zero")
+            inv = (1 / (1 - z)) if not isinstance(z, Cyclo) \
+                else (Cyclo.from_rational(1, z.order) - z).inverse()
+            if base_e < top:
+                add(base_e, base_c * inv)
+        elif expo > 0:
+            x = 0
+            while base_e + expo * x < top:
+                add(base_e + expo * x, base_c * unity(spec.u_rat * x))
+                x += 1
+        else:
+            x = 1
+            while base_e - expo * x < top:
+                add(base_e - expo * x, -(base_c * unity(-spec.u_rat * x)))
+                x += 1
+
+    # min_exponent is a positive-leading quadratic in n, hence strictly
+    # monotone once |n| clears this bound: two consecutive exceeds past it
+    # end the sweep on that side of the bilateral sum.
+    n_safe = int((abs(vt) + abs(ut) + 2) / tm) + 3
+    for direction in (1, -1):
+        n = 0 if direction == 1 else -1
+        misses = 0
+        while True:
+            if min_exponent(n) < top:
+                emit(n)
+                misses = 0
+            else:
+                misses += 1
+                if misses >= 2 and abs(n) > n_safe:
+                    break
+            n += direction
+    bilateral = QSeries.from_terms(terms, top, ram=wram)
+    result = bilateral * theta.inverse()
+    return result.truncate(prec).demote().reduce_ram()
+
+
 def mock_m_hypergeometric(prec) -> QSeries:
     """M via the q-hypergeometric sum in the defining display."""
     top = int(Fraction(prec)) + 1
@@ -135,9 +274,8 @@ def mock_m_hypergeometric(prec) -> QSeries:
 def mock_m_mu(prec) -> QSeries:
     """M via the difference of two mu-specializations at 32 tau.
 
-    Sign convention as in :func:`qdonald.mock.s_transform_parts`: relative
-    to the printed prefactors the literal theta convention flips the overall
-    sign.
+    Sign convention as in :func:`s_transform_m_lerch`: relative to the
+    printed prefactors the literal theta convention flips the overall sign.
     """
     p = Fraction(prec)
     # mu is built to an integer precision: its windows then end on the
@@ -148,6 +286,24 @@ def mock_m_mu(prec) -> QSeries:
     i = unity(Fraction(1, 4))
     out = (Fraction(1, 2) * i * (m1 - m2)).shift_exponent(-1)
     return out.truncate(p).demote()
+
+
+def s_transform_m_lerch(prec) -> QSeries:
+    """M part of :func:`qdonald.mock.s_transform_parts` as the sum of two
+    mu-specializations with a zeta8 twist, in Q(zeta8).
+
+    The sign convention for b^nu at half-integer characteristics is fixed
+    end-to-end by the printed rational expansion of the transformed series;
+    with the literal theta convention used here the mu-prefactors enter with
+    a plus sign.
+    """
+    p = Fraction(prec)
+    mu1 = lerch_mu(LerchSpec(Fraction(1, 2), 0, Fraction(1, 4), -1, 2), p + 1)
+    mu2 = lerch_mu(LerchSpec(Fraction(1, 2), 0, Fraction(3, 4), -1, 2), p + 1)
+    z8 = unity(Fraction(1, 8))
+    sM = (Fraction(1, 4) * z8 * mu1
+          + Fraction(1, 4) * (1 / z8) * mu2).shift_exponent(Fraction(-1, 4))
+    return sM.truncate(p).demote()
 
 
 # ---------------------------------------------------------------------------

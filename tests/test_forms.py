@@ -216,8 +216,6 @@ MEMOIZED = [
     (mock.cal_q, lambda p: (p,)),
     (mock.s_transform_parts, lambda p: (p,)),
     (mock.q_transform_s_ren, lambda p: (p,)),
-    (mock.lerch_mu, lambda p: (mock.LerchSpec(0, -16, F(-1, 2), -24, 32), p)),
-    (mock.lerch_mu, lambda p: (mock.LerchSpec(F(1, 2), 0, F(1, 4), -1, 2), p)),
     # kernel frames, at their pairing bound q^(1/4 or 1/8 or -1/4) for p = 12
     (inv._frame, lambda p: (0, 3, (p - 8) / 16)),
     (inv._frame, lambda p: (2, 2, (p - 10) / 16)),

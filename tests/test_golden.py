@@ -65,9 +65,14 @@ GOLDEN = [
      "4b9e4b376c186bd59d1e0b9cadfd7bed0a51d588e2a01d6c6ed6f90d3641cf1b"),
     (["series", "--name", "Z0", "--order", "600", "--format", "json"],
      "652f58f5381d073281b3deee7832c96ef3c202426b6a33ad18114a5541eb9d41"),
-    # dominated by products and inverses of series with Cyclo coefficients
+    # the S-transform of Q+, whose M part is a bilateral sum over Theta4,
+    # to q^480 and q^800, and read to the weight-12 slot
     (["series", "--name", "QtransS", "--order", "60", "--format", "json"],
      "2f336607babb6d131dcd04fab60f65e47bd71f0346d64c031f068663be82934b"),
+    (["series", "--name", "QtransS", "--order", "100", "--format", "json"],
+     "447f20231ca868e705dafd7ad3aa55f48e274637a6a6e313095af0fd8ac17a4a"),
+    (["invariants", "--nf", "3", "--max-weight", "12", "--format", "json"],
+     "951e92d9ed5686d0064b4696ea44e5ca29b813d1fa3ce3dad3f08c98f80115b3"),
 ]
 
 

@@ -1,4 +1,5 @@
-"""Mock modular objects: F_t, M, the mu-sums, calQ, and the transform of Q."""
+"""Mock modular objects: F_t, M, the weighted mu-kernels, calQ, and the
+transform of Q."""
 
 from fractions import Fraction as F
 
@@ -6,8 +7,12 @@ import oracles
 import pytest
 
 from qdonald import QSeries, forms, mock, root_of_unity
-from qdonald.mock import (LerchSpec, NonExpandableDenominator, OddT,
-                          ThetaNotInvertible)
+from oracles import LerchSpec, NonExpandableDenominator, ThetaNotInvertible
+from qdonald.mock import OddT
+
+
+def _window(s):
+    return s.ram, s.lead, s.prec, s.coeffs, tuple(type(c) for c in s.coeffs)
 
 
 def brute_cal_f(t: int, top: int) -> QSeries:
@@ -75,12 +80,12 @@ def test_mock_m_matches_oracles(prec):
 
 def test_jacobi_theta_specialization():
     """q * theta(4 tau; 8 tau) = -Theta4."""
-    th = mock.jacobi_theta(LerchSpec(0, 4, 0, 4, 8), 40)
+    th = oracles.jacobi_theta(LerchSpec(0, 4, 0, 4, 8), 40)
     assert (th.shift_exponent(1) + forms.theta_big(4, 40)).is_zero()
 
 
 def test_lerch_mu_matches_weighted_kernel_at_t0():
-    mu = mock.lerch_mu(LerchSpec(0, 4, 0, 4, 8), 30)
+    mu = oracles.lerch_mu(LerchSpec(0, 4, 0, 4, 8), 30)
     assert (F(1, 2) * mu - mock.lerch_mu_weighted(0, 30)).is_zero()
 
 
@@ -91,15 +96,27 @@ def test_fasmu(t):
     assert (lhs.truncate(30) - rhs).is_zero()
 
 
+@pytest.mark.parametrize("prec", [-5, F(-7, 3), -2, F(-3, 2), -1, F(-1, 2)],
+                         ids=str)
+@pytest.mark.parametrize("t", [0, 2])
+def test_lerch_mu_weighted_at_negative_precision(t, prec):
+    """A negative precision gives the empty window that a higher build
+    truncated there has, not a Theta4 with an empty window."""
+    s = mock.lerch_mu_weighted.__wrapped__(t, prec)
+    assert not s.coeffs
+    high = mock.lerch_mu_weighted.__wrapped__(t, 10)
+    assert _window(s) == _window(high.truncate(prec))
+
+
 def test_nonexpandable_denominator_detected():
     with pytest.raises(NonExpandableDenominator):
-        mock.lerch_mu(LerchSpec(0, 0, F(1, 4), 1, 2), 10)
+        oracles.lerch_mu(LerchSpec(0, 0, F(1, 4), 1, 2), 10)
 
 
 def test_theta_not_invertible_detected():
     # v = 0: every theta term cancels pairwise
     with pytest.raises(ThetaNotInvertible):
-        mock.jacobi_theta(LerchSpec(0, 2, 0, 0, 2), 10)
+        oracles.jacobi_theta(LerchSpec(0, 2, 0, 0, 2), 10)
 
 
 def test_cal_q_printed():
@@ -141,6 +158,35 @@ def test_q_transform_printed():
     for e, c in expect.items():
         assert s.coeff(e) == c
     assert s.is_rational()
+
+
+S_PRECISIONS = [-1, 0, F(1, 3), F(1, 2), F(3, 4), 1, F(5, 4), 2, F(5, 2), 3,
+                F(7, 2), 4, 5, 6, 7, 8, F(33, 4), 12, 16, 25, 48, 60, 100, 320]
+
+
+@pytest.mark.parametrize("prec", S_PRECISIONS, ids=str)
+def test_s_transform_m_matches_lerch_oracle(prec):
+    """The bilateral sum over Theta4 equals the two mu-specializations in
+    Q(zeta8), windows on the q^(1/4) grid and coefficient types included."""
+    m = mock.s_transform_parts(prec)["M"]
+    assert _window(m) == _window(oracles.s_transform_m_lerch(prec))
+
+
+def test_s_transform_m_at_negative_precision():
+    """Below -1 the mu route's theta vanishes in its window; the sum gives
+    the empty window."""
+    m = mock.s_transform_parts(F(-5, 2))["M"]
+    assert (m.ram, m.lead, m.prec, m.coeffs) == (4, -10, -10, ())
+    with pytest.raises(ThetaNotInvertible):
+        oracles.s_transform_m_lerch(F(-5, 2))
+
+
+@pytest.mark.parametrize("prec", [0, F(5, 2), 16, 60], ids=str)
+def test_s_transform_is_rational(prec):
+    """Every part of the S-transform and their sum lie in Q."""
+    parts = mock.s_transform_parts(prec)
+    for s in [*parts.values(), mock.q_transform_s_ren(prec)]:
+        assert all(type(c) is F for c in s.coeffs)
 
 
 def test_s_transform_of_a38_printed():
