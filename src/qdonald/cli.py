@@ -187,8 +187,9 @@ def cmd_nf4(args) -> int:
 # verification
 
 def _suite_criterion(max_weight: int) -> list:
-    return [(f"criterion constant term ({m},{n})",
-             invariants.criterion_check(m, n), None)
+    checks = {w: invariants.criterion_weight(w)
+              for w in range(max_weight, -1, -1)}  # widest windows first
+    return [(f"criterion constant term ({m},{n})", checks[m + n][m], None)
             for m, n in invariants.weight_grid(max_weight)]
 
 
@@ -280,16 +281,20 @@ def _suite_tables() -> list:
     checks.append(("H_0..H_5 = 1, 28, 39, 196, 161, 756",
                    h[:6] == [1, 28, 39, 196, 161, 756], None))
     for nf, table in ((0, _TABLE_NF0), (2, _TABLE_NF2), (3, _TABLE_NF3)):
+        cells = {(m, n): cell for m, n, _, cell
+                 in invariants.invariant_table(nf, max(map(sum, table)))}
         for (m, n), expected in sorted(table.items()):
-            cell = invariants.uplane_D(nf, m, n)
+            cell = cells[(m, n)]
             ok = str(cell.value) == expected
             # against the printed value: value and combination share reads
             combo_ok = str(invariants.evaluate_h_combo(cell.h_combo, h)) == expected
             checks.append((f"nf={nf} D[{m},{n}] = {expected}", ok, None))
             checks.append((f"nf={nf} combo[{m},{n}] evaluates", combo_ok, None))
+    phi = {(m, n): (k, v) for k, m, n, _, v
+           in invariants.goettsche_table(max(map(sum, _TABLE_NF0)))}
     for (m, n), expected in sorted(_TABLE_NF0.items()):
-        k = (m + n) // 2 + 1
-        ok = str(invariants.goettsche_phi(k, m, n)) == expected
+        k, v = phi[(m, n)]
+        ok = str(v) == expected
         checks.append((f"goettsche ({k},{m},{n}) = {expected}", ok, None))
     return checks
 

@@ -4,17 +4,21 @@ The instanton-side values come from the closed Goettsche formula; the
 low-energy side comes from the cusp contribution of the regularized wall
 integral, written as constant terms of theta-quotient kernels against the
 mock series Q+ (or its transforms).  Both reduce to exact rational pairing
-sums, so every number here is an exact Fraction.
+sums, so every number here is an exact Fraction.  Each family computes all
+cells of one weight in one pass over integer kernel reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
+from operator import mul
 
 from . import forms, mock
-from .series import InsufficientPrecision, QSeries, memo
+from .exact import clear
+from .series import InsufficientPrecision, QSeries
 
 
 class ConstraintViolation(ValueError):
@@ -22,13 +26,12 @@ class ConstraintViolation(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# kernel frames, read by pairing
+# kernel reads, one weight at a time
 #
 # A cell of weight w = m + n pairs kernels P_k E_l (k + l <= w; P_k = base *
 # pows^k a theta quotient, E_l = E2^l) with a slot.  The kernel coefficient
 # at q^-x meets the slot coefficient at x for x on the slot grid start +
-# step Z, so a cell reads each kernel there only, as a sum over its two
-# factors, and no kernel product is formed.
+# step Z, so each kernel is read there only, and no product is formed.
 #
 # Windows.  With theta constants and E2 known below q^pt (pt an integer: E2
 # is cut at floor(pt)), P_k is known below val + pt - loss, where val is
@@ -80,78 +83,45 @@ def _factors(family, w: int, pt) -> tuple:
     return base, t2 ** 4 + t3 ** 4, e2
 
 
-def _power_list(series: QSeries, top: int) -> list:
-    pows = [QSeries.one()]
-    for _ in range(top):
-        pows.append(pows[-1] * series)
-    return pows
-
-
-@memo
-def _frame(family, w: int, top) -> dict:
-    """The family's weight-w kernels P_k E_l, k + l <= w, read on the slot
-    grid: {(k, l): the terms of P_k E_l at q^-x for slot-grid points x, known
-    below q^top}.  Each term is a sum over the two factors; reading a
-    product where it is not known raises InsufficientPrecision."""
+def _reads(family, w: int) -> tuple:
+    """(reads, xs): the family's weight-w kernels P_k E_l, k + l <= w, read
+    at the slot-grid points xs = [start + a step]: P_k E_l at q^-xs[a] is
+    ints[a] / den, (ints, den) = reads[k, l], one integer dot product, as
+    E2^l = 1 + O(q) has integer coefficients and P_k one denominator.
+    Reading a product where it is not known raises InsufficientPrecision."""
     start, step, ram = _FAMILIES[family][:3]
-    bound = -(-top * ram // 1)  # top on the kernel grid, rounded up
-    pt = _windows(family, w, top + start - Fraction(1, ram))[0]
-    base, pows, e2 = _factors(family, w, pt)
-    ladder = [e.to_ram(ram) for e in _power_list(e2, w)]
-    frame = {}
-    for k, pk in enumerate(_power_list(pows, w)):
-        p = base * pk
-        points = [t for t in range(int(-start * ram), p.lead - 1,
-                                   -int(step * ram)) if t < bound]
-        for l, e in enumerate(ladder[:w + 1 - k]):
-            if points and (p.prec <= points[0] - e.lead or (
-                    e.prec is not None and e.prec <= points[0] - p.lead)):
-                raise InsufficientPrecision("kernel window too short to read")
-            terms = [(i + p.lead, c)
-                     for i, c in enumerate(e.coeffs, e.lead) if c]
-            reads = {t: sum(c * p.coeffs[t - j] for j, c in terms
-                            if j <= t and p.coeffs[t - j])
-                     for t in points}
-            frame[(k, l)] = QSeries.from_terms(reads, Fraction(bound, ram), ram)
-    return frame
+    base, pows, e2 = _factors(family, w, _windows(family, w)[0])
+    t0, dt, r = int(-start * ram), int(step * ram), ram // e2.ram
+    ladder = [e.to_ram(e2.ram)
+              for e in accumulate([e2] * w, mul, initial=QSeries.one())]
+    kernels = list(accumulate([pows] * w, mul, initial=base))
+    if any(t0 >= p.lead and (p.prec <= t0 - r * e.lead or (
+            e.prec is not None and r * e.prec <= t0 - p.lead))
+           for k, p in enumerate(kernels) for e in ladder[:w + 1 - k]):
+        raise InsufficientPrecision("kernel window too short to read")
+    count = max((t0 - min(p.lead for p in kernels)) // dt + 1, 0)
+    eints = [clear(e.coeffs) for e in ladder]
+    reads = {}
+    for k, p in enumerate(kernels):
+        ints, den = clear(p.coeffs)
+        # P_k at q^-x, q^-x - 1/e2.ram, ...: what E_l from q^0 up meets
+        cols = [ints[t0 - a * dt - p.lead::-r] if t0 - a * dt >= p.lead
+                else [] for a in range(count)]
+        for l, (e, eden) in enumerate(eints[:w + 1 - k]):
+            reads[k, l] = [sum(map(mul, e, col)) for col in cols], den * eden
+    return reads, [start + a * step for a in range(count)]
 
 
-def _slot(family, w: int, t=None) -> QSeries:
-    """The family's slot for weight w (F_t for the Goettsche family), known
-    through -val; raises InsufficientPrecision when it is not."""
+def _slot(family, w: int, xs, t=None) -> tuple:
+    """The family's slot for weight w (F_t for the Goettsche family) at the
+    points xs as (ints, den), known through -val or InsufficientPrecision."""
     ps = _windows(family, w)[1]
     slot = (mock.f_t(t, ps) if family == "goettsche" else
             mock.q_plus(2 * ps).rescale(1, 2) if family == 2 else
             mock.q_transform_s(ps) if family == 3 else mock.q_plus(ps))
     if slot.prec_q() < ps:
         raise InsufficientPrecision("slot window too short for the pairing")
-    return slot
-
-
-def _pairing(family, w: int, rows) -> tuple:
-    """(value, weights) of one cell of weight w from its rows [(key, c, k, l,
-    t, d)]: kernel c * P_k E_l paired with (q d/dq)^d of the slot (F_t in the
-    Goettsche family; t is None in the others).  weights[a] = sum of
-    c * kernel(-x) * x^d over the rows, at the slot-grid point
-    x = start + a step, so that value = sum over a of weights[a] * slot(x)."""
-    start, step, ram = _FAMILIES[family][:3]
-    frame = _frame(family, w, Fraction(1, ram) - start)
-    t0, dt = int(-start * ram), int(step * ram)
-    weights = {}  # t: {a: weight}
-    for _, c, k, l, t, d in rows:
-        read = frame[(k, l)]
-        acc = weights.setdefault(t, {})
-        for i, r in enumerate(read.coeffs):
-            if r:
-                a = (t0 - read.lead - i) // dt
-                v = c * r * (start + a * step) ** d if d else c * r
-                acc[a] = acc.get(a, 0) + v
-    value = Fraction(0)
-    for t, acc in weights.items():
-        slot = _slot(family, w, t)
-        for a, v in acc.items():
-            value += v * slot.coeff(start + a * step)
-    return value, weights.get(None, {})
+    return clear([slot.coeff(x) for x in xs])
 
 
 # ---------------------------------------------------------------------------
@@ -173,49 +143,86 @@ def _goettsche_rows(m: int, n: int):
             yield (l, j), c, m + j, l - j, 2 * (n - l), 0
 
 
-def goettsche_phi(k: int, m: int, n: int) -> Fraction:
-    """Instanton invariant for p^m S^(2n) at instanton number k.
+def goettsche_weight(w: int) -> list:
+    """The Goettsche pairing sums for p^m S^(2n), m + n = w, by m.  The
+    kernels against F_2s are P_k E_l with k + l = w - s: each is paired with
+    its slot once, and a cell sums its rows over those pairings."""
+    reads, xs = _reads("goettsche", w)
+    pairs = {}
+    for s in range(w + 1):
+        sv, sden = _slot("goettsche", w, xs, 2 * s)
+        for l in range(w - s + 1):
+            ints, den = reads[w - s - l, l]
+            pairs[2 * s, l] = Fraction(sum(map(mul, ints, sv)), den * sden)
+    return [sum((c * pairs[t, l] for _, c, _, l, t, _
+                 in _goettsche_rows(m, w - m)), Fraction(0))
+            for m in range(w + 1)]
 
-    Zero unless m + n = 2(k - 1); the nonzero values are double sums of
-    constant terms of theta-quotient kernels against the F_t series.
-    """
+
+def goettsche_phi(k: int, m: int, n: int) -> Fraction:
+    """Instanton invariant for p^m S^(2n) at instanton number k: zero
+    unless m + n = 2(k - 1), else the Goettsche pairing sum."""
     if m < 0 or n < 0 or k < 1 or m + n != 2 * (k - 1):
         return Fraction(0)
-    return _pairing("goettsche", m + n, _goettsche_rows(m, n))[0]
+    return goettsche_weight(m + n)[m]
 
 
 # ---------------------------------------------------------------------------
 # u-plane coefficients
+#
+# Row (i, j) of D^nf_(m,2n), 0 <= j <= i <= n, is the kernel c P_k E_l, k =
+# m + n - i, l = i - j, against (q d/dq)^j of the slot, with c = A(m, n)
+# C(i, j) / (n-i)! = sign (-1)^(i+j) 2^(offset + slope j) / 3^(n-j) (2n)! /
+# ((n-i)! j! (i-j)!) Gamma(1/2) / Gamma(1/2+j).  For nf=3 the sign is
+# (-1)^(i+j) without the displayed extra (-1)^(m+n-j): the printed invariant
+# table is the arbiter, and only this choice also satisfies the duality
+# between the two slots.
 
-@dataclass(frozen=True)
-class DCell:
-    nf: int
-    m: int
-    n: int
-    value: Fraction
-    h_combo: tuple  # ((alpha, weight), ...) with value = sum w_a H_a
+# h_combo: ((alpha, weight), ...) with value = sum w_a H_a
+DCell = namedtuple("DCell", "nf m n value h_combo")
 
 
-def _d_rows(nf: int, m: int, n: int):
-    """Rows ((i, j), c, k, l, None, j) of D^nf_(m,2n): kernel c * P_k E_l,
-    k = m + n - i, l = i - j, against (q d/dq)^j of the slot.
+def _d_scale(nf: int, m: int, n: int) -> Fraction:
+    """A(m, n) = sign 2^offset (2n)! / 3^n."""
+    sign, off = {0: (-1, 1 - n), 2: (-1, 2 - n), 3: (1, 3 * m + 2 * n + 5)}[nf]
+    return sign * Fraction(2) ** off * Fraction(factorial(2 * n), 3 ** n)
 
-    The (i, j) coefficient is sign (-1)^(i+j) 2^(offset + slope j) / 3^(n-j)
-    (2n)! / ((n-i)! j! (i-j)!) Gamma(1/2) / Gamma(1/2+j).  For nf=3 the sign
-    is (-1)^(i+j) without the displayed extra (-1)^(m+n-j): the printed
-    invariant table is the arbiter, and only this choice also satisfies the
-    duality between the two slots.
-    """
-    sign, off, slope = {0: (-1, 1 - n, 2), 2: (-1, 2 - n, 3),
-                        3: (1, 3 * m + 2 * n + 5, 2)}[nf]
-    for i in range(n + 1):
-        for j in range(i + 1):
-            c = (sign * (-1) ** (i + j) * Fraction(2) ** (off + slope * j)
-                 / 3 ** (n - j)
-                 * Fraction(factorial(2 * n),
-                            factorial(n - i) * factorial(j) * factorial(i - j))
-                 * mock.gamma_half_ratio(j))
-            yield (i, j), c, m + n - i, i - j, None, j
+
+def _d_inner(nf: int, i: int, j: int) -> Fraction:
+    """C(i, j) = (-1)^(i+j) 2^(slope j) 3^j Gamma(1/2) / Gamma(1/2+j) /
+    (j! (i-j)!), with slope 3 for nf=2 and 2 otherwise."""
+    return ((-1) ** (i + j) * mock.gamma_half_ratio(j) * Fraction(
+        (24 if nf == 2 else 12) ** j, factorial(j) * factorial(i - j)))
+
+
+def uplane_weight(nf: int, w: int) -> list:
+    """The DCells of D^nf_(m,2n), m + n = w, by m.  Row (i, j) reads kernel
+    (w - i, i - j) in every cell, so the pass forms U_i[a] = sum_(j<=i)
+    C(i, j) x_a^j read_(w-i, i-j)[a] once, on integers over one denominator;
+    the weight of H_a in cell (m, n) is A(m, n) sum_(i<=n) U_i[a] / (n-i)!,
+    and the value pairs the weights with the slot."""
+    ram = _FAMILIES[nf][2]
+    reads, xs = _reads(nf, w)
+    sv, sden = _slot(nf, w, xs)
+    powers = [[int(x * ram) ** j for x in xs] for j in range(w + 1)]
+    rows = [(i, j) for i in range(w + 1) for j in range(i + 1)]
+    coeffs, big = clear([_d_inner(nf, i, j) / ram ** j / reads[w - i, i - j][1]
+                         for i, j in rows])
+    us = [[0] * len(xs) for _ in range(w + 1)]  # big U_i
+    for (i, j), c in zip(rows, coeffs):
+        us[i] = [u + c * x * r for u, x, r
+                 in zip(us[i], powers[j], reads[w - i, i - j][0])]
+    cells = []
+    for n in range(w, -1, -1):  # m = w - n ascending
+        s, f = [0] * len(xs), 1
+        for i in range(n + 1):  # f = n! / (n - i)!
+            s = [x + f * u for x, u in zip(s, us[i])]
+            f *= n - i
+        scale = _d_scale(nf, w - n, n) / (big * factorial(n))
+        h = -scale if nf == 3 else scale  # nf=3: against -Q
+        cells.append(DCell(nf, w - n, n, scale * sum(map(mul, s, sv)) / sden,
+                           tuple((a, h * v) for a, v in enumerate(s) if v)))
+    return cells
 
 
 def uplane_D(nf: int, m: int, n: int) -> DCell:
@@ -229,10 +236,7 @@ def uplane_D(nf: int, m: int, n: int) -> DCell:
         raise ConstraintViolation("m, n must be non-negative")
     if nf not in (0, 2, 3):
         raise ConstraintViolation(f"no u-plane family for nf={nf}")
-    value, weights = _pairing(nf, m + n, _d_rows(nf, m, n))
-    sign = -1 if nf == 3 else 1
-    combo = tuple((a, sign * weights[a]) for a in sorted(weights) if weights[a])
-    return DCell(nf=nf, m=m, n=n, value=value, h_combo=combo)
+    return uplane_weight(nf, m + n)[m]
 
 
 def evaluate_h_combo(combo, h_values) -> Fraction:
@@ -258,8 +262,10 @@ def criterion_summands(m: int, n: int, prec) -> tuple:
     w = m + n
     pt, ps = _windows(0, w, p0)
     sides = []
-    for family, rows in (("goettsche", _goettsche_rows(m, n)),
-                         (0, _d_rows(0, m, n))):
+    scale = _d_scale(0, m, n)
+    d_rows = (((i, j), scale * _d_inner(0, i, j) / factorial(n - i), w - i,
+               i - j, None, j) for i in range(n + 1) for j in range(i + 1))
+    for family, rows in (("goettsche", _goettsche_rows(m, n)), (0, d_rows)):
         base, pows, e2 = _factors(family, w, pt)
         sides.append({
             key: (c * base * pows ** k * e2 ** l
@@ -278,12 +284,18 @@ def criterion_series(m: int, n: int, prec) -> QSeries:
     return total
 
 
+def criterion_weight(w: int) -> list:
+    """:func:`criterion_check` at (m, w - m), by m."""
+    return [phi == cell.value
+            for phi, cell in zip(goettsche_weight(w), uplane_weight(0, w))]
+
+
 def criterion_check(m: int, n: int) -> bool:
     """True iff the criterion series has (exactly) vanishing constant term:
     the Goettsche pairing sum equals the nf=0 pairing sum."""
-    w = m + n
-    return (_pairing("goettsche", w, _goettsche_rows(m, n))[0]
-            == _pairing(0, w, _d_rows(0, m, n))[0])
+    if m < 0 or n < 0:
+        raise ConstraintViolation("m, n must be non-negative")
+    return criterion_weight(m + n)[m]
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +362,11 @@ def vafa_witten_series(kmax: int) -> QSeries:
 # ---------------------------------------------------------------------------
 # index bundle Chern coefficients
 
-@dataclass(frozen=True)
 class IndexChernCoeffs:
-    k: int
-    r: int
-    table: dict = field(hash=False)
+    __slots__ = ("k", "r", "table")
+
+    def __init__(self, k: int, r: int, table: dict):
+        self.k, self.r, self.table = k, r, table
 
     def __getitem__(self, key):
         return self.table.get(key, Fraction(0))
@@ -413,13 +425,11 @@ def phi_euler_combo(nf: int, k: int, m: int, n: int) -> Fraction:
     if nf == 2:
         if k % 2 or m + n + 2 != k:
             raise ConstraintViolation("nf=2 needs k even and m+n+2=k")
-        big = k
-        copies = 2
+        big, copies = k, 2
     elif nf == 3:
         if k % 2 or 2 * m + 2 * n + 4 != k:
             raise ConstraintViolation("nf=3 needs k even and 2m+2n+4=k")
-        big = 3 * k // 2
-        copies = 3
+        big, copies = 3 * k // 2, 3
     else:
         raise ConstraintViolation("nf must be 2 or 3")
     f = index_chern_coeffs(k, 0, 0, big, big)
@@ -434,11 +444,9 @@ def phi_euler_combo(nf: int, k: int, m: int, n: int) -> Fraction:
                         key = (j1 + j2, l1 + l2)
                         nxt[key] = nxt.get(key, Fraction(0)) + w1 * w2
         conv = nxt
-    total = Fraction(0)
-    for (j, l), w in conv.items():
-        if j + l == big and w:
-            total += w * goettsche_phi(k, m + l, n + j)
-    return total
+    phi = goettsche_weight(2 * k - 2)  # m + n + big = 2(k - 1)
+    return sum((w * phi[m + l] for (j, l), w in conv.items() if j + l == big),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -490,19 +498,17 @@ def weight_grid(max_weight: int) -> list:
 
 
 def invariant_table(nf: int, max_weight: int) -> list:
-    """Rows [(m, n, label, DCell)] for all m + n <= max_weight.  The cells
-    are computed from the highest weight down, so that every smaller window
-    is served by truncating a memoized series."""
-    grid = weight_grid(max_weight)
-    cells = {(m, n): uplane_D(nf, m, n) for m, n in reversed(grid)}
-    return [(m, n, monomial_label(m, n), cells[(m, n)]) for m, n in grid]
+    """Rows [(m, n, label, DCell)] for all m + n <= max_weight, one pass per
+    weight, from the highest down so that memoized series serve the rest."""
+    cells = {w: uplane_weight(nf, w) for w in range(max_weight, -1, -1)}
+    return [(m, n, monomial_label(m, n), cells[m + n][m])
+            for m, n in weight_grid(max_weight)]
 
 
 def goettsche_table(max_weight: int) -> list:
     """Rows [(k, m, n, label, value)] for even m + n = 2(k - 1) <= max_weight,
     computed from the highest weight down as in :func:`invariant_table`."""
-    grid = [(m, n) for m, n in weight_grid(max_weight) if (m + n) % 2 == 0]
-    values = {(m, n): goettsche_phi((m + n) // 2 + 1, m, n)
-              for m, n in reversed(grid)}
-    return [((m + n) // 2 + 1, m, n, monomial_label(m, n), values[(m, n)])
-            for m, n in grid]
+    values = {w: goettsche_weight(w)
+              for w in range(max_weight - max_weight % 2, -1, -2)}
+    return [((m + n) // 2 + 1, m, n, monomial_label(m, n), values[m + n][m])
+            for m, n in weight_grid(max_weight) if (m + n) % 2 == 0]

@@ -10,7 +10,7 @@ evaluated on the u-series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import forms
@@ -21,22 +21,11 @@ class UnsupportedFamily(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SWFamily:
-    nf: int
-    u: QSeries
-    omega2: QSeries          # (omega/pi)^2
-    g2n: QSeries
-    g3n: QSeries
-    deltan: QSeries
-    kodaira_infty: str
+# omega2 is (omega/pi)^2; g2n, g3n and deltan are series
+SWFamily = namedtuple("SWFamily", "nf u omega2 g2n g3n deltan kodaira_infty")
 
-
-@dataclass(frozen=True)
-class ContactTerm:
-    nf: int
-    t_series: QSeries
-    vanishing_threshold: Fraction  # T = O(u^-1): all exponents below are zero
+# vanishing_threshold: T = O(u^-1), so all exponents below it are zero
+ContactTerm = namedtuple("ContactTerm", "nf t_series vanishing_threshold")
 
 
 def _theta_set(prec):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from qdonald import forms, mock
+from qdonald import forms, invariants as inv, mock
 from qdonald.exact import Cyclo, cyclotomic_polynomial, euler_phi, unity
 from qdonald.mock import gamma_half_ratio
 from qdonald.series import (InsufficientPrecision, PrecisionUnderflow,
@@ -382,20 +382,24 @@ def _theta_frame(m: int, n: int, pt, e2):
             _power_list(e2(pt), n))
 
 
-def _goettsche_kernels(m: int, n: int, ps, theta) -> list:
-    """[((l, j), coeff, kernel, F_(2(n-l)), 0)] of the Goettsche double sum."""
-    _, base, p4_pows, e2_pows = theta
-    kernels = []
+def goettsche_rows(m: int, n: int):
+    """Rows ((l, j), c, k, l', t, 0) of the Goettsche double sum for
+    p^m S^(2n): kernel c * P_k E_l', k = m + j, l' = l - j, against F_t,
+    t = 2(n - l)."""
     for l in range(n + 1):
-        slot = mock.f_t(2 * (n - l), ps)
         for j in range(l + 1):
             c = (Fraction(8 * (-1) ** (n + j), 2 ** l * 3 ** l)
                  * Fraction(factorial(2 * n),
                             factorial(2 * n - 2 * l) * factorial(j)
                             * factorial(l - j)))
-            kernels.append(((l, j), c, base * p4_pows[m + j] * e2_pows[l - j],
-                            slot, 0))
-    return kernels
+            yield (l, j), c, m + j, l - j, 2 * (n - l), 0
+
+
+def _goettsche_kernels(m: int, n: int, ps, theta) -> list:
+    """[((l, j), coeff, kernel, F_(2(n-l)), 0)] of the Goettsche double sum."""
+    _, base, p4_pows, e2_pows = theta
+    return [(key, c, base * p4_pows[k] * e2_pows[l], mock.f_t(t, ps), d)
+            for key, c, k, l, t, d in goettsche_rows(m, n)]
 
 
 def goettsche_value(m: int, n: int) -> Fraction:
@@ -405,10 +409,16 @@ def goettsche_value(m: int, n: int) -> Fraction:
         m, n, ps, _theta_frame(m, n, pt, forms.eisenstein_e2)))
 
 
+def row_constants(nf: int, m: int, n: int) -> tuple:
+    """(sign, offset, slope) of the D^nf_(m,2n) row coefficients."""
+    return {0: (-1, 1 - n, 2), 2: (-1, 2 - n, 3),
+            3: (1, 3 * m + 2 * n + 5, 2)}[nf]
+
+
 def _nf0_frame(n: int, ps, theta):
     t4, base, pows, e2_pows = theta
     return (base * t4, pows, e2_pows, mock.q_plus(ps),
-            (Fraction(-1, 8), Fraction(1, 2)), 1, (-1, 1 - n, 2))
+            (Fraction(-1, 8), Fraction(1, 2)), 1, row_constants(0, 0, n))
 
 
 def uplane_frame(nf: int, m: int, n: int):
@@ -427,7 +437,7 @@ def uplane_frame(nf: int, m: int, n: int):
                 * forms.vartheta(2, 2 * pt).rescale(1, 2).inverse())
         slot = mock.q_plus(2 * ps).rescale(1, 2)
         return (base, pows, e2_pows, slot, (Fraction(-1, 16), Fraction(1, 4)),
-                1, (-1, 2 - n, 3))
+                1, row_constants(2, m, n))
     pt, ps = _windows(0, Fraction(-(8 * w + 15), 8), Fraction(-1, 8),
                       loss=Fraction(1, 2))
     t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
@@ -435,13 +445,13 @@ def uplane_frame(nf: int, m: int, n: int):
     base = t2 ** 9 * ((t3 ** 2 - t4 ** 2) ** (2 * w + 6)).inverse() * tt ** 3
     return (base, _power_list(tt ** 2, w),
             _power_list(forms.eisenstein_e2(pt), n), mock.q_transform_s(ps),
-            (Fraction(-1, 8), Fraction(1, 2)), -1, (1, 3 * m + 2 * n + 5, 2))
+            (Fraction(-1, 8), Fraction(1, 2)), -1, row_constants(3, m, n))
 
 
-def uplane_kernels(m: int, n: int, frame) -> list:
-    """[((i, j), coeff, kernel, slot, j)] of D^nf_(m,2n) on its frame."""
-    base, pows, e2_pows, slot, _, _, (sign, off, slope) = frame
-    kernels = []
+def uplane_rows(m: int, n: int, sign: int, off: int, slope: int):
+    """Rows ((i, j), c, k, l, None, j) of D^nf_(m,2n), with the row
+    constants of nf: kernel c * P_k E_l, k = m + n - i, l = i - j, against
+    (q d/dq)^j of the slot."""
     for i in range(n + 1):
         for j in range(i + 1):
             c = (sign * (-1) ** (i + j) * Fraction(2) ** (off + slope * j)
@@ -449,9 +459,14 @@ def uplane_kernels(m: int, n: int, frame) -> list:
                  * Fraction(factorial(2 * n),
                             factorial(n - i) * factorial(j) * factorial(i - j))
                  * gamma_half_ratio(j))
-            kernels.append(((i, j), c, base * pows[m + n - i] * e2_pows[i - j],
-                            slot, j))
-    return kernels
+            yield (i, j), c, m + n - i, i - j, None, j
+
+
+def uplane_kernels(m: int, n: int, frame) -> list:
+    """[((i, j), coeff, kernel, slot, j)] of D^nf_(m,2n) on its frame."""
+    base, pows, e2_pows, slot, _, _, constants = frame
+    return [(key, c, base * pows[k] * e2_pows[l], slot, j)
+            for key, c, k, l, _, j in uplane_rows(m, n, *constants)]
 
 
 def uplane_cell(nf: int, m: int, n: int) -> tuple:
@@ -481,3 +496,73 @@ def criterion_kernels(m: int, n: int, target) -> tuple:
     theta = _theta_frame(m, n, pt, forms.eisenstein_e2)
     return (_goettsche_kernels(m, n, ps, theta),
             uplane_kernels(m, n, _nf0_frame(n, ps, theta)))
+
+
+# ---------------------------------------------------------------------------
+# The per-cell route to the invariant tables: one frame of kernel reads per
+# weight, in Fractions, and each cell summed over its own rows.
+
+def kernel_frame(family, w: int) -> dict:
+    """The family's weight-w kernels P_k E_l, k + l <= w, read on the slot
+    grid: {(k, l): the terms of P_k E_l at q^-x for slot-grid points x}.
+    Each term is a sum over the two factors; reading a product where it is
+    not known raises InsufficientPrecision."""
+    start, step, ram = inv._FAMILIES[family][:3]
+    top = Fraction(1, ram) - start
+    bound = -(-top * ram // 1)  # top on the kernel grid, rounded up
+    base, pows, e2 = inv._factors(family, w, inv._windows(family, w)[0])
+    ladder = [e.to_ram(ram) for e in _power_list(e2, w)]
+    frame = {}
+    for k, pk in enumerate(_power_list(pows, w)):
+        p = base * pk
+        points = [t for t in range(int(-start * ram), p.lead - 1,
+                                   -int(step * ram)) if t < bound]
+        for l, e in enumerate(ladder[:w + 1 - k]):
+            if points and (p.prec <= points[0] - e.lead or (
+                    e.prec is not None and e.prec <= points[0] - p.lead)):
+                raise InsufficientPrecision("kernel window too short to read")
+            terms = [(i + p.lead, c)
+                     for i, c in enumerate(e.coeffs, e.lead) if c]
+            reads = {t: sum(c * p.coeffs[t - j] for j, c in terms
+                            if j <= t and p.coeffs[t - j])
+                     for t in points}
+            frame[k, l] = QSeries.from_terms(reads, Fraction(bound, ram), ram)
+    return frame
+
+
+def pairing(family, w: int, rows, frame) -> tuple:
+    """(value, weights) of one cell of weight w from its rows [(key, c, k, l,
+    t, d)] on the weight's frame: kernel c * P_k E_l paired with (q d/dq)^d
+    of the slot (F_t in the Goettsche family; t is None in the others).
+    weights[a] = sum of c * kernel(-x) * x^d over the rows, at the slot-grid
+    point x = start + a step, so that value = sum of weights[a] * slot(x)."""
+    start, step, ram = inv._FAMILIES[family][:3]
+    t0, dt = int(-start * ram), int(step * ram)
+    weights = {}  # t: {a: weight}
+    for _, c, k, l, t, d in rows:
+        read = frame[k, l]
+        acc = weights.setdefault(t, {})
+        for i, r in enumerate(read.coeffs):
+            if r:
+                a = (t0 - read.lead - i) // dt
+                v = c * r * (start + a * step) ** d if d else c * r
+                acc[a] = acc.get(a, 0) + v
+    value = Fraction(0)
+    for t, acc in weights.items():
+        ints, den = inv._slot(family, w, [start + a * step for a in acc], t)
+        for v, c in zip(acc.values(), ints):
+            value += v * Fraction(c, den)
+    return value, weights.get(None, {})
+
+
+def pairing_cell(family, m: int, n: int, frame):
+    """Cell (m, n) on the frame of its weight: the Goettsche pairing sum,
+    or (value, h_combo) of D^nf_(m,2n), the combination against -Q for
+    nf=3."""
+    if family == "goettsche":
+        return pairing(family, m + n, goettsche_rows(m, n), frame)[0]
+    rows = uplane_rows(m, n, *row_constants(family, m, n))
+    value, weights = pairing(family, m + n, rows, frame)
+    sign = -1 if family == 3 else 1
+    return value, tuple((a, sign * weights[a]) for a in sorted(weights)
+                        if weights[a])

@@ -2,10 +2,14 @@
 
 import argparse
 import json
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import qdonald
 from qdonald import QSeries, forms, invariants
 from qdonald.cli import _series_name, main
 
@@ -214,3 +218,15 @@ def test_constructor_precision_is_honored():
         for prec in (17, F(35, 2)):
             s = _series_name(name)(prec)
             assert s.prec_q() >= prec
+
+
+def test_import_pulls_in_no_dataclasses_or_inspect():
+    """A fresh ``import qdonald.cli`` loads neither dataclasses nor inspect
+    (nor, through them, ast and dis), which would add to every command's
+    start-up time."""
+    src = str(Path(qdonald.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qdonald.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

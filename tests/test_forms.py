@@ -216,11 +216,6 @@ MEMOIZED = [
     (mock.cal_q, lambda p: (p,)),
     (mock.s_transform_parts, lambda p: (p,)),
     (mock.q_transform_s_ren, lambda p: (p,)),
-    # kernel frames, at their pairing bound q^(1/4 or 1/8 or -1/4) for p = 12
-    (inv._frame, lambda p: (0, 3, (p - 8) / 16)),
-    (inv._frame, lambda p: (2, 2, (p - 10) / 16)),
-    (inv._frame, lambda p: (3, 2, (p - 8) / 16)),
-    (inv._frame, lambda p: ("goettsche", 4, (p - 16) / 16)),
 ]
 
 

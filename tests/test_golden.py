@@ -73,6 +73,12 @@ GOLDEN = [
      "447f20231ca868e705dafd7ad3aa55f48e274637a6a6e313095af0fd8ac17a4a"),
     (["invariants", "--nf", "3", "--max-weight", "12", "--format", "json"],
      "951e92d9ed5686d0064b4696ea44e5ca29b813d1fa3ce3dad3f08c98f80115b3"),
+    # tables by weight passes: every H-combination of nf = 3 to weight 18,
+    # and the Goettsche values to weight 24
+    (["invariants", "--nf", "3", "--max-weight", "18", "--format", "json"],
+     "1bae5efac587356072649f44f0272d4ffb240b8f4d641a4d8fc444b7a9a639d2"),
+    (["goettsche", "--max-weight", "24", "--format", "json"],
+     "032ab6d1230766b922c65f456f62b3a44012290a7b56315e5d109c270e7af09a"),
 ]
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import oracles
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdonald import (InsufficientPrecision, NotInvertible, QSeries, forms,
                      invariants as inv, mock)
@@ -123,6 +124,42 @@ def test_goettsche_matches_kernel_products():
                 oracles.goettsche_value(m, n)
 
 
+def _typed(x):
+    """x with the type of every number next to it."""
+    return tuple(map(_typed, x)) if isinstance(x, tuple) else (type(x), x)
+
+
+def _weight_pass(family, w) -> list:
+    """The cells of weight w by m, as the per-cell oracle gives them."""
+    if family == "goettsche":
+        return inv.goettsche_weight(w)
+    cells = inv.uplane_weight(family, w)
+    return [(cell.value, cell.h_combo) for cell in cells]
+
+
+@pytest.mark.parametrize("family", ["goettsche", 0, 2, 3])
+def test_weight_passes_match_the_per_cell_pairing(family):
+    """Every cell to weight 12 equals its own rows summed over the weight's
+    kernel frame read in Fractions: value, H-combination and the type of
+    every number."""
+    for w in range(13):
+        frame = oracles.kernel_frame(family, w)
+        want = [oracles.pairing_cell(family, m, w - m, frame)
+                for m in range(w + 1)]
+        assert _typed(tuple(_weight_pass(family, w))) == _typed(tuple(want))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["goettsche", 0, 2, 3]), st.integers(0, 20),
+       st.data())
+def test_random_cells_match_the_per_cell_pairing(family, w, data):
+    """Random cells to weight 20 against the per-cell pairing."""
+    m = data.draw(st.integers(0, w))
+    want = oracles.pairing_cell(family, m, w - m,
+                                oracles.kernel_frame(family, w))
+    assert _typed(_weight_pass(family, w)[m]) == _typed(want)
+
+
 def test_nf3_s_duality():
     """The transform slot and -Q give the same invariant values."""
     for (m, n) in [(0, 0), (1, 0), (0, 1), (1, 1)]:
@@ -135,11 +172,10 @@ def test_nf3_s_duality():
 
 def _shorten(monkeypatch, module, name, step):
     """Make module.<name>(..., prec) known one grid step less far than
-    asked, with no kernel frame cached from before."""
+    asked."""
     build = getattr(module, name)
     monkeypatch.setattr(module, name,
                         lambda *args: build(*args).truncate(args[-1] - step))
-    inv._frame.clear()
 
 
 def _cells(nf) -> list:
@@ -275,6 +311,9 @@ def test_criterion_small_grid():
     for weight in range(4):
         for m in range(weight + 1):
             assert inv.criterion_check(m, weight - m)
+    for m, n in [(-1, 2), (2, -1)]:
+        with pytest.raises(inv.ConstraintViolation):
+            inv.criterion_check(m, n)
 
 
 def test_criterion_series_window():

@@ -1,6 +1,5 @@
 """Seiberg-Witten family series: Weierstrass data, contact term, periods."""
 
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -77,7 +76,7 @@ def _perturb_u0(monkeypatch):
     def perturbed(nf, prec):
         fam = build(nf, prec)
         if nf == 0:
-            fam = replace(fam, u=fam.u + QSeries.monomial(1))
+            fam = fam._replace(u=fam.u + QSeries.monomial(1))
         return fam
     monkeypatch.setattr(sw, "sw_family", perturbed)
 
