@@ -3,13 +3,14 @@
 from .exact import (Cyclo, DivisionByZero, IncompatibleOrder, root_of_unity,
                     unity)
 from .series import (InsufficientPrecision, IrrepresentableExponent,
-                     NotInvertible, PrecisionUnderflow, QSeries)
+                     NotInvertible, NotRational, PrecisionUnderflow,
+                     QSeries)
 
 __all__ = [
     "Cyclo", "QSeries",
     "DivisionByZero", "IncompatibleOrder",
-    "NotInvertible", "PrecisionUnderflow", "InsufficientPrecision",
-    "IrrepresentableExponent",
+    "NotInvertible", "NotRational", "PrecisionUnderflow",
+    "InsufficientPrecision", "IrrepresentableExponent",
     "root_of_unity", "unity",
 ]
 

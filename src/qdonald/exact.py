@@ -3,8 +3,11 @@
 Every series coefficient in this package is either a ``fractions.Fraction``
 or a :class:`Cyclo`, an element of the cyclotomic field Q(zeta_N) stored as
 a polynomial in zeta_N reduced modulo the N-th cyclotomic polynomial.  The
-default ambient order is N = 24, which contains every root of unity needed
-by the in-scope identities (zeta_8, zeta_24, i, sqrt(i)).
+series ring multiplies and inverts rational series only; a ``Cyclo`` is a
+scalar and the coefficient type that ``QSeries.shift_tau`` produces, and a
+series holding one is demoted to Fractions before a product.  The default
+ambient order is N = 24, which contains every root of unity needed by the
+in-scope identities (zeta_8, zeta_24, i, sqrt(i)).
 """
 
 from __future__ import annotations
@@ -96,10 +99,9 @@ def reduce_ints(n: int, poly) -> list:
     return p
 
 
-def poly_product(x, y, acc=None) -> list:
-    """The product of integer polynomials x and y, added into acc if given."""
-    if acc is None:
-        acc = [0] * (len(x) + len(y) - 1)
+def poly_product(x, y) -> list:
+    """The product of integer polynomials x and y."""
+    acc = [0] * (len(x) + len(y) - 1)
     for i, u in enumerate(x):
         if u:
             for j, v in enumerate(y):

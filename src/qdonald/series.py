@@ -7,16 +7,15 @@ series (a Laurent polynomial, known everywhere).  Coefficients are Fractions
 or :class:`~qdonald.exact.Cyclo` values.  Both are immutable, and so is a
 series, which is what makes memoizing series constructors safe.
 
-Products and inverses run on integers.  The coefficients of both operands
-lie in one field Q(zeta_L), L the lcm of their Cyclo orders (L = 1 when all
-are rational).  Each operand is cleared to one integer vector over one
-common denominator, coefficient k's phi(L) components at the integer index
-k (2 phi - 1) + i; a product coefficient has zeta-degree below 2 phi - 1,
-so the slots never overlap and the whole product is one integer
-convolution, after which each slot is reduced modulo the monic Phi_L and
-divided once.  A long dense convolution is one big-int multiply by
-Kronecker substitution (Harvey, arXiv:0712.4046); a short or sparse one is
-a loop over the nonzero pairs.
+The ring multiplies and inverts rational series only.  A ``Cyclo``
+coefficient comes from ``shift_tau`` (or from a ``Cyclo`` scalar); such a
+series adds, subtracts, scales and compares, but must be demoted to
+Fractions before a product, inverse, power or series division, which
+raise :class:`NotRational` otherwise.  Products and inverses run on
+integers: each operand is cleared to one integer vector over one common
+denominator, and the result is divided once.  A long dense convolution is
+one big-int multiply by Kronecker substitution (Harvey, arXiv:0712.4046);
+a short or sparse one is a loop over the nonzero pairs.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from fractions import Fraction
 from functools import wraps
 from math import gcd, lcm
 
-from .exact import (Cyclo, as_rational, clear, euler_phi, from_ints,
-                    poly_product, reduce_ints, root_of_unity)
+from .exact import Cyclo, as_rational, clear, from_ints, root_of_unity
 
 # An integer product loops over the nonzero pairs while their count is at
 # most this many times the number of Kronecker slots (both operands plus the
@@ -47,6 +45,10 @@ class InsufficientPrecision(ArithmeticError):
 
 
 class IrrepresentableExponent(ValueError):
+    pass
+
+
+class NotRational(TypeError):
     pass
 
 
@@ -341,13 +343,7 @@ class QSeries:
                 raise PrecisionUnderflow("inverse has an empty known window")
         else:
             n = self.prec - self.lead
-        u = self.coeffs[:n]
-        try:
-            cleared = clear(u)
-        except AttributeError:  # a Cyclo coefficient has no denominator
-            out = _cyclo_inverse(u, n)
-        else:
-            out = _int_inverse(*cleared, n)
+        out = _int_inverse(*_clear_rational(self.coeffs[:n]), n)
         return QSeries(self.ram, -self.lead, out, n - self.lead)
 
     def __truediv__(self, other):
@@ -410,17 +406,14 @@ class QSeries:
         out = []
         rational = True
         for i, c in enumerate(self.coeffs):
-            if not c:
+            t = k * (self.lead + i) % self.ram
+            if not c or t == 0:
                 out.append(c)
-                continue
-            tw = root_of_unity(self.ram, k * (self.lead + i))
-            r = as_rational(tw)
-            if r is not None:
-                v = c * r
+            elif 2 * t == self.ram:
+                out.append(-c)
             else:
-                v = tw * c
+                out.append(root_of_unity(self.ram, t) * c)
                 rational = False
-            out.append(v)
         if not rational:
             demoted, ok = [], True
             for c in out:
@@ -535,78 +528,20 @@ def _to_w(prec, ram: int, up: bool = True) -> int:
     return p.numerator // p.denominator
 
 
-def _order(*vectors) -> int:
-    """The least L with every coefficient in Q(zeta_L): the lcm of the Cyclo
-    orders."""
-    return lcm(*{c.order for v in vectors for c in v if type(c) is Cyclo})
-
-
-def _clear(coeffs, order: int):
-    """``(rows, den)``: coefficient k is sum_i rows[k][i] zeta_order^i / den,
-    with one integer for a rational coefficient and none for a zero."""
-    comps = [(c.promote(order).coeffs if type(c) is Cyclo else (c,)) if c
-             else () for c in coeffs]
-    den = lcm(*{v.denominator for row in comps for v in row})
-    return [[v.numerator * (den // v.denominator) for v in row] if row else ()
-            for row in comps], den
-
-
-def _cyclo_flags(x, big: int) -> list:
-    """big at a nonzero Cyclo, 1 at a nonzero rational, 0 at a zero."""
-    return [(big if type(c) is Cyclo else 1) if c else 0 for c in x]
+def _clear_rational(coeffs):
+    """:func:`~qdonald.exact.clear` of the rational coefficients of a ring
+    operand; a Cyclo coefficient, even a rational or zero one, is refused."""
+    try:
+        return clear(coeffs)
+    except AttributeError:  # a Cyclo coefficient has no denominator
+        raise NotRational("series products and inverses take rational "
+                          "coefficients; call .demote() first") from None
 
 
 def _product(x, y, n) -> list:
-    """The first n coefficients of the product of coefficient lists x and y."""
-    try:
-        (cx, dx), (cy, dy) = clear(x), clear(y)
-    except AttributeError:  # a Cyclo coefficient has no denominator
-        return _cyclo_product(x, y, n)
+    """The first n coefficients of the product of rational lists x and y."""
+    (cx, dx), (cy, dy) = _clear_rational(x), _clear_rational(y)
     return from_ints(_int_product(cx, cy, n), dx * dy)
-
-
-def _cyclo_product(x, y, n) -> list:
-    """:func:`_product` in Q(zeta_L), one slot of 2 phi(L) - 1 integers per
-    coefficient.
-
-    A coefficient is a Cyclo exactly when a nonzero Cyclo term met a nonzero
-    term at its exponent, as in the plain coefficient loop; a second
-    convolution, of 0/1 weights with the Cyclo terms weighted past any count
-    of rational pairs, finds those exponents.
-    """
-    big = n + 1
-    fx, fy = _cyclo_flags(x, big), _cyclo_flags(y, big)
-    # nonzero terms on a sublattice are multiplied without the zeros between
-    # them, before each term widens to a slot
-    g = gcd(*(i for i, f in enumerate(fx) if f),
-            *(j for j, f in enumerate(fy) if f))
-    if g > 1:
-        out = [_ZERO] * n
-        out[::g] = _cyclo_product(x[::g], y[::g], len(range(0, n, g)))
-        return out
-    order = _order(x, y)
-    w = 2 * euler_phi(order) - 1
-    (rx, dx), (ry, dy) = _clear(x, order), _clear(y, order)
-    ints = _int_product(_slots(rx, w), _slots(ry, w), n * w)
-    kinds = _int_product(fx, fy, n)
-    den = dx * dy
-    out = []
-    for k, kind in enumerate(kinds):
-        if kind >= big:
-            slot = reduce_ints(order, ints[k * w:(k + 1) * w])
-            out.append(Cyclo(order, from_ints(slot, den)))
-        else:
-            out.append(Fraction(ints[k * w], den) if ints[k * w] else _ZERO)
-    return out
-
-
-def _slots(rows, w) -> list:
-    """The integer rows laid out one slot of w entries per coefficient."""
-    ints = [0] * (w * len(rows))
-    for k, row in enumerate(rows):
-        if row:
-            ints[k * w:k * w + len(row)] = row
-    return ints
 
 
 def _int_product(x, y, n) -> list:
@@ -698,61 +633,6 @@ def _int_inverse(u, den, n) -> list:
     for v in vs:
         out.append(Fraction(den * v, power) if v else _ZERO)
         power *= u0
-    return out
-
-
-def _cyclo_inverse(u, n) -> list:
-    """The first n coefficients of 1 / (u_0 + u_1 q + ...) in Q(zeta_L), L
-    the lcm of the Cyclo orders in u.
-
-    With u = U / den over Z[zeta] and 1 / U_0 = J / e (J over Z[zeta], e an
-    integer), W = J U has W_0 = e and 1 / u = den J / W.  The loop of
-    :func:`_int_inverse` runs on V_m = (1/W)_m e^(m+1) in Z[zeta]: V_0 = 1
-    and V_m = -sum_k W_k e^(k-1) V_(m-k) over the nonzero W_k, reduced
-    modulo Phi_L once per m.  A coefficient is a Cyclo when u_0 is, or
-    when a Cyclo divisor term or a Cyclo earlier coefficient reaches it.
-    """
-    order = _order(u)
-    ph = euler_phi(order)
-    rows, den = _clear(u, order)
-    jinv, e = clear(Cyclo.from_poly(order, rows[0]).inverse().coeffs)
-    cyclo = [type(c) is Cyclo and bool(c) for c in u]
-    steps = []
-    scale = 1
-    for k in range(1, len(rows)):
-        if rows[k]:
-            wk = reduce_ints(order, poly_product(rows[k], jinv))
-            steps.append((k, [v * scale for v in wk], cyclo[k]))
-        scale *= e
-    vs = [None] * n
-    vs[0] = [1] + [0] * (ph - 1)
-    kinds = [cyclo[0]] * n
-    for m in range(1, n):
-        acc = None
-        kind = cyclo[0]
-        for k, wk, ck in steps:
-            if k > m:
-                break
-            v = vs[m - k]
-            if v is not None:
-                acc = poly_product(wk, v, acc)
-                kind = kind or ck or kinds[m - k]
-        if acc is not None:
-            v = reduce_ints(order, acc)
-            if any(v):
-                vs[m] = [-c for c in v]
-                kinds[m] = kind
-    out = []
-    power = e
-    for v, kind in zip(vs, kinds):
-        if v is not None:
-            comps = from_ints([den * c for c in
-                               reduce_ints(order, poly_product(jinv, v))],
-                              power)
-            out.append(Cyclo(order, comps) if kind else comps[0])
-        else:
-            out.append(_ZERO)
-        power *= e
     return out
 
 

@@ -244,7 +244,7 @@ def lerch_mu(spec: LerchSpec, prec) -> QSeries:
                     break
             n += direction
     bilateral = QSeries.from_terms(terms, top, ram=wram)
-    result = bilateral * theta.inverse()
+    result = schoolbook_mul(bilateral, schoolbook_inverse(theta))
     return result.truncate(prec).demote().reduce_ram()
 
 

@@ -1,12 +1,12 @@
 """The integer kernel of the series ring against the schoolbook oracles.
 
-``QSeries.__mul__``, ``inverse`` and ``__pow__`` clear operands to integers,
-a ``Cyclo`` coefficient to one slot of integer components, and convolve them
-by a loop over nonzero pairs or by Kronecker substitution, chosen from the
-operand shape.  These tests draw operands on both sides of that choice and
-compare the full window ``(ram, lead, prec, coeffs)``, and every
-coefficient's type, with the plain ``Fraction``/``Cyclo`` loops of
-``tests/oracles.py``.
+``QSeries.__mul__``, ``inverse`` and ``__pow__`` clear rational operands to
+integers and convolve them by a loop over nonzero pairs or by Kronecker
+substitution, chosen from the operand shape.  These tests draw operands on
+both sides of that choice and compare the full window
+``(ram, lead, prec, coeffs)``, and every coefficient's type, with the plain
+``Fraction`` loops of ``tests/oracles.py``.  An operand holding a ``Cyclo``
+coefficient raises ``NotRational``.
 """
 
 import random
@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import schoolbook_inverse, schoolbook_mul, schoolbook_pow
-from qdonald import Cyclo, PrecisionUnderflow, QSeries, root_of_unity
+from qdonald import (Cyclo, NotRational, PrecisionUnderflow, QSeries,
+                     root_of_unity)
 from qdonald import series
 from qdonald.exact import euler_phi
 
@@ -37,25 +38,14 @@ def _dense_cyclo(rng, kind, order=24):
 
 
 @st.composite
-def operands(draw, max_len=200, exact=None, cyclo=True):
-    """A nonzero series: its length, density, coefficient kind, leading
-    coefficient u_0, ramification, truncation and Cyclo content are drawn
-    independently.
-
-    The Cyclo content is none, a few zeta_8 multiples, or dense: every
-    nonzero coefficient (u_0 included, so not a unit of Z[zeta]) has all
-    eight components of Q(zeta_24) nonzero, three further coefficients are
-    Cyclo zeros, and one is an element of Q(zeta_8) with four nonzero
-    components.  Dense operands stay short: the oracle loops multiply
-    Cyclo values whose components grow to thousands of bits.
-    """
+def operands(draw, max_len=200, exact=None):
+    """A nonzero rational series: its length, density, coefficient kind,
+    leading coefficient u_0, ramification and truncation are drawn
+    independently."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     ram = draw(st.sampled_from([1, 2, 4, 8]))
     lead = draw(st.integers(-8, 8))
-    content = draw(st.sampled_from(["none", "none", "few", "dense"])
-                   if cyclo else st.just("none"))
-    n = draw(st.integers(1, min(max_len, 24) if content == "dense"
-                         else max_len))
+    n = draw(st.integers(1, max_len))
     density = draw(st.sampled_from([0.03, 0.2, 1.0]))
     kind = draw(st.sampled_from(["int", "pow2", "odd", "big"]))
     u0 = draw(st.sampled_from(["1", "-1", "2^k", "any"]))
@@ -63,15 +53,6 @@ def operands(draw, max_len=200, exact=None, cyclo=True):
               for _ in range(n)]
     coeffs[0] = {"1": F(1), "-1": F(-1), "2^k": F(-2) ** rng.randint(1, 12),
                  "any": _scalar(rng, kind) or F(3)}[u0]
-    if content == "few":
-        z = root_of_unity(8, 1)
-        for i in rng.sample(range(n), min(n, 3)):
-            coeffs[i] = z * (coeffs[i] or 1)
-    elif content == "dense":
-        coeffs = [_dense_cyclo(rng, kind) if c else c for c in coeffs]
-        for i in rng.sample(range(1, n), min(n - 1, 3)):
-            coeffs[i] = Cyclo.from_rational(0, 24)
-        coeffs[rng.randrange(n)] = _dense_cyclo(rng, kind, 8)
     coeffs = [F(c) if isinstance(c, int) else c for c in coeffs]
     if exact is None:
         exact = draw(st.booleans())
@@ -110,7 +91,7 @@ def test_power_matches_schoolbook(a, k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(operands(max_len=40, exact=True, cyclo=False), st.integers(0, 5))
+@given(operands(max_len=40, exact=True), st.integers(0, 5))
 def test_exact_power_matches_schoolbook(a, k):
     assert window(a ** k) == window(schoolbook_pow(a, k))
 
@@ -130,23 +111,82 @@ def test_scalar_product_matches_each_coefficient(a, kind):
         [getattr(x, "order", None) for x in expected.coeffs]
 
 
-def test_cyclo_zero_inside_the_window_stays_a_cyclo():
-    """(1 + z q)(1 - z q) has a Cyclo zero at q^1, as in the plain loop."""
-    z = root_of_unity(24, 5)
-    a, b = QSeries(1, 0, [F(1), z], None), QSeries(1, 0, [F(1), -z], None)
-    product = a * b
-    assert window(product) == window(schoolbook_mul(a, b))
-    assert type(product.coeffs[1]) is Cyclo and not product.coeffs[1]
+# _holding(c) is a truncated rational series with c at q^3; _OTHER is a
+# rational cofactor
+_RATIONAL = [F(2), F(-1), F(1, 3), F(0), F(5, 2), F(-7), F(1, 4), F(3)]
+_OTHER = QSeries(1, -1, [F(1), F(0), F(-2, 5), F(4), F(1, 7), F(-1), F(2),
+                         F(9)], 7)
+_OPERATIONS = {
+    "a * b": lambda a: a * _OTHER,
+    "b * a": lambda a: _OTHER * a,
+    "a.inverse()": lambda a: a.inverse(),
+    "e.inverse(prec)": lambda a: QSeries(a.ram, a.lead, a.coeffs,
+                                         None).inverse(6),
+    "a / b": lambda a: a / _OTHER,
+    "b / a": lambda a: _OTHER / a,
+    "a ** 2": lambda a: a ** 2,
+    "a ** -1": lambda a: a ** -1,
+}
+_CYCLO = {"zeta24": root_of_unity(24, 5), "zero": Cyclo.from_rational(0, 24),
+          "rational": Cyclo.from_rational(3, 24)}
 
 
-def test_inverse_type_follows_earlier_cyclo_coefficients():
-    """1 / (1 + q + q^2 + z q^5): the q^7 coefficient is reached from the
-    Cyclo coefficients at q^5 and q^6 only (z q^5 meets the zero at q^2),
-    so it is a Cyclo by inheritance, as in the plain loop."""
-    z = root_of_unity(24, 5)
-    s = QSeries(1, 0, [F(1), F(1), F(1), F(0), F(0), z, F(0), F(0), F(0)], 9)
-    assert window(s.inverse()) == window(schoolbook_inverse(s))
-    assert type(s.inverse().coeffs[7]) is Cyclo
+def _holding(c) -> QSeries:
+    coeffs = list(_RATIONAL)
+    coeffs[3] = c
+    return QSeries(1, 0, coeffs, len(coeffs))
+
+
+@pytest.mark.parametrize("kind", sorted(_CYCLO))
+@pytest.mark.parametrize("op", sorted(_OPERATIONS))
+def test_cyclo_operand_raises_not_rational(op, kind):
+    """Any Cyclo coefficient, a zero or a rational value included, stops a
+    product, inverse, division or power with the one named error."""
+    with pytest.raises(NotRational, match=r"\.demote\(\)"):
+        _OPERATIONS[op](_holding(_CYCLO[kind]))
+
+
+@pytest.mark.parametrize("kind", ["zero", "rational"])
+@pytest.mark.parametrize("op", sorted(_OPERATIONS))
+def test_demoted_operand_gives_the_fraction_result(op, kind):
+    """A rational-valued Cyclo demotes to its Fraction, and the operation
+    then equals the one on the plain Fraction series."""
+    c = _CYCLO[kind]
+    plain = _holding(c.as_rational())
+    assert _holding(c).demote() == plain
+    assert window(_OPERATIONS[op](_holding(c).demote())) == \
+        window(_OPERATIONS[op](plain))
+
+
+@pytest.mark.parametrize("op", sorted(_OPERATIONS))
+def test_irrational_operand_still_raises_after_demote(op):
+    with pytest.raises(NotRational):
+        _OPERATIONS[op](_holding(_CYCLO["zeta24"]).demote())
+
+
+def test_sign_twists_build_no_root_of_unity(monkeypatch):
+    """shift_tau multiplies by the sign where zeta_ram^(k m) is 1 or -1: a
+    rational series with only such twists shifts and round-trips without
+    building a Cyclo."""
+    def no_root(*args):
+        raise AssertionError("shift_tau built a root of unity")
+    monkeypatch.setattr(series, "root_of_unity", no_root)
+    rng = random.Random(7)
+    s2 = QSeries(2, -3, [F(rng.randint(-9, 9), rng.randint(1, 5))
+                         for _ in range(30)], 27)
+    twisted = s2.shift_tau(1)
+    assert twisted == QSeries(2, -3, [(-1) ** (m % 2) * c for m, c in
+                                      enumerate(s2.coeffs, -3)], 27)
+    assert twisted.shift_tau(1) == s2 and twisted.shift_tau(-1) == s2
+    # on the 1/8 grid with even w-exponents only, tau -> tau + 2 twists by
+    # i^m = +-1
+    s8 = QSeries(8, -4, [F(m + 5, 3) if m % 2 == 0 else F(0)
+                         for m in range(-4, 36)], 36)
+    twisted = s8.shift_tau(2)
+    assert twisted == QSeries(8, -4, [(-1) ** (m // 2 % 2) * c for m, c in
+                                      enumerate(s8.coeffs, -4)], 36)
+    assert twisted.shift_tau(2) == s8 and twisted.shift_tau(-2) == s8
+    assert all(type(c) is F for c in twisted.coeffs)
 
 
 def _int_schoolbook(x, y, n):
@@ -174,9 +214,7 @@ def test_kronecker_matches_int_schoolbook(x, y, n):
 def test_every_product_path_is_taken(monkeypatch):
     """A short or sparse product stays a pair loop; a long dense one is one
     Kronecker multiply, packed without the zeros of a common sublattice.
-    A Cyclo product runs on the same kernel: one convolution of its integer
-    components (15 slots per coefficient in Q(zeta_24)) and one of its type
-    weights.  Each agrees with the oracle."""
+    Each agrees with the oracle."""
     packed = []
     kronecker = series._kronecker
     monkeypatch.setattr(series, "_kronecker", lambda x, y, n, terms:
@@ -186,13 +224,8 @@ def test_every_product_path_is_taken(monkeypatch):
     sparse = QSeries.from_terms({k * k: F(1) for k in range(12)}, 150)
     short = QSeries(1, -1, [F(1), F(-3, 2)], None)
     spread = dense.to_ram(4)
-    zdense = QSeries(1, 0, [_dense_cyclo(rng, "odd") for _ in range(60)], 60)
-    zspread = zdense.to_ram(4)
     for a, b, lengths in ((dense, dense, [150]), (dense, sparse, []),
-                          (dense, short, []), (spread, spread, [150]),
-                          (zdense, zdense, [60 * 15, 60]),
-                          (zspread, zspread, [60 * 15, 60]),
-                          (zdense, short, [])):
+                          (dense, short, []), (spread, spread, [150])):
         packed.clear()
         assert window(a * b) == window(schoolbook_mul(a, b))
         assert packed == lengths
