@@ -26,13 +26,13 @@ def _euler_product(arg: int, prec) -> QSeries:
     top = ceil(prec)
     terms = {}
     k = 1
-    terms[0] = Fraction(1)
+    terms[0] = 1
     while True:
         e1 = arg * k * (3 * k - 1) // 2
         e2 = arg * k * (3 * k + 1) // 2
         if e1 >= top and e2 >= top:
             break
-        s = Fraction(-1) if k % 2 else Fraction(1)
+        s = -1 if k % 2 else 1
         if e1 < top:
             terms[e1] = s
         if e2 < top:
@@ -93,13 +93,13 @@ def theta_big(which: int, prec) -> QSeries:
     if which == 2:
         n = 0
         while (2 * n + 1) ** 2 < top:
-            terms[(2 * n + 1) ** 2] = Fraction(1)
+            terms[(2 * n + 1) ** 2] = 1
             n += 1
     elif which in (3, 4):
-        terms[0] = Fraction(1)
+        terms[0] = 1
         n = 1
         while 4 * n * n < top:
-            c = Fraction(2) if which == 3 else Fraction(2 if n % 2 == 0 else -2)
+            c = 2 if which == 3 or n % 2 == 0 else -2
             terms[4 * n * n] = c
             n += 1
     else:
@@ -113,8 +113,9 @@ def vartheta(which: int, prec) -> QSeries:
     Theta3(tau/8) and Theta4(tau/8) on the q^(1/2) grid."""
     step = 1 if which == 2 else 4  # the lattice sum's exponents lie in step*Z
     base = theta_big(which, prec * 8)
-    series = QSeries(8 // step, -(-base.lead // step), base.coeffs[::step],
-                     -(-base.prec // step))
+    series = QSeries.from_numerators(8 // step, -(-base.lead // step),
+                                     base.nums[::step], base.den,
+                                     -(-base.prec // step))
     return 2 * series if which == 2 else series
 
 
@@ -134,9 +135,9 @@ def eisenstein_e2(prec) -> QSeries:
     """E_2 = 1 - 24 sum sigma_1(n) q^n."""
     top = ceil(prec)
     sig = _sigma1_table(top)
-    terms = {0: Fraction(1)}
+    terms = {0: 1}
     for n in range(1, top):
-        terms[n] = Fraction(-24 * sig[n])
+        terms[n] = -24 * sig[n]
     return QSeries.from_terms(terms, top)
 
 
@@ -148,9 +149,9 @@ def eisenstein_estar(prec) -> QSeries:
     for d in range(1, top, 2):
         for m in range(d, top, d):
             sig[m] += d
-    terms = {0: Fraction(1)}
+    terms = {0: 1}
     for n in range(1, top):
-        terms[n] = Fraction(24 * sig[n])
+        terms[n] = 24 * sig[n]
     return QSeries.from_terms(terms, top)
 
 
@@ -159,7 +160,7 @@ def eisenstein_eodd(prec) -> QSeries:
     """E_odd = sum sigma_1(2n+1) q^(2n+1)."""
     top = ceil(prec)
     sig = _sigma1_table(top)
-    terms = {n: Fraction(sig[n]) for n in range(1, top, 2)}
+    terms = {n: sig[n] for n in range(1, top, 2)}
     return QSeries.from_terms(terms, top)
 
 
@@ -177,14 +178,12 @@ def form_b(prec) -> QSeries:
 
 
 def _sieve(series: QSeries, residue: int, modulus: int) -> QSeries:
-    terms = {}
     r = series.reduce_ram()
     if r.ram != 1:
         raise ValueError("sieving expects integer exponents")
-    for e, c in r.terms():
-        if e.numerator % modulus == residue:
-            terms[e.numerator] = c
-    return QSeries.from_terms(terms, r.prec_q())
+    kept = [v if m % modulus == residue else 0
+            for m, v in enumerate(r.nums, r.lead)]
+    return QSeries.from_numerators(1, r.lead, kept, r.den, r.prec)
 
 
 @memo

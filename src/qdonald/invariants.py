@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial
+from math import comb, factorial, lcm
 from operator import mul
 
 from . import forms, mock
@@ -100,15 +100,15 @@ def _reads(family, w: int) -> tuple:
            for k, p in enumerate(kernels) for e in ladder[:w + 1 - k]):
         raise InsufficientPrecision("kernel window too short to read")
     count = max((t0 - min(p.lead for p in kernels)) // dt + 1, 0)
-    eints = [clear(e.coeffs) for e in ladder]
     reads = {}
     for k, p in enumerate(kernels):
-        ints, den = clear(p.coeffs)
+        ints, den = p.nums, p.den
         # P_k at q^-x, q^-x - 1/e2.ram, ...: what E_l from q^0 up meets
         cols = [ints[t0 - a * dt - p.lead::-r] if t0 - a * dt >= p.lead
                 else [] for a in range(count)]
-        for l, (e, eden) in enumerate(eints[:w + 1 - k]):
-            reads[k, l] = [sum(map(mul, e, col)) for col in cols], den * eden
+        for l, e in enumerate(ladder[:w + 1 - k]):
+            reads[k, l] = ([sum(map(mul, e.nums, col)) for col in cols],
+                           den * e.den)
     return reads, [start + a * step for a in range(count)]
 
 
@@ -121,7 +121,12 @@ def _slot(family, w: int, xs, t=None) -> tuple:
             mock.q_transform_s(ps) if family == 3 else mock.q_plus(ps))
     if slot.prec_q() < ps:
         raise InsufficientPrecision("slot window too short for the pairing")
-    return clear([slot.coeff(x) for x in xs])
+    # the points lie below ps, on the family's grid 1/ram
+    ram = lcm(slot.ram, _FAMILIES[family][2])
+    slot = slot.to_ram(ram)
+    nums, lead = slot.nums, slot.lead
+    at = [int(x * ram) - lead for x in xs]
+    return [nums[i] if 0 <= i < len(nums) else 0 for i in at], slot.den
 
 
 # ---------------------------------------------------------------------------
@@ -144,19 +149,32 @@ def _goettsche_rows(m: int, n: int):
 
 
 def goettsche_weight(w: int) -> list:
-    """The Goettsche pairing sums for p^m S^(2n), m + n = w, by m.  The
-    kernels against F_2s are P_k E_l with k + l = w - s: each is paired with
-    its slot once, and a cell sums its rows over those pairings."""
+    """The Goettsche pairing sums for p^m S^(2n), m + n = w, by m.
+
+    Row (l, j) of cell (m, n) pairs P_k E_(l-j), k = m + j, with F_2s, s =
+    n - l; as k + l - j = w - s, the kernel depends on (s, l - j) only.  So
+    each kernel is paired with its slot once, on integers over one
+    denominator big, and T[s, l] = sum_j (-1)^j C(l, j) pair(s, l - j) once
+    per (s, l); cell n is then 8 (-1)^n (2n)! / big sum_l T[n - l, l] /
+    (6^l (2n - 2l)! l!), O(n) terms."""
     reads, xs = _reads("goettsche", w)
     pairs = {}
     for s in range(w + 1):
         sv, sden = _slot("goettsche", w, xs, 2 * s)
         for l in range(w - s + 1):
             ints, den = reads[w - s - l, l]
-            pairs[2 * s, l] = Fraction(sum(map(mul, ints, sv)), den * sden)
-    return [sum((c * pairs[t, l] for _, c, _, l, t, _
-                 in _goettsche_rows(m, w - m)), Fraction(0))
-            for m in range(w + 1)]
+            pairs[s, l] = sum(map(mul, ints, sv)), den * sden
+    big = lcm(*(d for _, d in pairs.values()))
+    pairs = {key: v * (big // d) for key, (v, d) in pairs.items()}
+    t = {(s, l): sum((-1) ** j * comb(l, j) * pairs[s, l - j]
+                     for j in range(l + 1)) for s, l in pairs}
+    cells = []
+    for m in range(w + 1):
+        n = w - m
+        total = sum(factorial(2 * n) // (factorial(2 * n - 2 * l) * factorial(l))
+                    * 6 ** (n - l) * t[n - l, l] for l in range(n + 1))
+        cells.append(Fraction(8 * (-1) ** n * total, big * 6 ** n))
+    return cells
 
 
 def goettsche_phi(k: int, m: int, n: int) -> Fraction:

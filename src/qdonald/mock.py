@@ -37,14 +37,14 @@ def cal_f(t: int, prec) -> QSeries:
     terms: dict = {}
     beta = 0
     while 4 * (beta + 1) ** 2 - (2 * beta + 1) ** 2 < top:
-        w = Fraction((2 * beta + 1) ** t)
+        w = (2 * beta + 1) ** t
         alpha = beta + 1
         while True:
             e = 4 * alpha * alpha - (2 * beta + 1) ** 2
             if e >= top:
                 break
             s = w if (alpha + beta) % 2 == 0 else -w
-            terms[e] = terms.get(e, Fraction(0)) + s
+            terms[e] = terms.get(e, 0) + s
             alpha += 1
         beta += 1
     return QSeries.from_terms(terms, top)
@@ -106,8 +106,8 @@ def lerch_mu_weighted(t: int, prec) -> QSeries:
         e = 8 * n + 4
         x = 0
         while base + e * x <= top:
-            w = Fraction((2 * x + 1) ** t * sgn)
-            terms[base + e * x] = terms.get(base + e * x, Fraction(0)) + w
+            w = (2 * x + 1) ** t * sgn
+            terms[base + e * x] = terms.get(base + e * x, 0) + w
             x += 1
         n += 1
     n = -1
@@ -117,8 +117,8 @@ def lerch_mu_weighted(t: int, prec) -> QSeries:
         e = -(8 * n + 4)
         x = 1
         while base + e * x <= top:
-            w = Fraction((2 * x - 1) ** t * sgn)
-            terms[base + e * x] = terms.get(base + e * x, Fraction(0)) - w
+            w = (2 * x - 1) ** t * sgn
+            terms[base + e * x] = terms.get(base + e * x, 0) - w
             x += 1
         n -= 1
     s = QSeries.from_terms(terms, top)

@@ -3,28 +3,35 @@
 A :class:`QSeries` stores coefficients for exponents m/ram with integer m in
 the window [lead, prec); everything below ``lead`` is exactly zero and
 everything at or above ``prec`` is unknown.  ``prec is None`` marks an exact
-series (a Laurent polynomial, known everywhere).  Coefficients are Fractions
-or :class:`~qdonald.exact.Cyclo` values.  Both are immutable, and so is a
-series, which is what makes memoizing series constructors safe.
+series (a Laurent polynomial, known everywhere).  A series is immutable,
+which is what makes memoizing series constructors safe.
 
-The ring multiplies and inverts rational series only.  A ``Cyclo``
-coefficient comes from ``shift_tau`` (or from a ``Cyclo`` scalar); such a
-series adds, subtracts, scales and compares, but must be demoted to
-Fractions before a product, inverse, power or series division, which
-raise :class:`NotRational` otherwise.  Products and inverses run on
-integers: each operand is cleared to one integer vector over one common
-denominator, and the result is divided once.  A long dense convolution is
-one big-int multiply by Kronecker substitution (Harvey, arXiv:0712.4046);
-a short or sparse one is a loop over the nonzero pairs.
+A rational series is one integer vector over one denominator: the
+coefficient at exponent (lead + i)/ram is ``nums[i] / den``, with ``den``
+positive, ``gcd(den, *nums) == 1`` and no leading zero.  Every ring
+operation (products, inverses, powers, sums and rational scalars), every
+window or grid change and ``qdq`` run on those integers, and each result is
+reduced once.  ``coeffs``, the tuple of Fraction coefficients, is a view
+built on its first read.  A long dense convolution is one big-int multiply
+by Kronecker substitution (Harvey, arXiv:0712.4046); a short or sparse one
+is a loop over the nonzero pairs.
+
+Only a series that holds a :class:`~qdonald.exact.Cyclo` coefficient (from
+``shift_tau`` or a ``Cyclo`` scalar) keeps a coefficient tuple, as ``nums``
+with ``den`` None.  Such a series adds, subtracts, scales and compares, but
+must be demoted to Fractions before a product, inverse, power or series
+division, which raise :class:`NotRational` otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
+from itertools import islice
 from math import gcd, lcm
+from operator import add
 
-from .exact import Cyclo, as_rational, clear, from_ints, root_of_unity
+from .exact import Cyclo, as_rational, clear, root_of_unity
 
 # An integer product loops over the nonzero pairs while their count is at
 # most this many times the number of Kronecker slots (both operands plus the
@@ -53,6 +60,8 @@ class NotRational(TypeError):
 
 
 _ZERO = Fraction(0)
+_NOT_RATIONAL = ("series products and inverses take rational coefficients; "
+                 "call .demote() first")
 
 
 def memo(fn):
@@ -84,48 +93,80 @@ def memo(fn):
 
 
 class QSeries:
-    __slots__ = ("ram", "lead", "prec", "coeffs")
+    __slots__ = ("ram", "lead", "prec", "nums", "den", "_coeffs")
 
     def __init__(self, ram: int, lead: int, coeffs, prec):
-        """Normalize: strip known-zero leading terms; exact series also strip
-        trailing zeros.  ``prec`` is in w-units (w = q^(1/ram)), exclusive."""
+        """From scalar coefficients (ints, Fractions or Cyclos) on the window
+        [lead, prec), in w-units (w = q^(1/ram)), exclusive."""
         coeffs = list(coeffs)
         if prec is not None and len(coeffs) != max(prec - lead, 0):
             raise ValueError("coefficient window does not match [lead, prec)")
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            lead += 1
+        self._set(ram, lead, coeffs, None, prec)
+
+    def _set(self, ram, lead, vals, den, prec):
+        """Normalize and store: strip known-zero leading terms; exact series
+        also strip trailing zeros.  ``vals`` are integers over ``den`` in
+        lowest terms, or scalars when ``den`` is None; scalars with no Cyclo
+        among them are cleared to integers over one denominator."""
+        top = len(vals)
+        i = 0
+        while i < top and not vals[i]:
+            i += 1
         if prec is None:
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-        if not coeffs:
+            while top > i and not vals[top - 1]:
+                top -= 1
+        if i == top:
+            vals, den = (), 1
             lead = prec if prec is not None else 0
-        object.__setattr__(self, "ram", ram)
-        object.__setattr__(self, "lead", lead)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        else:
+            if i or top < len(vals):
+                vals = vals[i:top]
+            lead += i
+            if den is None:
+                if Cyclo in set(map(type, vals)):
+                    vals = tuple(c if isinstance(c, Cyclo) else Fraction(c)
+                                 for c in vals)
+                    object.__setattr__(self, "_coeffs", vals)
+                else:
+                    vals, den = clear(vals)
+        put = object.__setattr__
+        put(self, "ram", ram)
+        put(self, "lead", lead)
+        put(self, "prec", prec)
+        put(self, "nums", tuple(vals))
+        put(self, "den", den)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("QSeries values are immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients on [lead, lead + len(nums)): Fractions, built on
+        the first read, or the stored tuple of a Cyclo-holding series."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.den
+            view = tuple(Fraction(v, den) if v else _ZERO for v in self.nums)
+            object.__setattr__(self, "_coeffs", view)
+            return view
 
     # ------------------------------------------------------------------
     # constructors
     @staticmethod
     def zero(prec=None, ram: int = 1) -> "QSeries":
         w = None if prec is None else _to_w(prec, ram, up=False)
-        return QSeries(ram, w if w is not None else 0, [], w)
+        return _make(ram, 0, (), 1, w)
 
     @staticmethod
     def one() -> "QSeries":
-        return QSeries(1, 0, [Fraction(1)], None)
+        return _make(1, 0, (1,), 1, None)
 
     @staticmethod
     def monomial(exponent, coeff=1) -> "QSeries":
         """Exact c*q^exponent for rational exponent."""
         e = Fraction(exponent)
-        ram = e.denominator
-        c = coeff if isinstance(coeff, Cyclo) else Fraction(coeff)
-        return QSeries(ram, e.numerator, [c], None)
+        return QSeries(e.denominator, e.numerator, [coeff], None)
 
     @staticmethod
     def from_terms(terms, prec, ram: int = 1) -> "QSeries":
@@ -135,27 +176,35 @@ class QSeries:
         extends past the exponents the caller actually filled in.
         """
         w = None if prec is None else _to_w(prec, ram, up=False)
-        if not terms:
-            return QSeries.zero(prec, ram)
-        lo = min(terms)
-        hi = (max(terms) + 1) if w is None else w
         if w is not None:
             terms = {m: c for m, c in terms.items() if m < w}
-            if not terms:
-                return QSeries(ram, w, [], w)
-            lo = min(terms)
-        coeffs = [_ZERO] * (hi - lo)
+        if not terms:
+            return _make(ram, 0, (), 1, w)
+        lo = min(terms)
+        vals = [0] * ((max(terms) + 1 if w is None else w) - lo)
         for m, c in terms.items():
-            coeffs[m - lo] = c if isinstance(c, Cyclo) else Fraction(c)
-        return QSeries(ram, lo, coeffs, w)
+            vals[m - lo] = c
+        return _make(ram, lo, vals, None, w)
+
+    @staticmethod
+    def from_numerators(ram: int, lead: int, nums, den: int = 1,
+                        prec=None) -> "QSeries":
+        """The series with coefficient nums[i] / den at w^(lead+i), w =
+        q^(1/ram), on the window [lead, prec) in w-units; den > 0."""
+        nums = list(nums)
+        if prec is not None and len(nums) != max(prec - lead, 0):
+            raise ValueError("coefficient window does not match [lead, prec)")
+        if den <= 0:
+            raise ValueError("the common denominator must be positive")
+        return _make(ram, lead, *_lowest(nums, den), prec)
 
     # ------------------------------------------------------------------
     # inspectors
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def valuation(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero series has no valuation")
         return Fraction(self.lead, self.ram)
 
@@ -174,9 +223,13 @@ class QSeries:
             raise InsufficientPrecision(
                 f"coefficient at {Fraction(exponent)} beyond precision "
                 f"{Fraction(self.prec, self.ram)}")
-        if m < self.lead or m >= self.lead + len(self.coeffs):
+        i = m - self.lead
+        if i < 0 or i >= len(self.nums):
             return _ZERO
-        return self.coeffs[m - self.lead]
+        if self.den is None:
+            return self.nums[i]
+        v = self.nums[i]
+        return Fraction(v, self.den) if v else _ZERO
 
     def constant_term(self):
         """Coefficient of q^0; a hard error when 0 is outside the window."""
@@ -186,9 +239,11 @@ class QSeries:
 
     def terms(self):
         """Iterate (q-exponent, coefficient) over nonzero stored terms."""
-        for i, c in enumerate(self.coeffs):
+        ram, lead, den = self.ram, self.lead, self.den
+        for i, c in enumerate(self.nums):
             if c:
-                yield Fraction(self.lead + i, self.ram), c
+                yield (Fraction(lead + i, ram),
+                       c if den is None else Fraction(c, den))
 
     def support_mod(self, modulus: Fraction) -> set:
         """Residues (q-exponents mod modulus) carrying nonzero terms."""
@@ -206,43 +261,41 @@ class QSeries:
     def _spread(self, s: int, ram: int) -> "QSeries":
         """Stretch every w-exponent by s and read the result on the 1/ram
         grid, padding the window with zeros up to the stretched precision."""
-        coeffs = [_ZERO] * (s * (len(self.coeffs) - 1) + 1) if self.coeffs else []
-        coeffs[::s] = self.coeffs
+        nums, zero = self.nums, self._zero()
+        vals = [zero] * (s * (len(nums) - 1) + 1) if nums else []
+        vals[::s] = nums
         lead = self.lead * s
         prec = None if self.prec is None else self.prec * s
-        if prec is not None and coeffs:
-            coeffs += [_ZERO] * (prec - lead - len(coeffs))
-        return QSeries(ram, lead, coeffs, prec)
+        if prec is not None and vals:
+            vals += [zero] * (prec - lead - len(vals))
+        return _make(ram, lead, vals, self.den, prec)
 
     def reduce_ram(self) -> "QSeries":
         """Shrink the ramification when all nonzero exponents allow it.  With
         no known nonzero term the window's bound must lie on the coarser
         grid, so that the window claims no exponent it did not cover."""
         g = self.ram
-        if not self.coeffs and self.prec is not None:
+        if not self.nums and self.prec is not None:
             g = gcd(g, self.prec)
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.nums):
             if c:
                 g = gcd(g, self.lead + i)
                 if g == 1:
                     return self
         if g == 1:
             return self
-        ram = self.ram // g
-        lead = -((-self.lead) // g)
         prec = None if self.prec is None else (self.prec + g - 1) // g
-        coeffs = []
-        if self.coeffs:
-            hi = prec if prec is not None else (self.lead + len(self.coeffs) - 1) // g + 1
-            coeffs = [_ZERO] * (hi - lead)
-            for i, c in enumerate(self.coeffs):
-                if c:
-                    coeffs[(self.lead + i) // g - lead] = c
-        return QSeries(ram, lead, coeffs, prec)
+        # the lead is a nonzero exponent, so a multiple of g
+        return _make(self.ram // g, self.lead // g, self.nums[::g], self.den,
+                     prec)
 
     def _align(self, other: "QSeries"):
         ram = lcm(self.ram, other.ram)
         return self.to_ram(ram), other.to_ram(ram)
+
+    def _zero(self):
+        """The zero that pads this series' stored values."""
+        return _ZERO if self.den is None else 0
 
     # ------------------------------------------------------------------
     # ring operations
@@ -252,32 +305,43 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._align(other)
-        if a.is_zero() and not a.coeffs and a.prec is None:
+        if not a.nums and a.prec is None:
             return b
-        if b.is_zero() and not b.coeffs and b.prec is None:
+        if not b.nums and b.prec is None:
             return a
         precs = [p for p in (a.prec, b.prec) if p is not None]
         prec = min(precs) if precs else None
-        los = [s.lead for s in (a, b) if s.coeffs]
-        if not los:
-            return QSeries(a.ram, prec or 0, [], prec)
-        lo = min(los)
+        parts = [s for s in (a, b) if s.nums]
+        if not parts:
+            return _make(a.ram, 0, (), 1, prec)
+        lo = min(s.lead for s in parts)
         hi = prec
         if hi is None:
-            hi = max(s.lead + len(s.coeffs) for s in (a, b) if s.coeffs)
-        out = [_ZERO] * max(hi - lo, 0)
-        for s in (a, b):
-            for i, c in enumerate(s.coeffs):
-                m = s.lead + i
-                if m < hi and c:
-                    out[m - lo] = out[m - lo] + c
-        return QSeries(a.ram, lo, out, prec)
+            hi = max(s.lead + len(s.nums) for s in parts)
+        if a.den is None or b.den is None:
+            out = [_ZERO] * max(hi - lo, 0)
+            for s in parts:
+                for i, c in enumerate(s.coeffs):
+                    m = s.lead + i
+                    if m < hi and c:
+                        out[m - lo] = out[m - lo] + c
+            return _make(a.ram, lo, out, None, prec)
+        den = lcm(a.den, b.den)
+        out = [0] * max(hi - lo, 0)
+        for s in parts:
+            n = min(len(s.nums), hi - s.lead)
+            if n > 0:
+                f, i = den // s.den, s.lead - lo
+                vals = s.nums[:n] if f == 1 else [v * f for v in s.nums[:n]]
+                out[i:i + n] = map(add, out[i:i + n], vals)
+        return _make(a.ram, lo, *_lowest(out, den), prec)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return QSeries(self.ram, self.lead, [-c for c in self.coeffs], self.prec)
+        return _make(self.ram, self.lead, [-v for v in self.nums], self.den,
+                     self.prec)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
@@ -292,25 +356,24 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
             if not other:
-                prec = self.prec_q()
-                return QSeries.zero(prec, self.ram)
+                return QSeries.zero(self.prec_q(), self.ram)
+            if self.den is not None and not isinstance(other, Cyclo):
+                return self._scaled(other.numerator, other.denominator)
             zero = _ZERO * other  # a rational zero times other, made once
-            return QSeries(self.ram, self.lead,
-                           [c * other if c or type(c) is Cyclo else zero
-                            for c in self.coeffs], self.prec)
+            return _make(self.ram, self.lead,
+                         [c * other if c or type(c) is Cyclo else zero
+                          for c in self.coeffs], None, self.prec)
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._align(other)
-        if not a.coeffs or not b.coeffs:
+        if not a.nums or not b.nums:
             # zero times anything: known zero; precision from the zero window
             precs = []
             for z, s in ((a, b), (b, a)):
-                if not z.coeffs and z.prec is not None:
-                    precs.append(z.prec + (s.lead if s.coeffs else 0))
-            if a.prec is None and b.prec is None:
-                return QSeries(a.ram, 0, [], None)
+                if not z.nums and z.prec is not None:
+                    precs.append(z.prec + (s.lead if s.nums else 0))
             prec = min(precs) if precs else None
-            return QSeries(a.ram, prec if prec is not None else 0, [], prec)
+            return _make(a.ram, 0, (), 1, prec)
         lead = a.lead + b.lead
         cands = []
         if a.prec is not None:
@@ -321,19 +384,31 @@ class QSeries:
         if prec is not None and prec <= lead:
             raise PrecisionUnderflow("product has an empty known window")
         n = (prec if prec is not None
-             else lead + len(a.coeffs) + len(b.coeffs) - 1) - lead
-        out = _product(a.coeffs[:n], b.coeffs[:n], n)
-        return QSeries(a.ram, lead, out, prec)
+             else lead + len(a.nums) + len(b.nums) - 1) - lead
+        (x, dx), (y, dy) = _operand(a, n), _operand(b, n)
+        return _make(a.ram, lead, *_lowest(_int_product(x, y, n), dx * dy),
+                     prec)
 
     def __rmul__(self, other):
         return self.__mul__(other)
+
+    def _scaled(self, num: int, den: int) -> "QSeries":
+        """self * num/den for a rational series and a nonzero num/den in
+        lowest terms (den > 0); the two gcds keep the result in lowest terms
+        without a gcd over the products."""
+        g, h = gcd(num, self.den), gcd(den, *self.nums)
+        f = num // g
+        nums = self.nums if f == 1 and h == 1 else \
+            [v // h * f for v in self.nums]
+        return _make(self.ram, self.lead, nums, self.den // g * (den // h),
+                     self.prec)
 
     def inverse(self, prec=None) -> "QSeries":
         """Multiplicative inverse.  An exact series has an infinite inverse,
         so it needs ``prec``: the q-exponent below which the result is known.
         A truncated series ignores ``prec``; its own window sets the result's.
         """
-        if not self.coeffs:
+        if not self.nums:
             raise NotInvertible("inverse of a zero series")
         if self.prec is None:
             if prec is None:
@@ -343,8 +418,19 @@ class QSeries:
                 raise PrecisionUnderflow("inverse has an empty known window")
         else:
             n = self.prec - self.lead
-        out = _int_inverse(*_clear_rational(self.coeffs[:n]), n)
-        return QSeries(self.ram, -self.lead, out, n - self.lead)
+        u, den = _operand(self, n)
+        # out_m = den V_m / u_0^(m+1) = den V_m u_0^(n-1-m) / u_0^n
+        out, power = [], 1
+        for v in reversed(_int_inverse(u, n)):
+            out.append(den * v * power)
+            power *= u[0]
+        if power < 0:
+            out, power = [-v for v in out], -power
+        g = gcd(power, *out)  # from the highest term, where u_0 divides least
+        out.reverse()
+        if g > 1:
+            out, power = [v // g for v in out], power // g
+        return _make(self.ram, -self.lead, out, power, n - self.lead)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
@@ -362,7 +448,7 @@ class QSeries:
             # inverse is needed up to bound - val(self), and a zero numerator
             # needs only its first term
             bound = self.prec_q() - other.valuation()
-            need = bound - self.valuation() if self.coeffs \
+            need = bound - self.valuation() if self.nums \
                 else Fraction(1, other.ram) - other.valuation()
             return (self * other.inverse(need)).truncate(bound)
         return self * other.inverse()
@@ -372,14 +458,15 @@ class QSeries:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = QSeries.one()
-        base = self
+        if k and self.den is None:
+            raise NotRational(_NOT_RATIONAL)
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return QSeries.one() if result is None else result
 
     # ------------------------------------------------------------------
     # operators beyond the ring structure
@@ -388,10 +475,15 @@ class QSeries:
         w = _to_w(prec, self.ram)
         if self.prec is not None and self.prec <= w:
             return self
-        coeffs = list(self.coeffs[:max(w - self.lead, 0)])
+        keep = max(w - self.lead, 0)
+        nums, den = self.nums[:keep], self.den
+        if den is not None and keep < len(self.nums):
+            nums, den = _lowest(nums, den)
         lead = min(self.lead, w)
-        coeffs += [_ZERO] * (w - lead - len(coeffs))
-        return QSeries(self.ram, lead, coeffs, w)
+        pad = w - lead - len(nums)
+        if pad:
+            nums = list(nums) + [self._zero()] * pad
+        return _make(self.ram, lead, nums, den, w)
 
     def rescale(self, num: int, den: int = 1) -> "QSeries":
         """Argument rescaling tau -> (num/den) tau, i.e. q -> q^(num/den)."""
@@ -403,28 +495,27 @@ class QSeries:
         """tau -> tau + k: multiply the w^m coefficient by zeta_ram^(k m)."""
         if self.ram == 1 or k % self.ram == 0:
             return self
+        ram, lead, den = self.ram, self.lead, self.den
         out = []
         rational = True
-        for i, c in enumerate(self.coeffs):
-            t = k * (self.lead + i) % self.ram
+        for i, c in enumerate(self.nums):
+            t = k * (lead + i) % ram
             if not c or t == 0:
                 out.append(c)
-            elif 2 * t == self.ram:
+            elif 2 * t == ram:
                 out.append(-c)
             else:
-                out.append(root_of_unity(self.ram, t) * c)
+                out.append(root_of_unity(ram, t)
+                           * (c if den is None else Fraction(c, den)))
                 rational = False
-        if not rational:
-            demoted, ok = [], True
-            for c in out:
-                r = as_rational(c) if isinstance(c, Cyclo) else c
-                if r is None:
-                    ok = False
-                    break
-                demoted.append(r)
-            if ok:
-                out = demoted
-        return QSeries(self.ram, self.lead, out, self.prec)
+        if rational:
+            return _make(ram, lead, out, den, self.prec)
+        if den is not None:
+            out = [c if isinstance(c, Cyclo) else Fraction(c, den) for c in out]
+        demoted = [as_rational(c) if isinstance(c, Cyclo) else c for c in out]
+        if None not in demoted:
+            out = demoted
+        return _make(ram, lead, out, None, self.prec)
 
     def qdq(self, j: int = 1) -> "QSeries":
         """j-fold q d/dq: multiply the coefficient at exponent e by e^j."""
@@ -432,9 +523,13 @@ class QSeries:
             raise ValueError("derivative order must be non-negative")
         if j == 0:
             return self
-        out = [c * Fraction(self.lead + i, self.ram) ** j if c else c
-               for i, c in enumerate(self.coeffs)]
-        return QSeries(self.ram, self.lead, out, self.prec)
+        ram, lead = self.ram, self.lead
+        if self.den is None:
+            out = [c * Fraction(lead + i, ram) ** j if c else c
+                   for i, c in enumerate(self.nums)]
+            return _make(ram, lead, out, None, self.prec)
+        out = [v and v * (lead + i) ** j for i, v in enumerate(self.nums)]
+        return _make(ram, lead, *_lowest(out, self.den * ram ** j), self.prec)
 
     def shift_exponent(self, delta) -> "QSeries":
         """Multiply by the exact monomial q^delta."""
@@ -443,25 +538,28 @@ class QSeries:
         s = self.to_ram(ram)
         off = int(d * ram)
         prec = None if s.prec is None else s.prec + off
-        return QSeries(ram, s.lead + off, s.coeffs, prec)
+        return _make(ram, s.lead + off, s.nums, s.den, prec)
 
     def map_coeffs(self, fn) -> "QSeries":
         return QSeries(self.ram, self.lead, [fn(c) for c in self.coeffs], self.prec)
 
     def demote(self) -> "QSeries":
         """Convert Cyclo coefficients that are rational back to Fraction."""
+        if self.den is not None:
+            return self
         out = []
-        for c in self.coeffs:
+        for c in self.nums:
             if isinstance(c, Cyclo):
                 r = c.as_rational()
                 out.append(r if r is not None else c)
             else:
                 out.append(c)
-        return QSeries(self.ram, self.lead, out, self.prec)
+        return _make(self.ram, self.lead, out, None, self.prec)
 
     def is_rational(self) -> bool:
-        return all(not isinstance(c, Cyclo) or c.as_rational() is not None
-                   for c in self.coeffs)
+        return self.den is not None or all(
+            not isinstance(c, Cyclo) or c.as_rational() is not None
+            for c in self.nums)
 
     # ------------------------------------------------------------------
     # comparisons and output
@@ -474,16 +572,27 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._align(other)
+        if a.den is not None and b.den is not None:
+            return (a.lead, a.prec, a.den, a.nums) == \
+                (b.lead, b.prec, b.den, b.nums)
         return (a.lead, a.prec, a.coeffs) == (b.lead, b.prec, b.coeffs)
 
     def __hash__(self):
-        return hash((self.ram, self.lead, self.prec, self.coeffs))
+        """The hash of the coarsest grid the series can be read on: ram,
+        lead, prec and every nonzero offset divided by their common gcd, so
+        that a series read on a finer grid, which is equal, hashes equal."""
+        offsets = [i for i, c in enumerate(self.nums) if c]
+        g = gcd(self.ram, self.lead, self.prec or 0, *offsets)
+        coeffs = self.coeffs
+        return hash((self.ram // g, self.lead // g,
+                     None if self.prec is None else self.prec // g,
+                     tuple((i // g, coeffs[i]) for i in offsets)))
 
     def to_text(self, max_terms: int = 12) -> str:
         """Render as 'q^(-1/8) * (1 + 28*q^(1/2) + ...)'."""
         if max_terms < 1:
             raise ValueError(f"max_terms must be at least 1, got {max_terms}")
-        terms = list(self.terms())
+        terms = list(islice(self.terms(), max_terms + 1))
         if not terms:
             return "0"
         val = terms[0][0]
@@ -499,20 +608,55 @@ class QSeries:
         return f"{_format_monomial(val)} * ({body})"
 
     def to_json_dict(self) -> dict:
+        """{"ram", "lead", "prec", "coeffs"}: coeffs lists [w-exponent,
+        value] for the nonzero terms, a rational value as "n/d" or "n"."""
         entries = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                if isinstance(c, Cyclo):
-                    entries.append([str(self.lead + i),
-                                    {"zeta_order": c.order,
-                                     "coeffs": [str(x) for x in c.coeffs]}])
-                else:
-                    entries.append([str(self.lead + i), str(c)])
+        den = self.den
+        for m, c in enumerate(self.nums, self.lead):
+            if not c:
+                continue
+            if den is not None:  # as str(Fraction(c, den)) writes it
+                g = gcd(c, den)
+                entries.append([str(m), str(c // g) if g == den
+                                else f"{c // g}/{den // g}"])
+            elif isinstance(c, Cyclo):
+                entries.append([str(m), {"zeta_order": c.order,
+                                         "coeffs": [str(x) for x in c.coeffs]}])
+            else:
+                entries.append([str(m), str(c)])
         return {"ram": self.ram, "lead": self.lead,
                 "prec": self.prec, "coeffs": entries}
 
     def __repr__(self):
         return f"QSeries({self.to_text(6)})"
+
+
+def _make(ram: int, lead: int, vals, den, prec) -> QSeries:
+    """A series from stored values: integers over ``den`` in lowest terms,
+    or scalar coefficients when ``den`` is None (see ``QSeries._set``)."""
+    s = object.__new__(QSeries)
+    s._set(ram, lead, vals, den, prec)
+    return s
+
+
+def _lowest(nums, den) -> tuple:
+    """(nums, den) divided by gcd(den, *nums)."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [v // g for v in nums], den // g
+
+
+def _operand(s: QSeries, n: int) -> tuple:
+    """(ints, den) of the first n stored terms of a product or inverse
+    operand.  A coefficient tuple holding no Cyclo there is cleared; a Cyclo
+    coefficient, even a rational or zero one, is refused."""
+    if s.den is not None:
+        return s.nums[:n], s.den
+    try:
+        return clear(s.nums[:n])
+    except AttributeError:  # a Cyclo coefficient has no denominator
+        raise NotRational(_NOT_RATIONAL) from None
 
 
 def _to_w(prec, ram: int, up: bool = True) -> int:
@@ -528,38 +672,31 @@ def _to_w(prec, ram: int, up: bool = True) -> int:
     return p.numerator // p.denominator
 
 
-def _clear_rational(coeffs):
-    """:func:`~qdonald.exact.clear` of the rational coefficients of a ring
-    operand; a Cyclo coefficient, even a rational or zero one, is refused."""
-    try:
-        return clear(coeffs)
-    except AttributeError:  # a Cyclo coefficient has no denominator
-        raise NotRational("series products and inverses take rational "
-                          "coefficients; call .demote() first") from None
-
-
-def _product(x, y, n) -> list:
-    """The first n coefficients of the product of rational lists x and y."""
-    (cx, dx), (cy, dy) = _clear_rational(x), _clear_rational(y)
-    return from_ints(_int_product(cx, cy, n), dx * dy)
-
-
 def _int_product(x, y, n) -> list:
     """The first n coefficients of the product of integer vectors x and y."""
-    nx = [(i, v) for i, v in enumerate(x) if v]
-    ny = [(j, v) for j, v in enumerate(y) if v]
+    ix = [i for i, v in enumerate(x) if v]
+    iy = [j for j, v in enumerate(y) if v]
     # nonzero terms on a sublattice (as in a ramified series read on a finer
     # grid) are convolved without the zeros between them
-    g = gcd(*(i for i, _ in nx), *(j for j, _ in ny))
+    g = gcd(*ix, *iy)
     if g > 1:
         out = [0] * n
-        out[::g] = _int_product(x[::g], y[::g], len(range(0, n, g)))
+        out[::g] = _pair_product(x[::g], y[::g], len(range(0, n, g)),
+                                 [i // g for i in ix], [j // g for j in iy])
         return out
-    if len(nx) * len(ny) > _SCHOOLBOOK_PAIRS_PER_SLOT * (len(x) + len(y) + n):
-        return _kronecker(x, y, n, min(len(nx), len(ny)))
+    return _pair_product(x, y, n, ix, iy)
+
+
+def _pair_product(x, y, n, ix, iy) -> list:
+    """The first n coefficients of x * y, whose nonzero terms sit at the
+    indices ix and iy: a loop over the nonzero pairs while they are few, or
+    one Kronecker multiply."""
+    if len(ix) * len(iy) > _SCHOOLBOOK_PAIRS_PER_SLOT * (len(x) + len(y) + n):
+        return _kronecker(x, y, n, min(len(ix), len(iy)))
+    ny = [(j, y[j]) for j in iy]
     out = [0] * n
-    for i, u in nx:
-        top = n - i
+    for i in ix:
+        u, top = x[i], n - i
         for j, v in ny:
             if j >= top:
                 break
@@ -607,12 +744,10 @@ def _pack(x, k) -> int:
     return packed
 
 
-def _int_inverse(u, den, n) -> list:
-    """The first n coefficients of den / (u_0 + u_1 q + ...) for integer u.
-
-    The loop runs on V_m = out_m * u_0^(m+1) / den, which stays integral:
-    V_0 = 1 and V_m = -sum_k u_k u_0^(k-1) V_(m-k) over the nonzero u_k.
-    """
+def _int_inverse(u, n) -> list:
+    """V_0, ..., V_(n-1) with 1 / (u_0 + u_1 q + ...) = sum V_m q^m / u_0^(m+1)
+    for integer u: V_0 = 1 and V_m = -sum_k u_k u_0^(k-1) V_(m-k) over the
+    nonzero u_k, all integers."""
     u0 = u[0]
     steps = []
     scale = 1
@@ -628,16 +763,13 @@ def _int_inverse(u, den, n) -> list:
                 break
             acc += w * vs[m - k]
         vs[m] = -acc
-    out = []
-    power = u0
-    for v in vs:
-        out.append(Fraction(den * v, power) if v else _ZERO)
-        power *= u0
-    return out
+    return vs
 
 
 def _scalar_series(c) -> QSeries:
-    return QSeries(1, 0, [c if isinstance(c, Cyclo) else Fraction(c)], None)
+    if isinstance(c, Cyclo):
+        return _make(1, 0, [c], None, None)
+    return _make(1, 0, (c.numerator,), c.denominator, None)
 
 
 def _format_monomial(e: Fraction) -> str:

@@ -7,7 +7,7 @@ replaced; it is kept only to cross-check, never called by ``qdonald`` itself.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from qdonald import forms, invariants as inv, mock
 from qdonald.exact import Cyclo, cyclotomic_polynomial, euler_phi, unity
@@ -117,6 +117,89 @@ def schoolbook_pow(s: QSeries, k: int) -> QSeries:
         out = schoolbook_mul(out, s)
     return out
 
+
+
+# ---------------------------------------------------------------------------
+# Fraction-dict references for the sums, scalars and window operations that
+# run on integers: each reads the Fraction coefficients and builds its
+# result through the constructor from Fractions.
+
+def _terms(s: QSeries) -> dict:
+    """{w-exponent: Fraction} of the nonzero stored terms."""
+    return {s.lead + i: c for i, c in enumerate(s.coeffs) if c}
+
+
+def from_fraction_terms(ram: int, terms: dict, prec) -> QSeries:
+    """The series with {w-exponent: Fraction} terms, all below the w-unit
+    bound prec (None: exact), on the window from its first nonzero term."""
+    nonzero = [m for m, c in terms.items() if c]
+    if not nonzero:
+        return QSeries(ram, 0 if prec is None else prec, [], prec)
+    lo = min(nonzero)
+    hi = max(nonzero) + 1 if prec is None else prec
+    return QSeries(ram, lo, [terms.get(m, _ZERO) for m in range(lo, hi)],
+                   prec)
+
+
+def schoolbook_add(a: QSeries, b: QSeries) -> QSeries:
+    """a + b on the joint window: prec the lesser of the two."""
+    a, b = a._align(b)
+    precs = [p for p in (a.prec, b.prec) if p is not None]
+    prec = min(precs) if precs else None
+    out = {}
+    for s in (a, b):
+        for m, c in _terms(s).items():
+            if prec is None or m < prec:
+                out[m] = out.get(m, _ZERO) + c
+    return from_fraction_terms(a.ram, out, prec)
+
+
+def scaled(a: QSeries, c) -> QSeries:
+    """a * c for a nonzero rational c, coefficient by coefficient."""
+    return from_fraction_terms(a.ram, {m: v * c for m, v in _terms(a).items()},
+                               a.prec)
+
+
+def truncated(a: QSeries, prec) -> QSeries:
+    """a known below q^prec only: w-unit bound ceil(prec * ram)."""
+    w = _to_w(prec, a.ram)
+    if a.prec is not None and a.prec <= w:
+        return a
+    return from_fraction_terms(
+        a.ram, {m: c for m, c in _terms(a).items() if m < w}, w)
+
+
+def spread(a: QSeries, s: int, ram: int) -> QSeries:
+    """Each w-exponent times s, read on the 1/ram grid."""
+    return from_fraction_terms(ram, {s * m: c for m, c in _terms(a).items()},
+                               None if a.prec is None else s * a.prec)
+
+
+def coarsest(a: QSeries) -> QSeries:
+    """a on the coarsest grid its nonzero exponents (or, with none, its
+    bound) lie on; the bound rounds up."""
+    terms = _terms(a)
+    g = gcd(a.ram, *terms, *([a.prec or 0] if not terms else []))
+    prec = None if a.prec is None else -(-a.prec // g)
+    return from_fraction_terms(a.ram // g,
+                               {m // g: c for m, c in terms.items()}, prec)
+
+
+def shifted(a: QSeries, delta) -> QSeries:
+    """a * q^delta."""
+    d = Fraction(delta)
+    ram = lcm(a.ram, d.denominator)
+    s, off = ram // a.ram, int(d * ram)
+    return from_fraction_terms(
+        ram, {s * m + off: c for m, c in _terms(a).items()},
+        None if a.prec is None else s * a.prec + off)
+
+
+def derivative(a: QSeries, j: int) -> QSeries:
+    """(q d/dq)^j a: the coefficient at q^e times e^j."""
+    return from_fraction_terms(
+        a.ram, {m: c * Fraction(m, a.ram) ** j for m, c in _terms(a).items()},
+        a.prec)
 
 # ---------------------------------------------------------------------------
 # Appell-Lerch mu (Zwegers, arXiv:0807.4834) at rational specializations, in

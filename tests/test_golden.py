@@ -79,6 +79,14 @@ GOLDEN = [
      "1bae5efac587356072649f44f0272d4ffb240b8f4d641a4d8fc444b7a9a639d2"),
     (["goettsche", "--max-weight", "24", "--format", "json"],
      "032ab6d1230766b922c65f456f62b3a44012290a7b56315e5d109c270e7af09a"),
+    # the n/d writer on long rational series, and the text of the
+    # S-transform as read from the integer form
+    (["series", "--name", "M", "--order", "900", "--format", "json"],
+     "592672814364f940792b027386a870e06c4ba1526ece6dc9dc2ec2bd61915c93"),
+    (["series", "--name", "ebracket:2,1", "--order", "80", "--format", "json"],
+     "86e9337e42801494ba11b296020ad28332914713f57e6e02bfc45a300ab9e108"),
+    (["series", "--name", "QtransS", "--order", "25"],
+     "74ec91ba0d936f1d9da0cd85880e4bf434d12dcad1cfda59fd16262c1ca30d75"),
 ]
 
 

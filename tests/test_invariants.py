@@ -149,6 +149,17 @@ def test_weight_passes_match_the_per_cell_pairing(family):
         assert _typed(tuple(_weight_pass(family, w))) == _typed(tuple(want))
 
 
+def test_goettsche_weights_match_the_per_cell_pairing_to_20():
+    """The factored Goettsche pass (the sum over j formed once per (s, l))
+    gives every cell to weight 20 as its own rows do on the weight's frame,
+    each value a Fraction."""
+    for w in range(13, 21):
+        frame = oracles.kernel_frame("goettsche", w)
+        want = [oracles.pairing_cell("goettsche", m, w - m, frame)
+                for m in range(w + 1)]
+        assert _typed(tuple(inv.goettsche_weight(w))) == _typed(tuple(want))
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(["goettsche", 0, 2, 3]), st.integers(0, 20),
        st.data())

@@ -192,6 +192,21 @@ def test_text_and_json_forms():
     assert (rebuilt - q).is_zero()
 
 
+def test_json_writes_each_value_as_its_fraction():
+    """Each nonzero value is written as str(Fraction): "n/d" in lowest
+    terms with the sign on n, "n" over 1, and zeros are not written."""
+    s = QSeries.from_numerators(2, -3, [-9, 0, 4, 6, 0, 12], 12, 3)
+    assert s.to_json_dict() == {
+        "ram": 2, "lead": -3, "prec": 3,
+        "coeffs": [["-3", "-3/4"], ["-1", "1/3"], ["0", "1/2"], ["2", "1"]]}
+    whole = QSeries.from_numerators(1, 0, [2, 0, -5], 1, None)
+    assert whole.to_json_dict()["coeffs"] == [["0", "2"], ["2", "-5"]]
+    for c in s.coeffs + whole.coeffs:
+        assert type(c) is F
+    assert [v for _, v in s.to_json_dict()["coeffs"]] == \
+        [str(c) for c in s.coeffs if c]
+
+
 @pytest.mark.parametrize("max_terms", [0, -1])
 def test_to_text_rejects_max_terms_below_one(max_terms):
     with pytest.raises(ValueError):

@@ -1,33 +1,45 @@
-"""The integer kernel of the series ring against the schoolbook oracles.
+"""The integer-native series ring against the schoolbook oracles.
 
-``QSeries.__mul__``, ``inverse`` and ``__pow__`` clear rational operands to
-integers and convolve them by a loop over nonzero pairs or by Kronecker
-substitution, chosen from the operand shape.  These tests draw operands on
-both sides of that choice and compare the full window
+A rational ``QSeries`` is one integer vector over one denominator.  Products
+and inverses convolve those integers by a loop over nonzero pairs or by
+Kronecker substitution, chosen from the operand shape; sums, scalars,
+window and grid changes and ``qdq`` also run on the integers.  These tests
+draw operands on both sides of each choice and compare the full window
 ``(ram, lead, prec, coeffs)``, and every coefficient's type, with the plain
-``Fraction`` loops of ``tests/oracles.py``.  An operand holding a ``Cyclo``
-coefficient raises ``NotRational``.
+``Fraction`` loops of ``tests/oracles.py``, and check that every stored
+form is canonical.  An operand holding a ``Cyclo`` coefficient raises
+``NotRational``.
 """
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import schoolbook_inverse, schoolbook_mul, schoolbook_pow
 from qdonald import (Cyclo, NotRational, PrecisionUnderflow, QSeries,
                      root_of_unity)
-from qdonald import series
+from qdonald import exact as exact_arith, series
 from qdonald.exact import euler_phi
 
 _DENOMINATORS = {"int": [1], "pow2": [1, 2, 4, 8, 32],
                  "odd": [1, 3, 5, 7, 9, 15]}
 
 
+# "big": numerators past 64 bits; "bigden": denominators of 60 to 90 bits
+_KINDS = ("int", "pow2", "odd", "big")
+_ALL_KINDS = _KINDS + ("bigden",)
+
+
 def _scalar(rng, kind):
     if kind == "big":
         return rng.choice([-1, 1]) * rng.getrandbits(rng.randint(65, 100))
+    if kind == "bigden":
+        return F(rng.randint(-9, 9) * rng.getrandbits(40),
+                 rng.getrandbits(rng.randint(60, 90)) | 1)
     return F(rng.randint(-9, 9), rng.choice(_DENOMINATORS[kind]))
 
 
@@ -38,16 +50,16 @@ def _dense_cyclo(rng, kind, order=24):
 
 
 @st.composite
-def operands(draw, max_len=200, exact=None):
+def operands(draw, max_len=200, exact=None, kinds=_KINDS):
     """A nonzero rational series: its length, density, coefficient kind,
     leading coefficient u_0, ramification and truncation are drawn
     independently."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    ram = draw(st.sampled_from([1, 2, 4, 8]))
+    ram = draw(st.sampled_from([1, 2, 3, 4, 8]))
     lead = draw(st.integers(-8, 8))
     n = draw(st.integers(1, max_len))
     density = draw(st.sampled_from([0.03, 0.2, 1.0]))
-    kind = draw(st.sampled_from(["int", "pow2", "odd", "big"]))
+    kind = draw(st.sampled_from(kinds))
     u0 = draw(st.sampled_from(["1", "-1", "2^k", "any"]))
     coeffs = [_scalar(rng, kind) if rng.random() < density else F(0)
               for _ in range(n)]
@@ -59,7 +71,25 @@ def operands(draw, max_len=200, exact=None):
     return QSeries(ram, lead, coeffs, None if exact else lead + n)
 
 
+def canonical(s: QSeries) -> QSeries:
+    """s, checked to be stored in canonical form: integers over a positive
+    denominator in lowest terms, no leading zero, no trailing zero when
+    exact, and the empty window at its bound over 1."""
+    assert type(s.den) is int and s.den > 0
+    assert all(type(v) is int for v in s.nums)
+    assert gcd(s.den, *s.nums) == 1
+    if s.nums:
+        assert s.nums[0] and (s.prec is not None or s.nums[-1])
+    else:
+        assert s.den == 1 and s.lead == (0 if s.prec is None else s.prec)
+    if s.prec is not None:
+        assert len(s.nums) == s.prec - s.lead
+    return s
+
+
 def window(s: QSeries):
+    if s.den is not None:
+        canonical(s)
     return s.ram, s.lead, s.prec, s.coeffs, [type(c) for c in s.coeffs]
 
 
@@ -229,3 +259,149 @@ def test_every_product_path_is_taken(monkeypatch):
         packed.clear()
         assert window(a * b) == window(schoolbook_mul(a, b))
         assert packed == lengths
+
+
+# ---------------------------------------------------------------------------
+# sums, scalars and window changes on the integer form
+
+@settings(max_examples=100, deadline=None)
+@given(operands(kinds=_ALL_KINDS), operands(kinds=_ALL_KINDS))
+def test_sums_match_schoolbook(a, b):
+    assert window(a + b) == window(oracles.schoolbook_add(a, b))
+    assert window(a - b) == window(oracles.schoolbook_add(a, -b))
+    assert window(-a) == window(oracles.scaled(a, -1))
+    assert window(a + 3) == window(oracles.schoolbook_add(a, QSeries.one() * 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(operands(kinds=_ALL_KINDS), st.sampled_from(_ALL_KINDS),
+       st.integers(0, 2 ** 32))
+def test_rational_scalars_match_each_coefficient(a, kind, seed):
+    c = _scalar(random.Random(seed), kind) or F(5, 7)
+    assert window(a * c) == window(oracles.scaled(a, F(c)))
+    assert window(c * a) == window(oracles.scaled(a, F(c)))
+    assert window(a / c) == window(oracles.scaled(a, 1 / F(c)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(operands(kinds=_ALL_KINDS), st.integers(-10, 60), st.integers(1, 4),
+       st.integers(1, 4),
+       st.integers(1, 3), st.fractions(-3, 3, max_denominator=12),
+       st.integers(1, 3))
+def test_window_changes_match_reference(a, top, num, den, k, delta, j):
+    """truncate, to_ram, rescale, reduce_ram, shift_exponent and qdq keep
+    the window and the values of the Fraction references."""
+    cut = F(top, 2 * a.ram) + a.valuation()
+    assert window(a.truncate(cut)) == window(oracles.truncated(a, cut))
+    assert window(a.to_ram(k * a.ram)) == \
+        window(oracles.spread(a, k, k * a.ram))
+    assert window(a.rescale(num, den)) == \
+        window(oracles.coarsest(oracles.spread(a, num, a.ram * den)))
+    assert window(a.to_ram(k * a.ram).reduce_ram()) == \
+        window(oracles.coarsest(a))
+    assert window(a.shift_exponent(delta)) == \
+        window(oracles.shifted(a, delta))
+    assert window(a.qdq(j)) == window(oracles.derivative(a, j))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(-20, 60),
+                       st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                                 st.fractions(max_denominator=10 ** 20)),
+                       max_size=30),
+       st.one_of(st.none(), st.integers(-10, 70)), st.sampled_from([1, 2, 4]))
+def test_from_terms_matches_reference(terms, top, ram):
+    prec = None if top is None else F(top, ram)
+    want = oracles.from_fraction_terms(
+        ram, {m: F(c) for m, c in terms.items() if top is None or m < top},
+        top)
+    assert window(QSeries.from_terms(terms, prec, ram)) == window(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operands(max_len=25, kinds=_ALL_KINDS),
+       operands(max_len=25, kinds=_ALL_KINDS), st.integers(-2, 3))
+def test_big_denominators_match_schoolbook(a, b, k):
+    """Products, inverses and powers of operands with big denominators."""
+    try:
+        expected = schoolbook_mul(a, b)
+    except PrecisionUnderflow:
+        expected = None
+    if expected is not None:
+        assert window(a * b) == window(expected)
+    if a.prec is not None:
+        assert window(a.inverse()) == window(schoolbook_inverse(a))
+        assert window(a ** k) == window(schoolbook_pow(a, k))
+
+
+@pytest.mark.parametrize("u0", [1, -1, 2, 3, 8, 2 ** 19])
+@settings(max_examples=25, deadline=None)
+@given(a=operands(max_len=80, kinds=("int", "big")), top=st.integers(1, 60))
+def test_inverse_for_each_leading_term(u0, a, top):
+    """The inverse on integers over u0^n, reduced once, for a leading
+    integer u0 that is a unit, a prime, a small or a large power of 2."""
+    b = QSeries(a.ram, a.lead, (F(u0),) + a.coeffs[1:], a.prec)
+    assert (b.nums[0], b.den) == (u0, 1)
+    if b.prec is None:
+        want = schoolbook_inverse(b, F(top, b.ram) - b.valuation())
+        assert window(b.inverse(F(top, b.ram) - b.valuation())) == window(want)
+    else:
+        assert window(b.inverse()) == window(schoolbook_inverse(b))
+
+
+def test_ring_operations_do_not_clear_or_rebuild_fractions(monkeypatch):
+    """No operation on a rational series goes through a Fraction list: the
+    clearing and rebuilding helpers of ``exact`` are never called."""
+    rng = random.Random(3)
+    a = QSeries(2, -1, [F(rng.randint(-9, 9), rng.choice([1, 3, 8]))
+                        for _ in range(40)], 39)
+    b = QSeries(1, 0, [F(1, 2), F(0), F(-3, 7), F(5)], None)
+
+    def refuse(*args):
+        raise AssertionError("a ring operation cleared or rebuilt Fractions")
+    for module in (exact_arith, series):
+        for name in ("clear", "from_ints"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    results = [a * b, b * a, a.inverse(), b.inverse(5), a ** 3, a ** -2,
+               a + b, a - b, -a, a * F(3, 4), a / 7, a / b, a.truncate(3),
+               a.to_ram(6), a.rescale(3, 2), a.to_ram(4).reduce_ram(),
+               a.shift_exponent(F(1, 3)), a.qdq(2), a.shift_tau(1)]
+    assert all(s.den is not None for s in results)
+
+
+@st.composite
+def hashed(draw):
+    """A rational series on a ram in 1..6 with an exact or truncated window,
+    built from Fractions."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    ram, lead, n = (draw(st.integers(1, 6)), draw(st.integers(-12, 12)),
+                    draw(st.integers(0, 30)))
+    step = draw(st.integers(1, 3))
+    coeffs = [F(rng.randint(-5, 5), rng.choice([1, 2, 6, 35]))
+              if i % step == 0 else F(0) for i in range(n)]
+    prec = None if draw(st.booleans()) else lead + n
+    return QSeries(ram, lead, coeffs, prec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hashed(), st.integers(1, 4), st.integers(1, 5))
+def test_equal_series_hash_equal(a, k, scale):
+    """Equal series hash equal: a series read on a finer grid, built from
+    integers over a larger denominator and, when exact (a truncated window
+    can widen), read back on its coarsest grid."""
+    finer = a.to_ram(k * a.ram)
+    ints = QSeries.from_numerators(a.ram, a.lead,
+                                   [v * scale for v in a.nums],
+                                   a.den * scale, a.prec)
+    equal = [finer, ints] + ([finer.reduce_ram()] if a.prec is None else [])
+    for b in equal:
+        assert a == b and hash(a) == hash(b)
+    assert len({a, *equal}) == 1
+
+
+def test_rational_cyclo_series_hashes_as_its_fraction_series():
+    for kind in ("zero", "rational"):
+        c = _CYCLO[kind]
+        assert _holding(c) == _holding(c.as_rational())
+        assert hash(_holding(c)) == hash(_holding(c.as_rational()))
