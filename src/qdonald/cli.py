@@ -1,27 +1,38 @@
 """Command-line front end: series printing, tables, verification suites.
 
+Grammar: ``qdonald <command> [--option value | --option=value]...``, with
+full option names only (no abbreviations); a repeated option keeps its last
+value.  ``qdonald -h/--help`` lists the commands and ``qdonald <command>
+-h/--help`` the options of one; both exit 0.  ``COMMANDS`` is the one table
+that the parser and both listings read.
+
 Output is deterministic: identical invocations produce byte-identical text.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  A usage
-error (an unknown series name, a malformed or negative order or bound, a
-``--terms`` below 1, an ``--out`` file that cannot be written) is one line
-on stderr; all but the last are reported before anything is computed.
+error (an unknown command or option, a missing value or option, an unknown
+series name, a malformed or negative order or bound, a ``--terms`` below 1,
+an ``--out`` file that cannot be written) is one stderr line of the form
+``qdonald[ <command>]: error: <message>``; all but the last are reported
+before anything is computed.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
-import json
 import sys
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 from . import forms, invariants, mock, sw
 from .series import InsufficientPrecision
 
 
-def _emit(text: str, out: str | None) -> None:
+class UsageError(Exception):
+    """Bad command-line input: ``main`` prints it as one stderr line and
+    exits 2."""
+
+
+def _emit(text: str, out: str) -> None:
     if not out:
         sys.stdout.write(text)
         return
@@ -29,9 +40,8 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        sys.stderr.write(f"qdonald: error: argument --out: cannot write "
-                         f"{out!r}: {exc.strerror or exc}\n")
-        raise SystemExit(2) from None
+        raise UsageError(f"argument --out: cannot write {out!r}: "
+                         f"{exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -75,21 +85,19 @@ def _series_name(text: str):
             params = []
         if len(params) == count and valid(*params):
             return partial(build, *params)
-        raise argparse.ArgumentTypeError(f"bad series name {text!r}: {usage}")
-    raise argparse.ArgumentTypeError(f"unknown series name {text!r}")
+        raise UsageError(f"bad series name {text!r}: {usage}")
+    raise UsageError(f"unknown series name {text!r}")
 
 
 def _at_least(low: int, parse, what: str):
-    """An argparse type: ``parse`` the text and reject values below ``low``."""
+    """A converter: ``parse`` the text and reject values below ``low``."""
     def convert(text: str):
         try:
             value = parse(text)
         except (ValueError, ZeroDivisionError):
-            raise argparse.ArgumentTypeError(
-                f"invalid {what} {text!r}") from None
+            raise UsageError(f"invalid {what} {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(
-                f"{what} must be >= {low}, got {text}")
+            raise UsageError(f"{what} must be >= {low}, got {text}")
         return value
     return convert
 
@@ -99,14 +107,10 @@ _bound = _at_least(0, int, "bound")
 _terms = _at_least(1, int, "terms")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
 def cmd_series(args) -> int:
     series = args.name(args.order)
     if args.format == "json":
+        import json
         _emit(json.dumps(series.to_json_dict()) + "\n", args.out)
     else:
         _emit(series.to_text(max_terms=args.terms) + "\n", args.out)
@@ -131,8 +135,10 @@ def _format_table(fmt: str, rows: list, meta: dict, title: tuple,
     then the ``line`` template filled from each row.
     """
     if fmt == "json":
+        import json
         return json.dumps({**meta, "rows": rows}) + "\n"
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([*meta, *rows[0]])
@@ -169,6 +175,7 @@ def cmd_goettsche(args) -> int:
 def cmd_hurwitz(args) -> int:
     values = invariants.hurwitz(args.max)
     if args.format == "json":
+        import json
         _emit(json.dumps({str(n): str(v) for n, v in enumerate(values)}) + "\n",
               args.out)
     else:
@@ -351,69 +358,151 @@ def cmd_swcheck(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qdonald",
-        description="Exact q-series engine for mock theta functions and "
-                    "Donaldson invariants of the projective plane.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+REQUIRED = object()  # the default of an option that must be given
+_OUT = ("--out", str, "")  # "" writes to stdout
 
-    p = sub.add_parser("series", help="print a named q-series")
-    p.add_argument("--name", type=_series_name, required=True)
-    p.add_argument("--order", type=_order, default="60")
-    p.add_argument("--terms", type=_terms, default=12)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_series)
+# {command: (handler, help, options)}; an option is (flag, converter or
+# tuple of choices, default text or REQUIRED).  A default goes through the
+# converter as a given value does; a value of a tuple of choices is read
+# with the type of its choices and must be one of them.
+COMMANDS = {
+    "series": (cmd_series, "print a named q-series", (
+        ("--name", _series_name, REQUIRED),
+        ("--order", _order, "60"),
+        ("--terms", _terms, "12"),
+        ("--format", ("text", "json"), "text"),
+        _OUT)),
+    "invariants": (cmd_invariants, "u-plane invariant table", (
+        ("--nf", (0, 2, 3), REQUIRED),
+        ("--max-weight", _bound, "4"),
+        ("--format", ("text", "json", "csv"), "text"),
+        _OUT)),
+    "goettsche": (cmd_goettsche, "instanton-side invariant table", (
+        ("--max-weight", _bound, "4"),
+        ("--format", ("text", "json", "csv"), "text"),
+        _OUT)),
+    "verify": (cmd_verify, "run verification suites; --max bounds m+n "
+               "in the criterion grid", (
+                   ("--suite", ("criterion", "identities", "swcurves",
+                                "tables", "nf4", "all"), "all"),
+                   ("--max", _bound, "4"),
+                   ("--order", _order, "60"),
+                   _OUT)),
+    "hurwitz": (cmd_hurwitz, "Hurwitz class numbers", (
+        ("--max", _bound, "24"),
+        ("--format", ("text", "json"), "text"),
+        _OUT)),
+    "nf4": (cmd_nf4, "conformal-point partition function", (
+        ("--order", _order, "8"),
+        ("--terms", _terms, "12"),
+        _OUT)),
+    "swcheck": (cmd_swcheck, "Seiberg-Witten family identities", (
+        ("--nf", (0, 2, 3), REQUIRED),
+        ("--order", _order, "24"),
+        _OUT)),
+}
 
-    p = sub.add_parser("invariants", help="u-plane invariant table")
-    p.add_argument("--nf", type=int, choices=(0, 2, 3), required=True)
-    p.add_argument("--max-weight", type=_bound, default=4)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_invariants)
+_GRAMMAR = "[--option value | --option=value]..."
 
-    p = sub.add_parser("goettsche", help="instanton-side invariant table")
-    p.add_argument("--max-weight", type=_bound, default=4)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_goettsche)
 
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", default="all",
-                   choices=("criterion", "identities", "swcurves", "tables",
-                            "nf4", "all"))
-    p.add_argument("--max", type=_bound, default=4,
-                   help="criterion grid bound on m+n")
-    p.add_argument("--order", type=_order, default="60")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_verify)
+def _convert(flag: str, kind, text: str):
+    """The value of option ``flag``: ``text`` read by the converter ``kind``,
+    or read in the type of the choices ``kind`` and checked against them."""
+    if not isinstance(kind, tuple):
+        try:
+            return kind(text)
+        except UsageError as exc:
+            raise UsageError(f"argument {flag}: {exc}") from None
+    try:
+        value = type(kind[0])(text)
+    except ValueError:
+        value = None
+    if value not in kind:
+        raise UsageError(f"argument {flag}: invalid choice {text!r} (choose "
+                         f"from {', '.join(map(str, kind))})")
+    return value
 
-    p = sub.add_parser("hurwitz", help="Hurwitz class numbers")
-    p.add_argument("--max", type=_bound, default=24)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_hurwitz)
 
-    p = sub.add_parser("nf4", help="conformal-point partition function")
-    p.add_argument("--order", type=_order, default="8")
-    p.add_argument("--terms", type=_terms, default=12)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_nf4)
+def _metavar(flag: str, kind) -> str:
+    if isinstance(kind, tuple):
+        return "{" + ",".join(map(str, kind)) + "}"
+    return flag[2:].upper().replace("-", "_")
 
-    p = sub.add_parser("swcheck", help="Seiberg-Witten family identities")
-    p.add_argument("--nf", type=int, choices=(0, 2, 3), required=True)
-    p.add_argument("--order", type=_order, default="24")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_swcheck)
 
-    return parser
+def _show(text: str, args) -> int:
+    """The handler of ``--help``: print the listing ``text``."""
+    sys.stdout.write(text + "\n")
+    return 0
+
+
+def _command_help(name: str) -> str:
+    _, about, options = COMMANDS[name]
+    usages = [f"{flag} {_metavar(flag, kind)}" for flag, kind, _ in options]
+    width = max(map(len, usages))
+    lines = [f"usage: qdonald {name} {_GRAMMAR}", "", about, "", "options:"]
+    for usage, (_, _, default) in zip(usages, options):
+        note = "(required)" if default is REQUIRED else \
+            f"(default {default})" if default else ""
+        lines.append(f"  {usage:<{width}}  {note}".rstrip())
+    return "\n".join(lines)
+
+
+def _main_help() -> str:
+    width = max(map(len, COMMANDS))
+    return "\n".join([
+        f"usage: qdonald <command> {_GRAMMAR}", "",
+        "Exact q-series engine for mock theta functions and Donaldson "
+        "invariants of the projective plane.", "", "commands:",
+        *(f"  {name:<{width}}  {about}"
+          for name, (_, about, _) in COMMANDS.items()), "",
+        "'qdonald <command> --help' lists the options of a command."])
+
+
+def parse_args(argv: list) -> tuple:
+    """(handler, namespace of option values) for a command line; raises
+    ``UsageError`` on bad input."""
+    if not argv:
+        raise UsageError(f"missing command (choose from {', '.join(COMMANDS)})")
+    name, rest = argv[0], argv[1:]
+    if name in ("-h", "--help"):
+        return partial(_show, _main_help()), SimpleNamespace()
+    if name not in COMMANDS:
+        raise UsageError(f"unknown command {name!r} (choose from "
+                         f"{', '.join(COMMANDS)})")
+    fn, _, options = COMMANDS[name]
+    kinds = {flag: kind for flag, kind, _ in options}
+    given = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return partial(_show, _command_help(name)), SimpleNamespace()
+        flag, sep, text = token.partition("=")
+        if flag not in kinds:
+            raise UsageError(f"unrecognized argument {token!r}")
+        if not sep:
+            text = next(tokens, None)
+            if text is None:
+                raise UsageError(f"argument {flag}: expected one value")
+        given[flag] = text
+    values = {}
+    for flag, kind, default in options:
+        text = given.get(flag, default)
+        if text is REQUIRED:
+            raise UsageError(f"argument {flag} is required")
+        values[flag[2:].replace("-", "_")] = _convert(flag, kind, text)
+    return fn, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return args.fn(args)
+        fn, args = parse_args(argv)
+        return fn(args)
+    except UsageError as exc:
+        prog = f"qdonald {argv[0]}" if argv and argv[0] in COMMANDS \
+            else "qdonald"
+        sys.stderr.write(f"{prog}: error: {exc}\n")
+        raise SystemExit(2) from None
     except InsufficientPrecision as exc:
         sys.stderr.write(f"insufficient precision: {exc}; retry with a "
                          f"larger --order\n")

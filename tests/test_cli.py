@@ -1,6 +1,5 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
-import argparse
 import json
 import subprocess
 import sys
@@ -11,7 +10,7 @@ import pytest
 
 import qdonald
 from qdonald import QSeries, forms, invariants
-from qdonald.cli import _series_name, main
+from qdonald.cli import COMMANDS, UsageError, _series_name, main
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +174,15 @@ def test_threads_env_var(monkeypatch, capsys):
     ["verify", "--suite", "criterion", "--max", "-1"],
     ["series", "--name", "eta", "--order", "5", "--terms", "0"],
     ["nf4", "--order", "3", "--terms", "-1"],
+    [],
+    ["nope"],
+    ["series", "--name"],
+    ["series", "--name", "eta", "--bogus", "1"],
+    ["series", "--name", "eta", "stray"],
+    ["series", "--name", "eta", "--format", "xml"],
+    ["invariants"],
+    ["verify", "--suite", "nope"],
+    ["series", "--nam", "eta"],
 ])
 def test_usage_error_exit_code(argv, capsys):
     """Bad input exits 2 with one error line on stderr, before any output."""
@@ -185,6 +193,31 @@ def test_usage_error_exit_code(argv, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "error:" in captured.err
+
+
+def test_option_grammar(capsys):
+    """``--option=value`` reads as ``--option value``, and a repeated option
+    keeps its last value."""
+    _, spaced = run_cli(capsys, "series", "--name", "eta", "--order", "5")
+    _, joined = run_cli(capsys, "series", "--name", "eta", "--order=5")
+    assert spaced == joined
+    _, repeated = run_cli(capsys, "series", "--name", "Delta", "--order",
+                          "9", "--name=eta", "--order", "5")
+    assert repeated == spaced
+
+
+def test_help_lists_table(capsys):
+    """``--help`` names every command and ``series --help`` every option of
+    ``series``; both exit 0 and print only to stdout."""
+    assert main(["--help"]) == 0
+    listing = capsys.readouterr()
+    assert listing.err == "" and len(COMMANDS) == 7
+    assert all(name in listing.out for name in COMMANDS)
+    assert main(["series", "--help"]) == 0
+    listing = capsys.readouterr()
+    assert listing.err == ""
+    assert all(flag in listing.out for flag in
+               ("--name", "--order", "--terms", "--format", "--out"))
 
 
 def test_out_file(tmp_path, capsys):
@@ -209,7 +242,7 @@ def test_series_name_registry():
     assert (_series_name("theta2")(20) - forms.theta_big(2, 20)).is_zero()
     assert (_series_name("fm:2")(12) - forms.form_fm(2, 12)).is_zero()
     assert (_series_name("Delta")(6) - forms.eta_power(1, 24, 6)).is_zero()
-    with pytest.raises(argparse.ArgumentTypeError):
+    with pytest.raises(UsageError):
         _series_name("nope")
 
 
@@ -220,13 +253,30 @@ def test_constructor_precision_is_honored():
             assert s.prec_q() >= prec
 
 
-def test_import_pulls_in_no_dataclasses_or_inspect():
-    """A fresh ``import qdonald.cli`` loads neither dataclasses nor inspect
-    (nor, through them, ast and dis), which would add to every command's
-    start-up time."""
+def _fresh_modules(code: str) -> set:
+    """The modules loaded after running ``code`` in a fresh ``python -I``
+    with this checkout's ``qdonald`` on the path."""
     src = str(Path(qdonald.__file__).resolve().parent.parent)
-    code = (f"import sys; sys.path.insert(0, {src!r}); import qdonald.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    code = (f"import sys; sys.path.insert(0, {src!r}); {code}; "
+            "print(' '.join(sys.modules))")
     out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
                          capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    return set(out.splitlines()[-1].split())
+
+
+def test_import_pulls_in_no_dataclasses_or_inspect():
+    """A fresh ``import qdonald.cli`` loads no argument parser, no output
+    format module, and neither dataclasses nor inspect (nor, through them,
+    ast and dis), which would add to every command's start-up time."""
+    loaded = _fresh_modules("import qdonald.cli")
+    assert not loaded & {"argparse", "gettext", "json", "csv", "dataclasses",
+                         "inspect"}
+
+
+def test_text_command_loads_no_format_module():
+    """A text job parses its command line and writes its output without
+    argparse, json or csv."""
+    loaded = _fresh_modules("import qdonald.cli; qdonald.cli.main("
+                            "['swcheck', '--nf', '0', '--order', '8'])")
+    assert "qdonald.sw" in loaded
+    assert not loaded & {"argparse", "json", "csv"}

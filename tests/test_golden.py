@@ -5,12 +5,11 @@ alters any of them alters the program's exact output and needs a reason.
 Every subcommand has a pinned invocation for each ``--format`` it offers.
 """
 
-import argparse
 import hashlib
 
 import pytest
 
-from qdonald.cli import build_parser, main
+from qdonald.cli import COMMANDS, main
 
 GOLDEN = [
     (["series", "--name", "Qplus", "--order", "20", "--format", "json"],
@@ -98,24 +97,22 @@ def test_golden_stdout(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _format_choices(parser):
-    """{subcommand: (--format choices, default)}; no --format is (None,)."""
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
+def _format_choices():
+    """{command: (--format choices, default)}; no --format is (None,)."""
     formats = {}
-    for name, subparser in sub.choices.items():
-        action = next((a for a in subparser._actions
-                       if "--format" in a.option_strings), None)
-        formats[name] = ((None,), None) if action is None else \
-            (action.choices, action.default)
+    for name, (_, _, options) in COMMANDS.items():
+        option = next((o for o in options if o[0] == "--format"), None)
+        formats[name] = ((None,), None) if option is None else option[1:]
     return formats
 
 
 def test_golden_covers_every_format():
-    """Every subcommand, with every --format choice it has, has a golden
+    """Every command, with every --format choice it has, has a golden
     invocation, so no output layout can change unpinned."""
     covered = set()
-    formats = _format_choices(build_parser())
+    formats = _format_choices()
+    assert set(formats) == {"series", "invariants", "goettsche", "verify",
+                            "hurwitz", "nf4", "swcheck"}
     for argv, _ in GOLDEN:
         _, default = formats[argv[0]]
         fmt = argv[argv.index("--format") + 1] if "--format" in argv \
