@@ -10,9 +10,9 @@ Output is deterministic: identical invocations produce byte-identical text.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  A usage
 error (an unknown command or option, a missing value or option, an unknown
 series name, a malformed or negative order or bound, a ``--terms`` below 1,
-an ``--out`` file that cannot be written) is one stderr line of the form
-``qdonald[ <command>]: error: <message>``; all but the last are reported
-before anything is computed.
+a bound or ``--terms`` above ``sys.maxsize``, an ``--out`` file that cannot
+be written) is one stderr line of the form ``qdonald[ <command>]: error:
+<message>``; all but the last are reported before anything is computed.
 """
 
 from __future__ import annotations
@@ -89,8 +89,9 @@ def _series_name(text: str):
     raise UsageError(f"unknown series name {text!r}")
 
 
-def _at_least(low: int, parse, what: str):
-    """A converter: ``parse`` the text and reject values below ``low``."""
+def _within(low: int, parse, what: str, high=None):
+    """A converter: ``parse`` the text and reject values below ``low`` or
+    above ``high``."""
     def convert(text: str):
         try:
             value = parse(text)
@@ -98,13 +99,15 @@ def _at_least(low: int, parse, what: str):
             raise UsageError(f"invalid {what} {text!r}") from None
         if value < low:
             raise UsageError(f"{what} must be >= {low}, got {text}")
+        if high is not None and value > high:
+            raise UsageError(f"{what} must be <= {high}, got {text}")
         return value
     return convert
 
 
-_order = _at_least(0, Fraction, "order")  # a rational such as 60 or 5/2
-_bound = _at_least(0, int, "bound")
-_terms = _at_least(1, int, "terms")
+_order = _within(0, Fraction, "order")  # a rational such as 60 or 5/2
+_bound = _within(0, int, "bound", sys.maxsize)
+_terms = _within(1, int, "terms", sys.maxsize)
 
 
 def cmd_series(args) -> int:
@@ -381,8 +384,9 @@ COMMANDS = {
         ("--max-weight", _bound, "4"),
         ("--format", ("text", "json", "csv"), "text"),
         _OUT)),
-    "verify": (cmd_verify, "run verification suites; --max bounds m+n "
-               "in the criterion grid", (
+    "verify": (cmd_verify, "run verification suites; --max bounds m+n in "
+               "the criterion grid; swcurves runs at min(--order, 24) and nf4 "
+               "at min(--order, 16)", (
                    ("--suite", ("criterion", "identities", "swcurves",
                                 "tables", "nf4", "all"), "all"),
                    ("--max", _bound, "4"),

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals and cyclotomic numbers.
+"""Exact scalar arithmetic and the integer polynomial kernel.
 
 Every series coefficient in this package is either a ``fractions.Fraction``
 or a :class:`Cyclo`, an element of the cyclotomic field Q(zeta_N) stored as
@@ -8,6 +8,11 @@ scalar and the coefficient type that ``QSeries.shift_tau`` produces, and a
 series holding one is demoted to Fractions before a product.  The default
 ambient order is N = 24, which contains every root of unity needed by the
 in-scope identities (zeta_8, zeta_24, i, sqrt(i)).
+
+Every integer polynomial product, power series inverse and division of the
+package runs on the kernel below, the series ring's and ``Cyclo``'s alike.
+A ``Cyclo`` product is reduced modulo Phi_N by monic division, and an
+inverse is the product of the other Galois conjugates over the rational norm.
 """
 
 from __future__ import annotations
@@ -28,86 +33,154 @@ class IncompatibleOrder(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    result, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            result *= (p - 1) * p ** (e - 1)
-        p += 1
-    if m > 1:
-        result *= m - 1
-    return result
+# ---------------------------------------------------------------------------
+# the integer polynomial kernel; a long dense product is one big-int multiply
+# by Kronecker substitution (Harvey, arXiv:0712.4046)
+
+# An integer product loops over the nonzero pairs while their count is at
+# most this many times the number of Kronecker slots (both operands plus the
+# output); past that, one big-int multiply is faster.
+_SCHOOLBOOK_PAIRS_PER_SLOT = 4
 
 
-def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    """Exact division of integer/rational coefficient polynomials."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
+def _int_product(x, y, n) -> list:
+    """The first n coefficients of the product of integer vectors x and y."""
+    ix = [i for i, v in enumerate(x) if v]
+    iy = [j for j, v in enumerate(y) if v]
+    # nonzero terms on a sublattice (as in a ramified series read on a finer
+    # grid) are convolved without the zeros between them
+    g = gcd(*ix, *iy)
+    if g > 1:
+        out = [0] * n
+        out[::g] = _pair_product(x[::g], y[::g], len(range(0, n, g)),
+                                 [i // g for i in ix], [j // g for j in iy])
+        return out
+    return _pair_product(x, y, n, ix, iy)
+
+
+def _pair_product(x, y, n, ix, iy) -> list:
+    """The first n coefficients of x * y, whose nonzero terms sit at the
+    indices ix and iy: a loop over the nonzero pairs while they are few, or
+    one Kronecker multiply."""
+    if len(ix) * len(iy) > _SCHOOLBOOK_PAIRS_PER_SLOT * (len(x) + len(y) + n):
+        return _kronecker(x, y, n, min(len(ix), len(iy)))
+    ny = [(j, y[j]) for j in iy]
+    out = [0] * n
+    for i in ix:
+        u, top = x[i], n - i
+        for j, v in ny:
+            if j >= top:
+                break
+            out[i + j] += u * v
+    return out
+
+
+def _kronecker(x, y, n, terms) -> list:
+    """The first n coefficients of x * y by one big-int multiply.
+
+    Each vector is packed into an integer with one slot of whole bytes per
+    coefficient, wide enough that no product coefficient (a sum of at most
+    ``terms`` products) reaches half a slot.  Negative coefficients make the
+    packed values and the product signed; the low n slots of the product,
+    read back as a two's-complement tail, unpack with a signed borrow.
+    """
+    bound = max(map(abs, x)) * max(map(abs, y)) * terms
+    k = (bound.bit_length() + 9) // 8
+    bits = 8 * k
+    low = (_pack(x, k) * _pack(y, k)) & ((1 << (bits * n)) - 1)
+    buf = low.to_bytes(k * n, "little")
+    half, full = 1 << (bits - 1), 1 << bits
+    from_bytes = int.from_bytes
+    out = []
+    borrow = 0
+    for j in range(0, k * n, k):
+        v = from_bytes(buf[j:j + k], "little") + borrow
+        if v >= half:
+            v -= full
+            borrow = 1
+        else:
+            borrow = 0
+        out.append(v)
+    return out
+
+
+def _pack(x, k) -> int:
+    """sum x[i] * 256^(k i) for signed x[i] with |x[i]| < 256^k."""
+    zero = bytes(k)
+    packed = int.from_bytes(b"".join(
+        v.to_bytes(k, "little") if v > 0 else zero for v in x), "little")
+    if min(x) < 0:
+        packed -= int.from_bytes(b"".join(
+            (-v).to_bytes(k, "little") if v < 0 else zero for v in x), "little")
+    return packed
+
+
+def _int_inverse(u, n) -> list:
+    """V_0, ..., V_(n-1) with 1 / (u_0 + u_1 q + ...) = sum V_m q^m / u_0^(m+1)
+    for integer u: V_0 = 1 and V_m = -sum_k u_k u_0^(k-1) V_(m-k) over the
+    nonzero u_k, all integers."""
+    u0 = u[0]
+    steps = []
+    scale = 1
+    for k in range(1, len(u)):
+        if u[k]:
+            steps.append((k, u[k] * scale))
+        scale *= u0
+    vs = [1] + [0] * (n - 1)
+    for m in range(1, n):
+        acc = 0
+        for k, w in steps:
+            if k > m:
+                break
+            acc += w * vs[m - k]
+        vs[m] = -acc
+    return vs
+
+
+def _monic_divmod(num, den) -> tuple[list, list]:
+    """``(q, r)`` with ``num = q den + r`` and ``len(r) < len(den)``, for
+    integer polynomials (low to high) and a monic ``den``."""
+    d = len(den) - 1
+    r = list(num)
+    tail = [(j, c) for j, c in enumerate(den[:-1]) if c]
+    q = [0] * (len(r) - d)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + d]
         if c:
-            c = Fraction(c) / den[-1]
-            q[i] = c
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    while num and not num[-1]:
-        num.pop()
-    return q, num
+            for j, m in tail:
+                r[i + j] -= c * m
+    del r[d:]
+    return q, r
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    """Coefficients (low to high) of the n-th cyclotomic polynomial: x^n - 1
+    divided by Phi_d for every proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            q, r = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert not r, "cyclotomic division must be exact"
-            poly = q
-    return tuple(int(c) for c in poly)
+            poly, r = _monic_divmod(poly, cyclotomic_polynomial(d))
+            assert not any(r), "cyclotomic division must be exact"
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
-def _phi_tail(n: int) -> tuple:
-    """Phi_n = x^phi(n) + sum c_j x^j: the nonzero (j, c_j) with j < phi(n)."""
-    poly = cyclotomic_polynomial(n)
-    return tuple((j, c) for j, c in enumerate(poly[:-1]) if c)
+def euler_phi(n: int) -> int:
+    """phi(n), the degree of the n-th cyclotomic polynomial."""
+    return len(cyclotomic_polynomial(n)) - 1
 
 
 def reduce_ints(n: int, poly) -> list:
     """The phi(n) integer components of sum poly[k] zeta_n^k, for integer
-    poly of any length, by long division by the monic integer Phi_n."""
-    ph = euler_phi(n)
-    tail = _phi_tail(n)
-    p = list(poly)
-    if len(p) < ph:
-        return p + [0] * (ph - len(p))
-    for d in range(len(p) - 1, ph - 1, -1):
-        c = p[d]
-        if c:
-            base = d - ph
-            for j, m in tail:
-                p[base + j] -= c * m
-    del p[ph:]
-    return p
+    poly of any length: its remainder modulo the monic integer Phi_n."""
+    r = _monic_divmod(poly, cyclotomic_polynomial(n))[1]
+    return r + [0] * (euler_phi(n) - len(r))
 
 
-def poly_product(x, y) -> list:
-    """The product of integer polynomials x and y."""
-    acc = [0] * (len(x) + len(y) - 1)
-    for i, u in enumerate(x):
-        if u:
-            for j, v in enumerate(y):
-                if v:
-                    acc[i + j] += u * v
-    return acc
+def _mul_mod(n: int, x, y) -> list:
+    """x * y reduced modulo Phi_n, for integer polynomials x and y."""
+    return reduce_ints(n, _int_product(x, y, len(x) + len(y) - 1))
 
 
 def clear(values):
@@ -144,8 +217,7 @@ class Cyclo:
 
     @staticmethod
     def from_rational(x, order: int = DEFAULT_ORDER) -> "Cyclo":
-        ph = euler_phi(order)
-        return Cyclo(order, [Fraction(x)] + [0] * (ph - 1))
+        return Cyclo(order, [Fraction(x)] + [0] * (euler_phi(order) - 1))
 
     @staticmethod
     def from_poly(order: int, poly) -> "Cyclo":
@@ -161,8 +233,7 @@ class Cyclo:
                 f"cannot embed Q(zeta_{self.order}) in Q(zeta_{order})")
         step = order // self.order
         poly = [0] * (step * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            poly[i * step] = c
+        poly[::step] = self.coeffs
         return Cyclo.from_poly(order, poly)
 
     def _pair(self, other):
@@ -203,35 +274,26 @@ class Cyclo:
         if b is NotImplemented:
             return NotImplemented
         (x, dx), (y, dy) = clear(a.coeffs), clear(b.coeffs)
-        prod = reduce_ints(a.order, poly_product(x, y))
-        return Cyclo(a.order, from_ints(prod, dx * dy))
+        return Cyclo(a.order, from_ints(_mul_mod(a.order, x, y), dx * dy))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        """Field inverse via the extended Euclidean algorithm mod Phi_N."""
+        """Field inverse: the product P of the conjugates sigma_k(self) over
+        1 < k < N with gcd(k, N) = 1, divided by the norm self * P, which is
+        rational.  sigma_k maps zeta to zeta^k."""
         if not self:
             raise DivisionByZero("inverse of zero cyclotomic element")
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = mod, [Fraction(c) for c in self.coeffs]
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                return Cyclo.from_poly(self.order, [c * inv for c in s1])
-            q, r = _poly_divmod(r0, r1)
-            s = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        s[i + j] -= qi * sj
-            while s and not s[-1]:
-                s.pop()
-            r0, s0, r1, s1 = r1, s1, r, s
-            if not r1:
-                raise DivisionByZero("element not invertible")  # pragma: no cover
+        n = self.order
+        x, den = clear(self.coeffs)
+        conj = [1]
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                spread = [0] * (k * (len(x) - 1) + 1)
+                spread[::k] = x
+                conj = _mul_mod(n, conj, reduce_ints(n, spread))
+        norm = _mul_mod(n, x, conj)[0]
+        return Cyclo(n, from_ints([den * v for v in conj], norm))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -288,9 +350,7 @@ def root_of_unity(n: int, k: int, order: int | None = None) -> Cyclo:
     if order % n:
         raise IncompatibleOrder(f"{n} does not divide ambient order {order}")
     e = (k * (order // n)) % order
-    poly = [0] * (e + 1)
-    poly[e] = 1
-    return Cyclo.from_poly(order, poly)
+    return Cyclo.from_poly(order, [0] * e + [1])
 
 
 def unity(exponent) -> "Fraction | Cyclo":

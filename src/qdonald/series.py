@@ -12,9 +12,8 @@ positive, ``gcd(den, *nums) == 1`` and no leading zero.  Every ring
 operation (products, inverses, powers, sums and rational scalars), every
 window or grid change and ``qdq`` run on those integers, and each result is
 reduced once.  ``coeffs``, the tuple of Fraction coefficients, is a view
-built on its first read.  A long dense convolution is one big-int multiply
-by Kronecker substitution (Harvey, arXiv:0712.4046); a short or sparse one
-is a loop over the nonzero pairs.
+built on its first read.  Products and inverses convolve those integers on
+the integer polynomial kernel of :mod:`qdonald.exact`.
 
 Only a series that holds a :class:`~qdonald.exact.Cyclo` coefficient (from
 ``shift_tau`` or a ``Cyclo`` scalar) keeps a coefficient tuple, as ``nums``
@@ -31,12 +30,8 @@ from itertools import islice
 from math import gcd, lcm
 from operator import add
 
-from .exact import Cyclo, as_rational, clear, root_of_unity
-
-# An integer product loops over the nonzero pairs while their count is at
-# most this many times the number of Kronecker slots (both operands plus the
-# output); past that, one big-int multiply is faster.
-_SCHOOLBOOK_PAIRS_PER_SLOT = 4
+from .exact import (Cyclo, _int_inverse, _int_product, as_rational, clear,
+                    root_of_unity)
 
 
 class NotInvertible(ZeroDivisionError):
@@ -592,18 +587,17 @@ class QSeries:
         """Render as 'q^(-1/8) * (1 + 28*q^(1/2) + ...)'."""
         if max_terms < 1:
             raise ValueError(f"max_terms must be at least 1, got {max_terms}")
-        terms = list(islice(self.terms(), max_terms + 1))
+        rest = self.terms()
+        terms = list(islice(rest, max_terms))
         if not terms:
             return "0"
         val = terms[0][0]
-        parts = []
-        for e, c in terms[:max_terms]:
-            parts.append(_format_term(e - val, c, first=not parts))
-        body = " ".join(parts)
-        if len(terms) > max_terms or self.prec is not None:
+        body = " ".join(_format_term(e - val, c, first=not i)
+                        for i, (e, c) in enumerate(terms))
+        if self.prec is not None or next(rest, None) is not None:
             body += " ..."
         if val == 0:
-            return body if len(terms[:max_terms]) == 1 and not body.startswith("(") \
+            return body if len(terms) == 1 and not body.startswith("(") \
                 else f"({body})" if " " in body else body
         return f"{_format_monomial(val)} * ({body})"
 
@@ -670,100 +664,6 @@ def _to_w(prec, ram: int, up: bool = True) -> int:
     if up:
         return -((-p.numerator) // p.denominator)
     return p.numerator // p.denominator
-
-
-def _int_product(x, y, n) -> list:
-    """The first n coefficients of the product of integer vectors x and y."""
-    ix = [i for i, v in enumerate(x) if v]
-    iy = [j for j, v in enumerate(y) if v]
-    # nonzero terms on a sublattice (as in a ramified series read on a finer
-    # grid) are convolved without the zeros between them
-    g = gcd(*ix, *iy)
-    if g > 1:
-        out = [0] * n
-        out[::g] = _pair_product(x[::g], y[::g], len(range(0, n, g)),
-                                 [i // g for i in ix], [j // g for j in iy])
-        return out
-    return _pair_product(x, y, n, ix, iy)
-
-
-def _pair_product(x, y, n, ix, iy) -> list:
-    """The first n coefficients of x * y, whose nonzero terms sit at the
-    indices ix and iy: a loop over the nonzero pairs while they are few, or
-    one Kronecker multiply."""
-    if len(ix) * len(iy) > _SCHOOLBOOK_PAIRS_PER_SLOT * (len(x) + len(y) + n):
-        return _kronecker(x, y, n, min(len(ix), len(iy)))
-    ny = [(j, y[j]) for j in iy]
-    out = [0] * n
-    for i in ix:
-        u, top = x[i], n - i
-        for j, v in ny:
-            if j >= top:
-                break
-            out[i + j] += u * v
-    return out
-
-
-def _kronecker(x, y, n, terms) -> list:
-    """The first n coefficients of x * y by one big-int multiply.
-
-    Each vector is packed into an integer with one slot of whole bytes per
-    coefficient, wide enough that no product coefficient (a sum of at most
-    ``terms`` products) reaches half a slot.  Negative coefficients make the
-    packed values and the product signed; the low n slots of the product,
-    read back as a two's-complement tail, unpack with a signed borrow.
-    """
-    bound = max(map(abs, x)) * max(map(abs, y)) * terms
-    k = (bound.bit_length() + 9) // 8
-    bits = 8 * k
-    low = (_pack(x, k) * _pack(y, k)) & ((1 << (bits * n)) - 1)
-    buf = low.to_bytes(k * n, "little")
-    half, full = 1 << (bits - 1), 1 << bits
-    from_bytes = int.from_bytes
-    out = []
-    borrow = 0
-    for j in range(0, k * n, k):
-        v = from_bytes(buf[j:j + k], "little") + borrow
-        if v >= half:
-            v -= full
-            borrow = 1
-        else:
-            borrow = 0
-        out.append(v)
-    return out
-
-
-def _pack(x, k) -> int:
-    """sum x[i] * 256^(k i) for signed x[i] with |x[i]| < 256^k."""
-    zero = bytes(k)
-    packed = int.from_bytes(b"".join(
-        v.to_bytes(k, "little") if v > 0 else zero for v in x), "little")
-    if min(x) < 0:
-        packed -= int.from_bytes(b"".join(
-            (-v).to_bytes(k, "little") if v < 0 else zero for v in x), "little")
-    return packed
-
-
-def _int_inverse(u, n) -> list:
-    """V_0, ..., V_(n-1) with 1 / (u_0 + u_1 q + ...) = sum V_m q^m / u_0^(m+1)
-    for integer u: V_0 = 1 and V_m = -sum_k u_k u_0^(k-1) V_(m-k) over the
-    nonzero u_k, all integers."""
-    u0 = u[0]
-    steps = []
-    scale = 1
-    for k in range(1, len(u)):
-        if u[k]:
-            steps.append((k, u[k] * scale))
-        scale *= u0
-    vs = [1] + [0] * (n - 1)
-    for m in range(1, n):
-        acc = 0
-        for k, w in steps:
-            if k > m:
-                break
-            acc += w * vs[m - k]
-        vs[m] = -acc
-    return vs
 
 
 def _scalar_series(c) -> QSeries:

@@ -183,6 +183,10 @@ def test_threads_env_var(monkeypatch, capsys):
     ["invariants"],
     ["verify", "--suite", "nope"],
     ["series", "--nam", "eta"],
+    ["series", "--name", "eta", "--order", "5", "--terms",
+     "100000000000000000000"],
+    ["nf4", "--terms", "100000000000000000000"],
+    ["hurwitz", "--max", "100000000000000000000"],
 ])
 def test_usage_error_exit_code(argv, capsys):
     """Bad input exits 2 with one error line on stderr, before any output."""

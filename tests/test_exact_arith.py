@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,26 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_polynomial(24) == (1, 0, 0, 0, -1, 0, 0, 0, 1)
     assert euler_phi(24) == 8
+
+
+def test_cyclotomic_polynomials_divide_x_n_minus_1():
+    """For every n <= 60, Phi_n is monic of degree phi(n), and the product of
+    Phi_d over the divisors d of n is x^n - 1."""
+    for n in range(1, 61):
+        phi = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+        poly = cyclotomic_polynomial(n)
+        assert len(poly) == phi + 1 and poly[-1] == 1
+        assert euler_phi(n) == phi
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                factor = cyclotomic_polynomial(d)
+                out = [0] * (len(prod) + len(factor) - 1)
+                for i, u in enumerate(prod):
+                    for j, v in enumerate(factor):
+                        out[i + j] += u * v
+                prod = out
+        assert prod == [-1] + [0] * (n - 1) + [1]
 
 
 def test_roots_of_unity():
@@ -147,3 +168,19 @@ def test_cyclo_product_and_reduction_match_oracle(args):
     assert (a * b).order == order
     assert Cyclo.from_poly(order, poly).coeffs == \
         cyclo_from_poly(order, poly).coeffs
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 7, 9, 12, 15, 16, 24, 30, 48])
+def test_cyclo_inverse_matches_oracle(order):
+    """a * a.inverse() is 1 by the Fraction oracle product, for dense and
+    sparse elements with small or 65-130-bit components; zero has no
+    inverse."""
+    rng = random.Random(order)
+    for trial in range(40):
+        density = rng.choice([0.15, 0.5, 1.0])
+        a = Cyclo(order, [_component(rng, trial % 2) if rng.random() < density
+                          else 0 for _ in range(euler_phi(order))])
+        if a:
+            assert cyclo_mul(a, a.inverse()) == Cyclo.from_rational(1, order)
+    with pytest.raises(DivisionByZero):
+        Cyclo.from_rational(0, order).inverse()

@@ -238,7 +238,7 @@ def test_kronecker_matches_int_schoolbook(x, y, n):
     if not any(x) or not any(y):
         return
     terms = min(sum(1 for v in x if v), sum(1 for v in y if v))
-    assert series._kronecker(x, y, n, terms) == _int_schoolbook(x, y, n)
+    assert exact_arith._kronecker(x, y, n, terms) == _int_schoolbook(x, y, n)
 
 
 def test_every_product_path_is_taken(monkeypatch):
@@ -246,8 +246,8 @@ def test_every_product_path_is_taken(monkeypatch):
     Kronecker multiply, packed without the zeros of a common sublattice.
     Each agrees with the oracle."""
     packed = []
-    kronecker = series._kronecker
-    monkeypatch.setattr(series, "_kronecker", lambda x, y, n, terms:
+    kronecker = exact_arith._kronecker
+    monkeypatch.setattr(exact_arith, "_kronecker", lambda x, y, n, terms:
                         packed.append(len(x)) or kronecker(x, y, n, terms))
     rng = random.Random(5)
     dense = QSeries(1, 0, [F(rng.randint(-50, 50), 4) for _ in range(150)], 150)
