@@ -10,7 +10,8 @@ Output is deterministic: identical invocations produce byte-identical text.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  A usage
 error (an unknown command or option, a missing value or option, an unknown
 series name, a malformed or negative order or bound, a ``--terms`` below 1,
-a bound or ``--terms`` above ``sys.maxsize``, an ``--out`` file that cannot
+a bound or ``--terms`` above ``sys.maxsize``, a ``hurwitz --max`` whose
+table of class numbers cannot be allocated, an ``--out`` file that cannot
 be written) is one stderr line of the form ``qdonald[ <command>]: error:
 <message>``; all but the last are reported before anything is computed.
 """
@@ -176,7 +177,11 @@ def cmd_goettsche(args) -> int:
 
 
 def cmd_hurwitz(args) -> int:
-    values = invariants.hurwitz(args.max)
+    try:
+        values = invariants.hurwitz(args.max)
+    except (OverflowError, MemoryError):
+        raise UsageError(f"argument --max: cannot allocate a table of "
+                         f"{args.max} + 1 class numbers") from None
     if args.format == "json":
         import json
         _emit(json.dumps({str(n): str(v) for n, v in enumerate(values)}) + "\n",

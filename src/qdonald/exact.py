@@ -318,10 +318,17 @@ class Cyclo:
         return NotImplemented
 
     def __hash__(self):
-        r = self.as_rational()
-        if r is not None:
-            return hash(r)
-        return hash((self.order, self.coeffs))
+        """The hash of the mean of the Galois conjugates, which no embedding
+        Q(zeta_N) -> Q(zeta_M) changes, so a rational value hashes as
+        itself.  zeta_N^j has mean mu(m) / phi(m), m = N / gcd(j, N), and
+        mu(m) is minus the next-to-top coefficient of Phi_m."""
+        mean = _ZERO
+        for j, c in enumerate(self.coeffs):
+            if c:
+                m = self.order // gcd(j, self.order)
+                mean += c * Fraction(-cyclotomic_polynomial(m)[-2],
+                                     euler_phi(m))
+        return hash(mean)
 
     def __bool__(self):
         return any(self.coeffs)

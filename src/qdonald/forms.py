@@ -122,9 +122,10 @@ def vartheta(which: int, prec) -> QSeries:
 # ---------------------------------------------------------------------------
 # Eisenstein series
 
-def _sigma1_table(top: int) -> list:
+def _divisor_sums(top: int, step: int) -> list:
+    """For each n < top, the sum of the divisors d of n with d = 1 mod step."""
     sig = [0] * max(top, 1)
-    for d in range(1, top):
+    for d in range(1, top, step):
         for m in range(d, top, d):
             sig[m] += d
     return sig
@@ -134,7 +135,7 @@ def _sigma1_table(top: int) -> list:
 def eisenstein_e2(prec) -> QSeries:
     """E_2 = 1 - 24 sum sigma_1(n) q^n."""
     top = ceil(prec)
-    sig = _sigma1_table(top)
+    sig = _divisor_sums(top, 1)
     terms = {0: 1}
     for n in range(1, top):
         terms[n] = -24 * sig[n]
@@ -145,10 +146,7 @@ def eisenstein_e2(prec) -> QSeries:
 def eisenstein_estar(prec) -> QSeries:
     """E* = 1 + 24 sum sigma_odd(n) q^n (sum over positive odd divisors)."""
     top = ceil(prec)
-    sig = [0] * max(top, 1)
-    for d in range(1, top, 2):
-        for m in range(d, top, d):
-            sig[m] += d
+    sig = _divisor_sums(top, 2)
     terms = {0: 1}
     for n in range(1, top):
         terms[n] = 24 * sig[n]
@@ -159,7 +157,7 @@ def eisenstein_estar(prec) -> QSeries:
 def eisenstein_eodd(prec) -> QSeries:
     """E_odd = sum sigma_1(2n+1) q^(2n+1)."""
     top = ceil(prec)
-    sig = _sigma1_table(top)
+    sig = _divisor_sums(top, 1)
     terms = {n: sig[n] for n in range(1, top, 2)}
     return QSeries.from_terms(terms, top)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, lcm
+from math import comb, factorial, isqrt, lcm
 from operator import mul
 
 from . import forms, mock
@@ -337,35 +337,22 @@ def z0_closed_form(prec) -> QSeries:
 # Hurwitz class numbers and the rank-two Euler characteristic series
 
 def hurwitz(nmax: int) -> list:
-    """H(0..nmax): weighted counts of reduced positive-definite forms."""
-    values = [Fraction(0)] * (nmax + 1)
-    if nmax >= 0:
-        values[0] = Fraction(-1, 12)
-    for n in range(1, nmax + 1):
-        if n % 4 in (1, 2):
-            continue
-        total = Fraction(0)
-        b = n % 2
-        while b * b <= n // 3 + 1 and b * b <= n:
-            m4 = n + b * b
-            if m4 % 4 == 0:
-                m = m4 // 4
-                a = max(b, 1)
-                while a * a <= m:
-                    if m % a == 0:
-                        c = m // a
-                        if c >= a:
-                            if b == 0:
-                                w = Fraction(1, 2) if a == c else Fraction(1)
-                            elif a == b:
-                                w = Fraction(1, 3) if a == c else Fraction(1)
-                            else:
-                                w = Fraction(1) if a == c else Fraction(2)
-                            total += w
-                    a += 1
-            b += 2
-        values[n] = total
-    return values
+    """H(0..nmax), from one pass over the reduced forms (a, b, c), which have
+    |b| <= a <= c, and b >= 0 if |b| = a or a = c.  Each adds 1 to
+    H(4ac - b^2), but a(x^2 + y^2) adds 1/2 and a(x^2 + xy + y^2) 1/3
+    (Zagier, C. R. Acad. Sci. Paris 281 (1975)); the pass counts 6 H(n)."""
+    if nmax < 0:
+        return []
+    six = [0] * (nmax + 1)
+    for a in range(1, isqrt(nmax // 3) + 1):
+        for b in range(1 - a, a + 1):
+            c = a if b >= 0 else a + 1  # c = a needs b >= 0
+            for n in range(4 * a * c - b * b, nmax + 1, 4 * a):
+                six[n] += 6
+        six[3 * a * a] -= 4             # (a, a, a) counts 2, not 6
+        if 4 * a * a <= nmax:
+            six[4 * a * a] -= 3         # (a, 0, a) counts 3, not 6
+    return [Fraction(-1, 12)] + [Fraction(v, 6) for v in six[1:]]
 
 
 def vafa_witten_series(kmax: int) -> QSeries:

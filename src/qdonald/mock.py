@@ -90,40 +90,28 @@ def lerch_mu_weighted(t: int, prec) -> QSeries:
     """(1/2) D_omega^t mu(4 tau + 2 omega, 4 tau; 8 tau) at omega = 0.
 
     The omega-derivative acts on the geometric expansion by weighting the
-    rho^(2x+1) term with (2x+1)^t; for even t the two half-sums combine into
-    the renormalized series calF_t / Theta4 with integer exponents.
+    rho^(2x+1) term with (2x+1)^t; for even t this is the renormalized
+    series calF_t / Theta4 = -S / Theta4, with S the half-sum below.
     """
     if t < 0 or t % 2:
         raise OddT("t must be a non-negative even integer")
     # as in mock_m: a negative precision gives the empty window rather than
     # a Theta4 with an empty window
     top = max(int(Fraction(prec)), 0) + 2
+    # S sums over n, x >= 0.  The n <= -1 half-sum is S again under
+    # n -> -1 - n, x -> x + 1 (same exponent (2n+1)(2n+3+4x), weight
+    # (2x+1)^t and sign), so the two halves times -1/2 give -S.
     terms: dict = {}
     n = 0
-    while 4 * n * n + 8 * n + 3 <= top:
-        base = 4 * n * n + 8 * n + 3
-        sgn = 1 if n % 2 == 0 else -1
-        e = 8 * n + 4
-        x = 0
-        while base + e * x <= top:
-            w = (2 * x + 1) ** t * sgn
-            terms[base + e * x] = terms.get(base + e * x, 0) + w
-            x += 1
+    while (2 * n + 1) * (2 * n + 3) <= top:
+        base, step = (2 * n + 1) * (2 * n + 3), 8 * n + 4
+        for x in range((top - base) // step + 1):
+            w = (2 * x + 1) ** t * (-1) ** n
+            terms[base + step * x] = terms.get(base + step * x, 0) + w
         n += 1
-    n = -1
-    while 4 * n * n + 8 * n + 3 <= top:
-        base = 4 * n * n + 8 * n + 3
-        sgn = 1 if n % 2 == 0 else -1
-        e = -(8 * n + 4)
-        x = 1
-        while base + e * x <= top:
-            w = (2 * x - 1) ** t * sgn
-            terms[base + e * x] = terms.get(base + e * x, 0) - w
-            x += 1
-        n -= 1
     s = QSeries.from_terms(terms, top)
     theta4 = forms.theta_big(4, top)
-    return (Fraction(-1, 2) * s * theta4.inverse()).truncate(prec)
+    return (-s * theta4.inverse()).truncate(prec)
 
 
 # ---------------------------------------------------------------------------

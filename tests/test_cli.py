@@ -187,6 +187,8 @@ def test_threads_env_var(monkeypatch, capsys):
      "100000000000000000000"],
     ["nf4", "--terms", "100000000000000000000"],
     ["hurwitz", "--max", "100000000000000000000"],
+    ["hurwitz", "--max", "9223372036854775807"],
+    ["hurwitz", "--max", "4611686018427387904"],
 ])
 def test_usage_error_exit_code(argv, capsys):
     """Bad input exits 2 with one error line on stderr, before any output."""

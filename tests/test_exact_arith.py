@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qdonald import (Cyclo, DivisionByZero, IncompatibleOrder, root_of_unity,
                      unity)
 from qdonald.exact import cyclotomic_polynomial, euler_phi
+from qdonald.series import QSeries
 
 from oracles import cyclo_from_poly, cyclo_mul
 
@@ -103,6 +104,26 @@ def test_cyclo_promotion():
     assert z24 == root_of_unity(8, 1, order=24)
     with pytest.raises(IncompatibleOrder):
         z8.promote(20)
+
+
+def test_equal_cyclos_hash_equal_across_orders():
+    """A value hashes the same in every Q(zeta_N) holding it, as a scalar
+    and as a coefficient of a series; a rational value hashes as itself."""
+    rng = random.Random(17)
+    for _ in range(300):
+        order = rng.randint(1, 24)
+        a = Cyclo(order, [F(rng.randint(-9, 9), rng.randint(1, 5))
+                          if rng.random() < 0.6 else 0
+                          for _ in range(euler_phi(order))])
+        for k in (2, 3, 5, 6, 10):
+            b = a.promote(k * order)
+            assert a == b and hash(a) == hash(b)
+        r = a.as_rational()
+        assert r is None or hash(a) == hash(r)
+    z8, z24 = root_of_unity(8, 1, order=8), root_of_unity(8, 1, order=24)
+    assert z8 == z24 and len({z8, z24}) == 1
+    s8, s24 = QSeries(1, 0, [F(1), z8], None), QSeries(1, 0, [F(1), z24], None)
+    assert s8 == s24 and hash(s8) == hash(s24)
 
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)

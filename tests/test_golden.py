@@ -86,6 +86,12 @@ GOLDEN = [
      "86e9337e42801494ba11b296020ad28332914713f57e6e02bfc45a300ab9e108"),
     (["series", "--name", "QtransS", "--order", "25"],
      "74ec91ba0d936f1d9da0cd85880e4bf434d12dcad1cfda59fd16262c1ca30d75"),
+    # class numbers far past the N_f = 4 tables, and the identity suite,
+    # whose FasMu lines read the weighted Appell-Lerch kernels
+    (["hurwitz", "--max", "2000", "--format", "json"],
+     "a92380f6d81fc5eb26c807d86d7103116ac6baf8b40261bac67807f570061596"),
+    (["verify", "--suite", "identities", "--order", "120"],
+     "50f5e440c2cc6e44ba9ab6d09f02785546f6eb3b76679f809aa1e1e5c701b503"),
 ]
 
 

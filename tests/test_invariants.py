@@ -360,6 +360,21 @@ def test_hurwitz_values():
     assert h[1] == 0 and h[2] == 0 and h[5] == 0
 
 
+def test_hurwitz_kronecker_relation():
+    """The Kronecker-Hurwitz class number relation for every n <= 300:
+    sum over t^2 <= 4n of H(4n - t^2) = 2 sigma(n) - sum_{d | n} min(d, n/d),
+    with H(0) = -1/12."""
+    h = inv.hurwitz(1200)
+    for n in range(1, 301):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        t = 0
+        while (t + 1) ** 2 <= 4 * n:
+            t += 1
+        lhs = sum(h[4 * n - u * u] for u in range(-t, t + 1))
+        assert lhs == 2 * sum(divisors) - sum(min(d, n // d)
+                                              for d in divisors), n
+
+
 def test_vafa_witten_series_printed():
     vw = inv.vafa_witten_series(8)
     got = [vw.coeff(k - F(1, 2)) for k in range(1, 8)]
