@@ -248,13 +248,13 @@ def _suite_identities(order) -> list:
     zero_check("16 Theta2^4 + Theta3^4 = E*(4tau)",
                16 * forms.theta_big(2, p) ** 4 + forms.theta_big(3, p) ** 4
                - forms.eisenstein_estar(p / 4 + 1).rescale(4, 1))
-    z = invariants.z_bold(p / 8)
+    z = invariants.z_bold(p / 8)  # on (1/2)Z: each shift is a sign twist
     zero_check("Z(tau) - Z(tau+1) = 14 eta^4 rho^4",
-               (z - z.shift_tau(1) - 56 * forms.eta_quotient([(2, 8), (1, -4)], p / 8)).demote())
+               z - z.shift_tau(1) - 56 * forms.eta_quotient([(2, 8), (1, -4)], p / 8))
     alt = (z - z.shift_tau(1) + z.shift_tau(2) - z.shift_tau(3)) \
         * forms.eta_power(1, -4, p / 8)
     zero_check("sum (-1)^k Z(tau+k)/eta^4 = 28 rho^4",
-               (alt - 28 * invariants.rho4(p / 8)).demote())
+               alt - 28 * invariants.rho4(p / 8))
     return checks
 
 
@@ -317,9 +317,9 @@ def _suite_tables() -> list:
 def _suite_nf4(order) -> list:
     p = Fraction(order)
     checks = []
-    z4 = invariants.nf4_partition(p)
+    z4 = invariants.nf4_partition(p)  # on 1/2 + Z: tau -> tau+2 twists by 1
     checks.append(sw.vanishing("nf4 partition invariant under tau -> tau+2",
-                               (z4.shift_tau(2) - z4).demote()))
+                               z4.shift_tau(2) - z4))
     vw = invariants.vafa_witten_series(8)
     expected = [1, 9, 48, 203, 729, 2346, 6918]
     got = [vw.coeff(Fraction(2 * k - 1, 2)) for k in range(1, 8)]

@@ -368,10 +368,3 @@ def unity(exponent) -> "Fraction | Cyclo":
     if e == Fraction(1, 2):
         return Fraction(-1)
     return root_of_unity(e.denominator, e.numerator)
-
-
-def as_rational(x):
-    """Demote a scalar to Fraction when possible, else return None."""
-    if isinstance(x, Cyclo):
-        return x.as_rational()
-    return Fraction(x)

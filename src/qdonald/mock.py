@@ -117,14 +117,20 @@ def lerch_mu_weighted(t: int, prec) -> QSeries:
 # ---------------------------------------------------------------------------
 # calQ and Q+
 
+def _q_combination(parts: dict) -> QSeries:
+    """-(7/2) A38 + (3/2) A78 - (1/2) B + 4 M: calQ from its parts, or its
+    inversion transform from theirs."""
+    return (Fraction(-7, 2) * parts["A38"] + Fraction(3, 2) * parts["A78"]
+            + Fraction(-1, 2) * parts["B"] + 4 * parts["M"])
+
+
 @memo
 def cal_q(prec) -> QSeries:
-    """calQ = -(7/2) A38 + (3/2) A78 - (1/2) B + 4 M (integer exponents)."""
+    """calQ from A38, A78, B and M (integer exponents)."""
     p = Fraction(prec)
-    return (Fraction(-7, 2) * forms.form_a38(p)
-            + Fraction(3, 2) * forms.form_a78(p)
-            + Fraction(-1, 2) * forms.form_b(p)
-            + 4 * mock_m(p)).truncate(p).reduce_ram()
+    return _q_combination({"A38": forms.form_a38(p), "A78": forms.form_a78(p),
+                           "B": forms.form_b(p), "M": mock_m(p)}
+                          ).truncate(p).reduce_ram()
 
 
 def q_plus(prec) -> QSeries:
@@ -141,13 +147,13 @@ def h_coefficients(count: int) -> list:
 # ---------------------------------------------------------------------------
 # The inversion transform of Q
 
-@memo
 def s_transform_parts(prec) -> dict:
     """(1/sqrt(-i tau)) X(-1/tau) for each constituent X of Q, renormalized.
 
     Keys A38/A78/B are eta-quotient transforms; key M is the holomorphic part
     of the mu-hat specialization.  All series carry integer exponents in the
-    renormalized variable (q -> q^8 relative to the tau picture).
+    renormalized variable (q -> q^8 relative to the tau picture).  Only
+    :func:`q_transform_s_ren` calls it, and that is memoized.
 
     M is (1/4)(zeta8 mu1 + zeta8^-1 mu2) q^(-1/4) for two complex-conjugate
     specializations mu2 = conj(mu1) of Zwegers' mu.  With mu1 = i N / theta,
@@ -185,12 +191,9 @@ def s_transform_parts(prec) -> dict:
 
 @memo
 def q_transform_s_ren(prec) -> QSeries:
-    """(1/sqrt(-i tau)) Q(-1/tau) in the renormalized (integer-exponent) frame."""
-    parts = s_transform_parts(prec)
-    return (Fraction(-7, 2) * parts["A38"]
-            + Fraction(3, 2) * parts["A78"]
-            + Fraction(-1, 2) * parts["B"]
-            + 4 * parts["M"]).truncate(prec)
+    """(1/sqrt(-i tau)) Q(-1/tau) in the renormalized (integer-exponent)
+    frame: :func:`_q_combination` of the transformed parts."""
+    return _q_combination(s_transform_parts(prec)).truncate(prec)
 
 
 def q_transform_s(prec) -> QSeries:

@@ -30,8 +30,7 @@ from itertools import islice
 from math import gcd, lcm
 from operator import add
 
-from .exact import (Cyclo, _int_inverse, _int_product, as_rational, clear,
-                    root_of_unity)
+from .exact import Cyclo, _int_inverse, _int_product, clear, root_of_unity
 
 
 class NotInvertible(ZeroDivisionError):
@@ -64,10 +63,10 @@ def memo(fn):
 
     One entry per value of the other arguments holds the result at the
     highest precision asked for; a higher request replaces it, and a lower
-    one gets its ``truncate`` (of each value, for a dict result).  Every
-    memoized constructor returns at a precision p what it returns at any
-    higher one, truncated at p.  An int and an equal Fraction precision
-    share the entry.  ``fn.entries`` is the cache; ``fn.clear()`` empties it.
+    one gets its ``truncate``.  Every memoized constructor returns one
+    series, and at a precision p what it returns at any higher one,
+    truncated at p.  An int and an equal Fraction precision share the
+    entry.  ``fn.entries`` is the cache; ``fn.clear()`` empties it.
     """
     entries = {}
 
@@ -79,8 +78,6 @@ def memo(fn):
             held = entries[key] = (prec, fn(*key, prec))
         if held[0] == prec:
             return held[1]
-        if isinstance(held[1], dict):
-            return {k: v.truncate(prec) for k, v in held[1].items()}
         return held[1].truncate(prec)
     call.entries = entries
     call.clear = entries.clear
@@ -256,13 +253,13 @@ class QSeries:
     def _spread(self, s: int, ram: int) -> "QSeries":
         """Stretch every w-exponent by s and read the result on the 1/ram
         grid, padding the window with zeros up to the stretched precision."""
-        nums, zero = self.nums, self._zero()
-        vals = [zero] * (s * (len(nums) - 1) + 1) if nums else []
+        nums = self.nums
+        vals = [0] * (s * (len(nums) - 1) + 1) if nums else []
         vals[::s] = nums
         lead = self.lead * s
         prec = None if self.prec is None else self.prec * s
         if prec is not None and vals:
-            vals += [zero] * (prec - lead - len(vals))
+            vals += [0] * (prec - lead - len(vals))
         return _make(ram, lead, vals, self.den, prec)
 
     def reduce_ram(self) -> "QSeries":
@@ -288,10 +285,6 @@ class QSeries:
         ram = lcm(self.ram, other.ram)
         return self.to_ram(ram), other.to_ram(ram)
 
-    def _zero(self):
-        """The zero that pads this series' stored values."""
-        return _ZERO if self.den is None else 0
-
     # ------------------------------------------------------------------
     # ring operations
     def __add__(self, other):
@@ -300,10 +293,6 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._align(other)
-        if not a.nums and a.prec is None:
-            return b
-        if not b.nums and b.prec is None:
-            return a
         precs = [p for p in (a.prec, b.prec) if p is not None]
         prec = min(precs) if precs else None
         parts = [s for s in (a, b) if s.nums]
@@ -339,9 +328,7 @@ class QSeries:
                      self.prec)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            other = _scalar_series(other)
-        if not isinstance(other, QSeries):
+        if not isinstance(other, (QSeries, int, Fraction, Cyclo)):
             return NotImplemented
         return self + (-other)
 
@@ -350,14 +337,10 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
-            if not other:
-                return QSeries.zero(self.prec_q(), self.ram)
             if self.den is not None and not isinstance(other, Cyclo):
                 return self._scaled(other.numerator, other.denominator)
-            zero = _ZERO * other  # a rational zero times other, made once
-            return _make(self.ram, self.lead,
-                         [c * other if c or type(c) is Cyclo else zero
-                          for c in self.coeffs], None, self.prec)
+            return _make(self.ram, self.lead, [c * other for c in self.coeffs],
+                         None, self.prec)
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._align(other)
@@ -388,9 +371,9 @@ class QSeries:
         return self.__mul__(other)
 
     def _scaled(self, num: int, den: int) -> "QSeries":
-        """self * num/den for a rational series and a nonzero num/den in
-        lowest terms (den > 0); the two gcds keep the result in lowest terms
-        without a gcd over the products."""
+        """self * num/den for a rational series and num/den in lowest terms
+        (den > 0); the two gcds keep the result in lowest terms without a
+        gcd over the products."""
         g, h = gcd(num, self.den), gcd(den, *self.nums)
         f = num // g
         nums = self.nums if f == 1 and h == 1 else \
@@ -477,7 +460,7 @@ class QSeries:
         lead = min(self.lead, w)
         pad = w - lead - len(nums)
         if pad:
-            nums = list(nums) + [self._zero()] * pad
+            nums = list(nums) + [0] * pad
         return _make(self.ram, lead, nums, den, w)
 
     def rescale(self, num: int, den: int = 1) -> "QSeries":
@@ -507,7 +490,7 @@ class QSeries:
             return _make(ram, lead, out, den, self.prec)
         if den is not None:
             out = [c if isinstance(c, Cyclo) else Fraction(c, den) for c in out]
-        demoted = [as_rational(c) if isinstance(c, Cyclo) else c for c in out]
+        demoted = [c.as_rational() if isinstance(c, Cyclo) else c for c in out]
         if None not in demoted:
             out = demoted
         return _make(ram, lead, out, None, self.prec)
@@ -590,7 +573,7 @@ class QSeries:
         rest = self.terms()
         terms = list(islice(rest, max_terms))
         if not terms:
-            return "0"
+            return "0" if self.prec is None else "0 ..."
         val = terms[0][0]
         body = " ".join(_format_term(e - val, c, first=not i)
                         for i, (e, c) in enumerate(terms))
@@ -681,7 +664,7 @@ def _format_monomial(e: Fraction) -> str:
 
 
 def _format_term(e: Fraction, c, first: bool) -> str:
-    r = as_rational(c) if isinstance(c, Cyclo) else c
+    r = c.as_rational() if isinstance(c, Cyclo) else c
     if r is None:
         cs, neg = f"({c!r})", False
     else:

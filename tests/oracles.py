@@ -254,11 +254,16 @@ def jacobi_theta(spec: LerchSpec, prec) -> QSeries:
     return series
 
 
-def lerch_mu(spec: LerchSpec, prec) -> QSeries:
+def lerch_mu(spec: LerchSpec, prec, t: int = 0) -> QSeries:
     """Formal expansion of Zwegers' mu(u, v; tau') at the given specialization.
 
     The bilateral sum is split into two one-sided geometric expansions at the
     index where 1 - a q'^n changes expansion direction.
+
+    ``t`` > 0 applies D_omega^t for u -> u + 2 omega, omega -> 0: the
+    a^(1/2 + x) term of the expansion (x >= 0) is weighted by (2x + 1)^t and
+    the a^(1/2 - x) term (x >= 1) by (1 - 2x)^t.  theta(v) does not see
+    omega.  A term with a q'-free denominator has no such expansion.
     """
     ut, vt, tm = spec.u_tau, spec.v_tau, spec.tau_mult
     ram = 1
@@ -291,6 +296,9 @@ def lerch_mu(spec: LerchSpec, prec) -> QSeries:
         if n % 2:
             base_c = -base_c
         if expo == 0:
+            if t:
+                raise NonExpandableDenominator(
+                    f"1 - a q'^{n} has no weighted geometric expansion")
             z = unity(spec.u_rat)
             if z == 1:
                 raise NonExpandableDenominator(
@@ -302,12 +310,14 @@ def lerch_mu(spec: LerchSpec, prec) -> QSeries:
         elif expo > 0:
             x = 0
             while base_e + expo * x < top:
-                add(base_e + expo * x, base_c * unity(spec.u_rat * x))
+                add(base_e + expo * x,
+                    base_c * unity(spec.u_rat * x) * (2 * x + 1) ** t)
                 x += 1
         else:
             x = 1
             while base_e - expo * x < top:
-                add(base_e - expo * x, -(base_c * unity(-spec.u_rat * x)))
+                add(base_e - expo * x,
+                    -(base_c * unity(-spec.u_rat * x)) * (1 - 2 * x) ** t)
                 x += 1
 
     # min_exponent is a positive-leading quadratic in n, hence strictly

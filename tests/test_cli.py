@@ -26,6 +26,15 @@ def test_series_qplus_text(capsys):
         "q^(-1/8) * (1 + 28*q^(1/2) + 39*q + 196*q^(3/2) + 161*q^2")
 
 
+@pytest.mark.parametrize("argv", [["series", "--name", "eta"], ["nf4"]],
+                         ids=" ".join)
+def test_text_of_a_window_with_no_known_term(argv, capsys):
+    """At order 0 no term of eta or of the nf = 4 partition function is
+    known: the text says so with ' ...' instead of a bare exact 0."""
+    code, out = run_cli(capsys, *argv, "--order", "0")
+    assert (code, out) == (0, "0 ...\n")
+
+
 def test_series_json_roundtrip(capsys):
     code, out = run_cli(capsys, "series", "--name", "QcalQ", "--order", "12",
                         "--format", "json")

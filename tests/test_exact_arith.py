@@ -81,6 +81,23 @@ def test_cyclo_arith_contract():
         a / zero
 
 
+def test_cyclo_divided_by_a_rational():
+    z = root_of_unity(8, 1, order=8)
+    assert z / 3 == z * F(1, 3)
+    assert (z / F(-2, 5)).coeffs == (0, F(-5, 2), 0, 0)
+    assert ((z + 1) / 2) * 2 == z + 1
+    for zero in (0, F(0)):
+        with pytest.raises(DivisionByZero):
+            z / zero
+
+
+def test_irrational_cyclo_repr():
+    z = root_of_unity(8, 1, order=8)
+    assert repr(z) == "Cyclo(8: 1*z^1)"
+    assert repr(F(1, 2) - 3 * z * z * z) == "Cyclo(8: 1/2 + -3*z^3)"
+    assert repr(z * z * z * z) == "Cyclo(8, -1)"
+
+
 def test_cyclo_rational_roundtrip():
     c = Cyclo.from_rational(F(-7, 3), 24)
     assert c.as_rational() == F(-7, 3)

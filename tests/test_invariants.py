@@ -484,6 +484,17 @@ def test_nf4_partition():
     assert g.coeff(F(-1, 3)) == F(-1, 36)
 
 
+@pytest.mark.parametrize("p", [F(1, 8), F(5, 2), 6, 20])
+def test_shifts_of_z_and_nf4_are_sign_twists(p):
+    """Z lives on (1/2)Z of its 1/8 grid and the nf = 4 partition function
+    on 1/2 + Z of its 1/24 grid, so these shifts multiply each term by 1 or
+    -1 and stay rational series: no root of unity is left to demote."""
+    z = inv.z_bold(p)
+    for k in (1, 2, 3):
+        assert z.shift_tau(k).den is not None
+    assert inv.nf4_partition(p).shift_tau(2).den is not None
+
+
 def test_z_transformation_lemma():
     p = 20
     z = inv.z_bold(p)

@@ -89,6 +89,18 @@ def test_lerch_mu_matches_weighted_kernel_at_t0():
     assert (F(1, 2) * mu - mock.lerch_mu_weighted(0, 30)).is_zero()
 
 
+@pytest.mark.parametrize("prec", [10, 30, 61], ids=str)
+@pytest.mark.parametrize("t", [2, 4, 6])
+def test_lerch_mu_matches_weighted_kernel(t, prec):
+    """(1/2) D_omega^t mu(4 tau + 2 omega, 4 tau; 8 tau) at omega = 0, from
+    Zwegers' bilateral sum weighted term by term, against the half-sum
+    kernel: a check of the weighted kernels that does not pass through
+    calF_t."""
+    mu = oracles.lerch_mu(LerchSpec(0, 4, 0, 4, 8), prec, t)
+    diff = F(1, 2) * mu - mock.lerch_mu_weighted(t, prec)
+    assert diff.is_zero() and diff.prec_q() == prec
+
+
 @pytest.mark.parametrize("t", [0, 2, 4])
 def test_fasmu(t):
     lhs = mock.cal_f(t, 34) * forms.theta_big(4, 34).inverse()
@@ -111,6 +123,15 @@ def test_lerch_mu_weighted_at_negative_precision(t, prec):
 def test_nonexpandable_denominator_detected():
     with pytest.raises(NonExpandableDenominator):
         oracles.lerch_mu(LerchSpec(0, 0, F(1, 4), 1, 2), 10)
+
+
+def test_weighted_lerch_mu_needs_geometric_expansions():
+    """At u = 1/2, 1 - a q'^0 = 2 is a constant: mu has that term, but its
+    omega-derivative is not a weight on an expansion, so t > 0 refuses."""
+    spec = LerchSpec(F(1, 2), 0, F(1, 4), 1, 2)
+    assert not oracles.lerch_mu(spec, 10).is_zero()
+    with pytest.raises(NonExpandableDenominator):
+        oracles.lerch_mu(spec, 10, 2)
 
 
 def test_theta_not_invertible_detected():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdonald import (InsufficientPrecision, IrrepresentableExponent,
+from qdonald import (Cyclo, InsufficientPrecision, IrrepresentableExponent,
                      NotInvertible, PrecisionUnderflow, QSeries,
                      root_of_unity)
 from qdonald import forms, mock
@@ -212,6 +212,76 @@ def test_to_text_rejects_max_terms_below_one(max_terms):
     with pytest.raises(ValueError):
         forms.eta(5).to_text(max_terms)
     assert forms.eta(5).to_text(1) == "q^(1/24) * (1 ...)"
+
+
+def test_to_text_marks_an_unknown_tail_after_no_known_term():
+    """A truncated series with no known nonzero term is not an exact zero:
+    its text keeps the trailing ' ...' of every other truncated series."""
+    assert QSeries.zero(5).to_text() == "0 ..."
+    assert QSeries.zero(F(-3, 2), ram=2).to_text() == "0 ..."
+    assert forms.eta(0).to_text() == "0 ..."
+    assert QSeries.zero().to_text() == "0"
+    assert (forms.eta(3) - forms.eta(3)).to_text() == "0 ..."
+    assert (QSeries.one() - 1).to_text() == "0"
+
+
+# ---------------------------------------------------------------------------
+# a series holding a Cyclo coefficient keeps a coefficient tuple
+
+def _cyclo_series():
+    """2/3 q^(-1/2) + zeta_8 - q^(3/2), known below q^4 on the 1/2 grid."""
+    return QSeries.from_terms({-1: F(2, 3), 0: root_of_unity(8, 1), 3: F(-1)},
+                              4, ram=2)
+
+
+def test_coeff_of_a_cyclo_series():
+    s = _cyclo_series()
+    assert s.den is None
+    assert s.coeff(0) == root_of_unity(8, 1)
+    assert type(s.coeff(0)) is Cyclo
+    assert s.coeff(F(-1, 2)) == F(2, 3) and s.coeff(F(3, 2)) == -1
+    assert s.coeff(1) == 0 and s.coeff(-3) == 0
+    with pytest.raises(InsufficientPrecision):
+        s.coeff(4)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_qdq_of_a_cyclo_series(j):
+    s = _cyclo_series()
+    d = s.qdq(j)
+    assert (d.ram, d.prec) == (s.ram, s.prec)
+    for m in range(-2, 8):
+        e = F(m, 2)
+        assert d.coeff(e) == e ** j * s.coeff(e)
+    assert d.coeff(F(-1, 2)) == F(-1, 2) ** j * F(2, 3)
+    assert d.coeff(0) == 0
+
+
+def test_json_of_a_cyclo_series():
+    s = _cyclo_series()
+    assert s.to_json_dict() == {
+        "ram": 2, "lead": -1, "prec": 8,
+        "coeffs": [["-1", "2/3"],
+                   ["0", {"zeta_order": 24,
+                          "coeffs": ["0", "0", "0", "1", "0", "0", "0", "0"]}],
+                   ["3", "-1"]]}
+
+
+def test_cyclo_scalar_added_to_a_series():
+    z = root_of_unity(8, 1)
+    s = _cyclo_series() + z
+    assert s.coeff(0) == 2 * z and s.coeff(F(-1, 2)) == F(2, 3)
+    assert (z + forms.theta_big(3, 5)).coeff(0) == 1 + z
+    assert (forms.theta_big(3, 5) - z).coeff(0) == 1 - z
+    assert (forms.theta_big(3, 5) + z - z).demote() == forms.theta_big(3, 5)
+
+
+def test_to_text_of_an_irrational_coefficient():
+    assert _cyclo_series().to_text() == \
+        "q^(-1/2) * (2/3 + (Cyclo(24: 1*z^3))*q^(1/2) - q^2 ...)"
+    rational = QSeries.from_terms({0: Cyclo.from_rational(-3, 8),
+                                   1: root_of_unity(2, 1, order=8)}, None)
+    assert rational.to_text() == "(-3 - q)"
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,46 @@ def test_inverse_for_each_leading_term(u0, a, top):
         assert window(b.inverse()) == window(schoolbook_inverse(b))
 
 
+@st.composite
+def dense_divisors(draw):
+    """A dense integer divisor of 200 to 260 terms of one of two shapes:
+    u0 = -1 after dividing by its content (the gcd of its coefficients),
+    which is 1, 2, 3 or 6; or a content c in {2, 3, 6, 10} times a part
+    whose lead is m = +-2, 5 or -7, so that u0 = c m and c is not a power
+    of u0."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = draw(st.integers(200, 260))
+    part = [rng.choice([-1, 1]) * rng.randint(1, 9) if rng.random() < 0.9
+            else 0 for _ in range(n)]
+    if draw(st.booleans()):
+        content, part[0] = draw(st.sampled_from([1, 2, 3, 6])), -1
+    else:
+        content = draw(st.sampled_from([2, 3, 6, 10]))
+        part[0] = draw(st.sampled_from([2, -2, 5, -7]))
+    part[1] = rng.choice([-1, 1])  # the part's own content is 1
+    ram = draw(st.sampled_from([1, 2, 8]))
+    lead = draw(st.integers(-4, 4))
+    exact = draw(st.booleans())
+    return QSeries(ram, lead, [F(content * v) for v in part],
+                   None if exact else lead + n)
+
+
+@settings(max_examples=16, deadline=None)
+@given(dense_divisors(), st.integers(200, 240))
+def test_inverse_of_long_dense_divisors(u, top):
+    """Long dense divisors with a negative unit lead after the content, and
+    with a content that is not a power of u0, against the schoolbook
+    recurrence."""
+    content = gcd(*u.nums)
+    assert len(u.nums) >= 200 and u.den == 1
+    assert u.nums[0] == -content or 1 < content < abs(u.nums[0])
+    if u.prec is None:
+        prec = F(top, u.ram) - u.valuation()
+        assert window(u.inverse(prec)) == window(schoolbook_inverse(u, prec))
+    else:
+        assert window(u.inverse()) == window(schoolbook_inverse(u))
+
+
 def test_ring_operations_do_not_clear_or_rebuild_fractions(monkeypatch):
     """No operation on a rational series goes through a Fraction list: the
     clearing and rebuilding helpers of ``exact`` are never called."""
