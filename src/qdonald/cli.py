@@ -10,9 +10,9 @@ Output is deterministic: identical invocations produce byte-identical text.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  A usage
 error (an unknown command or option, a missing value or option, an unknown
 series name, a malformed or negative order or bound, a ``--terms`` below 1,
-a bound or ``--terms`` above ``sys.maxsize``, a ``hurwitz --max`` whose
-table of class numbers cannot be allocated, an ``--out`` file that cannot
-be written) is one stderr line of the form ``qdonald[ <command>]: error:
+an order, bound or ``--terms`` above ``sys.maxsize``, a ``hurwitz --max``
+whose table of class numbers cannot be allocated, an ``--out`` file that
+cannot be written) is one stderr line of the form ``qdonald[ <command>]: error:
 <message>``; all but the last are reported before anything is computed.
 """
 
@@ -106,7 +106,7 @@ def _within(low: int, parse, what: str, high=None):
     return convert
 
 
-_order = _within(0, Fraction, "order")  # a rational such as 60 or 5/2
+_order = _within(0, Fraction, "order", sys.maxsize)  # such as 60 or 5/2
 _bound = _within(0, int, "bound", sys.maxsize)
 _terms = _within(1, int, "terms", sys.maxsize)
 

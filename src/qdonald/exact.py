@@ -78,41 +78,33 @@ def _pair_product(x, y, n, ix, iy) -> list:
 def _kronecker(x, y, n, terms) -> list:
     """The first n coefficients of x * y by one big-int multiply.
 
-    Each vector is packed into an integer with one slot of whole bytes per
-    coefficient, wide enough that no product coefficient (a sum of at most
-    ``terms`` products) reaches half a slot.  Negative coefficients make the
-    packed values and the product signed; the low n slots of the product,
-    read back as a two's-complement tail, unpack with a signed borrow.
+    Each vector is packed into an integer with one slot of k whole bytes
+    per coefficient, wide enough that no product coefficient c (a sum of at
+    most ``terms`` products) reaches half = 256^k / 2 in size.  The product
+    plus the bias integer of n slots holds the unsigned field c + half in
+    each of its low n slots, which reads back as one int minus half.
     """
     bound = max(map(abs, x)) * max(map(abs, y)) * terms
     k = (bound.bit_length() + 9) // 8
-    bits = 8 * k
-    low = (_pack(x, k) * _pack(y, k)) & ((1 << (bits * n)) - 1)
+    half = 1 << (8 * k - 1)
+    low = (_pack(x, k) * _pack(y, k) + _bias(n, k)) & ((1 << (8 * k * n)) - 1)
     buf = low.to_bytes(k * n, "little")
-    half, full = 1 << (bits - 1), 1 << bits
     from_bytes = int.from_bytes
-    out = []
-    borrow = 0
-    for j in range(0, k * n, k):
-        v = from_bytes(buf[j:j + k], "little") + borrow
-        if v >= half:
-            v -= full
-            borrow = 1
-        else:
-            borrow = 0
-        out.append(v)
-    return out
+    return [from_bytes(buf[j:j + k], "little") - half
+            for j in range(0, k * n, k)]
+
+
+def _bias(n, k) -> int:
+    """half = 256^k / 2 in each of n slots of k bytes."""
+    return int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
 
 
 def _pack(x, k) -> int:
-    """sum x[i] * 256^(k i) for signed x[i] with |x[i]| < 256^k."""
-    zero = bytes(k)
-    packed = int.from_bytes(b"".join(
-        v.to_bytes(k, "little") if v > 0 else zero for v in x), "little")
-    if min(x) < 0:
-        packed -= int.from_bytes(b"".join(
-            (-v).to_bytes(k, "little") if v < 0 else zero for v in x), "little")
-    return packed
+    """sum x[i] * 256^(k i) for signed x[i] with |x[i]| < 256^k / 2: the
+    unsigned fields x[i] + 256^k / 2, joined, minus the bias integer."""
+    half = 1 << (8 * k - 1)
+    return int.from_bytes(b"".join((v + half).to_bytes(k, "little")
+                                   for v in x), "little") - _bias(len(x), k)
 
 
 def _int_inverse(u, n) -> list:

@@ -47,11 +47,7 @@ def eta_power(arg: int, exp: int, prec) -> QSeries:
     shift = Fraction(arg * exp, 24)
     top = Fraction(prec) - shift
     unit = euler_product(max(top, Fraction(1)) + 1, arg)
-    if exp >= 0:
-        u = unit ** exp
-    else:
-        u = unit.inverse() ** (-exp)
-    return u.shift_exponent(shift).truncate(prec).reduce_ram()
+    return (unit ** exp).shift_exponent(shift).truncate(prec).reduce_ram()
 
 
 def eta(prec) -> QSeries:

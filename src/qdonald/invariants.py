@@ -367,66 +367,53 @@ def vafa_witten_series(kmax: int) -> QSeries:
 # ---------------------------------------------------------------------------
 # index bundle Chern coefficients
 
-class IndexChernCoeffs:
-    __slots__ = ("k", "r", "table")
-
-    def __init__(self, k: int, r: int, table: dict):
-        self.k, self.r, self.table = k, r, table
-
-    def __getitem__(self, key):
-        return self.table.get(key, Fraction(0))
-
-
 def series_exp(a: QSeries) -> QSeries:
-    """exp of a series with positive valuation, to its precision."""
-    if a.is_zero():
-        return QSeries.one() if a.prec is None else \
-            QSeries.from_terms({0: Fraction(1)}, a.prec_q())
-    if a.lead < 1:
+    """exp of a series with positive valuation, to its precision, by the
+    recurrence m b_m = sum_(k=1..m) k a_k b_(m-k) in w = q^(1/ram)."""
+    if a.prec is None:
+        if a.is_zero():
+            return QSeries.one()
+        raise ValueError("series_exp needs a truncated series")
+    if a.nums and a.lead < 1:
         raise ValueError("series_exp needs positive valuation")
-    p = a.prec_q()
-    total = QSeries.from_terms({0: Fraction(1)}, p)
-    term = QSeries.from_terms({0: Fraction(1)}, p)
-    s = 1
-    while True:
-        term = (term * a / s).truncate(p)
-        if term.is_zero():
-            break
-        total = total + term
-        s += 1
-    return total
+    ka = [(k, Fraction(k * v, a.den))
+          for k, v in enumerate(a.nums, a.lead) if v]
+    b = [Fraction(1)]
+    for m in range(1, a.prec):
+        b.append(sum((c * b[m - k] for k, c in ka if k <= m), Fraction(0)) / m)
+    return QSeries(a.ram, 0, b[:a.prec], a.prec)  # empty when prec <= 0
 
 
 def index_chern_coeffs(k: int, r: int, imax: int, jmax: int, lmax: int
-                       ) -> IndexChernCoeffs:
+                       ) -> dict:
     """Taylor coefficients f_(i,2j,2l) of the index-bundle Chern generating
-    function exp(x J1(z)/2 + y^2 J2(z)/4 + J3(z))."""
-    top = 2 * lmax + 1
+    function exp(x J1(z)/2 + y^2 J2(z)/4 + J3(z)), for every i <= imax, j <=
+    jmax and l <= lmax, zeros included; the series are even in z and run
+    in w = z^2."""
+    top = lmax + 1
     j1 = QSeries.from_terms(
-        {2 * l: Fraction((-1) ** l, 2 * l + 1) for l in range(lmax + 1)}, top)
+        {l: Fraction((-1) ** l, 2 * l + 1) for l in range(top)}, top)
     j2 = QSeries.from_terms(
-        {2 * l: Fraction((-1) ** l, 2 * l + 3) for l in range(lmax + 1)}, top)
+        {l: Fraction((-1) ** l, 2 * l + 3) for l in range(top)}, top)
     log_part = QSeries.from_terms(
-        {2 * s: Fraction((-1) ** (s + 1), s) for s in range(1, lmax + 1)}, top)
-    j3 = (Fraction(-(r * r - k), 2) * log_part
-          + Fraction(4 * k - 1, 4) * (j1 - 1))
-    exp_j3 = series_exp(j3)
+        {s: Fraction((-1) ** (s + 1), s) for s in range(1, top)}, top)
+    xi = series_exp(Fraction(-(r * r - k), 2) * log_part
+                    + Fraction(4 * k - 1, 4) * (j1 - 1))
     table = {}
-    xi = QSeries.from_terms({0: Fraction(1)}, top)
     for i in range(imax + 1):
-        yj = xi
+        yj = xi  # at x^i y^(2j): (J1/2)^i / i! (J2/4)^j / j! exp(J3)
         for j in range(jmax + 1):
-            for l in range(lmax + 1):
-                c = (yj * exp_j3).coeff(2 * l)
-                if c:
-                    table[(i, 2 * j, 2 * l)] = c
+            for l in range(top):
+                table[i, 2 * j, 2 * l] = yj.coeff(l)
             yj = yj * j2 / (4 * (j + 1))
         xi = xi * j1 / (2 * (i + 1))
-    return IndexChernCoeffs(k=k, r=r, table=table)
+    return table
 
 
 def phi_euler_combo(nf: int, k: int, m: int, n: int) -> Fraction:
     """Monopole-obstruction invariant as a convolution against the f-table."""
+    if m < 0 or n < 0:
+        raise ConstraintViolation("m, n must be non-negative")
     if nf == 2:
         if k % 2 or m + n + 2 != k:
             raise ConstraintViolation("nf=2 needs k even and m+n+2=k")

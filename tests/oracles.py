@@ -118,6 +118,27 @@ def schoolbook_pow(s: QSeries, k: int) -> QSeries:
     return out
 
 
+def taylor_exp(a: QSeries) -> QSeries:
+    """exp of a series with positive valuation as the Taylor sum of a^s / s!,
+    one series product per term.  Its 1 is read on the integer grid, so a
+    ramified argument's window is cut to whole powers of q."""
+    if a.is_zero():
+        return QSeries.one() if a.prec is None else \
+            QSeries.from_terms({0: Fraction(1)}, a.prec_q())
+    if a.lead < 1:
+        raise ValueError("series_exp needs positive valuation")
+    p = a.prec_q()
+    total = QSeries.from_terms({0: Fraction(1)}, p)
+    term = QSeries.from_terms({0: Fraction(1)}, p)
+    s = 1
+    while True:
+        term = (term * a / s).truncate(p)
+        if term.is_zero():
+            break
+        total = total + term
+        s += 1
+    return total
+
 
 # ---------------------------------------------------------------------------
 # Fraction-dict references for the sums, scalars and window operations that

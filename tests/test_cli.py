@@ -198,6 +198,8 @@ def test_threads_env_var(monkeypatch, capsys):
     ["hurwitz", "--max", "100000000000000000000"],
     ["hurwitz", "--max", "9223372036854775807"],
     ["hurwitz", "--max", "4611686018427387904"],
+    ["series", "--name", "E2", "--order", "1e30"],
+    ["series", "--name", "E2", "--order", "9223372036854775808"],
 ])
 def test_usage_error_exit_code(argv, capsys):
     """Bad input exits 2 with one error line on stderr, before any output."""

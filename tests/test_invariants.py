@@ -446,6 +446,57 @@ def test_index_chern_coeffs_against_trivariate_oracle():
             assert got[(i, b, c)] == v, (i, b, c)
 
 
+def test_index_chern_coeffs_stores_zeros():
+    """A cell inside the window whose coefficient vanishes reads 0: at k =
+    -1/2, r = 0, J3 = -(1/4) log(1 + z^2) - (3/4) (J1(z) - 1) has no z^2
+    term, so neither has exp(J3)."""
+    table = inv.index_chern_coeffs(F(-1, 2), 0, 1, 1, 2)
+    assert table[(0, 0, 2)] == 0
+    assert table[(0, 0, 0)] == 1 and table[(0, 0, 4)] != 0
+
+
+def test_index_chern_coeffs_window():
+    """The table holds every cell (i, 2j, 2l) of its window and no other
+    key: f_(5,0,0) = (1/2)^5 / 5! = 1/3840 lies past imax = 2, and a key
+    outside the window raises KeyError rather than reading as 0."""
+    table = inv.index_chern_coeffs(3, 1, 2, 2, 2)
+    for key in ((5, 0, 0), (0, 6, 0), (0, 0, 6), (0, 1, 0), (-1, 0, 0)):
+        with pytest.raises(KeyError):
+            table[key]
+    assert sorted(table) == [(i, 2 * j, 2 * l) for i in range(3)
+                             for j in range(3) for l in range(3)]
+    assert inv.index_chern_coeffs(3, 1, 5, 0, 0)[(5, 0, 0)] == F(1, 3840)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(1, 4),
+       st.lists(st.fractions(-9, 9, max_denominator=5), max_size=12))
+def test_series_exp_matches_taylor(ram, lead, coeffs):
+    """The exp recurrence agrees with the Taylor sum of a^s / s! on the
+    Taylor sum's window, and knows at least as much."""
+    a = QSeries(ram, lead, coeffs, lead + len(coeffs))
+    got, want = inv.series_exp(a), oracles.taylor_exp(a)
+    assert got.agrees_with(want)
+    assert got.prec_q() >= want.prec_q()
+
+
+def test_series_exp_refuses_exact_nonzero():
+    """exp of an exact nonzero series has no finite window to stop at."""
+    with pytest.raises(ValueError):
+        inv.series_exp(QSeries.monomial(1, F(1, 2)))
+    with pytest.raises(ValueError):
+        inv.series_exp(QSeries.from_terms({0: F(1)}, 5))
+    assert inv.series_exp(QSeries.zero()) == QSeries.one()
+
+
+def test_phi_euler_combo_negative_degrees():
+    """m, n < 0 are refused, as by uplane_D, not read off the end of the
+    Goettsche cells."""
+    for nf, k, m, n in ((2, 2, -1, 1), (2, 2, 1, -1), (3, 4, -1, 1)):
+        with pytest.raises(inv.ConstraintViolation):
+            inv.phi_euler_combo(nf, k, m, n)
+
+
 def test_phi_euler_combo_constraints():
     with pytest.raises(inv.ConstraintViolation):
         inv.phi_euler_combo(2, 3, 1, 0)

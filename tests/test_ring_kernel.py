@@ -241,6 +241,23 @@ def test_kronecker_matches_int_schoolbook(x, y, n):
     assert exact_arith._kronecker(x, y, n, terms) == _int_schoolbook(x, y, n)
 
 
+@pytest.mark.parametrize("b", [7, 8, 15, 16, 63, 64])
+def test_kronecker_slot_edges(b):
+    """Coefficients +-2^b next to byte boundaries, all of one sign or mixed,
+    put the largest product coefficient near the edge of a slot; every
+    window n, up to past the full product, unpacks exactly."""
+    signs = (lambda i: 1, lambda i: -1, lambda i: (-1) ** i,
+             lambda i: -1 if i % 3 else 1)
+    for lx, ly in ((1, 1), (2, 3), (4, 4), (8, 5)):
+        for sx in signs:
+            for sy in signs:
+                x = [sx(i) << b for i in range(lx)]
+                y = [sy(j) << b for j in range(ly)]
+                for n in range(1, lx + ly + 3):
+                    assert exact_arith._kronecker(x, y, n, min(lx, ly)) == \
+                        _int_schoolbook(x, y, n), (lx, ly, n)
+
+
 def test_every_product_path_is_taken(monkeypatch):
     """A short or sparse product stays a pair loop; a long dense one is one
     Kronecker multiply, packed without the zeros of a common sublattice.
