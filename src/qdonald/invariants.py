@@ -52,15 +52,15 @@ _FAMILIES = {
 }
 
 
-def _windows(family, w: int, target=0) -> tuple:
+def _windows(family, w: int) -> tuple:
     """(pt, ps): the least integer pt at which the family's weight-w
-    kernels are known below q^top, top = target - start + 1/ram, and the
-    least point ps of their grid above target - val; products of kernels
-    and a slot known below q^ps are known through q^target."""
+    kernels are known below q^top, top = -start + 1/ram, and the least
+    point ps of their grid above -val; products of kernels and a slot known
+    below q^ps are known through q^0."""
     start, _, ram, loss, (a, b) = _FAMILIES[family]
     val = Fraction(-(a * w + b), ram)
-    top = target - start + Fraction(1, ram)
-    return -((val - loss - top) // 1), Fraction((target - val) * ram // 1 + 1, ram)
+    top = Fraction(1, ram) - start
+    return -((val - loss - top) // 1), Fraction(-val * ram // 1 + 1, ram)
 
 
 def _factors(family, w: int, pt) -> tuple:
@@ -89,6 +89,8 @@ def _reads(family, w: int) -> tuple:
     ints[a] / den, (ints, den) = reads[k, l], one integer dot product, as
     E2^l = 1 + O(q) has integer coefficients and P_k one denominator.
     Reading a product where it is not known raises InsufficientPrecision."""
+    if w < 0:
+        raise ConstraintViolation(f"weight {w} is negative")
     start, step, ram = _FAMILIES[family][:3]
     base, pows, e2 = _factors(family, w, _windows(family, w)[0])
     t0, dt, r = int(-start * ram), int(step * ram), ram // e2.ram
@@ -132,22 +134,6 @@ def _slot(family, w: int, xs, t=None) -> tuple:
 # ---------------------------------------------------------------------------
 # Goettsche's closed formula
 
-def _goettsche_rows(m: int, n: int):
-    """Rows ((l, j), c, k, l', t, 0) of the Goettsche double sum for
-    p^m S^(2n): kernel c * P_k E_l', k = m + j, l' = l - j, against F_t,
-    t = 2(n - l)."""
-    for l in range(n + 1):
-        for j in range(l + 1):
-            # sign (-1)^(n+j): fixed against the printed invariant table,
-            # the worked (3,1) summands, and the Z0 reduction, which all
-            # carry one sign more than the displayed closed formula
-            c = (Fraction(8 * (-1) ** (n + j), 2 ** l * 3 ** l)
-                 * Fraction(factorial(2 * n),
-                            factorial(2 * n - 2 * l) * factorial(j)
-                            * factorial(l - j)))
-            yield (l, j), c, m + j, l - j, 2 * (n - l), 0
-
-
 def goettsche_weight(w: int) -> list:
     """The Goettsche pairing sums for p^m S^(2n), m + n = w, by m.
 
@@ -171,6 +157,9 @@ def goettsche_weight(w: int) -> list:
     cells = []
     for m in range(w + 1):
         n = w - m
+        # sign (-1)^(n+j): fixed against the printed invariant table, the
+        # worked (3,1) summands, and the Z0 reduction, which all carry one
+        # sign more than the displayed closed formula
         total = sum(factorial(2 * n) // (factorial(2 * n - 2 * l) * factorial(l))
                     * 6 ** (n - l) * t[n - l, l] for l in range(n + 1))
         cells.append(Fraction(8 * (-1) ** n * total, big * 6 ** n))
@@ -219,8 +208,10 @@ def uplane_weight(nf: int, w: int) -> list:
     C(i, j) x_a^j read_(w-i, i-j)[a] once, on integers over one denominator;
     the weight of H_a in cell (m, n) is A(m, n) sum_(i<=n) U_i[a] / (n-i)!,
     and the value pairs the weights with the slot."""
-    ram = _FAMILIES[nf][2]
+    if nf not in (0, 2, 3):
+        raise ConstraintViolation(f"no u-plane family for nf={nf}")
     reads, xs = _reads(nf, w)
+    ram = _FAMILIES[nf][2]
     sv, sden = _slot(nf, w, xs)
     powers = [[int(x * ram) ** j for x in xs] for j in range(w + 1)]
     rows = [(i, j) for i in range(w + 1) for j in range(i + 1)]
@@ -252,8 +243,6 @@ def uplane_D(nf: int, m: int, n: int) -> DCell:
     """
     if m < 0 or n < 0:
         raise ConstraintViolation("m, n must be non-negative")
-    if nf not in (0, 2, 3):
-        raise ConstraintViolation(f"no u-plane family for nf={nf}")
     return uplane_weight(nf, m + n)[m]
 
 
@@ -262,45 +251,7 @@ def evaluate_h_combo(combo, h_values) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the vanishing criterion and its summands
-
-def criterion_summands(m: int, n: int, prec) -> tuple:
-    """The (k, j) summands of both sides of the renormalized criterion sum,
-    as two dicts keyed by (k, j) with 0 <= j <= k <= n.
-
-    Side 1 is the Goettsche kernels times their F-slots (the F-bracket),
-    side 2 the nf=0 kernels times (q d/dq)^j Q+ (the bracket with
-    derivatives of the mock series).  The products are known through
-    q^p0, p0 = prec/8, then cut below q^p0 and renormalized (q -> q^8) to
-    integer exponents.  The slot window depends only on the kernels'
-    valuation, which the two sides share; Q+ has the lower valuation, so
-    its theta precision serves the F-slots.
-    """
-    p0 = Fraction(prec) / 8
-    w = m + n
-    pt, ps = _windows(0, w, p0)
-    sides = []
-    scale = _d_scale(0, m, n)
-    d_rows = (((i, j), scale * _d_inner(0, i, j) / factorial(n - i), w - i,
-               i - j, None, j) for i in range(n + 1) for j in range(i + 1))
-    for family, rows in (("goettsche", _goettsche_rows(m, n)), (0, d_rows)):
-        base, pows, e2 = _factors(family, w, pt)
-        sides.append({
-            key: (c * base * pows ** k * e2 ** l
-                  * (mock.q_plus(ps) if t is None else mock.f_t(t, ps)).qdq(d)
-                  ).truncate(p0).rescale(8, 1)
-            for key, c, k, l, t, d in rows})
-    return tuple(sides)
-
-
-def criterion_series(m: int, n: int, prec) -> QSeries:
-    """Renormalized difference of the two criterion brackets, all (k, j)."""
-    side1, side2 = criterion_summands(m, n, prec)
-    total = QSeries.zero(Fraction(prec), 1)
-    for key in side1:
-        total = total + side1[key] - side2[key]
-    return total
-
+# the vanishing criterion
 
 def criterion_weight(w: int) -> list:
     """:func:`criterion_check` at (m, w - m), by m."""
@@ -384,6 +335,20 @@ def series_exp(a: QSeries) -> QSeries:
     return QSeries(a.ram, 0, b[:a.prec], a.prec)  # empty when prec <= 0
 
 
+def _chern_series(k, r: int, top: int) -> tuple:
+    """(J1, J2, J3) of the index-bundle Chern generating function to w^top,
+    w = z^2: J1 = arctan(z)/z, J2 = (z - arctan z)/z^3 and J3 = -(r^2 -
+    k)/2 log(1 + w) + (4k - 1)/4 (J1 - 1)."""
+    j1 = QSeries.from_terms(
+        {l: Fraction((-1) ** l, 2 * l + 1) for l in range(top)}, top)
+    j2 = QSeries.from_terms(
+        {l: Fraction((-1) ** l, 2 * l + 3) for l in range(top)}, top)
+    log_part = QSeries.from_terms(
+        {s: Fraction((-1) ** (s + 1), s) for s in range(1, top)}, top)
+    return j1, j2, (Fraction(-(r * r - k), 2) * log_part
+                    + Fraction(4 * k - 1, 4) * (j1 - 1))
+
+
 def index_chern_coeffs(k: int, r: int, imax: int, jmax: int, lmax: int
                        ) -> dict:
     """Taylor coefficients f_(i,2j,2l) of the index-bundle Chern generating
@@ -391,14 +356,8 @@ def index_chern_coeffs(k: int, r: int, imax: int, jmax: int, lmax: int
     jmax and l <= lmax, zeros included; the series are even in z and run
     in w = z^2."""
     top = lmax + 1
-    j1 = QSeries.from_terms(
-        {l: Fraction((-1) ** l, 2 * l + 1) for l in range(top)}, top)
-    j2 = QSeries.from_terms(
-        {l: Fraction((-1) ** l, 2 * l + 3) for l in range(top)}, top)
-    log_part = QSeries.from_terms(
-        {s: Fraction((-1) ** (s + 1), s) for s in range(1, top)}, top)
-    xi = series_exp(Fraction(-(r * r - k), 2) * log_part
-                    + Fraction(4 * k - 1, 4) * (j1 - 1))
+    j1, j2, j3 = _chern_series(k, r, top)
+    xi = series_exp(j3)
     table = {}
     for i in range(imax + 1):
         yj = xi  # at x^i y^(2j): (J1/2)^i / i! (J2/4)^j / j! exp(J3)
@@ -411,34 +370,30 @@ def index_chern_coeffs(k: int, r: int, imax: int, jmax: int, lmax: int
 
 
 def phi_euler_combo(nf: int, k: int, m: int, n: int) -> Fraction:
-    """Monopole-obstruction invariant as a convolution against the f-table."""
+    """Monopole-obstruction invariant: the sum over j + l = big of the
+    y^(2j) w^l coefficient of exp(nf (y^2 J2/4 + J3)) times the Goettsche
+    value at p^(m+l) S^(2(n+j)); the y^(2j) term of that exponential is
+    (nf J2/4)^j / j! exp(nf J3)."""
     if m < 0 or n < 0:
         raise ConstraintViolation("m, n must be non-negative")
     if nf == 2:
         if k % 2 or m + n + 2 != k:
             raise ConstraintViolation("nf=2 needs k even and m+n+2=k")
-        big, copies = k, 2
+        big = k
     elif nf == 3:
         if k % 2 or 2 * m + 2 * n + 4 != k:
             raise ConstraintViolation("nf=3 needs k even and 2m+2n+4=k")
-        big, copies = 3 * k // 2, 3
+        big = 3 * k // 2
     else:
         raise ConstraintViolation("nf must be 2 or 3")
-    f = index_chern_coeffs(k, 0, 0, big, big)
-    conv = {(0, 0): Fraction(1)}
-    for _ in range(copies):
-        nxt = {}
-        for (j1, l1), w1 in conv.items():
-            for j2 in range(big + 1 - j1):
-                for l2 in range(big + 1 - l1 - j2):
-                    w2 = f[(0, 2 * j2, 2 * l2)]
-                    if w2:
-                        key = (j1 + j2, l1 + l2)
-                        nxt[key] = nxt.get(key, Fraction(0)) + w1 * w2
-        conv = nxt
+    _, j2, j3 = _chern_series(k, 0, big + 1)
+    yj = series_exp(nf * j3)
     phi = goettsche_weight(2 * k - 2)  # m + n + big = 2(k - 1)
-    return sum((w * phi[m + l] for (j, l), w in conv.items() if j + l == big),
-               Fraction(0))
+    total = Fraction(0)
+    for j in range(big + 1):
+        total += yj.coeff(big - j) * phi[m + big - j]
+        yj = yj * j2 * Fraction(nf, 4 * (j + 1))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -612,6 +612,31 @@ def criterion_kernels(m: int, n: int, target) -> tuple:
             uplane_kernels(m, n, _nf0_frame(n, ps, theta)))
 
 
+def criterion_summands(m: int, n: int, prec) -> tuple:
+    """The (k, j) summands of both sides of the renormalized criterion sum,
+    as two dicts keyed by (k, j) with 0 <= j <= k <= n.
+
+    Side 1 is the Goettsche kernels times their F-slots (the F-bracket),
+    side 2 the nf=0 kernels times (q d/dq)^j Q+ (the bracket with
+    derivatives of the mock series).  The products are known through
+    q^p0, p0 = prec/8, then cut below q^p0 and renormalized (q -> q^8) to
+    integer exponents.
+    """
+    p0 = Fraction(prec) / 8
+    return tuple({key: (c * kernel * slot.qdq(d)).truncate(p0).rescale(8, 1)
+                  for key, c, kernel, slot, d in kernels}
+                 for kernels in criterion_kernels(m, n, p0))
+
+
+def criterion_series(m: int, n: int, prec) -> QSeries:
+    """Renormalized difference of the two criterion brackets, all (k, j)."""
+    side1, side2 = criterion_summands(m, n, prec)
+    total = QSeries.zero(Fraction(prec), 1)
+    for key in side1:
+        total = total + side1[key] - side2[key]
+    return total
+
+
 # ---------------------------------------------------------------------------
 # The per-cell route to the invariant tables: one frame of kernel reads per
 # weight, in Fractions, and each cell summed over its own rows.
@@ -680,3 +705,30 @@ def pairing_cell(family, m: int, n: int, frame):
     sign = -1 if family == 3 else 1
     return value, tuple((a, sign * weights[a]) for a in sorted(weights)
                         if weights[a])
+
+
+# ---------------------------------------------------------------------------
+# The monopole sum by convolving the Chern table, which the series
+# exponential in invariants.phi_euler_combo replaced.
+
+def phi_euler_convolution(nf: int, k: int, m: int, n: int) -> Fraction:
+    """phi_euler_combo as the copies-fold (copies = nf) convolution of the
+    y^(2j) w^l cells of the Chern table f_(0,2j,2l), j + l <= big, paired
+    with the Goettsche values at p^(m+l) S^(2(n+j)) where j + l = big; m,
+    n and k as phi_euler_combo accepts them."""
+    big = k if nf == 2 else 3 * k // 2
+    f = inv.index_chern_coeffs(k, 0, 0, big, big)
+    conv = {(0, 0): Fraction(1)}
+    for _ in range(nf):
+        nxt = {}
+        for (j1, l1), w1 in conv.items():
+            for j2 in range(big + 1 - j1):
+                for l2 in range(big + 1 - l1 - j2):
+                    w2 = f[(0, 2 * j2, 2 * l2)]
+                    if w2:
+                        key = (j1 + j2, l1 + l2)
+                        nxt[key] = nxt.get(key, Fraction(0)) + w1 * w2
+        conv = nxt
+    phi = inv.goettsche_weight(2 * k - 2)  # m + n + big = 2(k - 1)
+    return sum((w * phi[m + l] for (j, l), w in conv.items() if j + l == big),
+               Fraction(0))

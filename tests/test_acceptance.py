@@ -253,13 +253,13 @@ def test_criterion_11_lambda_example():
                     0: F(85, 16)},
     }
     ok = True
-    sides = inv.criterion_summands(3, 1, 8)
+    sides = oracles.criterion_summands(3, 1, 8)
     for (side, k, j), coeffs in printed.items():
         lam = sides[side - 1][(k, j)]
         ok = ok and all(lam.coeff(e) == c for e, c in coeffs.items())
     telescoping = [F(7, 16), F(-13, 48), F(-85, 96),
                    F(85, 96), F(247, 48), F(-85, 16)]
-    diff = inv.criterion_series(3, 1, 8).constant_term()
+    diff = oracles.criterion_series(3, 1, 8).constant_term()
     ok = ok and sum(telescoping) == 0 and diff == 0
     report(11, ok, "six Lambda(3,1,k,j) summands match; constant term "
                    "telescopes 7/16 - 13/48 - 85/96 + 85/96 + 247/48 - 85/16 = 0")

@@ -92,6 +92,18 @@ GOLDEN = [
      "a92380f6d81fc5eb26c807d86d7103116ac6baf8b40261bac67807f570061596"),
     (["verify", "--suite", "identities", "--order", "120"],
      "50f5e440c2cc6e44ba9ab6d09f02785546f6eb3b76679f809aa1e1e5c701b503"),
+    # orders where the inverses of dense theta divisors and the longest
+    # Kronecker products run: a changed inverse or product algorithm must
+    # leave these bytes alone.  The identity suite prints labels and
+    # outcomes only, so its hash equals the order-120 one.
+    (["swcheck", "--nf", "3", "--order", "400"],
+     "dc7ed95ada4822352fe40293a054820568d156d96afdbf8bbbb6327047b950fb"),
+    (["verify", "--suite", "identities", "--order", "2000"],
+     "50f5e440c2cc6e44ba9ab6d09f02785546f6eb3b76679f809aa1e1e5c701b503"),
+    (["series", "--name", "Qplus", "--order", "3000", "--format", "json"],
+     "2c08c33500b020dfa7615225ed8dd1dc19e5eb63e9e3c314b26cf6d8da21d8f3"),
+    (["series", "--name", "Delta", "--order", "20000", "--format", "json"],
+     "af3ff5f273fa70ea65fefec900c113ed67159b52695fe8847850fd7d436b4ad5"),
 ]
 
 

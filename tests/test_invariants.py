@@ -233,14 +233,8 @@ def test_theta_windows_are_exact(nf, monkeypatch):
 def test_criterion_summand_windows_are_exact(monkeypatch):
     """The criterion products are known through q^p0: the coefficient at
     q^p0 is the pairing of q^-p0 kernel with the slot, and a slot one 1/8
-    step shorter no longer reaches it.  criterion_summands cuts the same
-    products below q^p0."""
+    step shorter no longer reaches it."""
     m, n, p0 = 1, 1, F(1)
-    sides = inv.criterion_summands(m, n, 8 * p0)
-    for side, kernels in zip(sides, oracles.criterion_kernels(m, n, p0)):
-        for key, c, kernel, slot, d in kernels:
-            assert side[key] == \
-                (c * kernel * slot.qdq(d)).truncate(p0).rescale(8, 1)
     for short in (False, True):
         if short:
             _shorten(monkeypatch, mock, "f_t", F(1, 8))
@@ -267,7 +261,7 @@ PRINTED_LAMBDA = {
 
 
 def test_lambda_summands_printed():
-    sides = inv.criterion_summands(3, 1, 8)
+    sides = oracles.criterion_summands(3, 1, 8)
     for (side, k, j), coeffs in PRINTED_LAMBDA.items():
         lam = sides[side - 1][(k, j)]
         for e, c in coeffs.items():
@@ -275,7 +269,7 @@ def test_lambda_summands_printed():
 
 
 def test_lambda_constant_telescoping():
-    side1, side2 = inv.criterion_summands(3, 1, 8)
+    side1, side2 = oracles.criterion_summands(3, 1, 8)
     consts = [side1[(k, j)].constant_term()
               for k in range(2) for j in range(k + 1)]
     consts += [-side2[(k, j)].constant_term()
@@ -293,7 +287,7 @@ def test_lambda_general_corner_agreement():
     orientation holds (checked on a grid of small (m, n)).
     """
     for (m, n) in [(3, 1), (1, 1), (0, 2), (2, 2), (0, 1)]:
-        side1, side2 = inv.criterion_summands(m, n, 8)
+        side1, side2 = oracles.criterion_summands(m, n, 8)
         c1 = side1[(n, n)].constant_term()
         c2 = side2[(0, 0)].constant_term()
         assert c1 == c2
@@ -304,7 +298,7 @@ def test_lambda_sums_recover_both_sides():
     side 1 totals the instanton side, side 2 the u-plane side, and each
     equals the pairing sum that criterion_check compares."""
     for (m, n) in inv.weight_grid(3):
-        side1, side2 = inv.criterion_summands(m, n, 8)
+        side1, side2 = oracles.criterion_summands(m, n, 8)
         s1 = sum(side1[(k, j)].constant_term()
                  for k in range(n + 1) for j in range(k + 1))
         s2 = sum(side2[(k, j)].constant_term()
@@ -327,8 +321,24 @@ def test_criterion_small_grid():
             inv.criterion_check(m, n)
 
 
+@pytest.mark.parametrize("call, args", [
+    (inv.uplane_weight, (5, 1)),
+    (inv.uplane_weight, ("goettsche", 1)),
+    (inv.uplane_weight, (0, -1)),
+    (inv.uplane_weight, (3, -2)),
+    (inv.goettsche_weight, (-1,)),
+    (inv.criterion_weight, (-1,)),
+    (inv.uplane_D, (5, 0, 0)),
+])
+def test_weight_passes_refuse_bad_input(call, args):
+    """An nf without a u-plane family or a negative weight is a
+    ConstraintViolation, not a KeyError, a NotInvertible or an empty list."""
+    with pytest.raises(inv.ConstraintViolation):
+        call(*args)
+
+
 def test_criterion_series_window():
-    s = inv.criterion_series(0, 0, 16)
+    s = oracles.criterion_series(0, 0, 16)
     assert s.constant_term() == 0
 
 
@@ -514,6 +524,20 @@ def test_phi_euler_combo_delta_kernel():
     for (j, l), w in conv.items():
         total += w * inv.goettsche_phi(k, 0 + l, 0 + j)
     assert total == inv.goettsche_phi(2, 0, 0)
+
+
+PHI_EULER_CELLS = (
+    [(2, k, m, k - 2 - m) for k in (2, 4, 6, 8) for m in range(k - 1)]
+    + [(3, k, m, k // 2 - 2 - m) for k in (4, 6, 8, 10)
+       for m in range(k // 2 - 1)])
+
+
+@pytest.mark.parametrize("nf, k, m, n", PHI_EULER_CELLS)
+def test_phi_euler_combo_matches_convolution(nf, k, m, n):
+    """The series exponential gives the nf-fold convolution of the Chern
+    table on every valid cell of these k."""
+    assert inv.phi_euler_combo(nf, k, m, n) == \
+        oracles.phi_euler_convolution(nf, k, m, n)
 
 
 def test_phi_euler_combo_values_frozen():

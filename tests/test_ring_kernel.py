@@ -383,6 +383,7 @@ def dense_divisors(draw):
         content = draw(st.sampled_from([2, 3, 6, 10]))
         part[0] = draw(st.sampled_from([2, -2, 5, -7]))
     part[1] = rng.choice([-1, 1])  # the part's own content is 1
+    part[-1] = rng.choice([-1, 1]) * rng.randint(1, 9)  # n terms if exact
     ram = draw(st.sampled_from([1, 2, 8]))
     lead = draw(st.integers(-4, 4))
     exact = draw(st.booleans())
