@@ -9,10 +9,17 @@ series holding one is demoted to Fractions before a product.  The default
 ambient order is N = 24, which contains every root of unity needed by the
 in-scope identities (zeta_8, zeta_24, i, sqrt(i)).
 
-Every integer polynomial product, power series inverse and division of the
-package runs on the kernel below, the series ring's and ``Cyclo``'s alike.
-A ``Cyclo`` product is reduced modulo Phi_N by monic division, and an
-inverse is the product of the other Galois conjugates over the rational norm.
+Every integer polynomial product and power series inverse of the package,
+the series ring's and ``Cyclo``'s alike, runs on one of the two entries of
+the integer kernel below: ``int_product(x, y, n)``, the first n coefficients
+of x * y, and ``int_reciprocal(u, n)``, the first n coefficients of 1 / u
+as ``(nums, den)`` in lowest terms with den > 0.  Both follow one shape
+rule: when the gcd g of the indices of the nonzero terms is 2 or more, the
+entry works on ``v[::g]`` and spreads the result back; then the product
+loops over the nonzero pairs or makes one Kronecker multiply, and the
+inverse runs its recurrence over the nonzero terms of the divisor.  A
+``Cyclo`` product is reduced modulo Phi_N by monic division, and an inverse
+is the product of the other Galois conjugates over the rational norm.
 """
 
 from __future__ import annotations
@@ -34,8 +41,10 @@ class IncompatibleOrder(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the integer polynomial kernel; a long dense product is one big-int multiply
-# by Kronecker substitution (Harvey, arXiv:0712.4046)
+# the integer polynomial kernel.  Each entry first steps down to the
+# sublattice that the nonzero terms of its operands share, as a ramified
+# series read on a finer grid does.  A long dense product is one big-int
+# multiply by Kronecker substitution (Harvey, arXiv:0712.4046).
 
 # An integer product loops over the nonzero pairs while their count is at
 # most this many times the number of Kronecker slots (both operands plus the
@@ -43,27 +52,64 @@ class IncompatibleOrder(ValueError):
 _SCHOOLBOOK_PAIRS_PER_SLOT = 4
 
 
-def _int_product(x, y, n) -> list:
+def int_product(x, y, n) -> list:
     """The first n coefficients of the product of integer vectors x and y."""
     ix = [i for i, v in enumerate(x) if v]
     iy = [j for j, v in enumerate(y) if v]
-    # nonzero terms on a sublattice (as in a ramified series read on a finer
-    # grid) are convolved without the zeros between them
     g = gcd(*ix, *iy)
     if g > 1:
-        out = [0] * n
-        out[::g] = _pair_product(x[::g], y[::g], len(range(0, n, g)),
-                                 [i // g for i in ix], [j // g for j in iy])
-        return out
-    return _pair_product(x, y, n, ix, iy)
+        return _spread(int_product(x[::g], y[::g], len(range(0, n, g))), g, n)
+    slots = len(x) + len(y) + n
+    dense = len(ix) * len(iy) > _SCHOOLBOOK_PAIRS_PER_SLOT * slots
+    return (_kronecker if dense else _pairs)(x, y, n, ix, iy)
 
 
-def _pair_product(x, y, n, ix, iy) -> list:
+def int_reciprocal(u, n) -> tuple:
+    """``(nums, den)`` with 1 / (u_0 + u_1 q + ...) = sum nums[m] q^m / den
+    + O(q^n) for integer u, u_0 != 0, in lowest terms with den > 0.
+
+    The integers V_0 = 1, V_m = -sum_k u_k u_0^(k-1) V_(m-k) over the
+    nonzero u_k give 1 / u = sum V_m q^m / u_0^(m+1), which is nums[m] =
+    V_m u_0^(n-1-m) over u_0^n before the sign and the gcd are taken out.
+    """
+    iu = [k for k, v in enumerate(u) if v]
+    g = gcd(*iu)
+    if g > 1:
+        nums, den = int_reciprocal(u[::g], len(range(0, n, g)))
+        return _spread(nums, g, n), den
+    u0 = u[0]
+    steps = [(k, u[k] * u0 ** (k - 1)) for k in iu[1:]]
+    vs = [1] + [0] * (n - 1)
+    for m in range(1, n):
+        acc = 0
+        for k, w in steps:
+            if k > m:
+                break
+            acc += w * vs[m - k]
+        vs[m] = -acc
+    nums, den = [], 1
+    for v in reversed(vs):
+        nums.append(v * den)
+        den *= u0
+    if den < 0:
+        nums, den = [-v for v in nums], -den
+    c = gcd(den, *nums)  # from the highest term, where u_0 divides least
+    nums.reverse()
+    if c > 1:
+        nums, den = [v // c for v in nums], den // c
+    return nums, den
+
+
+def _spread(vals, g, n) -> list:
+    """vals at the indices 0, g, 2g, ... of n zeros."""
+    out = [0] * n
+    out[::g] = vals
+    return out
+
+
+def _pairs(x, y, n, ix, iy) -> list:
     """The first n coefficients of x * y, whose nonzero terms sit at the
-    indices ix and iy: a loop over the nonzero pairs while they are few, or
-    one Kronecker multiply."""
-    if len(ix) * len(iy) > _SCHOOLBOOK_PAIRS_PER_SLOT * (len(x) + len(y) + n):
-        return _kronecker(x, y, n, min(len(ix), len(iy)))
+    indices ix and iy, by a loop over the nonzero pairs."""
     ny = [(j, y[j]) for j in iy]
     out = [0] * n
     for i in ix:
@@ -75,16 +121,18 @@ def _pair_product(x, y, n, ix, iy) -> list:
     return out
 
 
-def _kronecker(x, y, n, terms) -> list:
-    """The first n coefficients of x * y by one big-int multiply.
+def _kronecker(x, y, n, ix, iy) -> list:
+    """The first n coefficients of x * y, whose nonzero terms sit at the
+    indices ix and iy, by one big-int multiply.
 
     Each vector is packed into an integer with one slot of k whole bytes
     per coefficient, wide enough that no product coefficient c (a sum of at
-    most ``terms`` products) reaches half = 256^k / 2 in size.  The product
-    plus the bias integer of n slots holds the unsigned field c + half in
-    each of its low n slots, which reads back as one int minus half.
+    most min(len(ix), len(iy)) products) reaches half = 256^k / 2 in size.
+    The product plus the bias integer of n slots holds the unsigned field
+    c + half in each of its low n slots, which reads back as one int minus
+    half.
     """
-    bound = max(map(abs, x)) * max(map(abs, y)) * terms
+    bound = max(map(abs, x)) * max(map(abs, y)) * min(len(ix), len(iy))
     k = (bound.bit_length() + 9) // 8
     half = 1 << (8 * k - 1)
     low = (_pack(x, k) * _pack(y, k) + _bias(n, k)) & ((1 << (8 * k * n)) - 1)
@@ -105,28 +153,6 @@ def _pack(x, k) -> int:
     half = 1 << (8 * k - 1)
     return int.from_bytes(b"".join((v + half).to_bytes(k, "little")
                                    for v in x), "little") - _bias(len(x), k)
-
-
-def _int_inverse(u, n) -> list:
-    """V_0, ..., V_(n-1) with 1 / (u_0 + u_1 q + ...) = sum V_m q^m / u_0^(m+1)
-    for integer u: V_0 = 1 and V_m = -sum_k u_k u_0^(k-1) V_(m-k) over the
-    nonzero u_k, all integers."""
-    u0 = u[0]
-    steps = []
-    scale = 1
-    for k in range(1, len(u)):
-        if u[k]:
-            steps.append((k, u[k] * scale))
-        scale *= u0
-    vs = [1] + [0] * (n - 1)
-    for m in range(1, n):
-        acc = 0
-        for k, w in steps:
-            if k > m:
-                break
-            acc += w * vs[m - k]
-        vs[m] = -acc
-    return vs
 
 
 def _monic_divmod(num, den) -> tuple[list, list]:
@@ -172,7 +198,7 @@ def reduce_ints(n: int, poly) -> list:
 
 def _mul_mod(n: int, x, y) -> list:
     """x * y reduced modulo Phi_n, for integer polynomials x and y."""
-    return reduce_ints(n, _int_product(x, y, len(x) + len(y) - 1))
+    return reduce_ints(n, int_product(x, y, len(x) + len(y) - 1))
 
 
 def clear(values):

@@ -13,7 +13,10 @@ operation (products, inverses, powers, sums and rational scalars), every
 window or grid change and ``qdq`` run on those integers, and each result is
 reduced once.  ``coeffs``, the tuple of Fraction coefficients, is a view
 built on its first read.  Products and inverses convolve those integers on
-the integer polynomial kernel of :mod:`qdonald.exact`.
+the two entries of the integer polynomial kernel of :mod:`qdonald.exact`,
+``int_product`` and ``int_reciprocal``, which step down to the sublattice
+of the nonzero terms first; ``QSeries`` keeps only the window rules and
+one gcd that scales a reciprocal by the divisor's denominator.
 
 Only a series that holds a :class:`~qdonald.exact.Cyclo` coefficient (from
 ``shift_tau`` or a ``Cyclo`` scalar) keeps a coefficient tuple, as ``nums``
@@ -30,7 +33,7 @@ from itertools import islice
 from math import gcd, lcm
 from operator import add
 
-from .exact import Cyclo, _int_inverse, _int_product, clear, root_of_unity
+from .exact import Cyclo, clear, int_product, int_reciprocal, root_of_unity
 
 
 class NotInvertible(ZeroDivisionError):
@@ -345,11 +348,11 @@ class QSeries:
             return NotImplemented
         a, b = self._align(other)
         if not a.nums or not b.nums:
-            # zero times anything: known zero; precision from the zero window
-            precs = []
-            for z, s in ((a, b), (b, a)):
-                if not z.nums and z.prec is not None:
-                    precs.append(z.prec + (s.lead if s.nums else 0))
+            # zero times anything: known zero below the end of the zero's
+            # window plus the other factor's lead, which for an empty window
+            # is its end, or 0 when exact
+            precs = [z.prec + s.lead for z, s in ((a, b), (b, a))
+                     if not z.nums and z.prec is not None]
             prec = min(precs) if precs else None
             return _make(a.ram, 0, (), 1, prec)
         lead = a.lead + b.lead
@@ -364,7 +367,7 @@ class QSeries:
         n = (prec if prec is not None
              else lead + len(a.nums) + len(b.nums) - 1) - lead
         (x, dx), (y, dy) = _operand(a, n), _operand(b, n)
-        return _make(a.ram, lead, *_lowest(_int_product(x, y, n), dx * dy),
+        return _make(a.ram, lead, *_lowest(int_product(x, y, n), dx * dy),
                      prec)
 
     def __rmul__(self, other):
@@ -397,18 +400,12 @@ class QSeries:
         else:
             n = self.prec - self.lead
         u, den = _operand(self, n)
-        # out_m = den V_m / u_0^(m+1) = den V_m u_0^(n-1-m) / u_0^n
-        out, power = [], 1
-        for v in reversed(_int_inverse(u, n)):
-            out.append(den * v * power)
-            power *= u[0]
-        if power < 0:
-            out, power = [-v for v in out], -power
-        g = gcd(power, *out)  # from the highest term, where u_0 divides least
-        out.reverse()
-        if g > 1:
-            out, power = [v // g for v in out], power // g
-        return _make(self.ram, -self.lead, out, power, n - self.lead)
+        nums, d = int_reciprocal(u, n)
+        # 1 / (u / den) = den nums / d, and gcd(d, *nums) = 1
+        g = gcd(den, d)
+        if den > g:
+            nums = [v * (den // g) for v in nums]
+        return _make(self.ram, -self.lead, nums, d // g, n - self.lead)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):

@@ -230,6 +230,47 @@ def test_theta_windows_are_exact(nf, monkeypatch):
             _cell(nf, m, n)
 
 
+def _as_fractions(reads) -> dict:
+    return {key: [F(v, den) for v in ints]
+            for key, (ints, den) in reads[0].items()}
+
+
+@pytest.mark.parametrize("factor", ["kernel", "e2"])
+@pytest.mark.parametrize("nf, w", [("goettsche", 4), (0, 2), (2, 2), (3, 1)])
+def test_kernel_reads_need_the_last_term_they_read(nf, w, factor,
+                                                   monkeypatch):
+    """The highest kernel read is P_k E_l at q^-start.  It needs P_k known
+    through q^-start, and E2 through q^(-start - val), val the kernels'
+    valuation (these w put that point on E2's grid).  A factor cut at
+    exactly that point reads what the full one reads; cut one grid step
+    shorter, the read raises instead of using a term past its window."""
+    start, _, ram = inv._FAMILIES[nf][:3]
+    full = inv._reads(nf, w)
+    build = inv._factors
+    base, _, e2 = build(nf, w, inv._windows(nf, w)[0])
+    if factor == "kernel":
+        edge, step = -start, F(1, ram)
+    else:
+        edge, step = -start - base.valuation(), F(1, e2.ram)
+    assert (edge / step).denominator == 1
+    for short in (False, True):
+        top = edge + step - (step if short else 0)
+
+        def cut(*args):
+            b, p, e = build(*args)
+            if factor == "kernel":
+                return b.truncate(top), p, e
+            return b, p, e.truncate(top)
+        monkeypatch.setattr(inv, "_factors", cut)
+        if short:
+            with pytest.raises(InsufficientPrecision):
+                inv._reads(nf, w)
+        else:
+            reads = inv._reads(nf, w)
+            assert _as_fractions(reads) == _as_fractions(full)
+            assert reads[1] == full[1]
+
+
 def test_criterion_summand_windows_are_exact(monkeypatch):
     """The criterion products are known through q^p0: the coefficient at
     q^p0 is the pairing of q^-p0 kernel with the slot, and a slot one 1/8
@@ -516,20 +557,26 @@ def test_phi_euler_combo_constraints():
         inv.phi_euler_combo(3, 4, 1, 1)
 
 
-def test_phi_euler_combo_delta_kernel():
-    """With f replaced by the delta kernel the convolution returns Phi."""
-    k = 2
-    conv = {(0, 0): F(1)}
-    total = F(0)
-    for (j, l), w in conv.items():
-        total += w * inv.goettsche_phi(k, 0 + l, 0 + j)
-    assert total == inv.goettsche_phi(2, 0, 0)
-
-
 PHI_EULER_CELLS = (
     [(2, k, m, k - 2 - m) for k in (2, 4, 6, 8) for m in range(k - 1)]
     + [(3, k, m, k // 2 - 2 - m) for k in (4, 6, 8, 10)
        for m in range(k // 2 - 1)])
+
+
+def test_phi_euler_combo_delta_kernel(monkeypatch):
+    """With the Goettsche values replaced by a delta at p^(m+big) S^(2n),
+    only the j = 0 term of the exponential survives: the w^big coefficient
+    of exp(nf J3), which the convolution reads off the (0, big) cell of the
+    nf-fold Chern table."""
+    for nf, k, m, n in PHI_EULER_CELLS[::3]:
+        big = k if nf == 2 else 3 * k // 2
+        delta = [F(0)] * (2 * k - 1)
+        delta[m + big] = F(1)
+        monkeypatch.setattr(inv, "goettsche_weight", lambda w: delta)
+        value = inv.phi_euler_combo(nf, k, m, n)
+        assert value == oracles.phi_euler_convolution(nf, k, m, n) != 0
+        j3 = inv._chern_series(k, 0, big + 1)[2]
+        assert value == inv.series_exp(nf * j3).coeff(big)
 
 
 @pytest.mark.parametrize("nf, k, m, n", PHI_EULER_CELLS)

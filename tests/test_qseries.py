@@ -340,6 +340,36 @@ def test_product_matches_brute_convolution(a, b):
             assert prod.coeff(e) == c
 
 
+@pytest.mark.parametrize("other, below", [
+    (QSeries.monomial(-3), 2), (QSeries.monomial(2), 7),
+    (QSeries(1, -3, [F(2), F(0), F(-1)], 0), 2),
+    (QSeries(2, -5, [F(1), F(3)], -3), F(5, 2)),
+    (QSeries(1, 2, [F(1), F(1)], 4), 7)])
+def test_zero_product_window_adds_the_other_lead(other, below):
+    """0 + O(q^5) times c q^v (1 + ...) is known zero below q^(5 + v), in
+    either order, for an exact or a truncated factor whose lead has either
+    sign."""
+    for prod in (QSeries.zero(5) * other, other * QSeries.zero(5)):
+        assert prod.is_zero() and prod.prec_q() == below
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_fracs, st.sampled_from([1, 2, 4]),
+       st.one_of(qseries(), qseries(exact=True), small_fracs))
+def test_zero_product_window_is_exact(p, ram, other):
+    """A known zero O(q^p) times a factor that starts at q^v, or is
+    O(q^v) itself, is known zero below q^(p + v), and no further; other
+    is a series with a lead of either sign, or a zero window."""
+    z = QSeries.zero(p, ram)
+    if not isinstance(other, QSeries):
+        other = QSeries.zero(other, 2)
+    if other.is_zero() and other.prec is None:
+        return  # an exact zero: no window to add
+    v = other.valuation() if not other.is_zero() else other.prec_q()
+    for prod in (z * other, other * z):
+        assert prod.is_zero() and prod.prec_q() == z.prec_q() + v
+
+
 @settings(max_examples=200, deadline=None)
 @given(qseries(), st.integers(min_value=1, max_value=4),
        st.integers(min_value=1, max_value=4))

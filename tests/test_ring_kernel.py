@@ -219,6 +219,11 @@ def test_sign_twists_build_no_root_of_unity(monkeypatch):
     assert all(type(c) is F for c in twisted.coeffs)
 
 
+def _nonzero(*vs):
+    """The indices of the nonzero terms of each vector."""
+    return [[i for i, v in enumerate(x) if v] for x in vs]
+
+
 def _int_schoolbook(x, y, n):
     out = [0] * n
     for i, u in enumerate(x):
@@ -237,8 +242,8 @@ def test_kronecker_matches_int_schoolbook(x, y, n):
     including a window longer than the full product."""
     if not any(x) or not any(y):
         return
-    terms = min(sum(1 for v in x if v), sum(1 for v in y if v))
-    assert exact_arith._kronecker(x, y, n, terms) == _int_schoolbook(x, y, n)
+    assert exact_arith._kronecker(x, y, n, *_nonzero(x, y)) == \
+        _int_schoolbook(x, y, n)
 
 
 @pytest.mark.parametrize("b", [7, 8, 15, 16, 63, 64])
@@ -254,8 +259,46 @@ def test_kronecker_slot_edges(b):
                 x = [sx(i) << b for i in range(lx)]
                 y = [sy(j) << b for j in range(ly)]
                 for n in range(1, lx + ly + 3):
-                    assert exact_arith._kronecker(x, y, n, min(lx, ly)) == \
-                        _int_schoolbook(x, y, n), (lx, ly, n)
+                    assert exact_arith._kronecker(x, y, n, *_nonzero(x, y)) \
+                        == _int_schoolbook(x, y, n), (lx, ly, n)
+
+
+def _sparse_ints(bits):
+    """Integer vectors of 1 to 60 terms, about half of them zero."""
+    return st.lists(st.one_of(st.just(0), st.integers(-2 ** bits, 2 ** bits)),
+                    min_size=1, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_ints(70), _sparse_ints(8), st.integers(1, 130))
+def test_both_product_paths_match_int_schoolbook(x, y, n):
+    """The pair loop and the Kronecker multiply on the same signed,
+    zero-heavy operands of unequal lengths, whichever one the entry would
+    choose, and the entry itself."""
+    want = _int_schoolbook(x, y, n)
+    assert exact_arith.int_product(x, y, n) == want
+    assert exact_arith._pairs(x, y, n, *_nonzero(x, y)) == want
+    if any(x) and any(y):
+        assert exact_arith._kronecker(x, y, n, *_nonzero(x, y)) == want
+
+
+@pytest.mark.parametrize("u0", [1, -1, 2, -2, 8, 2 ** 19])
+@pytest.mark.parametrize("g", [1, 2, 4, 8])
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(-99, 99)), max_size=12),
+       st.integers(0, 12), st.integers(0, 6))
+def test_reciprocal_on_each_sublattice(u0, g, tail, steps, rest):
+    """int_reciprocal of a divisor whose nonzero terms lie on the multiples
+    of g, one of them at g itself, to a window n that is no multiple of g
+    when g > 1, against the schoolbook recurrence; the denominator is
+    positive and the result in lowest terms."""
+    u = [0] * (g * (len(tail) + 1) + 1)
+    u[::g] = [u0, 1] + tail
+    n = g * steps + (1 + rest % (g - 1) if g > 1 else rest + 1)
+    nums, den = exact_arith.int_reciprocal(u, n)
+    want = schoolbook_inverse(QSeries(1, 0, u, None), n)
+    assert [F(v, den) for v in nums] == list(want.coeffs)
+    assert den > 0 and gcd(den, *nums) == 1
 
 
 def test_every_product_path_is_taken(monkeypatch):
@@ -264,8 +307,8 @@ def test_every_product_path_is_taken(monkeypatch):
     Each agrees with the oracle."""
     packed = []
     kronecker = exact_arith._kronecker
-    monkeypatch.setattr(exact_arith, "_kronecker", lambda x, y, n, terms:
-                        packed.append(len(x)) or kronecker(x, y, n, terms))
+    monkeypatch.setattr(exact_arith, "_kronecker", lambda x, *rest:
+                        packed.append(len(x)) or kronecker(x, *rest))
     rng = random.Random(5)
     dense = QSeries(1, 0, [F(rng.randint(-50, 50), 4) for _ in range(150)], 150)
     sparse = QSeries.from_terms({k * k: F(1) for k in range(12)}, 150)
