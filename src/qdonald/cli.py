@@ -236,9 +236,10 @@ def _suite_identities(order) -> list:
                h.qdq(1) + eodd * (h ** 2 - 64))
     printed_defect = (h.qdq(1) + eodd * (h ** 2 + 64)) - 128 * eodd
     zero_check("h ODE as printed is off by exactly 128 E_odd", printed_defect)
+    # h^2 is known one step less far than h, which starts at q^-1
     zero_check("Delta(2tau)/Delta(4tau) = h^2 - 64",
                forms.delta(p).rescale(2, 1) * forms.delta(p).rescale(4, 1).inverse()
-               - (h ** 2 - 64))
+               - (forms.form_h(p + 1) ** 2 - 64))
     zero_check("Jacobi: vtheta3^4 - vtheta4^4 - vtheta2^4",
                forms.vartheta(3, p) ** 4 - forms.vartheta(4, p) ** 4
                - forms.vartheta(2, p) ** 4)
@@ -248,7 +249,9 @@ def _suite_identities(order) -> list:
     zero_check("16 Theta2^4 + Theta3^4 = E*(4tau)",
                16 * forms.theta_big(2, p) ** 4 + forms.theta_big(3, p) ** 4
                - forms.eisenstein_estar(p / 4 + 1).rescale(4, 1))
-    z = invariants.z_bold(p / 8)  # on (1/2)Z: each shift is a sign twist
+    # on (1/2)Z each shift is a sign twist; built past q^(p/8), as the
+    # product with eta^-4, which starts at q^(-1/6), loses 1/6
+    z = invariants.z_bold(p / 8 + 1)
     zero_check("Z(tau) - Z(tau+1) = 14 eta^4 rho^4",
                z - z.shift_tau(1) - 56 * forms.eta_quotient([(2, 8), (1, -4)], p / 8))
     alt = (z - z.shift_tau(1) + z.shift_tau(2) - z.shift_tau(3)) \

@@ -1,13 +1,12 @@
 """Exact scalar arithmetic and the integer polynomial kernel.
 
-Every series coefficient in this package is either a ``fractions.Fraction``
-or a :class:`Cyclo`, an element of the cyclotomic field Q(zeta_N) stored as
-a polynomial in zeta_N reduced modulo the N-th cyclotomic polynomial.  The
-series ring multiplies and inverts rational series only; a ``Cyclo`` is a
-scalar and the coefficient type that ``QSeries.shift_tau`` produces, and a
-series holding one is demoted to Fractions before a product.  The default
-ambient order is N = 24, which contains every root of unity needed by the
-in-scope identities (zeta_8, zeta_24, i, sqrt(i)).
+Every series coefficient in this package is a ``fractions.Fraction``.  A
+:class:`Cyclo` is a scalar of the cyclotomic field Q(zeta_N), stored as a
+polynomial in zeta_N reduced modulo the N-th cyclotomic polynomial; no
+series holds one, and the Q(zeta) identities of the paper (the zeta_8
+twists of Q+ and its S-transform, Zwegers' mu at rational characteristics)
+are checked with it by the test oracles.  The default ambient order is
+N = 24, which contains zeta_8, zeta_24, i and sqrt(i).
 
 Every integer polynomial product and power series inverse of the package,
 the series ring's and ``Cyclo``'s alike, runs on one of the two entries of
@@ -223,6 +222,9 @@ class Cyclo:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
+        if order < 1:
+            raise ValueError(f"a cyclotomic order must be at least 1, "
+                             f"got {order}")
         ph = euler_phi(order)
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(coeffs) != ph:
@@ -372,6 +374,9 @@ def root_of_unity(n: int, k: int, order: int | None = None) -> Cyclo:
     """zeta_n^k as an element of Q(zeta_order); n must divide order."""
     if order is None:
         order = n * DEFAULT_ORDER // gcd(n, DEFAULT_ORDER)
+    if n < 1 or order < 1:
+        raise ValueError(f"orders must be at least 1, got n = {n} and "
+                         f"order = {order}")
     if order % n:
         raise IncompatibleOrder(f"{n} does not divide ambient order {order}")
     e = (k * (order // n)) % order

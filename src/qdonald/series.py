@@ -6,9 +6,9 @@ everything at or above ``prec`` is unknown.  ``prec is None`` marks an exact
 series (a Laurent polynomial, known everywhere).  A series is immutable,
 which is what makes memoizing series constructors safe.
 
-A rational series is one integer vector over one denominator: the
+Every series is rational: one integer vector over one denominator.  The
 coefficient at exponent (lead + i)/ram is ``nums[i] / den``, with ``den``
-positive, ``gcd(den, *nums) == 1`` and no leading zero.  Every ring
+a positive int, ``gcd(den, *nums) == 1`` and no leading zero.  Every ring
 operation (products, inverses, powers, sums and rational scalars), every
 window or grid change and ``qdq`` run on those integers, and each result is
 reduced once.  ``coeffs``, the tuple of Fraction coefficients, is a view
@@ -18,11 +18,12 @@ the two entries of the integer polynomial kernel of :mod:`qdonald.exact`,
 of the nonzero terms first; ``QSeries`` keeps only the window rules and
 one gcd that scales a reciprocal by the divisor's denominator.
 
-Only a series that holds a :class:`~qdonald.exact.Cyclo` coefficient (from
-``shift_tau`` or a ``Cyclo`` scalar) keeps a coefficient tuple, as ``nums``
-with ``den`` None.  Such a series adds, subtracts, scales and compares, but
-must be demoted to Fractions before a product, inverse, power or series
-division, which raise :class:`NotRational` otherwise.
+A coefficient that is not an ``int`` or a ``Fraction`` raises
+:class:`NotRational` where a series is built; so does a cyclotomic scalar
+of :mod:`qdonald.exact`, even a zero or rational one.  ``shift_tau``
+multiplies each term by 1 or -1 and raises :class:`NotRational` where tau ->
+tau + k twists a nonzero term by another root of unity.  Series over
+Q(zeta) are a test reference (``tests/oracles.py``), not a production path.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import islice
 from math import gcd, lcm
 from operator import add
 
-from .exact import Cyclo, clear, int_product, int_reciprocal, root_of_unity
+from .exact import clear, int_product, int_reciprocal
 
 
 class NotInvertible(ZeroDivisionError):
@@ -57,8 +58,6 @@ class NotRational(TypeError):
 
 
 _ZERO = Fraction(0)
-_NOT_RATIONAL = ("series products and inverses take rational coefficients; "
-                 "call .demote() first")
 
 
 def memo(fn):
@@ -91,18 +90,16 @@ class QSeries:
     __slots__ = ("ram", "lead", "prec", "nums", "den", "_coeffs")
 
     def __init__(self, ram: int, lead: int, coeffs, prec):
-        """From scalar coefficients (ints, Fractions or Cyclos) on the window
-        [lead, prec), in w-units (w = q^(1/ram)), exclusive."""
+        """From int or Fraction coefficients on the window [lead, prec), in
+        w-units (w = q^(1/ram)), exclusive."""
         coeffs = list(coeffs)
         if prec is not None and len(coeffs) != max(prec - lead, 0):
             raise ValueError("coefficient window does not match [lead, prec)")
-        self._set(ram, lead, coeffs, None, prec)
+        self._set(ram, lead, *_rational(coeffs), prec)
 
     def _set(self, ram, lead, vals, den, prec):
-        """Normalize and store: strip known-zero leading terms; exact series
-        also strip trailing zeros.  ``vals`` are integers over ``den`` in
-        lowest terms, or scalars when ``den`` is None; scalars with no Cyclo
-        among them are cleared to integers over one denominator."""
+        """Normalize and store integers over ``den`` in lowest terms: strip
+        known-zero leading terms; exact series also strip trailing zeros."""
         top = len(vals)
         i = 0
         while i < top and not vals[i]:
@@ -117,13 +114,6 @@ class QSeries:
             if i or top < len(vals):
                 vals = vals[i:top]
             lead += i
-            if den is None:
-                if Cyclo in set(map(type, vals)):
-                    vals = tuple(c if isinstance(c, Cyclo) else Fraction(c)
-                                 for c in vals)
-                    object.__setattr__(self, "_coeffs", vals)
-                else:
-                    vals, den = clear(vals)
         put = object.__setattr__
         put(self, "ram", ram)
         put(self, "lead", lead)
@@ -136,8 +126,8 @@ class QSeries:
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients on [lead, lead + len(nums)): Fractions, built on
-        the first read, or the stored tuple of a Cyclo-holding series."""
+        """The Fraction coefficients on [lead, lead + len(nums)), built on
+        the first read."""
         try:
             return self._coeffs
         except AttributeError:
@@ -179,7 +169,7 @@ class QSeries:
         vals = [0] * ((max(terms) + 1 if w is None else w) - lo)
         for m, c in terms.items():
             vals[m - lo] = c
-        return _make(ram, lo, vals, None, w)
+        return _make(ram, lo, *_rational(vals), w)
 
     @staticmethod
     def from_numerators(ram: int, lead: int, nums, den: int = 1,
@@ -221,8 +211,6 @@ class QSeries:
         i = m - self.lead
         if i < 0 or i >= len(self.nums):
             return _ZERO
-        if self.den is None:
-            return self.nums[i]
         v = self.nums[i]
         return Fraction(v, self.den) if v else _ZERO
 
@@ -237,8 +225,7 @@ class QSeries:
         ram, lead, den = self.ram, self.lead, self.den
         for i, c in enumerate(self.nums):
             if c:
-                yield (Fraction(lead + i, ram),
-                       c if den is None else Fraction(c, den))
+                yield Fraction(lead + i, ram), Fraction(c, den)
 
     def support_mod(self, modulus: Fraction) -> set:
         """Residues (q-exponents mod modulus) carrying nonzero terms."""
@@ -291,8 +278,8 @@ class QSeries:
     # ------------------------------------------------------------------
     # ring operations
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            other = _scalar_series(other)
+        if isinstance(other, (int, Fraction)):
+            other = _make(1, 0, (other.numerator,), other.denominator, None)
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._align(other)
@@ -305,14 +292,6 @@ class QSeries:
         hi = prec
         if hi is None:
             hi = max(s.lead + len(s.nums) for s in parts)
-        if a.den is None or b.den is None:
-            out = [_ZERO] * max(hi - lo, 0)
-            for s in parts:
-                for i, c in enumerate(s.coeffs):
-                    m = s.lead + i
-                    if m < hi and c:
-                        out[m - lo] = out[m - lo] + c
-            return _make(a.ram, lo, out, None, prec)
         den = lcm(a.den, b.den)
         out = [0] * max(hi - lo, 0)
         for s in parts:
@@ -331,7 +310,7 @@ class QSeries:
                      self.prec)
 
     def __sub__(self, other):
-        if not isinstance(other, (QSeries, int, Fraction, Cyclo)):
+        if not isinstance(other, (QSeries, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -339,11 +318,8 @@ class QSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            if self.den is not None and not isinstance(other, Cyclo):
-                return self._scaled(other.numerator, other.denominator)
-            return _make(self.ram, self.lead, [c * other for c in self.coeffs],
-                         None, self.prec)
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._align(other)
@@ -366,17 +342,16 @@ class QSeries:
             raise PrecisionUnderflow("product has an empty known window")
         n = (prec if prec is not None
              else lead + len(a.nums) + len(b.nums) - 1) - lead
-        (x, dx), (y, dy) = _operand(a, n), _operand(b, n)
-        return _make(a.ram, lead, *_lowest(int_product(x, y, n), dx * dy),
-                     prec)
+        prod = int_product(a.nums[:n], b.nums[:n], n)
+        return _make(a.ram, lead, *_lowest(prod, a.den * b.den), prec)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def _scaled(self, num: int, den: int) -> "QSeries":
-        """self * num/den for a rational series and num/den in lowest terms
-        (den > 0); the two gcds keep the result in lowest terms without a
-        gcd over the products."""
+        """self * num/den for num/den in lowest terms (den > 0); the two
+        gcds keep the result in lowest terms without a gcd over the
+        products."""
         g, h = gcd(num, self.den), gcd(den, *self.nums)
         f = num // g
         nums = self.nums if f == 1 and h == 1 else \
@@ -399,20 +374,18 @@ class QSeries:
                 raise PrecisionUnderflow("inverse has an empty known window")
         else:
             n = self.prec - self.lead
-        u, den = _operand(self, n)
-        nums, d = int_reciprocal(u, n)
+        nums, d = int_reciprocal(self.nums[:n], n)
         # 1 / (u / den) = den nums / d, and gcd(d, *nums) = 1
-        g = gcd(den, d)
-        if den > g:
-            nums = [v * (den // g) for v in nums]
+        g = gcd(self.den, d)
+        if self.den > g:
+            nums = [v * (self.den // g) for v in nums]
         return _make(self.ram, -self.lead, nums, d // g, n - self.lead)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
+        if isinstance(other, (int, Fraction)):
             if not other:
                 raise NotInvertible("division by zero scalar")
-            inv = other.inverse() if isinstance(other, Cyclo) else 1 / Fraction(other)
-            return self * inv
+            return self * (1 / Fraction(other))
         if not isinstance(other, QSeries):
             return NotImplemented
         if other.prec is None:
@@ -433,8 +406,6 @@ class QSeries:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        if k and self.den is None:
-            raise NotRational(_NOT_RATIONAL)
         result, base = None, self
         while k:
             if k & 1:
@@ -452,7 +423,7 @@ class QSeries:
             return self
         keep = max(w - self.lead, 0)
         nums, den = self.nums[:keep], self.den
-        if den is not None and keep < len(self.nums):
+        if keep < len(self.nums):
             nums, den = _lowest(nums, den)
         lead = min(self.lead, w)
         pad = w - lead - len(nums)
@@ -467,30 +438,21 @@ class QSeries:
         return self._spread(num, self.ram * den).reduce_ram()
 
     def shift_tau(self, k: int) -> "QSeries":
-        """tau -> tau + k: multiply the w^m coefficient by zeta_ram^(k m)."""
+        """tau -> tau + k: multiply the w^m coefficient by zeta_ram^(k m),
+        which must be 1 or -1 wherever the coefficient is nonzero."""
         if self.ram == 1 or k % self.ram == 0:
             return self
-        ram, lead, den = self.ram, self.lead, self.den
+        ram, lead = self.ram, self.lead
         out = []
-        rational = True
-        for i, c in enumerate(self.nums):
-            t = k * (lead + i) % ram
-            if not c or t == 0:
-                out.append(c)
-            elif 2 * t == ram:
-                out.append(-c)
-            else:
-                out.append(root_of_unity(ram, t)
-                           * (c if den is None else Fraction(c, den)))
-                rational = False
-        if rational:
-            return _make(ram, lead, out, den, self.prec)
-        if den is not None:
-            out = [c if isinstance(c, Cyclo) else Fraction(c, den) for c in out]
-        demoted = [c.as_rational() if isinstance(c, Cyclo) else c for c in out]
-        if None not in demoted:
-            out = demoted
-        return _make(ram, lead, out, None, self.prec)
+        for m, c in enumerate(self.nums, lead):
+            t = k * m % ram
+            if c and 2 * t == ram:
+                c = -c
+            elif c and t:
+                raise NotRational(f"tau -> tau + {k} twists the term at "
+                                  f"q^({Fraction(m, ram)}) by a root of unity")
+            out.append(c)
+        return _make(ram, lead, out, self.den, self.prec)
 
     def qdq(self, j: int = 1) -> "QSeries":
         """j-fold q d/dq: multiply the coefficient at exponent e by e^j."""
@@ -499,10 +461,6 @@ class QSeries:
         if j == 0:
             return self
         ram, lead = self.ram, self.lead
-        if self.den is None:
-            out = [c * Fraction(lead + i, ram) ** j if c else c
-                   for i, c in enumerate(self.nums)]
-            return _make(ram, lead, out, None, self.prec)
         out = [v and v * (lead + i) ** j for i, v in enumerate(self.nums)]
         return _make(ram, lead, *_lowest(out, self.den * ram ** j), self.prec)
 
@@ -515,27 +473,6 @@ class QSeries:
         prec = None if s.prec is None else s.prec + off
         return _make(ram, s.lead + off, s.nums, s.den, prec)
 
-    def map_coeffs(self, fn) -> "QSeries":
-        return QSeries(self.ram, self.lead, [fn(c) for c in self.coeffs], self.prec)
-
-    def demote(self) -> "QSeries":
-        """Convert Cyclo coefficients that are rational back to Fraction."""
-        if self.den is not None:
-            return self
-        out = []
-        for c in self.nums:
-            if isinstance(c, Cyclo):
-                r = c.as_rational()
-                out.append(r if r is not None else c)
-            else:
-                out.append(c)
-        return _make(self.ram, self.lead, out, None, self.prec)
-
-    def is_rational(self) -> bool:
-        return self.den is not None or all(
-            not isinstance(c, Cyclo) or c.as_rational() is not None
-            for c in self.nums)
-
     # ------------------------------------------------------------------
     # comparisons and output
     def agrees_with(self, other: "QSeries") -> bool:
@@ -547,10 +484,8 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._align(other)
-        if a.den is not None and b.den is not None:
-            return (a.lead, a.prec, a.den, a.nums) == \
-                (b.lead, b.prec, b.den, b.nums)
-        return (a.lead, a.prec, a.coeffs) == (b.lead, b.prec, b.coeffs)
+        return (a.lead, a.prec, a.den, a.nums) == \
+            (b.lead, b.prec, b.den, b.nums)
 
     def __hash__(self):
         """The hash of the coarsest grid the series can be read on: ram,
@@ -587,17 +522,10 @@ class QSeries:
         entries = []
         den = self.den
         for m, c in enumerate(self.nums, self.lead):
-            if not c:
-                continue
-            if den is not None:  # as str(Fraction(c, den)) writes it
+            if c:  # as str(Fraction(c, den)) writes it
                 g = gcd(c, den)
                 entries.append([str(m), str(c // g) if g == den
                                 else f"{c // g}/{den // g}"])
-            elif isinstance(c, Cyclo):
-                entries.append([str(m), {"zeta_order": c.order,
-                                         "coeffs": [str(x) for x in c.coeffs]}])
-            else:
-                entries.append([str(m), str(c)])
         return {"ram": self.ram, "lead": self.lead,
                 "prec": self.prec, "coeffs": entries}
 
@@ -606,8 +534,8 @@ class QSeries:
 
 
 def _make(ram: int, lead: int, vals, den, prec) -> QSeries:
-    """A series from stored values: integers over ``den`` in lowest terms,
-    or scalar coefficients when ``den`` is None (see ``QSeries._set``)."""
+    """A series from integers over ``den`` in lowest terms (see
+    ``QSeries._set``)."""
     s = object.__new__(QSeries)
     s._set(ram, lead, vals, den, prec)
     return s
@@ -621,16 +549,14 @@ def _lowest(nums, den) -> tuple:
     return [v // g for v in nums], den // g
 
 
-def _operand(s: QSeries, n: int) -> tuple:
-    """(ints, den) of the first n stored terms of a product or inverse
-    operand.  A coefficient tuple holding no Cyclo there is cleared; a Cyclo
-    coefficient, even a rational or zero one, is refused."""
-    if s.den is not None:
-        return s.nums[:n], s.den
-    try:
-        return clear(s.nums[:n])
-    except AttributeError:  # a Cyclo coefficient has no denominator
-        raise NotRational(_NOT_RATIONAL) from None
+def _rational(values) -> tuple:
+    """``(ints, den)`` of int or Fraction values over their least common
+    denominator; any other value raises NotRational."""
+    for kind in set(map(type, values)):
+        if not issubclass(kind, (int, Fraction)):
+            raise NotRational(f"a series coefficient must be an int or a "
+                              f"Fraction, not {kind.__name__}")
+    return clear(values)
 
 
 def _to_w(prec, ram: int, up: bool = True) -> int:
@@ -646,12 +572,6 @@ def _to_w(prec, ram: int, up: bool = True) -> int:
     return p.numerator // p.denominator
 
 
-def _scalar_series(c) -> QSeries:
-    if isinstance(c, Cyclo):
-        return _make(1, 0, [c], None, None)
-    return _make(1, 0, (c.numerator,), c.denominator, None)
-
-
 def _format_monomial(e: Fraction) -> str:
     if e == 1:
         return "q"
@@ -660,19 +580,14 @@ def _format_monomial(e: Fraction) -> str:
     return f"q^({e})"
 
 
-def _format_term(e: Fraction, c, first: bool) -> str:
-    r = c.as_rational() if isinstance(c, Cyclo) else c
-    if r is None:
-        cs, neg = f"({c!r})", False
-    else:
-        neg = r < 0
-        mag = -r if neg else r
-        cs = str(mag)
+def _format_term(e: Fraction, c: Fraction, first: bool) -> str:
+    neg = c < 0
+    cs = str(-c if neg else c)
     if e == 0:
         core = cs
     else:
         mono = _format_monomial(e)
-        core = mono if r is not None and abs(r) == 1 else f"{cs}*{mono}"
+        core = mono if abs(c) == 1 else f"{cs}*{mono}"
     if first:
         return f"-{core}" if neg else core
     return f"- {core}" if neg else f"+ {core}"

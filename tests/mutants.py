@@ -27,6 +27,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SERIES = "src/qdonald/series.py"
 EXACT = "src/qdonald/exact.py"
 INVARIANTS = "src/qdonald/invariants.py"
+SW = "src/qdonald/sw.py"
+CLI = "src/qdonald/cli.py"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 TIMEOUT_S = 1800
@@ -64,6 +66,25 @@ MUTANTS = [
      "lead = min(self.lead, w)", "lead = self.lead",
      "truncating below the lead keeps the old lead; the window is then "
      "empty, and _set moves an empty window's lead to its end anyway"),
+    ("vanishing-below-30", SW,
+     "bad = next((e for e, _ in series.terms()), None)",
+     "bad = next((e for e, _ in series.terms() if e < 30), None)",
+     "a vanishing check that looks only below q^30 passes a residual that "
+     "is nonzero further out in its window"),
+    ("identities-order-capped", CLI,
+     "lambda: _suite_identities(args.order)",
+     "lambda: _suite_identities(min(args.order, 60))",
+     "verify runs the identities suite at min(--order, 60), so a larger "
+     "--order checks no further"),
+    ("shift-tau-signs-every-twist", SERIES,
+     "if c and 2 * t == ram:", "if c and t:",
+     "tau -> tau + k multiplies a term by -1 where the twist is another "
+     "root of unity, instead of raising NotRational"),
+    ("build-accepts-cyclo", SERIES,
+     "if not issubclass(kind, (int, Fraction)):",
+     "if not issubclass(kind, (int, Fraction)) and kind.__name__ != "
+     "\"Cyclo\":",
+     "a Cyclo coefficient passes the check where a series is built"),
 ]
 
 EQUIVALENT = {"truncate-below-lead"}

@@ -12,8 +12,8 @@ from math import factorial, gcd, lcm
 from qdonald import forms, invariants as inv, mock
 from qdonald.exact import Cyclo, cyclotomic_polynomial, euler_phi, unity
 from qdonald.mock import gamma_half_ratio
-from qdonald.series import (InsufficientPrecision, PrecisionUnderflow,
-                            QSeries, _to_w)
+from qdonald.series import (InsufficientPrecision, NotInvertible,
+                            NotRational, PrecisionUnderflow, QSeries, _to_w)
 
 _ZERO = Fraction(0)
 
@@ -65,47 +65,200 @@ def cyclo_mul(a: Cyclo, b: Cyclo) -> Cyclo:
     return cyclo_from_poly(a.order, prod)
 
 
+class CycloSeries:
+    """A truncated series over Q(zeta), the plain reference for the ring.
+
+    ``terms`` maps w-exponents (w = q^(1/ram)) to nonzero Fraction or Cyclo
+    values, all below the w-unit bound ``prec`` (None: exact).  The window
+    rules are those of ``QSeries``: the lead is the first nonzero exponent,
+    or the bound of a window with no nonzero term (0 when exact), and each
+    operation sets ``prec`` as the ``QSeries`` operation of that name does.
+    """
+
+    def __init__(self, ram: int, terms: dict, prec):
+        self.ram, self.prec = ram, prec
+        self.terms = {m: c for m, c in terms.items()
+                      if c and (prec is None or m < prec)}
+
+    @staticmethod
+    def of(s) -> "CycloSeries":
+        """A QSeries, a scalar or a CycloSeries as a CycloSeries."""
+        if isinstance(s, CycloSeries):
+            return s
+        if isinstance(s, QSeries):
+            return CycloSeries(s.ram, dict(enumerate(s.coeffs, s.lead)),
+                               s.prec)
+        return CycloSeries(1, {0: s}, None)
+
+    @property
+    def lead(self) -> int:
+        if self.terms:
+            return min(self.terms)
+        return 0 if self.prec is None else self.prec
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def valuation(self) -> Fraction:
+        return Fraction(min(self.terms), self.ram)
+
+    def prec_q(self):
+        return None if self.prec is None else Fraction(self.prec, self.ram)
+
+    def spread(self, s: int, ram: int) -> "CycloSeries":
+        """Each w-exponent times s, read on the 1/ram grid."""
+        return CycloSeries(ram, {s * m: c for m, c in self.terms.items()},
+                           None if self.prec is None else s * self.prec)
+
+    def to_ram(self, ram: int) -> "CycloSeries":
+        if ram % self.ram:
+            raise ValueError(f"{self.ram} does not divide {ram}")
+        return self.spread(ram // self.ram, ram)
+
+    def _align(self, other) -> tuple:
+        other = CycloSeries.of(other)
+        ram = lcm(self.ram, other.ram)
+        return self.to_ram(ram), other.to_ram(ram)
+
+    def __add__(self, other) -> "CycloSeries":
+        """The sum on the joint window: prec the lesser of the two."""
+        a, b = self._align(other)
+        precs = [p for p in (a.prec, b.prec) if p is not None]
+        out = dict(a.terms)
+        for m, c in b.terms.items():
+            out[m] = out[m] + c if m in out else c
+        return CycloSeries(a.ram, out, min(precs) if precs else None)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "CycloSeries":
+        return self * -1
+
+    def __sub__(self, other) -> "CycloSeries":
+        return self + -CycloSeries.of(other)
+
+    def __rsub__(self, other) -> "CycloSeries":
+        return -self + other
+
+    def __mul__(self, other) -> "CycloSeries":
+        """A scalar multiplies each value.  A series product runs over the
+        pairs of terms, with lead a.lead + b.lead and prec the lesser of
+        a.prec + b.lead and b.prec + a.lead; a known zero factor z gives
+        the zero known below z.prec + the other factor's lead."""
+        if not isinstance(other, (CycloSeries, QSeries)):
+            return CycloSeries(self.ram, {m: c * other
+                                          for m, c in self.terms.items()},
+                               self.prec)
+        a, b = self._align(other)
+        if not a.terms or not b.terms:
+            precs = [z.prec + s.lead for z, s in ((a, b), (b, a))
+                     if not z.terms and z.prec is not None]
+            return CycloSeries(a.ram, {}, min(precs) if precs else None)
+        lead = a.lead + b.lead
+        cands = [p + s.lead for p, s in ((a.prec, b), (b.prec, a))
+                 if p is not None]
+        prec = min(cands) if cands else None
+        if prec is not None and prec <= lead:
+            raise PrecisionUnderflow("product has an empty known window")
+        out = {}
+        for i, x in a.terms.items():
+            for j, y in b.terms.items():
+                if prec is None or i + j < prec:
+                    out[i + j] = out[i + j] + x * y if i + j in out else x * y
+        return CycloSeries(a.ram, out, prec)
+
+    __rmul__ = __mul__
+
+    def inverse(self, prec=None) -> "CycloSeries":
+        """1 / self by the recurrence out_m = -(1/u_0) sum u_k out_(m-k) on
+        n terms: the window's n when truncated, else up to the q-exponent
+        ``prec``."""
+        if not self.terms:
+            raise NotInvertible("inverse of a zero series")
+        lead = self.lead
+        n = self.prec - lead if self.prec is not None \
+            else _to_w(prec, self.ram) + lead
+        if n <= 0:
+            raise PrecisionUnderflow("inverse has an empty known window")
+        u = sorted((m - lead, c) for m, c in self.terms.items() if m - lead < n)
+        u0 = u[0][1]
+        inv0 = u0.inverse() if isinstance(u0, Cyclo) else 1 / u0
+        out = [inv0] + [0] * (n - 1)
+        for m in range(1, n):
+            acc = 0
+            for k, c in u[1:]:
+                if k > m:
+                    break
+                if out[m - k]:
+                    acc = c * out[m - k] + acc
+            out[m] = -(inv0 * acc) if acc else 0
+        return CycloSeries(self.ram, dict(enumerate(out, -lead)), n - lead)
+
+    def truncate(self, prec) -> "CycloSeries":
+        """Known below q^prec only: w-unit bound ceil(prec * ram)."""
+        w = _to_w(prec, self.ram)
+        if self.prec is not None and self.prec <= w:
+            return self
+        return CycloSeries(self.ram, self.terms, w)
+
+    def shift_exponent(self, delta) -> "CycloSeries":
+        """self * q^delta."""
+        d = Fraction(delta)
+        ram = lcm(self.ram, d.denominator)
+        s = self.to_ram(ram)
+        off = int(d * ram)
+        return CycloSeries(ram, {m + off: c for m, c in s.terms.items()},
+                           None if s.prec is None else s.prec + off)
+
+    def reduce_ram(self) -> "CycloSeries":
+        """self on the coarsest grid its nonzero exponents (or, with none,
+        its bound) lie on; the bound rounds up."""
+        g = gcd(self.ram, *self.terms,
+                *([self.prec or 0] if not self.terms else []))
+        return CycloSeries(self.ram // g,
+                           {m // g: c for m, c in self.terms.items()},
+                           None if self.prec is None else -(-self.prec // g))
+
+    def to_rational(self) -> QSeries:
+        """The QSeries of these terms; a value outside Q raises
+        NotRational."""
+        terms = {}
+        for m, c in self.terms.items():
+            r = c.as_rational() if isinstance(c, Cyclo) else c
+            if r is None:
+                raise NotRational(f"the term at w^{m} is not rational: {c!r}")
+            terms[m] = r
+        if not terms:
+            return QSeries(self.ram, self.lead, [], self.prec)
+        lo = min(terms)
+        hi = max(terms) + 1 if self.prec is None else self.prec
+        return QSeries(self.ram, lo, [terms.get(m, _ZERO)
+                                      for m in range(lo, hi)], self.prec)
+
+
+def twist(a, k: int) -> CycloSeries:
+    """a(tau + k): the w^m term of a series on the 1/ram grid times
+    zeta_ram^(k m)."""
+    a = CycloSeries.of(a)
+    return CycloSeries(a.ram, {m: c * unity(Fraction(k * m, a.ram))
+                               for m, c in a.terms.items()}, a.prec)
+
+
+def is_sign_twist(a: QSeries, k: int) -> bool:
+    """Whether tau -> tau + k multiplies every nonzero term of a by 1 or -1:
+    exp(2 pi i k e) = +-1 at each exponent e of a nonzero term."""
+    return all((2 * k * e).denominator == 1 for e, _ in a.terms())
+
+
 def schoolbook_mul(a: QSeries, b: QSeries) -> QSeries:
-    """a * b by the plain coefficient loop, with the product window rule:
-    lead a.lead + b.lead, prec min(a.prec + b.lead, b.prec + a.lead)."""
-    a, b = a._align(b)
-    if not a.coeffs or not b.coeffs:
-        return a * b  # a known-zero operand: no coefficient loop to check
-    lead = a.lead + b.lead
-    cands = [p + s.lead for p, s in ((a.prec, b), (b.prec, a)) if p is not None]
-    prec = min(cands) if cands else None
-    if prec is not None and prec <= lead:
-        raise PrecisionUnderflow("product has an empty known window")
-    hi = prec if prec is not None else lead + len(a.coeffs) + len(b.coeffs) - 1
-    out = [_ZERO] * (hi - lead)
-    for i, ca in enumerate(a.coeffs):
-        for j, cb in enumerate(b.coeffs):
-            if i + j < hi - lead and ca and cb:
-                out[i + j] = out[i + j] + ca * cb
-    return QSeries(a.ram, lead, out, prec)
+    """a * b by the plain product over pairs of terms."""
+    return (CycloSeries.of(a) * b).to_rational()
 
 
 def schoolbook_inverse(s: QSeries, prec=None) -> QSeries:
-    """1 / s by the plain recurrence out_n = -(1/u_0) sum u_k out_(n-k).
-
-    A truncated s is inverted on its own window; an exact s is inverted
-    up to the q-exponent ``prec``.
-    """
-    n = s.prec - s.lead if s.prec is not None else _to_w(prec, s.ram) + s.lead
-    if n <= 0:
-        raise PrecisionUnderflow("inverse has an empty known window")
-    u = list(s.coeffs[:n]) + [_ZERO] * (n - len(s.coeffs))
-    inv0 = u[0].inverse() if isinstance(u[0], Cyclo) else 1 / u[0]
-    out = [_ZERO] * n
-    out[0] = inv0
-    for m in range(1, n):
-        acc = _ZERO
-        for k in range(1, m + 1):
-            if u[k] and out[m - k]:
-                acc = acc + u[k] * out[m - k]
-        if acc:
-            out[m] = -(inv0 * acc)
-    return QSeries(s.ram, -s.lead, out, n - s.lead)
+    """1 / s by the plain recurrence.  A truncated s is inverted on its own
+    window; an exact s is inverted up to the q-exponent ``prec``."""
+    return CycloSeries.of(s).inverse(prec).to_rational()
 
 
 def schoolbook_pow(s: QSeries, k: int) -> QSeries:
@@ -141,90 +294,9 @@ def taylor_exp(a: QSeries) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# Fraction-dict references for the sums, scalars and window operations that
-# run on integers: each reads the Fraction coefficients and builds its
-# result through the constructor from Fractions.
-
-def _terms(s: QSeries) -> dict:
-    """{w-exponent: Fraction} of the nonzero stored terms."""
-    return {s.lead + i: c for i, c in enumerate(s.coeffs) if c}
-
-
-def from_fraction_terms(ram: int, terms: dict, prec) -> QSeries:
-    """The series with {w-exponent: Fraction} terms, all below the w-unit
-    bound prec (None: exact), on the window from its first nonzero term."""
-    nonzero = [m for m, c in terms.items() if c]
-    if not nonzero:
-        return QSeries(ram, 0 if prec is None else prec, [], prec)
-    lo = min(nonzero)
-    hi = max(nonzero) + 1 if prec is None else prec
-    return QSeries(ram, lo, [terms.get(m, _ZERO) for m in range(lo, hi)],
-                   prec)
-
-
-def schoolbook_add(a: QSeries, b: QSeries) -> QSeries:
-    """a + b on the joint window: prec the lesser of the two."""
-    a, b = a._align(b)
-    precs = [p for p in (a.prec, b.prec) if p is not None]
-    prec = min(precs) if precs else None
-    out = {}
-    for s in (a, b):
-        for m, c in _terms(s).items():
-            if prec is None or m < prec:
-                out[m] = out.get(m, _ZERO) + c
-    return from_fraction_terms(a.ram, out, prec)
-
-
-def scaled(a: QSeries, c) -> QSeries:
-    """a * c for a nonzero rational c, coefficient by coefficient."""
-    return from_fraction_terms(a.ram, {m: v * c for m, v in _terms(a).items()},
-                               a.prec)
-
-
-def truncated(a: QSeries, prec) -> QSeries:
-    """a known below q^prec only: w-unit bound ceil(prec * ram)."""
-    w = _to_w(prec, a.ram)
-    if a.prec is not None and a.prec <= w:
-        return a
-    return from_fraction_terms(
-        a.ram, {m: c for m, c in _terms(a).items() if m < w}, w)
-
-
-def spread(a: QSeries, s: int, ram: int) -> QSeries:
-    """Each w-exponent times s, read on the 1/ram grid."""
-    return from_fraction_terms(ram, {s * m: c for m, c in _terms(a).items()},
-                               None if a.prec is None else s * a.prec)
-
-
-def coarsest(a: QSeries) -> QSeries:
-    """a on the coarsest grid its nonzero exponents (or, with none, its
-    bound) lie on; the bound rounds up."""
-    terms = _terms(a)
-    g = gcd(a.ram, *terms, *([a.prec or 0] if not terms else []))
-    prec = None if a.prec is None else -(-a.prec // g)
-    return from_fraction_terms(a.ram // g,
-                               {m // g: c for m, c in terms.items()}, prec)
-
-
-def shifted(a: QSeries, delta) -> QSeries:
-    """a * q^delta."""
-    d = Fraction(delta)
-    ram = lcm(a.ram, d.denominator)
-    s, off = ram // a.ram, int(d * ram)
-    return from_fraction_terms(
-        ram, {s * m + off: c for m, c in _terms(a).items()},
-        None if a.prec is None else s * a.prec + off)
-
-
-def derivative(a: QSeries, j: int) -> QSeries:
-    """(q d/dq)^j a: the coefficient at q^e times e^j."""
-    return from_fraction_terms(
-        a.ram, {m: c * Fraction(m, a.ram) ** j for m, c in _terms(a).items()},
-        a.prec)
-
-# ---------------------------------------------------------------------------
-# Appell-Lerch mu (Zwegers, arXiv:0807.4834) at rational specializations, in
-# Q(zeta): the generic route to M and to the M part of the S-transform
+# Appell-Lerch mu (Zwegers, arXiv:0807.4834) at rational specializations, as
+# CycloSeries in Q(zeta): the generic route to M and to the M part of the
+# S-transform
 
 @dataclass(frozen=True)
 class LerchSpec:
@@ -246,7 +318,7 @@ class LerchSpec:
             raise ValueError("tau multiplier must be positive")
 
 
-def jacobi_theta(spec: LerchSpec, prec) -> QSeries:
+def jacobi_theta(spec: LerchSpec, prec) -> CycloSeries:
     """theta(v; tau') = sum_{nu in Z+1/2} (-1)^(nu-1/2) b^nu q'^(nu^2/2)."""
     vt, tm = spec.v_tau, spec.tau_mult
     top = Fraction(prec)
@@ -269,13 +341,13 @@ def jacobi_theta(spec: LerchSpec, prec) -> QSeries:
                 w = int(e * ram)
                 terms[w] = terms.get(w, Fraction(0)) + c
             m += direction
-    series = QSeries.from_terms(terms, top, ram=ram).demote().reduce_ram()
+    series = CycloSeries(ram, terms, _to_w(top, ram, up=False)).reduce_ram()
     if series.is_zero():
         raise ThetaNotInvertible("theta specialization vanishes in the window")
     return series
 
 
-def lerch_mu(spec: LerchSpec, prec, t: int = 0) -> QSeries:
+def lerch_mu(spec: LerchSpec, prec, t: int = 0) -> CycloSeries:
     """Formal expansion of Zwegers' mu(u, v; tau') at the given specialization.
 
     The bilateral sum is split into two one-sided geometric expansions at the
@@ -357,9 +429,8 @@ def lerch_mu(spec: LerchSpec, prec, t: int = 0) -> QSeries:
                 if misses >= 2 and abs(n) > n_safe:
                     break
             n += direction
-    bilateral = QSeries.from_terms(terms, top, ram=wram)
-    result = schoolbook_mul(bilateral, schoolbook_inverse(theta))
-    return result.truncate(prec).demote().reduce_ram()
+    bilateral = CycloSeries(wram, terms, _to_w(top, wram, up=False))
+    return (bilateral * theta.inverse()).truncate(prec).reduce_ram()
 
 
 def mock_m_hypergeometric(prec) -> QSeries:
@@ -399,7 +470,7 @@ def mock_m_mu(prec) -> QSeries:
     m2 = lerch_mu(LerchSpec(0, -16, Fraction(-1, 2), -8, 32), top)
     i = unity(Fraction(1, 4))
     out = (Fraction(1, 2) * i * (m1 - m2)).shift_exponent(-1)
-    return out.truncate(p).demote()
+    return out.truncate(p).to_rational()
 
 
 def s_transform_m_lerch(prec) -> QSeries:
@@ -417,7 +488,7 @@ def s_transform_m_lerch(prec) -> QSeries:
     z8 = unity(Fraction(1, 8))
     sM = (Fraction(1, 4) * z8 * mu1
           + Fraction(1, 4) * (1 / z8) * mu2).shift_exponent(Fraction(-1, 4))
-    return sM.truncate(p).demote()
+    return sM.truncate(p).to_rational()
 
 
 # ---------------------------------------------------------------------------

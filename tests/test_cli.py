@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qdonald
-from qdonald import QSeries, forms, invariants
+from qdonald import QSeries, forms, invariants, sw
 from qdonald.cli import COMMANDS, UsageError, _series_name, main
 
 
@@ -86,6 +86,27 @@ def test_verify_identities(capsys):
     assert code == 0
     assert "sign corrected" in out
     assert "off by exactly 128 E_odd" in out
+
+
+@pytest.mark.parametrize("order", [64, 80])
+def test_identity_residuals_reach_the_order(order, monkeypatch, capsys):
+    """Every vanishing check of the identities suite sees a residual known
+    as far as the suite asks: below q^order, q^(order/2) for FasMu and
+    q^(order/8) for the two Z checks."""
+    seen = {}
+    vanishing = sw.vanishing
+
+    def record(label, series, below=None):
+        seen[label] = series.prec_q()
+        return vanishing(label, series, below)
+    monkeypatch.setattr(sw, "vanishing", record)
+    code, _ = run_cli(capsys, "verify", "--suite", "identities",
+                      "--order", str(order))
+    assert code == 0 and len(seen) == 14
+    for label, prec in seen.items():
+        want = F(order, 2) if label.startswith("FasMu") else \
+            F(order, 8) if "Z(tau" in label else order
+        assert prec is None or prec >= want, (label, prec)
 
 
 def test_verify_tables_and_swcurves(capsys):

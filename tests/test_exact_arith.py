@@ -10,9 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qdonald import (Cyclo, DivisionByZero, IncompatibleOrder, root_of_unity,
                      unity)
 from qdonald.exact import cyclotomic_polynomial, euler_phi
-from qdonald.series import QSeries
-
-from oracles import cyclo_from_poly, cyclo_mul
+from oracles import CycloSeries, cyclo_from_poly, cyclo_mul
 
 
 def test_rat_arith_basics():
@@ -64,6 +62,20 @@ def test_roots_of_unity():
 def test_root_of_unity_order_check():
     with pytest.raises(IncompatibleOrder):
         root_of_unity(5, 1, order=24)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: root_of_unity(-4, 1), lambda: root_of_unity(0, 1),
+    lambda: root_of_unity(8, 1, order=0), lambda: root_of_unity(8, 1, order=-8),
+    lambda: Cyclo(-3, [1]), lambda: Cyclo(0, [1]),
+    lambda: Cyclo.from_rational(1, 0), lambda: Cyclo.from_poly(-8, [0, 1])],
+    ids=["n=-4", "n=0", "order=0", "order=-8", "Cyclo(-3)", "Cyclo(0)",
+         "from_rational", "from_poly"])
+def test_orders_below_one_are_refused(build):
+    """A root of unity's n and a cyclotomic order are at least 1."""
+    with pytest.raises(ValueError, match="at least 1"):
+        build()
+    assert root_of_unity(1, 5) == 1 and Cyclo(1, [F(2)]) == 2
 
 
 def test_unity_helper():
@@ -124,8 +136,8 @@ def test_cyclo_promotion():
 
 
 def test_equal_cyclos_hash_equal_across_orders():
-    """A value hashes the same in every Q(zeta_N) holding it, as a scalar
-    and as a coefficient of a series; a rational value hashes as itself."""
+    """A value hashes the same in every Q(zeta_N) holding it, and is the
+    same value of a reference series; a rational value hashes as itself."""
     rng = random.Random(17)
     for _ in range(300):
         order = rng.randint(1, 24)
@@ -139,8 +151,8 @@ def test_equal_cyclos_hash_equal_across_orders():
         assert r is None or hash(a) == hash(r)
     z8, z24 = root_of_unity(8, 1, order=8), root_of_unity(8, 1, order=24)
     assert z8 == z24 and len({z8, z24}) == 1
-    s8, s24 = QSeries(1, 0, [F(1), z8], None), QSeries(1, 0, [F(1), z24], None)
-    assert s8 == s24 and hash(s8) == hash(s24)
+    s8, s24 = (CycloSeries(1, {0: F(1), 1: z}, None) for z in (z8, z24))
+    assert s8.terms == s24.terms and (s8 - s24).is_zero()
 
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)

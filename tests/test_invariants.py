@@ -6,8 +6,8 @@ import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdonald import (InsufficientPrecision, NotInvertible, QSeries, forms,
-                     invariants as inv, mock)
+from qdonald import (InsufficientPrecision, NotInvertible, NotRational,
+                     QSeries, forms, invariants as inv, mock)
 
 
 PRINTED_NF0 = {
@@ -596,7 +596,7 @@ def test_phi_euler_combo_values_frozen():
 
 def test_nf4_partition():
     z4 = inv.nf4_partition(6)
-    assert (z4.shift_tau(2) - z4).demote().is_zero()
+    assert (z4.shift_tau(2) - z4).is_zero()
     # g-factor leading term: -(1/36) q^(-1/3)
     eta_inv = forms.eta_power(1, -1, 8)
     r2 = forms.vartheta(2, 8) * eta_inv
@@ -610,11 +610,12 @@ def test_nf4_partition():
 def test_shifts_of_z_and_nf4_are_sign_twists(p):
     """Z lives on (1/2)Z of its 1/8 grid and the nf = 4 partition function
     on 1/2 + Z of its 1/24 grid, so these shifts multiply each term by 1 or
-    -1 and stay rational series: no root of unity is left to demote."""
+    -1: each is a rational series, and equals the reference twist."""
     z = inv.z_bold(p)
-    for k in (1, 2, 3):
-        assert z.shift_tau(k).den is not None
-    assert inv.nf4_partition(p).shift_tau(2).den is not None
+    z4 = inv.nf4_partition(p)
+    for s, k in ((z, 1), (z, 2), (z, 3), (z4, 2)):
+        assert oracles.is_sign_twist(s, k)
+        assert s.shift_tau(k) == oracles.twist(s, k).to_rational()
 
 
 def test_z_transformation_lemma():
@@ -622,15 +623,15 @@ def test_z_transformation_lemma():
     z = inv.z_bold(p)
     lhs = z - z.shift_tau(1)
     rhs = 56 * forms.eta_quotient([(2, 8), (1, -4)], p)
-    assert (lhs - rhs).demote().is_zero()
+    assert (lhs - rhs).is_zero()
     alt = (z - z.shift_tau(1) + z.shift_tau(2) - z.shift_tau(3)) \
         * forms.eta_power(1, -4, p)
-    assert (alt - 28 * inv.rho4(p)).demote().is_zero()
-    assert (alt - 112 * forms.eta_quotient([(2, 8), (1, -8)], p)).demote().is_zero()
+    assert (alt - 28 * inv.rho4(p)).is_zero()
+    assert (alt - 112 * forms.eta_quotient([(2, 8), (1, -8)], p)).is_zero()
     h = mock.h_coefficients(2 * p + 2)
     odd = QSeries.from_terms({m: h[2 * m + 1] for m in range(p)}, p)
     via_h = 4 * odd.shift_exponent(F(3, 8)) * forms.eta_power(1, -1, p)
-    assert (alt - via_h).demote().is_zero()
+    assert (alt - via_h).is_zero()
 
 
 def test_z_alternating_sum_closed_forms():
@@ -639,19 +640,21 @@ def test_z_alternating_sum_closed_forms():
     the corresponding proof display understates by a factor of two."""
     p = 16
     z = inv.z_bold(p)
-    alt = (z - z.shift_tau(1) + z.shift_tau(2) - z.shift_tau(3)).demote()
+    alt = z - z.shift_tau(1) + z.shift_tau(2) - z.shift_tau(3)
     closed = 112 * forms.eta_quotient([(2, 8), (1, -4)], p)
     assert (alt - closed).is_zero()
-    assert (alt - 2 * (z - z.shift_tau(1)).demote()).is_zero()
+    assert (alt - 2 * (z - z.shift_tau(1))).is_zero()
 
 
 def test_q_plus_shift_two_invariance():
-    """zeta8^2 Q+(tau+2) = Q+(tau)."""
+    """zeta8^2 Q+(tau+2) = Q+(tau).  Q+(tau+2) = -i Q+(tau) is no rational
+    series: shift_tau refuses it, and the reference twist computes it."""
     from qdonald import root_of_unity
     q = mock.q_plus(10)
-    z = root_of_unity(8, 2)
-    twisted = q.shift_tau(2).map_coeffs(lambda c: z * c)
-    assert (twisted - q).demote().is_zero()
+    with pytest.raises(NotRational):
+        q.shift_tau(2)
+    twisted = root_of_unity(8, 2) * oracles.twist(q, 2)
+    assert (twisted - q).is_zero() and twisted.prec == q.prec
 
 
 def test_invariant_table_shape():

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from qdonald import (Cyclo, InsufficientPrecision, IrrepresentableExponent,
-                     NotInvertible, PrecisionUnderflow, QSeries,
+                     NotInvertible, NotRational, PrecisionUnderflow, QSeries,
                      root_of_unity)
 from qdonald import forms, mock
 
@@ -82,25 +83,31 @@ def test_shift_tau_trivial_on_integer_exponents():
 
 
 def test_shift_tau_eta_cubed():
-    """eta^3(tau+2) twists every coefficient by the same primitive phase."""
+    """eta^3(tau+2) twists every coefficient by the same primitive phase,
+    i = zeta_8^2: no rational series, so shift_tau refuses it and the
+    reference twist computes it."""
     eta3 = forms.eta_power(1, 3, 8)
-    shifted = eta3.shift_tau(2)
-    z = root_of_unity(8, 2)
-    expected = eta3.map_coeffs(lambda c: z * c)
-    assert (shifted - expected).is_zero()
+    with pytest.raises(NotRational):
+        eta3.shift_tau(2)
+    expected = root_of_unity(8, 2) * oracles.CycloSeries.of(eta3)
+    assert (oracles.twist(eta3, 2) - expected).is_zero()
 
 
 def test_shift_tau_inverse_roundtrip():
     q = mock.q_plus(6)
-    assert (q.shift_tau(1).shift_tau(-1) - q).demote().is_zero()
-    assert (q.shift_tau(8) - q).demote().is_zero()
+    with pytest.raises(NotRational):
+        q.shift_tau(1)
+    assert oracles.twist(oracles.twist(q, 1), -1).to_rational() == q
+    assert q.shift_tau(8) == q
 
 
 def test_shift_tau_higher_ramification():
     """Shift twists on a ram-16 grid land in Q(zeta_48) and round-trip."""
     halved = mock.q_plus(6).rescale(1, 2)
     assert halved.ram == 16
-    round_trip = halved.shift_tau(3).shift_tau(-3).demote()
+    twisted = oracles.twist(halved, 3)
+    assert {c.order for c in twisted.terms.values()} == {48}
+    round_trip = oracles.twist(twisted, -3).to_rational()
     assert (round_trip - halved).is_zero()
     # tau -> tau+16 is trivial on a 1/16-grid series
     assert halved.shift_tau(16).agrees_with(halved)
@@ -226,62 +233,88 @@ def test_to_text_marks_an_unknown_tail_after_no_known_term():
 
 
 # ---------------------------------------------------------------------------
-# a series holding a Cyclo coefficient keeps a coefficient tuple
+# no series holds a Cyclo coefficient: the reference helper does, and hands
+# its rational part to QSeries
+
+_CYCLO_TERMS = {-1: F(2, 3), 0: root_of_unity(8, 1), 3: F(-1)}
+
 
 def _cyclo_series():
-    """2/3 q^(-1/2) + zeta_8 - q^(3/2), known below q^4 on the 1/2 grid."""
-    return QSeries.from_terms({-1: F(2, 3), 0: root_of_unity(8, 1), 3: F(-1)},
-                              4, ram=2)
+    """2/3 q^(-1/2) + zeta_8 - q^(3/2), known below q^4 on the 1/2 grid, in
+    the reference helper."""
+    return oracles.CycloSeries(2, _CYCLO_TERMS, 8)
+
+
+def _rational_part() -> QSeries:
+    """2/3 q^(-1/2) - q^(3/2), known below q^4: the series above less its
+    zeta_8 term."""
+    return (_cyclo_series() - root_of_unity(8, 1)).to_rational()
 
 
 def test_coeff_of_a_cyclo_series():
-    s = _cyclo_series()
-    assert s.den is None
-    assert s.coeff(0) == root_of_unity(8, 1)
-    assert type(s.coeff(0)) is Cyclo
+    """The series above is no rational series: each constructor refuses it,
+    and a zero or rational Cyclo value, with NotRational.  The reference
+    helper holds it, and only its rational part converts."""
+    with pytest.raises(NotRational, match="Cyclo"):
+        QSeries.from_terms(_CYCLO_TERMS, 4, ram=2)
+    for c in (root_of_unity(8, 1), Cyclo.from_rational(0, 8),
+              Cyclo.from_rational(F(2, 3), 8)):
+        with pytest.raises(NotRational):
+            QSeries(2, -1, [F(2, 3), c, F(0)], 2)
+        with pytest.raises(NotRational):
+            QSeries.from_terms({-1: F(2, 3), 0: c}, None, ram=2)
+    held = _cyclo_series()
+    assert held.terms[0] == root_of_unity(8, 1) and held.lead == -1
+    with pytest.raises(NotRational):
+        held.to_rational()
+    s = _rational_part()
     assert s.coeff(F(-1, 2)) == F(2, 3) and s.coeff(F(3, 2)) == -1
-    assert s.coeff(1) == 0 and s.coeff(-3) == 0
+    assert s.coeff(0) == 0 and s.coeff(1) == 0 and s.coeff(-3) == 0
     with pytest.raises(InsufficientPrecision):
         s.coeff(4)
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_qdq_of_a_cyclo_series(j):
-    s = _cyclo_series()
+    """qdq of the rational part, term by term, on its whole window."""
+    s = _rational_part()
     d = s.qdq(j)
     assert (d.ram, d.prec) == (s.ram, s.prec)
     for m in range(-2, 8):
         e = F(m, 2)
         assert d.coeff(e) == e ** j * s.coeff(e)
     assert d.coeff(F(-1, 2)) == F(-1, 2) ** j * F(2, 3)
-    assert d.coeff(0) == 0
 
 
 def test_json_of_a_cyclo_series():
-    s = _cyclo_series()
-    assert s.to_json_dict() == {
+    """The rational part writes its two terms; the zeta_8 term has no JSON
+    form, as no series holds it."""
+    assert _rational_part().to_json_dict() == {
         "ram": 2, "lead": -1, "prec": 8,
-        "coeffs": [["-1", "2/3"],
-                   ["0", {"zeta_order": 24,
-                          "coeffs": ["0", "0", "0", "1", "0", "0", "0", "0"]}],
-                   ["3", "-1"]]}
+        "coeffs": [["-1", "2/3"], ["3", "-1"]]}
 
 
 def test_cyclo_scalar_added_to_a_series():
+    """A Cyclo scalar does not combine with a series; it adds to the
+    reference helper's constant term."""
     z = root_of_unity(8, 1)
-    s = _cyclo_series() + z
-    assert s.coeff(0) == 2 * z and s.coeff(F(-1, 2)) == F(2, 3)
-    assert (z + forms.theta_big(3, 5)).coeff(0) == 1 + z
-    assert (forms.theta_big(3, 5) - z).coeff(0) == 1 - z
-    assert (forms.theta_big(3, 5) + z - z).demote() == forms.theta_big(3, 5)
+    t3 = forms.theta_big(3, 5)
+    for op in (lambda: t3 + z, lambda: z + t3, lambda: t3 - z,
+               lambda: t3 * z, lambda: t3 / z):
+        with pytest.raises(TypeError):
+            op()
+    held = z + oracles.CycloSeries.of(t3)
+    assert held.terms[0] == 1 + z and held.terms[4] == 2
+    assert (held - z).to_rational() == t3
 
 
 def test_to_text_of_an_irrational_coefficient():
-    assert _cyclo_series().to_text() == \
-        "q^(-1/2) * (2/3 + (Cyclo(24: 1*z^3))*q^(1/2) - q^2 ...)"
-    rational = QSeries.from_terms({0: Cyclo.from_rational(-3, 8),
-                                   1: root_of_unity(2, 1, order=8)}, None)
-    assert rational.to_text() == "(-3 - q)"
+    """Text is written for rational series only: the rational part above,
+    and rational Cyclo values once the reference helper demotes them."""
+    assert _rational_part().to_text() == "q^(-1/2) * (2/3 - q^2 ...)"
+    rational = oracles.CycloSeries(1, {0: Cyclo.from_rational(-3, 8),
+                                       1: root_of_unity(2, 1, order=8)}, None)
+    assert rational.to_rational().to_text() == "(-3 - q)"
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +445,16 @@ def test_spread_matches_reference(a, num, den, k):
 @settings(max_examples=200, deadline=None)
 @given(qseries())
 def test_shift_inverse(a):
-    assert a.shift_tau(1).shift_tau(-1).demote().agrees_with(a)
+    """tau -> tau + 1 is the reference twist where every nonzero term is
+    twisted by 1 or -1, and NotRational where one is not; the reference
+    twist round-trips."""
+    if oracles.is_sign_twist(a, 1):
+        assert a.shift_tau(1) == oracles.twist(a, 1).to_rational()
+        assert a.shift_tau(1).shift_tau(-1).agrees_with(a)
+    else:
+        with pytest.raises(NotRational):
+            a.shift_tau(1)
+    assert oracles.twist(oracles.twist(a, 1), -1).to_rational().agrees_with(a)
     assert a.shift_tau(a.ram).agrees_with(a)
 
 

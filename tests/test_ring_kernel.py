@@ -7,8 +7,8 @@ window and grid changes and ``qdq`` also run on the integers.  These tests
 draw operands on both sides of each choice and compare the full window
 ``(ram, lead, prec, coeffs)``, and every coefficient's type, with the plain
 ``Fraction`` loops of ``tests/oracles.py``, and check that every stored
-form is canonical.  An operand holding a ``Cyclo`` coefficient raises
-``NotRational``.
+form is canonical.  A ``Cyclo`` coefficient, even a zero or rational one,
+raises ``NotRational`` where a series is built.
 """
 
 import random
@@ -88,8 +88,7 @@ def canonical(s: QSeries) -> QSeries:
 
 
 def window(s: QSeries):
-    if s.den is not None:
-        canonical(s)
+    canonical(s)
     return s.ram, s.lead, s.prec, s.coeffs, [type(c) for c in s.coeffs]
 
 
@@ -129,20 +128,28 @@ def test_exact_power_matches_schoolbook(a, k):
 @settings(max_examples=60, deadline=None)
 @given(operands(max_len=60), st.sampled_from(["int", "fraction", "z8", "z24"]))
 def test_scalar_product_matches_each_coefficient(a, kind):
-    """a * c is the coefficient-by-coefficient product: each coefficient's
-    type and Cyclo order included, also where a rational zero is not
-    multiplied."""
+    """a * c is the coefficient-by-coefficient product for a rational c; a
+    Cyclo c is refused, and the reference helper multiplies each value by
+    it, keeping its order."""
     c = {"int": 3, "fraction": F(-2, 3), "z8": root_of_unity(8, 1),
          "z24": _dense_cyclo(random.Random(1), "odd")}[kind]
-    expected = QSeries(a.ram, a.lead, [x * c for x in a.coeffs], a.prec)
-    got = a * c
-    assert window(got) == window(expected)
-    assert [getattr(x, "order", None) for x in got.coeffs] == \
-        [getattr(x, "order", None) for x in expected.coeffs]
+    if not isinstance(c, Cyclo):
+        expected = QSeries(a.ram, a.lead, [x * c for x in a.coeffs], a.prec)
+        assert window(a * c) == window(expected)
+        return
+    with pytest.raises(TypeError):
+        a * c
+    with pytest.raises(TypeError):
+        c * a
+    got = c * oracles.CycloSeries.of(a)
+    assert (got.ram, got.lead, got.prec) == (a.ram, a.lead, a.prec)
+    assert got.terms == {m: x * c for m, x in enumerate(a.coeffs, a.lead)
+                         if x}
+    assert {v.order for v in got.terms.values()} == {24}
 
 
-# _holding(c) is a truncated rational series with c at q^3; _OTHER is a
-# rational cofactor
+# _holding(c) is a truncated series with c at q^3 in the reference helper;
+# _OTHER is a rational cofactor
 _RATIONAL = [F(2), F(-1), F(1, 3), F(0), F(5, 2), F(-7), F(1, 4), F(3)]
 _OTHER = QSeries(1, -1, [F(1), F(0), F(-2, 5), F(4), F(1, 7), F(-1), F(2),
                          F(9)], 7)
@@ -161,46 +168,53 @@ _CYCLO = {"zeta24": root_of_unity(24, 5), "zero": Cyclo.from_rational(0, 24),
           "rational": Cyclo.from_rational(3, 24)}
 
 
-def _holding(c) -> QSeries:
-    coeffs = list(_RATIONAL)
-    coeffs[3] = c
-    return QSeries(1, 0, coeffs, len(coeffs))
+def _holding(c) -> oracles.CycloSeries:
+    return oracles.CycloSeries(1, dict(enumerate(_RATIONAL[:3] + [c]
+                                                 + _RATIONAL[4:])),
+                               len(_RATIONAL))
 
 
 @pytest.mark.parametrize("kind", sorted(_CYCLO))
 @pytest.mark.parametrize("op", sorted(_OPERATIONS))
 def test_cyclo_operand_raises_not_rational(op, kind):
-    """Any Cyclo coefficient, a zero or a rational value included, stops a
-    product, inverse, division or power with the one named error."""
-    with pytest.raises(NotRational, match=r"\.demote\(\)"):
-        _OPERATIONS[op](_holding(_CYCLO[kind]))
+    """Any Cyclo coefficient, a zero or a rational value included, is
+    refused where a series is built, from a coefficient list or from terms,
+    with the one named error: no product, inverse, division or power sees
+    it."""
+    values = list(_RATIONAL)
+    values[3] = _CYCLO[kind]
+    with pytest.raises(NotRational, match="Cyclo"):
+        _OPERATIONS[op](QSeries(1, 0, values, len(values)))
+    with pytest.raises(NotRational, match="Cyclo"):
+        _OPERATIONS[op](QSeries.from_terms(dict(enumerate(values)), 8))
 
 
 @pytest.mark.parametrize("kind", ["zero", "rational"])
 @pytest.mark.parametrize("op", sorted(_OPERATIONS))
 def test_demoted_operand_gives_the_fraction_result(op, kind):
-    """A rational-valued Cyclo demotes to its Fraction, and the operation
-    then equals the one on the plain Fraction series."""
+    """The reference helper demotes a rational-valued Cyclo to its
+    Fraction: the series it converts to equals the plain Fraction series,
+    and so does the operation on it."""
     c = _CYCLO[kind]
-    plain = _holding(c.as_rational())
-    assert _holding(c).demote() == plain
-    assert window(_OPERATIONS[op](_holding(c).demote())) == \
+    plain = QSeries(1, 0, _RATIONAL[:3] + [c.as_rational()] + _RATIONAL[4:],
+                    len(_RATIONAL))
+    assert window(_holding(c).to_rational()) == window(plain)
+    assert window(_OPERATIONS[op](_holding(c).to_rational())) == \
         window(_OPERATIONS[op](plain))
 
 
 @pytest.mark.parametrize("op", sorted(_OPERATIONS))
 def test_irrational_operand_still_raises_after_demote(op):
+    """A zeta_24 value does not convert to a rational series, so no
+    operation is reached."""
     with pytest.raises(NotRational):
-        _OPERATIONS[op](_holding(_CYCLO["zeta24"]).demote())
+        _OPERATIONS[op](_holding(_CYCLO["zeta24"]).to_rational())
 
 
-def test_sign_twists_build_no_root_of_unity(monkeypatch):
+def test_sign_twists_build_no_root_of_unity():
     """shift_tau multiplies by the sign where zeta_ram^(k m) is 1 or -1: a
-    rational series with only such twists shifts and round-trips without
-    building a Cyclo."""
-    def no_root(*args):
-        raise AssertionError("shift_tau built a root of unity")
-    monkeypatch.setattr(series, "root_of_unity", no_root)
+    rational series with only such twists shifts and round-trips as a
+    rational series, and equals the reference twist."""
     rng = random.Random(7)
     s2 = QSeries(2, -3, [F(rng.randint(-9, 9), rng.randint(1, 5))
                          for _ in range(30)], 27)
@@ -208,6 +222,7 @@ def test_sign_twists_build_no_root_of_unity(monkeypatch):
     assert twisted == QSeries(2, -3, [(-1) ** (m % 2) * c for m, c in
                                       enumerate(s2.coeffs, -3)], 27)
     assert twisted.shift_tau(1) == s2 and twisted.shift_tau(-1) == s2
+    assert twisted == oracles.twist(s2, 1).to_rational()
     # on the 1/8 grid with even w-exponents only, tau -> tau + 2 twists by
     # i^m = +-1
     s8 = QSeries(8, -4, [F(m + 5, 3) if m % 2 == 0 else F(0)
@@ -216,7 +231,8 @@ def test_sign_twists_build_no_root_of_unity(monkeypatch):
     assert twisted == QSeries(8, -4, [(-1) ** (m // 2 % 2) * c for m, c in
                                       enumerate(s8.coeffs, -4)], 36)
     assert twisted.shift_tau(2) == s8 and twisted.shift_tau(-2) == s8
-    assert all(type(c) is F for c in twisted.coeffs)
+    assert twisted == oracles.twist(s8, 2).to_rational()
+    assert all(type(c) is F for c in canonical(twisted).coeffs)
 
 
 def _nonzero(*vs):
@@ -327,10 +343,11 @@ def test_every_product_path_is_taken(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(operands(kinds=_ALL_KINDS), operands(kinds=_ALL_KINDS))
 def test_sums_match_schoolbook(a, b):
-    assert window(a + b) == window(oracles.schoolbook_add(a, b))
-    assert window(a - b) == window(oracles.schoolbook_add(a, -b))
-    assert window(-a) == window(oracles.scaled(a, -1))
-    assert window(a + 3) == window(oracles.schoolbook_add(a, QSeries.one() * 3))
+    ref = oracles.CycloSeries.of(a)
+    assert window(a + b) == window((ref + b).to_rational())
+    assert window(a - b) == window((ref - b).to_rational())
+    assert window(-a) == window((-ref).to_rational())
+    assert window(a + 3) == window((ref + 3).to_rational())
 
 
 @settings(max_examples=100, deadline=None)
@@ -338,9 +355,10 @@ def test_sums_match_schoolbook(a, b):
        st.integers(0, 2 ** 32))
 def test_rational_scalars_match_each_coefficient(a, kind, seed):
     c = _scalar(random.Random(seed), kind) or F(5, 7)
-    assert window(a * c) == window(oracles.scaled(a, F(c)))
-    assert window(c * a) == window(oracles.scaled(a, F(c)))
-    assert window(a / c) == window(oracles.scaled(a, 1 / F(c)))
+    ref = oracles.CycloSeries.of(a)
+    assert window(a * c) == window((ref * F(c)).to_rational())
+    assert window(c * a) == window((ref * F(c)).to_rational())
+    assert window(a / c) == window((ref * (1 / F(c))).to_rational())
 
 
 @settings(max_examples=100, deadline=None)
@@ -352,16 +370,19 @@ def test_window_changes_match_reference(a, top, num, den, k, delta, j):
     """truncate, to_ram, rescale, reduce_ram, shift_exponent and qdq keep
     the window and the values of the Fraction references."""
     cut = F(top, 2 * a.ram) + a.valuation()
-    assert window(a.truncate(cut)) == window(oracles.truncated(a, cut))
+    ref = oracles.CycloSeries.of(a)
+    assert window(a.truncate(cut)) == window(ref.truncate(cut).to_rational())
     assert window(a.to_ram(k * a.ram)) == \
-        window(oracles.spread(a, k, k * a.ram))
+        window(ref.spread(k, k * a.ram).to_rational())
     assert window(a.rescale(num, den)) == \
-        window(oracles.coarsest(oracles.spread(a, num, a.ram * den)))
+        window(ref.spread(num, a.ram * den).reduce_ram().to_rational())
     assert window(a.to_ram(k * a.ram).reduce_ram()) == \
-        window(oracles.coarsest(a))
+        window(ref.reduce_ram().to_rational())
     assert window(a.shift_exponent(delta)) == \
-        window(oracles.shifted(a, delta))
-    assert window(a.qdq(j)) == window(oracles.derivative(a, j))
+        window(ref.shift_exponent(delta).to_rational())
+    derivative = {m: c * F(m, a.ram) ** j for m, c in ref.terms.items()}
+    assert window(a.qdq(j)) == \
+        window(oracles.CycloSeries(a.ram, derivative, a.prec).to_rational())
 
 
 @settings(max_examples=100, deadline=None)
@@ -372,9 +393,8 @@ def test_window_changes_match_reference(a, top, num, den, k, delta, j):
        st.one_of(st.none(), st.integers(-10, 70)), st.sampled_from([1, 2, 4]))
 def test_from_terms_matches_reference(terms, top, ram):
     prec = None if top is None else F(top, ram)
-    want = oracles.from_fraction_terms(
-        ram, {m: F(c) for m, c in terms.items() if top is None or m < top},
-        top)
+    want = oracles.CycloSeries(ram, {m: F(c) for m, c in terms.items()},
+                               top).to_rational()
     assert window(QSeries.from_terms(terms, prec, ram)) == window(want)
 
 
@@ -468,7 +488,8 @@ def test_ring_operations_do_not_clear_or_rebuild_fractions(monkeypatch):
                a + b, a - b, -a, a * F(3, 4), a / 7, a / b, a.truncate(3),
                a.to_ram(6), a.rescale(3, 2), a.to_ram(4).reduce_ram(),
                a.shift_exponent(F(1, 3)), a.qdq(2), a.shift_tau(1)]
-    assert all(s.den is not None for s in results)
+    for s in results:
+        canonical(s)
 
 
 @st.composite
@@ -502,7 +523,10 @@ def test_equal_series_hash_equal(a, k, scale):
 
 
 def test_rational_cyclo_series_hashes_as_its_fraction_series():
+    """The reference helper holding a zero or rational Cyclo converts to the
+    series of its Fraction, which is equal and hashes equal."""
     for kind in ("zero", "rational"):
         c = _CYCLO[kind]
-        assert _holding(c) == _holding(c.as_rational())
-        assert hash(_holding(c)) == hash(_holding(c.as_rational()))
+        held = _holding(c).to_rational()
+        plain = _holding(c.as_rational()).to_rational()
+        assert held == plain and hash(held) == hash(plain)

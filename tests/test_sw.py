@@ -14,6 +14,14 @@ def test_family_identity_suite(nf):
     assert not failures
 
 
+def test_vanishing_sees_the_whole_window():
+    """A residual whose only nonzero term is at q^40, known below q^50,
+    fails there; a check that need vanish only below q^40 passes."""
+    resid = QSeries.from_terms({40: F(3)}, 50)
+    assert sw.vanishing("r", resid) == ("r", False, 40)
+    assert sw.vanishing("r", resid, below=40) == ("r", True, None)
+
+
 def test_unsupported_family():
     with pytest.raises(sw.UnsupportedFamily):
         sw.sw_family(1, 8)
