@@ -3,12 +3,21 @@
 All constructors take a target precision in q-units and return a QSeries
 whose known window reaches at least that far.  Results are memoized with
 :func:`~qdonald.series.memo`, which serves lower precisions by truncation.
+
+Every eta power and eta quotient q^s prod_d P(q^d)^r, with P = prod (1 - q^n)
+and s = sum d r / 24, is built by ``_eta_quotient``: the powers of P are
+multiplied on integer exponents, on the lattice gZ of the gcd g of the
+arguments read as Z, each known exactly to the window the result needs.
+The product is placed once: spread onto gZ, shifted by q^s, read on the
+grid of the factors' shifts, truncated and read on its coarsest grid.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
+from functools import reduce
+from math import ceil, gcd, lcm
+from operator import mul
 
 from .series import QSeries, memo
 
@@ -41,13 +50,9 @@ def _euler_product(arg: int, prec) -> QSeries:
     return QSeries.from_terms(terms, top)
 
 
-@memo
 def eta_power(arg: int, exp: int, prec) -> QSeries:
     """eta(arg*tau)^exp as an exact-exponent ramified series."""
-    shift = Fraction(arg * exp, 24)
-    top = Fraction(prec) - shift
-    unit = euler_product(max(top, Fraction(1)) + 1, arg)
-    return (unit ** exp).shift_exponent(shift).truncate(prec).reduce_ram()
+    return _eta_quotient(((arg, exp),), prec)
 
 
 def eta(prec) -> QSeries:
@@ -65,12 +70,15 @@ def eta_quotient(factors, prec) -> QSeries:
 
 @memo
 def _eta_quotient(factors: tuple, prec) -> QSeries:
-    # feed enough headroom that the divisions do not eat the window
-    pad = sum(abs(Fraction(d * r, 24)) for d, r in factors) + 1
-    out = QSeries.one()
-    for d, r in factors:
-        out = out * eta_power(d, r, Fraction(prec) + pad)
-    return out.truncate(prec).reduce_ram()
+    # the floor keeps the constant term that an inverse needs; a window with
+    # no known term ends on the grid of the factors' shifts
+    shifts = [Fraction(d * r, 24) for d, r in factors]
+    s, g = sum(shifts), gcd(*(d for d, _ in factors))
+    top = max(Fraction(prec) - s, 1) / g
+    out = reduce(mul, (euler_product(top, d // g) ** r for d, r in factors))
+    ram = lcm(*(t.denominator for t in shifts))
+    return out.rescale(g).shift_exponent(s).to_ram(ram).truncate(prec) \
+        .reduce_ram()
 
 
 def delta(prec) -> QSeries:

@@ -29,6 +29,7 @@ EXACT = "src/qdonald/exact.py"
 INVARIANTS = "src/qdonald/invariants.py"
 SW = "src/qdonald/sw.py"
 CLI = "src/qdonald/cli.py"
+FORMS = "src/qdonald/forms.py"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 TIMEOUT_S = 1800
@@ -85,6 +86,14 @@ MUTANTS = [
      "if not issubclass(kind, (int, Fraction)) and kind.__name__ != "
      "\"Cyclo\":",
      "a Cyclo coefficient passes the check where a series is built"),
+    ("eta-window-no-floor", FORMS,
+     "top = max(Fraction(prec) - s, 1) / g", "top = (Fraction(prec) - s) / g",
+     "an eta quotient whose shift reaches past the precision is multiplied "
+     "on an empty window, which has no constant term to invert"),
+    ("eta-lattice-not-spread", FORMS,
+     "out.rescale(g)", "out.rescale(1)",
+     "an eta quotient whose arguments share a factor g is read on Z, not "
+     "spread back onto gZ"),
 ]
 
 EQUIVALENT = {"truncate-below-lead"}

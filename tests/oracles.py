@@ -271,6 +271,26 @@ def schoolbook_pow(s: QSeries, k: int) -> QSeries:
     return out
 
 
+def eta_power_per_factor(arg: int, exp: int, prec) -> QSeries:
+    """eta(arg*tau)^exp by the per-factor route: the power of the Euler
+    product, shifted by q^(arg*exp/24) onto its ramified grid, truncated
+    and read on its coarsest grid."""
+    shift = Fraction(arg * exp, 24)
+    top = Fraction(prec) - shift
+    unit = forms.euler_product(max(top, Fraction(1)) + 1, arg)
+    return (unit ** exp).shift_exponent(shift).truncate(prec).reduce_ram()
+
+
+def eta_quotient_per_factor(factors, prec) -> QSeries:
+    """prod eta(d*tau)^r as the product of the per-factor powers, each built
+    with headroom ``pad`` so that the divisions do not eat the window."""
+    pad = sum(abs(Fraction(d * r, 24)) for d, r in factors) + 1
+    out = QSeries.one()
+    for d, r in factors:
+        out = out * eta_power_per_factor(d, r, Fraction(prec) + pad)
+    return out.truncate(prec).reduce_ram()
+
+
 def taylor_exp(a: QSeries) -> QSeries:
     """exp of a series with positive valuation as the Taylor sum of a^s / s!,
     one series product per term.  Its 1 is read on the integer grid, so a

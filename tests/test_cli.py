@@ -88,25 +88,59 @@ def test_verify_identities(capsys):
     assert "off by exactly 128 E_odd" in out
 
 
+def _record_windows(monkeypatch) -> dict:
+    """{label: (prec_q(), below)} of every later sw.vanishing check."""
+    seen = {}
+    vanishing = sw.vanishing
+
+    def record(label, series, below=None):
+        seen[label] = series.prec_q(), below
+        return vanishing(label, series, below)
+    monkeypatch.setattr(sw, "vanishing", record)
+    return seen
+
+
 @pytest.mark.parametrize("order", [64, 80])
 def test_identity_residuals_reach_the_order(order, monkeypatch, capsys):
     """Every vanishing check of the identities suite sees a residual known
     as far as the suite asks: below q^order, q^(order/2) for FasMu and
     q^(order/8) for the two Z checks."""
-    seen = {}
-    vanishing = sw.vanishing
-
-    def record(label, series, below=None):
-        seen[label] = series.prec_q()
-        return vanishing(label, series, below)
-    monkeypatch.setattr(sw, "vanishing", record)
+    seen = _record_windows(monkeypatch)
     code, _ = run_cli(capsys, "verify", "--suite", "identities",
                       "--order", str(order))
     assert code == 0 and len(seen) == 14
-    for label, prec in seen.items():
+    for label, (prec, _) in seen.items():
         want = F(order, 2) if label.startswith("FasMu") else \
             F(order, 8) if "Z(tau" in label else order
         assert prec is None or prec >= want, (label, prec)
+
+
+@pytest.mark.parametrize("order", ["0", "1/3", "1", "8", "15"])
+def test_identities_run_below_the_kernel_poles(order, capsys):
+    """Orders below 16 run every check and pass: each factor of a constant
+    term or of the Delta quotient is built past the other factor's pole,
+    not only to the order itself."""
+    code, out = run_cli(capsys, "verify", "--suite", "identities",
+                        "--order", order)
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "PASS: 0 failing check(s)"
+    assert len(lines) == 22
+    assert all(line.endswith(": ok") for line in lines[:-1]), out
+
+
+@pytest.mark.parametrize("nf, order", [(nf, order) for nf in (0, 2, 3)
+                                       for order in (F(17, 2), 40)], ids=str)
+def test_swcheck_residuals_reach_the_order(nf, order, monkeypatch):
+    """Every residual of sw.check_family that is checked over its whole
+    window is known below q^order; the contact term and the leading
+    constant are read only below their thresholds."""
+    seen = _record_windows(monkeypatch)
+    assert all(ok for _, ok, _ in sw.check_family(nf, order))
+    whole = {label: prec for label, (prec, below) in seen.items()
+             if below is None}
+    assert len(whole) == (4 if nf else 3)
+    for label, prec in whole.items():
+        assert prec is None or prec >= order, (label, prec)
 
 
 def test_verify_tables_and_swcurves(capsys):

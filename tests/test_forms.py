@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import oracles
 import pytest
 
 from qdonald import QSeries, forms, invariants as inv, mock
@@ -33,6 +34,38 @@ def test_eta8_cubed_classical_identity():
     rhs = QSeries.from_terms(
         {(2 * n + 1) ** 2: F((-1) ** n * (2 * n + 1)) for n in range(8)}, 200)
     assert (lhs - rhs).is_zero()
+
+
+# Every factor set that qdonald and its tests build, each in sorted order.
+ETA_FACTOR_SETS = [
+    ((1, 1),), ((1, 3),), ((1, 6),), ((1, 24),), ((1, -1),), ((1, -4),),
+    ((8, 3),), ((8, -3),),
+    ((1, -4), (2, 8)), ((1, -8), (2, 8)), ((2, -4), (4, 8)),
+    ((2, 4), (4, -8)), ((2, 8), (4, -4), (8, -3)), ((4, 2), (8, -1)),
+    ((4, 8), (8, -7)), ((4, -4), (8, 5)), ((4, -2), (8, 5), (16, -2)),
+    ((8, -1), (16, 2)), ((8, 5), (16, -4)), ((8, -7), (16, 8)),
+    ((8, -3), (16, -4), (32, 8)),
+]
+
+
+@pytest.mark.parametrize("factors", ETA_FACTOR_SETS, ids=str)
+def test_eta_builders_match_the_per_factor_route(factors):
+    """eta_quotient equals the product of per-factor powers, each shifted
+    onto its ramified grid and padded, and eta_power for one factor the
+    per-factor power, in the stored form: grid, window and integers.  That
+    covers the windows with no known term, whose grid the result is read
+    on decides."""
+    def stored(s):
+        return s.ram, s.lead, s.prec, s.nums, s.den
+    for prec in (0, F(1, 3), F(7, 8), 1, 2, 5, F(17, 3), 10, 31, F(121, 2),
+                 100, 257):
+        forms._eta_quotient.clear()
+        assert stored(forms.eta_quotient(factors, prec)) == \
+            stored(oracles.eta_quotient_per_factor(factors, prec)), prec
+        if len(factors) == 1:
+            forms._eta_quotient.clear()
+            assert stored(forms.eta_power(*factors[0], prec)) == \
+                stored(oracles.eta_power_per_factor(*factors[0], prec)), prec
 
 
 @pytest.mark.parametrize("which,factors", [
@@ -196,8 +229,8 @@ def test_h_ode_printed_defect_is_pinned():
 # arguments.
 MEMOIZED = [
     (forms._euler_product, lambda p: (2, p)),
-    (forms.eta_power, lambda p: (8, -3, p)),
-    (forms.eta_power, lambda p: (1, 3, p)),
+    (forms._eta_quotient, lambda p: (((8, -3),), p)),
+    (forms._eta_quotient, lambda p: (((1, 3),), p)),
     (forms._eta_quotient, lambda p: (((2, 4), (4, -8)), p)),
     (forms.theta_big, lambda p: (2, p)),
     (forms.theta_big, lambda p: (4, p)),

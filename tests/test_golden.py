@@ -3,11 +3,17 @@
 Each hash is the sha256 of the stdout of ``qdonald <argv>``.  A change that
 alters any of them alters the program's exact output and needs a reason.
 Every subcommand has a pinned invocation for each ``--format`` it offers.
+
+The module imports no pytest, so the list also runs as a standard-library
+script, under interpreters that have no pytest too:
+``PYTHONPATH=src python3 tests/test_golden.py`` prints each mismatch and
+exits 1 on any.
 """
 
 import hashlib
-
-import pytest
+import io
+import sys
+from contextlib import redirect_stdout
 
 from qdonald.cli import COMMANDS, main
 
@@ -107,12 +113,20 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN,
-                         ids=[" ".join(argv) for argv, _ in GOLDEN])
+def pytest_generate_tests(metafunc):
+    if "digest" in metafunc.fixturenames:
+        metafunc.parametrize("argv, digest", GOLDEN,
+                             ids=[" ".join(argv) for argv, _ in GOLDEN])
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_golden_stdout(argv, digest, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert _sha256(out) == digest
 
 
 def _format_choices():
@@ -139,3 +153,22 @@ def test_golden_covers_every_format():
     wanted = {(name, fmt) for name, (choices, _) in formats.items()
               for fmt in choices}
     assert wanted <= covered, sorted(wanted - covered)
+
+
+def run_golden() -> int:
+    """Run every golden invocation; print each mismatch; 1 if any."""
+    bad = 0
+    for argv, digest in GOLDEN:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(argv)
+        got = _sha256(out.getvalue())
+        if code != 0 or got != digest:
+            bad += 1
+            print(f"MISMATCH {' '.join(argv)}: exit {code}, sha256 {got}")
+    print(f"{len(GOLDEN) - bad} of {len(GOLDEN)} golden outputs match")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run_golden())
