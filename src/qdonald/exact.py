@@ -1,6 +1,6 @@
 """Exact scalar arithmetic and the integer polynomial kernel.
 
-Every series coefficient in this package is a ``fractions.Fraction``.  A
+Every series in this package stores integers over one denominator.  A
 :class:`Cyclo` is a scalar of the cyclotomic field Q(zeta_N), stored as a
 polynomial in zeta_N reduced modulo the N-th cyclotomic polynomial; no
 series holds one, and the Q(zeta) identities of the paper (the zeta_8

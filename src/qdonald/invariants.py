@@ -116,18 +116,18 @@ def _reads(family, w: int) -> tuple:
 
 def _slot(family, w: int, xs, t=None) -> tuple:
     """The family's slot for weight w (F_t for the Goettsche family) at the
-    points xs as (ints, den), known through -val or InsufficientPrecision."""
+    points xs < ps as (ints, den), known through -val or InsufficientPrecision,
+    read on the integer grid it is memoized on: F_t, Q+ and Q+'s S-transform
+    at x are calF_t, calQ, q_transform_s_ren at 8x, Q+(tau/2) calQ at 16x."""
     ps = _windows(family, w)[1]
-    slot = (mock.f_t(t, ps) if family == "goettsche" else
-            mock.q_plus(2 * ps).rescale(1, 2) if family == 2 else
-            mock.q_transform_s(ps) if family == 3 else mock.q_plus(ps))
-    if slot.prec_q() < ps:
+    scale = 16 if family == 2 else 8
+    slot = (mock.cal_f(t, scale * ps) if family == "goettsche" else
+            mock.q_transform_s_ren(scale * ps) if family == 3 else
+            mock.cal_q(scale * ps))
+    if slot.prec_q() < scale * ps:
         raise InsufficientPrecision("slot window too short for the pairing")
-    # the points lie below ps, on the family's grid 1/ram
-    ram = lcm(slot.ram, _FAMILIES[family][2])
-    slot = slot.to_ram(ram)
     nums, lead = slot.nums, slot.lead
-    at = [int(x * ram) - lead for x in xs]
+    at = [int(x * scale * slot.ram) - lead for x in xs]
     return [nums[i] if 0 <= i < len(nums) else 0 for i in at], slot.den
 
 

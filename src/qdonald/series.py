@@ -489,14 +489,14 @@ class QSeries:
 
     def __hash__(self):
         """The hash of the coarsest grid the series can be read on: ram,
-        lead, prec and every nonzero offset divided by their common gcd, so
-        that a series read on a finer grid, which is equal, hashes equal."""
+        lead, prec and every nonzero offset over their gcd, with den and the
+        integer at each offset (no Fraction is built), so that an equal
+        series on a finer grid, equal in lowest terms, hashes equal."""
         offsets = [i for i, c in enumerate(self.nums) if c]
         g = gcd(self.ram, self.lead, self.prec or 0, *offsets)
-        coeffs = self.coeffs
         return hash((self.ram // g, self.lead // g,
-                     None if self.prec is None else self.prec // g,
-                     tuple((i // g, coeffs[i]) for i in offsets)))
+                     None if self.prec is None else self.prec // g, self.den,
+                     tuple((i // g, self.nums[i]) for i in offsets)))
 
     def to_text(self, max_terms: int = 12) -> str:
         """Render as 'q^(-1/8) * (1 + 28*q^(1/2) + ...)'."""

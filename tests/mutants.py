@@ -5,8 +5,10 @@ Usage: python3 tests/mutants.py [NAME ...]
 Each entry of MUTANTS is (name, file, old text, new text, why).  For each
 mutant (all, or the named ones) the script copies the repository to a
 temporary directory, replaces the old text, which must occur exactly once,
-with the new one, and runs the Tier-1 suite there with -x.  A mutant is
-killed when the suite fails; the first failing test is printed with it.
+with the new one, and runs the Tier-1 suite there with -x (all of it but
+tests/test_mutants.py, which checks this list against the unmutated
+tree).  A mutant is killed when the suite fails; the first failing test is
+printed with it.
 The mutants named in EQUIVALENT change no result and are expected to
 survive.  The script exits 1 when any other mutant survives or an old text
 is not found once.
@@ -30,8 +32,10 @@ INVARIANTS = "src/qdonald/invariants.py"
 SW = "src/qdonald/sw.py"
 CLI = "src/qdonald/cli.py"
 FORMS = "src/qdonald/forms.py"
+# tests/test_mutants.py checks the old texts of the unmutated tree, which a
+# mutant changes by design, so it is the one Tier-1 file left out here
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
 TIMEOUT_S = 1800
 
 MUTANTS = [
@@ -94,6 +98,21 @@ MUTANTS = [
      "out.rescale(g)", "out.rescale(1)",
      "an eta quotient whose arguments share a factor g is read on Z, not "
      "spread back onto gZ"),
+    ("nf4-order-capped", CLI,
+     "_suite_nf4(min(args.order, 16))", "_suite_nf4(min(args.order, 8))",
+     "verify runs the nf4 suite at min(--order, 8), so an --order between "
+     "8 and 16 checks no further than 8"),
+    ("swcurves-order-capped", CLI,
+     "_suite_swcurves(min(args.order, 24))",
+     "_suite_swcurves(min(args.order, 12))",
+     "verify runs the swcurves suite at min(--order, 12), so an --order "
+     "between 12 and 24 checks no further than 12"),
+    ("slot-nf2-scale", INVARIANTS,
+     "scale = 16 if family == 2 else 8", "scale = 8 if family == 2 else 8",
+     "the nf=2 slot reads calQ at 8x, which is Q+ at tau, not at tau/2"),
+    ("slot-guard-inclusive", INVARIANTS,
+     "if slot.prec_q() < scale * ps:", "if slot.prec_q() <= scale * ps:",
+     "a slot known exactly as far as the pairing needs is refused"),
 ]
 
 EQUIVALENT = {"truncate-below-lead"}

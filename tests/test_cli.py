@@ -88,13 +88,14 @@ def test_verify_identities(capsys):
     assert "off by exactly 128 E_odd" in out
 
 
-def _record_windows(monkeypatch) -> dict:
-    """{label: (prec_q(), below)} of every later sw.vanishing check."""
-    seen = {}
+def _record_windows(monkeypatch) -> list:
+    """[(label, prec_q(), below)] of every later sw.vanishing check, in
+    order."""
+    seen = []
     vanishing = sw.vanishing
 
     def record(label, series, below=None):
-        seen[label] = series.prec_q(), below
+        seen.append((label, series.prec_q(), below))
         return vanishing(label, series, below)
     monkeypatch.setattr(sw, "vanishing", record)
     return seen
@@ -109,7 +110,7 @@ def test_identity_residuals_reach_the_order(order, monkeypatch, capsys):
     code, _ = run_cli(capsys, "verify", "--suite", "identities",
                       "--order", str(order))
     assert code == 0 and len(seen) == 14
-    for label, (prec, _) in seen.items():
+    for label, prec, _ in seen:
         want = F(order, 2) if label.startswith("FasMu") else \
             F(order, 8) if "Z(tau" in label else order
         assert prec is None or prec >= want, (label, prec)
@@ -136,11 +137,33 @@ def test_swcheck_residuals_reach_the_order(nf, order, monkeypatch):
     constant are read only below their thresholds."""
     seen = _record_windows(monkeypatch)
     assert all(ok for _, ok, _ in sw.check_family(nf, order))
-    whole = {label: prec for label, (prec, below) in seen.items()
-             if below is None}
+    whole = [(label, prec) for label, prec, below in seen if below is None]
     assert len(whole) == (4 if nf else 3)
-    for label, prec in whole.items():
+    for label, prec in whole:
         assert prec is None or prec >= order, (label, prec)
+
+
+@pytest.mark.parametrize("order", ["8", "40"])
+def test_nf4_residual_reaches_the_capped_order(order, monkeypatch, capsys):
+    """verify --suite nf4 checks its residual known below min(order, 16)."""
+    seen = _record_windows(monkeypatch)
+    code, _ = run_cli(capsys, "verify", "--suite", "nf4", "--order", order)
+    assert code == 0 and len(seen) == 1
+    assert seen[0][1] >= min(int(order), 16), seen
+
+
+@pytest.mark.parametrize("order", [F(17, 2), 40], ids=str)
+def test_swcurves_residuals_reach_the_capped_order(order, monkeypatch,
+                                                   capsys):
+    """verify --suite swcurves checks every residual of the three families
+    that is read over its whole window known below min(order, 24)."""
+    seen = _record_windows(monkeypatch)
+    code, _ = run_cli(capsys, "verify", "--suite", "swcurves",
+                      "--order", str(order))
+    whole = [(label, prec) for label, prec, below in seen if below is None]
+    assert code == 0 and len(whole) == 3 + 4 + 4
+    for label, prec in whole:
+        assert prec is None or prec >= min(order, 24), (label, prec)
 
 
 def test_verify_tables_and_swcurves(capsys):

@@ -203,15 +203,19 @@ def _cell(nf, m, n):
     return inv.uplane_D(nf, m, n)
 
 
+# the IDs name each family's slot (F_t, Q+, Q+ at tau/2, the S-transform of
+# Q+); the test shortens the memoized series that the slot is read from
 @pytest.mark.parametrize("nf, slot, step", [
-    ("goettsche", "f_t", F(1, 8)),
-    (0, "q_plus", F(1, 8)),
-    (2, "q_plus", F(1, 8)),  # Q+ at tau/2: one 1/16 step
-    (3, "q_transform_s", F(1, 8)),
-])
+    ("goettsche", "cal_f", 1),
+    (0, "cal_q", 1),
+    (2, "cal_q", 1),  # Q+ at tau/2 is calQ at 16 x: one 1/16 step
+    (3, "q_transform_s_ren", F(1, 4)),  # its grid is q^(1/4)
+], ids=["goettsche-f_t-step0", "0-q_plus-step1", "2-q_plus-step2",
+        "3-q_transform_s-step3"])
 def test_pairing_windows_are_exact(nf, slot, step, monkeypatch):
-    """The window rule leaves no slack: a slot known one grid step less far
-    than it gives makes every cell of weight <= 4 raise, never return."""
+    """The window rule leaves no slack: a slot known one step of its own
+    grid less far than it gives makes every cell of weight <= 4 raise,
+    never return."""
     _shorten(monkeypatch, mock, slot, step)
     for m, n in _cells(nf):
         with pytest.raises(InsufficientPrecision):

@@ -522,6 +522,15 @@ def test_equal_series_hash_equal(a, k, scale):
     assert len({a, *equal}) == 1
 
 
+def test_hash_builds_no_fraction_view():
+    """Hashing reads the stored integers: it leaves the Fraction view of
+    the coefficients unbuilt."""
+    a = QSeries.from_numerators(8, -1, [3, 0, -5, 7, 0, 1], 6, 5)
+    hash(a)
+    assert not hasattr(a, "_coeffs")
+    assert hash(a) == hash(QSeries(8, -1, a.coeffs, 5))
+
+
 def test_rational_cyclo_series_hashes_as_its_fraction_series():
     """The reference helper holding a zero or rational Cyclo converts to the
     series of its Fraction, which is equal and hashes equal."""
