@@ -17,7 +17,6 @@ from math import comb, factorial, isqrt, lcm
 from operator import mul
 
 from . import forms, mock
-from .exact import clear
 from .series import InsufficientPrecision, QSeries
 
 
@@ -178,12 +177,14 @@ def goettsche_phi(k: int, m: int, n: int) -> Fraction:
 # u-plane coefficients
 #
 # Row (i, j) of D^nf_(m,2n), 0 <= j <= i <= n, is the kernel c P_k E_l, k =
-# m + n - i, l = i - j, against (q d/dq)^j of the slot, with c = A(m, n)
-# C(i, j) / (n-i)! = sign (-1)^(i+j) 2^(offset + slope j) / 3^(n-j) (2n)! /
-# ((n-i)! j! (i-j)!) Gamma(1/2) / Gamma(1/2+j).  For nf=3 the sign is
-# (-1)^(i+j) without the displayed extra (-1)^(m+n-j): the printed invariant
-# table is the arbiter, and only this choice also satisfies the duality
-# between the two slots.
+# m + n - i, l = i - j, against (q d/dq)^j of the slot, x^j at its point x,
+# with c = A(m, n) C(i, j) / (n-i)!, C(i, j) = (-1)^(i+j) 12^j (24^j for
+# nf=2) Gamma(1/2) / Gamma(1/2+j) / (j! (i-j)!) = (-1)^(i+j) (4 12)^j (or
+# (4 24)^j) / ((2j)! (i-j)!).  On the slot grid X = ram x, ram 8 (16 for
+# nf=2), C(i, j) x^j = (-1)^(i+j) 6^j X^j / ((2j)! (i-j)!) for every family,
+# as 4 12 / 8 = 4 24 / 16 = 6.  For nf=3 the sign is (-1)^(i+j) without the
+# displayed extra (-1)^(m+n-j): the printed invariant table is the arbiter,
+# and only this choice also satisfies the duality between the two slots.
 
 # h_combo: ((alpha, weight), ...) with value = sum w_a H_a
 DCell = namedtuple("DCell", "nf m n value h_combo")
@@ -195,30 +196,27 @@ def _d_scale(nf: int, m: int, n: int) -> Fraction:
     return sign * Fraction(2) ** off * Fraction(factorial(2 * n), 3 ** n)
 
 
-def _d_inner(nf: int, i: int, j: int) -> Fraction:
-    """C(i, j) = (-1)^(i+j) 2^(slope j) 3^j Gamma(1/2) / Gamma(1/2+j) /
-    (j! (i-j)!), with slope 3 for nf=2 and 2 otherwise."""
-    return ((-1) ** (i + j) * mock.gamma_half_ratio(j) * Fraction(
-        (24 if nf == 2 else 12) ** j, factorial(j) * factorial(i - j)))
-
-
 def uplane_weight(nf: int, w: int) -> list:
     """The DCells of D^nf_(m,2n), m + n = w, by m.  Row (i, j) reads kernel
     (w - i, i - j) in every cell, so the pass forms U_i[a] = sum_(j<=i)
-    C(i, j) x_a^j read_(w-i, i-j)[a] once, on integers over one denominator;
-    the weight of H_a in cell (m, n) is A(m, n) sum_(i<=n) U_i[a] / (n-i)!,
-    and the value pairs the weights with the slot."""
+    C(i, j) x_a^j read_(w-i, i-j)[a] once, on integers over big, the lcm of
+    d_ij = (2j)! (i-j)! den_(w-i, i-j): row (i, j) adds (-1)^(i+j) 6^j (big
+    / d_ij) X_a^j ints_(w-i, i-j)[a], X_a = ram x_a.  The weight of H_a in
+    cell (m, n) is A(m, n) sum_(i<=n) U_i[a] / (n-i)!, and the value pairs
+    the weights with the slot."""
     if nf not in (0, 2, 3):
         raise ConstraintViolation(f"no u-plane family for nf={nf}")
     reads, xs = _reads(nf, w)
     ram = _FAMILIES[nf][2]
     sv, sden = _slot(nf, w, xs)
     powers = [[int(x * ram) ** j for x in xs] for j in range(w + 1)]
-    rows = [(i, j) for i in range(w + 1) for j in range(i + 1)]
-    coeffs, big = clear([_d_inner(nf, i, j) / ram ** j / reads[w - i, i - j][1]
-                         for i, j in rows])
+    dens = {(i, j): factorial(2 * j) * factorial(i - j)
+            * reads[w - i, i - j][1]
+            for i in range(w + 1) for j in range(i + 1)}
+    big = lcm(*dens.values())
     us = [[0] * len(xs) for _ in range(w + 1)]  # big U_i
-    for (i, j), c in zip(rows, coeffs):
+    for (i, j), d in dens.items():
+        c = (-1) ** (i + j) * 6 ** j * (big // d)
         us[i] = [u + c * x * r for u, x, r
                  in zip(us[i], powers[j], reads[w - i, i - j][0])]
     cells = []

@@ -113,6 +113,13 @@ MUTANTS = [
     ("slot-guard-inclusive", INVARIANTS,
      "if slot.prec_q() < scale * ps:", "if slot.prec_q() <= scale * ps:",
      "a slot known exactly as far as the pairing needs is refused"),
+    ("row-family-slope", INVARIANTS,
+     "6 ** j", "12 ** j",
+     "a u-plane row keeps a family slope that the slot grid already "
+     "divides out"),
+    ("row-sign-lost", INVARIANTS,
+     "(-1) ** (i + j)", "(-1) ** j",
+     "a u-plane row loses the (-1)^i of C(i, j)"),
 ]
 
 EQUIVALENT = {"truncate-below-lead"}

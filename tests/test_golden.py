@@ -84,6 +84,11 @@ GOLDEN = [
      "1bae5efac587356072649f44f0272d4ffb240b8f4d641a4d8fc444b7a9a639d2"),
     (["goettsche", "--max-weight", "24", "--format", "json"],
      "032ab6d1230766b922c65f456f62b3a44012290a7b56315e5d109c270e7af09a"),
+    # the widest u-plane rows of nf = 0 and nf = 2
+    (["invariants", "--nf", "0", "--max-weight", "24", "--format", "json"],
+     "71ec2f40490467a6e357d96bf22c866e9664a8ec1586605ae4a73f045b55ddc6"),
+    (["invariants", "--nf", "2", "--max-weight", "16", "--format", "json"],
+     "bf25cecc44c973b2b65fdc7e90bc2a71e5eb16a23631ef8d5012f39f2b1e95ea"),
     # the n/d writer on long rational series, and the text of the
     # S-transform as read from the integer form
     (["series", "--name", "M", "--order", "900", "--format", "json"],
