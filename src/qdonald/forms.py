@@ -19,7 +19,7 @@ from functools import reduce
 from math import ceil, gcd, lcm
 from operator import mul
 
-from .series import QSeries, memo
+from .series import QSeries, factor_window, memo
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +70,11 @@ def eta_quotient(factors, prec) -> QSeries:
 
 @memo
 def _eta_quotient(factors: tuple, prec) -> QSeries:
-    # the floor keeps the constant term that an inverse needs; a window with
-    # no known term ends on the grid of the factors' shifts
+    # P = 1 - q - ... is built past its lead; an empty window ends on the
+    # grid of the factors' shifts
     shifts = [Fraction(d * r, 24) for d, r in factors]
     s, g = sum(shifts), gcd(*(d for d, _ in factors))
-    top = max(Fraction(prec) - s, 1) / g
+    top = factor_window((Fraction(prec) - s) / g, 0, 0)
     out = reduce(mul, (euler_product(top, d // g) ** r for d, r in factors))
     ram = lcm(*(t.denominator for t in shifts))
     return out.rescale(g).shift_exponent(s).to_ram(ram).truncate(prec) \
@@ -204,8 +204,8 @@ def form_a78(prec) -> QSeries:
 def form_h(prec) -> QSeries:
     """h = eta(2t)^4/eta(4t)^8 * E*(2t) = q^-1 + 20q - 62q^3 + ..."""
     p = Fraction(prec)
-    quot = eta_quotient([(2, 4), (4, -8)], p)
-    est = eisenstein_estar((p + 1) // 2 + 1).rescale(2, 1)
+    quot = eta_quotient([(2, 4), (4, -8)], p)  # q^-1 + ...
+    est = eisenstein_estar(factor_window(p, -1) / 2).rescale(2, 1)
     return (quot * est).truncate(p)
 
 
@@ -214,8 +214,8 @@ def form_fm(m: int, prec) -> QSeries:
     """f_m = Theta4^9 (16 Theta2^4 + Theta3^4)^m / (Theta2 Theta3)^(2m+3)."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    p = Fraction(prec) + 2 * (2 * m + 3) + 2
-    t2, t3, t4 = theta_big(2, p), theta_big(3, p), theta_big(4, p)
+    k = 2 * m + 3  # the thetas are built as far as their divisor q^k + ...
+    t2, t3, t4 = (theta_big(i, factor_window(prec, 0, k)) for i in (2, 3, 4))
     num = t4 ** 9 * (16 * t2 ** 4 + t3 ** 4) ** m
-    den = (t2 * t3) ** (2 * m + 3)
+    den = (t2 * t3) ** k
     return (num * den.inverse()).truncate(prec)

@@ -17,7 +17,7 @@ from math import comb, factorial, isqrt, lcm
 from operator import mul
 
 from . import forms, mock
-from .series import InsufficientPrecision, QSeries
+from .series import InsufficientPrecision, QSeries, factor_window
 
 
 class ConstraintViolation(ValueError):
@@ -271,15 +271,14 @@ def criterion_check(m: int, n: int) -> bool:
 def z0_series(prec) -> QSeries:
     """Z0 = calQ + 4 calF0 / Theta4 = E*(4 tau)/eta(8 tau)^3."""
     p = Fraction(prec)
-    f0 = mock.cal_f(0, p + 2)
-    theta4 = forms.theta_big(4, p + 2)
-    return (mock.cal_q(p) + 4 * f0 * theta4.inverse()).truncate(p)
+    theta4 = forms.theta_big(4, factor_window(p, 0, 0))
+    return (mock.cal_q(p) + 4 * mock.cal_f(0, p) * theta4.inverse()).truncate(p)
 
 
 def z0_closed_form(prec) -> QSeries:
     p = Fraction(prec)
-    est = forms.eisenstein_estar(p / 4 + 1).rescale(4, 1)
-    return (est * forms.eta_power(8, -3, p + 2)).truncate(p)
+    est = forms.eisenstein_estar(factor_window(p, -1) / 4).rescale(4, 1)
+    return (est * forms.eta_power(8, -3, p)).truncate(p)  # q^-1 + ...
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +399,8 @@ def phi_euler_combo(nf: int, k: int, m: int, n: int) -> Fraction:
 def z_bold(prec) -> QSeries:
     """Z = eta^3 * Q+ (exponents in (1/2) Z)."""
     p = Fraction(prec)
-    return (forms.eta_power(1, 3, p + 1) * mock.q_plus(p + 1)).truncate(p)
+    eta3 = forms.eta_power(1, 3, factor_window(p, Fraction(-1, 8)))  # Q+ = q^(-1/8)...
+    return (eta3 * mock.q_plus(p)).truncate(p)
 
 
 def rho4(prec) -> QSeries:
@@ -410,16 +410,16 @@ def rho4(prec) -> QSeries:
 
 def nf4_partition(prec) -> QSeries:
     """Holomorphic part of the conformal-point partition function."""
-    p = Fraction(prec)
-    pad = p + 4
-    q_over_eta = (mock.q_plus(pad) * forms.eta_power(1, -1, pad))
-    eta4inv = forms.eta_power(1, -4, pad)
-    eta_inv = forms.eta_power(1, -1, pad)
-    r2 = forms.vartheta(2, pad) * eta_inv
-    r3 = forms.vartheta(3, pad) * eta_inv
+    # each factor f of a product q^V + ... below has val(f) - V <= 1/2
+    top = factor_window(prec, Fraction(-1, 2))
+    eta_inv = forms.eta_power(1, -1, top)
+    q_over_eta = mock.q_plus(top) * eta_inv
+    eta4inv = forms.eta_power(1, -4, top)
+    r2 = forms.vartheta(2, top) * eta_inv
+    r3 = forms.vartheta(3, top) * eta_inv
     g = Fraction(-1, 36) * (r2 ** 8 - r2 ** 4 * r3 ** 4 + r3 ** 8)
     dd = (q_over_eta.qdq(1) * eta4inv).qdq(1) * eta4inv
-    return (Fraction(1, 2) * dd + g * q_over_eta).truncate(p)
+    return (Fraction(1, 2) * dd + g * q_over_eta).truncate(prec)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import ceil, comb, factorial
 
 from . import forms
-from .series import QSeries, memo
+from .series import QSeries, factor_window, memo
 
 
 class OddT(ValueError):
@@ -67,9 +67,7 @@ def mock_m(prec) -> QSeries:
     The n-th and (1-n)-th terms are equal, so the sum is twice its n >= 1
     half, and every term there expands geometrically in q^(16n-8) > 0.
     """
-    # top >= 2 keeps the q^1 term of Theta2: a negative precision gives the
-    # empty window rather than a zero divisor
-    top = max(int(Fraction(prec)), 0) + 2
+    top = ceil(factor_window(prec, -1))  # 1/Theta2 = q^-1 + ...
     terms: dict = {}
     n = 1
     while 16 * n * n - 8 * n < top:
@@ -78,7 +76,7 @@ def mock_m(prec) -> QSeries:
             terms[e] = terms.get(e, 0) + (-1) ** x
         n += 1
     half = QSeries.from_terms(terms, top)
-    theta2 = forms.theta_big(2, top)
+    theta2 = forms.theta_big(2, factor_window(prec, 0, 1))
     return (-(half * theta2.inverse())).truncate(prec)
 
 
@@ -95,9 +93,7 @@ def lerch_mu_weighted(t: int, prec) -> QSeries:
     """
     if t < 0 or t % 2:
         raise OddT("t must be a non-negative even integer")
-    # as in mock_m: a negative precision gives the empty window rather than
-    # a Theta4 with an empty window
-    top = max(int(Fraction(prec)), 0) + 2
+    top = ceil(prec)
     # S sums over n, x >= 0.  The n <= -1 half-sum is S again under
     # n -> -1 - n, x -> x + 1 (same exponent (2n+1)(2n+3+4x), weight
     # (2x+1)^t and sign), so the two halves times -1/2 give -S.
@@ -110,7 +106,7 @@ def lerch_mu_weighted(t: int, prec) -> QSeries:
             terms[base + step * x] = terms.get(base + step * x, 0) + w
         n += 1
     s = QSeries.from_terms(terms, top)
-    theta4 = forms.theta_big(4, top)
+    theta4 = forms.theta_big(4, factor_window(prec, 0, 0))
     return (-s * theta4.inverse()).truncate(prec)
 
 
@@ -171,9 +167,7 @@ def s_transform_parts(prec) -> dict:
     sB = 4 * forms.eta_quotient([(8, 5), (4, -4)], p)
     sA78 = sB + Fraction(1, 2) * forms.eta_quotient(
         [(2, 8), (8, -3), (4, -4)], p)
-    # Theta4 starts at q^0, so the sum and Theta4 are needed to ceil(p); the
-    # bound stays >= 1 so that Theta4 keeps its constant term
-    top = max(ceil(p), 1)
+    top = ceil(p)
     terms: dict = {}
     n = 1
     while n * n < top:
@@ -184,8 +178,8 @@ def s_transform_parts(prec) -> dict:
             terms[e] = terms.get(e, 0) + 2 * sign * (-1) ** j
         n += 2
     num = QSeries.from_terms(terms, top)
-    sM = Fraction(1, 2) * num * forms.theta_big(4, top).inverse()
-    sM = sM.to_ram(4).truncate(p)
+    theta4 = forms.theta_big(4, factor_window(p, 0, 0))
+    sM = (Fraction(1, 2) * num * theta4.inverse()).to_ram(4).truncate(p)
     return {"A38": sA38, "A78": sA78, "B": sB, "M": sM}
 
 
@@ -212,5 +206,6 @@ def e_bracket(i: int, j: int, prec) -> QSeries:
         raise ValueError("need 0 <= j <= i")
     p = Fraction(prec)
     c = Fraction((-1) ** j * comb(i, j)) * gamma_half_ratio(j) * (12 ** j)
-    e2 = forms.eisenstein_e2(p + 1) ** (i - j) if i > j else QSeries.one()
-    return (c * e2 * q_plus(p + 1).qdq(j)).truncate(p)
+    # E2 meets Q+ = q^(-1/8) + ...
+    e2 = forms.eisenstein_e2(factor_window(p, Fraction(-1, 8))) ** (i - j)
+    return (c * e2 * q_plus(p).qdq(j)).truncate(p)

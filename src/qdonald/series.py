@@ -533,6 +533,15 @@ class QSeries:
         return f"QSeries({self.to_text(6)})"
 
 
+def factor_window(p, val, lead=None):
+    """Where to build a factor of a product known below q^p, by the window
+    rules of ``__mul__`` and ``inverse``: below p - val, for cofactors of
+    valuation ``val`` or more; a divisor of valuation ``lead`` below p - val
+    + 2 lead, and one q-step past its lead, so that it has an inverse."""
+    p -= val
+    return p if lead is None else max(p + 2 * lead, lead + 1)
+
+
 def _make(ram: int, lead: int, vals, den, prec) -> QSeries:
     """A series from integers over ``den`` in lowest terms (see
     ``QSeries._set``)."""

@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import forms
-from .series import InsufficientPrecision, QSeries
+from .series import InsufficientPrecision, QSeries, factor_window
 
 
 class UnsupportedFamily(ValueError):
@@ -27,6 +27,9 @@ SWFamily = namedtuple("SWFamily", "nf u omega2 g2n g3n deltan kodaira_infty")
 # vanishing_threshold: T = O(u^-1), so all exponents below it are zero
 ContactTerm = namedtuple("ContactTerm", "nf t_series vanishing_threshold")
 
+# u = c q^v + ... at the I*_(4-nf) cusp: a pole of order 1/(4 - nf)
+_U_VALUATION = {0: Fraction(-1, 4), 2: Fraction(-1, 2), 3: Fraction(-1)}
+
 
 def _theta_set(prec):
     return (forms.vartheta(2, prec), forms.vartheta(3, prec),
@@ -37,14 +40,15 @@ def sw_family(nf: int, prec) -> SWFamily:
     """Build u, (omega/pi)^2 and the Weierstrass series for one family."""
     p = Fraction(prec)
     if nf == 0:
-        t2, t3, _ = _theta_set(p + 2)
+        # the thetas are built as far as their divisor (t2 t3)^2 = 4 q^(1/4)
+        t2, t3, _ = _theta_set(factor_window(p, 0, Fraction(1, 4)))
         u = Fraction(1, 2) * (t2 ** 4 + t3 ** 4) * ((t2 * t3) ** 2).inverse()
         omega2 = 2 * (t2 * t3) ** 2
         g2 = u ** 2 / 12 - Fraction(1, 16)
         g3 = u ** 3 / 216 - u / 192
         delta = (u ** 2 - 1) / 4096
     elif nf == 2:
-        base = sw_family(0, p / 2 + 1)
+        base = sw_family(0, p / 2)
         u = base.u.rescale(2, 1).truncate(p)
         omega2 = base.omega2.rescale(2, 1).truncate(p)
         g2 = u ** 2 / 12 + Fraction(1, 4)
@@ -55,8 +59,8 @@ def sw_family(nf: int, prec) -> SWFamily:
         # table live in the nf=0 frame; transporting them through the
         # inversion swaps theta_2 <-> theta_4 and leaves a phase on omega
         # that makes the normalized square negative.  The sign is pinned by
-        # T = O(1/u) and the Picard-Fuchs check below.
-        _, t3, t4 = _theta_set(p + 4)
+        # T = O(1/u) and the Picard-Fuchs check below.  s^2 = 64 q + ...
+        _, t3, t4 = _theta_set(factor_window(p, 0, 1))
         u, s = _nf3_u(t3, t4)
         omega2 = -(s ** 2) / 4
         g2 = u ** 2 / 12 - 5 * u / 4 + Fraction(11, 16)
@@ -82,9 +86,8 @@ def u3_from_u0(prec) -> QSeries:
     This is the expansion of the nf=3 coordinate at the nf=0 cusp; it equals
     the theta realization of sw_family(3) with theta_2 and theta_4 exchanged.
     """
-    p = Fraction(prec)
-    u0 = sw_family(0, p + 2).u
-    return (-2 * (u0 - 1).inverse() - Fraction(1, 2)).truncate(p)
+    u0 = sw_family(0, factor_window(prec, 0, _U_VALUATION[0])).u
+    return (-2 * (u0 - 1).inverse() - Fraction(1, 2)).truncate(prec)
 
 
 def weierstrass_residual(fam: SWFamily) -> QSeries:
@@ -95,8 +98,7 @@ def weierstrass_residual(fam: SWFamily) -> QSeries:
 def delta_eta_residual(fam: SWFamily) -> QSeries:
     """Delta * (omega/pi)^12 - eta^24, expanded in the family's variable."""
     lhs = fam.deltan * fam.omega2 ** 6
-    prec = lhs.prec_q()
-    return lhs - forms.delta(prec)
+    return lhs - forms.delta(lhs.prec_q())
 
 
 def contact_term(fam: SWFamily) -> ContactTerm:
@@ -108,8 +110,9 @@ def contact_term(fam: SWFamily) -> ContactTerm:
     prec = fam.omega2.prec_q()
     if prec is None or prec <= 1:
         raise InsufficientPrecision("family built to insufficient precision")
-    e2 = forms.eisenstein_e2(prec + 2)
-    t = -e2 * fam.omega2.inverse() / 3 + fam.u / 3
+    inv = fam.omega2.inverse()
+    e2 = forms.eisenstein_e2(factor_window(inv.prec_q(), inv.valuation()))
+    t = -e2 * inv / 3 + fam.u / 3
     if fam.nf == 3:
         t = t + Fraction(1, 2)
     threshold = -fam.u.valuation()
@@ -124,9 +127,9 @@ def periods_a(fam: SWFamily):
     qdq(a_hat) * W + a_hat * qdq(W)/2 = W * qdq(u).
     """
     nf = fam.nf
-    e2 = forms.eisenstein_e2(fam.omega2.prec_q() + 2)
-    a_hat = (Fraction(nf + 2, 3) * fam.u
-             + Fraction(4 - nf, 3) * e2 * fam.omega2.inverse())
+    inv = fam.omega2.inverse()
+    e2 = forms.eisenstein_e2(factor_window(inv.prec_q(), inv.valuation()))
+    a_hat = Fraction(nf + 2, 3) * fam.u + Fraction(4 - nf, 3) * e2 * inv
     if nf == 3:
         a_hat = a_hat - Fraction(1, 2)
     return a_hat, fam.omega2
@@ -139,21 +142,19 @@ def period_residual(fam: SWFamily) -> QSeries:
 
 
 def vanishing(label: str, series: QSeries, below=None) -> tuple:
-    """Check record (label, ok, first failing exponent): the series must
-    vanish (below the exponent ``below``, when given)."""
+    """Check record (label, ok, first failing exponent, window): the series,
+    cut at ``below`` when given, must vanish on its window (None: exact)."""
+    if below is not None:
+        series = series.truncate(below)
     bad = next((e for e, _ in series.terms()), None)
-    if bad is not None and below is not None and bad >= below:
-        bad = None
-    return label, bad is None, bad
+    return label, bad is None, bad, series.prec_q()
 
 
 def check_family(nf: int, prec) -> list:
-    """Run the per-family identity suite; returns (name, ok, first_bad)."""
+    """Run the per-family identity suite; returns vanishing records."""
     p = Fraction(prec)
-    # u has a pole of order 1/(4 - nf) at the I*_(4-nf) cusp, and g2^3, a
-    # sextic in u, loses up to five of it: built that far, every residual
-    # checked over its whole window is known below q^p (nf >= 4 has none)
-    fam = sw_family(nf, p + Fraction(5, max(4 - nf, 1)))
+    # u meets five more u in g2^3 (an unsupported nf fails in sw_family)
+    fam = sw_family(nf, factor_window(p, 5 * _U_VALUATION.get(nf, 0)))
     ct = contact_term(fam)
     results = [
         vanishing("weierstrass g2^3-27g3^2=Delta", weierstrass_residual(fam)),
@@ -172,14 +173,13 @@ def check_family(nf: int, prec) -> list:
     if nf == 2:
         # the duplication formula u0(tau/2) = (t3^4 + t4^4) / t2^4, built
         # from the theta constants rather than from the nf=0 family
-        t2, t3, t4 = _theta_set(p + 1)
-        dup = (t3 ** 4 + t4 ** 4) * (t2 ** 4).inverse()
+        t2, t3, t4 = _theta_set(factor_window(p, 0, Fraction(1, 2)))
+        dup = (t3 ** 4 + t4 ** 4) * (t2 ** 4).inverse()  # t2^4 = 16 q^(1/2)
         results.append(vanishing("u2 = u0 at tau/2", fam.u - dup.truncate(p)))
     return results
 
 
 def sw_family_swapped_u3(prec) -> QSeries:
     """nf=3 u-series with theta_2 and theta_4 exchanged (the S-dual chart)."""
-    p = Fraction(prec)
-    t2, t3, _ = _theta_set(p + 4)
-    return _nf3_u(t3, t2)[0].truncate(p)
+    t2, t3, _ = _theta_set(factor_window(prec, 0, 0))  # s^2 = 1 + ...
+    return _nf3_u(t3, t2)[0].truncate(prec)

@@ -91,7 +91,8 @@ MUTANTS = [
      "\"Cyclo\":",
      "a Cyclo coefficient passes the check where a series is built"),
     ("eta-window-no-floor", FORMS,
-     "top = max(Fraction(prec) - s, 1) / g", "top = (Fraction(prec) - s) / g",
+     "factor_window((Fraction(prec) - s) / g, 0, 0)",
+     "factor_window((Fraction(prec) - s) / g, 0)",
      "an eta quotient whose shift reaches past the precision is multiplied "
      "on an empty window, which has no constant term to invert"),
     ("eta-lattice-not-spread", FORMS,
@@ -120,6 +121,15 @@ MUTANTS = [
     ("row-sign-lost", INVARIANTS,
      "(-1) ** (i + j)", "(-1) ** j",
      "a u-plane row loses the (-1)^i of C(i, j)"),
+    ("window-ignores-cofactor", SERIES,
+     "    p -= val\n", "",
+     "factor_window builds a factor to the target itself, whatever the "
+     "valuation of the factors it meets, so a product with a pole is known "
+     "short of the target"),
+    ("window-no-lead-floor", SERIES,
+     "max(p + 2 * lead, lead + 1)", "p + 2 * lead",
+     "factor_window builds a divisor short of its lead where little of the "
+     "quotient is asked for, and the divisor has no inverse"),
 ]
 
 EQUIVALENT = {"truncate-below-lead"}

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qdonald
-from qdonald import QSeries, forms, invariants, sw
+from qdonald import QSeries, cli, forms, invariants, sw
 from qdonald.cli import COMMANDS, UsageError, _series_name, main
 
 
@@ -88,32 +88,57 @@ def test_verify_identities(capsys):
     assert "off by exactly 128 E_odd" in out
 
 
-def _record_windows(monkeypatch) -> list:
-    """[(label, prec_q(), below)] of every later sw.vanishing check, in
-    order."""
+def _verify_records(monkeypatch, capsys, *argv) -> tuple:
+    """(exit code, check records) of ``verify argv``: the records, in
+    order, that ``cmd_verify`` hands to ``cli._report``."""
     seen = []
-    vanishing = sw.vanishing
+    report = cli._report
 
-    def record(label, series, below=None):
-        seen.append((label, series.prec_q(), below))
-        return vanishing(label, series, below)
-    monkeypatch.setattr(sw, "vanishing", record)
-    return seen
+    def keep(records, out, summary):
+        records = list(records)
+        seen.extend(record for _, record in records)
+        return report(records, out, summary)
+    monkeypatch.setattr(cli, "_report", keep)
+    code, _ = run_cli(capsys, "verify", *argv)
+    return code, seen
 
 
 @pytest.mark.parametrize("order", [64, 80])
 def test_identity_residuals_reach_the_order(order, monkeypatch, capsys):
-    """Every vanishing check of the identities suite sees a residual known
-    as far as the suite asks: below q^order, q^(order/2) for FasMu and
+    """Every vanishing check of the identities suite proves its residual
+    zero as far as the suite asks: below q^order, q^(order/2) for FasMu and
     q^(order/8) for the two Z checks."""
-    seen = _record_windows(monkeypatch)
-    code, _ = run_cli(capsys, "verify", "--suite", "identities",
-                      "--order", str(order))
-    assert code == 0 and len(seen) == 14
-    for label, prec, _ in seen:
+    code, records = _verify_records(monkeypatch, capsys, "--suite",
+                                    "identities", "--order", str(order))
+    residuals = [(label, window) for label, _, _, window in records
+                 if not label.startswith("constant term")]
+    assert code == 0 and len(residuals) == 14
+    for label, prec in residuals:
         want = F(order, 2) if label.startswith("FasMu") else \
             F(order, 8) if "Z(tau" in label else order
         assert prec is None or prec >= want, (label, prec)
+
+
+def test_identities_build_each_factor_as_far_as_it_is_read(monkeypatch,
+                                                           capsys):
+    """The suite asks each memoized series for its widest window first, so
+    h is built once, and builds f_m only as far as the constant term of Z0
+    f_m reads it: below q^2, as Z0 = q^-1 + ...."""
+    quotient = forms.eta_quotient
+    h_builds = []
+
+    def count(factors, prec):
+        if sorted(map(tuple, factors)) == [(2, 4), (4, -8)]:
+            h_builds.append(prec)
+        return quotient(factors, prec)
+    forms.form_h.clear()
+    forms.form_fm.clear()
+    monkeypatch.setattr(forms, "eta_quotient", count)
+    code, _ = run_cli(capsys, "verify", "--suite", "identities", "--order",
+                      "64")
+    assert code == 0 and len(h_builds) == 1
+    assert sorted(forms.form_fm.entries) == [(m,) for m in range(7)]
+    assert all(held <= 2 for held, _ in forms.form_fm.entries.values())
 
 
 @pytest.mark.parametrize("order", ["0", "1/3", "1", "8", "15"])
@@ -129,27 +154,41 @@ def test_identities_run_below_the_kernel_poles(order, capsys):
     assert all(line.endswith(": ok") for line in lines[:-1]), out
 
 
+def _whole(records) -> list:
+    """(label, window) of the residuals checked over their whole window:
+    all but the contact term and the leading constant, which are read
+    below their thresholds."""
+    return [(label, window) for label, _, _, window in records
+            if not label.split(": ")[-1].startswith(("contact term",
+                                                      "leading constant"))]
+
+
 @pytest.mark.parametrize("nf, order", [(nf, order) for nf in (0, 2, 3)
                                        for order in (F(17, 2), 40)], ids=str)
-def test_swcheck_residuals_reach_the_order(nf, order, monkeypatch):
+def test_swcheck_residuals_reach_the_order(nf, order):
     """Every residual of sw.check_family that is checked over its whole
     window is known below q^order; the contact term and the leading
     constant are read only below their thresholds."""
-    seen = _record_windows(monkeypatch)
-    assert all(ok for _, ok, _ in sw.check_family(nf, order))
-    whole = [(label, prec) for label, prec, below in seen if below is None]
+    records = sw.check_family(nf, order)
+    assert all(ok for _, ok, _, _ in records)
+    whole = _whole(records)
     assert len(whole) == (4 if nf else 3)
     for label, prec in whole:
         assert prec is None or prec >= order, (label, prec)
+    cut = {label: window for label, _, _, window in records}
+    assert cut["contact term T=O(1/u)"] == F(1, 4 - nf)
+    assert cut.get("leading constant c0=-1/16", 0) == 0
 
 
 @pytest.mark.parametrize("order", ["8", "40"])
 def test_nf4_residual_reaches_the_capped_order(order, monkeypatch, capsys):
     """verify --suite nf4 checks its residual known below min(order, 16)."""
-    seen = _record_windows(monkeypatch)
-    code, _ = run_cli(capsys, "verify", "--suite", "nf4", "--order", order)
-    assert code == 0 and len(seen) == 1
-    assert seen[0][1] >= min(int(order), 16), seen
+    code, records = _verify_records(monkeypatch, capsys, "--suite", "nf4",
+                                    "--order", order)
+    residuals = [window for label, _, _, window in records
+                 if label.startswith("nf4 partition")]
+    assert code == 0 and len(residuals) == 1
+    assert residuals[0] >= min(int(order), 16), records
 
 
 @pytest.mark.parametrize("order", [F(17, 2), 40], ids=str)
@@ -157,10 +196,9 @@ def test_swcurves_residuals_reach_the_capped_order(order, monkeypatch,
                                                    capsys):
     """verify --suite swcurves checks every residual of the three families
     that is read over its whole window known below min(order, 24)."""
-    seen = _record_windows(monkeypatch)
-    code, _ = run_cli(capsys, "verify", "--suite", "swcurves",
-                      "--order", str(order))
-    whole = [(label, prec) for label, prec, below in seen if below is None]
+    code, records = _verify_records(monkeypatch, capsys, "--suite",
+                                    "swcurves", "--order", str(order))
+    whole = _whole(records)
     assert code == 0 and len(whole) == 3 + 4 + 4
     for label, prec in whole:
         assert prec is None or prec >= min(order, 24), (label, prec)

@@ -1,6 +1,8 @@
 """The truncated ramified Laurent series ring and its operator algebra."""
 
+import random
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from qdonald import (Cyclo, InsufficientPrecision, IrrepresentableExponent,
                      NotInvertible, NotRational, PrecisionUnderflow, QSeries,
                      root_of_unity)
 from qdonald import forms, mock
+from qdonald.series import factor_window
 
 
 def brute_convolution(a: QSeries, b: QSeries):
@@ -332,6 +335,69 @@ def qseries(draw, ram=None, exact=False):
     coeffs = draw(st.lists(small_fracs, min_size=n, max_size=n))
     prec = None if exact else lead + n
     return QSeries(r, lead, coeffs, prec)
+
+
+@st.composite
+def sources(draw):
+    """(build, val, step): a series on the 1/ram grid, ram 1 to 3, with a
+    lead of either sign and a nonzero lead term; build(prec) is it known
+    below q^prec, the window rounded up onto its grid as the constructors
+    round theirs, and val and step are its valuation and grid step."""
+    ram = draw(st.integers(1, 3))
+    lead = draw(st.integers(-6, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    coeffs = [rng.choice([0, 0, 1, -1, 2, F(-3, 2)]) for _ in range(128)]
+    coeffs[0] = draw(st.sampled_from([1, -1, 3, F(1, 2)]))
+
+    def build(prec):
+        w = ceil(prec * ram)
+        return QSeries(ram, lead, coeffs[:max(w - lead, 0)], w)
+    return build, F(lead, ram), F(1, ram)
+
+
+def _grid(prec, step):
+    return ceil(prec / step) * step
+
+
+targets = st.builds(F, st.integers(-12, 72), st.just(6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sources(), sources(), targets)
+def test_factor_window_inverts_the_product_rule(a, b, p):
+    """Factors built to factor_window(p, val of the other) give a product
+    known below q^p, unless neither reaches its lead, which only a p below
+    the product's valuation asks; a factor built one grid step short does
+    not, where the other has its lead term."""
+    (build_a, va, step), (build_b, vb, _) = a, b
+    x, y = build_a(factor_window(p, vb)), build_b(factor_window(p, va))
+    assert (x * y).prec_q() >= p or not (x.nums or y.nums)
+    short = build_a(_grid(factor_window(p, vb), step) - step)
+    if y.nums:
+        assert (short * y).prec_q() < p
+
+
+@settings(max_examples=300, deadline=None)
+@given(sources(), sources(), targets)
+def test_factor_window_inverts_the_inverse_rule(a, u, p):
+    """A numerator built to factor_window(p, val(1/u)) and a divisor u to
+    factor_window(p, val of the numerator, val(u)) give a quotient known
+    below q^p.  Built one grid step short, the numerator gives less, and so
+    does the divisor: it has no inverse, or where it has one and the lead
+    floor binds, the floor is one q-step past the lead, more than one grid
+    step on a finer grid."""
+    (build_a, va, step_a), (build_u, vu, step_u) = a, u
+    x, d = build_a(factor_window(p, -vu)), build_u(factor_window(p, va, vu))
+    assert (x / d).prec_q() >= p
+    short = build_a(_grid(factor_window(p, -vu), step_a) - step_a)
+    assert (short / d).prec_q() < p
+    low = build_u(_grid(factor_window(p, va, vu), step_u) - step_u)
+    if not low.nums:
+        with pytest.raises(NotInvertible):
+            low.inverse()
+    elif factor_window(p, va, vu) == factor_window(p, va) + 2 * vu \
+            and x.nums:
+        assert (x / low).prec_q() < p
 
 
 @settings(max_examples=200, deadline=None)

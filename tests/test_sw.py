@@ -10,16 +10,20 @@ from qdonald import QSeries, forms, sw
 @pytest.mark.parametrize("nf", [0, 2, 3])
 def test_family_identity_suite(nf):
     results = sw.check_family(nf, 20)
-    failures = [(name, bad) for name, ok, bad in results if not ok]
+    failures = [(name, bad) for name, ok, bad, _ in results if not ok]
     assert not failures
 
 
 def test_vanishing_sees_the_whole_window():
     """A residual whose only nonzero term is at q^40, known below q^50,
-    fails there; a check that need vanish only below q^40 passes."""
+    fails there; a check that need vanish only below q^40 passes.  The
+    record's window is the residual's, cut at the bound when one is given,
+    and an exact residual's is the bound."""
     resid = QSeries.from_terms({40: F(3)}, 50)
-    assert sw.vanishing("r", resid) == ("r", False, 40)
-    assert sw.vanishing("r", resid, below=40) == ("r", True, None)
+    assert sw.vanishing("r", resid) == ("r", False, 40, 50)
+    assert sw.vanishing("r", resid, below=40) == ("r", True, None, 40)
+    assert sw.vanishing("r", resid, below=60) == ("r", False, 40, 50)
+    assert sw.vanishing("r", QSeries.one() - 1, below=3) == ("r", True, None, 3)
 
 
 def test_unsupported_family():
@@ -98,7 +102,7 @@ def test_nf2_duplication_check_sees_a_perturbed_u(monkeypatch):
     """The nf=2 u-series is built from the nf=0 one, so a fault there must
     make the check against the theta duplication formula fail."""
     _perturb_u0(monkeypatch)
-    results = {name: (ok, bad) for name, ok, bad in sw.check_family(2, 12)}
+    results = {name: (ok, bad) for name, ok, bad, _ in sw.check_family(2, 12)}
     assert results["u2 = u0 at tau/2"] == (False, 2)
 
 
