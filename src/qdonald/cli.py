@@ -215,10 +215,14 @@ def _suite_identities(order) -> list:
     def zero_check(name, series):
         checks.append(sw.vanishing(name, series))
 
-    # first, as they ask calQ for its widest windows; Z0 meets f_6 = q^-15
+    # z reads calQ at 8 times its window and Z0 meets f_6 = q^-15: calQ is
+    # built once, at the wider of the two, and serves z, Z0 and QasMu
     eta4inv = forms.eta_power(1, -4, p / 8)
-    z = invariants.z_bold(factor_window(p / 8, eta4inv.valuation()))
-    z0 = invariants.z0_series(max(p, factor_window(1, -15)))
+    zp = factor_window(p / 8, eta4inv.valuation())
+    z0p = max(p, factor_window(1, -15))
+    mock.cal_q(max(8 * zp, z0p))
+    z = invariants.z_bold(zp)
+    z0 = invariants.z0_series(z0p)
     q = mock.cal_q(p)
     zero_check("QasMu: calQ + 7/2 A38 - 3/2 A78 + 1/2 B - 4M",
                q - 4 * mock.mock_m(p) + Fraction(7, 2) * forms.form_a38(p)

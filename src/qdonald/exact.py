@@ -6,7 +6,8 @@ polynomial in zeta_N reduced modulo the N-th cyclotomic polynomial; no
 series holds one, and the Q(zeta) identities of the paper (the zeta_8
 twists of Q+ and its S-transform, Zwegers' mu at rational characteristics)
 are checked with it by the test oracles.  The default ambient order is
-N = 24, which contains zeta_8, zeta_24, i and sqrt(i).
+N = 24, which contains zeta_8, zeta_24, i and sqrt(i).  The package does
+not re-export these Q(zeta_N) names; they are reached as qdonald.exact.*.
 
 Every integer polynomial product and power series inverse of the package,
 the series ring's and ``Cyclo``'s alike, runs on one of the two entries of

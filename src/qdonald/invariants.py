@@ -64,9 +64,14 @@ def _windows(family, w: int) -> tuple:
 
 def _factors(family, w: int, pt) -> tuple:
     """(base, pows, e2) of the family's weight-w kernels base * pows^k *
-    e2^l, from theta constants and E2 known below q^pt."""
+    e2^l, from theta constants and E2 known below q^pt; for nf=2, t2 and E2
+    at tau/2 are asked first, so that t2 at tau is their truncation."""
+    if family == 2:
+        t2_half = forms.vartheta(2, 2 * pt).rescale(1, 2)
+        e2 = forms.eisenstein_e2(2 * pt).rescale(1, 2)
+    else:
+        e2 = forms.eisenstein_e2(pt)
     t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
-    e2 = forms.eisenstein_e2(pt)
     if family == 3:
         tt = t3 * t4
         base = (t2 ** 9 * ((t3 ** 2 - t4 ** 2) ** (2 * w + 6)).inverse()
@@ -76,9 +81,7 @@ def _factors(family, w: int, pt) -> tuple:
     if family == 0:
         base = base * t4
     elif family == 2:
-        base = (base * (t4 * t4)
-                * forms.vartheta(2, 2 * pt).rescale(1, 2).inverse())
-        e2 = forms.eisenstein_e2(2 * pt).rescale(1, 2)
+        base = base * (t4 * t4) * t2_half.inverse()
     return base, t2 ** 4 + t3 ** 4, e2
 
 
@@ -113,13 +116,12 @@ def _reads(family, w: int) -> tuple:
     return reads, [start + a * step for a in range(count)]
 
 
-def _slot(family, w: int, xs, t=None) -> tuple:
-    """The family's slot for weight w (F_t for the Goettsche family) at the
-    points xs < ps as (ints, den), known through -val or InsufficientPrecision,
-    read on the integer grid it is memoized on: F_t, Q+ and Q+'s S-transform
-    at x are calF_t, calQ, q_transform_s_ren at 8x, Q+(tau/2) calQ at 16x."""
-    ps = _windows(family, w)[1]
-    scale = 16 if family == 2 else 8
+def _slot(family, ps, xs, t=None) -> tuple:
+    """The family's slot (F_t for the Goettsche family) at the points xs < ps
+    as (ints, den), known below q^ps or InsufficientPrecision, read at ram x
+    on the integer grid it is memoized on (ram the family's): F_t, Q+ and
+    Q+'s S-transform at x are calF_t, calQ, q_transform_s_ren at 8x."""
+    scale = _FAMILIES[family][2]
     slot = (mock.cal_f(t, scale * ps) if family == "goettsche" else
             mock.q_transform_s_ren(scale * ps) if family == 3 else
             mock.cal_q(scale * ps))
@@ -143,9 +145,10 @@ def goettsche_weight(w: int) -> list:
     per (s, l); cell n is then 8 (-1)^n (2n)! / big sum_l T[n - l, l] /
     (6^l (2n - 2l)! l!), O(n) terms."""
     reads, xs = _reads("goettsche", w)
+    ps = _windows("goettsche", w)[1]
     pairs = {}
     for s in range(w + 1):
-        sv, sden = _slot("goettsche", w, xs, 2 * s)
+        sv, sden = _slot("goettsche", ps, xs, 2 * s)
         for l in range(w - s + 1):
             ints, den = reads[w - s - l, l]
             pairs[s, l] = sum(map(mul, ints, sv)), den * sden
@@ -208,7 +211,7 @@ def uplane_weight(nf: int, w: int) -> list:
         raise ConstraintViolation(f"no u-plane family for nf={nf}")
     reads, xs = _reads(nf, w)
     ram = _FAMILIES[nf][2]
-    sv, sden = _slot(nf, w, xs)
+    sv, sden = _slot(nf, _windows(nf, w)[1], xs)
     powers = [[int(x * ram) ** j for x in xs] for j in range(w + 1)]
     dens = {(i, j): factorial(2 * j) * factorial(i - j)
             * reads[w - i, i - j][1]

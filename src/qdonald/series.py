@@ -227,10 +227,6 @@ class QSeries:
             if c:
                 yield Fraction(lead + i, ram), Fraction(c, den)
 
-    def support_mod(self, modulus: Fraction) -> set:
-        """Residues (q-exponents mod modulus) carrying nonzero terms."""
-        return {e % modulus for e, _ in self.terms()}
-
     # ------------------------------------------------------------------
     # ramification handling
     def to_ram(self, ram: int) -> "QSeries":
@@ -475,11 +471,6 @@ class QSeries:
 
     # ------------------------------------------------------------------
     # comparisons and output
-    def agrees_with(self, other: "QSeries") -> bool:
-        """Equality of all coefficients on the joint known window."""
-        d = self - other
-        return d.is_zero()
-
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented

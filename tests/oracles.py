@@ -779,7 +779,8 @@ def pairing(family, w: int, rows, frame) -> tuple:
                 acc[a] = acc.get(a, 0) + v
     value = Fraction(0)
     for t, acc in weights.items():
-        ints, den = inv._slot(family, w, [start + a * step for a in acc], t)
+        ints, den = inv._slot(family, inv._windows(family, w)[1],
+                              [start + a * step for a in acc], t)
         for v, c in zip(acc.values(), ints):
             value += v * Fraction(c, den)
     return value, weights.get(None, {})

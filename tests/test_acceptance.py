@@ -25,7 +25,8 @@ def test_criterion_01_calq_coefficients():
     q = mock.cal_q(40)
     printed = {-1: 1, 3: 28, 7: 39, 11: 196, 15: 161, 19: 756}
     ok = all(q.coeff(e) == c for e, c in printed.items())
-    ok = ok and q.prec_q() >= 40 and q.support_mod(4) == {F(3)}
+    ok = ok and q.prec_q() >= 40
+    ok = ok and {e % 4 for e, _ in q.terms()} == {F(3)}  # -1 + 4Z
     report(1, ok, "calQ = q^-1 + 28q^3 + 39q^7 + 196q^11 + 161q^15 + 756q^19, "
                   "exact to q^40")
 
@@ -329,9 +330,9 @@ def qseries(draw, ram=None):
 @settings(max_examples=1000, deadline=None)
 @given(qseries(), qseries(), qseries())
 def test_criterion_15_ring_laws(a, b, c):
-    assert ((a + b) + c).agrees_with(a + (b + c))
-    assert (a * (b + c)).agrees_with(a * b + a * c)
-    assert (a * b).agrees_with(b * a)
+    assert ((a + b) + c - (a + (b + c))).is_zero()
+    assert (a * (b + c) - (a * b + a * c)).is_zero()
+    assert (a * b - b * a).is_zero()
 
 
 @settings(max_examples=1000, deadline=None)
@@ -341,14 +342,14 @@ def test_criterion_15_qdq_derivation(a, b):
         prod = (a * b).qdq(1)
     except PrecisionUnderflow:
         return
-    assert prod.agrees_with(a.qdq(1) * b + a * b.qdq(1))
+    assert (prod - (a.qdq(1) * b + a * b.qdq(1))).is_zero()
 
 
 @settings(max_examples=1000, deadline=None)
 @given(qseries(), st.integers(min_value=1, max_value=4),
        st.integers(min_value=1, max_value=4))
 def test_criterion_15_rescale_inverse(a, p, q):
-    assert a.rescale(p, q).rescale(q, p).agrees_with(a)
+    assert (a.rescale(p, q).rescale(q, p) - a).is_zero()
 
 
 @settings(max_examples=1000, deadline=None)
@@ -358,12 +359,12 @@ def test_criterion_15_shift_inverse(a, k):
     -1 and raises NotRational elsewhere; the reference twist round-trips
     every draw."""
     if oracles.is_sign_twist(a, k):
-        assert a.shift_tau(k).shift_tau(-k).agrees_with(a)
+        assert (a.shift_tau(k).shift_tau(-k) - a).is_zero()
     else:
         with pytest.raises(NotRational):
             a.shift_tau(k)
-    assert oracles.twist(oracles.twist(a, k), -k).to_rational().agrees_with(a)
-    assert a.shift_tau(a.ram).agrees_with(a)
+    assert (oracles.twist(oracles.twist(a, k), -k).to_rational() - a).is_zero()
+    assert (a.shift_tau(a.ram) - a).is_zero()
 
 
 @settings(max_examples=1000, deadline=None)

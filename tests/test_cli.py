@@ -141,6 +141,19 @@ def test_identities_build_each_factor_as_far_as_it_is_read(monkeypatch,
     assert all(held <= 2 for held, _ in forms.form_fm.entries.values())
 
 
+@pytest.mark.parametrize("order", ["0", "8", "14", "30"])
+def test_identities_build_calq_once(order, memo_builds, capsys):
+    """z reads calQ below q^(order + 4/3) and Z0 below q^max(order, 16):
+    the suite asks calQ once, at the wider of the two, so calQ and each
+    series it is made of is built once at every order, also below 44/3,
+    where Z0's window is the wider."""
+    code, _ = run_cli(capsys, "verify", "--suite", "identities", "--order",
+                      order)
+    assert code == 0
+    assert [memo_builds[name, ()] for name in
+            ("cal_q", "mock_m", "form_a38", "form_a78")] == [1, 1, 1, 1]
+
+
 @pytest.mark.parametrize("order", ["0", "1/3", "1", "8", "15"])
 def test_identities_run_below_the_kernel_poles(order, capsys):
     """Orders below 16 run every check and pass: each factor of a constant

@@ -7,9 +7,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdonald import (Cyclo, DivisionByZero, IncompatibleOrder, root_of_unity,
-                     unity)
-from qdonald.exact import cyclotomic_polynomial, euler_phi
+from qdonald.exact import (Cyclo, DivisionByZero, IncompatibleOrder,
+                           cyclotomic_polynomial, euler_phi, root_of_unity,
+                           unity)
 from oracles import CycloSeries, cyclo_from_poly, cyclo_mul
 
 

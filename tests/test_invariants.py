@@ -531,7 +531,7 @@ def test_series_exp_matches_taylor(ram, lead, coeffs):
     Taylor sum's window, and knows at least as much."""
     a = QSeries(ram, lead, coeffs, lead + len(coeffs))
     got, want = inv.series_exp(a), oracles.taylor_exp(a)
-    assert got.agrees_with(want)
+    assert (got - want).is_zero()
     assert got.prec_q() >= want.prec_q()
 
 
@@ -653,12 +653,21 @@ def test_z_alternating_sum_closed_forms():
 def test_q_plus_shift_two_invariance():
     """zeta8^2 Q+(tau+2) = Q+(tau).  Q+(tau+2) = -i Q+(tau) is no rational
     series: shift_tau refuses it, and the reference twist computes it."""
-    from qdonald import root_of_unity
+    from qdonald.exact import root_of_unity
     q = mock.q_plus(10)
     with pytest.raises(NotRational):
         q.shift_tau(2)
     twisted = root_of_unity(8, 2) * oracles.twist(q, 2)
     assert (twisted - q).is_zero() and twisted.prec == q.prec
+
+
+@pytest.mark.parametrize("nf", [0, 2])
+def test_invariant_table_builds_each_series_once(nf, memo_builds):
+    """A table runs its weights from the highest down, and each weight asks
+    a series at its widest window first: every memo entry is built once.
+    nf=2 reads t2 and E2 at tau/2 as well as t2 at tau."""
+    inv.invariant_table(nf, 7)
+    assert memo_builds and set(memo_builds.values()) == {1}, memo_builds
 
 
 def test_invariant_table_shape():

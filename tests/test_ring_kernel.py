@@ -20,10 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import schoolbook_inverse, schoolbook_mul, schoolbook_pow
-from qdonald import (Cyclo, NotRational, PrecisionUnderflow, QSeries,
-                     root_of_unity)
+from qdonald import NotRational, PrecisionUnderflow, QSeries
 from qdonald import exact as exact_arith, series
-from qdonald.exact import euler_phi
+from qdonald.exact import Cyclo, euler_phi, root_of_unity
 
 _DENOMINATORS = {"int": [1], "pow2": [1, 2, 4, 8, 32],
                  "odd": [1, 3, 5, 7, 9, 15]}
