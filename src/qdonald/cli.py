@@ -227,9 +227,9 @@ def _suite_identities(order) -> list:
     zero_check("QasMu: calQ + 7/2 A38 - 3/2 A78 + 1/2 B - 4M",
                q - 4 * mock.mock_m(p) + Fraction(7, 2) * forms.form_a38(p)
                - Fraction(3, 2) * forms.form_a78(p) + Fraction(1, 2) * forms.form_b(p))
-    theta4 = forms.theta_big(4, factor_window(p / 2, 0, 0))
+    inv4 = forms.theta_inverse(4, p / 2)
     for t in (0, 2, 4):
-        lhs = mock.cal_f(t, p / 2) * theta4.inverse()
+        lhs = mock.cal_f(t, p / 2) * inv4
         zero_check(f"FasMu t={t}", lhs - mock.lerch_mu_weighted(t, p / 2))
     zero_check("Z0 = E*(4tau)/eta(8tau)^3", z0 - invariants.z0_closed_form(p))
     for m_kernel in range(7):

@@ -111,6 +111,12 @@ def theta_big(which: int, prec) -> QSeries:
     return QSeries.from_terms(terms, top)
 
 
+def theta_inverse(which: int, prec) -> QSeries:
+    """1/Theta_which as the divisor of a quotient known below q^prec."""
+    lead = 1 if which == 2 else 0  # Theta2 = q + ..., Theta3/4 = 1 + ...
+    return theta_big(which, factor_window(prec, 0, lead)).inverse()
+
+
 @memo
 def vartheta(which: int, prec) -> QSeries:
     """Jacobi theta constants: 2*Theta2(tau/8) on the q^(1/8) grid,
@@ -126,44 +132,35 @@ def vartheta(which: int, prec) -> QSeries:
 # ---------------------------------------------------------------------------
 # Eisenstein series
 
-def _divisor_sums(top: int, step: int) -> list:
-    """For each n < top, the sum of the divisors d of n with d = 1 mod step."""
+def _divisor_series(const: int, scale: int, step: int, stride: int, prec
+                    ) -> QSeries:
+    """const + scale sum sigma(n) q^n over n = 1, 1 + stride, 1 + 2 stride,
+    ..., with sigma(n) the sum of the divisors d of n with d = 1 mod step."""
+    top = ceil(prec)
     sig = [0] * max(top, 1)
     for d in range(1, top, step):
         for m in range(d, top, d):
             sig[m] += d
-    return sig
+    terms = {0: const} | {n: scale * sig[n] for n in range(1, top, stride)}
+    return QSeries.from_terms(terms, top)
 
 
 @memo
 def eisenstein_e2(prec) -> QSeries:
     """E_2 = 1 - 24 sum sigma_1(n) q^n."""
-    top = ceil(prec)
-    sig = _divisor_sums(top, 1)
-    terms = {0: 1}
-    for n in range(1, top):
-        terms[n] = -24 * sig[n]
-    return QSeries.from_terms(terms, top)
+    return _divisor_series(1, -24, 1, 1, prec)
 
 
 @memo
 def eisenstein_estar(prec) -> QSeries:
     """E* = 1 + 24 sum sigma_odd(n) q^n (sum over positive odd divisors)."""
-    top = ceil(prec)
-    sig = _divisor_sums(top, 2)
-    terms = {0: 1}
-    for n in range(1, top):
-        terms[n] = 24 * sig[n]
-    return QSeries.from_terms(terms, top)
+    return _divisor_series(1, 24, 2, 1, prec)
 
 
 @memo
 def eisenstein_eodd(prec) -> QSeries:
     """E_odd = sum sigma_1(2n+1) q^(2n+1)."""
-    top = ceil(prec)
-    sig = _divisor_sums(top, 1)
-    terms = {n: sig[n] for n in range(1, top, 2)}
-    return QSeries.from_terms(terms, top)
+    return _divisor_series(0, 1, 1, 2, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -274,8 +274,8 @@ def criterion_check(m: int, n: int) -> bool:
 def z0_series(prec) -> QSeries:
     """Z0 = calQ + 4 calF0 / Theta4 = E*(4 tau)/eta(8 tau)^3."""
     p = Fraction(prec)
-    theta4 = forms.theta_big(4, factor_window(p, 0, 0))
-    return (mock.cal_q(p) + 4 * mock.cal_f(0, p) * theta4.inverse()).truncate(p)
+    return (mock.cal_q(p) + 4 * mock.cal_f(0, p) * forms.theta_inverse(4, p)
+            ).truncate(p)
 
 
 def z0_closed_form(prec) -> QSeries:
@@ -311,8 +311,8 @@ def vafa_witten_series(kmax: int) -> QSeries:
     h = hurwitz(4 * kmax + 3)
     num = QSeries.from_terms(
         {k: 3 * h[4 * k - 1] for k in range(1, kmax + 1)}, kmax + 1)
-    inv6 = forms.euler_product(kmax + 1).inverse() ** 6
-    return (num * inv6).shift_exponent(Fraction(-1, 2)).truncate(kmax + Fraction(1, 2))
+    eta6 = forms.eta_power(1, -6, kmax + Fraction(3, 4))  # q^(-1/4) + ...
+    return (num * eta6).shift_exponent(Fraction(-1, 4)).truncate(kmax + Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +415,9 @@ def nf4_partition(prec) -> QSeries:
     """Holomorphic part of the conformal-point partition function."""
     # each factor f of a product q^V + ... below has val(f) - V <= 1/2
     top = factor_window(prec, Fraction(-1, 2))
+    qp = mock.q_plus(top)  # the widest Euler-product window first
     eta_inv = forms.eta_power(1, -1, top)
-    q_over_eta = mock.q_plus(top) * eta_inv
+    q_over_eta = qp * eta_inv
     eta4inv = forms.eta_power(1, -4, top)
     r2 = forms.vartheta(2, top) * eta_inv
     r3 = forms.vartheta(3, top) * eta_inv

@@ -9,6 +9,7 @@ identity is checked on holomorphic parts only.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import ceil, comb, factorial
 
@@ -56,7 +57,24 @@ def f_t(t: int, prec) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# The mock theta function M
+# Appell-Lerch sums: the mock theta function M and the weighted kernel
+
+def _lerch_quotient(row, first: int, stride: int, weight, which: int, prec
+                    ) -> QSeries:
+    """sum_n sign_n sum_(x >= 0) weight(x) q^(base_n + step_n x) / Theta_which,
+    known below q^prec, over n = first, first + stride, ... with the rows
+    row(n) = (base_n, step_n, sign_n) of a Lerch sum, base_n increasing."""
+    inv = forms.theta_inverse(which, prec)
+    top = ceil(factor_window(prec, inv.valuation()))
+    terms: dict = {}
+    for n in itertools.count(first, stride):
+        base, step, sign = row(n)
+        if base >= top:
+            break
+        for x, e in enumerate(range(base, top, step)):
+            terms[e] = terms.get(e, 0) + sign * weight(x)
+    return QSeries.from_terms(terms, top) * inv
+
 
 @memo
 def mock_m(prec) -> QSeries:
@@ -67,21 +85,10 @@ def mock_m(prec) -> QSeries:
     The n-th and (1-n)-th terms are equal, so the sum is twice its n >= 1
     half, and every term there expands geometrically in q^(16n-8) > 0.
     """
-    top = ceil(factor_window(prec, -1))  # 1/Theta2 = q^-1 + ...
-    terms: dict = {}
-    n = 1
-    while 16 * n * n - 8 * n < top:
-        step = 16 * n - 8
-        for x, e in enumerate(range(16 * n * n - 8 * n, top, step)):
-            terms[e] = terms.get(e, 0) + (-1) ** x
-        n += 1
-    half = QSeries.from_terms(terms, top)
-    theta2 = forms.theta_big(2, factor_window(prec, 0, 1))
-    return (-(half * theta2.inverse())).truncate(prec)
+    return (-_lerch_quotient(lambda n: (16 * n * n - 8 * n, 16 * n - 8, 1),
+                             1, 1, lambda x: (-1) ** x, 2, prec)
+            ).truncate(prec)
 
-
-# ---------------------------------------------------------------------------
-# The weighted Appell-Lerch kernel
 
 @memo
 def lerch_mu_weighted(t: int, prec) -> QSeries:
@@ -89,25 +96,16 @@ def lerch_mu_weighted(t: int, prec) -> QSeries:
 
     The omega-derivative acts on the geometric expansion by weighting the
     rho^(2x+1) term with (2x+1)^t; for even t this is the renormalized
-    series calF_t / Theta4 = -S / Theta4, with S the half-sum below.
+    series calF_t / Theta4 = -S / Theta4, with S the half-sum over n, x >= 0
+    of (-1)^n (2x+1)^t q^((2n+1)(2n+3+4x)).  The n <= -1 half-sum is S again
+    under n -> -1 - n, x -> x + 1 (same exponent, weight and sign), so the
+    two halves times -1/2 give -S.
     """
     if t < 0 or t % 2:
         raise OddT("t must be a non-negative even integer")
-    top = ceil(prec)
-    # S sums over n, x >= 0.  The n <= -1 half-sum is S again under
-    # n -> -1 - n, x -> x + 1 (same exponent (2n+1)(2n+3+4x), weight
-    # (2x+1)^t and sign), so the two halves times -1/2 give -S.
-    terms: dict = {}
-    n = 0
-    while (2 * n + 1) * (2 * n + 3) <= top:
-        base, step = (2 * n + 1) * (2 * n + 3), 8 * n + 4
-        for x in range((top - base) // step + 1):
-            w = (2 * x + 1) ** t * (-1) ** n
-            terms[base + step * x] = terms.get(base + step * x, 0) + w
-        n += 1
-    s = QSeries.from_terms(terms, top)
-    theta4 = forms.theta_big(4, factor_window(prec, 0, 0))
-    return (-s * theta4.inverse()).truncate(prec)
+    return (-_lerch_quotient(
+        lambda n: ((2 * n + 1) * (2 * n + 3), 8 * n + 4, (-1) ** n),
+        0, 1, lambda x: (2 * x + 1) ** t, 4, prec)).truncate(prec)
 
 
 # ---------------------------------------------------------------------------
@@ -163,24 +161,16 @@ def s_transform_parts(prec) -> dict:
     window ends at a fractional precision.
     """
     p = Fraction(prec)
+    # widest Euler-product windows first, so the others reuse their memo
+    eta8 = forms.eta_quotient([(2, 8), (8, -3), (4, -4)], p)
     sA38 = Fraction(-1, 2) * forms.form_a(p)
     sB = 4 * forms.eta_quotient([(8, 5), (4, -4)], p)
-    sA78 = sB + Fraction(1, 2) * forms.eta_quotient(
-        [(2, 8), (8, -3), (4, -4)], p)
-    top = ceil(p)
-    terms: dict = {}
-    n = 1
-    while n * n < top:
-        sign = 1 if n % 4 == 1 else -1
-        # (1 - x) / (1 + x) = 1 + 2 sum_(j >= 1) (-x)^j with x = q^(2n)
-        terms[n * n] = terms.get(n * n, 0) + sign
-        for j, e in enumerate(range(n * n + 2 * n, top, 2 * n), 1):
-            terms[e] = terms.get(e, 0) + 2 * sign * (-1) ** j
-        n += 2
-    num = QSeries.from_terms(terms, top)
-    theta4 = forms.theta_big(4, factor_window(p, 0, 0))
-    sM = (Fraction(1, 2) * num * theta4.inverse()).to_ram(4).truncate(p)
-    return {"A38": sA38, "A78": sA78, "B": sB, "M": sM}
+    # (1 - x) / (1 + x) = 1 + 2 sum_(j >= 1) (-x)^j with x = q^(2n)
+    sM = Fraction(1, 2) * _lerch_quotient(
+        lambda n: (n * n, 2 * n, 1 if n % 4 == 1 else -1), 1, 2,
+        lambda j: 2 * (-1) ** j if j else 1, 4, p)
+    return {"A38": sA38, "A78": sB + Fraction(1, 2) * eta8, "B": sB,
+            "M": sM.to_ram(4).truncate(p)}
 
 
 @memo

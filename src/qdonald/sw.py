@@ -21,8 +21,9 @@ class UnsupportedFamily(ValueError):
     pass
 
 
-# omega2 is (omega/pi)^2; g2n, g3n and deltan are series
-SWFamily = namedtuple("SWFamily", "nf u omega2 g2n g3n deltan kodaira_infty")
+# omega2 = (omega/pi)^2, omega2_inv = omega2.inverse(); g2n, g3n, deltan series
+SWFamily = namedtuple("SWFamily",
+                      "nf u omega2 omega2_inv g2n g3n deltan kodaira_infty")
 
 # vanishing_threshold: T = O(u^-1), so all exponents below it are zero
 ContactTerm = namedtuple("ContactTerm", "nf t_series vanishing_threshold")
@@ -42,15 +43,16 @@ def sw_family(nf: int, prec) -> SWFamily:
     if nf == 0:
         # the thetas are built as far as their divisor (t2 t3)^2 = 4 q^(1/4)
         t2, t3, _ = _theta_set(factor_window(p, 0, Fraction(1, 4)))
-        u = Fraction(1, 2) * (t2 ** 4 + t3 ** 4) * ((t2 * t3) ** 2).inverse()
         omega2 = 2 * (t2 * t3) ** 2
+        inv = omega2.inverse()
+        u = (t2 ** 4 + t3 ** 4) * inv
         g2 = u ** 2 / 12 - Fraction(1, 16)
         g3 = u ** 3 / 216 - u / 192
         delta = (u ** 2 - 1) / 4096
     elif nf == 2:
         base = sw_family(0, p / 2)
-        u = base.u.rescale(2, 1).truncate(p)
-        omega2 = base.omega2.rescale(2, 1).truncate(p)
+        u, omega2, inv = (s.rescale(2, 1) for s in
+                          (base.u, base.omega2, base.omega2_inv))
         g2 = u ** 2 / 12 + Fraction(1, 4)
         g3 = u ** 3 / 216 - u / 24
         delta = (u ** 2 - 1) ** 2 / 64
@@ -61,23 +63,25 @@ def sw_family(nf: int, prec) -> SWFamily:
         # that makes the normalized square negative.  The sign is pinned by
         # T = O(1/u) and the Picard-Fuchs check below.  s^2 = 64 q + ...
         _, t3, t4 = _theta_set(factor_window(p, 0, 1))
-        u, s = _nf3_u(t3, t4)
-        omega2 = -(s ** 2) / 4
+        u, omega2, inv = _nf3_u(t3, t4)
         g2 = u ** 2 / 12 - 5 * u / 4 + Fraction(11, 16)
         g3 = u ** 3 / 216 + 7 * u ** 2 / 48 - 29 * u / 96 + Fraction(7, 64)
         delta = Fraction(-1, 512) * (2 * u - 1) * (2 * u + 1) ** 4
     else:
         raise UnsupportedFamily(f"no massless modular family for nf={nf}")
-    return SWFamily(nf=nf, u=u.truncate(p), omega2=omega2.truncate(p),
+    omega2 = omega2.truncate(p)  # inv is the inverse that u divides by
+    inv = inv.truncate(omega2.prec_q() + 2 * inv.valuation())
+    return SWFamily(nf=nf, u=u.truncate(p), omega2=omega2, omega2_inv=inv,
                     g2n=g2, g3n=g3, deltan=delta,
                     kodaira_infty=f"I*_{4 - nf}")
 
 
 def _nf3_u(t3: QSeries, t: QSeries):
-    """(u, s) with u = -4 (t3 t)^2 / s^2 - 1/2 and s = t3^2 - t^2: the nf=3
-    coordinate with t = theta_4, or in the S-dual chart with t = theta_2."""
-    s = t3 ** 2 - t ** 2
-    return -4 * (t3 * t) ** 2 * (s ** 2).inverse() - Fraction(1, 2), s
+    """(u, W, 1/W): the nf=3 coordinate u = (t3 t)^2 / W - 1/2 and (omega/pi)^2
+    W = -(t3^2 - t^2)^2 / 4, t = theta_4, or theta_2 in the S-dual chart."""
+    omega2 = -((t3 ** 2 - t ** 2) ** 2) / 4
+    inv = omega2.inverse()
+    return (t3 * t) ** 2 * inv - Fraction(1, 2), omega2, inv
 
 
 def u3_from_u0(prec) -> QSeries:
@@ -110,7 +114,7 @@ def contact_term(fam: SWFamily) -> ContactTerm:
     prec = fam.omega2.prec_q()
     if prec is None or prec <= 1:
         raise InsufficientPrecision("family built to insufficient precision")
-    inv = fam.omega2.inverse()
+    inv = fam.omega2_inv
     e2 = forms.eisenstein_e2(factor_window(inv.prec_q(), inv.valuation()))
     t = -e2 * inv / 3 + fam.u / 3
     if fam.nf == 3:
@@ -127,7 +131,7 @@ def periods_a(fam: SWFamily):
     qdq(a_hat) * W + a_hat * qdq(W)/2 = W * qdq(u).
     """
     nf = fam.nf
-    inv = fam.omega2.inverse()
+    inv = fam.omega2_inv
     e2 = forms.eisenstein_e2(factor_window(inv.prec_q(), inv.valuation()))
     a_hat = Fraction(nf + 2, 3) * fam.u + Fraction(4 - nf, 3) * e2 * inv
     if nf == 3:

@@ -35,6 +35,7 @@ INVARIANTS = "src/qdonald/invariants.py"
 SW = "src/qdonald/sw.py"
 CLI = "src/qdonald/cli.py"
 FORMS = "src/qdonald/forms.py"
+MOCK = "src/qdonald/mock.py"
 # tests/test_mutants.py checks the old texts of the unmutated tree, which a
 # mutant changes by design, so it is the one Tier-1 file left out here
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
@@ -163,6 +164,21 @@ MUTANTS = [
      "tests/test_cli.py::test_identities_run_below_the_kernel_poles[0]",
      "factor_window builds a divisor short of its lead where little of the "
      "quotient is asked for, and the divisor has no inverse"),
+    ("lerch-row-sign-dropped", MOCK,
+     "terms.get(e, 0) + sign * weight(x)", "terms.get(e, 0) + weight(x)",
+     "tests/test_mock.py::test_lerch_mu_matches_weighted_kernel_at_t0",
+     "the Appell-Lerch expansion drops each row's sign, so the weighted "
+     "kernel and the M part of Q's S-transform sum every row with sign +1"),
+    ("theta2-lead-zero", FORMS,
+     "lead = 1 if which == 2 else 0", "lead = 0",
+     "tests/test_forms.py::"
+     "test_memo_serves_lower_precisions_by_truncation[1/4]",
+     "Theta2 = q + ... is built as a divisor of lead 0, so 1/Theta2 and M "
+     "are known two q-steps short of the precision asked for"),
+    ("estar-every-divisor", FORMS,
+     "_divisor_series(1, 24, 2, 1, prec)", "_divisor_series(1, 24, 1, 1, prec)",
+     "tests/test_forms.py::test_estar_identity",
+     "E* sums every divisor of n, not only the odd ones"),
 ]
 
 EQUIVALENT = {"truncate-below-lead"}

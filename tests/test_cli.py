@@ -154,6 +154,19 @@ def test_identities_build_calq_once(order, memo_builds, capsys):
             ("cal_q", "mock_m", "form_a38", "form_a78")] == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("argv", [["nf4", "--order", "12"],
+                                  ["series", "--name", "QtransS", "--order",
+                                   "25"]], ids=["nf4", "QtransS"])
+def test_commands_build_each_series_once(argv, memo_builds, capsys):
+    """An eta quotient with wider Euler-product windows is asked before a
+    narrower one, so that no Euler product is built twice: nf4 asks Q+
+    before eta^-1 and eta^-4, the S-transform of Q its eta(2t)^8 quotient
+    before A and the B part."""
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert memo_builds and set(memo_builds.values()) == {1}, memo_builds
+
+
 @pytest.mark.parametrize("order", ["0", "1/3", "1", "8", "15"])
 def test_identities_run_below_the_kernel_poles(order, capsys):
     """Orders below 16 run every check and pass: each factor of a constant

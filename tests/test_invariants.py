@@ -447,6 +447,19 @@ def test_vafa_witten_eta6_crosscheck():
         assert back.coeff(k - F(1, 4)) == 3 * h[4 * k - 1]
 
 
+@pytest.mark.parametrize("kmax", range(1, 13))
+def test_vafa_witten_series_matches_the_euler_product_route(kmax):
+    """Over eta^-6 = q^(-1/4) P^-6 and shifted by -1/4, the series equals,
+    window included, the numerator over P^-6 shifted by -1/2."""
+    h = inv.hurwitz(4 * kmax + 3)
+    num = QSeries.from_terms(
+        {k: 3 * h[4 * k - 1] for k in range(1, kmax + 1)}, kmax + 1)
+    inv6 = forms.euler_product(kmax + 1).inverse() ** 6
+    ref = (num * inv6).shift_exponent(F(-1, 2)).truncate(kmax + F(1, 2))
+    got = inv.vafa_witten_series(kmax)
+    assert got == ref and got.prec_q() == ref.prec_q() == kmax + F(1, 2)
+
+
 def test_vafa_witten_zero_input():
     num = QSeries.from_terms({}, 9)
     inv6 = forms.euler_product(9).inverse() ** 6
@@ -661,11 +674,12 @@ def test_q_plus_shift_two_invariance():
     assert (twisted - q).is_zero() and twisted.prec == q.prec
 
 
-@pytest.mark.parametrize("nf", [0, 2])
+@pytest.mark.parametrize("nf", [0, 2, 3])
 def test_invariant_table_builds_each_series_once(nf, memo_builds):
     """A table runs its weights from the highest down, and each weight asks
     a series at its widest window first: every memo entry is built once.
-    nf=2 reads t2 and E2 at tau/2 as well as t2 at tau."""
+    nf=2 reads t2 and E2 at tau/2 as well as t2 at tau; nf=3's S-transform
+    asks its eta quotients widest Euler products first."""
     inv.invariant_table(nf, 7)
     assert memo_builds and set(memo_builds.values()) == {1}, memo_builds
 

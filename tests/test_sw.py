@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from qdonald import QSeries, forms, sw
+from qdonald.series import factor_window
 
 
 @pytest.mark.parametrize("nf", [0, 2, 3])
@@ -130,3 +131,36 @@ def test_periods_delta_kronecker():
 def test_period_residuals_vanish():
     for nf in (0, 2, 3):
         assert sw.period_residual(sw.sw_family(nf, 14)).is_zero()
+
+
+@pytest.mark.parametrize("prec", [2, F(21, 4), 30])
+@pytest.mark.parametrize("nf", [0, 2, 3])
+def test_period_series_match_a_direct_inverse(nf, prec):
+    """The family's 1/omega2 comes from the divisor u inverts; the contact
+    term, the A-period and the Picard-Fuchs residual equal, windows
+    included, the series built on fam.omega2.inverse()."""
+    fam = sw.sw_family(nf, prec)
+    w, inv = fam.omega2, fam.omega2.inverse()
+    assert fam.omega2_inv == inv
+    e2 = forms.eisenstein_e2(factor_window(inv.prec_q(), inv.valuation()))
+    t = -e2 * inv / 3 + fam.u / 3
+    a_hat = F(nf + 2, 3) * fam.u + F(4 - nf, 3) * e2 * inv
+    if nf == 3:
+        t, a_hat = t + F(1, 2), a_hat - F(1, 2)
+    assert sw.contact_term(fam).t_series == t
+    assert sw.periods_a(fam) == (a_hat, w)
+    assert sw.period_residual(fam) == (a_hat.qdq(1) * w + a_hat * w.qdq(1) / 2
+                                       - w * fam.u.qdq(1))
+
+
+@pytest.mark.parametrize("nf, inverses", [(0, 1), (2, 2), (3, 4)])
+def test_family_check_inverts_omega2_once(nf, inverses, monkeypatch):
+    """check_family inverts the divisor of u once and reads 1/omega2 off it;
+    nf=2 also inverts t2^4 in the duplication check, nf=3 the nf=0
+    divisor, u0 - 1 and the S-dual divisor in the u3 relation."""
+    calls = []
+    inverse = QSeries.inverse
+    monkeypatch.setattr(QSeries, "inverse",
+                        lambda s, *a: calls.append(s) or inverse(s, *a))
+    sw.check_family(nf, 40)
+    assert len(calls) == inverses
