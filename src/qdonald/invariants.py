@@ -256,8 +256,8 @@ def evaluate_h_combo(combo, h_values) -> Fraction:
 
 def criterion_weight(w: int) -> list:
     """:func:`criterion_check` at (m, w - m), by m."""
-    return [phi == cell.value
-            for phi, cell in zip(goettsche_weight(w), uplane_weight(0, w))]
+    cells = uplane_weight(0, w)  # the nf=0 kernels have the wider window
+    return [phi == cell.value for phi, cell in zip(goettsche_weight(w), cells)]
 
 
 def criterion_check(m: int, n: int) -> bool:

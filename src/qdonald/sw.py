@@ -32,53 +32,55 @@ ContactTerm = namedtuple("ContactTerm", "nf t_series vanishing_threshold")
 _U_VALUATION = {0: Fraction(-1, 4), 2: Fraction(-1, 2), 3: Fraction(-1)}
 
 
-def _theta_set(prec):
-    return (forms.vartheta(2, prec), forms.vartheta(3, prec),
-            forms.vartheta(4, prec))
-
-
-def sw_family(nf: int, prec) -> SWFamily:
-    """Build u, (omega/pi)^2 and the Weierstrass series for one family."""
-    p = Fraction(prec)
+def _chart(nf: int, p) -> tuple:
+    """(u, W, 1/W) of one family, W = (omega/pi)^2, with u known below q^p:
+    the one place that knows each family's theta realization."""
     if nf == 0:
         # the thetas are built as far as their divisor (t2 t3)^2 = 4 q^(1/4)
-        t2, t3, _ = _theta_set(factor_window(p, 0, Fraction(1, 4)))
+        window = factor_window(p, 0, Fraction(1, 4))
+        t2, t3 = forms.vartheta(2, window), forms.vartheta(3, window)
         omega2 = 2 * (t2 * t3) ** 2
         inv = omega2.inverse()
-        u = (t2 ** 4 + t3 ** 4) * inv
-        g2 = u ** 2 / 12 - Fraction(1, 16)
-        g3 = u ** 3 / 216 - u / 192
-        delta = (u ** 2 - 1) / 4096
-    elif nf == 2:
-        base = sw_family(0, p / 2)
-        u, omega2, inv = (s.rescale(2, 1) for s in
-                          (base.u, base.omega2, base.omega2_inv))
-        g2 = u ** 2 / 12 + Fraction(1, 4)
-        g3 = u ** 3 / 216 - u / 24
-        delta = (u ** 2 - 1) ** 2 / 64
-    elif nf == 3:
+        return (t2 ** 4 + t3 ** 4) * inv, omega2, inv
+    if nf == 2:
+        return tuple(s.rescale(2, 1) for s in _chart(0, p / 2))
+    if nf == 3:
         # Expansion at the I*_1 cusp: the u- and omega-columns of the family
         # table live in the nf=0 frame; transporting them through the
         # inversion swaps theta_2 <-> theta_4 and leaves a phase on omega
         # that makes the normalized square negative.  The sign is pinned by
         # T = O(1/u) and the Picard-Fuchs check below.  s^2 = 64 q + ...
-        _, t3, t4 = _theta_set(factor_window(p, 0, 1))
-        u, omega2, inv = _nf3_u(t3, t4)
+        return _nf3_u(4, factor_window(p, 0, 1))
+    raise UnsupportedFamily(f"no massless modular family for nf={nf}")
+
+
+def sw_family(nf: int, prec) -> SWFamily:
+    """Build u, (omega/pi)^2 and the Weierstrass series for one family."""
+    p = Fraction(prec)
+    u, omega2, inv = _chart(nf, p)  # inv is the inverse that u divides by
+    u, omega2 = u.truncate(p), omega2.truncate(p)
+    inv = inv.truncate(omega2.prec_q() + 2 * inv.valuation())
+    if nf == 0:
+        g2 = u ** 2 / 12 - Fraction(1, 16)
+        g3 = u ** 3 / 216 - u / 192
+        delta = (u ** 2 - 1) / 4096
+    elif nf == 2:
+        g2 = u ** 2 / 12 + Fraction(1, 4)
+        g3 = u ** 3 / 216 - u / 24
+        delta = (u ** 2 - 1) ** 2 / 64
+    else:
         g2 = u ** 2 / 12 - 5 * u / 4 + Fraction(11, 16)
         g3 = u ** 3 / 216 + 7 * u ** 2 / 48 - 29 * u / 96 + Fraction(7, 64)
         delta = Fraction(-1, 512) * (2 * u - 1) * (2 * u + 1) ** 4
-    else:
-        raise UnsupportedFamily(f"no massless modular family for nf={nf}")
-    omega2 = omega2.truncate(p)  # inv is the inverse that u divides by
-    inv = inv.truncate(omega2.prec_q() + 2 * inv.valuation())
-    return SWFamily(nf=nf, u=u.truncate(p), omega2=omega2, omega2_inv=inv,
+    return SWFamily(nf=nf, u=u, omega2=omega2, omega2_inv=inv,
                     g2n=g2, g3n=g3, deltan=delta,
                     kodaira_infty=f"I*_{4 - nf}")
 
 
-def _nf3_u(t3: QSeries, t: QSeries):
+def _nf3_u(which: int, window):
     """(u, W, 1/W): the nf=3 coordinate u = (t3 t)^2 / W - 1/2 and (omega/pi)^2
     W = -(t3^2 - t^2)^2 / 4, t = theta_4, or theta_2 in the S-dual chart."""
+    t3, t = forms.vartheta(3, window), forms.vartheta(which, window)
     omega2 = -((t3 ** 2 - t ** 2) ** 2) / 4
     inv = omega2.inverse()
     return (t3 * t) ** 2 * inv - Fraction(1, 2), omega2, inv
@@ -90,7 +92,7 @@ def u3_from_u0(prec) -> QSeries:
     This is the expansion of the nf=3 coordinate at the nf=0 cusp; it equals
     the theta realization of sw_family(3) with theta_2 and theta_4 exchanged.
     """
-    u0 = sw_family(0, factor_window(prec, 0, _U_VALUATION[0])).u
+    u0 = _chart(0, factor_window(prec, 0, _U_VALUATION[0]))[0]
     return (-2 * (u0 - 1).inverse() - Fraction(1, 2)).truncate(prec)
 
 
@@ -177,13 +179,13 @@ def check_family(nf: int, prec) -> list:
     if nf == 2:
         # the duplication formula u0(tau/2) = (t3^4 + t4^4) / t2^4, built
         # from the theta constants rather than from the nf=0 family
-        t2, t3, t4 = _theta_set(factor_window(p, 0, Fraction(1, 2)))
+        window = factor_window(p, 0, Fraction(1, 2))
+        t2, t3, t4 = (forms.vartheta(i, window) for i in (2, 3, 4))
         dup = (t3 ** 4 + t4 ** 4) * (t2 ** 4).inverse()  # t2^4 = 16 q^(1/2)
         results.append(vanishing("u2 = u0 at tau/2", fam.u - dup.truncate(p)))
     return results
 
 
 def sw_family_swapped_u3(prec) -> QSeries:
-    """nf=3 u-series with theta_2 and theta_4 exchanged (the S-dual chart)."""
-    t2, t3, _ = _theta_set(factor_window(prec, 0, 0))  # s^2 = 1 + ...
-    return _nf3_u(t3, t2)[0].truncate(prec)
+    """nf=3 u in the S-dual chart (theta_2 <-> theta_4); s^2 = 1 + ..."""
+    return _nf3_u(2, factor_window(prec, 0, 0))[0].truncate(prec)

@@ -179,6 +179,20 @@ MUTANTS = [
      "_divisor_series(1, 24, 2, 1, prec)", "_divisor_series(1, 24, 1, 1, prec)",
      "tests/test_forms.py::test_estar_identity",
      "E* sums every divisor of n, not only the odd ones"),
+    ("q-combination-a38-weight", MOCK,
+     "Fraction(-7, 2) * parts[\"A38\"]", "Fraction(-5, 2) * parts[\"A38\"]",
+     "tests/test_mock.py::test_cal_q_printed",
+     "calQ and its inversion transform weigh A38 by -5/2, not -7/2"),
+    ("weierstrass-residual-27", SW,
+     "- 27 * fam.g3n ** 2", "- 26 * fam.g3n ** 2",
+     "tests/test_sw.py::test_family_identity_suite[0]",
+     "the Weierstrass residual is g2^3 - 26 g3^2 - Delta, which no family "
+     "satisfies"),
+    ("nf2-chart-not-rescaled", SW,
+     "s.rescale(2, 1) for s in _chart(0, p / 2)",
+     "s.rescale(1, 1) for s in _chart(0, p / 2)",
+     "tests/test_sw.py::test_nf2_is_rescaled_nf0",
+     "the nf=2 chart is the nf=0 chart at tau, not at 2 tau"),
 ]
 
 EQUIVALENT = {"truncate-below-lead"}

@@ -154,14 +154,29 @@ def test_identities_build_calq_once(order, memo_builds, capsys):
             ("cal_q", "mock_m", "form_a38", "form_a78")] == [1, 1, 1, 1]
 
 
-@pytest.mark.parametrize("argv", [["nf4", "--order", "12"],
-                                  ["series", "--name", "QtransS", "--order",
-                                   "25"]], ids=["nf4", "QtransS"])
+def test_identities_build_the_f_m_thetas_once(memo_builds, capsys):
+    """The suite asks f_6, whose thetas have the widest window, first, so
+    the seven f_m build Theta3 once; vartheta_3 in the Jacobi checks
+    builds it once more, at eight times the order."""
+    code, _ = run_cli(capsys, "verify", "--suite", "identities", "--order",
+                      "30")
+    assert code == 0
+    assert memo_builds["theta_big", (3,)] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["nf4", "--order", "12"],
+    ["series", "--name", "QtransS", "--order", "25"],
+    ["verify", "--suite", "criterion", "--max", "3"],
+    ["swcheck", "--nf", "0", "--order", "24"],
+    ["swcheck", "--nf", "3", "--order", "24"],
+], ids=["nf4", "QtransS", "criterion", "swcheck-nf0", "swcheck-nf3"])
 def test_commands_build_each_series_once(argv, memo_builds, capsys):
-    """An eta quotient with wider Euler-product windows is asked before a
-    narrower one, so that no Euler product is built twice: nf4 asks Q+
-    before eta^-1 and eta^-4, the S-transform of Q its eta(2t)^8 quotient
-    before A and the B part."""
+    """A series with a wider window is asked before a narrower one, so that
+    none is built twice: nf4 asks Q+ before eta^-1 and eta^-4, the
+    S-transform of Q its eta(2t)^8 quotient before A and the B part, the
+    criterion the nf=0 kernels before Goettsche's, and swcheck builds only
+    the theta constants of the charts it reads."""
     code, _ = run_cli(capsys, *argv)
     assert code == 0
     assert memo_builds and set(memo_builds.values()) == {1}, memo_builds

@@ -84,14 +84,14 @@ def test_nf2_is_rescaled_nf0():
 
 def _perturb_u0(monkeypatch):
     """Add q to the nf=0 u-series, which the nf=2 family is built from."""
-    build = sw.sw_family
+    chart = sw._chart
 
-    def perturbed(nf, prec):
-        fam = build(nf, prec)
+    def perturbed(nf, p):
+        u, omega2, inv = chart(nf, p)
         if nf == 0:
-            fam = fam._replace(u=fam.u + QSeries.monomial(1))
-        return fam
-    monkeypatch.setattr(sw, "sw_family", perturbed)
+            u = u + QSeries.monomial(1)
+        return u, omega2, inv
+    monkeypatch.setattr(sw, "_chart", perturbed)
 
 
 def test_nf2_eta_quotient_check_sees_a_perturbed_u(monkeypatch):
@@ -151,6 +151,25 @@ def test_period_series_match_a_direct_inverse(nf, prec):
     assert sw.periods_a(fam) == (a_hat, w)
     assert sw.period_residual(fam) == (a_hat.qdq(1) * w + a_hat * w.qdq(1) / 2
                                        - w * fam.u.qdq(1))
+
+
+@pytest.mark.parametrize("nf", [0, 2, 3])
+def test_family_check_builds_one_family(nf, monkeypatch):
+    """check_family builds the family it checks and no other: nf=2 and the
+    u3 relation read the nf=0 chart, not a whole nf=0 family."""
+    calls = []
+    build = sw.sw_family
+    monkeypatch.setattr(sw, "sw_family",
+                        lambda *a: calls.append(a[0]) or build(*a))
+    sw.check_family(nf, 24)
+    assert calls == [nf]
+
+
+def test_nf0_check_builds_no_theta4(memo_builds):
+    """The nf=0 chart is made of vartheta_2 and vartheta_3 alone."""
+    sw.check_family(0, 24)
+    assert memo_builds
+    assert not {("vartheta", (4,)), ("theta_big", (4,))} & set(memo_builds)
 
 
 @pytest.mark.parametrize("nf, inverses", [(0, 1), (2, 2), (3, 4)])
