@@ -18,6 +18,8 @@ cannot be written) is one stderr line of the form ``qdonald[ <command>]: error:
 
 from __future__ import annotations
 
+import atexit
+import gc
 import io
 import sys
 from fractions import Fraction
@@ -26,6 +28,11 @@ from types import SimpleNamespace
 
 from . import forms, invariants, mock, sw
 from .series import InsufficientPrecision, factor_window
+
+# A command runs once and then the process exits: the collections of shutdown
+# would only walk objects that the operating system reclaims anyway, and
+# Python does not promise to run finalizers at exit, so exit skips them.
+atexit.register(gc.freeze)
 
 
 class UsageError(Exception):

@@ -193,6 +193,28 @@ MUTANTS = [
      "s.rescale(1, 1) for s in _chart(0, p / 2)",
      "tests/test_sw.py::test_nf2_is_rescaled_nf0",
      "the nf=2 chart is the nf=0 chart at tau, not at 2 tau"),
+    ("q-combination-a78-weight", MOCK,
+     "Fraction(3, 2) * parts[\"A78\"]", "Fraction(1, 2) * parts[\"A78\"]",
+     "tests/test_mock.py::test_qasmu_identity",
+     "calQ and its inversion transform weigh A78 by 1/2, not 3/2"),
+    ("q-combination-b-weight", MOCK,
+     "Fraction(-1, 2) * parts[\"B\"]", "Fraction(1, 2) * parts[\"B\"]",
+     "tests/test_mock.py::test_h_coefficients",
+     "calQ and its inversion transform weigh B by 1/2, not -1/2"),
+    ("q-combination-m-weight", MOCK,
+     "4 * parts[\"M\"]", "2 * parts[\"M\"]",
+     "tests/test_mock.py::test_q_transform_printed",
+     "calQ and its inversion transform weigh M by 2, not 4"),
+    ("delta-eta-residual-power", SW,
+     "fam.omega2 ** 6", "fam.omega2 ** 5",
+     "tests/test_sw.py::test_family_identity_suite[3]",
+     "the discriminant check compares Delta (omega/pi)^10, not "
+     "Delta (omega/pi)^12, with eta^24"),
+    ("exit-freeze-dropped", CLI,
+     "atexit.register(gc.freeze)\n", "",
+     "tests/test_cli.py::test_cli_exit_skips_the_cyclic_collection",
+     "the CLI no longer freezes the heap at exit, so shutdown runs its "
+     "cyclic collections over every object the command left"),
 ]
 
 EQUIVALENT = {"truncate-below-lead"}

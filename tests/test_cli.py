@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -169,14 +170,17 @@ def test_identities_build_the_f_m_thetas_once(memo_builds, capsys):
     ["series", "--name", "QtransS", "--order", "25"],
     ["verify", "--suite", "criterion", "--max", "3"],
     ["swcheck", "--nf", "0", "--order", "24"],
+    ["swcheck", "--nf", "2", "--order", "24"],
     ["swcheck", "--nf", "3", "--order", "24"],
-], ids=["nf4", "QtransS", "criterion", "swcheck-nf0", "swcheck-nf3"])
+], ids=["nf4", "QtransS", "criterion", "swcheck-nf0", "swcheck-nf2",
+        "swcheck-nf3"])
 def test_commands_build_each_series_once(argv, memo_builds, capsys):
     """A series with a wider window is asked before a narrower one, so that
     none is built twice: nf4 asks Q+ before eta^-1 and eta^-4, the
     S-transform of Q its eta(2t)^8 quotient before A and the B part, the
-    criterion the nf=0 kernels before Goettsche's, and swcheck builds only
-    the theta constants of the charts it reads."""
+    criterion the nf=0 kernels before Goettsche's, swcheck at nf=2 the
+    duplication check's theta constants before the chart's, and swcheck
+    builds only the theta constants of the charts it reads."""
     code, _ = run_cli(capsys, *argv)
     assert code == 0
     assert memo_builds and set(memo_builds.values()) == {1}, memo_builds
@@ -454,3 +458,46 @@ def test_text_command_loads_no_format_module():
                             "['swcheck', '--nf', '0', '--order', '8'])")
     assert "qdonald.sw" in loaded
     assert not loaded & {"argparse", "json", "csv"}
+
+
+def _exit_finalizes_cycles(imports: str) -> bool:
+    """Whether a fresh ``python -I`` that runs ``import <imports>`` finalizes
+    at exit an unreachable reference cycle left with gc disabled: only the
+    collections of interpreter shutdown can reach it."""
+    src = str(Path(qdonald.__file__).resolve().parent.parent)
+    code = (f"import gc, sys; sys.path.insert(0, {src!r}); import {imports}\n"
+            "gc.disable()\n"
+            "class Cycle:\n"
+            "    def __del__(self):\n"
+            "        print('finalized')\n"
+            "cycle = Cycle(); cycle.self = cycle; del cycle\n")
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out in ("", "finalized\n"), out
+    return out == "finalized\n"
+
+
+def test_cli_exit_skips_the_cyclic_collection():
+    """``import qdonald.cli`` registers ``gc.freeze`` at exit, so shutdown
+    walks no object left from the command: cyclic garbage still alive at
+    exit is not finalized."""
+    assert not _exit_finalizes_cycles("qdonald.cli")
+
+
+def test_library_leaves_the_exit_collection():
+    """The package and its library modules leave gc alone: after importing
+    all of them but the CLI, the same cycle is finalized at exit."""
+    assert _exit_finalizes_cycles("qdonald.exact, qdonald.series, "
+                                  "qdonald.forms, qdonald.mock, "
+                                  "qdonald.invariants, qdonald.sw")
+
+
+def test_main_leaves_the_collector_as_it_was(capsys):
+    """The exit hook acts only at exit: after ``main`` returns, nothing is
+    frozen, and the collector is enabled or not with the thresholds it had
+    before."""
+    before = gc.isenabled(), gc.get_threshold()
+    code, _ = run_cli(capsys, "swcheck", "--nf", "2", "--order", "8")
+    assert code == 0
+    assert gc.get_freeze_count() == 0
+    assert (gc.isenabled(), gc.get_threshold()) == before
