@@ -275,11 +275,8 @@ def _suite_identities(order) -> list:
 
 
 def _suite_swcurves(order) -> list:
-    checks = []
-    for nf in (0, 2, 3):
-        for name, *rest in sw.check_family(nf, Fraction(order)):
-            checks.append((f"nf={nf}: {name}", *rest))
-    return checks
+    return [(f"nf={nf}: {name}", *rest) for nf in (0, 2, 3)
+            for name, *rest in sw.check_family(nf, Fraction(order))]
 
 
 _TABLE_NF0 = {

@@ -132,15 +132,15 @@ def vartheta(which: int, prec) -> QSeries:
 # ---------------------------------------------------------------------------
 # Eisenstein series
 
-def _divisor_series(const: int, scale: int, step: int, stride: int, prec
-                    ) -> QSeries:
-    """const + scale sum sigma(n) q^n over n = 1, 1 + stride, 1 + 2 stride,
-    ..., with sigma(n) the sum of the divisors d of n with d = 1 mod step."""
+def _divisor_series(const: int, scale: int, power: int, step: int,
+                    stride: int, prec) -> QSeries:
+    """const + scale sum sigma(n) q^n over n = 1, 1 + stride, ..., with
+    sigma(n) the sum of d^power over the divisors d = 1 mod step of n."""
     top = ceil(prec)
     sig = [0] * max(top, 1)
     for d in range(1, top, step):
         for m in range(d, top, d):
-            sig[m] += d
+            sig[m] += d ** power
     terms = {0: const} | {n: scale * sig[n] for n in range(1, top, stride)}
     return QSeries.from_terms(terms, top)
 
@@ -148,19 +148,25 @@ def _divisor_series(const: int, scale: int, step: int, stride: int, prec
 @memo
 def eisenstein_e2(prec) -> QSeries:
     """E_2 = 1 - 24 sum sigma_1(n) q^n."""
-    return _divisor_series(1, -24, 1, 1, prec)
+    return _divisor_series(1, -24, 1, 1, 1, prec)
+
+
+@memo
+def eisenstein_e4(prec) -> QSeries:
+    """E_4 = 1 + 240 sum sigma_3(n) q^n."""
+    return _divisor_series(1, 240, 3, 1, 1, prec)
 
 
 @memo
 def eisenstein_estar(prec) -> QSeries:
     """E* = 1 + 24 sum sigma_odd(n) q^n (sum over positive odd divisors)."""
-    return _divisor_series(1, 24, 2, 1, prec)
+    return _divisor_series(1, 24, 1, 2, 1, prec)
 
 
 @memo
 def eisenstein_eodd(prec) -> QSeries:
     """E_odd = sum sigma_1(2n+1) q^(2n+1)."""
-    return _divisor_series(0, 1, 1, 2, prec)
+    return _divisor_series(0, 1, 1, 1, 2, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -412,18 +412,19 @@ def rho4(prec) -> QSeries:
 
 
 def nf4_partition(prec) -> QSeries:
-    """Holomorphic part of the conformal-point partition function."""
+    """Holomorphic part of the conformal-point partition function, Z4 =
+    eta^-4 [(1/2) D(eta^-4 D F) - (1/36) E4 eta^-4 F], F = Q+/eta, D = q d/dq.
+    By D eta^-4 = -(1/6) E2 eta^-4 the bracket is eta^-4 ((1/2) S_2 S_0 F -
+    (1/36) E4 F), with S_k = D - (k/12) E2 the Serre derivative: a modular
+    differential operator from weight 0 to weight 4."""
     # each factor f of a product q^V + ... below has val(f) - V <= 1/2
     top = factor_window(prec, Fraction(-1, 2))
-    qp = mock.q_plus(top)  # the widest Euler-product window first
-    eta_inv = forms.eta_power(1, -1, top)
-    q_over_eta = qp * eta_inv
+    # Q+ is asked first: its Euler products have the widest windows
+    f = mock.q_plus(top) * forms.eta_power(1, -1, top)
     eta4inv = forms.eta_power(1, -4, top)
-    r2 = forms.vartheta(2, top) * eta_inv
-    r3 = forms.vartheta(3, top) * eta_inv
-    g = Fraction(-1, 36) * (r2 ** 8 - r2 ** 4 * r3 ** 4 + r3 ** 8)
-    dd = (q_over_eta.qdq(1) * eta4inv).qdq(1) * eta4inv
-    return (Fraction(1, 2) * dd + g * q_over_eta).truncate(prec)
+    dd = (f.qdq(1) * eta4inv).qdq(1)
+    e4f = Fraction(1, 36) * forms.eisenstein_e4(top) * eta4inv * f
+    return (eta4inv * (dd / 2 - e4f)).truncate(prec)
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,7 @@ def _chart(nf: int, p) -> tuple:
     """(u, W, 1/W) of one family, W = (omega/pi)^2, with u known below q^p:
     the one place that knows each family's theta realization."""
     if nf == 0:
-        # the thetas are built as far as their divisor (t2 t3)^2 = 4 q^(1/4)
-        window = factor_window(p, 0, Fraction(1, 4))
-        t2, t3 = forms.vartheta(2, window), forms.vartheta(3, window)
+        t2, t3 = (forms.vartheta(i, _nf0_window(p)) for i in (2, 3))
         omega2 = 2 * (t2 * t3) ** 2
         inv = omega2.inverse()
         return (t2 ** 4 + t3 ** 4) * inv, omega2, inv
@@ -52,6 +50,11 @@ def _chart(nf: int, p) -> tuple:
         # T = O(1/u) and the Picard-Fuchs check below.  s^2 = 64 q + ...
         return _nf3_u(4, factor_window(p, 0, 1))
     raise UnsupportedFamily(f"no massless modular family for nf={nf}")
+
+
+def _nf0_window(p):
+    """Where the nf=0 chart builds its thetas: past (t2 t3)^2 = 4 q^(1/4)."""
+    return factor_window(p, 0, Fraction(1, 4))
 
 
 def sw_family(nf: int, prec) -> SWFamily:
@@ -159,12 +162,13 @@ def vanishing(label: str, series: QSeries, below=None) -> tuple:
 def check_family(nf: int, prec) -> list:
     """Run the per-family identity suite; returns vanishing records."""
     p = Fraction(prec)
-    if nf == 2:  # asked first: the chart's t2, t3 are narrower from order 3/2
-        window = factor_window(p, 0, Fraction(1, 2))
+    # u meets five more u in g2^3 (an unsupported nf fails in sw_family)
+    pf = factor_window(p, 5 * _U_VALUATION.get(nf, 0))
+    if nf == 2:  # t2, t3 at the wider of this check's and the chart's window
+        window = max(factor_window(p, 0, Fraction(1, 2)), _nf0_window(pf / 2))
         t2, t3, t4 = (forms.vartheta(i, window) for i in (2, 3, 4))
         dup = (t3 ** 4 + t4 ** 4) * (t2 ** 4).inverse()  # t2^4 = 16 q^(1/2)
-    # u meets five more u in g2^3 (an unsupported nf fails in sw_family)
-    fam = sw_family(nf, factor_window(p, 5 * _U_VALUATION.get(nf, 0)))
+    fam = sw_family(nf, pf)
     ct = contact_term(fam)
     results = [
         vanishing("weierstrass g2^3-27g3^2=Delta", weierstrass_residual(fam)),

@@ -7,6 +7,20 @@ import pytest
 from qdonald import forms, mock
 
 
+def memoized() -> list:
+    """(module, name, constructor) of every memoized constructor of
+    ``forms`` and ``mock``."""
+    return [(module, name, fn) for module in (forms, mock)
+            for name, fn in vars(module).items() if hasattr(fn, "entries")]
+
+
+def clear_memos() -> None:
+    """Empty every memo of ``forms`` and ``mock``, so that each series asked
+    for next is built anew."""
+    for _, _, fn in memoized():
+        fn.clear()
+
+
 @pytest.fixture
 def memo_builds(monkeypatch) -> Counter:
     """Empty every memoized constructor of ``forms`` and ``mock`` and count
@@ -14,17 +28,14 @@ def memo_builds(monkeypatch) -> Counter:
     the precision.  A call builds when its memo entry holds a new series
     afterwards; a request served by truncation builds nothing."""
     builds = Counter()
-    for module in (forms, mock):
-        for name, fn in list(vars(module).items()):
-            if not hasattr(fn, "entries"):
-                continue
-            fn.clear()
+    for module, name, fn in memoized():
+        fn.clear()
 
-            def counted(*args, fn=fn, name=name):
-                held = fn.entries.get(args[:-1])
-                out = fn(*args)
-                if fn.entries.get(args[:-1]) is not held:
-                    builds[name, args[:-1]] += 1
-                return out
-            monkeypatch.setattr(module, name, counted)
+        def counted(*args, fn=fn, name=name):
+            held = fn.entries.get(args[:-1])
+            out = fn(*args)
+            if fn.entries.get(args[:-1]) is not held:
+                builds[name, args[:-1]] += 1
+            return out
+        monkeypatch.setattr(module, name, counted)
     return builds

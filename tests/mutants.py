@@ -176,7 +176,8 @@ MUTANTS = [
      "Theta2 = q + ... is built as a divisor of lead 0, so 1/Theta2 and M "
      "are known two q-steps short of the precision asked for"),
     ("estar-every-divisor", FORMS,
-     "_divisor_series(1, 24, 2, 1, prec)", "_divisor_series(1, 24, 1, 1, prec)",
+     "_divisor_series(1, 24, 1, 2, 1, prec)",
+     "_divisor_series(1, 24, 1, 1, 1, prec)",
      "tests/test_forms.py::test_estar_identity",
      "E* sums every divisor of n, not only the odd ones"),
     ("q-combination-a38-weight", MOCK,
@@ -210,6 +211,24 @@ MUTANTS = [
      "tests/test_sw.py::test_family_identity_suite[3]",
      "the discriminant check compares Delta (omega/pi)^10, not "
      "Delta (omega/pi)^12, with eta^24"),
+    ("nf4-e4-weight", INVARIANTS,
+     "Fraction(1, 36) * forms.eisenstein_e4",
+     "Fraction(1, 18) * forms.eisenstein_e4",
+     "tests/test_invariants.py::test_nf4_partition_matches_theta_route[2]",
+     "the nf = 4 partition function weighs E4 eta^-8 F by -1/18, not -1/36, "
+     "so its q^(-1/2) pole no longer cancels"),
+    ("e4-divisor-power", FORMS,
+     "_divisor_series(1, 240, 3, 1, 1, prec)",
+     "_divisor_series(1, 240, 1, 1, 1, prec)",
+     "tests/test_forms.py::test_e4_is_the_theta_polynomial",
+     "E4 sums the divisors of n, not their cubes"),
+    ("cal-f-claims-one-step-more", MOCK,
+     "return QSeries.from_terms(terms, top)\n",
+     "return QSeries.from_terms(terms, top + 1)\n",
+     "tests/test_cli.py::test_every_series_name_at_two_orders[calFt:4]",
+     "calF_t claims its coefficient at q^ceil(prec), which it never summed, "
+     "as known; a build at a higher precision disagrees there, and the "
+     "recomputing precision-soundness property sees it too"),
     ("exit-freeze-dropped", CLI,
      "atexit.register(gc.freeze)\n", "",
      "tests/test_cli.py::test_cli_exit_skips_the_cyclic_collection",

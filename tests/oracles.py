@@ -13,7 +13,8 @@ from qdonald import forms, invariants as inv, mock
 from qdonald.exact import Cyclo, cyclotomic_polynomial, euler_phi, unity
 from qdonald.mock import gamma_half_ratio
 from qdonald.series import (InsufficientPrecision, NotInvertible,
-                            NotRational, PrecisionUnderflow, QSeries, _to_w)
+                            NotRational, PrecisionUnderflow, QSeries, _to_w,
+                            factor_window)
 
 _ZERO = Fraction(0)
 
@@ -824,3 +825,23 @@ def phi_euler_convolution(nf: int, k: int, m: int, n: int) -> Fraction:
     phi = inv.goettsche_weight(2 * k - 2)  # m + n + big = 2(k - 1)
     return sum((w * phi[m + l] for (j, l), w in conv.items() if j + l == big),
                Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# The nf = 4 partition function by the theta polynomial, which the modular
+# differential operator on E4 in invariants.nf4_partition replaced.
+
+def nf4_partition_theta(prec) -> QSeries:
+    """Z4 = (1/2) D(D(F) eta^-4) eta^-4 + g F, F = Q+/eta, D = q d/dq, with
+    g = -(r2^8 - r2^4 r3^4 + r3^8)/36, r2 = vartheta2/eta, r3 =
+    vartheta3/eta, at the windows of nf4_partition."""
+    top = factor_window(prec, Fraction(-1, 2))
+    qp = mock.q_plus(top)
+    eta_inv = forms.eta_power(1, -1, top)
+    q_over_eta = qp * eta_inv
+    eta4inv = forms.eta_power(1, -4, top)
+    r2 = forms.vartheta(2, top) * eta_inv
+    r3 = forms.vartheta(3, top) * eta_inv
+    g = Fraction(-1, 36) * (r2 ** 8 - r2 ** 4 * r3 ** 4 + r3 ** 8)
+    dd = (q_over_eta.qdq(1) * eta4inv).qdq(1) * eta4inv
+    return (Fraction(1, 2) * dd + g * q_over_eta).truncate(prec)

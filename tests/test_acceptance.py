@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import oracles
 import pytest
+from conftest import clear_memos
 from hypothesis import given, settings, strategies as st
 
 from qdonald import (NotRational, PrecisionUnderflow, QSeries, forms,
@@ -371,11 +372,17 @@ def test_criterion_15_shift_inverse(a, k):
 @given(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=20))
 def test_criterion_15_precision_soundness(extra1, extra2):
     """Recomputing any pipeline at higher precision never changes reported
-    coefficients (memoized constructors bypassed via distinct targets)."""
+    coefficients: every memo of forms and mock is emptied before each side,
+    so each side is built anew at its own precision, and each constructor,
+    as well as the pipeline, agrees with its higher build on its window."""
     lo, hi = 6 + min(extra1, extra2), 6 + max(extra1, extra2)
-    a = forms.form_h(lo) * mock.cal_q(lo) + mock.cal_f(2, lo)
-    b = (forms.form_h(hi) * mock.cal_q(hi) + mock.cal_f(2, hi)).truncate(a.prec_q())
-    assert (a - b).is_zero()
+    sides = []
+    for p in (lo, hi):
+        clear_memos()
+        h, q, f = forms.form_h(p), mock.cal_q(p), mock.cal_f(2, p)
+        sides.append((h, q, f, h * q + f))
+    for a, b in zip(*sides):
+        assert (a - b.truncate(a.prec_q())).is_zero()
 
 
 def test_criterion_15_report():

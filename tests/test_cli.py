@@ -8,6 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from conftest import clear_memos
 
 import qdonald
 from qdonald import QSeries, cli, forms, invariants, sw
@@ -171,19 +172,45 @@ def test_identities_build_the_f_m_thetas_once(memo_builds, capsys):
     ["verify", "--suite", "criterion", "--max", "3"],
     ["swcheck", "--nf", "0", "--order", "24"],
     ["swcheck", "--nf", "2", "--order", "24"],
+    ["swcheck", "--nf", "2", "--order", "0"],
+    ["swcheck", "--nf", "2", "--order", "1"],
     ["swcheck", "--nf", "3", "--order", "24"],
 ], ids=["nf4", "QtransS", "criterion", "swcheck-nf0", "swcheck-nf2",
-        "swcheck-nf3"])
+        "swcheck-nf2-order0", "swcheck-nf2-order1", "swcheck-nf3"])
 def test_commands_build_each_series_once(argv, memo_builds, capsys):
     """A series with a wider window is asked before a narrower one, so that
-    none is built twice: nf4 asks Q+ before eta^-1 and eta^-4, the
+    none is built twice: nf4 asks Q+ before eta^-1, eta^-4 and E4, the
     S-transform of Q its eta(2t)^8 quotient before A and the B part, the
-    criterion the nf=0 kernels before Goettsche's, swcheck at nf=2 the
-    duplication check's theta constants before the chart's, and swcheck
-    builds only the theta constants of the charts it reads."""
+    criterion the nf=0 kernels before Goettsche's, swcheck at nf=2 each
+    theta constant once, at the wider of the duplication check's window
+    and the chart's (the chart's below order 3/2), and swcheck builds only
+    the theta constants of the charts it reads."""
     code, _ = run_cli(capsys, *argv)
     assert code == 0
     assert memo_builds and set(memo_builds.values()) == {1}, memo_builds
+
+
+# one or two valid parameters for each parameterized series kind
+SERIES_PARAMS = {"fm": ["0", "3"], "Ft": ["0", "2"], "calFt": ["0", "4"],
+                 "ebracket": ["1,0", "2,1"]}
+SERIES_NAMES = [name for kind, entry in cli._series_table().items()
+                for name in ([kind] if callable(entry) else
+                             [f"{kind}:{p}" for p in SERIES_PARAMS[kind]])]
+
+
+@pytest.mark.parametrize("name", SERIES_NAMES)
+def test_every_series_name_at_two_orders(name):
+    """Every series name, built anew at a low and a high order, reaches the
+    low order and agrees with the high build on the low build's window."""
+    build = _series_name(name)
+    for low, high in ((0, F(17, 8)), (F(1, 3), F(31, 4)), (F(17, 8), 12),
+                      (F(31, 4), 30)):
+        clear_memos()
+        lo = build(low)
+        clear_memos()
+        hi = build(high)
+        assert lo.prec_q() >= low and hi.prec_q() >= lo.prec_q()
+        assert list(lo.terms()) == list(hi.truncate(lo.prec_q()).terms())
 
 
 @pytest.mark.parametrize("order", ["0", "1/3", "1", "8", "15"])

@@ -6,6 +6,7 @@ import oracles
 import pytest
 
 from qdonald import QSeries, forms, invariants as inv, mock
+from qdonald.series import factor_window
 
 
 def literal_eta_product(prec: int) -> QSeries:
@@ -132,6 +133,30 @@ def test_e2_against_divisor_oracle():
         assert e2.coeff(n) == -24 * naive_sigma1(n)
 
 
+def test_e4_against_divisor_oracle():
+    e4 = forms.eisenstein_e4(40)
+    assert e4.coeff(0) == 1 and e4.prec_q() == 40
+    for n in range(1, 40):
+        assert e4.coeff(n) == 240 * sum(d ** 3 for d in range(1, n + 1)
+                                        if n % d == 0)
+
+
+def test_e4_is_the_theta_polynomial():
+    """vartheta2^8 - vartheta2^4 vartheta3^4 + vartheta3^8 = E4 to q^200."""
+    t2, t3 = forms.vartheta(2, 200), forms.vartheta(3, 200)
+    poly = t2 ** 8 - t2 ** 4 * t3 ** 4 + t3 ** 8
+    assert poly.prec_q() >= 200
+    assert (poly.truncate(200) - forms.eisenstein_e4(200)).is_zero()
+
+
+def test_eta_power_derivative():
+    """D eta^-4 = -(1/6) E2 eta^-4 to q^200, D = q d/dq: D log eta = E2/24."""
+    eta4inv = forms.eta_power(1, -4, 200)
+    e2 = forms.eisenstein_e2(factor_window(200, eta4inv.valuation()))
+    residual = eta4inv.qdq(1) + e2 * eta4inv / 6
+    assert residual.prec_q() >= 200 and residual.is_zero()
+
+
 def test_estar_identity():
     lhs = forms.eisenstein_estar(40)
     rhs = -forms.eisenstein_e2(40) + 2 * forms.eisenstein_e2(20).rescale(2, 1)
@@ -237,6 +262,7 @@ MEMOIZED = [
     (forms.vartheta, lambda p: (2, p)),
     (forms.vartheta, lambda p: (3, p)),
     (forms.eisenstein_e2, lambda p: (p,)),
+    (forms.eisenstein_e4, lambda p: (p,)),
     (forms.eisenstein_estar, lambda p: (p,)),
     (forms.eisenstein_eodd, lambda p: (p,)),
     (forms.form_a38, lambda p: (p,)),

@@ -38,6 +38,9 @@ GOLDEN = [
      "ae70799c5f4d542ea9fa463ca108ecdd92ea1a9391655c836b99a6fa4e114fc9"),
     (["nf4", "--order", "4"],
      "eb6251206d48cbf579bce3b2cda14ec6a591f645dfb4c464ef127ec005be2e94"),
+    # every coefficient of the nf = 4 partition function below q^200
+    (["nf4", "--order", "200", "--terms", "1000"],
+     "6b543357490391ec52c3243e73616281d5f26f0ac245172d9fe1f00bad645b68"),
     (["hurwitz", "--max", "24", "--format", "json"],
      "c4490878b3d281778d17020b116b6f164f4bdf1b06f9f6823b500738f82f5bd4"),
     (["verify", "--suite", "criterion", "--max", "2"],

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdonald import (InsufficientPrecision, NotInvertible, NotRational,
                      QSeries, forms, invariants as inv, mock)
+from qdonald.series import factor_window
 
 
 PRINTED_NF0 = {
@@ -621,6 +622,41 @@ def test_nf4_partition():
     g = F(-1, 36) * (r2 ** 8 - r2 ** 4 * r3 ** 4 + r3 ** 8)
     assert g.valuation() == F(-1, 3)
     assert g.coeff(F(-1, 3)) == F(-1, 36)
+
+
+@pytest.mark.parametrize("p", [0, F(1, 3), F(1, 2), 1, 2, 3, F(7, 2),
+                               F(15, 4), 8, 12, 16, F(33, 2), 100, 1000],
+                         ids=str)
+def test_nf4_partition_matches_theta_route(p):
+    """The modular differential operator on E4 gives the series of the
+    theta polynomial route: the same grid, window, denominator and
+    integers."""
+    z4, ref = inv.nf4_partition(p), oracles.nf4_partition_theta(p)
+    assert (z4.ram, z4.lead, z4.prec, z4.den, list(z4.nums)) == \
+        (ref.ram, ref.lead, ref.prec, ref.den, list(ref.nums))
+
+
+def test_nf4_partition_asks_no_theta_and_makes_five_products(memo_builds,
+                                                             monkeypatch):
+    """Past Q+ (whose M divides by Theta2), nf4_partition builds eta^-1,
+    eta^-4 and E4, no theta constant, and from its memoized factors it makes
+    five series products."""
+    mock.q_plus(factor_window(12, F(-1, 2)))
+    memo_builds.clear()
+    inv.nf4_partition(12)
+    assert set(memo_builds) == {("_eta_quotient", (((1, -1),),)),
+                                ("_eta_quotient", (((1, -4),),)),
+                                ("eisenstein_e4", ())}
+    products = []
+    mul = QSeries.__mul__
+
+    def counted(a, b):
+        if isinstance(b, QSeries):
+            products.append(b)
+        return mul(a, b)
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    inv.nf4_partition(12)
+    assert len(products) == 5
 
 
 @pytest.mark.parametrize("p", [F(1, 8), F(5, 2), 6, 20])
