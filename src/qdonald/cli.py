@@ -222,6 +222,12 @@ def _suite_identities(order) -> list:
     def zero_check(name, series):
         checks.append(sw.vanishing(name, series))
 
+    # from order 3 on, each series is first asked at its widest window and
+    # built once: the Jacobi checks read every Theta at 8p, eta^3 reads P(q)
+    # below p, and h, which meets h in h^2, reads P(q^2) and E* widest
+    t2, t3, t4 = (forms.vartheta(i, p) for i in (2, 3, 4))
+    eta3 = forms.eta_power(1, 3, p)
+    h = forms.form_h(factor_window(p, -1))
     # z reads calQ at 8 times its window and Z0 meets f_6 = q^-15: calQ is
     # built once, at the wider of the two, and serves z, Z0 and QasMu
     eta4inv = forms.eta_power(1, -4, p / 8)
@@ -245,7 +251,6 @@ def _suite_identities(order) -> list:
     for m_kernel in range(7):
         ct = (z0 * fms[m_kernel]).constant_term()
         checks.append((f"constant term of Z0 f_{m_kernel}", ct == 0, None, None))
-    h = forms.form_h(factor_window(p, -1))  # h = q^-1 + ... meets h in h^2
     est2 = forms.eisenstein_estar(factor_window(p, h.valuation()) / 2).rescale(2, 1)
     eodd = forms.eisenstein_eodd(factor_window(p, 2 * h.valuation()))
     zero_check("h ODE: qdq(h) = -E*(2tau) h + 64 E_odd",
@@ -258,11 +263,8 @@ def _suite_identities(order) -> list:
     d4 = forms.delta(factor_window(p, d2.valuation(), 4) / 4).rescale(4, 1)
     zero_check("Delta(2tau)/Delta(4tau) = h^2 - 64", d2 / d4 - (h ** 2 - 64))
     zero_check("Jacobi: vtheta3^4 - vtheta4^4 - vtheta2^4",
-               forms.vartheta(3, p) ** 4 - forms.vartheta(4, p) ** 4
-               - forms.vartheta(2, p) ** 4)
-    zero_check("2 eta^3 = vtheta2 vtheta3 vtheta4",
-               2 * forms.eta_power(1, 3, p)
-               - forms.vartheta(2, p) * forms.vartheta(3, p) * forms.vartheta(4, p))
+               t3 ** 4 - t4 ** 4 - t2 ** 4)
+    zero_check("2 eta^3 = vtheta2 vtheta3 vtheta4", 2 * eta3 - t2 * t3 * t4)
     zero_check("16 Theta2^4 + Theta3^4 = E*(4tau)",
                16 * forms.theta_big(2, p) ** 4 + forms.theta_big(3, p) ** 4
                - forms.eisenstein_estar(p / 4).rescale(4, 1))

@@ -2,6 +2,10 @@
 
 The families are the rational elliptic surfaces underlying the monopole
 counts nf = 0, 2, 3, each expanded at its cusp of Kodaira type I*_(4-nf).
+Every chart is one level-4 modular function read at tau/4, tau/2 or tau:
+u is a multiple of h = 8 + eta^8/eta(4t)^8 and (omega/pi)^2 of eta(4t)^8 /
+eta(2t)^4, with no theta constant and no dense inverse.  Theta realizations
+are test oracles and, in the duplication and S-dual checks, references.
 All pi and sqrt(2) factors are absorbed into fixed normalizations so the
 whole module stays in rational arithmetic: ``omega2`` stores (omega/pi)^2
 and the Weierstrass data g2, g3, Delta are the u-polynomials of the family
@@ -32,36 +36,31 @@ ContactTerm = namedtuple("ContactTerm", "nf t_series vanishing_threshold")
 _U_VALUATION = {0: Fraction(-1, 4), 2: Fraction(-1, 2), 3: Fraction(-1)}
 
 
+# (c, s, w): the family is one level-4 curve read at tau/c, with u = s h,
+# h = 8 + eta^8/eta(4t)^8 = q^-1 + 20 q - ..., and W = w g, g = eta(4t)^8 /
+# eta(2t)^4 = q + ...; nf=2 is the nf=0 chart at 2 tau
+_CURVE = {0: (4, Fraction(1, 8), 8), 3: (1, Fraction(-1, 16), -16)}
+
+
 def _chart(nf: int, p) -> tuple:
-    """(u, W, 1/W) of one family, W = (omega/pi)^2, with u known below q^p:
-    the one place that knows each family's theta realization."""
-    if nf == 0:
-        t2, t3 = (forms.vartheta(i, _nf0_window(p)) for i in (2, 3))
-        omega2 = 2 * (t2 * t3) ** 2
-        inv = omega2.inverse()
-        return (t2 ** 4 + t3 ** 4) * inv, omega2, inv
+    """(u, W, 1/W) of one family, W = (omega/pi)^2, each known below q^p."""
     if nf == 2:
         return tuple(s.rescale(2, 1) for s in _chart(0, p / 2))
-    if nf == 3:
-        # Expansion at the I*_1 cusp: the u- and omega-columns of the family
-        # table live in the nf=0 frame; transporting them through the
-        # inversion swaps theta_2 <-> theta_4 and leaves a phase on omega
-        # that makes the normalized square negative.  The sign is pinned by
-        # T = O(1/u) and the Picard-Fuchs check below.  s^2 = 64 q + ...
-        return _nf3_u(4, factor_window(p, 0, 1))
-    raise UnsupportedFamily(f"no massless modular family for nf={nf}")
-
-
-def _nf0_window(p):
-    """Where the nf=0 chart builds its thetas: past (t2 t3)^2 = 4 q^(1/4)."""
-    return factor_window(p, 0, Fraction(1, 4))
+    if nf not in _CURVE:
+        raise UnsupportedFamily(f"no massless modular family for nf={nf}")
+    c, s, w = _CURVE[nf]
+    # h first, then 1/g before g, so that each Euler product is built once
+    h, inv, g = (forms.eta_quotient(f, c * p).rescale(1, c) for f in
+                 ([(1, 8), (4, -8)], [(2, 4), (4, -8)], [(2, -4), (4, 8)]))
+    return s * (h + 8), w * g, inv / w
 
 
 def sw_family(nf: int, prec) -> SWFamily:
     """Build u, (omega/pi)^2 and the Weierstrass series for one family."""
     p = Fraction(prec)
-    u, omega2, inv = _chart(nf, p)  # inv is the inverse that u divides by
+    u, omega2, inv = _chart(nf, p)
     u, omega2 = u.truncate(p), omega2.truncate(p)
+    # 1/W on the window that omega2.inverse() would have
     inv = inv.truncate(omega2.prec_q() + 2 * inv.valuation())
     if nf == 0:
         g2 = u ** 2 / 12 - Fraction(1, 16)
@@ -78,15 +77,6 @@ def sw_family(nf: int, prec) -> SWFamily:
     return SWFamily(nf=nf, u=u, omega2=omega2, omega2_inv=inv,
                     g2n=g2, g3n=g3, deltan=delta,
                     kodaira_infty=f"I*_{4 - nf}")
-
-
-def _nf3_u(which: int, window):
-    """(u, W, 1/W): the nf=3 coordinate u = (t3 t)^2 / W - 1/2 and (omega/pi)^2
-    W = -(t3^2 - t^2)^2 / 4, t = theta_4, or theta_2 in the S-dual chart."""
-    t3, t = forms.vartheta(3, window), forms.vartheta(which, window)
-    omega2 = -((t3 ** 2 - t ** 2) ** 2) / 4
-    inv = omega2.inverse()
-    return (t3 * t) ** 2 * inv - Fraction(1, 2), omega2, inv
 
 
 def u3_from_u0(prec) -> QSeries:
@@ -164,10 +154,8 @@ def check_family(nf: int, prec) -> list:
     p = Fraction(prec)
     # u meets five more u in g2^3 (an unsupported nf fails in sw_family)
     pf = factor_window(p, 5 * _U_VALUATION.get(nf, 0))
-    if nf == 2:  # t2, t3 at the wider of this check's and the chart's window
-        window = max(factor_window(p, 0, Fraction(1, 2)), _nf0_window(pf / 2))
-        t2, t3, t4 = (forms.vartheta(i, window) for i in (2, 3, 4))
-        dup = (t3 ** 4 + t4 ** 4) * (t2 ** 4).inverse()  # t2^4 = 16 q^(1/2)
+    if nf == 3:  # the u3 relation asks h wider than the nf=3 chart: first
+        u3 = u3_from_u0(p)
     fam = sw_family(nf, pf)
     ct = contact_term(fam)
     results = [
@@ -183,14 +171,20 @@ def check_family(nf: int, prec) -> list:
             "leading constant c0=-1/16",
             fam.u + QSeries.monomial(-1, Fraction(1, 16)), below=0))
         results.append(vanishing("u3 = -2/(u0-1) - 1/2",
-                                 sw_family_swapped_u3(p) - u3_from_u0(p)))
+                                 sw_family_swapped_u3(p) - u3))
     if nf == 2:
         # the duplication formula u0(tau/2) = (t3^4 + t4^4) / t2^4, built
-        # from the theta constants rather than from the nf=0 family
+        # from the theta constants rather than from the level-4 curve
+        window = factor_window(p, 0, Fraction(1, 2))  # t2^4 = 16 q^(1/2)
+        t2, t3, t4 = (forms.vartheta(i, window) for i in (2, 3, 4))
+        dup = (t3 ** 4 + t4 ** 4) * (t2 ** 4).inverse()
         results.append(vanishing("u2 = u0 at tau/2", fam.u - dup.truncate(p)))
     return results
 
 
 def sw_family_swapped_u3(prec) -> QSeries:
-    """nf=3 u in the S-dual chart (theta_2 <-> theta_4); s^2 = 1 + ..."""
-    return _nf3_u(2, factor_window(prec, 0, 0))[0].truncate(prec)
+    """nf=3 u in the S-dual chart, by theta constants: u = (t3 t2)^2 / W - 1/2
+    with W = (omega/pi)^2 = -(t3^2 - t2^2)^2 / 4 = -1/4 + ..."""
+    t3, t2 = (forms.vartheta(i, factor_window(prec, 0, 0)) for i in (3, 2))
+    u = -4 * (t3 * t2) ** 2 * ((t3 ** 2 - t2 ** 2) ** 2).inverse()
+    return (u - Fraction(1, 2)).truncate(prec)

@@ -229,6 +229,25 @@ MUTANTS = [
      "calF_t claims its coefficient at q^ceil(prec), which it never summed, "
      "as known; a build at a higher precision disagrees there, and the "
      "recomputing precision-soundness property sees it too"),
+    ("nf3-curve-scale-sign", SW,
+     "3: (1, Fraction(-1, 16), -16)", "3: (1, Fraction(1, 16), -16)",
+     "tests/test_sw.py::test_nf3_leading_constant",
+     "the nf=3 chart reads u = h/16, not -h/16, so u = q^-1/16 + ..."),
+    ("nf0-curve-argument", SW,
+     "0: (4, Fraction(1, 8), 8)", "0: (2, Fraction(1, 8), 8)",
+     "tests/test_sw.py::test_chart_matches_the_theta_oracle[0-24]",
+     "the nf=0 chart reads the level-4 curve at tau/2, not tau/4, which is "
+     "the nf=2 frame"),
+    ("nf0-period-weight", SW,
+     "0: (4, Fraction(1, 8), 8)", "0: (4, Fraction(1, 8), 4)",
+     "tests/test_sw.py::test_family_identity_suite[0]",
+     "the nf=0 period is W = 4 g(tau/4), half of 2 (vtheta2 vtheta3)^2, so "
+     "Delta W^6 misses eta^24 by 2^6"),
+    ("chart-inverts-period", SW,
+     "inv / w", "(w * g).inverse()",
+     "tests/test_sw.py::test_family_check_inverts_only_check_divisors[nf0]",
+     "the chart reads 1/W off a dense inverse of W instead of the eta "
+     "quotient eta(2t)^4/eta(4t)^8"),
     ("exit-freeze-dropped", CLI,
      "atexit.register(gc.freeze)\n", "",
      "tests/test_cli.py::test_cli_exit_skips_the_cyclic_collection",

@@ -845,3 +845,27 @@ def nf4_partition_theta(prec) -> QSeries:
     g = Fraction(-1, 36) * (r2 ** 8 - r2 ** 4 * r3 ** 4 + r3 ** 8)
     dd = (q_over_eta.qdq(1) * eta4inv).qdq(1) * eta4inv
     return (Fraction(1, 2) * dd + g * q_over_eta).truncate(prec)
+
+
+# ---------------------------------------------------------------------------
+# The Seiberg-Witten charts by theta constants, which the level-4 eta
+# quotients in sw._chart replaced.
+
+def sw_chart_theta(nf: int, p) -> tuple:
+    """(u, W, 1/W), W = (omega/pi)^2, of one family with u known below q^p:
+    nf=0 is u = (t2^4 + t3^4) / W, W = 2 (t2 t3)^2; nf=2 the nf=0 chart at
+    2 tau; nf=3, at the I*_1 cusp, u = (t3 t4)^2 / W - 1/2 with W =
+    -(t3^2 - t4^2)^2 / 4, whose sign the transport through the inversion
+    leaves and T = O(1/u) pins."""
+    if nf == 0:
+        t2, t3 = (forms.vartheta(i, factor_window(p, 0, Fraction(1, 4)))
+                  for i in (2, 3))
+        omega2 = 2 * (t2 * t3) ** 2
+        inverse = omega2.inverse()
+        return (t2 ** 4 + t3 ** 4) * inverse, omega2, inverse
+    if nf == 2:
+        return tuple(s.rescale(2, 1) for s in sw_chart_theta(0, p / 2))
+    t3, t4 = (forms.vartheta(i, factor_window(p, 0, 1)) for i in (3, 4))
+    omega2 = -((t3 ** 2 - t4 ** 2) ** 2) / 4
+    inverse = omega2.inverse()
+    return (t3 * t4) ** 2 * inverse - Fraction(1, 2), omega2, inverse

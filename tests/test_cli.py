@@ -157,13 +157,13 @@ def test_identities_build_calq_once(order, memo_builds, capsys):
 
 
 def test_identities_build_the_f_m_thetas_once(memo_builds, capsys):
-    """The suite asks f_6, whose thetas have the widest window, first, so
-    the seven f_m build Theta3 once; vartheta_3 in the Jacobi checks
-    builds it once more, at eight times the order."""
+    """The suite asks vartheta_3 of the Jacobi checks, which reads Theta3 at
+    eight times the order, before the seven f_m, whose widest thetas (f_6's)
+    reach q^32: Theta3 is built once."""
     code, _ = run_cli(capsys, "verify", "--suite", "identities", "--order",
                       "30")
     assert code == 0
-    assert memo_builds["theta_big", (3,)] == 2
+    assert memo_builds["theta_big", (3,)] == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -175,16 +175,18 @@ def test_identities_build_the_f_m_thetas_once(memo_builds, capsys):
     ["swcheck", "--nf", "2", "--order", "0"],
     ["swcheck", "--nf", "2", "--order", "1"],
     ["swcheck", "--nf", "3", "--order", "24"],
+    ["verify", "--suite", "identities", "--order", "30"],
+    ["verify", "--suite", "identities", "--order", "40"],
 ], ids=["nf4", "QtransS", "criterion", "swcheck-nf0", "swcheck-nf2",
-        "swcheck-nf2-order0", "swcheck-nf2-order1", "swcheck-nf3"])
+        "swcheck-nf2-order0", "swcheck-nf2-order1", "swcheck-nf3",
+        "identities-order30", "identities-order40"])
 def test_commands_build_each_series_once(argv, memo_builds, capsys):
     """A series with a wider window is asked before a narrower one, so that
     none is built twice: nf4 asks Q+ before eta^-1, eta^-4 and E4, the
     S-transform of Q its eta(2t)^8 quotient before A and the B part, the
-    criterion the nf=0 kernels before Goettsche's, swcheck at nf=2 each
-    theta constant once, at the wider of the duplication check's window
-    and the chart's (the chart's below order 3/2), and swcheck builds only
-    the theta constants of the charts it reads."""
+    criterion the nf=0 kernels before Goettsche's, swcheck each chart's h
+    before 1/g and g, at nf=3 the nf=0 chart of the u3 relation first, and
+    the identities suite the thetas, eta^3 and h before calQ and Z0."""
     code, _ = run_cli(capsys, *argv)
     assert code == 0
     assert memo_builds and set(memo_builds.values()) == {1}, memo_builds

@@ -112,6 +112,12 @@ GOLDEN = [
     # outcomes only, so its hash equals the order-120 one.
     (["swcheck", "--nf", "3", "--order", "400"],
      "dc7ed95ada4822352fe40293a054820568d156d96afdbf8bbbb6327047b950fb"),
+    # the nf=0 and nf=2 charts at the order where their eta quotients are
+    # longest; swcheck prints outcomes only, so nf=2 hashes as at order 16
+    (["swcheck", "--nf", "0", "--order", "400"],
+     "2cf6b0ba62d896d384b0c056c5479cd68cd6a600c9f59cb71c22bd9d4e1420a5"),
+    (["swcheck", "--nf", "2", "--order", "400"],
+     "0b70856415ce499549c6cc43b563b9cd03769e5ba33b024e0c850e04ef944288"),
     (["verify", "--suite", "identities", "--order", "2000"],
      "50f5e440c2cc6e44ba9ab6d09f02785546f6eb3b76679f809aa1e1e5c701b503"),
     (["series", "--name", "Qplus", "--order", "3000", "--format", "json"],

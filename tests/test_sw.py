@@ -1,7 +1,9 @@
 """Seiberg-Witten family series: Weierstrass data, contact term, periods."""
 
+import sys
 from fractions import Fraction as F
 
+import oracles
 import pytest
 
 from qdonald import QSeries, forms, sw
@@ -166,20 +168,81 @@ def test_family_check_builds_one_family(nf, monkeypatch):
 
 
 def test_nf0_check_builds_no_theta4(memo_builds):
-    """The nf=0 chart is made of vartheta_2 and vartheta_3 alone."""
+    """The nf=0 chart is made of eta quotients, and no check of the nf=0
+    family reads a theta constant: neither Theta4 nor any other is built."""
     sw.check_family(0, 24)
     assert memo_builds
-    assert not {("vartheta", (4,)), ("theta_big", (4,))} & set(memo_builds)
+    assert not {name for name, _ in memo_builds} & {"vartheta", "theta_big"}
 
 
-@pytest.mark.parametrize("nf, inverses", [(0, 1), (2, 2), (3, 4)])
-def test_family_check_inverts_omega2_once(nf, inverses, monkeypatch):
-    """check_family inverts the divisor of u once and reads 1/omega2 off it;
-    nf=2 also inverts t2^4 in the duplication check, nf=3 the nf=0
-    divisor, u0 - 1 and the S-dual divisor in the u3 relation."""
-    calls = []
+@pytest.mark.parametrize("nf, divisors", [
+    (0, []),
+    (2, [(F(1, 2), 16)]),  # t2^4 of the duplication check
+    (3, [(F(-1, 4), F(1, 8)), (0, 1)]),  # u0 - 1; the S-dual divisor
+], ids=["nf0", "nf2", "nf3"])
+def test_family_check_inverts_only_check_divisors(nf, divisors, memo_builds,
+                                                   monkeypatch):
+    """With every memo empty, the chart builds eta quotients and their
+    Euler products and no theta constant, and check_family inverts the
+    Euler products of its eta quotients and, outside forms._eta_quotient,
+    only the divisors of the checks that compare the chart with theta
+    constants, each once: no chart inverts W or a theta product.  A
+    divisor is named by its leading term."""
+    sw._chart(nf, 40)
+    assert {name for name, _ in memo_builds} == {"_eta_quotient",
+                                                  "_euler_product"}
+    outside = []
     inverse = QSeries.inverse
-    monkeypatch.setattr(QSeries, "inverse",
-                        lambda s, *a: calls.append(s) or inverse(s, *a))
+
+    def record(s, *a):
+        frame = sys._getframe(1)
+        while frame and frame.f_code.co_name != "_eta_quotient":
+            frame = frame.f_back
+        if frame is None:
+            outside.append(next(s.terms()))
+        return inverse(s, *a)
+    monkeypatch.setattr(QSeries, "inverse", record)
     sw.check_family(nf, 40)
-    assert len(calls) == inverses
+    assert outside == divisors
+
+
+def _agree(a, b, window):
+    """a and b agree below their common window, which reaches ``window``."""
+    common = min(a.prec_q(), b.prec_q())
+    return common >= window and a.truncate(common) == b.truncate(common)
+
+
+@pytest.mark.parametrize("prec", [0, F(1, 3), 1, F(5, 2), 24, 100])
+@pytest.mark.parametrize("nf", [0, 2, 3])
+def test_chart_matches_the_theta_oracle(nf, prec):
+    """u, W and 1/W of the level-4 curve equal the theta-constant charts:
+    u and W below q^prec, 1/W as far as sw_family reads it."""
+    u, w, inv = sw._chart(nf, prec)
+    u_t, w_t, inv_t = oracles.sw_chart_theta(nf, prec)
+    assert _agree(u, u_t, prec) and _agree(w, w_t, prec)
+    assert _agree(inv, inv_t, prec + 2 * inv.valuation())
+
+
+def _is_zero_below(series, prec) -> bool:
+    return series.prec_q() >= prec and series.truncate(prec).is_zero()
+
+
+def test_h_is_eight_plus_an_eta_quotient():
+    """h = eta(2t)^4/eta(4t)^8 E*(2t) = 8 + eta^8/eta(4t)^8, to q^200."""
+    quotient = forms.eta_quotient([(1, 8), (4, -8)], 200)
+    assert _is_zero_below(forms.form_h(200) - quotient - 8, 200)
+
+
+def test_nf0_period_is_an_eta_quotient():
+    """2 (vtheta2 vtheta3)^2 = 8 eta^8/eta(tau/2)^4, to q^200."""
+    t2, t3 = forms.vartheta(2, 200), forms.vartheta(3, 200)
+    quotient = forms.eta_quotient([(2, -4), (4, 8)], 800).rescale(1, 4)
+    assert _is_zero_below(2 * (t2 * t3) ** 2 - 8 * quotient, 200)
+
+
+def test_nf3_period_is_an_eta_quotient():
+    """-(vtheta3^2 - vtheta4^2)^2 / 4 = -16 eta(4t)^8/eta(2t)^4, to q^200."""
+    t3, t4 = forms.vartheta(3, 200), forms.vartheta(4, 200)
+    quotient = forms.eta_quotient([(2, -4), (4, 8)], 200)
+    assert _is_zero_below(-((t3 ** 2 - t4 ** 2) ** 2) / 4 + 16 * quotient,
+                          200)
