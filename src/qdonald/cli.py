@@ -222,12 +222,13 @@ def _suite_identities(order) -> list:
     def zero_check(name, series):
         checks.append(sw.vanishing(name, series))
 
-    # from order 3 on, each series is first asked at its widest window and
-    # built once: the Jacobi checks read every Theta at 8p, eta^3 reads P(q)
-    # below p, and h, which meets h in h^2, reads P(q^2) and E* widest
-    t2, t3, t4 = (forms.vartheta(i, p) for i in (2, 3, 4))
-    eta3 = forms.eta_power(1, 3, p)
-    h = forms.form_h(factor_window(p, -1))
+    # each series is asked first at its widest window and built once: as Z0
+    # meets f_6 = q^-15, calQ, Z0 and the f_m read the Theta, P(q), P(q^2)
+    # and E* as far as the thetas (at 8p), eta^3 and h do at order 13/2
+    wide = max(p, Fraction(13, 2))
+    t2, t3, t4 = (forms.vartheta(i, wide).truncate(p) for i in (2, 3, 4))
+    eta3 = forms.eta_power(1, 3, wide).truncate(p)
+    h = forms.form_h(factor_window(wide, -1)).truncate(factor_window(p, -1))
     # z reads calQ at 8 times its window and Z0 meets f_6 = q^-15: calQ is
     # built once, at the wider of the two, and serves z, Z0 and QasMu
     eta4inv = forms.eta_power(1, -4, p / 8)
@@ -247,7 +248,7 @@ def _suite_identities(order) -> list:
     zero_check("Z0 = E*(4tau)/eta(8tau)^3", z0 - invariants.z0_closed_form(p))
     fm_window = factor_window(1, z0.valuation())
     fms = {m: forms.form_fm(m, fm_window)
-           for m in range(6, -1, -1)}  # widest theta windows first
+           for m in range(6, -1, -1)}  # widest Euler products first
     for m_kernel in range(7):
         ct = (z0 * fms[m_kernel]).constant_term()
         checks.append((f"constant term of Z0 f_{m_kernel}", ct == 0, None, None))

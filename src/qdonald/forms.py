@@ -214,11 +214,11 @@ def form_h(prec) -> QSeries:
 
 @memo
 def form_fm(m: int, prec) -> QSeries:
-    """f_m = Theta4^9 (16 Theta2^4 + Theta3^4)^m / (Theta2 Theta3)^(2m+3)."""
+    """f_m = eta(4t)^(4m+24) / eta(8t)^(8m+21) E*(4t)^m = q^-(2m+3) + ...,
+    the nf=0 u-plane kernel of weight m read at 8 tau; as theta constants,
+    Theta4^9 (16 Theta2^4 + Theta3^4)^m / (Theta2 Theta3)^(2m+3)."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    k = 2 * m + 3  # the thetas are built as far as their divisor q^k + ...
-    t2, t3, t4 = (theta_big(i, factor_window(prec, 0, k)) for i in (2, 3, 4))
-    num = t4 ** 9 * (16 * t2 ** 4 + t3 ** 4) ** m
-    den = (t2 * t3) ** k
-    return (num * den.inverse()).truncate(prec)
+    quot = eta_quotient([(4, 4 * m + 24), (8, -8 * m - 21)], prec)
+    est = eisenstein_estar(Fraction(factor_window(prec, -2 * m - 3), 4))
+    return (quot * est.rescale(4, 1) ** m).truncate(prec)

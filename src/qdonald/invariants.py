@@ -2,10 +2,11 @@
 
 The instanton-side values come from the closed Goettsche formula; the
 low-energy side comes from the cusp contribution of the regularized wall
-integral, written as constant terms of theta-quotient kernels against the
-mock series Q+ (or its transforms).  Both reduce to exact rational pairing
-sums, so every number here is an exact Fraction.  Each family computes all
-cells of one weight in one pass over integer kernel reads.
+integral, written as constant terms of kernels (eta quotients times powers
+of E2 and of E* or an eta quotient) against the mock series Q+ (or its
+transforms).  Both reduce to exact rational pairing sums, so every number
+here is an exact Fraction.  Each family computes all cells of one weight in
+one pass over integer kernel reads.
 """
 
 from __future__ import annotations
@@ -28,61 +29,60 @@ class ConstraintViolation(ValueError):
 # kernel reads, one weight at a time
 #
 # A cell of weight w = m + n pairs kernels P_k E_l (k + l <= w; P_k = base *
-# pows^k a theta quotient, E_l = E2^l) with a slot.  The kernel coefficient
-# at q^-x meets the slot coefficient at x for x on the slot grid start +
-# step Z, so each kernel is read there only, and no product is formed.
+# pows^k, E_l = E2^l) with a slot.  The kernel coefficient at q^-x meets the
+# slot coefficient at x for x on the slot grid start + step Z, so each kernel
+# is read there only, and no product is formed.
 #
-# Windows.  With theta constants and E2 known below q^pt (pt an integer: E2
-# is cut at floor(pt)), P_k is known below val + pt - loss, where val is
-# the kernels' valuation and loss that of the theta factor the base divides
-# by (t2 t3 or t3^2 - t4^2).  A product a * b is known through q^e when a
-# is known through e - val(b) and b through e - val(a).  So a pairing
-# (e = 0) needs the kernels known below top = -start + 1/ram, 1/ram their
-# grid step, which gives pt = the least integer at or above top - val +
-# loss; and the slot known through -val, at the least grid point above it.
+# Kernels.  The paper's theta quotients are eta quotients times powers of E*
+# or of an eta quotient (G. Koehler, Eta Products and Theta Series
+# Identities, 2011), read at tau/c: the weight-w base is 2^(e0 + e1 w) prod
+# eta(d tau/c)^(r0 + r1 w), and pows is E*(tau/c) (None) or the eta
+# quotient of its factors; E2 is read at e tau/c.
+#
+# Windows.  A product a * b is known through q^e when a is known through
+# e - val(b) and b through e - val(a).  So a pairing (e = 0) needs the
+# kernels known below top = -start + 1/ram, 1/ram their grid step: the base,
+# of valuation val, below top, and pows and E2 below top - val; and the slot
+# known through -val, at the least grid point above it.
 
-# family: (slot grid start, step, kernel grid 1/ram, loss, (a, b)) with
-# val = -(a w + b)/ram; the slots are F_t, Q+, Q+ at tau/2, S-transformed Q+
+# family: (slot grid start, step, kernel grid 1/ram, (a, b), c, (e0, e1),
+# ((d, r0, r1), ...), pows, e) with val = -(a w + b)/ram; the slots are F_t,
+# Q+, Q+ at tau/2 and S-transformed Q+
 _FAMILIES = {
-    "goettsche": (Fraction(3, 8), Fraction(1, 2), 8, Fraction(1, 8), (2, 3)),
-    0: (Fraction(-1, 8), Fraction(1, 2), 8, Fraction(1, 8), (2, 3)),
-    2: (Fraction(-1, 16), Fraction(1, 4), 16, Fraction(1, 8), (4, 7)),
-    3: (Fraction(-1, 8), Fraction(1, 2), 8, Fraction(1, 2), (8, 15)),
+    "goettsche": (Fraction(3, 8), Fraction(1, 2), 8, (2, 3), 2, (-3, -2),
+                  ((1, 22, 4), (2, -20, -8)), None, 2),
+    0: (Fraction(-1, 8), Fraction(1, 2), 8, (2, 3), 2, (-3, -2),
+        ((1, 24, 4), (2, -21, -8)), None, 2),
+    2: (Fraction(-1, 16), Fraction(1, 4), 16, (4, 7), 2, (-4, -2),
+        ((1, 27, 4), (2, -24, -8)), None, 1),
+    3: (Fraction(-1, 8), Fraction(1, 2), 8, (8, 15), 1, (-9, -6),
+        ((1, 3, 0), (2, 24, 4), (4, -24, -8)), ((1, 8), (2, -4)), 1),
 }
 
 
 def _windows(family, w: int) -> tuple:
-    """(pt, ps): the least integer pt at which the family's weight-w
-    kernels are known below q^top, top = -start + 1/ram, and the least
-    point ps of their grid above -val; products of kernels and a slot known
-    below q^ps are known through q^0."""
-    start, _, ram, loss, (a, b) = _FAMILIES[family]
+    """(top, val, ps): the family's weight-w kernels have valuation val and
+    are read below q^top; kernels times a slot known below q^ps, the least
+    kernel-grid point above -val, are known through q^0."""
+    if w < 0:
+        raise ConstraintViolation(f"weight {w} is negative")
+    start, _, ram, (a, b) = _FAMILIES[family][:4]
     val = Fraction(-(a * w + b), ram)
-    top = Fraction(1, ram) - start
-    return -((val - loss - top) // 1), Fraction(-val * ram // 1 + 1, ram)
+    return Fraction(1, ram) - start, val, Fraction(-val * ram // 1 + 1, ram)
 
 
-def _factors(family, w: int, pt) -> tuple:
+def _factors(family, w: int) -> tuple:
     """(base, pows, e2) of the family's weight-w kernels base * pows^k *
-    e2^l, from theta constants and E2 known below q^pt; for nf=2, t2 and E2
-    at tau/2 are asked first, so that t2 at tau is their truncation."""
-    if family == 2:
-        t2_half = forms.vartheta(2, 2 * pt).rescale(1, 2)
-        e2 = forms.eisenstein_e2(2 * pt).rescale(1, 2)
-    else:
-        e2 = forms.eisenstein_e2(pt)
-    t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
-    if family == 3:
-        tt = t3 * t4
-        base = (t2 ** 9 * ((t3 ** 2 - t4 ** 2) ** (2 * w + 6)).inverse()
-                * tt ** 3)
-        return base, tt ** 2, e2
-    base = t4 ** 8 * ((t2 * t3) ** (2 * w + 3)).inverse()
-    if family == 0:
-        base = base * t4
-    elif family == 2:
-        base = base * (t4 * t4) * t2_half.inverse()
-    return base, t2 ** 4 + t3 ** 4, e2
+    e2^l, each known as far as the reads need."""
+    c, (e0, e1), etas, ladder, e = _FAMILIES[family][4:]
+    top, val, _ = _windows(family, w)
+    lt = c * factor_window(top, val)
+    base = forms.eta_quotient([(d, r0 + r1 * w) for d, r0, r1 in etas],
+                              c * top)
+    pows = (forms.eisenstein_estar(lt) if ladder is None
+            else forms.eta_quotient(ladder, lt))
+    return (Fraction(2) ** (e0 + e1 * w) * base.rescale(1, c),
+            pows.rescale(1, c), forms.eisenstein_e2(lt / e).rescale(e, c))
 
 
 def _reads(family, w: int) -> tuple:
@@ -91,10 +91,8 @@ def _reads(family, w: int) -> tuple:
     ints[a] / den, (ints, den) = reads[k, l], one integer dot product, as
     E2^l = 1 + O(q) has integer coefficients and P_k one denominator.
     Reading a product where it is not known raises InsufficientPrecision."""
-    if w < 0:
-        raise ConstraintViolation(f"weight {w} is negative")
     start, step, ram = _FAMILIES[family][:3]
-    base, pows, e2 = _factors(family, w, _windows(family, w)[0])
+    base, pows, e2 = _factors(family, w)
     t0, dt, r = int(-start * ram), int(step * ram), ram // e2.ram
     ladder = [e.to_ram(e2.ram)
               for e in accumulate([e2] * w, mul, initial=QSeries.one())]
@@ -116,12 +114,12 @@ def _reads(family, w: int) -> tuple:
     return reads, [start + a * step for a in range(count)]
 
 
-def _slot(family, ps, xs, t=None) -> tuple:
-    """The family's slot (F_t for the Goettsche family) at the points xs < ps
-    as (ints, den), known below q^ps or InsufficientPrecision, read at ram x
-    on the integer grid it is memoized on (ram the family's): F_t, Q+ and
+def _slot(family, w: int, xs, t=None) -> tuple:
+    """The family's slot (F_t in the Goettsche family) at the points xs as
+    (ints, den), known below q^ps (see _windows) or InsufficientPrecision,
+    read at ram x on its memo's integer grid, ram the family's: F_t, Q+ and
     Q+'s S-transform at x are calF_t, calQ, q_transform_s_ren at 8x."""
-    scale = _FAMILIES[family][2]
+    ps, scale = _windows(family, w)[2], _FAMILIES[family][2]
     slot = (mock.cal_f(t, scale * ps) if family == "goettsche" else
             mock.q_transform_s_ren(scale * ps) if family == 3 else
             mock.cal_q(scale * ps))
@@ -145,10 +143,9 @@ def goettsche_weight(w: int) -> list:
     per (s, l); cell n is then 8 (-1)^n (2n)! / big sum_l T[n - l, l] /
     (6^l (2n - 2l)! l!), O(n) terms."""
     reads, xs = _reads("goettsche", w)
-    ps = _windows("goettsche", w)[1]
     pairs = {}
     for s in range(w + 1):
-        sv, sden = _slot("goettsche", ps, xs, 2 * s)
+        sv, sden = _slot("goettsche", w, xs, 2 * s)
         for l in range(w - s + 1):
             ints, den = reads[w - s - l, l]
             pairs[s, l] = sum(map(mul, ints, sv)), den * sden
@@ -209,9 +206,10 @@ def uplane_weight(nf: int, w: int) -> list:
     the weights with the slot."""
     if nf not in (0, 2, 3):
         raise ConstraintViolation(f"no u-plane family for nf={nf}")
+    _slot(nf, w, [])  # first: its Euler products reach past the kernels'
     reads, xs = _reads(nf, w)
     ram = _FAMILIES[nf][2]
-    sv, sden = _slot(nf, _windows(nf, w)[1], xs)
+    sv, sden = _slot(nf, w, xs)
     powers = [[int(x * ram) ** j for x in xs] for j in range(w + 1)]
     dens = {(i, j): factorial(2 * j) * factorial(i - j)
             * reads[w - i, i - j][1]

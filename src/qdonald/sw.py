@@ -154,7 +154,8 @@ def check_family(nf: int, prec) -> list:
     p = Fraction(prec)
     # u meets five more u in g2^3 (an unsupported nf fails in sw_family)
     pf = factor_window(p, 5 * _U_VALUATION.get(nf, 0))
-    if nf == 3:  # the u3 relation asks h wider than the nf=3 chart: first
+    if nf == 3:  # u3's nf=0 chart reads the same curve: the wider first
+        _chart(3, max(pf, 4 * factor_window(p, 0, _U_VALUATION[0])))
         u3 = u3_from_u0(p)
     fam = sw_family(nf, pf)
     ct = contact_term(fam)

@@ -136,7 +136,8 @@ MUTANTS = [
      "verify runs the swcurves suite at min(--order, 12), so an --order "
      "between 12 and 24 checks no further than 12"),
     ("slot-nf2-scale", INVARIANTS,
-     "scale = _FAMILIES[family][2]", "scale = 8",
+     "ps, scale = _windows(family, w)[2], _FAMILIES[family][2]",
+     "ps, scale = _windows(family, w)[2], 8",
      "tests/test_acceptance.py::test_criterion_08_h_combination_columns",
      "every slot is read at 8x, so the nf=2 slot reads calQ at 8x, which "
      "is Q+ at tau, not at tau/2"),
@@ -248,6 +249,27 @@ MUTANTS = [
      "tests/test_sw.py::test_family_check_inverts_only_check_divisors[nf0]",
      "the chart reads 1/W off a dense inverse of W instead of the eta "
      "quotient eta(2t)^4/eta(4t)^8"),
+    ("nf2-kernel-power-of-two", INVARIANTS,
+     "16, (4, 7), 2, (-4, -2),", "16, (4, 7), 2, (-3, -2),",
+     "tests/test_invariants.py::test_kernel_factors_match_the_theta_oracle[2]",
+     "the nf=2 base is 2^-(2w+3), not 2^-(2w+4), times its eta quotient, so "
+     "every nf=2 cell doubles"),
+    ("nf3-ladder-eta-power", INVARIANTS,
+     "((1, 8), (2, -4)), 1)", "((1, 8), (2, -3)), 1)",
+     "tests/test_invariants.py::test_kernel_factors_match_the_theta_oracle[3]",
+     "the nf=3 power ladder is eta^8/eta(2t)^3, not (vtheta3 vtheta4)^2 = "
+     "eta^8/eta(2t)^4"),
+    ("goettsche-kernel-eta-power", INVARIANTS,
+     "((1, 22, 4), (2, -20, -8))", "((1, 24, 4), (2, -20, -8))",
+     "tests/test_invariants.py::"
+     "test_kernel_factors_match_the_theta_oracle[goettsche]",
+     "the Goettsche base reads eta(tau/2)^(4w+24), the nf=0 power, not "
+     "eta(tau/2)^(4w+22)"),
+    ("fm-eta-power", FORMS,
+     "(8, -8 * m - 21)", "(8, -8 * m - 20)",
+     "tests/test_forms.py::test_form_fm_matches_the_theta_oracle[5-200]",
+     "f_m divides by eta(8t)^(8m+20), not eta(8t)^(8m+21), so it starts at "
+     "q^-(2m+8/3), not q^-(2m+3)"),
     ("exit-freeze-dropped", CLI,
      "atexit.register(gc.freeze)\n", "",
      "tests/test_cli.py::test_cli_exit_skips_the_cyclic_collection",

@@ -739,9 +739,9 @@ def kernel_frame(family, w: int) -> dict:
     Each term is a sum over the two factors; reading a product where it is
     not known raises InsufficientPrecision."""
     start, step, ram = inv._FAMILIES[family][:3]
-    top = Fraction(1, ram) - start
+    top = inv._windows(family, w)[0]
     bound = -(-top * ram // 1)  # top on the kernel grid, rounded up
-    base, pows, e2 = inv._factors(family, w, inv._windows(family, w)[0])
+    base, pows, e2 = inv._factors(family, w)
     ladder = [e.to_ram(ram) for e in _power_list(e2, w)]
     frame = {}
     for k, pk in enumerate(_power_list(pows, w)):
@@ -780,8 +780,7 @@ def pairing(family, w: int, rows, frame) -> tuple:
                 acc[a] = acc.get(a, 0) + v
     value = Fraction(0)
     for t, acc in weights.items():
-        ints, den = inv._slot(family, inv._windows(family, w)[1],
-                              [start + a * step for a in acc], t)
+        ints, den = inv._slot(family, w, [start + a * step for a in acc], t)
         for v, c in zip(acc.values(), ints):
             value += v * Fraction(c, den)
     return value, weights.get(None, {})
@@ -798,6 +797,53 @@ def pairing_cell(family, m: int, n: int, frame):
     sign = -1 if family == 3 else 1
     return value, tuple((a, sign * weights[a]) for a in sorted(weights)
                         if weights[a])
+
+
+# ---------------------------------------------------------------------------
+# The kernels and f_m by theta constants, which the eta quotients in
+# invariants._factors and forms.form_fm replaced.
+
+# the valuation of the theta factor each family's base divides by: t2 t3,
+# or t3^2 - t4^2 for nf=3
+_THETA_LOSS = {"goettsche": Fraction(1, 8), 0: Fraction(1, 8),
+               2: Fraction(1, 8), 3: Fraction(1, 2)}
+
+
+def kernel_factors_theta(family, w: int) -> tuple:
+    """(base, pows, e2) of the family's weight-w kernels base * pows^k *
+    e2^l from theta constants and E2 known below q^pt, the least integer at
+    which the kernels are known below the top of invariants._windows: the
+    base is t4^8 / (t2 t3)^(2w+3) times t4 (nf=0) or t4^2 / t2(tau/2)
+    (nf=2), pows = t2^4 + t3^4, or t2^9 (t3 t4)^3 / (t3^2 - t4^2)^(2w+6)
+    and pows = (t3 t4)^2 for nf=3; E2 is read at tau/2 for nf=2."""
+    top, val, _ = inv._windows(family, w)
+    pt = -((val - _THETA_LOSS[family] - top) // 1)
+    if family == 2:
+        t2_half = forms.vartheta(2, 2 * pt).rescale(1, 2)
+        e2 = forms.eisenstein_e2(2 * pt).rescale(1, 2)
+    else:
+        e2 = forms.eisenstein_e2(pt)
+    t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
+    if family == 3:
+        tt = t3 * t4
+        base = (t2 ** 9 * ((t3 ** 2 - t4 ** 2) ** (2 * w + 6)).inverse()
+                * tt ** 3)
+        return base, tt ** 2, e2
+    base = t4 ** 8 * ((t2 * t3) ** (2 * w + 3)).inverse()
+    if family == 0:
+        base = base * t4
+    elif family == 2:
+        base = base * (t4 * t4) * t2_half.inverse()
+    return base, t2 ** 4 + t3 ** 4, e2
+
+
+def form_fm_theta(m: int, prec) -> QSeries:
+    """f_m = Theta4^9 (16 Theta2^4 + Theta3^4)^m / (Theta2 Theta3)^(2m+3)."""
+    k = 2 * m + 3  # the thetas are built as far as their divisor q^k + ...
+    t2, t3, t4 = (forms.theta_big(i, factor_window(prec, 0, k))
+                  for i in (2, 3, 4))
+    num = t4 ** 9 * (16 * t2 ** 4 + t3 ** 4) ** m
+    return (num * ((t2 * t3) ** k).inverse()).truncate(prec)
 
 
 # ---------------------------------------------------------------------------

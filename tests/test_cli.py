@@ -157,13 +157,16 @@ def test_identities_build_calq_once(order, memo_builds, capsys):
 
 
 def test_identities_build_the_f_m_thetas_once(memo_builds, capsys):
-    """The suite asks vartheta_3 of the Jacobi checks, which reads Theta3 at
-    eight times the order, before the seven f_m, whose widest thetas (f_6's)
-    reach q^32: Theta3 is built once."""
+    """The seven f_m are eta quotients times powers of E*(4 tau) and read no
+    theta constant: Theta3 is built once, by vartheta_3 of the Jacobi checks
+    at eight times the order, and the E* and Euler products that the f_m
+    share with h and calQ are built once each."""
     code, _ = run_cli(capsys, "verify", "--suite", "identities", "--order",
                       "30")
     assert code == 0
-    assert memo_builds["theta_big", (3,)] == 1
+    assert [memo_builds[key] for key in (
+        ("theta_big", (3,)), ("eisenstein_estar", ()),
+        ("_euler_product", (1,)), ("_euler_product", (2,)))] == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -175,18 +178,27 @@ def test_identities_build_the_f_m_thetas_once(memo_builds, capsys):
     ["swcheck", "--nf", "2", "--order", "0"],
     ["swcheck", "--nf", "2", "--order", "1"],
     ["swcheck", "--nf", "3", "--order", "24"],
+    ["swcheck", "--nf", "3", "--order", "0"],
+    ["swcheck", "--nf", "3", "--order", "2"],
     ["verify", "--suite", "identities", "--order", "30"],
     ["verify", "--suite", "identities", "--order", "40"],
+    ["verify", "--suite", "identities", "--order", "0"],
+    ["verify", "--suite", "identities", "--order", "3"],
+    ["verify", "--suite", "identities", "--order", "6"],
 ], ids=["nf4", "QtransS", "criterion", "swcheck-nf0", "swcheck-nf2",
         "swcheck-nf2-order0", "swcheck-nf2-order1", "swcheck-nf3",
-        "identities-order30", "identities-order40"])
+        "swcheck-nf3-order0", "swcheck-nf3-order2", "identities-order30",
+        "identities-order40", "identities-order0", "identities-order3",
+        "identities-order6"])
 def test_commands_build_each_series_once(argv, memo_builds, capsys):
     """A series with a wider window is asked before a narrower one, so that
     none is built twice: nf4 asks Q+ before eta^-1, eta^-4 and E4, the
     S-transform of Q its eta(2t)^8 quotient before A and the B part, the
-    criterion the nf=0 kernels before Goettsche's, swcheck each chart's h
-    before 1/g and g, at nf=3 the nf=0 chart of the u3 relation first, and
-    the identities suite the thetas, eta^3 and h before calQ and Z0."""
+    criterion the nf=0 kernels' slot before the kernels and Goettsche's,
+    swcheck each chart's h before 1/g and g, at nf=3 the curve's eta
+    quotients at the wider of the two charts' windows, and the identities
+    suite the thetas, eta^3 and h, at order 13/2 at least, before calQ, Z0
+    and the f_m."""
     code, _ = run_cli(capsys, *argv)
     assert code == 0
     assert memo_builds and set(memo_builds.values()) == {1}, memo_builds

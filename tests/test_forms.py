@@ -211,6 +211,25 @@ def test_h_and_fm_printed():
     assert [f3.coeff(e) for e in (-9, -5, -1)] == [1, 36, -153]
 
 
+@pytest.mark.parametrize("m, prec", [(5, 200), (5, 250), (0, 40),
+                                     (7, 2000), (50, 100), (0, 1000)])
+def test_form_fm_matches_the_theta_oracle(m, prec):
+    """f_m = eta(4t)^(4m+24) / eta(8t)^(8m+21) E*(4t)^m, built anew, is the
+    theta quotient Theta4^9 (16 Theta2^4 + Theta3^4)^m / (Theta2
+    Theta3)^(2m+3): the same grid, lead, window, denominator and integers."""
+    forms.form_fm.clear()
+    fm, theta = forms.form_fm(m, prec), oracles.form_fm_theta(m, prec)
+    assert (fm.ram, fm.lead, fm.prec, fm.den, fm.nums) == \
+        (theta.ram, theta.lead, theta.prec, theta.den, theta.nums)
+
+
+def test_form_fm_builds_no_theta_constant(memo_builds):
+    """f_m asks only its eta quotient, P(q), P(q^2) and E*."""
+    forms.form_fm(5, 40)
+    assert {name for name, _ in memo_builds} == {
+        "form_fm", "_eta_quotient", "_euler_product", "eisenstein_estar"}
+
+
 def test_estar_4tau_theta_identity():
     lhs = 16 * forms.theta_big(2, 60) ** 4 + forms.theta_big(3, 60) ** 4
     rhs = forms.eisenstein_estar(16).rescale(4, 1)

@@ -124,6 +124,11 @@ GOLDEN = [
      "2c08c33500b020dfa7615225ed8dd1dc19e5eb63e9e3c314b26cf6d8da21d8f3"),
     (["series", "--name", "Delta", "--order", "20000", "--format", "json"],
      "af3ff5f273fa70ea65fefec900c113ed67159b52695fe8847850fd7d436b4ad5"),
+    # the f_m kernels, as the forms-dense pool reads f_5, and one of high m
+    (["series", "--name", "fm:5", "--order", "250", "--format", "json"],
+     "1ff346498879b7fce419c172f1867161e40432626cad593427d777743adc9519"),
+    (["series", "--name", "fm:50", "--order", "100", "--format", "json"],
+     "19b34fafe994c24a71a8c32d7c29dfe5a73efb8d0e3f23d1481d6f25368900f7"),
 ]
 
 

@@ -1,13 +1,15 @@
 """Invariant tables, the vanishing criterion, and the auxiliary series."""
 
 from fractions import Fraction as F
+from math import lcm
+from types import SimpleNamespace
 
 import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdonald import (InsufficientPrecision, NotInvertible, NotRational,
-                     QSeries, forms, invariants as inv, mock)
+from qdonald import (InsufficientPrecision, NotRational, QSeries, forms,
+                     invariants as inv, mock)
 from qdonald.series import factor_window
 
 
@@ -225,14 +227,45 @@ def test_pairing_windows_are_exact(nf, slot, step, monkeypatch):
 
 @pytest.mark.parametrize("nf", ["goettsche", 0, 2, 3])
 def test_theta_windows_are_exact(nf, monkeypatch):
-    """Theta constants known one step (1: pt is an integer) less far than
-    the window rule gives make every cell of weight <= 4 raise.  Where the
-    rule gives pt = 1 they have an empty window, and the kernel base is not
-    invertible."""
-    _shorten(monkeypatch, forms, "vartheta", 1)
+    """The kernels' theta quotients are eta quotients times powers of E* or
+    of an eta quotient.  Each of those that the kernels ask, known one step
+    of its own grid less far than the window rule gives, makes every cell
+    of weight <= 4 raise; the slots' eta quotients stay whole."""
+    def short(build):
+        def cut(*args):
+            s = build(*args)
+            return s.truncate(F(args[-1]) - F(1, s.ram))
+        return cut
+    kernel_forms = SimpleNamespace(**vars(forms))
+    for name in ("eta_quotient", "eisenstein_estar"):
+        setattr(kernel_forms, name, short(getattr(forms, name)))
+    monkeypatch.setattr(inv, "forms", kernel_forms)
     for m, n in _cells(nf):
-        with pytest.raises((InsufficientPrecision, NotInvertible)):
+        with pytest.raises(InsufficientPrecision):
             _cell(nf, m, n)
+
+
+def _agree(a, b, window) -> bool:
+    """a and b are both known below q^window and agree there."""
+    ram = lcm(a.ram, b.ram)
+    a, b = a.to_ram(ram), b.to_ram(ram)
+    return min(a.prec_q(), b.prec_q()) >= window and \
+        a.truncate(window) == b.truncate(window)
+
+
+@pytest.mark.parametrize("family", ["goettsche", 0, 2, 3])
+def test_kernel_factors_match_the_theta_oracle(family):
+    """The eta-quotient base, power ladder and E2 of every weight 0 to 12
+    equal the theta-constant route's as far as the reads need them: the base
+    below q^top, the ladder and E2 below q^(top - val).  (Past that window a
+    Goettsche ladder of weight 0 or 1, E*(tau/2) known only at q^0, claims
+    the grid of q: ``rescale`` infers the grid from the known terms.)"""
+    for w in range(13):
+        top, val, _ = inv._windows(family, w)
+        pairs = zip(inv._factors(family, w),
+                    oracles.kernel_factors_theta(family, w))
+        for (ours, theirs), window in zip(pairs, (top, top - val, top - val)):
+            assert _agree(ours, theirs, window), (family, w)
 
 
 def _as_fractions(reads) -> dict:
@@ -252,7 +285,7 @@ def test_kernel_reads_need_the_last_term_they_read(nf, w, factor,
     start, _, ram = inv._FAMILIES[nf][:3]
     full = inv._reads(nf, w)
     build = inv._factors
-    base, _, e2 = build(nf, w, inv._windows(nf, w)[0])
+    base, _, e2 = build(nf, w)
     if factor == "kernel":
         edge, step = -start, F(1, ram)
     else:
