@@ -222,11 +222,10 @@ def _suite_identities(order) -> list:
     def zero_check(name, series):
         checks.append(sw.vanishing(name, series))
 
-    # each series is asked first at its widest window and built once: as Z0
-    # meets f_6 = q^-15, calQ, Z0 and the f_m read the Theta, P(q), P(q^2)
-    # and E* as far as the thetas (at 8p), eta^3 and h do at order 13/2
+    # eta^3 and h are asked first, at order 13/2 at least, and built once: z
+    # reads eta^3 past q^p below order 1/3, and h reads E* as far as f_6 does
     wide = max(p, Fraction(13, 2))
-    t2, t3, t4 = (forms.vartheta(i, wide).truncate(p) for i in (2, 3, 4))
+    t2, t3, t4 = (forms.vartheta(i, p) for i in (2, 3, 4))
     eta3 = forms.eta_power(1, 3, wide).truncate(p)
     h = forms.form_h(factor_window(wide, -1)).truncate(factor_window(p, -1))
     # z reads calQ at 8 times its window and Z0 meets f_6 = q^-15: calQ is
@@ -247,11 +246,9 @@ def _suite_identities(order) -> list:
         zero_check(f"FasMu t={t}", lhs - mock.lerch_mu_weighted(t, p / 2))
     zero_check("Z0 = E*(4tau)/eta(8tau)^3", z0 - invariants.z0_closed_form(p))
     fm_window = factor_window(1, z0.valuation())
-    fms = {m: forms.form_fm(m, fm_window)
-           for m in range(6, -1, -1)}  # widest Euler products first
-    for m_kernel in range(7):
-        ct = (z0 * fms[m_kernel]).constant_term()
-        checks.append((f"constant term of Z0 f_{m_kernel}", ct == 0, None, None))
+    for m in range(7):
+        ct = (z0 * forms.form_fm(m, fm_window)).constant_term()
+        checks.append((f"constant term of Z0 f_{m}", ct == 0, None, None))
     est2 = forms.eisenstein_estar(factor_window(p, h.valuation()) / 2).rescale(2, 1)
     eodd = forms.eisenstein_eodd(factor_window(p, 2 * h.valuation()))
     zero_check("h ODE: qdq(h) = -E*(2tau) h + 64 E_odd",

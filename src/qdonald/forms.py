@@ -1,8 +1,11 @@
 """Named q-expansions of the classical modular forms used downstream.
 
 All constructors take a target precision in q-units and return a QSeries
-whose known window reaches at least that far.  Results are memoized with
-:func:`~qdonald.series.memo`, which serves lower precisions by truncation.
+whose known window reaches at least that far.  The Euler products and the
+theta constants are one pass over a lattice and are built where they are
+read; the eta quotients, the Eisenstein series, A38, A78, h and f_m are
+memoized with :func:`~qdonald.series.memo`, which serves lower precisions
+by truncation.
 
 Every eta power and eta quotient q^s prod_d P(q^d)^r, with P = prod (1 - q^n)
 and s = sum d r / 24, is built by ``_eta_quotient``: the powers of P are
@@ -26,28 +29,19 @@ from .series import QSeries, factor_window, memo
 # Dedekind eta and eta quotients
 
 def euler_product(prec, arg: int = 1) -> QSeries:
-    """prod_{n>=1} (1 - q^(arg*n)) via the pentagonal number recursion."""
-    return _euler_product(arg, prec)
-
-
-@memo
-def _euler_product(arg: int, prec) -> QSeries:
+    """prod_{n>=1} (1 - q^(arg*n)) = sum_k (-1)^k q^(arg k (3k - 1)/2) over
+    k in Z (Euler's pentagonal number theorem), known below q^ceil(prec)."""
     top = ceil(prec)
-    terms = {}
-    k = 1
-    terms[0] = 1
-    while True:
-        e1 = arg * k * (3 * k - 1) // 2
-        e2 = arg * k * (3 * k + 1) // 2
-        if e1 >= top and e2 >= top:
-            break
-        s = -1 if k % 2 else 1
-        if e1 < top:
-            terms[e1] = s
+    nums = [0] * max(top, 0)
+    k = e1 = 0
+    while e1 < top:  # e1 = arg k (3k - 1)/2, and its partner at -k
+        sign, e2 = -1 if k % 2 else 1, e1 + arg * k
+        nums[e1] = sign
         if e2 < top:
-            terms[e2] = s
+            nums[e2] = sign
         k += 1
-    return QSeries.from_terms(terms, top)
+        e1 += arg * (3 * k - 2)
+    return QSeries.from_numerators(1, min(top, 0), nums, 1, top)
 
 
 def eta_power(arg: int, exp: int, prec) -> QSeries:
@@ -89,26 +83,19 @@ def delta(prec) -> QSeries:
 # ---------------------------------------------------------------------------
 # Theta constants
 
-@memo
 def theta_big(which: int, prec) -> QSeries:
-    """Theta_2/3/4 by direct lattice sum (integer exponents)."""
-    top = ceil(prec)
-    terms = {}
-    if which == 2:
-        n = 0
-        while (2 * n + 1) ** 2 < top:
-            terms[(2 * n + 1) ** 2] = 1
-            n += 1
-    elif which in (3, 4):
-        terms[0] = 1
-        n = 1
-        while 4 * n * n < top:
-            c = 2 if which == 3 or n % 2 == 0 else -2
-            terms[4 * n * n] = c
-            n += 1
-    else:
+    """Theta_2/3/4 by direct lattice sum (integer exponents): sum q^(m^2)
+    over odd m > 0, and 1 + 2 sum (+-1)^(m/2) q^(m^2) over even m > 0."""
+    if which not in (2, 3, 4):
         raise ValueError("which must be 2, 3 or 4")
-    return QSeries.from_terms(terms, top)
+    top = ceil(prec)
+    nums = [0] * max(top, 0)
+    m = int(which == 2)
+    while m * m < top:
+        nums[m * m] = 1 if which == 2 or not m else \
+            -2 if which == 4 and m % 4 else 2
+        m += 2
+    return QSeries.from_numerators(1, min(top, 0), nums, 1, top)
 
 
 def theta_inverse(which: int, prec) -> QSeries:
@@ -117,7 +104,6 @@ def theta_inverse(which: int, prec) -> QSeries:
     return theta_big(which, factor_window(prec, 0, lead)).inverse()
 
 
-@memo
 def vartheta(which: int, prec) -> QSeries:
     """Jacobi theta constants: 2*Theta2(tau/8) on the q^(1/8) grid,
     Theta3(tau/8) and Theta4(tau/8) on the q^(1/2) grid."""

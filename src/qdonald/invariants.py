@@ -206,7 +206,6 @@ def uplane_weight(nf: int, w: int) -> list:
     the weights with the slot."""
     if nf not in (0, 2, 3):
         raise ConstraintViolation(f"no u-plane family for nf={nf}")
-    _slot(nf, w, [])  # first: its Euler products reach past the kernels'
     reads, xs = _reads(nf, w)
     ram = _FAMILIES[nf][2]
     sv, sden = _slot(nf, w, xs)
@@ -417,7 +416,6 @@ def nf4_partition(prec) -> QSeries:
     differential operator from weight 0 to weight 4."""
     # each factor f of a product q^V + ... below has val(f) - V <= 1/2
     top = factor_window(prec, Fraction(-1, 2))
-    # Q+ is asked first: its Euler products have the widest windows
     f = mock.q_plus(top) * forms.eta_power(1, -1, top)
     eta4inv = forms.eta_power(1, -4, top)
     dd = (f.qdq(1) * eta4inv).qdq(1)

@@ -161,7 +161,6 @@ def s_transform_parts(prec) -> dict:
     window ends at a fractional precision.
     """
     p = Fraction(prec)
-    # widest Euler-product windows first, so the others reuse their memo
     eta8 = forms.eta_quotient([(2, 8), (8, -3), (4, -4)], p)
     sA38 = Fraction(-1, 2) * forms.form_a(p)
     sB = 4 * forms.eta_quotient([(8, 5), (4, -4)], p)

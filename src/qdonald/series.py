@@ -63,11 +63,19 @@ _ZERO = Fraction(0)
 def memo(fn):
     """Memoize a series constructor whose last argument is a precision.
 
+    This is the one caching policy.  An entry belongs to a constructor whose
+    build is more than one pass over a lattice: ring work (products,
+    inverses, powers), a divisor or double sum, or a read of another
+    constructor's series.  A one-pass series (the Euler products, the theta
+    constants) holds none and is built where it is read, and a caller
+    orders its requests only for memoized constructors: the widest first.
+
     One entry per value of the other arguments holds the result at the
     highest precision asked for; a higher request replaces it, and a lower
-    one gets its ``truncate``.  Every memoized constructor returns one
-    series, and at a precision p what it returns at any higher one,
-    truncated at p.  An int and an equal Fraction precision share the
+    one gets its ``truncate``.  So memory grows with the distinct keys only,
+    one entry per key at its widest window.  Every memoized constructor
+    returns one series, and at a precision p what it returns at any higher
+    one, truncated at p.  An int and an equal Fraction precision share the
     entry.  ``fn.entries`` is the cache; ``fn.clear()`` empties it.
     """
     entries = {}

@@ -49,7 +49,6 @@ def _chart(nf: int, p) -> tuple:
     if nf not in _CURVE:
         raise UnsupportedFamily(f"no massless modular family for nf={nf}")
     c, s, w = _CURVE[nf]
-    # h first, then 1/g before g, so that each Euler product is built once
     h, inv, g = (forms.eta_quotient(f, c * p).rescale(1, c) for f in
                  ([(1, 8), (4, -8)], [(2, 4), (4, -8)], [(2, -4), (4, 8)]))
     return s * (h + 8), w * g, inv / w

@@ -1,6 +1,8 @@
 """Fixtures shared by the test modules."""
 
 from collections import Counter
+from contextlib import contextmanager
+from functools import update_wrapper
 
 import pytest
 
@@ -26,7 +28,9 @@ def memo_builds(monkeypatch) -> Counter:
     """Empty every memoized constructor of ``forms`` and ``mock`` and count
     its builds from then on: {(name, key): builds}, key the arguments before
     the precision.  A call builds when its memo entry holds a new series
-    afterwards; a request served by truncation builds nothing."""
+    afterwards; a request served by truncation builds nothing.  Each
+    counting wrapper keeps its memo's ``entries`` and ``clear``, so that
+    :func:`clear_memos` still empties every memo."""
     builds = Counter()
     for module, name, fn in memoized():
         fn.clear()
@@ -37,5 +41,18 @@ def memo_builds(monkeypatch) -> Counter:
             if fn.entries.get(args[:-1]) is not held:
                 builds[name, args[:-1]] += 1
             return out
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, update_wrapper(counted, fn))
     return builds
+
+
+@contextmanager
+def theta_forbidden():
+    """Fail on any call of ``forms.theta_big`` or ``forms.vartheta`` inside
+    the block: the code run there builds no theta constant.  (Each theta
+    constant is one lattice pass without a memo, so no memo can show it.)"""
+    def refuse(*args):
+        raise AssertionError(f"a theta constant was built: {args}")
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("theta_big", "vartheta"):
+            patch.setattr(forms, name, refuse)
+        yield

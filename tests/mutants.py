@@ -270,6 +270,22 @@ MUTANTS = [
      "tests/test_forms.py::test_form_fm_matches_the_theta_oracle[5-200]",
      "f_m divides by eta(8t)^(8m+20), not eta(8t)^(8m+21), so it starts at "
      "q^-(2m+8/3), not q^-(2m+3)"),
+    ("euler-partner-exponent", FORMS,
+     "e1 + arg * k", "e1 + k",
+     "tests/test_forms.py::test_euler_product_is_the_stored_series[2]",
+     "the pentagonal partner of q^(arg k (3k - 1)/2) sits k, not arg k, "
+     "above it, so every Euler product P(q^d) with d > 1 is wrong"),
+    ("euler-partner-sign", FORMS,
+     "nums[e2] = sign", "nums[e2] = -sign",
+     "tests/test_forms.py::test_euler_product_is_the_stored_series[1]",
+     "the pentagonal partner exponent takes the opposite sign, so P(q) = 1 "
+     "- q + q^2 + ... instead of 1 - q - q^2 + ..."),
+    ("theta4-every-sign-negative", FORMS,
+     "-2 if which == 4 and m % 4 else 2", "-2 if which == 4 else 2",
+     "tests/test_forms.py::"
+     "test_theta_constant_is_the_stored_series[theta_big-4]",
+     "Theta4 = 1 - 2 sum q^(4n^2), every square negative, instead of "
+     "alternating in sign"),
     ("exit-freeze-dropped", CLI,
      "atexit.register(gc.freeze)\n", "",
      "tests/test_cli.py::test_cli_exit_skips_the_cyclic_collection",

@@ -7,7 +7,7 @@ replaced; it is kept only to cross-check, never called by ``qdonald`` itself.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import ceil, factorial, gcd, lcm
 
 from qdonald import forms, invariants as inv, mock
 from qdonald.exact import Cyclo, cyclotomic_polynomial, euler_phi, unity
@@ -270,6 +270,17 @@ def schoolbook_pow(s: QSeries, k: int) -> QSeries:
     for _ in range(k):
         out = schoolbook_mul(out, s)
     return out
+
+
+def euler_product_schoolbook(prec, arg: int) -> QSeries:
+    """prod_(n>=1) (1 - q^(arg n)) below q^ceil(prec), one factor at a
+    time: multiplying by 1 - q^k subtracts the list shifted by k."""
+    top = ceil(prec)
+    nums = [1] + [0] * (top - 1)
+    for k in range(arg, top, arg):
+        for j in range(top - 1, k - 1, -1):
+            nums[j] -= nums[j - k]
+    return QSeries.from_terms(dict(enumerate(nums[:max(top, 0)])), top)
 
 
 def eta_power_per_factor(arg: int, exp: int, prec) -> QSeries:

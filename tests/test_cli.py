@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from conftest import clear_memos
+from conftest import clear_memos, theta_forbidden
 
 import qdonald
 from qdonald import QSeries, cli, forms, invariants, sw
@@ -158,15 +158,18 @@ def test_identities_build_calq_once(order, memo_builds, capsys):
 
 def test_identities_build_the_f_m_thetas_once(memo_builds, capsys):
     """The seven f_m are eta quotients times powers of E*(4 tau) and read no
-    theta constant: Theta3 is built once, by vartheta_3 of the Jacobi checks
-    at eight times the order, and the E* and Euler products that the f_m
-    share with h and calQ are built once each."""
+    theta constant: the suite builds each f_m and the E* that they share
+    with h once, and built anew as far as the suite reads them, below q^2,
+    they call no theta constant."""
     code, _ = run_cli(capsys, "verify", "--suite", "identities", "--order",
                       "30")
     assert code == 0
-    assert [memo_builds[key] for key in (
-        ("theta_big", (3,)), ("eisenstein_estar", ()),
-        ("_euler_product", (1,)), ("_euler_product", (2,)))] == [1, 1, 1, 1]
+    assert [memo_builds["form_fm", (m,)] for m in range(7)] + \
+        [memo_builds["eisenstein_estar", ()]] == [1] * 8
+    clear_memos()
+    with theta_forbidden():
+        for m in range(7):
+            forms.form_fm(m, 2)
 
 
 @pytest.mark.parametrize("argv", [
@@ -191,14 +194,12 @@ def test_identities_build_the_f_m_thetas_once(memo_builds, capsys):
         "identities-order40", "identities-order0", "identities-order3",
         "identities-order6"])
 def test_commands_build_each_series_once(argv, memo_builds, capsys):
-    """A series with a wider window is asked before a narrower one, so that
-    none is built twice: nf4 asks Q+ before eta^-1, eta^-4 and E4, the
-    S-transform of Q its eta(2t)^8 quotient before A and the B part, the
-    criterion the nf=0 kernels' slot before the kernels and Goettsche's,
-    swcheck each chart's h before 1/g and g, at nf=3 the curve's eta
-    quotients at the wider of the two charts' windows, and the identities
-    suite the thetas, eta^3 and h, at order 13/2 at least, before calQ, Z0
-    and the f_m."""
+    """No memoized series is built twice.  Three requests are ordered for
+    it: the criterion asks the nf=0 kernels, whose E* and E2 reach further,
+    before Goettsche's; swcheck at nf=3 asks the curve's eta quotients at
+    the wider of the two charts' windows; and the identities suite asks
+    eta^3 and h, at order 13/2 at least, so that h builds E* as far as f_6
+    reads it, before calQ, Z0 and the f_m."""
     code, _ = run_cli(capsys, *argv)
     assert code == 0
     assert memo_builds and set(memo_builds.values()) == {1}, memo_builds

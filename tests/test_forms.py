@@ -1,9 +1,13 @@
 """Classical modular form constructors against oracles and printed values."""
 
+import hashlib
+import random
+import tracemalloc
 from fractions import Fraction as F
 
 import oracles
 import pytest
+from conftest import theta_forbidden
 
 from qdonald import QSeries, forms, invariants as inv, mock
 from qdonald.series import factor_window
@@ -35,6 +39,59 @@ def test_eta8_cubed_classical_identity():
     rhs = QSeries.from_terms(
         {(2 * n + 1) ** 2: F((-1) ** n * (2 * n + 1)) for n in range(8)}, 200)
     assert (lhs - rhs).is_zero()
+
+
+# The Euler products and the theta constants are built from their lattices
+# at every request.  Each digest is the sha256 (first 16 hex digits) of the
+# stored form, repr([(ram, lead, prec, den, nums) at each p of LATTICE_PRECS]),
+# hashed from the memoized builds that the direct builds replaced.
+LATTICE_PRECS = [-3, 0, F(1, 3), 1, 2, 7, 26, 100, 1000]
+EULER_DIGESTS = {
+    1: "5de39e5df27c62c9", 2: "039a49ee6ddac28a", 3: "f5e65b40e7c1a94f",
+    4: "a5e8fa8a7135f5a1", 5: "e6c7474f8df51b30", 6: "ca8b169f40a7b21b",
+    7: "1927a219f2f36f56", 8: "5acecffe90ca8c18", 9: "ab441a4227ed224e",
+    10: "b309bd6f1603353f", 11: "535ad467d7ce6eb5", 12: "5099527752d10d69",
+    13: "33bd3053a228ff93", 14: "79a339f2f41fa674", 15: "7478abba30e3f1e3",
+    16: "cdbe6dbece6cfd95",
+}
+THETA_DIGESTS = {
+    ("theta_big", 2): "af0b391f4ba18ca5", ("theta_big", 3): "7b00472d0e9e31a4",
+    ("theta_big", 4): "96ef2bd0dcf16ca8", ("vartheta", 2): "7d826a27c69c3da7",
+    ("vartheta", 3): "b0a9308fb9428ae1", ("vartheta", 4): "54301fdef9c32873",
+}
+
+
+def stored(s: QSeries) -> tuple:
+    return s.ram, s.lead, s.prec, s.den, s.nums
+
+
+def lattice_digest(build) -> str:
+    kept = [stored(build(p)) for p in LATTICE_PRECS]
+    return hashlib.sha256(repr(kept).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("arg", range(1, 17))
+def test_euler_product_is_the_stored_series(arg):
+    assert lattice_digest(lambda p: forms.euler_product(p, arg)) == \
+        EULER_DIGESTS[arg]
+
+
+@pytest.mark.parametrize("name, which", sorted(THETA_DIGESTS), ids=str)
+def test_theta_constant_is_the_stored_series(name, which):
+    build = getattr(forms, name)
+    assert lattice_digest(lambda p: build(which, p)) == \
+        THETA_DIGESTS[name, which]
+
+
+@pytest.mark.parametrize("arg", range(1, 17))
+def test_euler_product_matches_the_schoolbook_product(arg):
+    """The pentagonal build is the product of the factors 1 - q^(arg n),
+    multiplied out, in the stored form; arg defaults to 1."""
+    for p in LATTICE_PRECS:
+        assert stored(forms.euler_product(p, arg)) == \
+            stored(oracles.euler_product_schoolbook(p, arg)), p
+    assert stored(forms.euler_product(F(7, 2))) == \
+        stored(forms.euler_product(F(7, 2), 1))
 
 
 # Every factor set that qdonald and its tests build, each in sorted order.
@@ -107,7 +164,7 @@ def test_vartheta_windows_claim_no_more_than_computed():
     the first term: it ends where the lattice sum stopped."""
     for which, ram in ((2, 8), (3, 2), (4, 2)):
         for p in (F(1, 8), F(1, 2), F(5, 8), F(7, 3), 4):
-            s = forms.vartheta.__wrapped__(which, F(p))
+            s = forms.vartheta(which, F(p))
             assert s.ram == ram and s.prec_q() == F(-(-p * ram // 1), ram)
     assert forms.vartheta(3, F(5, 8)).coeff(F(1, 2)) == 2
 
@@ -161,6 +218,15 @@ def test_estar_identity():
     lhs = forms.eisenstein_estar(40)
     rhs = -forms.eisenstein_e2(40) + 2 * forms.eisenstein_e2(20).rescale(2, 1)
     assert (lhs - rhs).is_zero()
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="QSeries.reduce_ram rounds a window up to the "
+                          "coarser grid, so E*(tau/2) built below q^1 at tau "
+                          "claims q^(1/2), where its coefficient is 24")
+def test_rescaled_estar_claims_no_more_than_it_knows():
+    """E* known below q^1 is E*(tau/2) known below q^(1/2) only."""
+    assert forms.eisenstein_estar(F(1, 4)).rescale(1, 2).prec_q() == F(1, 2)
 
 
 def test_eodd_eta_quotient():
@@ -224,10 +290,11 @@ def test_form_fm_matches_the_theta_oracle(m, prec):
 
 
 def test_form_fm_builds_no_theta_constant(memo_builds):
-    """f_m asks only its eta quotient, P(q), P(q^2) and E*."""
-    forms.form_fm(5, 40)
+    """f_m asks only its eta quotient and E*, and calls no theta constant."""
+    with theta_forbidden():
+        forms.form_fm(5, 40)
     assert {name for name, _ in memo_builds} == {
-        "form_fm", "_eta_quotient", "_euler_product", "eisenstein_estar"}
+        "form_fm", "_eta_quotient", "eisenstein_estar"}
 
 
 def test_estar_4tau_theta_identity():
@@ -272,14 +339,9 @@ def test_h_ode_printed_defect_is_pinned():
 # Every series.memo constructor, with a map from a precision to its
 # arguments.
 MEMOIZED = [
-    (forms._euler_product, lambda p: (2, p)),
     (forms._eta_quotient, lambda p: (((8, -3),), p)),
     (forms._eta_quotient, lambda p: (((1, 3),), p)),
     (forms._eta_quotient, lambda p: (((2, 4), (4, -8)), p)),
-    (forms.theta_big, lambda p: (2, p)),
-    (forms.theta_big, lambda p: (4, p)),
-    (forms.vartheta, lambda p: (2, p)),
-    (forms.vartheta, lambda p: (3, p)),
     (forms.eisenstein_e2, lambda p: (p,)),
     (forms.eisenstein_e4, lambda p: (p,)),
     (forms.eisenstein_estar, lambda p: (p,)),
@@ -308,8 +370,8 @@ def test_memo_covers_every_memoized_constructor():
 
 def test_memo_keys_share_entries():
     """Equal requests hit one memo entry: the constructors return the same
-    object for an int and an equal Fraction precision, for eta-quotient
-    factors in any order or container, and for euler_product's default."""
+    object for an int and an equal Fraction precision, and for eta-quotient
+    factors in any order or container."""
     for fn, args in MEMOIZED:
         fn.clear()
         assert fn(*args(7)) is fn(*args(F(7)))
@@ -319,7 +381,6 @@ def test_memo_keys_share_entries():
             is forms.eta_quotient(((16, -4), (8, 5)), 9)
             is forms.eta_quotient([[8, 5], [16, -4]], F(9)))
     assert len(forms._eta_quotient.entries) == 1
-    assert forms.euler_product(11) is forms.euler_product(11, 1)
 
 
 @pytest.mark.parametrize("prec", [F(1, 4), F(1, 2), F(7, 8), 1, F(17, 16),
@@ -354,3 +415,34 @@ def test_memo_holds_one_entry_per_object():
             [args(1 + F(49, 16))[-1]]
         fn.clear()
         assert not fn.entries
+
+
+def test_repeated_requests_of_held_keys_do_not_grow_memory():
+    """Memory grows with the distinct keys only: once seven keys are held at
+    their widest windows, 3000 requests of them at lower or equal
+    precisions replace no entry, and the traced size grows by less than
+    64 KB.  A memo that kept each request's series grew by 1.1 MB here; what
+    does grow is the interpreter's free lists, which fill up and stop."""
+    keys = [(forms.form_fm, (3,)), (forms.form_h, ()), (mock.cal_f, (2,)),
+            (forms.eisenstein_e2, ()), (forms._eta_quotient, (((8, -3),),)),
+            (mock.cal_q, ()), (forms.eisenstein_estar, ())]
+    for fn, key in keys:
+        fn.clear()
+    for fn, key in keys:
+        fn(*key, 60)
+    held = [fn.entries[key] for fn, key in keys]
+    rng = random.Random(3000)
+    asks = [(*rng.choice(keys), F(rng.randrange(481), 8)) for _ in range(3000)]
+    for fn, key, p in asks:  # warm up what the interpreter caches once
+        fn(*key, p)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for fn, key, p in asks:
+            fn(*key, p)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(fn.entries[key] is entry for (fn, key), entry
+               in zip(keys, held))
+    assert grown < 64 * 1024, grown

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import oracles
 import pytest
+from conftest import theta_forbidden
 from hypothesis import given, settings, strategies as st
 
 from qdonald import (InsufficientPrecision, NotRational, QSeries, forms,
@@ -672,11 +673,12 @@ def test_nf4_partition_matches_theta_route(p):
 def test_nf4_partition_asks_no_theta_and_makes_five_products(memo_builds,
                                                              monkeypatch):
     """Past Q+ (whose M divides by Theta2), nf4_partition builds eta^-1,
-    eta^-4 and E4, no theta constant, and from its memoized factors it makes
-    five series products."""
+    eta^-4 and E4 and calls no theta constant, and from its memoized
+    factors it makes five series products."""
     mock.q_plus(factor_window(12, F(-1, 2)))
     memo_builds.clear()
-    inv.nf4_partition(12)
+    with theta_forbidden():
+        inv.nf4_partition(12)
     assert set(memo_builds) == {("_eta_quotient", (((1, -1),),)),
                                 ("_eta_quotient", (((1, -4),),)),
                                 ("eisenstein_e4", ())}
@@ -747,8 +749,7 @@ def test_q_plus_shift_two_invariance():
 def test_invariant_table_builds_each_series_once(nf, memo_builds):
     """A table runs its weights from the highest down, and each weight asks
     a series at its widest window first: every memo entry is built once.
-    nf=2 reads t2 and E2 at tau/2 as well as t2 at tau; nf=3's S-transform
-    asks its eta quotients widest Euler products first."""
+    nf=2 reads E2 at tau/2 as well as at tau."""
     inv.invariant_table(nf, 7)
     assert memo_builds and set(memo_builds.values()) == {1}, memo_builds
 

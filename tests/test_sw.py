@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import oracles
 import pytest
+from conftest import theta_forbidden
 
 from qdonald import QSeries, forms, sw
 from qdonald.series import factor_window
@@ -169,10 +170,11 @@ def test_family_check_builds_one_family(nf, monkeypatch):
 
 def test_nf0_check_builds_no_theta4(memo_builds):
     """The nf=0 chart is made of eta quotients, and no check of the nf=0
-    family reads a theta constant: neither Theta4 nor any other is built."""
-    sw.check_family(0, 24)
+    family reads a theta constant: with every memo empty, the checks pass
+    and call neither Theta4 nor any other."""
+    with theta_forbidden():
+        assert all(ok for _, ok, _, _ in sw.check_family(0, 24))
     assert memo_builds
-    assert not {name for name, _ in memo_builds} & {"vartheta", "theta_big"}
 
 
 @pytest.mark.parametrize("nf, divisors", [
@@ -182,15 +184,15 @@ def test_nf0_check_builds_no_theta4(memo_builds):
 ], ids=["nf0", "nf2", "nf3"])
 def test_family_check_inverts_only_check_divisors(nf, divisors, memo_builds,
                                                    monkeypatch):
-    """With every memo empty, the chart builds eta quotients and their
-    Euler products and no theta constant, and check_family inverts the
+    """With every memo empty, the chart builds eta quotients only and calls
+    no theta constant, and check_family inverts the
     Euler products of its eta quotients and, outside forms._eta_quotient,
     only the divisors of the checks that compare the chart with theta
     constants, each once: no chart inverts W or a theta product.  A
     divisor is named by its leading term."""
-    sw._chart(nf, 40)
-    assert {name for name, _ in memo_builds} == {"_eta_quotient",
-                                                  "_euler_product"}
+    with theta_forbidden():
+        sw._chart(nf, 40)
+    assert {name for name, _ in memo_builds} == {"_eta_quotient"}
     outside = []
     inverse = QSeries.inverse
 
