@@ -9,17 +9,18 @@ are checked with it by the test oracles.  The default ambient order is
 N = 24, which contains zeta_8, zeta_24, i and sqrt(i).  The package does
 not re-export these Q(zeta_N) names; they are reached as qdonald.exact.*.
 
-Every integer polynomial product and power series inverse of the package,
-the series ring's and ``Cyclo``'s alike, runs on one of the two entries of
-the integer kernel below: ``int_product(x, y, n)``, the first n coefficients
-of x * y, and ``int_reciprocal(u, n)``, the first n coefficients of 1 / u
-as ``(nums, den)`` in lowest terms with den > 0.  Both follow one shape
-rule: when the gcd g of the indices of the nonzero terms is 2 or more, the
-entry works on ``v[::g]`` and spreads the result back; then the product
-loops over the nonzero pairs or makes one Kronecker multiply, and the
-inverse runs its recurrence over the nonzero terms of the divisor.  A
-``Cyclo`` product is reduced modulo Phi_N by monic division, and an inverse
-is the product of the other Galois conjugates over the rational norm.
+Every integer polynomial product and every negative power of a power
+series in the package, the series ring's and ``Cyclo``'s alike, runs on one
+of the two entries of the integer kernel below: ``int_product(x, y, n)``,
+the first n coefficients of x * y, and ``int_power(u, r, n)``, the first n
+coefficients of u^r for r < 0 as ``(nums, den)`` in lowest terms with
+den > 0; the reciprocal is r = -1.  Both follow one shape rule: when the
+gcd g of the indices of the nonzero terms is 2 or more, the entry works on
+``v[::g]`` and spreads the result back; then the product loops over the
+nonzero pairs or makes one Kronecker multiply, and the power runs J. C. P.
+Miller's recurrence over the nonzero terms of its base.  A ``Cyclo``
+product is reduced modulo Phi_N by monic division, and an inverse is the
+product of the other Galois conjugates over the rational norm.
 """
 
 from __future__ import annotations
@@ -64,33 +65,44 @@ def int_product(x, y, n) -> list:
     return (_kronecker if dense else _pairs)(x, y, n, ix, iy)
 
 
-def int_reciprocal(u, n) -> tuple:
-    """``(nums, den)`` with 1 / (u_0 + u_1 q + ...) = sum nums[m] q^m / den
-    + O(q^n) for integer u, u_0 != 0, in lowest terms with den > 0.
+def int_power(u, r, n) -> tuple:
+    """``(nums, den)`` with (u_0 + u_1 q + ...)^r = sum nums[m] q^m / den
+    + O(q^n) for integer u, u_0 != 0 and r < 0, in lowest terms with den > 0;
+    the reciprocal is r = -1.
 
-    The integers V_0 = 1, V_m = -sum_k u_k u_0^(k-1) V_(m-k) over the
-    nonzero u_k give 1 / u = sum V_m q^m / u_0^(m+1), which is nums[m] =
-    V_m u_0^(n-1-m) over u_0^n before the sign and the gcd are taken out.
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) m A_m = sum_k
+    ((r + 1) k - m) t_k A_(m-k) over the nonzero u_k, t_k = u_k u_0^(k-1)
+    and A_0 = 1, gives integers A_m, the coefficients of (1 + sum t_k
+    q^k)^r.  Then u^r = sum A_m q^m / u_0^(m-r), which is nums[m] = A_m
+    u_0^(n-1-m) over u_0^(n-1-r) before the sign and the gcd are taken out.
     """
     iu = [k for k, v in enumerate(u) if v]
     g = gcd(*iu)
     if g > 1:
-        nums, den = int_reciprocal(u[::g], len(range(0, n, g)))
+        nums, den = int_power(u[::g], r, len(range(0, n, g)))
         return _spread(nums, g, n), den
     u0 = u[0]
     steps = [(k, u[k] * u0 ** (k - 1)) for k in iu[1:]]
     vs = [1] + [0] * (n - 1)
     for m in range(1, n):
         acc = 0
-        for k, w in steps:
-            if k > m:
-                break
-            acc += w * vs[m - k]
-        vs[m] = -acc
+        if r == -1:  # (r + 1) k vanishes: one product a step
+            for k, t in steps:
+                if k > m:
+                    break
+                acc -= t * vs[m - k]
+            vs[m] = acc
+        else:
+            for k, t in steps:
+                if k > m:
+                    break
+                acc += ((r + 1) * k - m) * t * vs[m - k]
+            vs[m] = acc // m
     nums, den = [], 1
     for v in reversed(vs):
         nums.append(v * den)
         den *= u0
+    den *= u0 ** (-r - 1)
     if den < 0:
         nums, den = [-v for v in nums], -den
     c = gcd(den, *nums)  # from the highest term, where u_0 divides least

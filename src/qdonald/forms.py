@@ -5,14 +5,18 @@ whose known window reaches at least that far.  The Euler products and the
 theta constants are one pass over a lattice and are built where they are
 read; the eta quotients, the Eisenstein series, A38, A78, h and f_m are
 memoized with :func:`~qdonald.series.memo`, which serves lower precisions
-by truncation.
+by truncation.  Every constructor that does ring work holds a memo entry:
+1/Theta_2, 1/Theta_3 and 1/Theta_4 are reads of memoized eta quotients.
 
 Every eta power and eta quotient q^s prod_d P(q^d)^r, with P = prod (1 - q^n)
 and s = sum d r / 24, is built by ``_eta_quotient``: the powers of P are
 multiplied on integer exponents, on the lattice gZ of the gcd g of the
 arguments read as Z, each known exactly to the window the result needs.
-The product is placed once: spread onto gZ, shifted by q^s, read on the
-grid of the factors' shifts, truncated and read on its coarsest grid.
+A negative power of P is one call of the power recurrence of
+:func:`qdonald.exact.int_power`, so every division of this module and of
+:mod:`qdonald.mock` is by an Euler product.  The product is placed once:
+spread onto gZ, shifted by q^s, read on the grid of the factors' shifts,
+truncated and read on its coarsest grid.
 """
 
 from __future__ import annotations
@@ -98,10 +102,18 @@ def theta_big(which: int, prec) -> QSeries:
     return QSeries.from_numerators(1, min(top, 0), nums, 1, top)
 
 
+# 1/Theta_which as an eta quotient (Koehler, Eta Products and Theta Series
+# Identities, 2011): Theta2 = eta(16t)^2/eta(8t), Theta3 = eta(8t)^5 /
+# (eta(4t)^2 eta(16t)^2), Theta4 = eta(4t)^2/eta(8t)
+_THETA_INVERSE = {2: ((8, 1), (16, -2)), 3: ((4, 2), (8, -5), (16, 2)),
+                  4: ((4, -2), (8, 1))}
+
+
 def theta_inverse(which: int, prec) -> QSeries:
-    """1/Theta_which as the divisor of a quotient known below q^prec."""
+    """1/Theta_which as the divisor of a quotient known below q^prec: the
+    memoized eta quotient, known one q-step past its lead at least."""
     lead = 1 if which == 2 else 0  # Theta2 = q + ..., Theta3/4 = 1 + ...
-    return theta_big(which, factor_window(prec, 0, lead)).inverse()
+    return _eta_quotient(_THETA_INVERSE[which], max(prec, 1 - lead))
 
 
 def vartheta(which: int, prec) -> QSeries:

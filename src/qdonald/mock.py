@@ -4,7 +4,10 @@ Everything here is a formal q-expansion: the F_t double sums, the mock theta
 function M, the weighted Appell-Lerch kernels, the assembled series calQ / Q+,
 and the inversion transform of Q+ needed for the third monopole family, in Q
 throughout.  Non-holomorphic completions are never materialized; each
-identity is checked on holomorphic parts only.
+identity is checked on holomorphic parts only.  The Appell-Lerch sums divide
+by a theta constant through ``forms.theta_inverse``, a memoized eta quotient,
+so no series here is inverted and every memo follows the one policy of
+:func:`~qdonald.series.memo`.
 """
 
 from __future__ import annotations

@@ -12,11 +12,13 @@ a positive int, ``gcd(den, *nums) == 1`` and no leading zero.  Every ring
 operation (products, inverses, powers, sums and rational scalars), every
 window or grid change and ``qdq`` run on those integers, and each result is
 reduced once.  ``coeffs``, the tuple of Fraction coefficients, is a view
-built on its first read.  Products and inverses convolve those integers on
-the two entries of the integer polynomial kernel of :mod:`qdonald.exact`,
-``int_product`` and ``int_reciprocal``, which step down to the sublattice
-of the nonzero terms first; ``QSeries`` keeps only the window rules and
-one gcd that scales a reciprocal by the divisor's denominator.
+built on its first read.  Products and negative powers convolve those
+integers on the two entries of the integer polynomial kernel of
+:mod:`qdonald.exact`, ``int_product`` and ``int_power``, which step down to
+the sublattice of the nonzero terms first; the inverse is the power -1, and
+a positive power is binary powering by products.  ``QSeries`` keeps only
+the window rules and one gcd that scales a negative power by the base's
+denominator.
 
 A coefficient that is not an ``int`` or a ``Fraction`` raises
 :class:`NotRational` where a series is built; so does a cyclotomic scalar
@@ -34,7 +36,7 @@ from itertools import islice
 from math import gcd, lcm
 from operator import add
 
-from .exact import clear, int_product, int_reciprocal
+from .exact import clear, int_power, int_product
 
 
 class NotInvertible(ZeroDivisionError):
@@ -66,9 +68,11 @@ def memo(fn):
     This is the one caching policy.  An entry belongs to a constructor whose
     build is more than one pass over a lattice: ring work (products,
     inverses, powers), a divisor or double sum, or a read of another
-    constructor's series.  A one-pass series (the Euler products, the theta
-    constants) holds none and is built where it is read, and a caller
-    orders its requests only for memoized constructors: the widest first.
+    constructor's series; with no exception, as the theta divisors are
+    reads of memoized eta quotients.  A one-pass series (the Euler
+    products, the theta constants) holds none and is built where it is
+    read, and a caller orders its requests only for memoized constructors:
+    the widest first.
 
     One entry per value of the other arguments holds the result at the
     highest precision asked for; a higher request replaces it, and a lower
@@ -364,26 +368,35 @@ class QSeries:
                      self.prec)
 
     def inverse(self, prec=None) -> "QSeries":
-        """Multiplicative inverse.  An exact series has an infinite inverse,
-        so it needs ``prec``: the q-exponent below which the result is known.
-        A truncated series ignores ``prec``; its own window sets the result's.
+        """Multiplicative inverse, the power -1.  An exact series has an
+        infinite inverse, so it needs ``prec``: the q-exponent below which
+        the result is known.  A truncated series ignores ``prec``; its own
+        window sets the result's.
         """
+        return self._negative_power(-1, prec)
+
+    def _negative_power(self, k: int, prec) -> "QSeries":
+        """self ** k for k < 0 on n terms from its lead k * lead: n is the
+        window's length when truncated, as the inverse and then k - 1
+        products would give it, else what reaches the q-exponent prec."""
         if not self.nums:
             raise NotInvertible("inverse of a zero series")
         if self.prec is None:
             if prec is None:
                 raise ValueError("inverting an exact series needs a precision")
-            n = _to_w(prec, self.ram) + self.lead
+            n = _to_w(prec, self.ram) - k * self.lead
             if n <= 0:
                 raise PrecisionUnderflow("inverse has an empty known window")
         else:
             n = self.prec - self.lead
-        nums, d = int_reciprocal(self.nums[:n], n)
-        # 1 / (u / den) = den nums / d, and gcd(d, *nums) = 1
-        g = gcd(self.den, d)
-        if self.den > g:
-            nums = [v * (self.den // g) for v in nums]
-        return _make(self.ram, -self.lead, nums, d // g, n - self.lead)
+        nums, d = int_power(self.nums[:n], k, n)
+        # (u / den)^k = den^-k nums / d, and gcd(d, *nums) = 1
+        f = self.den ** -k
+        g = gcd(f, d)
+        if f > g:
+            nums = [v * (f // g) for v in nums]
+        lead = k * self.lead
+        return _make(self.ram, lead, nums, d // g, lead + n)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -409,7 +422,7 @@ class QSeries:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return self.inverse() ** (-k)
+            return self._negative_power(k, None)
         result, base = None, self
         while k:
             if k & 1:

@@ -84,6 +84,20 @@ MUTANTS = [
      "",
      "tests/test_ring_kernel.py::test_inverse_matches_schoolbook",
      "a reciprocal that is not in lowest terms"),
+    ("power-miller-weight", EXACT,
+     "((r + 1) * k - m)", "(r * k - m)",
+     "tests/test_ring_kernel.py::test_int_power_on_fixed_bases[r=-3]",
+     "the power recurrence weighs t_k A_(m-k) by r k - m, not (r + 1) k - "
+     "m, so every power below -1 is wrong"),
+    ("power-no-u0-scaling", EXACT,
+     "u[k] * u0 ** (k - 1)", "u[k]",
+     "tests/test_ring_kernel.py::test_int_power_on_fixed_bases[r=-1]",
+     "the power recurrence takes t_k = u_k, not u_k u_0^(k-1), which is "
+     "right only for u_0 = +-1"),
+    ("theta4-inverse-factor", FORMS,
+     "4: ((4, -2), (8, 1))", "4: ((4, -4), (8, 1))",
+     "tests/test_forms.py::test_theta_inverse_is_the_lattice_inverse[4]",
+     "1/Theta4 is read as eta(8t)/eta(4t)^4, not eta(8t)/eta(4t)^2"),
     ("truncate-below-lead", SERIES,
      "lead = min(self.lead, w)", "lead = self.lead",
      None,
@@ -172,10 +186,11 @@ MUTANTS = [
      "kernel and the M part of Q's S-transform sum every row with sign +1"),
     ("theta2-lead-zero", FORMS,
      "lead = 1 if which == 2 else 0", "lead = 0",
-     "tests/test_forms.py::"
-     "test_memo_serves_lower_precisions_by_truncation[1/4]",
-     "Theta2 = q + ... is built as a divisor of lead 0, so 1/Theta2 and M "
-     "are known two q-steps short of the precision asked for"),
+     "tests/test_forms.py::test_theta_inverse_is_the_lattice_inverse[2]",
+     "Theta2 = q + ... is taken as a divisor of lead 0, so below q^1 its "
+     "inverse q^-1 + ... is built to q^1, one q-step past what any "
+     "quotient asked for there reads, and its window is not the lattice "
+     "inverse's"),
     ("estar-every-divisor", FORMS,
      "_divisor_series(1, 24, 1, 2, 1, prec)",
      "_divisor_series(1, 24, 1, 1, 1, prec)",

@@ -272,6 +272,23 @@ def schoolbook_pow(s: QSeries, k: int) -> QSeries:
     return out
 
 
+def int_power_schoolbook(u, r: int, n: int) -> list:
+    """The first n coefficients of u^r, r < 0, for an integer vector u with
+    u_0 != 0, as Fractions: :func:`schoolbook_pow` of u cut or padded to n
+    terms."""
+    base = list(u[:n]) + [0] * (n - len(u))
+    power = schoolbook_pow(QSeries(1, 0, base, n), r)
+    return [power.coeff(m) for m in range(n)]
+
+
+def theta_inverse_lattice(which: int, prec) -> QSeries:
+    """1/Theta_which, known below q^prec, by the inverse of the lattice sum
+    theta_big built one q-step past its lead at least (the divisor window
+    of ``factor_window``)."""
+    lead = 1 if which == 2 else 0
+    return forms.theta_big(which, factor_window(prec, 0, lead)).inverse()
+
+
 def euler_product_schoolbook(prec, arg: int) -> QSeries:
     """prod_(n>=1) (1 - q^(arg n)) below q^ceil(prec), one factor at a
     time: multiplying by 1 - q^k subtracts the list shifted by k."""

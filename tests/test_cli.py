@@ -5,13 +5,14 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
 from conftest import clear_memos, theta_forbidden
 
 import qdonald
-from qdonald import QSeries, cli, forms, invariants, sw
+from qdonald import QSeries, cli, forms, invariants, series, sw
 from qdonald.cli import COMMANDS, UsageError, _series_name, main
 
 
@@ -188,11 +189,13 @@ def test_identities_build_the_f_m_thetas_once(memo_builds, capsys):
     ["verify", "--suite", "identities", "--order", "0"],
     ["verify", "--suite", "identities", "--order", "3"],
     ["verify", "--suite", "identities", "--order", "6"],
+    ["series", "--name", "Z0", "--order", "600"],
+    ["invariants", "--nf", "3", "--max-weight", "5"],
 ], ids=["nf4", "QtransS", "criterion", "swcheck-nf0", "swcheck-nf2",
         "swcheck-nf2-order0", "swcheck-nf2-order1", "swcheck-nf3",
         "swcheck-nf3-order0", "swcheck-nf3-order2", "identities-order30",
         "identities-order40", "identities-order0", "identities-order3",
-        "identities-order6"])
+        "identities-order6", "Z0-order600", "invariants-nf3"])
 def test_commands_build_each_series_once(argv, memo_builds, capsys):
     """No memoized series is built twice.  Three requests are ordered for
     it: the criterion asks the nf=0 kernels, whose E* and E2 reach further,
@@ -226,6 +229,42 @@ def test_every_series_name_at_two_orders(name):
         hi = build(high)
         assert lo.prec_q() >= low and hi.prec_q() >= lo.prec_q()
         assert list(lo.terms()) == list(hi.truncate(lo.prec_q()).terms())
+
+
+DIVISOR_ARGV = [
+    *(["series", "--name", name, "--order", order]
+      for name in SERIES_NAMES for order in ("1/3", "12")),
+    *(["invariants", "--nf", nf, "--max-weight", "6"] for nf in "023"),
+    ["goettsche", "--max-weight", "6"], ["nf4", "--order", "12"],
+    ["verify", "--suite", "criterion", "--max", "3"],
+    ["verify", "--suite", "identities", "--order", "30"],
+    ["verify", "--suite", "tables"], ["verify", "--suite", "nf4"]]
+
+
+def test_production_divisors_are_euler_products(monkeypatch, capsys):
+    """Every base that a production command raises to a negative power, an
+    inverse included, is an Euler product P(q^d): after the sublattice step
+    of ``exact.int_power`` it is the pentagonal +-1 sequence of
+    ``forms.euler_product``.  The commands are every series name at two
+    orders, the u-plane tables for nf = 0, 2 and 3, Goettsche, nf4, and the
+    criterion, identities, tables and nf4 suites.  ``swcheck`` and the
+    swcurves suite are left out: they invert theta constants on purpose,
+    as their duplication, u3 and S-dual checks test the theta forms of the
+    curves against the eta quotients that the charts read."""
+    bases = []
+    power = series.int_power
+
+    def recorded(u, r, n):
+        # a base known only at its constant term lies on every sublattice
+        bases.append(u[::gcd(*(k for k, v in enumerate(u) if v)) or len(u)])
+        return power(u, r, n)
+    monkeypatch.setattr(series, "int_power", recorded)
+    for argv in DIVISOR_ARGV:
+        clear_memos()
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    assert len(bases) > 100
+    for base in bases:
+        assert list(base) == list(forms.euler_product(len(base)).nums)
 
 
 @pytest.mark.parametrize("order", ["0", "1/3", "1", "8", "15"])

@@ -136,6 +136,22 @@ def test_theta_eta_quotients_match_lattice_sums(which, factors):
             - forms.eta_quotient(factors, 120)).is_zero()
 
 
+THETA_INVERSE_PRECS = [F(k, 8) for k in range(-24, 81)] + [100, 333, 1000]
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_theta_inverse_is_the_lattice_inverse(which):
+    """1/Theta_which, the memoized eta quotient, built anew with no theta
+    constant, is the inverse of the lattice sum built one q-step past its
+    lead: the same grid, lead, window, denominator and integers at every
+    precision from -3 to 10 in steps of 1/8 and at 100, 333 and 1000."""
+    for p in THETA_INVERSE_PRECS:
+        forms._eta_quotient.clear()
+        with theta_forbidden():
+            got = forms.theta_inverse(which, p)
+        assert stored(got) == stored(oracles.theta_inverse_lattice(which, p)), p
+
+
 def test_theta_printed_series():
     t2 = forms.theta_big(2, 40)
     assert [t2.coeff(e) for e in (1, 9, 25)] == [1, 1, 1]

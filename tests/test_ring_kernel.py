@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import schoolbook_inverse, schoolbook_mul, schoolbook_pow
+from oracles import (int_power_schoolbook, schoolbook_inverse, schoolbook_mul,
+                     schoolbook_pow)
 from qdonald import NotRational, PrecisionUnderflow, QSeries
 from qdonald import exact as exact_arith, series
 from qdonald.exact import Cyclo, euler_phi, root_of_unity
@@ -303,17 +304,78 @@ def test_both_product_paths_match_int_schoolbook(x, y, n):
 @given(st.lists(st.one_of(st.just(0), st.integers(-99, 99)), max_size=12),
        st.integers(0, 12), st.integers(0, 6))
 def test_reciprocal_on_each_sublattice(u0, g, tail, steps, rest):
-    """int_reciprocal of a divisor whose nonzero terms lie on the multiples
+    """int_power(u, -1, n) of a divisor whose nonzero terms lie on the multiples
     of g, one of them at g itself, to a window n that is no multiple of g
     when g > 1, against the schoolbook recurrence; the denominator is
     positive and the result in lowest terms."""
     u = [0] * (g * (len(tail) + 1) + 1)
     u[::g] = [u0, 1] + tail
     n = g * steps + (1 + rest % (g - 1) if g > 1 else rest + 1)
-    nums, den = exact_arith.int_reciprocal(u, n)
+    nums, den = exact_arith.int_power(u, -1, n)
     want = schoolbook_inverse(QSeries(1, 0, u, None), n)
     assert [F(v, den) for v in nums] == list(want.coeffs)
     assert den > 0 and gcd(den, *nums) == 1
+
+
+@st.composite
+def power_bases(draw):
+    """A truncated rational base for a negative power: a lead in -8..8, a
+    leading integer u0 off +-1 (negative too), a content c times integers
+    on the multiples of a sublattice step g, over a denominator d > 1, on
+    the 1/ram grid for ram in {1, 2, 8}."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    g, n = draw(st.sampled_from([1, 2, 3])), draw(st.integers(1, 40))
+    content = draw(st.sampled_from([1, 2, 3, 6, -4]))
+    ints = [rng.randint(-9, 9) if i % g == 0 and rng.random() < 0.5 else 0
+            for i in range(n)]
+    ints[0] = draw(st.sampled_from([2, -2, 3, -5, 8, -12]))
+    den = draw(st.sampled_from([2, 3, 7, 12, 2 ** 40 + 1]))
+    ram, lead = draw(st.sampled_from([1, 2, 8])), draw(st.integers(-8, 8))
+    return QSeries(ram, lead, [F(content * v, den) for v in ints], lead + n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_bases(), st.integers(-7, -1))
+def test_negative_power_matches_schoolbook(a, k):
+    """int_power on the base's integers and a ** k on the base, against the
+    oracle's inverse and then repeated products: the window (ram, lead,
+    prec, coefficients) exactly, and a positive denominator in lowest
+    terms."""
+    nums, den = exact_arith.int_power(a.nums, k, len(a.nums))
+    assert den > 0 and gcd(den, *nums) == 1
+    assert [F(v, den) for v in nums] == \
+        int_power_schoolbook(a.nums, k, len(a.nums))
+    assert window(a ** k) == window(schoolbook_pow(a, k))
+
+
+@pytest.mark.parametrize("u, r, n", [
+    ([3, -1, 0, 2, 5], -1, 12), ([3, -1, 0, 2, 5], -3, 12),
+    ([-2, 0, 4, 0, 6], -2, 15), ([5, 7], -7, 9), ([1, -1, -1], -4, 20),
+    ([-6, 0, 9, 0, -3], -5, 13)],
+    ids=["r=-1", "r=-3", "r=-2", "r=-7", "r=-4", "r=-5"])
+def test_int_power_on_fixed_bases(u, r, n):
+    """int_power on fixed bases, u0 = 1 or off +-1, some on the even
+    sublattice, and r from -1 to -7, against the schoolbook inverse and
+    products: the deterministic check of the recurrence's weights and u0
+    scaling."""
+    nums, den = exact_arith.int_power(u, r, n)
+    assert [F(v, den) for v in nums] == int_power_schoolbook(u, r, n)
+    assert den > 0 and gcd(den, *nums) == 1
+
+
+def test_negative_power_and_inverse_share_one_body(monkeypatch):
+    """a ** k for k < 0 and a.inverse() each make one int_power call, with
+    the exponent k and -1, and no product."""
+    calls = []
+    power = series.int_power
+    monkeypatch.setattr(series, "int_power", lambda u, r, n:
+                        calls.append(r) or power(u, r, n))
+    monkeypatch.setattr(series, "int_product", None)
+    a = QSeries(1, -1, [F(2), F(1), F(0), F(-3)], 3)
+    e = QSeries(1, 0, [F(2), F(1)], None)
+    assert [a ** -3, a.inverse(), e.inverse(5)] == \
+        [schoolbook_pow(a, -3), schoolbook_inverse(a), schoolbook_inverse(e, 5)]
+    assert calls == [-3, -1, -1]
 
 
 def test_every_product_path_is_taken(monkeypatch):
