@@ -12,8 +12,9 @@ error (an unknown command or option, a missing value or option, an unknown
 series name, a malformed or negative order or bound, a ``--terms`` below 1,
 an order, bound or ``--terms`` above ``sys.maxsize``, a ``hurwitz --max``
 whose table of class numbers cannot be allocated, an ``--out`` file that
-cannot be written) is one stderr line of the form ``qdonald[ <command>]: error:
-<message>``; all but the last are reported before anything is computed.
+cannot be written, a command that runs out of memory) is one stderr line of
+the form ``qdonald[ <command>]: error: <message>``; all but the last two are
+reported before anything is computed.
 """
 
 from __future__ import annotations
@@ -520,14 +521,17 @@ def main(argv=None) -> int:
         fn, args = parse_args(argv)
         return fn(args)
     except UsageError as exc:
-        prog = f"qdonald {argv[0]}" if argv and argv[0] in COMMANDS \
-            else "qdonald"
-        sys.stderr.write(f"{prog}: error: {exc}\n")
-        raise SystemExit(2) from None
+        message = str(exc)
+    except MemoryError:
+        # reported once the handler has let go of the failed frames
+        message = "out of memory: retry with a smaller order or bound"
     except InsufficientPrecision as exc:
         sys.stderr.write(f"insufficient precision: {exc}; retry with a "
                          f"larger --order\n")
         return 1
+    prog = f"qdonald {argv[0]}" if argv and argv[0] in COMMANDS else "qdonald"
+    sys.stderr.write(f"{prog}: error: {message}\n")
+    raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -15,15 +15,15 @@ arguments read as Z, each known exactly to the window the result needs.
 A negative power of P is one call of the power recurrence of
 :func:`qdonald.exact.int_power`, so every division of this module and of
 :mod:`qdonald.mock` is by an Euler product.  The product is placed once:
-spread onto gZ, shifted by q^s, read on the grid of the factors' shifts,
-truncated and read on its coarsest grid.
+spread onto gZ and shifted by q^s, which puts it on its coarsest grid while
+it is known to its lattice end, and only then truncated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import ceil, gcd, lcm
+from math import ceil, gcd
 from operator import mul
 
 from .series import QSeries, factor_window, memo
@@ -68,15 +68,14 @@ def eta_quotient(factors, prec) -> QSeries:
 
 @memo
 def _eta_quotient(factors: tuple, prec) -> QSeries:
-    # P = 1 - q - ... is built past its lead; an empty window ends on the
-    # grid of the factors' shifts
-    shifts = [Fraction(d * r, 24) for d, r in factors]
-    s, g = sum(shifts), gcd(*(d for d, _ in factors))
+    # P = 1 - q - ... is built past its lead.  Shifted by q^s, the product is
+    # on the grid of its lead s, known below g ceil(top) + s, a point of that
+    # grid, so truncate rounds up to a grid point that is known
+    s = sum(Fraction(d * r, 24) for d, r in factors)
+    g = gcd(*(d for d, _ in factors))
     top = factor_window((Fraction(prec) - s) / g, 0, 0)
     out = reduce(mul, (euler_product(top, d // g) ** r for d, r in factors))
-    ram = lcm(*(t.denominator for t in shifts))
-    return out.rescale(g).shift_exponent(s).to_ram(ram).truncate(prec) \
-        .reduce_ram()
+    return out.rescale(g).shift_exponent(s).truncate(prec).reduce_ram()
 
 
 def delta(prec) -> QSeries:

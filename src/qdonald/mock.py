@@ -127,7 +127,7 @@ def cal_q(prec) -> QSeries:
     p = Fraction(prec)
     return _q_combination({"A38": forms.form_a38(p), "A78": forms.form_a78(p),
                            "B": forms.form_b(p), "M": mock_m(p)}
-                          ).truncate(p).reduce_ram()
+                          ).truncate(p)
 
 
 def q_plus(prec) -> QSeries:

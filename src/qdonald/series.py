@@ -6,6 +6,10 @@ everything at or above ``prec`` is unknown.  ``prec is None`` marks an exact
 series (a Laurent polynomial, known everywhere).  A series is immutable,
 which is what makes memoizing series constructors safe.
 
+Grid reduction never widens a window: ``reduce_ram`` divides its end
+exactly.  A constructor that knows its lattice reduces before it truncates,
+so that ``truncate`` rounds up to a grid point that is known.
+
 Every series is rational: one integer vector over one denominator.  The
 coefficient at exponent (lead + i)/ram is ``nums[i] / den``, with ``den``
 a positive int, ``gcd(den, *nums) == 1`` and no leading zero.  Every ring
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from itertools import islice
+from itertools import compress, count, islice
 from math import gcd, lcm
 from operator import add
 
@@ -261,23 +265,15 @@ class QSeries:
         return _make(ram, lead, vals, self.den, prec)
 
     def reduce_ram(self) -> "QSeries":
-        """Shrink the ramification when all nonzero exponents allow it.  With
-        no known nonzero term the window's bound must lie on the coarser
-        grid, so that the window claims no exponent it did not cover."""
-        g = self.ram
-        if not self.nums and self.prec is not None:
-            g = gcd(g, self.prec)
-        for i, c in enumerate(self.nums):
-            if c:
-                g = gcd(g, self.lead + i)
-                if g == 1:
-                    return self
+        """The series on the coarsest grid that holds its lead, its window's
+        end and every nonzero exponent: one gcd, which divides the window
+        exactly, so a grid change never widens a window."""
+        g = gcd(self.ram, self.lead, self.prec or 0,
+                *compress(count(), self.nums))
         if g == 1:
             return self
-        prec = None if self.prec is None else (self.prec + g - 1) // g
-        # the lead is a nonzero exponent, so a multiple of g
         return _make(self.ram // g, self.lead // g, self.nums[::g], self.den,
-                     prec)
+                     None if self.prec is None else self.prec // g)
 
     def _align(self, other: "QSeries"):
         ram = lcm(self.ram, other.ram)

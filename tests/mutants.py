@@ -76,14 +76,14 @@ MUTANTS = [
      "a reciprocal on a sublattice is returned unspread"),
     ("reciprocal-no-sign-flip", EXACT,
      "    if den < 0:\n        nums, den = [-v for v in nums], -den\n", "",
-     "tests/test_ring_kernel.py::test_inverse_matches_schoolbook",
-     "a reciprocal over a negative denominator, as u_0^n is for u_0 < 0 "
-     "and odd n"),
+     "tests/test_ring_kernel.py::test_int_power_on_fixed_bases[r=-2]",
+     "a power over a negative denominator, as u_0^(n - r - 1) is for "
+     "u_0 < 0 and n - r - 1 odd"),
     ("reciprocal-no-gcd", EXACT,
      "    if c > 1:\n        nums, den = [v // c for v in nums], den // c\n",
      "",
-     "tests/test_ring_kernel.py::test_inverse_matches_schoolbook",
-     "a reciprocal that is not in lowest terms"),
+     "tests/test_ring_kernel.py::test_int_power_on_fixed_bases[r=-5]",
+     "a power that is not in lowest terms, as for a base with content 3"),
     ("power-miller-weight", EXACT,
      "((r + 1) * k - m)", "(r * k - m)",
      "tests/test_ring_kernel.py::test_int_power_on_fixed_bases[r=-3]",
@@ -301,6 +301,40 @@ MUTANTS = [
      "test_theta_constant_is_the_stored_series[theta_big-4]",
      "Theta4 = 1 - 2 sum q^(4n^2), every square negative, instead of "
      "alternating in sign"),
+    ("reduce-ram-rounds-up", SERIES,
+     "g = gcd(self.ram, self.lead, self.prec or 0,\n"
+     "                *compress(count(), self.nums))\n"
+     "        if g == 1:\n"
+     "            return self\n"
+     "        return _make(self.ram // g, self.lead // g, self.nums[::g], "
+     "self.den,\n"
+     "                     None if self.prec is None else self.prec // g)",
+     "g = gcd(self.ram, self.lead,\n"
+     "                *compress(count(), self.nums))\n"
+     "        if g == 1:\n"
+     "            return self\n"
+     "        return _make(self.ram // g, self.lead // g, self.nums[::g], "
+     "self.den,\n"
+     "                     None if self.prec is None else -(-self.prec // g))",
+     "tests/test_forms.py::test_rescaled_estar_claims_no_more_than_it_knows",
+     "reduce_ram reads the grid off the nonzero terms alone and rounds the "
+     "window up onto it, so E*(tau/2) known below q^(1/2) claims q^1"),
+    ("eta-truncates-on-a-finer-grid", FORMS,
+     ".shift_exponent(s).truncate(prec)",
+     ".shift_exponent(s).to_ram(24).truncate(prec)",
+     "tests/test_forms.py::"
+     "test_eta_builders_match_the_per_factor_route[((4, 8), (8, -7))]",
+     "an eta quotient is truncated on the grid of 24ths, finer than its "
+     "own, so A known below q^(17/3) ends at q^(17/3), where the same A "
+     "built on its grid, known to its lattice end, ends at q^6"),
+    ("out-of-memory-traceback", CLI,
+     "    except MemoryError:\n"
+     "        # reported once the handler has let go of the failed frames\n"
+     "        message = \"out of memory: retry with a smaller order or bound\"\n",
+     "",
+     "tests/test_cli.py::test_out_of_memory_is_a_usage_error",
+     "a command that runs out of memory prints a traceback and exits 1, the "
+     "code of a failed verification, instead of one usage line and exit 2"),
     ("exit-freeze-dropped", CLI,
      "atexit.register(gc.freeze)\n", "",
      "tests/test_cli.py::test_cli_exit_skips_the_cyclic_collection",

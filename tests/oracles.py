@@ -212,13 +212,12 @@ class CycloSeries:
                            None if s.prec is None else s.prec + off)
 
     def reduce_ram(self) -> "CycloSeries":
-        """self on the coarsest grid its nonzero exponents (or, with none,
-        its bound) lie on; the bound rounds up."""
-        g = gcd(self.ram, *self.terms,
-                *([self.prec or 0] if not self.terms else []))
+        """self on the coarsest grid its nonzero exponents and its bound lie
+        on, so the bound divides exactly."""
+        g = gcd(self.ram, self.prec or 0, *self.terms)
         return CycloSeries(self.ram // g,
                            {m // g: c for m, c in self.terms.items()},
-                           None if self.prec is None else -(-self.prec // g))
+                           None if self.prec is None else self.prec // g)
 
     def to_rational(self) -> QSeries:
         """The QSeries of these terms; a value outside Q raises
@@ -300,24 +299,34 @@ def euler_product_schoolbook(prec, arg: int) -> QSeries:
     return QSeries.from_terms(dict(enumerate(nums[:max(top, 0)])), top)
 
 
-def eta_power_per_factor(arg: int, exp: int, prec) -> QSeries:
-    """eta(arg*tau)^exp by the per-factor route: the power of the Euler
-    product, shifted by q^(arg*exp/24) onto its ramified grid, truncated
-    and read on its coarsest grid."""
+def _eta_power_lattice(arg: int, exp: int, prec) -> QSeries:
+    """eta(arg*tau)^exp, the power of the Euler product shifted by
+    q^(arg*exp/24) onto its ramified grid, known to its lattice end: at
+    least one q-step past prec."""
     shift = Fraction(arg * exp, 24)
     top = Fraction(prec) - shift
     unit = forms.euler_product(max(top, Fraction(1)) + 1, arg)
-    return (unit ** exp).shift_exponent(shift).truncate(prec).reduce_ram()
+    return (unit ** exp).shift_exponent(shift)
+
+
+def eta_power_per_factor(arg: int, exp: int, prec) -> QSeries:
+    """eta(arg*tau)^exp by the per-factor route: read on its coarsest grid
+    while known to its lattice end, then truncated and, for an empty
+    window, read on the grid of its bound."""
+    return _eta_power_lattice(arg, exp, prec).reduce_ram().truncate(prec) \
+        .reduce_ram()
 
 
 def eta_quotient_per_factor(factors, prec) -> QSeries:
-    """prod eta(d*tau)^r as the product of the per-factor powers, each built
-    with headroom ``pad`` so that the divisions do not eat the window."""
+    """prod eta(d*tau)^r as the product of the per-factor powers, each known
+    to its lattice end with headroom ``pad`` so that the divisions do not
+    eat the window; the product is reduced, truncated and reduced as for one
+    factor."""
     pad = sum(abs(Fraction(d * r, 24)) for d, r in factors) + 1
     out = QSeries.one()
     for d, r in factors:
-        out = out * eta_power_per_factor(d, r, Fraction(prec) + pad)
-    return out.truncate(prec).reduce_ram()
+        out = out * _eta_power_lattice(d, r, Fraction(prec) + pad)
+    return out.reduce_ram().truncate(prec).reduce_ram()
 
 
 def taylor_exp(a: QSeries) -> QSeries:
@@ -537,7 +546,9 @@ def s_transform_m_lerch(prec) -> QSeries:
     z8 = unity(Fraction(1, 8))
     sM = (Fraction(1, 4) * z8 * mu1
           + Fraction(1, 4) * (1 / z8) * mu2).shift_exponent(Fraction(-1, 4))
-    return sM.truncate(p).to_rational()
+    # read on the q^(1/4) grid of theta's q^(-1/4), as the production M is
+    return sM.truncate(Fraction(ceil(4 * p), 4)).reduce_ram().to_ram(4) \
+        .to_rational()
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,31 @@ def test_usage_error_exit_code(argv, capsys):
     assert "error:" in captured.err
 
 
+def test_out_of_memory_is_a_usage_error():
+    """A valid order too large for memory is a usage error, not a traceback:
+    in a child that lowers only its own address-space limit, to 400 MB,
+    ``series --name eta --order 10^12`` exits 2 with one stderr line and no
+    stdout."""
+    resource = pytest.importorskip("resource")
+
+    def lower_own_limit():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2 ** 20, hard))
+
+    src = str(Path(qdonald.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "from qdonald.cli import main; sys.exit(main())")
+    run = subprocess.run([sys.executable, "-I", "-c", code, "series",
+                          "--name", "eta", "--order", "1000000000000"],
+                         capture_output=True, text=True,
+                         preexec_fn=lower_own_limit)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.splitlines() == [
+        "qdonald series: error: out of memory: retry with a smaller order "
+        "or bound"]
+
+
 def test_option_grammar(capsys):
     """``--option=value`` reads as ``--option value``, and a repeated option
     keeps its last value."""

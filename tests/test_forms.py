@@ -236,10 +236,6 @@ def test_estar_identity():
     assert (lhs - rhs).is_zero()
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="QSeries.reduce_ram rounds a window up to the "
-                          "coarser grid, so E*(tau/2) built below q^1 at tau "
-                          "claims q^(1/2), where its coefficient is 24")
 def test_rescaled_estar_claims_no_more_than_it_knows():
     """E* known below q^1 is E*(tau/2) known below q^(1/2) only."""
     assert forms.eisenstein_estar(F(1, 4)).rescale(1, 2).prec_q() == F(1, 2)

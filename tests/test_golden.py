@@ -129,6 +129,20 @@ GOLDEN = [
      "1ff346498879b7fce419c172f1867161e40432626cad593427d777743adc9519"),
     (["series", "--name", "fm:50", "--order", "100", "--format", "json"],
      "19b34fafe994c24a71a8c32d7c29dfe5a73efb8d0e3f23d1481d6f25368900f7"),
+    # orders off the integer grid, and the empty window at order 0: each
+    # stored window ends where the grid its series is read on puts it
+    (["series", "--name", "eta", "--order", "0", "--format", "json"],
+     "c18d111bad5e18022a5d6ef41db8bd467af2bdfe624e3d3544879e7433492b40"),
+    (["series", "--name", "A", "--order", "17/3", "--format", "json"],
+     "e37d19d765e94737be4980a7f400a875901a876fecec24741c91318d363b85bb"),
+    (["series", "--name", "Qplus", "--order", "5/2", "--format", "json"],
+     "50e74947911532fdd972435b9503f6d814f1d4db56ca288b41df4891b0017eac"),
+    (["series", "--name", "B", "--order", "121/2", "--format", "json"],
+     "004585aa06a63d47e6444895030a4ac0d5639a1c4e8d5bf8af9c2e2b90c1f31b"),
+    (["series", "--name", "fm:2", "--order", "13/4", "--format", "json"],
+     "afd2404c297836c696077f5d5a8df8893f3c82b57df5b9ccffe0e535b9a4c0d6"),
+    (["series", "--name", "vtheta2", "--order", "7/8", "--format", "json"],
+     "1c978ed11d673446034263dc0fd4501d52629b6a73957952fb115d27076fd838"),
 ]
 
 

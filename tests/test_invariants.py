@@ -258,9 +258,9 @@ def _agree(a, b, window) -> bool:
 def test_kernel_factors_match_the_theta_oracle(family):
     """The eta-quotient base, power ladder and E2 of every weight 0 to 12
     equal the theta-constant route's as far as the reads need them: the base
-    below q^top, the ladder and E2 below q^(top - val).  (Past that window a
-    Goettsche ladder of weight 0 or 1, E*(tau/2) known only at q^0, claims
-    the grid of q: ``rescale`` infers the grid from the known terms.)"""
+    below q^top, the ladder and E2 below q^(top - val).  (Past that window
+    the routes know different amounts: a Goettsche ladder of weight 0 or 1,
+    E*(tau/2) from E* known below q^1, is known below q^(1/2) only.)"""
     for w in range(13):
         top, val, _ = inv._windows(family, w)
         pairs = zip(inv._factors(family, w),

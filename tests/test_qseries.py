@@ -508,6 +508,40 @@ def test_spread_matches_reference(a, num, den, k):
         window(spread_reference(a, k, k * a.ram))
 
 
+@st.composite
+def known_parts(draw):
+    """(short, full): an exact series full on the 1/ram grid and short, the
+    same series known below w^p only.  The terms below p lie on a sublattice
+    step Z, with p on it or not, and full has nonzero terms at and past p,
+    so a window that claims an exponent past p claims a wrong zero."""
+    ram = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+    step = draw(st.sampled_from([d for d in range(1, ram + 1) if ram % d == 0]))
+    lead = step * draw(st.integers(-4, 4))
+    p = lead + draw(st.integers(-3, 4 * step))
+    terms = {m: draw(small_fracs.filter(bool))
+             for m in range(lead, p, step) if draw(st.booleans())}
+    terms |= {m: draw(small_fracs.filter(bool))
+              for m in range(p, p + draw(st.integers(1, 2 * ram)))}
+    full = QSeries.from_terms(terms, None, ram)
+    return full.truncate(F(p, ram)), full
+
+
+@settings(max_examples=300, deadline=None)
+@given(known_parts(), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(["reduce_ram", "rescale", "to_ram"]))
+def test_grid_changes_claim_exactly_what_they_know(parts, num, den, op):
+    """rescale, to_ram and reduce_ram map the window of what is known onto
+    the window of the result, no wider and no narrower, and every
+    coefficient in it is the one the full series gives."""
+    short, full = parts
+    change, scale = {"reduce_ram": (lambda s: s.reduce_ram(), 1),
+                     "rescale": (lambda s: s.rescale(num, den), F(num, den)),
+                     "to_ram": (lambda s: s.to_ram(num * s.ram), 1)}[op]
+    got = change(short)
+    assert got.prec_q() == short.prec_q() * scale
+    assert (got - change(full)).is_zero()
+
+
 @settings(max_examples=200, deadline=None)
 @given(qseries())
 def test_shift_inverse(a):
