@@ -69,13 +69,13 @@ def eta_quotient(factors, prec) -> QSeries:
 @memo
 def _eta_quotient(factors: tuple, prec) -> QSeries:
     # P = 1 - q - ... is built past its lead.  Shifted by q^s, the product is
-    # on the grid of its lead s, known below g ceil(top) + s, a point of that
-    # grid, so truncate rounds up to a grid point that is known
+    # on the grid of its lead s, known below g ceil(top) + s, a grid point, so
+    # truncate rounds up to a known point (an empty window: its bound's grid)
     s = sum(Fraction(d * r, 24) for d, r in factors)
     g = gcd(*(d for d, _ in factors))
     top = factor_window((Fraction(prec) - s) / g, 0, 0)
     out = reduce(mul, (euler_product(top, d // g) ** r for d, r in factors))
-    return out.rescale(g).shift_exponent(s).truncate(prec).reduce_ram()
+    return out.rescale(g).shift_exponent(s).truncate(prec)
 
 
 def delta(prec) -> QSeries:
@@ -204,7 +204,7 @@ def form_a78(prec) -> QSeries:
 def form_h(prec) -> QSeries:
     """h = eta(2t)^4/eta(4t)^8 * E*(2t) = q^-1 + 20q - 62q^3 + ..."""
     p = Fraction(prec)
-    quot = eta_quotient([(2, 4), (4, -8)], p)  # q^-1 + ...
+    quot = eta_quotient([(2, 4), (4, -8)], max(p, 0))  # q^-1 + ..., to q^0
     est = eisenstein_estar(factor_window(p, -1) / 2).rescale(2, 1)
     return (quot * est).truncate(p)
 

@@ -161,7 +161,7 @@ def s_transform_parts(prec) -> dict:
                                             (1 - q^(2n)) / (1 + q^(2n)).
 
     It is read on the q^(1/4) grid of theta's q^(-1/4), which fixes where its
-    window ends at a fractional precision.
+    window ends at a fractional precision when it holds a known term.
     """
     p = Fraction(prec)
     eta8 = forms.eta_quotient([(2, 8), (8, -3), (4, -4)], p)
@@ -178,8 +178,9 @@ def s_transform_parts(prec) -> dict:
 @memo
 def q_transform_s_ren(prec) -> QSeries:
     """(1/sqrt(-i tau)) Q(-1/tau) in the renormalized (integer-exponent)
-    frame: :func:`_q_combination` of the transformed parts."""
-    return _q_combination(s_transform_parts(prec)).truncate(prec)
+    frame: :func:`_q_combination` of the transformed parts, read on the
+    q^(1/4) grid of M's theta, which an empty M part is not, and truncated."""
+    return _q_combination(s_transform_parts(prec)).to_ram(4).truncate(prec)
 
 
 def q_transform_s(prec) -> QSeries:

@@ -8,7 +8,8 @@ which is what makes memoizing series constructors safe.
 
 Grid reduction never widens a window: ``reduce_ram`` divides its end
 exactly.  A constructor that knows its lattice reduces before it truncates,
-so that ``truncate`` rounds up to a grid point that is known.
+so that ``truncate`` rounds up to a grid point that is known.  ``truncate``
+stores an empty window on the grid of its bound: no memo history changes it.
 
 Every series is rational: one integer vector over one denominator.  The
 coefficient at exponent (lead + i)/ram is ``nums[i] / den``, with ``den``
@@ -430,10 +431,11 @@ class QSeries:
     # ------------------------------------------------------------------
     # operators beyond the ring structure
     def truncate(self, prec) -> "QSeries":
-        """Restrict the known window to q-exponents below prec."""
+        """Restrict the known window to q-exponents below prec; a window
+        with no known term is stored on the grid of its bound."""
         w = _to_w(prec, self.ram)
         if self.prec is not None and self.prec <= w:
-            return self
+            return self if self.nums else self.reduce_ram()
         keep = max(w - self.lead, 0)
         nums, den = self.nums[:keep], self.den
         if keep < len(self.nums):
@@ -442,7 +444,8 @@ class QSeries:
         pad = w - lead - len(nums)
         if pad:
             nums = list(nums) + [0] * pad
-        return _make(self.ram, lead, nums, den, w)
+        out = _make(self.ram, lead, nums, den, w)
+        return out if out.nums else out.reduce_ram()
 
     def rescale(self, num: int, den: int = 1) -> "QSeries":
         """Argument rescaling tau -> (num/den) tau, i.e. q -> q^(num/den)."""
@@ -496,15 +499,10 @@ class QSeries:
             (b.lead, b.prec, b.den, b.nums)
 
     def __hash__(self):
-        """The hash of the coarsest grid the series can be read on: ram,
-        lead, prec and every nonzero offset over their gcd, with den and the
-        integer at each offset (no Fraction is built), so that an equal
-        series on a finer grid, equal in lowest terms, hashes equal."""
-        offsets = [i for i, c in enumerate(self.nums) if c]
-        g = gcd(self.ram, self.lead, self.prec or 0, *offsets)
-        return hash((self.ram // g, self.lead // g,
-                     None if self.prec is None else self.prec // g, self.den,
-                     tuple((i // g, self.nums[i]) for i in offsets)))
+        """The hash of the stored form of ``reduce_ram()`` (no Fraction is
+        built), so that an equal series on a finer grid hashes equal."""
+        r = self.reduce_ram()
+        return hash((r.ram, r.lead, r.prec, r.den, r.nums))
 
     def to_text(self, max_terms: int = 12) -> str:
         """Render as 'q^(-1/8) * (1 + 28*q^(1/2) + ...)'."""

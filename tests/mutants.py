@@ -335,6 +335,25 @@ MUTANTS = [
      "tests/test_cli.py::test_out_of_memory_is_a_usage_error",
      "a command that runs out of memory prints a traceback and exits 1, the "
      "code of a failed verification, instead of one usage line and exit 2"),
+    ("truncate-keeps-empty-grid", SERIES,
+     "return out if out.nums else out.reduce_ram()", "return out",
+     "tests/test_qseries.py::"
+     "test_truncate_stores_an_empty_window_on_the_grid_of_its_bound",
+     "truncate keeps a window with no known term on the series' own grid, "
+     "so eta served from a memo entry below q^0 is stored on the grid of "
+     "24ths where its bound lies on the integers"),
+    ("hash-skips-reduce-ram", SERIES,
+     "        r = self.reduce_ram()\n", "        r = self\n",
+     "tests/test_ring_kernel.py::test_hash_reads_the_coarsest_grid",
+     "the hash reads the grid a series is stored on, so a series and the "
+     "same series read on a finer grid are equal but hash apart"),
+    ("memo-rebuilds-equal-precision", SERIES,
+     "if held is None or held[0] < prec:",
+     "if held is None or held[0] <= prec:",
+     "tests/test_golden.py::"
+     "test_golden_memo_builds[verify --suite all --order 24]",
+     "a memoized constructor builds its series again when asked at the "
+     "precision its entry already holds"),
     ("exit-freeze-dropped", CLI,
      "atexit.register(gc.freeze)\n", "",
      "tests/test_cli.py::test_cli_exit_skips_the_cyclic_collection",

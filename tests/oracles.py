@@ -196,11 +196,13 @@ class CycloSeries:
         return CycloSeries(self.ram, dict(enumerate(out, -lead)), n - lead)
 
     def truncate(self, prec) -> "CycloSeries":
-        """Known below q^prec only: w-unit bound ceil(prec * ram)."""
+        """Known below q^prec only: w-unit bound ceil(prec * ram).  A window
+        with no known term is read on the grid of its bound."""
         w = _to_w(prec, self.ram)
-        if self.prec is not None and self.prec <= w:
-            return self
-        return CycloSeries(self.ram, self.terms, w)
+        out = self
+        if self.prec is None or self.prec > w:
+            out = CycloSeries(self.ram, self.terms, w)
+        return out if out.terms else out.reduce_ram()
 
     def shift_exponent(self, delta) -> "CycloSeries":
         """self * q^delta."""
@@ -546,9 +548,10 @@ def s_transform_m_lerch(prec) -> QSeries:
     z8 = unity(Fraction(1, 8))
     sM = (Fraction(1, 4) * z8 * mu1
           + Fraction(1, 4) * (1 / z8) * mu2).shift_exponent(Fraction(-1, 4))
-    # read on the q^(1/4) grid of theta's q^(-1/4), as the production M is
+    # read on the q^(1/4) grid of theta's q^(-1/4), as the production M is,
+    # and, with no known term, on the grid of its bound
     return sM.truncate(Fraction(ceil(4 * p), 4)).reduce_ram().to_ram(4) \
-        .to_rational()
+        .truncate(p).to_rational()
 
 
 # ---------------------------------------------------------------------------

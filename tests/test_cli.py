@@ -5,11 +5,12 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from functools import partial
 from math import gcd
 from pathlib import Path
 
 import pytest
-from conftest import clear_memos, theta_forbidden
+from conftest import clear_memos, memoized, theta_forbidden
 
 import qdonald
 from qdonald import QSeries, cli, forms, invariants, series, sw
@@ -229,6 +230,43 @@ def test_every_series_name_at_two_orders(name):
         hi = build(high)
         assert lo.prec_q() >= low and hi.prec_q() >= lo.prec_q()
         assert list(lo.terms()) == list(hi.truncate(lo.prec_q()).terms())
+
+
+# each memoized constructor with the keys read here: for the eta quotients
+# eta, eta^3, eta^-4, the nf=0 kernel base, h's quotient and the divisors
+# 1/Theta2, 1/Theta3 and 1/Theta4
+MEMO_KEYS = {
+    "_eta_quotient": [(f,) for f in (
+        ((1, 1),), ((1, 3),), ((1, -4),), ((1, 24), (2, -21)),
+        ((2, 4), (4, -8)), *forms._THETA_INVERSE.values())],
+    "eisenstein_e2": [()], "eisenstein_e4": [()], "eisenstein_estar": [()],
+    "eisenstein_eodd": [()], "form_a38": [()], "form_a78": [()],
+    "form_h": [()], "form_fm": [(0,), (3,)], "cal_f": [(0,), (2,)],
+    "mock_m": [()], "lerch_mu_weighted": [(0,), (2,)], "cal_q": [()],
+    "q_transform_s_ren": [()]}
+MEMO_ORDERS = [-3, -1, F(-1, 2), F(-1, 8)]
+NAME_ORDERS = [0, F(1, 24), F(1, 8), F(1, 3), F(1, 2), 1, F(5, 2), F(17, 3), 7]
+HISTORY_CASES = [
+    *(pytest.param(partial(fn, *key), order,
+                   id=f"{name}{list(key) if key else ''}-{order}".replace(
+                       " ", ""))
+      for _, name, fn in memoized() for key in MEMO_KEYS[name]
+      for order in MEMO_ORDERS + NAME_ORDERS),
+    *(pytest.param(_series_name(name), order, id=f"{name}-{order}")
+      for name in SERIES_NAMES for order in NAME_ORDERS)]
+
+
+@pytest.mark.parametrize("build, order", HISTORY_CASES)
+def test_stored_form_ignores_memo_history(build, order):
+    """A series is stored as (ram, lead, prec, den, nums) alike whether it is
+    built anew or served from a memo entry built at order 40."""
+    clear_memos()
+    fresh = build(order)
+    clear_memos()
+    build(40)
+    served = build(order)
+    assert (served.ram, served.lead, served.prec, served.den, served.nums) \
+        == (fresh.ram, fresh.lead, fresh.prec, fresh.den, fresh.nums)
 
 
 DIVISOR_ARGV = [

@@ -3,6 +3,7 @@
 Each hash is the sha256 of the stdout of ``qdonald <argv>``.  A change that
 alters any of them alters the program's exact output and needs a reason.
 Every subcommand has a pinned invocation for each ``--format`` it offers.
+Each invocation also pins the memo builds it makes (``MEMO_BUILDS``).
 
 The module imports no pytest, so the list also runs as a standard-library
 script, under interpreters that have no pytest too:
@@ -146,10 +147,74 @@ GOLDEN = [
 ]
 
 
+# (builds, distinct keys) of the memoized constructors in each golden
+# invocation run with every memo empty, counted as the ``memo_builds``
+# fixture of ``conftest.py`` counts, alike under PYTHONHASHSEED 0 and 1.  A
+# change that lowers a count lowers its pin, and one that raises it says
+# why.  ``verify --suite all`` builds keys again: each suite asks for its
+# own windows, and no order of the suites builds each key once.
+MEMO_BUILDS = {
+    "series --name Qplus --order 20 --format json": (7, 7),
+    "series --name QtransS --order 6 --format json": (5, 5),
+    "series --name M --order 300 --format json": (2, 2),
+    "series --name Delta --order 60 --format json": (1, 1),
+    "series --name ebracket:2,1 --order 10 --format json": (8, 8),
+    "invariants --nf 0 --max-weight 4 --format json": (14, 14),
+    "invariants --nf 2 --max-weight 3 --format csv": (13, 13),
+    "invariants --nf 3 --max-weight 2": (10, 10),
+    "goettsche --max-weight 4": (10, 10),
+    "nf4 --order 4": (10, 10),
+    "nf4 --order 200 --terms 1000": (10, 10),
+    "hurwitz --max 24 --format json": (0, 0),
+    "verify --suite criterion --max 2": (18, 18),
+    "goettsche --max-weight 4 --format json": (10, 10),
+    "goettsche --max-weight 4 --format csv": (10, 10),
+    "swcheck --nf 2 --order 16": (5, 5),
+    "verify --suite all --order 24": (110, 75),
+    "hurwitz --max 12": (0, 0),
+    "series --name Qplus --order 20": (7, 7),
+    "invariants --nf 0 --max-weight 10 --format json": (20, 20),
+    "invariants --nf 2 --max-weight 8 --format json": (18, 18),
+    "invariants --nf 3 --max-weight 6 --format json": (14, 14),
+    "goettsche --max-weight 12 --format json": (22, 22),
+    "verify --suite criterion --max 6": (30, 30),
+    "series --name Delta --order 1000 --format json": (1, 1),
+    "series --name Z0 --order 600 --format json": (9, 9),
+    "series --name QtransS --order 60 --format json": (5, 5),
+    "series --name QtransS --order 100 --format json": (5, 5),
+    "invariants --nf 3 --max-weight 12 --format json": (20, 20),
+    "invariants --nf 3 --max-weight 18 --format json": (26, 26),
+    "goettsche --max-weight 24 --format json": (40, 40),
+    "invariants --nf 0 --max-weight 24 --format json": (34, 34),
+    "invariants --nf 2 --max-weight 16 --format json": (26, 26),
+    "series --name M --order 900 --format json": (2, 2),
+    "series --name ebracket:2,1 --order 80 --format json": (8, 8),
+    "series --name QtransS --order 25": (5, 5),
+    "hurwitz --max 2000 --format json": (0, 0),
+    "verify --suite identities --order 120": (38, 38),
+    "swcheck --nf 3 --order 400": (5, 5),
+    "swcheck --nf 0 --order 400": (5, 5),
+    "swcheck --nf 2 --order 400": (5, 5),
+    "verify --suite identities --order 2000": (38, 38),
+    "series --name Qplus --order 3000 --format json": (7, 7),
+    "series --name Delta --order 20000 --format json": (1, 1),
+    "series --name fm:5 --order 250 --format json": (3, 3),
+    "series --name fm:50 --order 100 --format json": (3, 3),
+    "series --name eta --order 0 --format json": (1, 1),
+    "series --name A --order 17/3 --format json": (1, 1),
+    "series --name Qplus --order 5/2 --format json": (7, 7),
+    "series --name B --order 121/2 --format json": (1, 1),
+    "series --name fm:2 --order 13/4 --format json": (3, 3),
+    "series --name vtheta2 --order 7/8 --format json": (0, 0),
+}
+
+
 def pytest_generate_tests(metafunc):
+    ids = [" ".join(argv) for argv, _ in GOLDEN]
     if "digest" in metafunc.fixturenames:
-        metafunc.parametrize("argv, digest", GOLDEN,
-                             ids=[" ".join(argv) for argv, _ in GOLDEN])
+        metafunc.parametrize("argv, digest", GOLDEN, ids=ids)
+    elif "argv" in metafunc.fixturenames:
+        metafunc.parametrize("argv", [argv for argv, _ in GOLDEN], ids=ids)
 
 
 def _sha256(text: str) -> str:
@@ -160,6 +225,16 @@ def test_golden_stdout(argv, digest, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert _sha256(out) == digest
+
+
+def test_golden_memo_builds(argv, memo_builds):
+    assert main(argv) == 0
+    assert (sum(memo_builds.values()), len(memo_builds)) == \
+        MEMO_BUILDS[" ".join(argv)]
+
+
+def test_every_golden_invocation_has_memo_builds():
+    assert set(MEMO_BUILDS) == {" ".join(argv) for argv, _ in GOLDEN}
 
 
 def _format_choices():

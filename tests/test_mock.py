@@ -197,9 +197,9 @@ def test_s_transform_m_matches_lerch_oracle(prec):
 
 def test_s_transform_m_at_negative_precision():
     """Below -1 the mu route's theta vanishes in its window; the sum gives
-    the empty window."""
+    the empty window, stored on the grid of its bound q^(-5/2)."""
     m = mock.s_transform_parts(F(-5, 2))["M"]
-    assert (m.ram, m.lead, m.prec, m.coeffs) == (4, -10, -10, ())
+    assert (m.ram, m.lead, m.prec, m.coeffs) == (2, -5, -5, ())
     with pytest.raises(ThetaNotInvertible):
         oracles.s_transform_m_lerch(F(-5, 2))
 

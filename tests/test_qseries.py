@@ -62,6 +62,21 @@ def test_reduce_ram_keeps_an_empty_window():
         assert (s.ram, s.prec) == want and not s.coeffs
 
 
+def test_truncate_stores_an_empty_window_on_the_grid_of_its_bound():
+    """A cut that keeps no known term stores the empty window on the grid
+    of its bound, whether it cuts the window or leaves it as it is; a cut
+    that keeps a term stays on the series' grid."""
+    eta = forms.eta(2)  # q^(1/24) - q^(25/24) - ... on the 1/24 grid
+    empty = QSeries(24, -3, [], -3)
+    for s, p, want in ((eta, 0, (1, 0)), (eta, F(-1, 8), (8, -1)),
+                       (eta, F(-1, 2), (2, -1)), (eta, F(1, 2), (24, 12)),
+                       (empty, 0, (8, -1)), (empty, -1, (1, -1)),
+                       (empty, F(-1, 4), (4, -1))):
+        cut = s.truncate(p)
+        assert (cut.ram, cut.prec) == want
+        assert cut.nums or cut.lead == cut.prec
+
+
 def test_rescale_identity():
     a = forms.eisenstein_e2(12)
     assert a.rescale(1, 1) == a

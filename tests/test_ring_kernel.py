@@ -571,16 +571,26 @@ def hashed(draw):
 @given(hashed(), st.integers(1, 4), st.integers(1, 5))
 def test_equal_series_hash_equal(a, k, scale):
     """Equal series hash equal: a series read on a finer grid, built from
-    integers over a larger denominator and, when exact (a truncated window
-    can widen), read back on its coarsest grid."""
+    integers over a larger denominator, and read back on its coarsest grid,
+    exact or truncated (``reduce_ram`` never widens a window)."""
     finer = a.to_ram(k * a.ram)
     ints = QSeries.from_numerators(a.ram, a.lead,
                                    [v * scale for v in a.nums],
                                    a.den * scale, a.prec)
-    equal = [finer, ints] + ([finer.reduce_ram()] if a.prec is None else [])
+    equal = [finer, ints, finer.reduce_ram()]
     for b in equal:
         assert a == b and hash(a) == hash(b)
     assert len({a, *equal}) == 1
+
+
+def test_hash_reads_the_coarsest_grid():
+    """A series and the same series read on a grid three times finer hash
+    equal, exact, truncated or empty: the hash reads ``reduce_ram``, not
+    the grid the series is stored on."""
+    for a in (QSeries.from_numerators(2, -1, [3, 0, 5], 7, 2),
+              QSeries.monomial(F(1, 2), 4), QSeries(4, 6, [], 6),
+              QSeries.zero()):
+        assert hash(a) == hash(a.to_ram(3 * a.ram))
 
 
 def test_hash_builds_no_fraction_view():
