@@ -117,13 +117,15 @@ def theta_inverse(which: int, prec) -> QSeries:
 
 def vartheta(which: int, prec) -> QSeries:
     """Jacobi theta constants: 2*Theta2(tau/8) on the q^(1/8) grid,
-    Theta3(tau/8) and Theta4(tau/8) on the q^(1/2) grid."""
+    Theta3(tau/8) and Theta4(tau/8) on the q^(1/2) grid; a window with no
+    known term is stored on the grid of its bound, as ``truncate`` stores
+    it."""
     step = 1 if which == 2 else 4  # the lattice sum's exponents lie in step*Z
     base = theta_big(which, prec * 8)
     series = QSeries.from_numerators(8 // step, -(-base.lead // step),
                                      base.nums[::step], base.den,
                                      -(-base.prec // step))
-    return 2 * series if which == 2 else series
+    return (2 * series if which == 2 else series).truncate(prec)
 
 
 # ---------------------------------------------------------------------------

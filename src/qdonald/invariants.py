@@ -30,8 +30,10 @@ class ConstraintViolation(ValueError):
 #
 # A cell of weight w = m + n pairs kernels P_k E_l (k + l <= w; P_k = base *
 # pows^k, E_l = E2^l) with a slot.  The kernel coefficient at q^-x meets the
-# slot coefficient at x for x on the slot grid start + step Z, so each kernel
-# is read there only, and no product is formed.
+# slot coefficient at x for x on the slot grid, so each kernel is read there
+# only, and no product is formed.  Both live on the one integer lattice of
+# the kernel grid q^(1/ram): the slot grid is X = ram x = a dt - t0, a >= 0,
+# and a kernel at q^-x is its w-exponent t0 - a dt.
 #
 # Kernels.  The paper's theta quotients are eta quotients times powers of E*
 # or of an eta quotient (G. Koehler, Eta Products and Theta Series
@@ -41,21 +43,20 @@ class ConstraintViolation(ValueError):
 #
 # Windows.  A product a * b is known through q^e when a is known through
 # e - val(b) and b through e - val(a).  So a pairing (e = 0) needs the
-# kernels known below top = -start + 1/ram, 1/ram their grid step: the base,
-# of valuation val, below top, and pows and E2 below top - val; and the slot
-# known through -val, at the least grid point above it.
+# kernels known below top = (t0 + 1)/ram, one grid step past their highest
+# read q^(t0/ram): the base, of valuation val, below top, and pows and E2
+# below top - val; and the slot known through -val, at the least grid point
+# above it.
 
-# family: (slot grid start, step, kernel grid 1/ram, (a, b), c, (e0, e1),
-# ((d, r0, r1), ...), pows, e) with val = -(a w + b)/ram; the slots are F_t,
-# Q+, Q+ at tau/2 and S-transformed Q+
+# family: (t0, dt, ram, (a, b), c, (e0, e1), ((d, r0, r1), ...), pows, e),
+# the slot grid X = a dt - t0 on the kernel grid q^(1/ram), with val = -(a w
+# + b)/ram; the slots are F_t, Q+, Q+ at tau/2 and S-transformed Q+
 _FAMILIES = {
-    "goettsche": (Fraction(3, 8), Fraction(1, 2), 8, (2, 3), 2, (-3, -2),
+    "goettsche": (-3, 4, 8, (2, 3), 2, (-3, -2),
                   ((1, 22, 4), (2, -20, -8)), None, 2),
-    0: (Fraction(-1, 8), Fraction(1, 2), 8, (2, 3), 2, (-3, -2),
-        ((1, 24, 4), (2, -21, -8)), None, 2),
-    2: (Fraction(-1, 16), Fraction(1, 4), 16, (4, 7), 2, (-4, -2),
-        ((1, 27, 4), (2, -24, -8)), None, 1),
-    3: (Fraction(-1, 8), Fraction(1, 2), 8, (8, 15), 1, (-9, -6),
+    0: (1, 4, 8, (2, 3), 2, (-3, -2), ((1, 24, 4), (2, -21, -8)), None, 2),
+    2: (1, 4, 16, (4, 7), 2, (-4, -2), ((1, 27, 4), (2, -24, -8)), None, 1),
+    3: (1, 4, 8, (8, 15), 1, (-9, -6),
         ((1, 3, 0), (2, 24, 4), (4, -24, -8)), ((1, 8), (2, -4)), 1),
 }
 
@@ -66,9 +67,9 @@ def _windows(family, w: int) -> tuple:
     kernel-grid point above -val, are known through q^0."""
     if w < 0:
         raise ConstraintViolation(f"weight {w} is negative")
-    start, _, ram, (a, b) = _FAMILIES[family][:4]
-    val = Fraction(-(a * w + b), ram)
-    return Fraction(1, ram) - start, val, Fraction(-val * ram // 1 + 1, ram)
+    t0, _, ram, (a, b) = _FAMILIES[family][:4]
+    return (Fraction(t0 + 1, ram), Fraction(-(a * w + b), ram),
+            Fraction(a * w + b + 1, ram))
 
 
 def _factors(family, w: int) -> tuple:
@@ -87,13 +88,14 @@ def _factors(family, w: int) -> tuple:
 
 def _reads(family, w: int) -> tuple:
     """(reads, xs): the family's weight-w kernels P_k E_l, k + l <= w, read
-    at the slot-grid points xs = [start + a step]: P_k E_l at q^-xs[a] is
-    ints[a] / den, (ints, den) = reads[k, l], one integer dot product, as
-    E2^l = 1 + O(q) has integer coefficients and P_k one denominator.
-    Reading a product where it is not known raises InsufficientPrecision."""
-    start, step, ram = _FAMILIES[family][:3]
+    at the integer slot-grid points xs = [a dt - t0], X = ram x: P_k E_l at
+    q^(-X/ram), its w-exponent t0 - a dt, is ints[a] / den, (ints, den) =
+    reads[k, l], one integer dot product, as E2^l = 1 + O(q) has integer
+    coefficients and P_k one denominator.  Reading a product where it is not
+    known raises InsufficientPrecision."""
+    t0, dt, ram = _FAMILIES[family][:3]
     base, pows, e2 = _factors(family, w)
-    t0, dt, r = int(-start * ram), int(step * ram), ram // e2.ram
+    r = ram // e2.ram
     ladder = [e.to_ram(e2.ram)
               for e in accumulate([e2] * w, mul, initial=QSeries.one())]
     kernels = list(accumulate([pows] * w, mul, initial=base))
@@ -111,14 +113,16 @@ def _reads(family, w: int) -> tuple:
         for l, e in enumerate(ladder[:w + 1 - k]):
             reads[k, l] = ([sum(map(mul, e.nums, col)) for col in cols],
                            den * e.den)
-    return reads, [start + a * step for a in range(count)]
+    return reads, [a * dt - t0 for a in range(count)]
 
 
 def _slot(family, w: int, xs, t=None) -> tuple:
-    """The family's slot (F_t in the Goettsche family) at the points xs as
-    (ints, den), known below q^ps (see _windows) or InsufficientPrecision,
-    read at ram x on its memo's integer grid, ram the family's: F_t, Q+ and
-    Q+'s S-transform at x are calF_t, calQ, q_transform_s_ren at 8x."""
+    """The family's slot (F_t in the Goettsche family) at the integer
+    slot-grid points xs, X = ram x, as (ints, den), known below q^ps (see
+    _windows) or InsufficientPrecision.  Its memo holds it at q^X, ram the
+    family's: F_t, Q+ and Q+'s S-transform at x are calF_t, calQ and
+    q_transform_s_ren at 8x, and Q+ at tau/2 is calQ at 16x; so X is read at
+    w-exponent X slot.ram - lead of the memo's series."""
     ps, scale = _windows(family, w)[2], _FAMILIES[family][2]
     slot = (mock.cal_f(t, scale * ps) if family == "goettsche" else
             mock.q_transform_s_ren(scale * ps) if family == 3 else
@@ -126,7 +130,7 @@ def _slot(family, w: int, xs, t=None) -> tuple:
     if slot.prec_q() < scale * ps:
         raise InsufficientPrecision("slot window too short for the pairing")
     nums, lead = slot.nums, slot.lead
-    at = [int(x * scale * slot.ram) - lead for x in xs]
+    at = [x * slot.ram - lead for x in xs]
     return [nums[i] if 0 <= i < len(nums) else 0 for i in at], slot.den
 
 
@@ -207,9 +211,8 @@ def uplane_weight(nf: int, w: int) -> list:
     if nf not in (0, 2, 3):
         raise ConstraintViolation(f"no u-plane family for nf={nf}")
     reads, xs = _reads(nf, w)
-    ram = _FAMILIES[nf][2]
     sv, sden = _slot(nf, w, xs)
-    powers = [[int(x * ram) ** j for x in xs] for j in range(w + 1)]
+    powers = [[x ** j for x in xs] for j in range(w + 1)]
     dens = {(i, j): factorial(2 * j) * factorial(i - j)
             * reads[w - i, i - j][1]
             for i in range(w + 1) for j in range(i + 1)}

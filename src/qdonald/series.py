@@ -539,13 +539,16 @@ class QSeries:
         return f"QSeries({self.to_text(6)})"
 
 
-def factor_window(p, val, lead=None):
+def factor_window(p, val, lead=None, power=1):
     """Where to build a factor of a product known below q^p, by the window
-    rules of ``__mul__`` and ``inverse``: below p - val, for cofactors of
-    valuation ``val`` or more; a divisor of valuation ``lead`` below p - val
-    + 2 lead, and one q-step past its lead, so that it has an inverse."""
+    rules of ``__mul__`` and of negative powers: below p - val, for
+    cofactors of valuation ``val`` or more.  The base of a divisor base **
+    power, the base of valuation ``lead``, below p - val + (power + 1) lead:
+    base ** -power is known on as many terms as the base, from its lead
+    -power lead instead of lead.  And one q-step past its lead, so that it
+    has an inverse."""
     p -= val
-    return p if lead is None else max(p + 2 * lead, lead + 1)
+    return p if lead is None else max(p + (power + 1) * lead, lead + 1)
 
 
 def _make(ram: int, lead: int, vals, den, prec) -> QSeries:

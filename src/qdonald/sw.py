@@ -175,9 +175,9 @@ def check_family(nf: int, prec) -> list:
     if nf == 2:
         # the duplication formula u0(tau/2) = (t3^4 + t4^4) / t2^4, built
         # from the theta constants rather than from the level-4 curve
-        window = factor_window(p, 0, Fraction(1, 2))  # t2^4 = 16 q^(1/2)
+        window = factor_window(p, 0, Fraction(1, 8), 4)  # t2 = 2 q^(1/8)
         t2, t3, t4 = (forms.vartheta(i, window) for i in (2, 3, 4))
-        dup = (t3 ** 4 + t4 ** 4) * (t2 ** 4).inverse()
+        dup = (t3 ** 4 + t4 ** 4) * t2 ** -4
         results.append(vanishing("u2 = u0 at tau/2", fam.u - dup.truncate(p)))
     return results
 
@@ -185,6 +185,6 @@ def check_family(nf: int, prec) -> list:
 def sw_family_swapped_u3(prec) -> QSeries:
     """nf=3 u in the S-dual chart, by theta constants: u = (t3 t2)^2 / W - 1/2
     with W = (omega/pi)^2 = -(t3^2 - t2^2)^2 / 4 = -1/4 + ..."""
-    t3, t2 = (forms.vartheta(i, factor_window(prec, 0, 0)) for i in (3, 2))
-    u = -4 * (t3 * t2) ** 2 * ((t3 ** 2 - t2 ** 2) ** 2).inverse()
+    t3, t2 = (forms.vartheta(i, factor_window(prec, 0, 0, 2)) for i in (3, 2))
+    u = -4 * (t3 * t2) ** 2 * (t3 ** 2 - t2 ** 2) ** -2
     return (u - Fraction(1, 2)).truncate(prec)

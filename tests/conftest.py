@@ -6,7 +6,7 @@ from functools import update_wrapper
 
 import pytest
 
-from qdonald import forms, mock
+from qdonald import exact, forms, mock, series
 
 
 def memoized() -> list:
@@ -43,6 +43,38 @@ def memo_builds(monkeypatch) -> Counter:
             return out
         monkeypatch.setattr(module, name, update_wrapper(counted, fn))
     return builds
+
+
+# the integer kernel's entries whose calls are counted: the two product
+# branches, and the power recurrence where the ring calls it, once a power
+KERNEL_ENTRIES = ((exact, "_pairs"), (exact, "_kronecker"),
+                  (series, "int_power"))
+
+
+@contextmanager
+def counting_kernel_calls():
+    """Count the calls of ``exact._pairs``, ``exact._kronecker`` and
+    ``exact.int_power`` inside the block: {name: calls}.  A product takes
+    one of the two branches once; int_power is counted as ``series`` calls
+    it, so the call that raises a base on its sublattice is not counted
+    again."""
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in KERNEL_ENTRIES:
+            def counted(*args, fn=getattr(module, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            patch.setattr(module, name, counted)
+        yield calls
+
+
+@pytest.fixture
+def kernel_calls() -> Counter:
+    """Empty every memo of ``forms`` and ``mock`` and count the kernel calls
+    from then on, as :func:`counting_kernel_calls` counts them."""
+    clear_memos()
+    with counting_kernel_calls() as calls:
+        yield calls
 
 
 @contextmanager

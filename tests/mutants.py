@@ -70,6 +70,12 @@ MUTANTS = [
      "tests/test_exact_arith.py::"
      "test_cyclo_product_and_reduction_match_oracle",
      "dense products loop over pairs and sparse ones pack"),
+    ("every-product-kronecker", EXACT,
+     "(_kronecker if dense else _pairs)", "_kronecker",
+     "tests/test_golden.py::"
+     "test_golden_kernel_calls[series --name M --order 300 --format json]",
+     "every product packs, a sparse one too: the values stay the same and "
+     "only the count of Kronecker products changes"),
     ("reciprocal-no-spread", EXACT,
      "return _spread(nums, g, n), den", "return nums, den",
      "tests/test_acceptance.py::test_criterion_01_calq_coefficients",
@@ -175,10 +181,16 @@ MUTANTS = [
      "valuation of the factors it meets, so a product with a pole is known "
      "short of the target"),
     ("window-no-lead-floor", SERIES,
-     "max(p + 2 * lead, lead + 1)", "p + 2 * lead",
+     "max(p + (power + 1) * lead, lead + 1)", "p + (power + 1) * lead",
      "tests/test_cli.py::test_identities_run_below_the_kernel_poles[0]",
      "factor_window builds a divisor short of its lead where little of the "
      "quotient is asked for, and the divisor has no inverse"),
+    ("window-power-ignored", SERIES,
+     "max(p + (power + 1) * lead,", "max(p + 2 * lead,",
+     "tests/test_sw.py::test_duplication_window_reaches_the_order[24]",
+     "factor_window plans the base of a divisor base ** power as if the "
+     "power were 1, so t2 of the duplication check is built below p + 1/4 "
+     "and t2^-4 is known short of the order"),
     ("lerch-row-sign-dropped", MOCK,
      "terms.get(e, 0) + sign * weight(x)", "terms.get(e, 0) + weight(x)",
      "tests/test_mock.py::test_lerch_mu_matches_weighted_kernel_at_t0",

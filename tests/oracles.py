@@ -780,16 +780,14 @@ def kernel_frame(family, w: int) -> dict:
     grid: {(k, l): the terms of P_k E_l at q^-x for slot-grid points x}.
     Each term is a sum over the two factors; reading a product where it is
     not known raises InsufficientPrecision."""
-    start, step, ram = inv._FAMILIES[family][:3]
-    top = inv._windows(family, w)[0]
-    bound = -(-top * ram // 1)  # top on the kernel grid, rounded up
+    t0, dt, ram = inv._FAMILIES[family][:3]
+    top = inv._windows(family, w)[0]  # one grid step past q^(t0/ram)
     base, pows, e2 = inv._factors(family, w)
     ladder = [e.to_ram(ram) for e in _power_list(e2, w)]
     frame = {}
     for k, pk in enumerate(_power_list(pows, w)):
         p = base * pk
-        points = [t for t in range(int(-start * ram), p.lead - 1,
-                                   -int(step * ram)) if t < bound]
+        points = list(range(t0, p.lead - 1, -dt))
         for l, e in enumerate(ladder[:w + 1 - k]):
             if points and (p.prec <= points[0] - e.lead or (
                     e.prec is not None and e.prec <= points[0] - p.lead)):
@@ -799,7 +797,7 @@ def kernel_frame(family, w: int) -> dict:
             reads = {t: sum(c * p.coeffs[t - j] for j, c in terms
                             if j <= t and p.coeffs[t - j])
                      for t in points}
-            frame[k, l] = QSeries.from_terms(reads, Fraction(bound, ram), ram)
+            frame[k, l] = QSeries.from_terms(reads, top, ram)
     return frame
 
 
@@ -808,9 +806,9 @@ def pairing(family, w: int, rows, frame) -> tuple:
     t, d)] on the weight's frame: kernel c * P_k E_l paired with (q d/dq)^d
     of the slot (F_t in the Goettsche family; t is None in the others).
     weights[a] = sum of c * kernel(-x) * x^d over the rows, at the slot-grid
-    point x = start + a step, so that value = sum of weights[a] * slot(x)."""
-    start, step, ram = inv._FAMILIES[family][:3]
-    t0, dt = int(-start * ram), int(step * ram)
+    point x = (a dt - t0) / ram, so that value = sum of weights[a] *
+    slot(x)."""
+    t0, dt, ram = inv._FAMILIES[family][:3]
     weights = {}  # t: {a: weight}
     for _, c, k, l, t, d in rows:
         read = frame[k, l]
@@ -818,11 +816,11 @@ def pairing(family, w: int, rows, frame) -> tuple:
         for i, r in enumerate(read.coeffs):
             if r:
                 a = (t0 - read.lead - i) // dt
-                v = c * r * (start + a * step) ** d if d else c * r
+                v = c * r * Fraction(a * dt - t0, ram) ** d if d else c * r
                 acc[a] = acc.get(a, 0) + v
     value = Fraction(0)
     for t, acc in weights.items():
-        ints, den = inv._slot(family, w, [start + a * step for a in acc], t)
+        ints, den = inv._slot(family, w, [a * dt - t0 for a in acc], t)
         for v, c in zip(acc.values(), ints):
             value += v * Fraction(c, den)
     return value, weights.get(None, {})

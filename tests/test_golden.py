@@ -3,7 +3,8 @@
 Each hash is the sha256 of the stdout of ``qdonald <argv>``.  A change that
 alters any of them alters the program's exact output and needs a reason.
 Every subcommand has a pinned invocation for each ``--format`` it offers.
-Each invocation also pins the memo builds it makes (``MEMO_BUILDS``).
+Each invocation also pins the memo builds it makes (``MEMO_BUILDS``) and
+its calls of the integer kernel's entries (``KERNEL_CALLS``).
 
 The module imports no pytest, so the list also runs as a standard-library
 script, under interpreters that have no pytest too:
@@ -13,6 +14,9 @@ exits 1 on any.
 
 import hashlib
 import io
+import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 
@@ -144,6 +148,13 @@ GOLDEN = [
      "afd2404c297836c696077f5d5a8df8893f3c82b57df5b9ccffe0e535b9a4c0d6"),
     (["series", "--name", "vtheta2", "--order", "7/8", "--format", "json"],
      "1c978ed11d673446034263dc0fd4501d52629b6a73957952fb115d27076fd838"),
+    # the theta constants' empty window on the grid of its bound, as eta's
+    (["series", "--name", "vtheta2", "--order", "0", "--format", "json"],
+     "c18d111bad5e18022a5d6ef41db8bd467af2bdfe624e3d3544879e7433492b40"),
+    (["series", "--name", "vtheta3", "--order", "0", "--format", "json"],
+     "c18d111bad5e18022a5d6ef41db8bd467af2bdfe624e3d3544879e7433492b40"),
+    (["series", "--name", "vtheta4", "--order", "0", "--format", "json"],
+     "c18d111bad5e18022a5d6ef41db8bd467af2bdfe624e3d3544879e7433492b40"),
 ]
 
 
@@ -206,7 +217,77 @@ MEMO_BUILDS = {
     "series --name B --order 121/2 --format json": (1, 1),
     "series --name fm:2 --order 13/4 --format json": (3, 3),
     "series --name vtheta2 --order 7/8 --format json": (0, 0),
+    "series --name vtheta2 --order 0 --format json": (0, 0),
+    "series --name vtheta3 --order 0 --format json": (0, 0),
+    "series --name vtheta4 --order 0 --format json": (0, 0),
 }
+
+
+# (products by pairs, products by Kronecker substitution, negative powers):
+# the calls of ``exact._pairs``, ``exact._kronecker`` and ``exact.int_power``
+# in each golden invocation run with every memo empty, counted as the
+# ``kernel_calls`` fixture of ``conftest.py`` counts, alike in two runs and
+# under PYTHONHASHSEED 0 and 1.  A change that lowers a count lowers its
+# pin, and one that raises it says why.
+KERNEL_CALLS = {
+    "series --name Qplus --order 20 --format json": (5, 5, 3),
+    "series --name QtransS --order 6 --format json": (13, 2, 5),
+    "series --name M --order 300 --format json": (1, 1, 1),
+    "series --name Delta --order 60 --format json": (1, 4, 0),
+    "series --name ebracket:2,1 --order 10 --format json": (9, 2, 3),
+    "invariants --nf 0 --max-weight 4 --format json": (63, 0, 8),
+    "invariants --nf 2 --max-weight 3 --format csv": (56, 0, 7),
+    "invariants --nf 3 --max-weight 2": (52, 1, 9),
+    "goettsche --max-weight 4": (35, 0, 3),
+    "nf4 --order 4": (15, 0, 5),
+    "nf4 --order 200 --terms 1000": (3, 12, 5),
+    "hurwitz --max 24 --format json": (0, 0, 0),
+    "verify --suite criterion --max 2": (63, 0, 9),
+    "goettsche --max-weight 4 --format json": (35, 0, 3),
+    "goettsche --max-weight 4 --format csv": (35, 0, 3),
+    "swcheck --nf 2 --order 16": (16, 22, 4),
+    "verify --suite all --order 24": (492, 92, 62),
+    "hurwitz --max 12": (0, 0, 0),
+    "series --name Qplus --order 20": (5, 5, 3),
+    "invariants --nf 0 --max-weight 10 --format json": (200, 0, 14),
+    "invariants --nf 2 --max-weight 8 --format json": (164, 0, 12),
+    "invariants --nf 3 --max-weight 6 --format json": (126, 4, 13),
+    "goettsche --max-weight 12 --format json": (144, 0, 7),
+    "verify --suite criterion --max 6": (196, 0, 17),
+    "series --name Delta --order 1000 --format json": (1, 4, 0),
+    "series --name Z0 --order 600 --format json": (4, 8, 4),
+    "series --name QtransS --order 60 --format json": (4, 11, 5),
+    "series --name QtransS --order 100 --format json": (3, 12, 5),
+    "invariants --nf 3 --max-weight 12 --format json": (239, 71, 19),
+    "invariants --nf 3 --max-weight 18 --format json": (313, 254, 25),
+    "goettsche --max-weight 24 --format json": (407, 28, 13),
+    "invariants --nf 0 --max-weight 24 --format json": (733, 83, 28),
+    "invariants --nf 2 --max-weight 16 --format json": (446, 1, 20),
+    "series --name M --order 900 --format json": (1, 1, 1),
+    "series --name ebracket:2,1 --order 80 --format json": (4, 7, 3),
+    "series --name QtransS --order 25": (5, 10, 5),
+    "hurwitz --max 2000 --format json": (0, 0, 0),
+    "verify --suite identities --order 120": (106, 26, 17),
+    "swcheck --nf 3 --order 400": (7, 33, 5),
+    "swcheck --nf 0 --order 400": (4, 28, 3),
+    "swcheck --nf 2 --order 400": (6, 32, 4),
+    "verify --suite identities --order 2000": (86, 46, 17),
+    "series --name Qplus --order 3000 --format json": (2, 8, 3),
+    "series --name Delta --order 20000 --format json": (1, 4, 0),
+    "series --name fm:5 --order 250 --format json": (1, 11, 1),
+    "series --name fm:50 --order 100 --format json": (1, 17, 1),
+    "series --name eta --order 0 --format json": (0, 0, 0),
+    "series --name A --order 17/3 --format json": (4, 0, 1),
+    "series --name Qplus --order 5/2 --format json": (10, 0, 3),
+    "series --name B --order 121/2 --format json": (4, 0, 1),
+    "series --name fm:2 --order 13/4 --format json": (8, 0, 1),
+    "series --name vtheta2 --order 7/8 --format json": (0, 0, 0),
+    "series --name vtheta2 --order 0 --format json": (0, 0, 0),
+    "series --name vtheta3 --order 0 --format json": (0, 0, 0),
+    "series --name vtheta4 --order 0 --format json": (0, 0, 0),
+}
+# the order of the counts in a KERNEL_CALLS row
+_KERNEL_NAMES = ("_pairs", "_kronecker", "int_power")
 
 
 def pytest_generate_tests(metafunc):
@@ -235,6 +316,48 @@ def test_golden_memo_builds(argv, memo_builds):
 
 def test_every_golden_invocation_has_memo_builds():
     assert set(MEMO_BUILDS) == {" ".join(argv) for argv, _ in GOLDEN}
+
+
+def test_golden_kernel_calls(argv, kernel_calls):
+    assert main(argv) == 0
+    assert tuple(kernel_calls[name] for name in _KERNEL_NAMES) == \
+        KERNEL_CALLS[" ".join(argv)]
+
+
+def test_every_golden_invocation_has_kernel_calls():
+    assert set(KERNEL_CALLS) == {" ".join(argv) for argv, _ in GOLDEN}
+
+# prints the KERNEL_CALLS table of this process as JSON
+_COUNT_ALL = """
+import io, json, sys
+from contextlib import redirect_stdout
+from conftest import clear_memos, counting_kernel_calls
+from test_golden import GOLDEN, _KERNEL_NAMES
+from qdonald.cli import main
+table = {}
+for argv, _ in GOLDEN:
+    clear_memos()
+    with counting_kernel_calls() as calls, redirect_stdout(io.StringIO()):
+        main(argv)
+    table[" ".join(argv)] = [calls[name] for name in _KERNEL_NAMES]
+print(json.dumps(table))
+"""
+
+
+def test_kernel_calls_ignore_the_hash_seed():
+    """Two fresh processes, under PYTHONHASHSEED 0 and 1, count the pinned
+    kernel calls for every golden invocation."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([here, os.path.join(here, "..", "src")])
+    children = [subprocess.Popen(
+        [sys.executable, "-c", _COUNT_ALL], stdout=subprocess.PIPE,
+        text=True, env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
+        for seed in ("0", "1")]
+    for child in children:
+        out, _ = child.communicate()
+        assert child.returncode == 0
+        assert {key: tuple(v) for key, v in json.loads(out).items()} == \
+            KERNEL_CALLS
 
 
 def _format_choices():

@@ -278,19 +278,19 @@ def _as_fractions(reads) -> dict:
 @pytest.mark.parametrize("nf, w", [("goettsche", 4), (0, 2), (2, 2), (3, 1)])
 def test_kernel_reads_need_the_last_term_they_read(nf, w, factor,
                                                    monkeypatch):
-    """The highest kernel read is P_k E_l at q^-start.  It needs P_k known
-    through q^-start, and E2 through q^(-start - val), val the kernels'
-    valuation (these w put that point on E2's grid).  A factor cut at
-    exactly that point reads what the full one reads; cut one grid step
+    """The highest kernel read is P_k E_l at q^(t0/ram).  It needs P_k
+    known through q^(t0/ram), and E2 through q^(t0/ram - val), val the
+    kernels' valuation (these w put that point on E2's grid).  A factor cut
+    at exactly that point reads what the full one reads; cut one grid step
     shorter, the read raises instead of using a term past its window."""
-    start, _, ram = inv._FAMILIES[nf][:3]
+    t0, _, ram = inv._FAMILIES[nf][:3]
     full = inv._reads(nf, w)
     build = inv._factors
     base, _, e2 = build(nf, w)
     if factor == "kernel":
-        edge, step = -start, F(1, ram)
+        edge, step = F(t0, ram), F(1, ram)
     else:
-        edge, step = -start - base.valuation(), F(1, e2.ram)
+        edge, step = F(t0, ram) - base.valuation(), F(1, e2.ram)
     assert (edge / step).denominator == 1
     for short in (False, True):
         top = edge + step - (step if short else 0)

@@ -177,35 +177,64 @@ def test_nf0_check_builds_no_theta4(memo_builds):
     assert memo_builds
 
 
-@pytest.mark.parametrize("nf, divisors", [
-    (0, []),
-    (2, [(F(1, 2), 16)]),  # t2^4 of the duplication check
-    (3, [(F(-1, 4), F(1, 8)), (0, 1)]),  # u0 - 1; the S-dual divisor
+@pytest.mark.parametrize("nf, powers, inverses", [
+    (0, [], []),
+    (2, [(F(1, 8), -4)], []),  # t2^-4 of the duplication check
+    # u0 - 1 of the u3 relation; (t3^2 - t2^2)^-2 of the S-dual chart
+    (3, [(F(-1, 4), -1), (0, -2)], [(F(-1, 4), F(1, 8))]),
 ], ids=["nf0", "nf2", "nf3"])
-def test_family_check_inverts_only_check_divisors(nf, divisors, memo_builds,
-                                                   monkeypatch):
+def test_family_check_inverts_only_check_divisors(nf, powers, inverses,
+                                                  memo_builds, monkeypatch):
     """With every memo empty, the chart builds eta quotients only and calls
-    no theta constant, and check_family inverts the
+    no theta constant, and check_family raises to a negative power the
     Euler products of its eta quotients and, outside forms._eta_quotient,
     only the divisors of the checks that compare the chart with theta
-    constants, each once: no chart inverts W or a theta product.  A
-    divisor is named by its leading term."""
+    constants, each once: no chart inverts W or a theta product.  Each
+    negative power is named by (base lead, power), and ``inverse`` runs
+    only on u0 - 1, named by its leading term."""
     with theta_forbidden():
         sw._chart(nf, 40)
     assert {name for name, _ in memo_builds} == {"_eta_quotient"}
-    outside = []
-    inverse = QSeries.inverse
+    seen = {"powers": [], "inverses": []}
 
-    def record(s, *a):
-        frame = sys._getframe(1)
-        while frame and frame.f_code.co_name != "_eta_quotient":
-            frame = frame.f_back
-        if frame is None:
-            outside.append(next(s.terms()))
-        return inverse(s, *a)
-    monkeypatch.setattr(QSeries, "inverse", record)
+    def outside(record, key, method):
+        def wrapped(s, *a):
+            frame = sys._getframe(1)
+            while frame and frame.f_code.co_name != "_eta_quotient":
+                frame = frame.f_back
+            if frame is None:
+                seen[key].append(record(s, *a))
+            return method(s, *a)
+        return wrapped
+    monkeypatch.setattr(QSeries, "_negative_power", outside(
+        lambda s, k, _: (s.valuation(), k), "powers",
+        QSeries._negative_power))
+    monkeypatch.setattr(QSeries, "inverse", outside(
+        lambda s, *_: next(s.terms()), "inverses", QSeries.inverse))
     sw.check_family(nf, 40)
-    assert outside == divisors
+    assert seen == {"powers": powers, "inverses": inverses}
+
+
+@pytest.mark.parametrize("p", [F(1, 2), 1, F(17, 8), 24])
+def test_duplication_window_reaches_the_order(p, monkeypatch):
+    """The nf=2 duplication check divides by t2^4, t2 = 2 q^(1/8) + ...:
+    t2^-4 keeps t2's window length from its lead -1/2, so t2 built below
+    factor_window(p, 0, 1/8, 4) = p + 5/8 makes the record's window reach
+    p, and t2 built one q^(1/8) step less leaves it short of p."""
+    build = forms.vartheta
+    for short in (False, True):
+        asked = []
+
+        def vartheta(i, prec):
+            if i != 2:
+                return build(i, prec)
+            asked.append(prec)
+            return build(i, prec - F(1, 8) if short else prec)
+        monkeypatch.setattr(forms, "vartheta", vartheta)
+        record = sw.check_family(2, p)[-1]
+        assert asked == [factor_window(p, 0, F(1, 8), 4)] == [p + F(5, 8)]
+        assert record[:2] == ("u2 = u0 at tau/2", True)
+        assert record[3] == (p - F(1, 8) if short else p)
 
 
 def _agree(a, b, window):
