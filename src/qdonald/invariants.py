@@ -272,16 +272,12 @@ def criterion_check(m: int, n: int) -> bool:
 # the Z0 series
 
 def z0_series(prec) -> QSeries:
-    """Z0 = calQ + 4 calF0 / Theta4 = E*(4 tau)/eta(8 tau)^3."""
-    p = Fraction(prec)
-    return (mock.cal_q(p) + 4 * mock.cal_f(0, p) * forms.theta_inverse(4, p)
-            ).truncate(p)
-
-
-def z0_closed_form(prec) -> QSeries:
+    """Z0 = E*(4 tau)/eta(8 tau)^3 = q^-1 + 24 q^3 + ....  The paper defines
+    Z0 as calQ + 4 calF0 / Theta4; ``verify --suite identities`` checks that
+    definition against this closed form."""
     p = Fraction(prec)
     est = forms.eisenstein_estar(factor_window(p, -1) / 4).rescale(4, 1)
-    return (est * forms.eta_power(8, -3, p)).truncate(p)  # q^-1 + ...
+    return (est * forms.eta_power(8, -3, p)).truncate(p)
 
 
 # ---------------------------------------------------------------------------

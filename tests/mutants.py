@@ -371,6 +371,16 @@ MUTANTS = [
      "tests/test_cli.py::test_cli_exit_skips_the_cyclic_collection",
      "the CLI no longer freezes the heap at exit, so shutdown runs its "
      "cyclic collections over every object the command left"),
+    ("z0-eta-power", INVARIANTS,
+     "forms.eta_power(8, -3, p)", "forms.eta_power(8, -2, p)",
+     "tests/test_invariants.py::test_z0_series_printed",
+     "Z0 divides E*(4 tau) by eta(8 tau)^2, not eta(8 tau)^3"),
+    ("z0-check-weight", CLI,
+     "q + 4 * mock.cal_f(0, p)", "q + 2 * mock.cal_f(0, p)",
+     "tests/test_golden.py::"
+     "test_golden_stdout[verify --suite identities --order 120]",
+     "the identities suite checks Z0 against calQ + 2 calF0 / Theta4, so "
+     "the check of the paper's definition fails"),
 ]
 
 EQUIVALENT = {"truncate-below-lead"}

@@ -554,6 +554,14 @@ def s_transform_m_lerch(prec) -> QSeries:
         .truncate(p).to_rational()
 
 
+def z0_from_mock(prec) -> QSeries:
+    """Z0 by the paper's definition calQ + 4 calF0 / Theta4, the mock route
+    to :func:`qdonald.invariants.z0_series`."""
+    p = Fraction(prec)
+    return (mock.cal_q(p) + 4 * mock.cal_f(0, p) * forms.theta_inverse(4, p)
+            ).truncate(p)
+
+
 # ---------------------------------------------------------------------------
 # The kernel-product route to the invariant tables: every kernel is
 # multiplied out to a full series and paired with its slot coefficient by

@@ -147,10 +147,10 @@ def test_identities_build_each_factor_as_far_as_it_is_read(monkeypatch,
 
 @pytest.mark.parametrize("order", ["0", "8", "14", "30"])
 def test_identities_build_calq_once(order, memo_builds, capsys):
-    """z reads calQ below q^(order + 4/3) and Z0 below q^max(order, 16):
-    the suite asks calQ once, at the wider of the two, so calQ and each
-    series it is made of is built once at every order, also below 44/3,
-    where Z0's window is the wider."""
+    """z reads calQ below q^(order + 4/3), and QasMu and the check of Z0's
+    definition below q^order; Z0 itself is built from E* and eta and reads
+    no calQ.  z asks first, at the widest window, so calQ and each series
+    it is made of is built once at every order."""
     code, _ = run_cli(capsys, "verify", "--suite", "identities", "--order",
                       order)
     assert code == 0
@@ -172,6 +172,15 @@ def test_identities_build_the_f_m_thetas_once(memo_builds, capsys):
     with theta_forbidden():
         for m in range(7):
             forms.form_fm(m, 2)
+
+
+def test_z0_builds_its_closed_form_only(memo_builds, capsys):
+    """``series --name Z0`` builds E* and eta(8 tau)^-3 and nothing of the
+    paper's mock definition: no calQ, calF0 or 1/Theta4."""
+    code, _ = run_cli(capsys, "series", "--name", "Z0", "--order", "600")
+    assert code == 0
+    assert memo_builds == {("eisenstein_estar", ()): 1,
+                           ("_eta_quotient", (((8, -3),),)): 1}
 
 
 @pytest.mark.parametrize("argv", [

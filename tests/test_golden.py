@@ -181,7 +181,7 @@ MEMO_BUILDS = {
     "goettsche --max-weight 4 --format json": (10, 10),
     "goettsche --max-weight 4 --format csv": (10, 10),
     "swcheck --nf 2 --order 16": (5, 5),
-    "verify --suite all --order 24": (110, 75),
+    "verify --suite all --order 24": (84, 75),
     "hurwitz --max 12": (0, 0),
     "series --name Qplus --order 20": (7, 7),
     "invariants --nf 0 --max-weight 10 --format json": (20, 20),
@@ -190,7 +190,7 @@ MEMO_BUILDS = {
     "goettsche --max-weight 12 --format json": (22, 22),
     "verify --suite criterion --max 6": (30, 30),
     "series --name Delta --order 1000 --format json": (1, 1),
-    "series --name Z0 --order 600 --format json": (9, 9),
+    "series --name Z0 --order 600 --format json": (2, 2),
     "series --name QtransS --order 60 --format json": (5, 5),
     "series --name QtransS --order 100 --format json": (5, 5),
     "invariants --nf 3 --max-weight 12 --format json": (20, 20),
@@ -246,7 +246,7 @@ KERNEL_CALLS = {
     "goettsche --max-weight 4 --format json": (35, 0, 3),
     "goettsche --max-weight 4 --format csv": (35, 0, 3),
     "swcheck --nf 2 --order 16": (16, 22, 4),
-    "verify --suite all --order 24": (492, 92, 62),
+    "verify --suite all --order 24": (459, 91, 50),
     "hurwitz --max 12": (0, 0, 0),
     "series --name Qplus --order 20": (5, 5, 3),
     "invariants --nf 0 --max-weight 10 --format json": (200, 0, 14),
@@ -255,7 +255,7 @@ KERNEL_CALLS = {
     "goettsche --max-weight 12 --format json": (144, 0, 7),
     "verify --suite criterion --max 6": (196, 0, 17),
     "series --name Delta --order 1000 --format json": (1, 4, 0),
-    "series --name Z0 --order 600 --format json": (4, 8, 4),
+    "series --name Z0 --order 600 --format json": (0, 1, 1),
     "series --name QtransS --order 60 --format json": (4, 11, 5),
     "series --name QtransS --order 100 --format json": (3, 12, 5),
     "invariants --nf 3 --max-weight 12 --format json": (239, 71, 19),

@@ -425,7 +425,16 @@ def test_criterion_series_window():
 def test_z0_series_printed():
     z0 = inv.z0_series(20)
     assert [z0.coeff(e) for e in (-1, 3, 7, 11)] == [1, 24, 27, 168]
-    assert (z0 - inv.z0_closed_form(20)).is_zero()
+    assert (z0 - oracles.z0_from_mock(20)).is_zero()
+
+
+@pytest.mark.parametrize("order", [0, F(1, 3), F(5, 2), 24, 121, 600])
+def test_z0_series_is_stored_as_the_mock_route(order):
+    """The closed form E*(4 tau)/eta(8 tau)^3 is stored as the paper's
+    calQ + 4 calF0 / Theta4 is, on the same grid and window."""
+    def stored(s):
+        return s.ram, s.lead, s.prec, s.den, s.nums
+    assert stored(inv.z0_series(order)) == stored(oracles.z0_from_mock(order))
 
 
 def test_z0_fm_products_printed():
