@@ -204,7 +204,9 @@ def form_a78(prec) -> QSeries:
 
 @memo
 def form_h(prec) -> QSeries:
-    """h = eta(2t)^4/eta(4t)^8 * E*(2t) = q^-1 + 20q - 62q^3 + ..."""
+    """h = eta(2t)^4/eta(4t)^8 * E*(2t) = E*(2t)/g, g = eta(4t)^8/eta(2t)^4,
+    equal to 8 + eta^8/eta(4t)^8 = q^-1 + 20q - 62q^3 + ...: the function
+    every Seiberg-Witten chart of ``sw`` reads u off."""
     p = Fraction(prec)
     quot = eta_quotient([(2, 4), (4, -8)], max(p, 0))  # q^-1 + ..., to q^0
     est = eisenstein_estar(factor_window(p, -1) / 2).rescale(2, 1)

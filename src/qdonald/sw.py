@@ -2,9 +2,10 @@
 
 The families are the rational elliptic surfaces underlying the monopole
 counts nf = 0, 2, 3, each expanded at its cusp of Kodaira type I*_(4-nf).
-Every chart is one level-4 modular function read at tau/4, tau/2 or tau:
-u is a multiple of h = 8 + eta^8/eta(4t)^8 and (omega/pi)^2 of eta(4t)^8 /
-eta(2t)^4, with no theta constant and no dense inverse.  Theta realizations
+Every chart is one level-4 curve read at tau/c, c = 4, 2 or 1: u is
+s h(tau/c), h = ``forms.form_h``, so val(u) = -1/c, and (omega/pi)^2 is a
+multiple of eta(4t)^8/eta(2t)^4 at tau/c; nf=2 is the nf=0 curve at 2 tau.
+No chart reads a theta constant or a dense inverse.  Theta realizations
 are test oracles and, in the duplication and S-dual checks, references.
 All pi and sqrt(2) factors are absorbed into fixed normalizations so the
 whole module stays in rational arithmetic: ``omega2`` stores (omega/pi)^2
@@ -32,26 +33,23 @@ SWFamily = namedtuple("SWFamily",
 # vanishing_threshold: T = O(u^-1), so all exponents below it are zero
 ContactTerm = namedtuple("ContactTerm", "nf t_series vanishing_threshold")
 
-# u = c q^v + ... at the I*_(4-nf) cusp: a pole of order 1/(4 - nf)
-_U_VALUATION = {0: Fraction(-1, 4), 2: Fraction(-1, 2), 3: Fraction(-1)}
-
-
-# (c, s, w): the family is one level-4 curve read at tau/c, with u = s h,
-# h = 8 + eta^8/eta(4t)^8 = q^-1 + 20 q - ..., and W = w g, g = eta(4t)^8 /
-# eta(2t)^4 = q + ...; nf=2 is the nf=0 chart at 2 tau
-_CURVE = {0: (4, Fraction(1, 8), 8), 3: (1, Fraction(-1, 16), -16)}
+# (c, s, w): the family is one level-4 curve read at tau/c, u = s h(tau/c) =
+# s q^(-1/c) + ..., h = forms.form_h, and W = w g(tau/c), g = eta(4t)^8 /
+# eta(2t)^4 = q + ...; nf=2 is the nf=0 curve at 2 tau
+_CURVE = {0: (4, Fraction(1, 8), 8), 2: (2, Fraction(1, 8), 8),
+          3: (1, Fraction(-1, 16), -16)}
+_U_VALUATION = {nf: Fraction(-1, c) for nf, (c, _, _) in _CURVE.items()}
 
 
 def _chart(nf: int, p) -> tuple:
     """(u, W, 1/W) of one family, W = (omega/pi)^2, each known below q^p."""
-    if nf == 2:
-        return tuple(s.rescale(2, 1) for s in _chart(0, p / 2))
     if nf not in _CURVE:
         raise UnsupportedFamily(f"no massless modular family for nf={nf}")
     c, s, w = _CURVE[nf]
-    h, inv, g = (forms.eta_quotient(f, c * p).rescale(1, c) for f in
-                 ([(1, 8), (4, -8)], [(2, 4), (4, -8)], [(2, -4), (4, 8)]))
-    return s * (h + 8), w * g, inv / w
+    inv, g = (forms.eta_quotient(f, c * p)
+              for f in ([(2, 4), (4, -8)], [(2, -4), (4, 8)]))
+    return tuple(x.rescale(1, c)
+                 for x in (s * forms.form_h(c * p), w * g, inv / w))
 
 
 def sw_family(nf: int, prec) -> SWFamily:

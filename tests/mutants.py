@@ -218,10 +218,14 @@ MUTANTS = [
      "the Weierstrass residual is g2^3 - 26 g3^2 - Delta, which no family "
      "satisfies"),
     ("nf2-chart-not-rescaled", SW,
-     "s.rescale(2, 1) for s in _chart(0, p / 2)",
-     "s.rescale(1, 1) for s in _chart(0, p / 2)",
+     "2: (2, Fraction(1, 8), 8)", "2: (4, Fraction(1, 8), 8)",
      "tests/test_sw.py::test_nf2_is_rescaled_nf0",
      "the nf=2 chart is the nf=0 chart at tau, not at 2 tau"),
+    ("chart-h-window", SW,
+     "forms.form_h(c * p)", "forms.form_h(p)",
+     "tests/test_sw.py::test_chart_matches_the_theta_oracle[0-24]",
+     "the chart reads h below q^p before it reads it at tau/c, so u is "
+     "known only below q^(p/c), short of the order for nf=0 and nf=2"),
     ("q-combination-a78-weight", MOCK,
      "Fraction(3, 2) * parts[\"A78\"]", "Fraction(1, 2) * parts[\"A78\"]",
      "tests/test_mock.py::test_qasmu_identity",

@@ -963,3 +963,20 @@ def sw_chart_theta(nf: int, p) -> tuple:
     omega2 = -((t3 ** 2 - t4 ** 2) ** 2) / 4
     inverse = omega2.inverse()
     return (t3 * t4) ** 2 * inverse - Fraction(1, 2), omega2, inverse
+
+
+# sw._chart as three eta quotients, before u was read off forms.form_h:
+# (c, s, w) of the nf=0 and nf=3 rows; nf=2 is the nf=0 chart at 2 tau
+_SW_CURVE = {0: (4, Fraction(1, 8), 8), 3: (1, Fraction(-1, 16), -16)}
+
+
+def sw_chart_quotient(nf: int, p) -> tuple:
+    """(u, W, 1/W) of one family, each known below q^p, read at tau/c off
+    h = 8 + eta^8/eta(4t)^8, g = eta(4t)^8/eta(2t)^4 and 1/g as u = s h,
+    W = w g and 1/W = 1/(w g)."""
+    if nf == 2:
+        return tuple(s.rescale(2, 1) for s in sw_chart_quotient(0, p / 2))
+    c, s, w = _SW_CURVE[nf]
+    h, inv, g = (forms.eta_quotient(f, c * p).rescale(1, c) for f in
+                 ([(1, 8), (4, -8)], [(2, 4), (4, -8)], [(2, -4), (4, 8)]))
+    return s * (h + 8), w * g, inv / w

@@ -180,8 +180,8 @@ MEMO_BUILDS = {
     "verify --suite criterion --max 2": (18, 18),
     "goettsche --max-weight 4 --format json": (10, 10),
     "goettsche --max-weight 4 --format csv": (10, 10),
-    "swcheck --nf 2 --order 16": (5, 5),
-    "verify --suite all --order 24": (84, 75),
+    "swcheck --nf 2 --order 16": (6, 6),
+    "verify --suite all --order 24": (83, 74),
     "hurwitz --max 12": (0, 0),
     "series --name Qplus --order 20": (7, 7),
     "invariants --nf 0 --max-weight 10 --format json": (20, 20),
@@ -203,9 +203,9 @@ MEMO_BUILDS = {
     "series --name QtransS --order 25": (5, 5),
     "hurwitz --max 2000 --format json": (0, 0),
     "verify --suite identities --order 120": (38, 38),
-    "swcheck --nf 3 --order 400": (5, 5),
-    "swcheck --nf 0 --order 400": (5, 5),
-    "swcheck --nf 2 --order 400": (5, 5),
+    "swcheck --nf 3 --order 400": (6, 6),
+    "swcheck --nf 0 --order 400": (6, 6),
+    "swcheck --nf 2 --order 400": (6, 6),
     "verify --suite identities --order 2000": (38, 38),
     "series --name Qplus --order 3000 --format json": (7, 7),
     "series --name Delta --order 20000 --format json": (1, 1),
@@ -245,8 +245,8 @@ KERNEL_CALLS = {
     "verify --suite criterion --max 2": (63, 0, 9),
     "goettsche --max-weight 4 --format json": (35, 0, 3),
     "goettsche --max-weight 4 --format csv": (35, 0, 3),
-    "swcheck --nf 2 --order 16": (16, 22, 4),
-    "verify --suite all --order 24": (459, 91, 50),
+    "swcheck --nf 2 --order 16": (14, 21, 3),
+    "verify --suite all --order 24": (458, 88, 49),
     "hurwitz --max 12": (0, 0, 0),
     "series --name Qplus --order 20": (5, 5, 3),
     "invariants --nf 0 --max-weight 10 --format json": (200, 0, 14),
@@ -268,9 +268,9 @@ KERNEL_CALLS = {
     "series --name QtransS --order 25": (5, 10, 5),
     "hurwitz --max 2000 --format json": (0, 0, 0),
     "verify --suite identities --order 120": (106, 26, 17),
-    "swcheck --nf 3 --order 400": (7, 33, 5),
-    "swcheck --nf 0 --order 400": (4, 28, 3),
-    "swcheck --nf 2 --order 400": (6, 32, 4),
+    "swcheck --nf 3 --order 400": (6, 31, 4),
+    "swcheck --nf 0 --order 400": (3, 26, 2),
+    "swcheck --nf 2 --order 400": (5, 30, 3),
     "verify --suite identities --order 2000": (86, 46, 17),
     "series --name Qplus --order 3000 --format json": (2, 8, 3),
     "series --name Delta --order 20000 --format json": (1, 4, 0),

@@ -85,27 +85,28 @@ def test_nf2_is_rescaled_nf0():
     assert sw.sw_family(2, 10).kodaira_infty == "I*_2"
 
 
-def _perturb_u0(monkeypatch):
-    """Add q to the nf=0 u-series, which the nf=2 family is built from."""
+def _perturb_u2(monkeypatch):
+    """Add q^2 to the nf=2 u-series: the image at 2 tau of q added to the
+    nf=0 one."""
     chart = sw._chart
 
     def perturbed(nf, p):
         u, omega2, inv = chart(nf, p)
-        if nf == 0:
-            u = u + QSeries.monomial(1)
+        if nf == 2:
+            u = u + QSeries.monomial(2)
         return u, omega2, inv
     monkeypatch.setattr(sw, "_chart", perturbed)
 
 
 def test_nf2_eta_quotient_check_sees_a_perturbed_u(monkeypatch):
-    _perturb_u0(monkeypatch)
+    _perturb_u2(monkeypatch)
     assert not _u2_is_eta_quotient(10)
 
 
 def test_nf2_duplication_check_sees_a_perturbed_u(monkeypatch):
-    """The nf=2 u-series is built from the nf=0 one, so a fault there must
-    make the check against the theta duplication formula fail."""
-    _perturb_u0(monkeypatch)
+    """The nf=2 u-series is the level-4 curve read at tau/2, so a fault in
+    it must make the check against the theta duplication formula fail."""
+    _perturb_u2(monkeypatch)
     results = {name: (ok, bad) for name, ok, bad, _ in sw.check_family(2, 12)}
     assert results["u2 = u0 at tau/2"] == (False, 2)
 
@@ -158,8 +159,8 @@ def test_period_series_match_a_direct_inverse(nf, prec):
 
 @pytest.mark.parametrize("nf", [0, 2, 3])
 def test_family_check_builds_one_family(nf, monkeypatch):
-    """check_family builds the family it checks and no other: nf=2 and the
-    u3 relation read the nf=0 chart, not a whole nf=0 family."""
+    """check_family builds the family it checks and no other: the u3
+    relation reads the nf=0 chart, not a whole nf=0 family."""
     calls = []
     build = sw.sw_family
     monkeypatch.setattr(sw, "sw_family",
@@ -169,9 +170,9 @@ def test_family_check_builds_one_family(nf, monkeypatch):
 
 
 def test_nf0_check_builds_no_theta4(memo_builds):
-    """The nf=0 chart is made of eta quotients, and no check of the nf=0
-    family reads a theta constant: with every memo empty, the checks pass
-    and call neither Theta4 nor any other."""
+    """The nf=0 chart is made of form_h and eta quotients, and no check of
+    the nf=0 family reads a theta constant: with every memo empty, the
+    checks pass and call neither Theta4 nor any other."""
     with theta_forbidden():
         assert all(ok for _, ok, _, _ in sw.check_family(0, 24))
     assert memo_builds
@@ -185,16 +186,17 @@ def test_nf0_check_builds_no_theta4(memo_builds):
 ], ids=["nf0", "nf2", "nf3"])
 def test_family_check_inverts_only_check_divisors(nf, powers, inverses,
                                                   memo_builds, monkeypatch):
-    """With every memo empty, the chart builds eta quotients only and calls
-    no theta constant, and check_family raises to a negative power the
-    Euler products of its eta quotients and, outside forms._eta_quotient,
-    only the divisors of the checks that compare the chart with theta
-    constants, each once: no chart inverts W or a theta product.  Each
-    negative power is named by (base lead, power), and ``inverse`` runs
-    only on u0 - 1, named by its leading term."""
+    """With every memo empty, the chart builds form_h, the E* it reads and
+    eta quotients only, and calls no theta constant; check_family raises to
+    a negative power the Euler products of its eta quotients and, outside
+    forms._eta_quotient, only the divisors of the checks that compare the
+    chart with theta constants, each once: no chart inverts W or a theta
+    product.  Each negative power is named by (base lead, power), and
+    ``inverse`` runs only on u0 - 1, named by its leading term."""
     with theta_forbidden():
         sw._chart(nf, 40)
-    assert {name for name, _ in memo_builds} == {"_eta_quotient"}
+    assert {name for name, _ in memo_builds} == \
+        {"_eta_quotient", "form_h", "eisenstein_estar"}
     seen = {"powers": [], "inverses": []}
 
     def outside(record, key, method):
@@ -254,14 +256,40 @@ def test_chart_matches_the_theta_oracle(nf, prec):
     assert _agree(inv, inv_t, prec + 2 * inv.valuation())
 
 
+@pytest.mark.parametrize("p", [0, F(1, 3), F(1, 2), F(5, 2), 24, 121, 600])
+@pytest.mark.parametrize("nf", [0, 2, 3])
+def test_chart_is_stored_as_the_eta_quotient_oracle(nf, p):
+    """u = s form_h(c p) at tau/c is stored, on the same grid and window, as
+    s (8 + eta^8/eta(4t)^8) is, and W and 1/W as before; nf=2 as the nf=0
+    chart at 2 tau."""
+    def stored(s):
+        return s.ram, s.lead, s.prec, s.den, s.nums
+    assert [stored(s) for s in sw._chart(nf, p)] == \
+        [stored(s) for s in oracles.sw_chart_quotient(nf, p)]
+
+
 def _is_zero_below(series, prec) -> bool:
     return series.prec_q() >= prec and series.truncate(prec).is_zero()
 
 
 def test_h_is_eight_plus_an_eta_quotient():
-    """h = eta(2t)^4/eta(4t)^8 E*(2t) = 8 + eta^8/eta(4t)^8, to q^200."""
-    quotient = forms.eta_quotient([(1, 8), (4, -8)], 200)
-    assert _is_zero_below(forms.form_h(200) - quotient - 8, 200)
+    """h = eta(2t)^4/eta(4t)^8 E*(2t) = 8 + eta^8/eta(4t)^8, to q^200, and
+    its weight-2 form E*(2t) = 8 g + eta^8/eta(2t)^4, g = eta(4t)^8 /
+    eta(2t)^4, which proves both, h being E*(2t)/g.  All three terms lie in
+    M_2(Gamma0(4)): E* = 2 E2(2t) - E2(t) lies in M_2(Gamma0(2)), and for
+    each eta quotient prod eta(d t)^r Ligozat's conditions hold (sum d r and
+    sum (4/d) r are 0 mod 24, prod d^r is a square) and its orders at the
+    cusps 1, 1/2 and 1/4 are >= 0.  Gamma0(4) has index 6 in SL2(Z), so by
+    Sturm's bound a form of M_2(Gamma0(4)) whose coefficients vanish up to
+    q^((2/12) 6) = q^1 is zero, and the window reaches past that bound."""
+    window, sturm = 200, F(2, 12) * 6
+    assert window > sturm
+    quotient = forms.eta_quotient([(1, 8), (4, -8)], window)
+    assert _is_zero_below(forms.form_h(window) - quotient - 8, window)
+    g = forms.eta_quotient([(2, -4), (4, 8)], window)
+    other = forms.eta_quotient([(1, 8), (2, -4)], window)
+    estar = forms.eisenstein_estar(F(window, 2)).rescale(2, 1)
+    assert _is_zero_below(estar - 8 * g - other, window)
 
 
 def test_nf0_period_is_an_eta_quotient():
