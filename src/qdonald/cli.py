@@ -7,6 +7,9 @@ value.  ``qdonald -h/--help`` lists the commands and ``qdonald <command>
 that the parser and both listings read.
 
 Output is deterministic: identical invocations produce byte-identical text.
+Output integers have no digit limit: every coefficient and table value is
+written in full through ``series.exact_str``, also past
+``sys.get_int_max_str_digits()``, which is left unchanged.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  A usage
 error (an unknown command or option, a missing value or option, an unknown
 series name, a malformed or negative order or bound, a ``--terms`` below 1,
@@ -28,7 +31,7 @@ from functools import partial
 from types import SimpleNamespace
 
 from . import forms, invariants, mock, sw
-from .series import InsufficientPrecision, factor_window
+from .series import InsufficientPrecision, exact_str, factor_window
 
 # A command runs once and then the process exits: the collections of shutdown
 # would only walk objects that the operating system reclaims anyway, and
@@ -166,8 +169,9 @@ def _format_table(fmt: str, rows: list, meta: dict, title: tuple,
 
 
 def cmd_invariants(args) -> int:
-    rows = [{"m": m, "n": n, "monomial": label, "value": str(cell.value),
-             "h_combo": [[f"H{a}", str(w)] for a, w in cell.h_combo]}
+    rows = [{"m": m, "n": n, "monomial": label,
+             "value": exact_str(cell.value),
+             "h_combo": [[f"H{a}", exact_str(w)] for a, w in cell.h_combo]}
             for m, n, label, cell
             in invariants.invariant_table(args.nf, args.max_weight)]
     _emit(_format_table(args.format, rows, {"nf": args.nf},
@@ -177,7 +181,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_goettsche(args) -> int:
-    rows = [{"k": k, "m": m, "n": n, "monomial": label, "value": str(v)}
+    rows = [{"k": k, "m": m, "n": n, "monomial": label,
+             "value": exact_str(v)}
             for k, m, n, label, v in invariants.goettsche_table(args.max_weight)]
     _emit(_format_table(args.format, rows, {}, (),
                         "k={k} {monomial:<12} {value}"), args.out)
@@ -192,11 +197,11 @@ def cmd_hurwitz(args) -> int:
                          f"{args.max} + 1 class numbers") from None
     if args.format == "json":
         import json
-        _emit(json.dumps({str(n): str(v) for n, v in enumerate(values)}) + "\n",
-              args.out)
+        _emit(json.dumps({str(n): exact_str(v) for n, v in enumerate(values)})
+              + "\n", args.out)
     else:
-        _emit("\n".join(f"H({n}) = {v}" for n, v in enumerate(values)) + "\n",
-              args.out)
+        _emit("\n".join(f"H({n}) = {exact_str(v)}"
+                        for n, v in enumerate(values)) + "\n", args.out)
     return 0
 
 

@@ -530,8 +530,8 @@ class QSeries:
         for m, c in enumerate(self.nums, self.lead):
             if c:  # as str(Fraction(c, den)) writes it
                 g = gcd(c, den)
-                entries.append([str(m), str(c // g) if g == den
-                                else f"{c // g}/{den // g}"])
+                entries.append([str(m), exact_str(c // g) if g == den else
+                                f"{exact_str(c // g)}/{exact_str(den // g)}"])
         return {"ram": self.ram, "lead": self.lead,
                 "prec": self.prec, "coeffs": entries}
 
@@ -598,9 +598,21 @@ def _format_monomial(e: Fraction) -> str:
     return f"q^({e})"
 
 
+def exact_str(c) -> str:
+    """str(c) of an int or a Fraction, of any length.  str refuses an int
+    of more than sys.get_int_max_str_digits() digits; past that limit the
+    decimal module writes the digits, exactly.  The limit is not changed."""
+    try:
+        return str(c)
+    except ValueError:
+        from decimal import Decimal
+        n, d = str(Decimal(c.numerator)), str(Decimal(c.denominator))
+        return n if d == "1" else f"{n}/{d}"
+
+
 def _format_term(e: Fraction, c: Fraction, first: bool) -> str:
     neg = c < 0
-    cs = str(-c if neg else c)
+    cs = exact_str(-c if neg else c)
     if e == 0:
         core = cs
     else:

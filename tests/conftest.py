@@ -23,26 +23,35 @@ def clear_memos() -> None:
         fn.clear()
 
 
-@pytest.fixture
-def memo_builds(monkeypatch) -> Counter:
+@contextmanager
+def counting_memo_builds():
     """Empty every memoized constructor of ``forms`` and ``mock`` and count
-    its builds from then on: {(name, key): builds}, key the arguments before
-    the precision.  A call builds when its memo entry holds a new series
-    afterwards; a request served by truncation builds nothing.  Each
+    its builds inside the block: {(name, key): builds}, key the arguments
+    before the precision.  A call builds when its memo entry holds a new
+    series afterwards; a request served by truncation builds nothing.  Each
     counting wrapper keeps its memo's ``entries`` and ``clear``, so that
     :func:`clear_memos` still empties every memo."""
     builds = Counter()
-    for module, name, fn in memoized():
-        fn.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name, fn in memoized():
+            fn.clear()
 
-        def counted(*args, fn=fn, name=name):
-            held = fn.entries.get(args[:-1])
-            out = fn(*args)
-            if fn.entries.get(args[:-1]) is not held:
-                builds[name, args[:-1]] += 1
-            return out
-        monkeypatch.setattr(module, name, update_wrapper(counted, fn))
-    return builds
+            def counted(*args, fn=fn, name=name):
+                held = fn.entries.get(args[:-1])
+                out = fn(*args)
+                if fn.entries.get(args[:-1]) is not held:
+                    builds[name, args[:-1]] += 1
+                return out
+            patch.setattr(module, name, update_wrapper(counted, fn))
+        yield builds
+
+
+@pytest.fixture
+def memo_builds() -> Counter:
+    """The memo builds from here on, as :func:`counting_memo_builds` counts
+    them."""
+    with counting_memo_builds() as builds:
+        yield builds
 
 
 # the integer kernel's entries whose calls are counted: the two product

@@ -385,6 +385,12 @@ MUTANTS = [
      "test_golden_stdout[verify --suite identities --order 120]",
      "the identities suite checks Z0 against calQ + 2 calF0 / Theta4, so "
      "the check of the paper's definition fails"),
+    ("json-writer-bypassed", SERIES,
+     "exact_str(c // g) if g == den else", "str(c // g) if g == den else",
+     "tests/test_golden.py::"
+     "test_golden_stdout[series --name Ft:10000 --order 3 --format json]",
+     "the json writer converts an integer coefficient with str, which "
+     "refuses one past sys.get_int_max_str_digits()"),
 ]
 
 EQUIVALENT = {"truncate-below-lead"}

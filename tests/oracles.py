@@ -3,6 +3,8 @@
 Each oracle computes the same object as a production function by an
 independent route, or by the plain ``Fraction`` loop that a fast path
 replaced; it is kept only to cross-check, never called by ``qdonald`` itself.
+The index-bundle Chern table and the monopole-obstruction sums live here too:
+paper objects that no command computes and no printed value confirms.
 """
 
 from dataclasses import dataclass
@@ -895,8 +897,94 @@ def form_fm_theta(m: int, prec) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
+# The index-bundle Chern table and the monopole-obstruction sums.  These
+# paper objects are not confirmed: no printed value exists to check them
+# against, and on the 37 cells where both are defined they stand in no
+# fixed ratio to the u-plane values D^nf_(m,2n) (CHANGES.md records the
+# table).  No command computes them; the tests below them and
+# phi_euler_convolution check only that the routes agree.
+
+def series_exp(a: QSeries) -> QSeries:
+    """exp of a series with positive valuation, to its precision, by the
+    recurrence m b_m = sum_(k=1..m) k a_k b_(m-k) in w = q^(1/ram)."""
+    if a.prec is None:
+        if a.is_zero():
+            return QSeries.one()
+        raise ValueError("series_exp needs a truncated series")
+    if a.nums and a.lead < 1:
+        raise ValueError("series_exp needs positive valuation")
+    ka = [(k, Fraction(k * v, a.den))
+          for k, v in enumerate(a.nums, a.lead) if v]
+    b = [Fraction(1)]
+    for m in range(1, a.prec):
+        b.append(sum((c * b[m - k] for k, c in ka if k <= m), Fraction(0)) / m)
+    return QSeries(a.ram, 0, b[:a.prec], a.prec)  # empty when prec <= 0
+
+
+def _chern_series(k, r: int, top: int) -> tuple:
+    """(J1, J2, J3) of the index-bundle Chern generating function to w^top,
+    w = z^2: J1 = arctan(z)/z, J2 = (z - arctan z)/z^3 and J3 = -(r^2 -
+    k)/2 log(1 + w) + (4k - 1)/4 (J1 - 1)."""
+    j1 = QSeries.from_terms(
+        {l: Fraction((-1) ** l, 2 * l + 1) for l in range(top)}, top)
+    j2 = QSeries.from_terms(
+        {l: Fraction((-1) ** l, 2 * l + 3) for l in range(top)}, top)
+    log_part = QSeries.from_terms(
+        {s: Fraction((-1) ** (s + 1), s) for s in range(1, top)}, top)
+    return j1, j2, (Fraction(-(r * r - k), 2) * log_part
+                    + Fraction(4 * k - 1, 4) * (j1 - 1))
+
+
+def index_chern_coeffs(k: int, r: int, imax: int, jmax: int, lmax: int
+                       ) -> dict:
+    """Taylor coefficients f_(i,2j,2l) of the index-bundle Chern generating
+    function exp(x J1(z)/2 + y^2 J2(z)/4 + J3(z)), for every i <= imax, j <=
+    jmax and l <= lmax, zeros included; the series are even in z and run
+    in w = z^2."""
+    top = lmax + 1
+    j1, j2, j3 = _chern_series(k, r, top)
+    xi = series_exp(j3)
+    table = {}
+    for i in range(imax + 1):
+        yj = xi  # at x^i y^(2j): (J1/2)^i / i! (J2/4)^j / j! exp(J3)
+        for j in range(jmax + 1):
+            for l in range(top):
+                table[i, 2 * j, 2 * l] = yj.coeff(l)
+            yj = yj * j2 / (4 * (j + 1))
+        xi = xi * j1 / (2 * (i + 1))
+    return table
+
+
+def phi_euler_combo(nf: int, k: int, m: int, n: int) -> Fraction:
+    """Monopole-obstruction invariant: the sum over j + l = big of the
+    y^(2j) w^l coefficient of exp(nf (y^2 J2/4 + J3)) times the Goettsche
+    value at p^(m+l) S^(2(n+j)); the y^(2j) term of that exponential is
+    (nf J2/4)^j / j! exp(nf J3)."""
+    if m < 0 or n < 0:
+        raise inv.ConstraintViolation("m, n must be non-negative")
+    if nf == 2:
+        if k % 2 or m + n + 2 != k:
+            raise inv.ConstraintViolation("nf=2 needs k even and m+n+2=k")
+        big = k
+    elif nf == 3:
+        if k % 2 or 2 * m + 2 * n + 4 != k:
+            raise inv.ConstraintViolation("nf=3 needs k even and 2m+2n+4=k")
+        big = 3 * k // 2
+    else:
+        raise inv.ConstraintViolation("nf must be 2 or 3")
+    _, j2, j3 = _chern_series(k, 0, big + 1)
+    yj = series_exp(nf * j3)
+    phi = inv.goettsche_weight(2 * k - 2)  # m + n + big = 2(k - 1)
+    total = Fraction(0)
+    for j in range(big + 1):
+        total += yj.coeff(big - j) * phi[m + big - j]
+        yj = yj * j2 * Fraction(nf, 4 * (j + 1))
+    return total
+
+
+# ---------------------------------------------------------------------------
 # The monopole sum by convolving the Chern table, which the series
-# exponential in invariants.phi_euler_combo replaced.
+# exponential in phi_euler_combo replaced.
 
 def phi_euler_convolution(nf: int, k: int, m: int, n: int) -> Fraction:
     """phi_euler_combo as the copies-fold (copies = nf) convolution of the
@@ -904,7 +992,7 @@ def phi_euler_convolution(nf: int, k: int, m: int, n: int) -> Fraction:
     with the Goettsche values at p^(m+l) S^(2(n+j)) where j + l = big; m,
     n and k as phi_euler_combo accepts them."""
     big = k if nf == 2 else 3 * k // 2
-    f = inv.index_chern_coeffs(k, 0, 0, big, big)
+    f = index_chern_coeffs(k, 0, 0, big, big)
     conv = {(0, 0): Fraction(1)}
     for _ in range(nf):
         nxt = {}

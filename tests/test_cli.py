@@ -4,6 +4,7 @@ import gc
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 from functools import partial
 from math import gcd
@@ -13,7 +14,7 @@ import pytest
 from conftest import clear_memos, memoized, theta_forbidden
 
 import qdonald
-from qdonald import QSeries, cli, forms, invariants, series, sw
+from qdonald import QSeries, cli, forms, invariants, mock, series, sw
 from qdonald.cli import COMMANDS, UsageError, _series_name, main
 
 
@@ -47,6 +48,30 @@ def test_series_json_roundtrip(capsys):
     assert payload["ram"] == 1
     assert ["-1", "1"] in payload["coeffs"]
     assert ["3", "28"] in payload["coeffs"]
+
+
+def test_series_prints_coefficients_of_any_length(capsys):
+    """Ft:10000 to q^3 holds -3^10000, of 4772 digits, and four longer
+    coefficients, past str's limit on int digits (4300 by default): both
+    formats exit 0 and print every coefficient in full, as the decimal
+    module writes the exact value, and the process-wide limit is left as it
+    was."""
+    limit = sys.get_int_max_str_digits()
+    terms = list(mock.f_t(10000, 3).terms())
+    assert {c.denominator for _, c in terms} == {1}
+    want = [str(Decimal(c.numerator)) for _, c in terms]
+    assert want[1] == str(Decimal(-3 ** 10000))
+    assert [len(w) > limit for w in want] == [False] + [True] * 5
+    argv = ["series", "--name", "Ft:10000", "--order", "3"]
+    assert main([*argv, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert [c for _, c in json.loads(out)["coeffs"]] == want and err == ""
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    body = out.split(" * (", 1)[1].removesuffix(" ...)\n")
+    printed = body.replace(" - ", " -").replace(" + ", " ").split(" ")
+    assert [term.split("*")[0] for term in printed] == want and err == ""
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_series_named_variants(capsys):

@@ -155,6 +155,12 @@ GOLDEN = [
      "c18d111bad5e18022a5d6ef41db8bd467af2bdfe624e3d3544879e7433492b40"),
     (["series", "--name", "vtheta4", "--order", "0", "--format", "json"],
      "c18d111bad5e18022a5d6ef41db8bd467af2bdfe624e3d3544879e7433492b40"),
+    # coefficients longer than str's limit on int digits (4300 by default):
+    # -3^10000, of 4772 digits, and four longer ones, printed in full
+    (["series", "--name", "Ft:10000", "--order", "3"],
+     "d7705c6feb8d13e6a81265c36ae35a686318bf239710ae2ee5fc8f62f0700e36"),
+    (["series", "--name", "Ft:10000", "--order", "3", "--format", "json"],
+     "1e24e90153f374e93a41f17af7c6a6513dd4fec91b68aa1c4168cf936051d101"),
 ]
 
 
@@ -220,6 +226,8 @@ MEMO_BUILDS = {
     "series --name vtheta2 --order 0 --format json": (0, 0),
     "series --name vtheta3 --order 0 --format json": (0, 0),
     "series --name vtheta4 --order 0 --format json": (0, 0),
+    "series --name Ft:10000 --order 3": (1, 1),
+    "series --name Ft:10000 --order 3 --format json": (1, 1),
 }
 
 
@@ -285,6 +293,8 @@ KERNEL_CALLS = {
     "series --name vtheta2 --order 0 --format json": (0, 0, 0),
     "series --name vtheta3 --order 0 --format json": (0, 0, 0),
     "series --name vtheta4 --order 0 --format json": (0, 0, 0),
+    "series --name Ft:10000 --order 3": (0, 0, 0),
+    "series --name Ft:10000 --order 3 --format json": (0, 0, 0),
 }
 # the order of the counts in a KERNEL_CALLS row
 _KERNEL_NAMES = ("_pairs", "_kronecker", "int_power")
@@ -327,26 +337,29 @@ def test_golden_kernel_calls(argv, kernel_calls):
 def test_every_golden_invocation_has_kernel_calls():
     assert set(KERNEL_CALLS) == {" ".join(argv) for argv, _ in GOLDEN}
 
-# prints the KERNEL_CALLS table of this process as JSON
+
+# prints the MEMO_BUILDS and KERNEL_CALLS rows of this process as JSON, both
+# counted in one run of each invocation with every memo empty
 _COUNT_ALL = """
 import io, json, sys
 from contextlib import redirect_stdout
-from conftest import clear_memos, counting_kernel_calls
+from conftest import counting_kernel_calls, counting_memo_builds
 from test_golden import GOLDEN, _KERNEL_NAMES
 from qdonald.cli import main
 table = {}
 for argv, _ in GOLDEN:
-    clear_memos()
-    with counting_kernel_calls() as calls, redirect_stdout(io.StringIO()):
+    with counting_memo_builds() as builds, counting_kernel_calls() as calls, \\
+            redirect_stdout(io.StringIO()):
         main(argv)
-    table[" ".join(argv)] = [calls[name] for name in _KERNEL_NAMES]
+    table[" ".join(argv)] = [[sum(builds.values()), len(builds)],
+                             [calls[name] for name in _KERNEL_NAMES]]
 print(json.dumps(table))
 """
 
 
 def test_kernel_calls_ignore_the_hash_seed():
     """Two fresh processes, under PYTHONHASHSEED 0 and 1, count the pinned
-    kernel calls for every golden invocation."""
+    memo builds and kernel calls for every golden invocation."""
     here = os.path.dirname(os.path.abspath(__file__))
     path = os.pathsep.join([here, os.path.join(here, "..", "src")])
     children = [subprocess.Popen(
@@ -356,7 +369,9 @@ def test_kernel_calls_ignore_the_hash_seed():
     for child in children:
         out, _ = child.communicate()
         assert child.returncode == 0
-        assert {key: tuple(v) for key, v in json.loads(out).items()} == \
+        table = json.loads(out)
+        assert {key: tuple(v[0]) for key, v in table.items()} == MEMO_BUILDS
+        assert {key: tuple(v[1]) for key, v in table.items()} == \
             KERNEL_CALLS
 
 
