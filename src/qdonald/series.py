@@ -539,16 +539,15 @@ class QSeries:
         return f"QSeries({self.to_text(6)})"
 
 
-def factor_window(p, val, lead=None, power=1):
+def factor_window(p, val, lead=None):
     """Where to build a factor of a product known below q^p, by the window
-    rules of ``__mul__`` and of negative powers: below p - val, for
-    cofactors of valuation ``val`` or more.  The base of a divisor base **
-    power, the base of valuation ``lead``, below p - val + (power + 1) lead:
-    base ** -power is known on as many terms as the base, from its lead
-    -power lead instead of lead.  And one q-step past its lead, so that it
+    rules of ``__mul__`` and of ``inverse``: below p - val, for cofactors of
+    valuation ``val`` or more.  A divisor, of valuation ``lead``, below
+    p - val + 2 lead: its inverse is known on as many terms as it, from its
+    lead -lead instead of lead.  And one q-step past its lead, so that it
     has an inverse."""
     p -= val
-    return p if lead is None else max(p + (power + 1) * lead, lead + 1)
+    return p if lead is None else max(p + 2 * lead, lead + 1)
 
 
 def _make(ram: int, lead: int, vals, den, prec) -> QSeries:
@@ -605,9 +604,40 @@ def exact_str(c) -> str:
     try:
         return str(c)
     except ValueError:
-        from decimal import Decimal
-        n, d = str(Decimal(c.numerator)), str(Decimal(c.denominator))
+        n, d = _decimal_str(c.numerator), _decimal_str(c.denominator)
         return n if d == "1" else f"{n}/{d}"
+
+
+_DECIMAL_BITS = 1024  # ints this short go to Decimal(n) whole
+
+
+def _decimal_str(n: int) -> str:
+    """The digits of n through the decimal module, by divide and conquer, as
+    CPython 3.12's ``_pylong.int_to_decimal`` converts: a w-bit |n| is hi
+    2^h + lo, h = w // 2, and the halves are converted apart and joined in
+    a context that never rounds.  Decimal(n) itself takes time quadratic in
+    the digits; this takes one level of decimal products per halving."""
+    import decimal
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN)
+    twos = {}  # 2^h for each half width h, made once
+
+    def two(h):
+        if h not in twos:
+            twos[h] = ctx.power(2, h) if h <= _DECIMAL_BITS else \
+                ctx.multiply(two(h // 2), two(h - h // 2))
+        return twos[h]
+
+    def convert(m, w):  # 0 <= m < 2^w
+        if w <= _DECIMAL_BITS:
+            return decimal.Decimal(m)
+        h = w // 2
+        hi, lo = m >> h, m & ((1 << h) - 1)
+        return ctx.add(ctx.multiply(convert(hi, w - h), two(h)),
+                       convert(lo, h))
+
+    digits = str(convert(abs(n), n.bit_length()))
+    return f"-{digits}" if n < 0 else digits
 
 
 def _format_term(e: Fraction, c: Fraction, first: bool) -> str:

@@ -5,12 +5,12 @@ counts nf = 0, 2, 3, each expanded at its cusp of Kodaira type I*_(4-nf).
 Every chart is one level-4 curve read at tau/c, c = 4, 2 or 1: u is
 s h(tau/c), h = ``forms.form_h``, so val(u) = -1/c, and (omega/pi)^2 is a
 multiple of eta(4t)^8/eta(2t)^4 at tau/c; nf=2 is the nf=0 curve at 2 tau.
-No chart reads a theta constant or a dense inverse.  Theta realizations
-are test oracles and, in the duplication and S-dual checks, references.
-All pi and sqrt(2) factors are absorbed into fixed normalizations so the
-whole module stays in rational arithmetic: ``omega2`` stores (omega/pi)^2
-and the Weierstrass data g2, g3, Delta are the u-polynomials of the family
-evaluated on the u-series.
+No chart reads a theta constant or a dense inverse, and no check divides:
+a relation a = b/d is checked as a d - b shifted by -val(d), whose record
+is that of a - b/d, and g2^3 - 27 g3^2 = Delta on the u-polynomials.
+Theta realizations are test oracles and, in the duplication and S-dual
+checks, references.  Fixed normalizations absorb every pi and sqrt(2), so
+the module stays rational: ``omega2`` stores (omega/pi)^2.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ class UnsupportedFamily(ValueError):
     pass
 
 
-# omega2 = (omega/pi)^2, omega2_inv = omega2.inverse(); g2n, g3n, deltan series
+# omega2 = (omega/pi)^2, omega2_inv = omega2.inverse(), deltan = Delta(u)
 SWFamily = namedtuple("SWFamily",
-                      "nf u omega2 omega2_inv g2n g3n deltan kodaira_infty")
+                      "nf u omega2 omega2_inv deltan kodaira_infty")
 
 # vanishing_threshold: T = O(u^-1), so all exponents below it are zero
 ContactTerm = namedtuple("ContactTerm", "nf t_series vanishing_threshold")
@@ -39,6 +39,17 @@ ContactTerm = namedtuple("ContactTerm", "nf t_series vanishing_threshold")
 _CURVE = {0: (4, Fraction(1, 8), 8), 2: (2, Fraction(1, 8), 8),
           3: (1, Fraction(-1, 16), -16)}
 _U_VALUATION = {nf: Fraction(-1, c) for nf, (c, _, _) in _CURVE.items()}
+# g2, g3 and Delta of each family, polynomials in u: read on an exact x = u
+# for the Weierstrass relation, and Delta on the u-series
+_WEIERSTRASS = {
+    0: (lambda u: u ** 2 / 12 - Fraction(1, 16),
+        lambda u: u ** 3 / 216 - u / 192, lambda u: (u ** 2 - 1) / 4096),
+    2: (lambda u: u ** 2 / 12 + Fraction(1, 4),
+        lambda u: u ** 3 / 216 - u / 24, lambda u: (u ** 2 - 1) ** 2 / 64),
+    3: (lambda u: u ** 2 / 12 - 5 * u / 4 + Fraction(11, 16),
+        lambda u: (u ** 3 / 216 + 7 * u ** 2 / 48 - 29 * u / 96
+                   + Fraction(7, 64)),
+        lambda u: Fraction(-1, 512) * (2 * u - 1) * (2 * u + 1) ** 4)}
 
 
 def _chart(nf: int, p) -> tuple:
@@ -53,42 +64,24 @@ def _chart(nf: int, p) -> tuple:
 
 
 def sw_family(nf: int, prec) -> SWFamily:
-    """Build u, (omega/pi)^2 and the Weierstrass series for one family."""
+    """Build u, (omega/pi)^2, its inverse and Delta(u) for one family."""
     p = Fraction(prec)
     u, omega2, inv = _chart(nf, p)
     u, omega2 = u.truncate(p), omega2.truncate(p)
     # 1/W on the window that omega2.inverse() would have
     inv = inv.truncate(omega2.prec_q() + 2 * inv.valuation())
-    if nf == 0:
-        g2 = u ** 2 / 12 - Fraction(1, 16)
-        g3 = u ** 3 / 216 - u / 192
-        delta = (u ** 2 - 1) / 4096
-    elif nf == 2:
-        g2 = u ** 2 / 12 + Fraction(1, 4)
-        g3 = u ** 3 / 216 - u / 24
-        delta = (u ** 2 - 1) ** 2 / 64
-    else:
-        g2 = u ** 2 / 12 - 5 * u / 4 + Fraction(11, 16)
-        g3 = u ** 3 / 216 + 7 * u ** 2 / 48 - 29 * u / 96 + Fraction(7, 64)
-        delta = Fraction(-1, 512) * (2 * u - 1) * (2 * u + 1) ** 4
     return SWFamily(nf=nf, u=u, omega2=omega2, omega2_inv=inv,
-                    g2n=g2, g3n=g3, deltan=delta,
+                    deltan=_WEIERSTRASS[nf][2](u),
                     kodaira_infty=f"I*_{4 - nf}")
 
 
-def u3_from_u0(prec) -> QSeries:
-    """The table relation u3 = -2/(u0 - 1) - 1/2 applied to the u0 series.
-
-    This is the expansion of the nf=3 coordinate at the nf=0 cusp; it equals
-    the theta realization of sw_family(3) with theta_2 and theta_4 exchanged.
-    """
-    u0 = _chart(0, factor_window(prec, 0, _U_VALUATION[0]))[0]
-    return (-2 * (u0 - 1).inverse() - Fraction(1, 2)).truncate(prec)
-
-
-def weierstrass_residual(fam: SWFamily) -> QSeries:
-    """g2^3 - 27 g3^2 - Delta; identically zero for a consistent family."""
-    return fam.g2n ** 3 - 27 * fam.g3n ** 2 - fam.deltan
+def weierstrass_residual(nf: int) -> QSeries:
+    """g2^3 - 27 g3^2 - Delta, an exact u-polynomial that is zero for a
+    consistent family; a failing record's exponent is a power of u."""
+    if nf not in _WEIERSTRASS:
+        raise UnsupportedFamily(f"no massless modular family for nf={nf}")
+    g2, g3, delta = (f(QSeries.monomial(1)) for f in _WEIERSTRASS[nf])
+    return g2 ** 3 - 27 * g3 ** 2 - delta
 
 
 def delta_eta_residual(fam: SWFamily) -> QSeries:
@@ -149,15 +142,16 @@ def vanishing(label: str, series: QSeries, below=None) -> tuple:
 def check_family(nf: int, prec) -> list:
     """Run the per-family identity suite; returns vanishing records."""
     p = Fraction(prec)
-    # u meets five more u in g2^3 (an unsupported nf fails in sw_family)
+    # u is built below p - 5 val(u), past where every residual reaches q^p
+    # (an unsupported nf fails in sw_family)
     pf = factor_window(p, 5 * _U_VALUATION.get(nf, 0))
     if nf == 3:  # u3's nf=0 chart reads the same curve: the wider first
         _chart(3, max(pf, 4 * factor_window(p, 0, _U_VALUATION[0])))
-        u3 = u3_from_u0(p)
+        u0 = _chart(0, factor_window(p, 0, _U_VALUATION[0]))[0]
     fam = sw_family(nf, pf)
     ct = contact_term(fam)
     results = [
-        vanishing("weierstrass g2^3-27g3^2=Delta", weierstrass_residual(fam)),
+        vanishing("weierstrass g2^3-27g3^2=Delta", weierstrass_residual(nf)),
         vanishing("discriminant Delta*(omega/pi)^12=eta^24",
                   delta_eta_residual(fam)),
         vanishing("contact term T=O(1/u)", ct.t_series,
@@ -168,21 +162,19 @@ def check_family(nf: int, prec) -> list:
         results.append(vanishing(
             "leading constant c0=-1/16",
             fam.u + QSeries.monomial(-1, Fraction(1, 16)), below=0))
+        # the S-dual chart -4 (t3 t2)^2 / (t3^2 - t2^2)^2 - 1/2 less u3 is
+        # 2 r / ((t3^2 - t2^2)^2 (u0 - 1)), a divisor of valuation -1/4;
+        # past q^1, no product of r has an empty window
+        t3, t2 = (forms.vartheta(i, max(p, 1)) for i in (3, 2))
+        r = (t3 ** 2 - t2 ** 2) ** 2 - 2 * (t3 * t2) ** 2 * (u0 - 1)
         results.append(vanishing("u3 = -2/(u0-1) - 1/2",
-                                 sw_family_swapped_u3(p) - u3))
+                                 r.shift_exponent(Fraction(1, 4)), below=p))
     if nf == 2:
-        # the duplication formula u0(tau/2) = (t3^4 + t4^4) / t2^4, built
-        # from the theta constants rather than from the level-4 curve
-        window = factor_window(p, 0, Fraction(1, 8), 4)  # t2 = 2 q^(1/8)
+        # the theta duplication formula u0(tau/2) = (t3^4 + t4^4) / t2^4
+        # times t2^4 = 16 q^(1/2) + ..., where t2 meets valuations >= -1/8
+        window = factor_window(p + Fraction(1, 2), Fraction(-1, 8))
         t2, t3, t4 = (forms.vartheta(i, window) for i in (2, 3, 4))
-        dup = (t3 ** 4 + t4 ** 4) * t2 ** -4
-        results.append(vanishing("u2 = u0 at tau/2", fam.u - dup.truncate(p)))
+        dup = fam.u * t2 ** 4 - (t3 ** 4 + t4 ** 4)
+        results.append(vanishing("u2 = u0 at tau/2",
+                                 dup.shift_exponent(Fraction(-1, 2)), below=p))
     return results
-
-
-def sw_family_swapped_u3(prec) -> QSeries:
-    """nf=3 u in the S-dual chart, by theta constants: u = (t3 t2)^2 / W - 1/2
-    with W = (omega/pi)^2 = -(t3^2 - t2^2)^2 / 4 = -1/4 + ..."""
-    t3, t2 = (forms.vartheta(i, factor_window(prec, 0, 0, 2)) for i in (3, 2))
-    u = -4 * (t3 * t2) ** 2 * (t3 ** 2 - t2 ** 2) ** -2
-    return (u - Fraction(1, 2)).truncate(prec)

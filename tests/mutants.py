@@ -181,16 +181,10 @@ MUTANTS = [
      "valuation of the factors it meets, so a product with a pole is known "
      "short of the target"),
     ("window-no-lead-floor", SERIES,
-     "max(p + (power + 1) * lead, lead + 1)", "p + (power + 1) * lead",
+     "max(p + 2 * lead, lead + 1)", "p + 2 * lead",
      "tests/test_cli.py::test_identities_run_below_the_kernel_poles[0]",
      "factor_window builds a divisor short of its lead where little of the "
      "quotient is asked for, and the divisor has no inverse"),
-    ("window-power-ignored", SERIES,
-     "max(p + (power + 1) * lead,", "max(p + 2 * lead,",
-     "tests/test_sw.py::test_duplication_window_reaches_the_order[24]",
-     "factor_window plans the base of a divisor base ** power as if the "
-     "power were 1, so t2 of the duplication check is built below p + 1/4 "
-     "and t2^-4 is known short of the order"),
     ("lerch-row-sign-dropped", MOCK,
      "terms.get(e, 0) + sign * weight(x)", "terms.get(e, 0) + weight(x)",
      "tests/test_mock.py::test_lerch_mu_matches_weighted_kernel_at_t0",
@@ -213,7 +207,7 @@ MUTANTS = [
      "tests/test_mock.py::test_cal_q_printed",
      "calQ and its inversion transform weigh A38 by -5/2, not -7/2"),
     ("weierstrass-residual-27", SW,
-     "- 27 * fam.g3n ** 2", "- 26 * fam.g3n ** 2",
+     "- 27 * g3 ** 2", "- 26 * g3 ** 2",
      "tests/test_sw.py::test_family_identity_suite[0]",
      "the Weierstrass residual is g2^3 - 26 g3^2 - Delta, which no family "
      "satisfies"),
@@ -277,7 +271,7 @@ MUTANTS = [
      "Delta W^6 misses eta^24 by 2^6"),
     ("chart-inverts-period", SW,
      "inv / w", "(w * g).inverse()",
-     "tests/test_sw.py::test_family_check_inverts_only_check_divisors[nf0]",
+     "tests/test_sw.py::test_family_check_divides_only_by_euler_products[nf0]",
      "the chart reads 1/W off a dense inverse of W instead of the eta "
      "quotient eta(2t)^4/eta(4t)^8"),
     ("nf2-kernel-power-of-two", INVARIANTS,
@@ -391,6 +385,31 @@ MUTANTS = [
      "test_golden_stdout[series --name Ft:10000 --order 3 --format json]",
      "the json writer converts an integer coefficient with str, which "
      "refuses one past sys.get_int_max_str_digits()"),
+    ("u3-relation-factor-2", SW,
+     "- 2 * (t3 * t2) ** 2 * (u0 - 1)", "- (t3 * t2) ** 2 * (u0 - 1)",
+     "tests/test_sw.py::test_family_identity_suite[3]",
+     "the u3 relation is checked as (t3^2 - t2^2)^2 - (t3 t2)^2 (u0 - 1), "
+     "which loses the 2 of u3 = -2/(u0 - 1) - 1/2"),
+    ("duplication-not-shifted", SW,
+     "dup.shift_exponent(Fraction(-1, 2))", "dup",
+     "tests/test_sw.py::test_nf2_duplication_check_sees_a_perturbed_u",
+     "the duplication residual u2 t2^4 - t3^4 - t4^4 is read unshifted, so "
+     "a fault of u2 at q^2 is reported at q^(5/2), t2^4 = 16 q^(1/2) + ... "
+     "further out"),
+    ("decimal-digits-sign-lost", SERIES,
+     "return f\"-{digits}\" if n < 0 else digits", "return digits",
+     "tests/test_qseries.py::"
+     "test_decimal_digits_are_str_of_the_decimal[-long]",
+     "a negative coefficient past str's digit limit is written without its "
+     "sign"),
+    ("decimal-digits-low-half-lost", SERIES,
+     "ctx.add(ctx.multiply(convert(hi, w - h), two(h)),\n"
+     "                       convert(lo, h))",
+     "ctx.multiply(convert(hi, w - h), two(h))",
+     "tests/test_qseries.py::"
+     "test_decimal_digits_are_str_of_the_decimal[long]",
+     "the divide-and-conquer conversion drops the low half of each split, "
+     "so only the top bits of a long coefficient are written"),
 ]
 
 EQUIVALENT = {"truncate-below-lead"}

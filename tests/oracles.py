@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, gcd, lcm
 
-from qdonald import forms, invariants as inv, mock
+from qdonald import forms, invariants as inv, mock, sw
 from qdonald.exact import Cyclo, cyclotomic_polynomial, euler_phi, unity
 from qdonald.mock import gamma_half_ratio
 from qdonald.series import (InsufficientPrecision, NotInvertible,
@@ -1068,3 +1068,34 @@ def sw_chart_quotient(nf: int, p) -> tuple:
     h, inv, g = (forms.eta_quotient(f, c * p).rescale(1, c) for f in
                  ([(1, 8), (4, -8)], [(2, 4), (4, -8)], [(2, -4), (4, 8)]))
     return s * (h + 8), w * g, inv / w
+
+
+# The Seiberg-Witten checks in division form, which sw.check_family replaced
+# by cross-multiplied residuals: each returns the series whose difference
+# with the chart the check read.
+
+def u3_from_u0(prec) -> QSeries:
+    """The table relation u3 = -2/(u0 - 1) - 1/2 applied to the u0 series.
+
+    This is the expansion of the nf=3 coordinate at the nf=0 cusp; it equals
+    the theta realization of sw_family(3) with theta_2 and theta_4 exchanged.
+    """
+    u0 = sw._chart(0, factor_window(prec, 0, sw._U_VALUATION[0]))[0]
+    return (-2 * (u0 - 1).inverse() - Fraction(1, 2)).truncate(prec)
+
+
+def sw_family_swapped_u3(prec) -> QSeries:
+    """nf=3 u in the S-dual chart, by theta constants: u = (t3 t2)^2 / W - 1/2
+    with W = (omega/pi)^2 = -(t3^2 - t2^2)^2 / 4 = -1/4 + ..."""
+    t3, t2 = (forms.vartheta(i, factor_window(prec, 0, 0)) for i in (3, 2))
+    u = -4 * (t3 * t2) ** 2 * (t3 ** 2 - t2 ** 2) ** -2
+    return (u - Fraction(1, 2)).truncate(prec)
+
+
+def sw_duplication_u2(prec) -> QSeries:
+    """u0(tau/2) = (t3^4 + t4^4) / t2^4 by theta constants, known below
+    q^prec: t2 = 2 q^(1/8) + ... is built below prec + 5/8, and past its
+    lead, as t2^-4 keeps t2's window length from its lead -1/2."""
+    window = max(Fraction(prec) + Fraction(5, 8), Fraction(9, 8))
+    t2, t3, t4 = (forms.vartheta(i, window) for i in (2, 3, 4))
+    return ((t3 ** 4 + t4 ** 4) * t2 ** -4).truncate(prec)

@@ -286,7 +286,7 @@ def test_criterion_13_sw_geometry():
     ok = True
     for nf in (0, 2, 3):
         fam = sw.sw_family(nf, 50)
-        ok = ok and sw.weierstrass_residual(fam).is_zero()
+        ok = ok and sw.weierstrass_residual(nf).is_zero()
         ok = ok and sw.delta_eta_residual(fam).is_zero()
         ct = sw.contact_term(fam)
         ok = ok and all(e >= ct.vanishing_threshold

@@ -310,7 +310,9 @@ DIVISOR_ARGV = [
     ["goettsche", "--max-weight", "6"], ["nf4", "--order", "12"],
     ["verify", "--suite", "criterion", "--max", "3"],
     ["verify", "--suite", "identities", "--order", "30"],
-    ["verify", "--suite", "tables"], ["verify", "--suite", "nf4"]]
+    ["verify", "--suite", "tables"], ["verify", "--suite", "nf4"],
+    *(["swcheck", "--nf", nf, "--order", "12"] for nf in "023"),
+    ["verify", "--suite", "swcurves"]]
 
 
 def test_production_divisors_are_euler_products(monkeypatch, capsys):
@@ -318,11 +320,9 @@ def test_production_divisors_are_euler_products(monkeypatch, capsys):
     inverse included, is an Euler product P(q^d): after the sublattice step
     of ``exact.int_power`` it is the pentagonal +-1 sequence of
     ``forms.euler_product``.  The commands are every series name at two
-    orders, the u-plane tables for nf = 0, 2 and 3, Goettsche, nf4, and the
-    criterion, identities, tables and nf4 suites.  ``swcheck`` and the
-    swcurves suite are left out: they invert theta constants on purpose,
-    as their duplication, u3 and S-dual checks test the theta forms of the
-    curves against the eta quotients that the charts read."""
+    orders, the u-plane tables for nf = 0, 2 and 3, Goettsche, nf4,
+    ``swcheck`` for nf = 0, 2 and 3, and the criterion, identities, tables,
+    nf4 and swcurves suites."""
     bases = []
     power = series.int_power
 

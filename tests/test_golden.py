@@ -253,8 +253,8 @@ KERNEL_CALLS = {
     "verify --suite criterion --max 2": (63, 0, 9),
     "goettsche --max-weight 4 --format json": (35, 0, 3),
     "goettsche --max-weight 4 --format csv": (35, 0, 3),
-    "swcheck --nf 2 --order 16": (14, 21, 3),
-    "verify --suite all --order 24": (458, 88, 49),
+    "swcheck --nf 2 --order 16": (24, 15, 2),
+    "verify --suite all --order 24": (484, 71, 46),
     "hurwitz --max 12": (0, 0, 0),
     "series --name Qplus --order 20": (5, 5, 3),
     "invariants --nf 0 --max-weight 10 --format json": (200, 0, 14),
@@ -276,9 +276,9 @@ KERNEL_CALLS = {
     "series --name QtransS --order 25": (5, 10, 5),
     "hurwitz --max 2000 --format json": (0, 0, 0),
     "verify --suite identities --order 120": (106, 26, 17),
-    "swcheck --nf 3 --order 400": (6, 31, 4),
-    "swcheck --nf 0 --order 400": (3, 26, 2),
-    "swcheck --nf 2 --order 400": (5, 30, 3),
+    "swcheck --nf 3 --order 400": (16, 25, 2),
+    "swcheck --nf 0 --order 400": (10, 20, 2),
+    "swcheck --nf 2 --order 400": (14, 25, 2),
     "verify --suite identities --order 2000": (86, 46, 17),
     "series --name Qplus --order 3000 --format json": (2, 8, 3),
     "series --name Delta --order 20000 --format json": (1, 4, 0),

@@ -1,6 +1,8 @@
 """The truncated ramified Laurent series ring and its operator algebra."""
 
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction as F
 from math import ceil
 
@@ -12,7 +14,8 @@ from qdonald import (InsufficientPrecision, IrrepresentableExponent,
                      NotInvertible, NotRational, PrecisionUnderflow, QSeries)
 from qdonald import forms, mock
 from qdonald.exact import Cyclo, root_of_unity
-from qdonald.series import factor_window
+from qdonald import series
+from qdonald.series import exact_str, factor_window
 
 
 def brute_convolution(a: QSeries, b: QSeries):
@@ -333,6 +336,28 @@ def test_to_text_of_an_irrational_coefficient():
     rational = oracles.CycloSeries(1, {0: Cyclo.from_rational(-3, 8),
                                        1: root_of_unity(2, 1, order=8)}, None)
     assert rational.to_rational().to_text() == "(-3 - q)"
+
+
+_LONG = 3 ** 20000  # 9543 digits, past str's default limit of 4300
+
+
+@pytest.mark.parametrize("n", [
+    _LONG, -_LONG, _LONG * 10 ** 70, -_LONG * 10 ** 70,  # trailing zeros
+    _LONG << 40000, -(_LONG << 40000),  # the top split's low half is 0
+    2 ** 50001, 10 ** 9000, 0, -1, 1 << 1024, (1 << 1025) - 1],
+    ids=["long", "-long", "zeros", "-zeros", "low0", "-low0", "2^50001",
+         "10^9000", "0", "-1", "2^1024", "2^1025-1"])
+def test_decimal_digits_are_str_of_the_decimal(n):
+    """The divide-and-conquer digits of an int equal str(Decimal(n)), signs,
+    trailing zeros and a zero low half included; exact_str writes them past
+    str's limit, alone and in a Fraction, and leaves the limit as it was."""
+    limit = sys.get_int_max_str_digits()
+    want = str(Decimal(n))
+    assert series._decimal_str(n) == want
+    assert exact_str(n) == want
+    assert exact_str(F(n, 7 ** 6000)) == \
+        (f"{want}/{Decimal(7 ** 6000)}" if n else "0")
+    assert sys.get_int_max_str_digits() == limit
 
 
 # ---------------------------------------------------------------------------

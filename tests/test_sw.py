@@ -31,10 +31,11 @@ def test_vanishing_sees_the_whole_window():
 
 
 def test_unsupported_family():
-    with pytest.raises(sw.UnsupportedFamily):
-        sw.sw_family(1, 8)
-    with pytest.raises(sw.UnsupportedFamily):
-        sw.sw_family(4, 8)
+    for nf in (1, 4):
+        with pytest.raises(sw.UnsupportedFamily):
+            sw.sw_family(nf, 8)
+        with pytest.raises(sw.UnsupportedFamily):
+            sw.weierstrass_residual(nf)
 
 
 def test_u0_leading_behavior():
@@ -53,10 +54,16 @@ def test_delta0_eta_relation_explicit():
 
 
 def test_weierstrass_polynomials_per_family():
+    """g2^3 - 27 g3^2 = Delta holds exactly on the u-polynomials, and the
+    family's Delta is the polynomial Delta read on its u-series."""
+    x = QSeries.monomial(1)
     for nf in (0, 2, 3):
+        residual = sw.weierstrass_residual(nf)
+        assert residual.is_zero() and residual.prec_q() is None
         fam = sw.sw_family(nf, 14)
-        assert sw.weierstrass_residual(fam).is_zero()
         assert sw.delta_eta_residual(fam).is_zero()
+        delta = sw._WEIERSTRASS[nf][2](x)
+        assert fam.deltan == sum(c * fam.u ** int(k) for k, c in delta.terms())
 
 
 def test_contact_term_thresholds():
@@ -85,36 +92,70 @@ def test_nf2_is_rescaled_nf0():
     assert sw.sw_family(2, 10).kodaira_infty == "I*_2"
 
 
-def _perturb_u2(monkeypatch):
-    """Add q^2 to the nf=2 u-series: the image at 2 tau of q added to the
-    nf=0 one."""
+def _perturb_u(monkeypatch, family):
+    """Add q^2 to the u-series of one family's chart: for nf=2 the image at
+    2 tau of q added to the nf=0 one; for nf=0 the u0 that the u3 relation
+    reads."""
     chart = sw._chart
 
     def perturbed(nf, p):
         u, omega2, inv = chart(nf, p)
-        if nf == 2:
+        if nf == family:
             u = u + QSeries.monomial(2)
         return u, omega2, inv
     monkeypatch.setattr(sw, "_chart", perturbed)
 
 
 def test_nf2_eta_quotient_check_sees_a_perturbed_u(monkeypatch):
-    _perturb_u2(monkeypatch)
+    _perturb_u(monkeypatch, 2)
     assert not _u2_is_eta_quotient(10)
 
 
 def test_nf2_duplication_check_sees_a_perturbed_u(monkeypatch):
     """The nf=2 u-series is the level-4 curve read at tau/2, so a fault in
     it must make the check against the theta duplication formula fail."""
-    _perturb_u2(monkeypatch)
+    _perturb_u(monkeypatch, 2)
     results = {name: (ok, bad) for name, ok, bad, _ in sw.check_family(2, 12)}
     assert results["u2 = u0 at tau/2"] == (False, 2)
 
 
 def test_u3_series_identity():
     """u3 = -2/(u0 - 1) - 1/2 as a series identity in the nf=0 frame."""
-    lhs = sw.sw_family_swapped_u3(10)
-    assert (lhs - sw.u3_from_u0(10)).is_zero()
+    lhs = oracles.sw_family_swapped_u3(10)
+    assert (lhs - oracles.u3_from_u0(10)).is_zero()
+
+
+def _divided_record(nf, p) -> tuple:
+    """The record of the nf=3 u3 relation or of the nf=2 duplication check
+    as the division forms of ``oracles`` give it."""
+    if nf == 3:
+        return sw.vanishing("u3 = -2/(u0-1) - 1/2",
+                            oracles.sw_family_swapped_u3(p)
+                            - oracles.u3_from_u0(p))
+    return sw.vanishing("u2 = u0 at tau/2", sw.sw_family(2, p).u
+                        - oracles.sw_duplication_u2(p))
+
+
+@pytest.mark.parametrize("p", [0, F(1, 3), 1, 2, F(17, 2), 24, 40, 400],
+                         ids=str)
+@pytest.mark.parametrize("nf", [0, 2, 3])
+def test_cross_multiplied_records_are_the_division_records(nf, p):
+    """Each cross-multiplied residual, read shifted by the valuation of what
+    it clears, gives the record, window included, of the difference that
+    the division form checks; the Weierstrass relation holds exactly."""
+    records = sw.check_family(nf, p)
+    assert records[0] == ("weierstrass g2^3-27g3^2=Delta", True, None, None)
+    if nf:
+        assert records[-1] == _divided_record(nf, p)
+
+
+@pytest.mark.parametrize("nf, family", [(2, 2), (3, 0)])
+def test_perturbed_checks_fail_as_the_division_forms(nf, family, monkeypatch):
+    """With q^2 added to the u-series that a check reads, u2 or u0, the
+    cross-multiplied check fails where the division form does."""
+    _perturb_u(monkeypatch, family)
+    ok, bad = sw.check_family(nf, 12)[-1][1:3]
+    assert not ok and (ok, bad) == _divided_record(nf, 12)[1:3]
 
 
 def test_periods_delta_kronecker():
@@ -178,21 +219,16 @@ def test_nf0_check_builds_no_theta4(memo_builds):
     assert memo_builds
 
 
-@pytest.mark.parametrize("nf, powers, inverses", [
-    (0, [], []),
-    (2, [(F(1, 8), -4)], []),  # t2^-4 of the duplication check
-    # u0 - 1 of the u3 relation; (t3^2 - t2^2)^-2 of the S-dual chart
-    (3, [(F(-1, 4), -1), (0, -2)], [(F(-1, 4), F(1, 8))]),
-], ids=["nf0", "nf2", "nf3"])
-def test_family_check_inverts_only_check_divisors(nf, powers, inverses,
-                                                  memo_builds, monkeypatch):
+@pytest.mark.parametrize("nf", [0, 2, 3], ids=["nf0", "nf2", "nf3"])
+def test_family_check_divides_only_by_euler_products(nf, memo_builds,
+                                                     monkeypatch):
     """With every memo empty, the chart builds form_h, the E* it reads and
     eta quotients only, and calls no theta constant; check_family raises to
-    a negative power the Euler products of its eta quotients and, outside
-    forms._eta_quotient, only the divisors of the checks that compare the
-    chart with theta constants, each once: no chart inverts W or a theta
-    product.  Each negative power is named by (base lead, power), and
-    ``inverse`` runs only on u0 - 1, named by its leading term."""
+    a negative power only the Euler products of its eta quotients, inside
+    forms._eta_quotient, and calls ``inverse`` nowhere else: no chart
+    inverts W or a theta product, and no check divides.  Each negative power
+    outside is named by (base lead, power), each inverse by its leading
+    term."""
     with theta_forbidden():
         sw._chart(nf, 40)
     assert {name for name, _ in memo_builds} == \
@@ -214,15 +250,16 @@ def test_family_check_inverts_only_check_divisors(nf, powers, inverses,
     monkeypatch.setattr(QSeries, "inverse", outside(
         lambda s, *_: next(s.terms()), "inverses", QSeries.inverse))
     sw.check_family(nf, 40)
-    assert seen == {"powers": powers, "inverses": inverses}
+    assert seen == {"powers": [], "inverses": []}
 
 
 @pytest.mark.parametrize("p", [F(1, 2), 1, F(17, 8), 24])
 def test_duplication_window_reaches_the_order(p, monkeypatch):
-    """The nf=2 duplication check divides by t2^4, t2 = 2 q^(1/8) + ...:
-    t2^-4 keeps t2's window length from its lead -1/2, so t2 built below
-    factor_window(p, 0, 1/8, 4) = p + 5/8 makes the record's window reach
-    p, and t2 built one q^(1/8) step less leaves it short of p."""
+    """The nf=2 duplication check multiplies u2 by t2^4, t2 = 2 q^(1/8) +
+    ..., and reads the residual below p + 1/2, where t2 meets cofactors of
+    valuation -1/8: t2 built below factor_window(p + 1/2, -1/8) = p + 5/8
+    makes the record's window reach p, and t2 built one q^(1/8) step less
+    leaves it short of p."""
     build = forms.vartheta
     for short in (False, True):
         asked = []
@@ -234,7 +271,7 @@ def test_duplication_window_reaches_the_order(p, monkeypatch):
             return build(i, prec - F(1, 8) if short else prec)
         monkeypatch.setattr(forms, "vartheta", vartheta)
         record = sw.check_family(2, p)[-1]
-        assert asked == [factor_window(p, 0, F(1, 8), 4)] == [p + F(5, 8)]
+        assert asked == [factor_window(p + F(1, 2), F(-1, 8))] == [p + F(5, 8)]
         assert record[:2] == ("u2 = u0 at tau/2", True)
         assert record[3] == (p - F(1, 8) if short else p)
 
