@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import oracles
 import pytest
-from conftest import clear_memos
+from counters import clear_memos
 from hypothesis import given, settings, strategies as st
 
 from qdonald import (NotRational, PrecisionUnderflow, QSeries, forms,

@@ -11,7 +11,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from conftest import clear_memos, memoized, theta_forbidden
+from conftest import theta_forbidden
+from counters import clear_memos, memoized
 
 import qdonald
 from qdonald import QSeries, cli, forms, invariants, mock, series, sw
