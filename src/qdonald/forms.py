@@ -35,6 +35,9 @@ from .series import QSeries, factor_window, memo
 def euler_product(prec, arg: int = 1) -> QSeries:
     """prod_{n>=1} (1 - q^(arg*n)) = sum_k (-1)^k q^(arg k (3k - 1)/2) over
     k in Z (Euler's pentagonal number theorem), known below q^ceil(prec)."""
+    if arg < 1:
+        raise ValueError(
+            f"euler_product arg must be a positive integer, not {arg}")
     top = ceil(prec)
     nums = [0] * max(top, 0)
     k = e1 = 0
@@ -50,7 +53,7 @@ def euler_product(prec, arg: int = 1) -> QSeries:
 
 def eta_power(arg: int, exp: int, prec) -> QSeries:
     """eta(arg*tau)^exp as an exact-exponent ramified series."""
-    return _eta_quotient(((arg, exp),), prec)
+    return _eta_quotient(_eta_key([(arg, exp)]), prec)
 
 
 def eta(prec) -> QSeries:
@@ -60,10 +63,19 @@ def eta(prec) -> QSeries:
 
 def eta_quotient(factors, prec) -> QSeries:
     """prod eta(d*tau)^r for factors = [(d, r), ...]."""
+    return _eta_quotient(_eta_key(factors), prec)
+
+
+def _eta_key(factors) -> tuple:
+    """The factors (d, r) sorted, the memo key of ``_eta_quotient``, once
+    there is one and no argument d is less than 1."""
     factors = tuple(sorted(tuple(f) for f in factors))
     if not factors:
         raise ValueError("eta quotient needs at least one factor")
-    return _eta_quotient(factors, prec)
+    d = factors[0][0]  # the least argument
+    if d < 1:
+        raise ValueError(f"eta argument d must be a positive integer, not {d}")
+    return factors
 
 
 @memo
@@ -111,6 +123,8 @@ _THETA_INVERSE = {2: ((8, 1), (16, -2)), 3: ((4, 2), (8, -5), (16, 2)),
 def theta_inverse(which: int, prec) -> QSeries:
     """1/Theta_which as the divisor of a quotient known below q^prec: the
     memoized eta quotient, known one q-step past its lead at least."""
+    if which not in _THETA_INVERSE:
+        raise ValueError("which must be 2, 3 or 4")
     lead = 1 if which == 2 else 0  # Theta2 = q + ..., Theta3/4 = 1 + ...
     return _eta_quotient(_THETA_INVERSE[which], max(prec, 1 - lead))
 

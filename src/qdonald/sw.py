@@ -10,7 +10,9 @@ a relation a = b/d is checked as a d - b shifted by -val(d), whose record
 is that of a - b/d, and g2^3 - 27 g3^2 = Delta on the u-polynomials.
 Theta realizations are test oracles and, in the duplication and S-dual
 checks, references.  Fixed normalizations absorb every pi and sqrt(2), so
-the module stays rational: ``omega2`` stores (omega/pi)^2.
+the module stays rational: ``omega2`` stores W = (omega/pi)^2.  E2/W is
+formed once per family, in the contact term T = -E2/(3W) + u/3 (+1/2 for
+nf=3), and the normalized A-period is read off it as a = 2u - (4 - nf) T.
 """
 
 from __future__ import annotations
@@ -26,12 +28,8 @@ class UnsupportedFamily(ValueError):
     pass
 
 
-# omega2 = (omega/pi)^2, omega2_inv = omega2.inverse(), deltan = Delta(u)
-SWFamily = namedtuple("SWFamily",
-                      "nf u omega2 omega2_inv deltan kodaira_infty")
-
-# vanishing_threshold: T = O(u^-1), so all exponents below it are zero
-ContactTerm = namedtuple("ContactTerm", "nf t_series vanishing_threshold")
+# the chart of one family: u, W = (omega/pi)^2 and 1/W, known below q^prec
+SWFamily = namedtuple("SWFamily", "nf u omega2 omega2_inv")
 
 # (c, s, w): the family is one level-4 curve read at tau/c, u = s h(tau/c) =
 # s q^(-1/c) + ..., h = forms.form_h, and W = w g(tau/c), g = eta(4t)^8 /
@@ -64,15 +62,9 @@ def _chart(nf: int, p) -> tuple:
 
 
 def sw_family(nf: int, prec) -> SWFamily:
-    """Build u, (omega/pi)^2, its inverse and Delta(u) for one family."""
+    """Build u, (omega/pi)^2 and its inverse for one family."""
     p = Fraction(prec)
-    u, omega2, inv = _chart(nf, p)
-    u, omega2 = u.truncate(p), omega2.truncate(p)
-    # 1/W on the window that omega2.inverse() would have
-    inv = inv.truncate(omega2.prec_q() + 2 * inv.valuation())
-    return SWFamily(nf=nf, u=u, omega2=omega2, omega2_inv=inv,
-                    deltan=_WEIERSTRASS[nf][2](u),
-                    kodaira_infty=f"I*_{4 - nf}")
+    return SWFamily(nf, *(x.truncate(p) for x in _chart(nf, p)))
 
 
 def weierstrass_residual(nf: int) -> QSeries:
@@ -86,12 +78,13 @@ def weierstrass_residual(nf: int) -> QSeries:
 
 def delta_eta_residual(fam: SWFamily) -> QSeries:
     """Delta * (omega/pi)^12 - eta^24, expanded in the family's variable."""
-    lhs = fam.deltan * fam.omega2 ** 6
+    lhs = _WEIERSTRASS[fam.nf][2](fam.u) * fam.omega2 ** 6
     return lhs - forms.delta(lhs.prec_q())
 
 
-def contact_term(fam: SWFamily) -> ContactTerm:
-    """T = -E2/(3 (omega/pi)^2) + u/3 + delta_(3,nf)/2 as a rational series.
+def contact_term(fam: SWFamily) -> QSeries:
+    """T = -E2/(3 (omega/pi)^2) + u/3 + delta_(3,nf)/2 as a rational series,
+    O(1/u): its exponents below -val(u) are zero.
 
     The hatted two-observable differs from T only by the non-holomorphic
     completion of E2, so this series is exactly its holomorphic part.
@@ -102,32 +95,19 @@ def contact_term(fam: SWFamily) -> ContactTerm:
     inv = fam.omega2_inv
     e2 = forms.eisenstein_e2(factor_window(inv.prec_q(), inv.valuation()))
     t = -e2 * inv / 3 + fam.u / 3
-    if fam.nf == 3:
-        t = t + Fraction(1, 2)
-    threshold = -fam.u.valuation()
-    return ContactTerm(nf=fam.nf, t_series=t, vanishing_threshold=threshold)
+    return t + Fraction(1, 2) if fam.nf == 3 else t
 
 
-def periods_a(fam: SWFamily):
-    """Normalized A-period data: returns (a_hat, W).
+def period_residual(fam: SWFamily, t: QSeries) -> QSeries:
+    """qdq(a) W + a qdq(W)/2 - W qdq(u) for the A-period a = 2u - (4 - nf) T
+    read off the contact term t; zero iff d(bold a)/du = omega.
 
-    W = (omega/pi)^2 and a_hat = (bold a)/(pi * omega/pi), so that the
+    W = (omega/pi)^2 and a = (bold a)/(pi * omega/pi), so that the
     Picard-Fuchs relation d(bold a)/du = omega becomes the rational identity
-    qdq(a_hat) * W + a_hat * qdq(W)/2 = W * qdq(u).
+    qdq(a) * W + a * qdq(W)/2 = W * qdq(u).
     """
-    nf = fam.nf
-    inv = fam.omega2_inv
-    e2 = forms.eisenstein_e2(factor_window(inv.prec_q(), inv.valuation()))
-    a_hat = Fraction(nf + 2, 3) * fam.u + Fraction(4 - nf, 3) * e2 * inv
-    if nf == 3:
-        a_hat = a_hat - Fraction(1, 2)
-    return a_hat, fam.omega2
-
-
-def period_residual(fam: SWFamily) -> QSeries:
-    """qdq(a_hat) W + a_hat qdq(W)/2 - W qdq(u); zero iff d(bold a)/du = omega."""
-    a_hat, w = periods_a(fam)
-    return a_hat.qdq(1) * w + a_hat * w.qdq(1) / 2 - w * fam.u.qdq(1)
+    a, w = 2 * fam.u - (4 - fam.nf) * t, fam.omega2
+    return a.qdq(1) * w + a * w.qdq(1) / 2 - w * fam.u.qdq(1)
 
 
 def vanishing(label: str, series: QSeries, below=None) -> tuple:
@@ -149,14 +129,13 @@ def check_family(nf: int, prec) -> list:
         _chart(3, max(pf, 4 * factor_window(p, 0, _U_VALUATION[0])))
         u0 = _chart(0, factor_window(p, 0, _U_VALUATION[0]))[0]
     fam = sw_family(nf, pf)
-    ct = contact_term(fam)
+    t = contact_term(fam)
     results = [
         vanishing("weierstrass g2^3-27g3^2=Delta", weierstrass_residual(nf)),
         vanishing("discriminant Delta*(omega/pi)^12=eta^24",
                   delta_eta_residual(fam)),
-        vanishing("contact term T=O(1/u)", ct.t_series,
-                  below=ct.vanishing_threshold),
-        vanishing("picard-fuchs d(a)/du=omega", period_residual(fam)),
+        vanishing("contact term T=O(1/u)", t, below=-fam.u.valuation()),
+        vanishing("picard-fuchs d(a)/du=omega", period_residual(fam, t)),
     ]
     if nf == 3:
         results.append(vanishing(

@@ -67,8 +67,8 @@ MUTANTS = [
      "a Kronecker slot one byte too narrow for the product coefficients"),
     ("product-choice-inverted", EXACT,
      "(_kronecker if dense else _pairs)", "(_pairs if dense else _kronecker)",
-     "tests/test_exact_arith.py::"
-     "test_cyclo_product_and_reduction_match_oracle",
+     "tests/test_golden.py::"
+     "test_golden_kernel_calls[series --name Delta --order 60 --format json]",
      "dense products loop over pairs and sparse ones pack"),
     ("every-product-kronecker", EXACT,
      "(_kronecker if dense else _pairs)", "_kronecker",
@@ -123,7 +123,7 @@ MUTANTS = [
      "--order checks no further"),
     ("shift-tau-signs-every-twist", SERIES,
      "if c and 2 * t == ram:", "if c and t:",
-     "tests/test_acceptance.py::test_criterion_15_shift_inverse",
+     "tests/test_qseries.py::test_shift_tau_eta_cubed",
      "tau -> tau + k multiplies a term by -1 where the twist is another "
      "root of unity, instead of raising NotRational"),
     ("build-accepts-cyclo", SERIES,
@@ -390,6 +390,11 @@ MUTANTS = [
      "tests/test_sw.py::test_family_identity_suite[3]",
      "the u3 relation is checked as (t3^2 - t2^2)^2 - (t3 t2)^2 (u0 - 1), "
      "which loses the 2 of u3 = -2/(u0 - 1) - 1/2"),
+    ("period-half-u", SW,
+     "2 * fam.u -", "fam.u -",
+     "tests/test_sw.py::test_family_identity_suite[0]",
+     "the A-period is read off the contact term as u - (4 - nf) T, not "
+     "2u - (4 - nf) T, so it misses u and d(a)/du = omega fails"),
     ("duplication-not-shifted", SW,
      "dup.shift_exponent(Fraction(-1, 2))", "dup",
      "tests/test_sw.py::test_nf2_duplication_check_sees_a_perturbed_u",

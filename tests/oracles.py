@@ -1099,3 +1099,13 @@ def sw_duplication_u2(prec) -> QSeries:
     window = max(Fraction(prec) + Fraction(5, 8), Fraction(9, 8))
     t2, t3, t4 = (forms.vartheta(i, window) for i in (2, 3, 4))
     return ((t3 ** 4 + t4 ** 4) * t2 ** -4).truncate(prec)
+
+
+def sw_period_a(fam) -> QSeries:
+    """The normalized A-period of a ``sw`` family written out, a = (nf +
+    2)/3 u + (4 - nf)/3 E2/W - [nf = 3]/2, with W = (omega/pi)^2 inverted
+    directly: ``sw`` reads it off the contact term as 2u - (4 - nf) T."""
+    inv = fam.omega2.inverse()
+    e2 = forms.eisenstein_e2(factor_window(inv.prec_q(), inv.valuation()))
+    a = Fraction(fam.nf + 2, 3) * fam.u + Fraction(4 - fam.nf, 3) * e2 * inv
+    return a - Fraction(1, 2) if fam.nf == 3 else a

@@ -288,9 +288,8 @@ def test_criterion_13_sw_geometry():
         fam = sw.sw_family(nf, 50)
         ok = ok and sw.weierstrass_residual(nf).is_zero()
         ok = ok and sw.delta_eta_residual(fam).is_zero()
-        ct = sw.contact_term(fam)
-        ok = ok and all(e >= ct.vanishing_threshold
-                        for e, _ in ct.t_series.terms())
+        ok = ok and all(e >= -fam.u.valuation()
+                        for e, _ in sw.contact_term(fam).terms())
     ok = ok and sw.sw_family(3, 50).u.coeff(-1) == F(-1, 16)
     report(13, ok, "for nf in {0,2,3}: g2^3 - 27 g3^2 = Delta and "
                    "Delta (omega/pi)^12 = eta^24 to q^50; contact term "
@@ -333,6 +332,7 @@ def qseries(draw, ram=None):
 def test_criterion_15_ring_laws(a, b, c):
     assert ((a + b) + c - (a + (b + c))).is_zero()
     assert (a * (b + c) - (a * b + a * c)).is_zero()
+    assert (a + b - (b + a)).is_zero()
     assert (a * b - b * a).is_zero()
 
 

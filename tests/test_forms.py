@@ -154,6 +154,28 @@ def test_theta_inverse_is_the_lattice_inverse(which):
         assert stored(got) == stored(oracles.theta_inverse_lattice(which, p)), p
 
 
+@pytest.mark.parametrize("build, args, name", [
+    (forms.euler_product, (5, 0), "arg"),
+    (forms.euler_product, (5, -1), "arg"),
+    (forms.eta_quotient, ([(0, 2)], 3), "argument d"),
+    (forms.eta_power, (0, 1, 5), "argument d"),
+    (forms.eta_quotient, ([(-2, 2)], 3), "argument d"),
+    (forms.theta_inverse, (5, 3), "which"),
+], ids=["euler-0", "euler-neg", "quotient-0", "power-0", "quotient-neg",
+        "theta-inverse-5"])
+def test_bad_arguments_raise_value_error(build, args, name, monkeypatch):
+    """An Euler product P(q^arg) with arg < 1, an eta factor eta(d tau)
+    with d < 1 and a theta inverse other than 1/Theta_2, 1/Theta_3 or
+    1/Theta_4 raise a one-line ValueError that names the argument, before
+    the eta quotient memo is read."""
+    def refuse(*a):
+        raise AssertionError(f"the eta quotient memo was read: {a}")
+    monkeypatch.setattr(forms, "_eta_quotient", refuse)
+    with pytest.raises(ValueError, match=name) as raised:
+        build(*args)
+    assert "\n" not in str(raised.value)
+
+
 def test_theta_printed_series():
     t2 = forms.theta_big(2, 40)
     assert [t2.coeff(e) for e in (1, 9, 25)] == [1, 1, 1]

@@ -3,10 +3,12 @@ once in its file, so a refactor that rewrites a targeted line fails here
 rather than only in the full mutation run (``python3 tests/mutants.py``),
 and each named killer is a test that Tier-1 collects."""
 
+import importlib
 import os
 import subprocess
 
 import pytest
+from hypothesis import is_hypothesis_test
 
 from mutants import EQUIVALENT, MUTANTS, ROOT, TIER1
 
@@ -32,3 +34,16 @@ def test_mutant_killers_are_tier1_tests():
                           env=env, text=True, capture_output=True)
     assert done.returncode == 0, done.stdout + done.stderr
     assert set(killers) <= set(done.stdout.splitlines())
+
+
+def test_mutant_killers_are_not_hypothesis_properties():
+    """A killer fails on its mutant every time: none is a @given property,
+    whose examples may miss the fault."""
+    properties = []
+    for name, _, _, _, killer, _ in MUTANTS:
+        if killer:
+            path, test = killer.split("::")
+            module = importlib.import_module(os.path.basename(path)[:-3])
+            if is_hypothesis_test(getattr(module, test.split("[")[0])):
+                properties.append((name, killer))
+    assert not properties

@@ -40,16 +40,16 @@ def test_unsupported_family():
 
 def test_u0_leading_behavior():
     fam = sw.sw_family(0, 8)
-    assert fam.u.valuation() == F(-1, 4)
+    # the fiber at infinity is I*_(4 - nf), so u = s q^(-1/(4 - nf)) + ...
+    assert fam.u.valuation() == F(-1, 4 - fam.nf) == F(-1, 4)
     assert fam.u.coeff(F(-1, 4)) == F(1, 8)
-    assert fam.kodaira_infty == "I*_4"
 
 
 def test_delta0_eta_relation_explicit():
     """(u^2 - 1)/4096 * 64 (vtheta2 vtheta3)^12 = eta^24, directly."""
     fam = sw.sw_family(0, 12)
     t2, t3 = forms.vartheta(2, 14), forms.vartheta(3, 14)
-    lhs = fam.deltan * 64 * (t2 * t3) ** 12
+    lhs = (fam.u ** 2 - 1) / 4096 * 64 * (t2 * t3) ** 12
     assert (lhs - forms.delta(lhs.prec_q())).is_zero()
 
 
@@ -62,15 +62,16 @@ def test_weierstrass_polynomials_per_family():
         assert residual.is_zero() and residual.prec_q() is None
         fam = sw.sw_family(nf, 14)
         assert sw.delta_eta_residual(fam).is_zero()
-        delta = sw._WEIERSTRASS[nf][2](x)
-        assert fam.deltan == sum(c * fam.u ** int(k) for k, c in delta.terms())
+        delta = sw._WEIERSTRASS[nf][2]
+        assert delta(fam.u) == sum(c * fam.u ** int(k)
+                                   for k, c in delta(x).terms())
 
 
 def test_contact_term_thresholds():
     for nf, threshold in ((0, F(1, 4)), (2, F(1, 2)), (3, F(1))):
-        ct = sw.contact_term(sw.sw_family(nf, 16))
-        assert ct.vanishing_threshold == threshold
-        assert all(e >= threshold for e, _ in ct.t_series.terms())
+        fam = sw.sw_family(nf, 16)
+        assert -fam.u.valuation() == threshold
+        assert all(e >= threshold for e, _ in sw.contact_term(fam).terms())
 
 
 def test_nf3_leading_constant():
@@ -89,7 +90,8 @@ def _u2_is_eta_quotient(p) -> bool:
 
 def test_nf2_is_rescaled_nf0():
     assert _u2_is_eta_quotient(10)
-    assert sw.sw_family(2, 10).kodaira_infty == "I*_2"
+    # the fiber at infinity is I*_2: u = O(q^(-1/2))
+    assert sw.sw_family(2, 10).u.valuation() == F(-1, 2)
 
 
 def _perturb_u(monkeypatch, family):
@@ -158,13 +160,17 @@ def test_perturbed_checks_fail_as_the_division_forms(nf, family, monkeypatch):
     assert not ok and (ok, bad) == _divided_record(nf, 12)[1:3]
 
 
+def _period(fam):
+    """The A-period a = 2u - (4 - nf) T that period_residual reads."""
+    return 2 * fam.u - (4 - fam.nf) * sw.contact_term(fam)
+
+
 def test_periods_delta_kronecker():
     """The constant shift in the A-period appears only for nf=3."""
-    a0, _ = sw.periods_a(sw.sw_family(0, 10))
-    a3, _ = sw.periods_a(sw.sw_family(3, 10))
+    fam0, fam3 = sw.sw_family(0, 10), sw.sw_family(3, 10)
+    a0, a3 = _period(fam0), _period(fam3)
     # u-valuations are negative, so the exact constant is isolated at q^0
     # after subtracting the u- and E2-parts; check via the defining formula
-    fam0, fam3 = sw.sw_family(0, 10), sw.sw_family(3, 10)
     e2 = forms.eisenstein_e2(12)
     rebuilt0 = F(2, 3) * fam0.u + F(4, 3) * e2 * fam0.omega2.inverse()
     assert (a0 - rebuilt0).is_zero()
@@ -175,27 +181,30 @@ def test_periods_delta_kronecker():
 
 def test_period_residuals_vanish():
     for nf in (0, 2, 3):
-        assert sw.period_residual(sw.sw_family(nf, 14)).is_zero()
+        fam = sw.sw_family(nf, 14)
+        assert sw.period_residual(fam, sw.contact_term(fam)).is_zero()
 
 
 @pytest.mark.parametrize("prec", [2, F(21, 4), 30])
 @pytest.mark.parametrize("nf", [0, 2, 3])
 def test_period_series_match_a_direct_inverse(nf, prec):
-    """The family's 1/omega2 comes from the divisor u inverts; the contact
-    term, the A-period and the Picard-Fuchs residual equal, windows
-    included, the series built on fam.omega2.inverse()."""
+    """The family's 1/omega2 is the eta quotient the chart reads, not a
+    dense inverse.  Below the window of fam.omega2.inverse(), it and the
+    contact term equal the series built on that inverse, and the A-period
+    2u - (4 - nf) T equals the oracle formula (nf + 2)/3 u + (4 - nf)/3
+    E2/W - [nf = 3]/2; the Picard-Fuchs residual equals the oracle's,
+    window included."""
     fam = sw.sw_family(nf, prec)
     w, inv = fam.omega2, fam.omega2.inverse()
-    assert fam.omega2_inv == inv
-    e2 = forms.eisenstein_e2(factor_window(inv.prec_q(), inv.valuation()))
-    t = -e2 * inv / 3 + fam.u / 3
-    a_hat = F(nf + 2, 3) * fam.u + F(4 - nf, 3) * e2 * inv
-    if nf == 3:
-        t, a_hat = t + F(1, 2), a_hat - F(1, 2)
-    assert sw.contact_term(fam).t_series == t
-    assert sw.periods_a(fam) == (a_hat, w)
-    assert sw.period_residual(fam) == (a_hat.qdq(1) * w + a_hat * w.qdq(1) / 2
-                                       - w * fam.u.qdq(1))
+    window = inv.prec_q()
+    assert fam.omega2_inv.truncate(window) == inv
+    e2 = forms.eisenstein_e2(factor_window(window, inv.valuation()))
+    t = -e2 * inv / 3 + fam.u / 3 + (F(1, 2) if nf == 3 else 0)
+    a_hat = oracles.sw_period_a(fam)
+    assert sw.contact_term(fam).truncate(window) == t
+    assert _period(fam).truncate(window) == a_hat
+    assert sw.period_residual(fam, sw.contact_term(fam)) == (
+        a_hat.qdq(1) * w + a_hat * w.qdq(1) / 2 - w * fam.u.qdq(1))
 
 
 @pytest.mark.parametrize("nf", [0, 2, 3])
@@ -285,12 +294,10 @@ def _agree(a, b, window):
 @pytest.mark.parametrize("prec", [0, F(1, 3), 1, F(5, 2), 24, 100])
 @pytest.mark.parametrize("nf", [0, 2, 3])
 def test_chart_matches_the_theta_oracle(nf, prec):
-    """u, W and 1/W of the level-4 curve equal the theta-constant charts:
-    u and W below q^prec, 1/W as far as sw_family reads it."""
-    u, w, inv = sw._chart(nf, prec)
-    u_t, w_t, inv_t = oracles.sw_chart_theta(nf, prec)
-    assert _agree(u, u_t, prec) and _agree(w, w_t, prec)
-    assert _agree(inv, inv_t, prec + 2 * inv.valuation())
+    """u, W and 1/W of the level-4 curve equal the theta-constant charts
+    below q^prec, as far as sw_family reads them."""
+    assert all(_agree(s, t, prec) for s, t in
+               zip(sw._chart(nf, prec), oracles.sw_chart_theta(nf, prec)))
 
 
 @pytest.mark.parametrize("p", [0, F(1, 3), F(1, 2), F(5, 2), 24, 121, 600])
