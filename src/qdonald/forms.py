@@ -1,12 +1,12 @@
 """Named q-expansions of the classical modular forms used downstream.
 
 All constructors take a target precision in q-units and return a QSeries
-whose known window reaches at least that far.  The Euler products and the
-theta constants are one pass over a lattice and are built where they are
-read; the eta quotients, the Eisenstein series, A38, A78, h and f_m are
-memoized with :func:`~qdonald.series.memo`, which serves lower precisions
-by truncation.  Every constructor that does ring work holds a memo entry:
+whose known window reaches at least that far.  The eta quotients, E_2, E*,
+A38, A78 and h, which commands ask for again, are memoized with
+:func:`~qdonald.series.memo`, which serves lower precisions by truncation;
 1/Theta_2, 1/Theta_3 and 1/Theta_4 are reads of memoized eta quotients.
+The rest are built where they are read: the one-pass Euler products and
+theta constants, and E_4, E_odd and f_m, which no command asks twice.
 
 Every eta power and eta quotient q^s prod_d P(q^d)^r, with P = prod (1 - q^n)
 and s = sum d r / 24, is built by ``_eta_quotient``: the powers of P are
@@ -35,7 +35,7 @@ from .series import QSeries, factor_window, memo
 def euler_product(prec, arg: int = 1) -> QSeries:
     """prod_{n>=1} (1 - q^(arg*n)) = sum_k (-1)^k q^(arg k (3k - 1)/2) over
     k in Z (Euler's pentagonal number theorem), known below q^ceil(prec)."""
-    if arg < 1:
+    if not isinstance(arg, int) or arg < 1:
         raise ValueError(
             f"euler_product arg must be a positive integer, not {arg}")
     top = ceil(prec)
@@ -68,13 +68,16 @@ def eta_quotient(factors, prec) -> QSeries:
 
 def _eta_key(factors) -> tuple:
     """The factors (d, r) sorted, the memo key of ``_eta_quotient``, once
-    there is one and no argument d is less than 1."""
+    there is one, each d a positive int and each r an int."""
     factors = tuple(sorted(tuple(f) for f in factors))
     if not factors:
         raise ValueError("eta quotient needs at least one factor")
-    d = factors[0][0]  # the least argument
-    if d < 1:
-        raise ValueError(f"eta argument d must be a positive integer, not {d}")
+    for d, r in factors:
+        if not isinstance(d, int) or d < 1:
+            raise ValueError(f"eta argument d must be a positive integer, "
+                             f"not {d}")
+        if not isinstance(r, int):
+            raise ValueError(f"eta exponent r must be an integer, not {r}")
     return factors
 
 
@@ -164,7 +167,6 @@ def eisenstein_e2(prec) -> QSeries:
     return _divisor_series(1, -24, 1, 1, 1, prec)
 
 
-@memo
 def eisenstein_e4(prec) -> QSeries:
     """E_4 = 1 + 240 sum sigma_3(n) q^n."""
     return _divisor_series(1, 240, 3, 1, 1, prec)
@@ -176,7 +178,6 @@ def eisenstein_estar(prec) -> QSeries:
     return _divisor_series(1, 24, 1, 2, 1, prec)
 
 
-@memo
 def eisenstein_eodd(prec) -> QSeries:
     """E_odd = sum sigma_1(2n+1) q^(2n+1)."""
     return _divisor_series(0, 1, 1, 1, 2, prec)
@@ -227,7 +228,6 @@ def form_h(prec) -> QSeries:
     return (quot * est).truncate(p)
 
 
-@memo
 def form_fm(m: int, prec) -> QSeries:
     """f_m = eta(4t)^(4m+24) / eta(8t)^(8m+21) E*(4t)^m = q^-(2m+3) + ...,
     the nf=0 u-plane kernel of weight m read at 8 tau; as theta constants,

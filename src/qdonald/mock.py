@@ -6,8 +6,8 @@ and the inversion transform of Q+ needed for the third monopole family, in Q
 throughout.  Non-holomorphic completions are never materialized; each
 identity is checked on holomorphic parts only.  The Appell-Lerch sums divide
 by a theta constant through ``forms.theta_inverse``, a memoized eta quotient,
-so no series here is inverted and every memo follows the one policy of
-:func:`~qdonald.series.memo`.
+so no series here is inverted.  The weighted kernels, which no command asks
+twice, hold no memo entry (see :func:`~qdonald.series.memo`).
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ def mock_m(prec) -> QSeries:
             ).truncate(prec)
 
 
-@memo
 def lerch_mu_weighted(t: int, prec) -> QSeries:
     """(1/2) D_omega^t mu(4 tau + 2 omega, 4 tau; 8 tau) at omega = 0.
 

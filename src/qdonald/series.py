@@ -70,14 +70,12 @@ _ZERO = Fraction(0)
 def memo(fn):
     """Memoize a series constructor whose last argument is a precision.
 
-    This is the one caching policy.  An entry belongs to a constructor whose
-    build is more than one pass over a lattice: ring work (products,
-    inverses, powers), a divisor or double sum, or a read of another
-    constructor's series; with no exception, as the theta divisors are
-    reads of memoized eta quotients.  A one-pass series (the Euler
-    products, the theta constants) holds none and is built where it is
-    read, and a caller orders its requests only for memoized constructors:
-    the widest first.
+    This is the one caching policy.  An entry belongs to a constructor that
+    some command asks for again with one key, so that the entry serves that
+    request.  A constructor that no command asks twice holds none and is
+    built where it is read, however much work its build is, and so is a
+    one-pass series (the Euler products, the theta constants).  A caller
+    orders its requests only for memoized constructors: the widest first.
 
     One entry per value of the other arguments holds the result at the
     highest precision asked for; a higher request replaces it, and a lower

@@ -13,7 +13,7 @@ from qdonald import forms
 def memo_builds() -> Counter:
     """Empty every memo of ``forms`` and ``mock`` and count the memo builds
     from then on, as :func:`counters.counting_memo_builds` counts them."""
-    with counting_memo_builds() as builds:
+    with counting_memo_builds() as (builds, _):
         yield builds
 
 

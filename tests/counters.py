@@ -1,12 +1,13 @@
-"""Counters of the memo builds of ``forms`` and ``mock`` and of the calls of
-the integer kernel's entries.  They import no pytest, so the golden script
-counts as the ``memo_builds`` fixture does, under any interpreter."""
+"""Counters of the memo requests and builds of ``forms`` and ``mock`` and
+of the calls of the integer kernel's entries.  They import no pytest, so
+the golden script counts as the ``memo_builds`` fixture does, under any
+interpreter."""
 
 from collections import Counter
 from contextlib import contextmanager
 from functools import update_wrapper
 
-from qdonald import exact, forms, mock, series
+from qdonald import exact, forms, invariants, mock, series
 
 # the kernel entries counted: the two product branches, and the power
 # recurrence where the ring calls it, so that the call that raises a base on
@@ -14,12 +15,41 @@ from qdonald import exact, forms, mock, series
 KERNEL_ENTRIES = ((exact, "_pairs"), (exact, "_kronecker"),
                   (series, "int_power"))
 
+# constructors that hold no memo entry, since no command asks one of them
+# twice with one key: their requests are counted, so that a test sees one
+# asked again
+UNMEMOIZED = ((forms, "eisenstein_e4"), (forms, "eisenstein_eodd"),
+              (forms, "form_fm"), (mock, "lerch_mu_weighted"))
+
 
 def memoized() -> list:
     """(module, name, constructor) of every memoized constructor of
-    ``forms`` and ``mock``."""
-    return [(module, name, fn) for module in (forms, mock)
+    ``forms``, ``mock`` and ``invariants``."""
+    return [(module, name, fn) for module in (forms, mock, invariants)
             for name, fn in vars(module).items() if hasattr(fn, "entries")]
+
+
+def constructors() -> list:
+    """(module, name, constructor) of every memoized constructor and of each
+    ``UNMEMOIZED`` one: the constructors whose requests are counted."""
+    found = memoized()
+    held = {name for _, name, _ in found}
+    return found + [(module, name, getattr(module, name))
+                    for module, name in UNMEMOIZED if name not in held]
+
+
+# the keys that the memo tests ask each of the ``constructors`` for: for the
+# eta quotients eta, eta^3, eta^-4, the nf=0 kernel base, h's quotient and
+# the divisors 1/Theta2, 1/Theta3 and 1/Theta4
+MEMO_KEYS = {
+    "_eta_quotient": [(f,) for f in (
+        ((1, 1),), ((1, 3),), ((1, -4),), ((1, 24), (2, -21)),
+        ((2, 4), (4, -8)), *forms._THETA_INVERSE.values())],
+    "eisenstein_e2": [()], "eisenstein_e4": [()], "eisenstein_estar": [()],
+    "eisenstein_eodd": [()], "form_a38": [()], "form_a78": [()],
+    "form_h": [()], "form_fm": [(0,), (3,)], "cal_f": [(0,), (2,)],
+    "mock_m": [()], "lerch_mu_weighted": [(0,), (2,)], "cal_q": [()],
+    "q_transform_s_ren": [()]}
 
 
 def clear_memos() -> None:
@@ -45,25 +75,31 @@ def _wrapped(entries, wrap):
 
 @contextmanager
 def counting_memo_builds():
-    """Empty every memoized constructor and count its builds inside the
-    block: {(name, key): builds}, key the arguments before the precision.
-    A call builds when its memo entry holds a new series afterwards; a
-    request served by truncation builds nothing.  Each counting wrapper
-    keeps its memo's ``entries`` and ``clear``, so that
-    :func:`clear_memos` still empties every memo."""
-    builds = Counter()
+    """Empty every memoized constructor and count, inside the block, the
+    requests of it and of each ``UNMEMOIZED`` constructor, and the builds of
+    the memoized ones: (builds, requests), each {(name, key): count}, key
+    the arguments before the precision.  A call builds when its memo entry
+    holds a new series afterwards; a request served by truncation builds
+    nothing.  Each counting wrapper keeps its memo's ``entries`` and
+    ``clear``, so that :func:`clear_memos` still empties every memo."""
+    builds, requests = Counter(), Counter()
 
     def wrap(name, fn):
+        entries = getattr(fn, "entries", {})
+
         def counted(*args):
-            held = fn.entries.get(args[:-1])
+            key = args[:-1]
+            requests[name, key] += 1
+            held = entries.get(key)
             out = fn(*args)
-            if fn.entries.get(args[:-1]) is not held:
-                builds[name, args[:-1]] += 1
+            if entries.get(key) is not held:
+                builds[name, key] += 1
             return out
-        fn.clear()
+        entries.clear()
         return update_wrapper(counted, fn)
-    with _wrapped([(module, name) for module, name, _ in memoized()], wrap):
-        yield builds
+    with _wrapped([(module, name) for module, name, _ in constructors()],
+                  wrap):
+        yield builds, requests
 
 
 @contextmanager

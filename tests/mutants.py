@@ -364,6 +364,12 @@ MUTANTS = [
      "test_golden_memo_builds[verify --suite all --order 24]",
      "a memoized constructor builds its series again when asked at the "
      "precision its entry already holds"),
+    ("fm-memoized-again", FORMS,
+     "def form_fm(m: int, prec)", "@memo\ndef form_fm(m: int, prec)",
+     "tests/test_golden.py::test_memo_entries_serve_requests",
+     "f_m holds a memo entry again, though no command asks for one f_m "
+     "twice, so the entry serves no request and keeps a series per m for "
+     "as long as the process lives"),
     ("exit-freeze-dropped", CLI,
      "atexit.register(gc.freeze)\n", "",
      "tests/test_cli.py::test_cli_exit_skips_the_cyclic_collection",

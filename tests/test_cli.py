@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 from conftest import theta_forbidden
-from counters import clear_memos, memoized
+from counters import (MEMO_KEYS, clear_memos, constructors,
+                      counting_memo_builds)
 
 import qdonald
 from qdonald import QSeries, cli, forms, invariants, mock, series, sw
@@ -152,23 +153,27 @@ def test_identity_residuals_reach_the_order(order, monkeypatch, capsys):
 def test_identities_build_each_factor_as_far_as_it_is_read(monkeypatch,
                                                            capsys):
     """The suite asks each memoized series for its widest window first, so
-    h is built once, and builds f_m only as far as the constant term of Z0
+    h is built once, and asks f_m only as far as the constant term of Z0
     f_m reads it: below q^2, as Z0 = q^-1 + ...."""
-    quotient = forms.eta_quotient
-    h_builds = []
+    quotient, fm = forms.eta_quotient, forms.form_fm
+    h_builds, fm_asks = [], []
 
     def count(factors, prec):
         if sorted(map(tuple, factors)) == [(2, 4), (4, -8)]:
             h_builds.append(prec)
         return quotient(factors, prec)
-    forms.form_h.clear()
-    forms.form_fm.clear()
+
+    def ask(m, prec):
+        fm_asks.append((m, prec))
+        return fm(m, prec)
+    clear_memos()
     monkeypatch.setattr(forms, "eta_quotient", count)
+    monkeypatch.setattr(forms, "form_fm", ask)
     code, _ = run_cli(capsys, "verify", "--suite", "identities", "--order",
                       "64")
     assert code == 0 and len(h_builds) == 1
-    assert sorted(forms.form_fm.entries) == [(m,) for m in range(7)]
-    assert all(held <= 2 for held, _ in forms.form_fm.entries.values())
+    assert sorted(m for m, _ in fm_asks) == list(range(7))
+    assert all(prec <= 2 for _, prec in fm_asks)
 
 
 @pytest.mark.parametrize("order", ["0", "8", "14", "30"])
@@ -184,16 +189,17 @@ def test_identities_build_calq_once(order, memo_builds, capsys):
             ("cal_q", "mock_m", "form_a38", "form_a78")] == [1, 1, 1, 1]
 
 
-def test_identities_build_the_f_m_thetas_once(memo_builds, capsys):
+def test_identities_build_the_f_m_thetas_once(capsys):
     """The seven f_m are eta quotients times powers of E*(4 tau) and read no
-    theta constant: the suite builds each f_m and the E* that they share
-    with h once, and built anew as far as the suite reads them, below q^2,
-    they call no theta constant."""
-    code, _ = run_cli(capsys, "verify", "--suite", "identities", "--order",
-                      "30")
+    theta constant: the suite asks for each f_m once and builds the E* that
+    they share with h once, and built anew as far as the suite reads them,
+    below q^2, they call no theta constant."""
+    with counting_memo_builds() as (builds, requests):
+        code, _ = run_cli(capsys, "verify", "--suite", "identities",
+                          "--order", "30")
     assert code == 0
-    assert [memo_builds["form_fm", (m,)] for m in range(7)] + \
-        [memo_builds["eisenstein_estar", ()]] == [1] * 8
+    assert [requests["form_fm", (m,)] for m in range(7)] + \
+        [builds["eisenstein_estar", ()]] == [1] * 8
     clear_memos()
     with theta_forbidden():
         for m in range(7):
@@ -267,25 +273,13 @@ def test_every_series_name_at_two_orders(name):
         assert list(lo.terms()) == list(hi.truncate(lo.prec_q()).terms())
 
 
-# each memoized constructor with the keys read here: for the eta quotients
-# eta, eta^3, eta^-4, the nf=0 kernel base, h's quotient and the divisors
-# 1/Theta2, 1/Theta3 and 1/Theta4
-MEMO_KEYS = {
-    "_eta_quotient": [(f,) for f in (
-        ((1, 1),), ((1, 3),), ((1, -4),), ((1, 24), (2, -21)),
-        ((2, 4), (4, -8)), *forms._THETA_INVERSE.values())],
-    "eisenstein_e2": [()], "eisenstein_e4": [()], "eisenstein_estar": [()],
-    "eisenstein_eodd": [()], "form_a38": [()], "form_a78": [()],
-    "form_h": [()], "form_fm": [(0,), (3,)], "cal_f": [(0,), (2,)],
-    "mock_m": [()], "lerch_mu_weighted": [(0,), (2,)], "cal_q": [()],
-    "q_transform_s_ren": [()]}
 MEMO_ORDERS = [-3, -1, F(-1, 2), F(-1, 8)]
 NAME_ORDERS = [0, F(1, 24), F(1, 8), F(1, 3), F(1, 2), 1, F(5, 2), F(17, 3), 7]
 HISTORY_CASES = [
     *(pytest.param(partial(fn, *key), order,
                    id=f"{name}{list(key) if key else ''}-{order}".replace(
                        " ", ""))
-      for _, name, fn in memoized() for key in MEMO_KEYS[name]
+      for _, name, fn in constructors() for key in MEMO_KEYS[name]
       for order in MEMO_ORDERS + NAME_ORDERS),
     *(pytest.param(_series_name(name), order, id=f"{name}-{order}")
       for name in SERIES_NAMES for order in NAME_ORDERS)]
@@ -294,7 +288,8 @@ HISTORY_CASES = [
 @pytest.mark.parametrize("build, order", HISTORY_CASES)
 def test_stored_form_ignores_memo_history(build, order):
     """A series is stored as (ram, lead, prec, den, nums) alike whether it is
-    built anew or served from a memo entry built at order 40."""
+    built anew or served from a memo entry built at order 40; one that holds
+    no entry is built anew from the entries its build reads at order 40."""
     clear_memos()
     fresh = build(order)
     clear_memos()

@@ -8,8 +8,9 @@ from fractions import Fraction as F
 import oracles
 import pytest
 from conftest import theta_forbidden
+from counters import MEMO_KEYS, memoized
 
-from qdonald import QSeries, forms, invariants as inv, mock
+from qdonald import QSeries, forms, mock
 from qdonald.series import factor_window
 
 
@@ -161,13 +162,18 @@ def test_theta_inverse_is_the_lattice_inverse(which):
     (forms.eta_power, (0, 1, 5), "argument d"),
     (forms.eta_quotient, ([(-2, 2)], 3), "argument d"),
     (forms.theta_inverse, (5, 3), "which"),
+    (forms.euler_product, (5, 1.5), "arg"),
+    (forms.eta_quotient, ([(F(3, 2), 2)], 3), "argument d"),
+    (forms.eta_quotient, ([(2, F(1, 2))], 3), "exponent r"),
 ], ids=["euler-0", "euler-neg", "quotient-0", "power-0", "quotient-neg",
-        "theta-inverse-5"])
+        "theta-inverse-5", "euler-float", "quotient-fraction-d",
+        "quotient-fraction-r"])
 def test_bad_arguments_raise_value_error(build, args, name, monkeypatch):
-    """An Euler product P(q^arg) with arg < 1, an eta factor eta(d tau)
-    with d < 1 and a theta inverse other than 1/Theta_2, 1/Theta_3 or
-    1/Theta_4 raise a one-line ValueError that names the argument, before
-    the eta quotient memo is read."""
+    """An Euler product P(q^arg) with arg not a positive int, an eta factor
+    eta(d tau)^r with d not a positive int or r not an int, and a theta
+    inverse other than 1/Theta_2, 1/Theta_3 or 1/Theta_4 raise a one-line
+    ValueError that names the argument, before the eta quotient memo is
+    read."""
     def refuse(*a):
         raise AssertionError(f"the eta quotient memo was read: {a}")
     monkeypatch.setattr(forms, "_eta_quotient", refuse)
@@ -319,7 +325,6 @@ def test_form_fm_matches_the_theta_oracle(m, prec):
     """f_m = eta(4t)^(4m+24) / eta(8t)^(8m+21) E*(4t)^m, built anew, is the
     theta quotient Theta4^9 (16 Theta2^4 + Theta3^4)^m / (Theta2
     Theta3)^(2m+3): the same grid, lead, window, denominator and integers."""
-    forms.form_fm.clear()
     fm, theta = forms.form_fm(m, prec), oracles.form_fm_theta(m, prec)
     assert (fm.ram, fm.lead, fm.prec, fm.den, fm.nums) == \
         (theta.ram, theta.lead, theta.prec, theta.den, theta.nums)
@@ -330,7 +335,7 @@ def test_form_fm_builds_no_theta_constant(memo_builds):
     with theta_forbidden():
         forms.form_fm(5, 40)
     assert {name for name, _ in memo_builds} == {
-        "form_fm", "_eta_quotient", "eisenstein_estar"}
+        "_eta_quotient", "eisenstein_estar"}
 
 
 def test_estar_4tau_theta_identity():
@@ -372,45 +377,21 @@ def test_h_ode_printed_defect_is_pinned():
     assert (defect - 128 * forms.eisenstein_eodd(44)).is_zero()
 
 
-# Every series.memo constructor, with a map from a precision to its
-# arguments.
-MEMOIZED = [
-    (forms._eta_quotient, lambda p: (((8, -3),), p)),
-    (forms._eta_quotient, lambda p: (((1, 3),), p)),
-    (forms._eta_quotient, lambda p: (((2, 4), (4, -8)), p)),
-    (forms.eisenstein_e2, lambda p: (p,)),
-    (forms.eisenstein_e4, lambda p: (p,)),
-    (forms.eisenstein_estar, lambda p: (p,)),
-    (forms.eisenstein_eodd, lambda p: (p,)),
-    (forms.form_a38, lambda p: (p,)),
-    (forms.form_a78, lambda p: (p,)),
-    (forms.form_h, lambda p: (p,)),
-    (forms.form_fm, lambda p: (1, p)),
-    (mock.cal_f, lambda p: (2, p)),
-    (mock.mock_m, lambda p: (p,)),
-    (mock.lerch_mu_weighted, lambda p: (0, p)),
-    (mock.cal_q, lambda p: (p,)),
-    (mock.q_transform_s_ren, lambda p: (p,)),
-]
+# Every series.memo constructor with each of its memo test keys.
+MEMOIZED = [(fn, key) for _, name, fn in memoized() for key in MEMO_KEYS[name]]
 
 
 def _window(s):
     return s.ram, s.lead, s.prec, s.coeffs, tuple(type(c) for c in s.coeffs)
 
 
-def test_memo_covers_every_memoized_constructor():
-    memoized = {fn for module in (forms, mock, inv)
-                for fn in vars(module).values() if hasattr(fn, "entries")}
-    assert memoized == {fn for fn, _ in MEMOIZED}
-
-
 def test_memo_keys_share_entries():
     """Equal requests hit one memo entry: the constructors return the same
     object for an int and an equal Fraction precision, and for eta-quotient
     factors in any order or container."""
-    for fn, args in MEMOIZED:
+    for fn, key in MEMOIZED:
         fn.clear()
-        assert fn(*args(7)) is fn(*args(F(7)))
+        assert fn(*key, 7) is fn(*key, F(7))
         assert len(fn.entries) == 1
     forms._eta_quotient.clear()
     assert (forms.eta_quotient([(8, 5), (16, -4)], 9)
@@ -429,12 +410,12 @@ def test_memo_serves_lower_precisions_by_truncation(prec):
     and claims zero up to its precision on the grid it computed on, while
     the served window ends on the grid of the cached series.  Both are
     empty then, and the served one reaches at least as far."""
-    for fn, args in MEMOIZED:
+    for fn, key in MEMOIZED:
         fn.clear()
-        fn(*args(12))
-        s = fn(*args(prec))
+        fn(*key, 12)
+        s = fn(*key, prec)
         assert len(fn.entries) == 1
-        f = fn.__wrapped__(*args(F(prec)))
+        f = fn.__wrapped__(*key, F(prec))
         if f.coeffs:
             assert _window(s) == _window(f), fn
         else:
@@ -443,12 +424,11 @@ def test_memo_serves_lower_precisions_by_truncation(prec):
 
 def test_memo_holds_one_entry_per_object():
     """Increasing requests replace the entry; clear() empties the cache."""
-    for fn, args in MEMOIZED:
+    for fn, key in MEMOIZED:
         fn.clear()
         for k in range(50):
-            fn(*args(1 + F(k, 16)))
-        assert [held for held, _ in fn.entries.values()] == \
-            [args(1 + F(49, 16))[-1]]
+            fn(*key, 1 + F(k, 16))
+        assert [held for held, _ in fn.entries.values()] == [1 + F(49, 16)]
         fn.clear()
         assert not fn.entries
 
@@ -459,7 +439,7 @@ def test_repeated_requests_of_held_keys_do_not_grow_memory():
     precisions replace no entry, and the traced size grows by less than
     64 KB.  A memo that kept each request's series grew by 1.1 MB here; what
     does grow is the interpreter's free lists, which fill up and stop."""
-    keys = [(forms.form_fm, (3,)), (forms.form_h, ()), (mock.cal_f, (2,)),
+    keys = [(forms.form_a38, ()), (forms.form_h, ()), (mock.cal_f, (2,)),
             (forms.eisenstein_e2, ()), (forms._eta_quotient, (((8, -3),),)),
             (mock.cal_q, ()), (forms.eisenstein_estar, ())]
     for fn, key in keys:

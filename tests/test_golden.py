@@ -7,8 +7,9 @@ of its stdout, (memo builds, distinct memo keys), (calls of
 changes the exact output and needs a reason; a change that lowers a count
 lowers its pin, and one that raises it says why.
 
-:func:`run_row` runs a row once and returns all its pins; under pytest
-each row runs so once, and a test per pin reads that run.  The module
+:func:`run_row` runs a row once and returns all its pins and its memo
+traffic; under pytest each row runs so once, and a test per pin reads that
+run, as does the test that holds every memo entry to its traffic.  The module
 imports no pytest, so it also runs as a script, under interpreters without
 pytest: ``PYTHONPATH=src python3 tests/test_golden.py`` checks every pin
 of every row run fresh, then every digest again with the memos the earlier
@@ -22,11 +23,12 @@ import io
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from functools import lru_cache
 
-from counters import (KERNEL_ENTRIES, counting_kernel_calls,
-                      counting_memo_builds)
+from counters import (KERNEL_ENTRIES, UNMEMOIZED, counting_kernel_calls,
+                      counting_memo_builds, memoized)
 from qdonald.cli import COMMANDS, main
 
 GOLDEN = [
@@ -59,11 +61,11 @@ GOLDEN = [
      (10, 10), (35, 0, 3)),
     (["nf4", "--order", "4"],
      "eb6251206d48cbf579bce3b2cda14ec6a591f645dfb4c464ef127ec005be2e94",
-     (10, 10), (15, 0, 5)),
+     (9, 9), (15, 0, 5)),
     # every coefficient of the nf = 4 partition function below q^200
     (["nf4", "--order", "200", "--terms", "1000"],
      "6b543357490391ec52c3243e73616281d5f26f0ac245172d9fe1f00bad645b68",
-     (10, 10), (3, 12, 5)),
+     (9, 9), (3, 12, 5)),
     (["hurwitz", "--max", "24", "--format", "json"],
      "c4490878b3d281778d17020b116b6f164f4bdf1b06f9f6823b500738f82f5bd4",
      (0, 0), (0, 0, 0)),
@@ -83,7 +85,7 @@ GOLDEN = [
     # builds each key once
     (["verify", "--suite", "all", "--order", "24"],
      "1be6ac599e7c1fb406225c93bb94978f784b8431cf987fbce946403acf27d8f3",
-     (83, 74), (484, 68, 46)),
+     (71, 62), (484, 68, 46)),
     (["hurwitz", "--max", "12"],
      "16f134b3b446c8591b5ed0878bbd09990e03a06372df5507857d6b16e0833c89",
      (0, 0), (0, 0, 0)),
@@ -157,7 +159,7 @@ GOLDEN = [
      (0, 0), (0, 0, 0)),
     (["verify", "--suite", "identities", "--order", "120"],
      "50f5e440c2cc6e44ba9ab6d09f02785546f6eb3b76679f809aa1e1e5c701b503",
-     (38, 38), (106, 26, 17)),
+     (27, 27), (106, 26, 17)),
     # orders where the inverses of dense theta divisors and the longest
     # Kronecker products run: a changed inverse or product algorithm must
     # leave these bytes alone.  The identity suite prints labels and
@@ -175,7 +177,7 @@ GOLDEN = [
      (6, 6), (14, 24, 2)),
     (["verify", "--suite", "identities", "--order", "2000"],
      "50f5e440c2cc6e44ba9ab6d09f02785546f6eb3b76679f809aa1e1e5c701b503",
-     (38, 38), (86, 46, 17)),
+     (27, 27), (86, 46, 17)),
     (["series", "--name", "Qplus", "--order", "3000", "--format", "json"],
      "2c08c33500b020dfa7615225ed8dd1dc19e5eb63e9e3c314b26cf6d8da21d8f3",
      (7, 7), (2, 8, 3)),
@@ -185,10 +187,10 @@ GOLDEN = [
     # the f_m kernels, as the forms-dense pool reads f_5, and one of high m
     (["series", "--name", "fm:5", "--order", "250", "--format", "json"],
      "1ff346498879b7fce419c172f1867161e40432626cad593427d777743adc9519",
-     (3, 3), (1, 11, 1)),
+     (2, 2), (1, 11, 1)),
     (["series", "--name", "fm:50", "--order", "100", "--format", "json"],
      "19b34fafe994c24a71a8c32d7c29dfe5a73efb8d0e3f23d1481d6f25368900f7",
-     (3, 3), (1, 17, 1)),
+     (2, 2), (1, 17, 1)),
     # orders off the integer grid, and the empty window at order 0: each
     # stored window ends where the grid its series is read on puts it
     (["series", "--name", "eta", "--order", "0", "--format", "json"],
@@ -205,7 +207,7 @@ GOLDEN = [
      (1, 1), (4, 0, 1)),
     (["series", "--name", "fm:2", "--order", "13/4", "--format", "json"],
      "afd2404c297836c696077f5d5a8df8893f3c82b57df5b9ccffe0e535b9a4c0d6",
-     (3, 3), (8, 0, 1)),
+     (2, 2), (8, 0, 1)),
     (["series", "--name", "vtheta2", "--order", "7/8", "--format", "json"],
      "1c978ed11d673446034263dc0fd4501d52629b6a73957952fb115d27076fd838",
      (0, 0), (0, 0, 0)),
@@ -246,11 +248,15 @@ def _run(argv) -> tuple:
 
 def run_row(argv) -> tuple:
     """Run ``qdonald <argv>`` once with every memo empty: (exit code,
-    sha256, (builds, keys), (pairs, kronecker, powers)), as a row pins."""
-    with counting_memo_builds() as builds, counting_kernel_calls() as calls:
+    sha256, (builds, keys), (pairs, kronecker, powers)), as a row pins, and
+    the memo traffic (builds, requests) that
+    :func:`counters.counting_memo_builds` counts."""
+    with counting_memo_builds() as traffic, \
+            counting_kernel_calls() as calls:
         code, digest = _run(argv)
+    builds = traffic[0]
     return (code, digest, (sum(builds.values()), len(builds)),
-            tuple(calls[name] for _, name in KERNEL_ENTRIES))
+            tuple(calls[name] for _, name in KERNEL_ENTRIES), traffic)
 
 
 @lru_cache(maxsize=None)
@@ -271,7 +277,25 @@ def test_golden_kernel_calls(row):
     assert _ran(tuple(row[0]))[3] == row[3]
 
 
-# the values a run returns: the exit code, 0, then what a row pins
+def test_memo_entries_serve_requests():
+    """Over the one run of every row, each memoized constructor serves a
+    request from its entry in some row, and no ``UNMEMOIZED`` constructor
+    is asked twice with one key in one row: a constructor holds an entry
+    only where a command asks for its series again."""
+    plain = {name for _, name in UNMEMOIZED}
+    served, repeated = Counter(), []
+    for argv, *_ in GOLDEN:
+        builds, requests = _ran(tuple(argv))[4]
+        for (name, key), count in requests.items():
+            served[name] += count - builds[name, key]
+            if name in plain and count > 1:
+                repeated.append((" ".join(argv), name, key, count))
+    idle = [name for _, name, _ in memoized() if not served[name]]
+    assert not idle and not repeated, (idle, repeated)
+
+
+# the values a run returns that are checked: the exit code, 0, then what a
+# row pins; the memo traffic after them is read by its own test
 _PINS = ("exit code", "sha256", "memo builds", "kernel calls")
 
 

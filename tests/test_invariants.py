@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import oracles
 import pytest
 from conftest import theta_forbidden
+from counters import counting_memo_builds
 from hypothesis import given, settings, strategies as st
 
 from qdonald import (InsufficientPrecision, NotRational, QSeries, forms,
@@ -681,18 +682,19 @@ def test_nf4_partition_matches_theta_route(p):
         (ref.ram, ref.lead, ref.prec, ref.den, list(ref.nums))
 
 
-def test_nf4_partition_asks_no_theta_and_makes_five_products(memo_builds,
-                                                             monkeypatch):
-    """Past Q+ (whose M divides by Theta2), nf4_partition builds eta^-1,
-    eta^-4 and E4 and calls no theta constant, and from its memoized
-    factors it makes five series products."""
-    mock.q_plus(factor_window(12, F(-1, 2)))
-    memo_builds.clear()
-    with theta_forbidden():
-        inv.nf4_partition(12)
-    assert set(memo_builds) == {("_eta_quotient", (((1, -1),),)),
-                                ("_eta_quotient", (((1, -4),),)),
-                                ("eisenstein_e4", ())}
+def test_nf4_partition_asks_no_theta_and_makes_five_products(monkeypatch):
+    """Past Q+ (whose M divides by Theta2), nf4_partition builds eta^-1 and
+    eta^-4, asks once for E4, which holds no memo entry, and calls no theta
+    constant, and from its factors it makes five series products."""
+    with counting_memo_builds() as (builds, requests):
+        mock.q_plus(factor_window(12, F(-1, 2)))
+        builds.clear()
+        requests.clear()
+        with theta_forbidden():
+            inv.nf4_partition(12)
+    assert set(builds) == {("_eta_quotient", (((1, -1),),)),
+                           ("_eta_quotient", (((1, -4),),))}
+    assert requests["eisenstein_e4", ()] == 1
     products = []
     mul = QSeries.__mul__
 
