@@ -1,13 +1,13 @@
 """Exact q-series engine for mock theta functions and Donaldson invariants."""
 
-from .series import (InsufficientPrecision, IrrepresentableExponent,
-                     NotInvertible, NotRational, PrecisionUnderflow,
-                     QSeries)
+from .series import (BadParameter, InsufficientPrecision,
+                     IrrepresentableExponent, NotInvertible, NotRational,
+                     PrecisionUnderflow, QSeries)
 
 __all__ = [
     "QSeries",
     "NotInvertible", "NotRational", "PrecisionUnderflow",
-    "InsufficientPrecision", "IrrepresentableExponent",
+    "InsufficientPrecision", "IrrepresentableExponent", "BadParameter",
 ]
 
 __version__ = "0.1.0"

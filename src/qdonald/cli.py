@@ -12,12 +12,15 @@ written in full through ``series.exact_str``, also past
 ``sys.get_int_max_str_digits()``, which is left unchanged.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  A usage
 error (an unknown command or option, a missing value or option, an unknown
-series name, a malformed or negative order or bound, a ``--terms`` below 1,
-an order, bound or ``--terms`` above ``sys.maxsize``, a ``hurwitz --max``
-whose table of class numbers cannot be allocated, an ``--out`` file that
-cannot be written, a command that runs out of memory) is one stderr line of
-the form ``qdonald[ <command>]: error: <message>``; all but the last two are
-reported before anything is computed.
+series name or one with the wrong count of int parameters, a parameter
+that its constructor refuses with ``series.BadParameter``, a malformed or
+negative order or bound, a ``--terms`` below 1, an order, bound or
+``--terms`` above ``sys.maxsize``, a ``hurwitz --max`` whose table of class
+numbers cannot be allocated, an ``--out`` file that cannot be written, a
+command that runs out of memory) is one stderr line of the form
+``qdonald[ <command>]: error: <message>``; all but the last two are
+reported before anything is computed, as each constructor checks its
+parameters first.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from functools import partial
 from types import SimpleNamespace
 
 from . import forms, invariants, mock, sw
-from .series import InsufficientPrecision, exact_str, factor_window
+from .series import (BadParameter, InsufficientPrecision, exact_str,
+                     factor_window)
 
 # A command runs once and then the process exits: the collections of shutdown
 # would only walk objects that the operating system reclaims anyway, and
@@ -61,8 +65,9 @@ def _emit(text: str, out: str) -> None:
 
 def _series_table() -> dict:
     """Series names: a plain name maps to its constructor, a ``kind:<p>,...``
-    kind to (parameter count, validity test, constructor, usage).  Built per
-    lookup, so the constructors are read from their modules at parse time."""
+    kind to (count of int parameters, constructor), which checks their
+    values.  Built per lookup, so the constructors are read from their
+    modules at parse time."""
     return {
         "eta": forms.eta, "Delta": forms.delta,
         **{f"theta{i}": partial(forms.theta_big, i) for i in (2, 3, 4)},
@@ -72,14 +77,8 @@ def _series_table() -> dict:
         "A38": forms.form_a38, "A78": forms.form_a78, "h": forms.form_h,
         "M": mock.mock_m, "Qplus": mock.q_plus, "QcalQ": mock.cal_q,
         "QtransS": mock.q_transform_s, "Z0": invariants.z0_series,
-        "fm": (1, lambda m: m >= 0, forms.form_fm,
-               "fm:<m> needs an integer m >= 0"),
-        "Ft": (1, lambda t: t >= 0 and t % 2 == 0, mock.f_t,
-               "Ft:<t> needs an even integer t >= 0"),
-        "calFt": (1, lambda t: t >= 0 and t % 2 == 0, mock.cal_f,
-                  "calFt:<t> needs an even integer t >= 0"),
-        "ebracket": (2, lambda i, j: 0 <= j <= i, mock.e_bracket,
-                     "ebracket:<i>,<j> needs integers 0 <= j <= i"),
+        "fm": (1, forms.form_fm), "Ft": (1, mock.f_t),
+        "calFt": (1, mock.cal_f), "ebracket": (2, mock.e_bracket),
     }
 
 
@@ -90,14 +89,15 @@ def _series_name(text: str):
     if not sep and callable(entry):
         return entry
     if sep and isinstance(entry, tuple):
-        count, valid, build, usage = entry
+        count, build = entry
         try:
             params = [int(x) for x in arg.split(",")]
         except ValueError:
             params = []
-        if len(params) == count and valid(*params):
+        if len(params) == count:
             return partial(build, *params)
-        raise UsageError(f"bad series name {text!r}: {usage}")
+        raise UsageError(f"bad series name {text!r}: {kind} takes {count} "
+                         f"integer parameter(s)")
     raise UsageError(f"unknown series name {text!r}")
 
 
@@ -526,7 +526,7 @@ def main(argv=None) -> int:
     try:
         fn, args = parse_args(argv)
         return fn(args)
-    except UsageError as exc:
+    except (UsageError, BadParameter) as exc:
         message = str(exc)
     except MemoryError:
         # reported once the handler has let go of the failed frames

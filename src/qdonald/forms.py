@@ -26,7 +26,7 @@ from functools import reduce
 from math import ceil, gcd
 from operator import mul
 
-from .series import QSeries, factor_window, memo
+from .series import BadParameter, QSeries, check_index, factor_window, memo
 
 
 # ---------------------------------------------------------------------------
@@ -35,9 +35,7 @@ from .series import QSeries, factor_window, memo
 def euler_product(prec, arg: int = 1) -> QSeries:
     """prod_{n>=1} (1 - q^(arg*n)) = sum_k (-1)^k q^(arg k (3k - 1)/2) over
     k in Z (Euler's pentagonal number theorem), known below q^ceil(prec)."""
-    if not isinstance(arg, int) or arg < 1:
-        raise ValueError(
-            f"euler_product arg must be a positive integer, not {arg}")
+    check_index("euler_product arg", arg, low=1)
     top = ceil(prec)
     nums = [0] * max(top, 0)
     k = e1 = 0
@@ -71,13 +69,10 @@ def _eta_key(factors) -> tuple:
     there is one, each d a positive int and each r an int."""
     factors = tuple(sorted(tuple(f) for f in factors))
     if not factors:
-        raise ValueError("eta quotient needs at least one factor")
+        raise BadParameter("eta quotient needs at least one factor")
     for d, r in factors:
-        if not isinstance(d, int) or d < 1:
-            raise ValueError(f"eta argument d must be a positive integer, "
-                             f"not {d}")
-        if not isinstance(r, int):
-            raise ValueError(f"eta exponent r must be an integer, not {r}")
+        check_index("eta argument d", d, low=1)
+        check_index("eta exponent r", r, low=None)
     return factors
 
 
@@ -104,8 +99,7 @@ def delta(prec) -> QSeries:
 def theta_big(which: int, prec) -> QSeries:
     """Theta_2/3/4 by direct lattice sum (integer exponents): sum q^(m^2)
     over odd m > 0, and 1 + 2 sum (+-1)^(m/2) q^(m^2) over even m > 0."""
-    if which not in (2, 3, 4):
-        raise ValueError("which must be 2, 3 or 4")
+    check_index("which", which, choices=(2, 3, 4))
     top = ceil(prec)
     nums = [0] * max(top, 0)
     m = int(which == 2)
@@ -126,8 +120,7 @@ _THETA_INVERSE = {2: ((8, 1), (16, -2)), 3: ((4, 2), (8, -5), (16, 2)),
 def theta_inverse(which: int, prec) -> QSeries:
     """1/Theta_which as the divisor of a quotient known below q^prec: the
     memoized eta quotient, known one q-step past its lead at least."""
-    if which not in _THETA_INVERSE:
-        raise ValueError("which must be 2, 3 or 4")
+    check_index("which", which, choices=_THETA_INVERSE)
     lead = 1 if which == 2 else 0  # Theta2 = q + ..., Theta3/4 = 1 + ...
     return _eta_quotient(_THETA_INVERSE[which], max(prec, 1 - lead))
 
@@ -232,8 +225,7 @@ def form_fm(m: int, prec) -> QSeries:
     """f_m = eta(4t)^(4m+24) / eta(8t)^(8m+21) E*(4t)^m = q^-(2m+3) + ...,
     the nf=0 u-plane kernel of weight m read at 8 tau; as theta constants,
     Theta4^9 (16 Theta2^4 + Theta3^4)^m / (Theta2 Theta3)^(2m+3)."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    check_index("m", m)
     quot = eta_quotient([(4, 4 * m + 24), (8, -8 * m - 21)], prec)
     est = eisenstein_estar(Fraction(factor_window(prec, -2 * m - 3), 4))
     return (quot * est.rescale(4, 1) ** m).truncate(prec)

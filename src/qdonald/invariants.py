@@ -18,11 +18,8 @@ from math import comb, factorial, isqrt, lcm
 from operator import mul
 
 from . import forms, mock
-from .series import InsufficientPrecision, QSeries, factor_window
-
-
-class ConstraintViolation(ValueError):
-    pass
+from .series import (InsufficientPrecision, QSeries, check_index,
+                     factor_window)
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +62,7 @@ def _windows(family, w: int) -> tuple:
     """(top, val, ps): the family's weight-w kernels have valuation val and
     are read below q^top; kernels times a slot known below q^ps, the least
     kernel-grid point above -val, are known through q^0."""
-    if w < 0:
-        raise ConstraintViolation(f"weight {w} is negative")
+    check_index("w", w)
     t0, _, ram, (a, b) = _FAMILIES[family][:4]
     return (Fraction(t0 + 1, ram), Fraction(-(a * w + b), ram),
             Fraction(a * w + b + 1, ram))
@@ -169,14 +165,6 @@ def goettsche_weight(w: int) -> list:
     return cells
 
 
-def goettsche_phi(k: int, m: int, n: int) -> Fraction:
-    """Instanton invariant for p^m S^(2n) at instanton number k: zero
-    unless m + n = 2(k - 1), else the Goettsche pairing sum."""
-    if m < 0 or n < 0 or k < 1 or m + n != 2 * (k - 1):
-        return Fraction(0)
-    return goettsche_weight(m + n)[m]
-
-
 # ---------------------------------------------------------------------------
 # u-plane coefficients
 #
@@ -207,9 +195,9 @@ def uplane_weight(nf: int, w: int) -> list:
     d_ij = (2j)! (i-j)! den_(w-i, i-j): row (i, j) adds (-1)^(i+j) 6^j (big
     / d_ij) X_a^j ints_(w-i, i-j)[a], X_a = ram x_a.  The weight of H_a in
     cell (m, n) is A(m, n) sum_(i<=n) U_i[a] / (n-i)!, and the value pairs
-    the weights with the slot."""
-    if nf not in (0, 2, 3):
-        raise ConstraintViolation(f"no u-plane family for nf={nf}")
+    the weights with the slot; for nf=3, whose slot is the inversion
+    transform, they are taken against -Q, by the duality of the slots."""
+    check_index("nf", nf, choices=(0, 2, 3))
     reads, xs = _reads(nf, w)
     sv, sden = _slot(nf, w, xs)
     powers = [[x ** j for x in xs] for j in range(w + 1)]
@@ -235,18 +223,6 @@ def uplane_weight(nf: int, w: int) -> list:
     return cells
 
 
-def uplane_D(nf: int, m: int, n: int) -> DCell:
-    """Exact u-plane coefficient for p^m S^(2n), with its H-combination.
-
-    The combination weights are taken against the coefficients H_a of the
-    mock series; for nf=3, where the slot is the inversion transform, they
-    are computed against -Q via the duality of the two presentations.
-    """
-    if m < 0 or n < 0:
-        raise ConstraintViolation("m, n must be non-negative")
-    return uplane_weight(nf, m + n)[m]
-
-
 def evaluate_h_combo(combo, h_values) -> Fraction:
     return sum((w * h_values[a] for a, w in combo), Fraction(0))
 
@@ -255,17 +231,11 @@ def evaluate_h_combo(combo, h_values) -> Fraction:
 # the vanishing criterion
 
 def criterion_weight(w: int) -> list:
-    """:func:`criterion_check` at (m, w - m), by m."""
+    """For each m + n = w, by m: True iff the criterion series has
+    (exactly) vanishing constant term, the Goettsche pairing sum equal to
+    the nf=0 pairing sum."""
     cells = uplane_weight(0, w)  # the nf=0 kernels have the wider window
     return [phi == cell.value for phi, cell in zip(goettsche_weight(w), cells)]
-
-
-def criterion_check(m: int, n: int) -> bool:
-    """True iff the criterion series has (exactly) vanishing constant term:
-    the Goettsche pairing sum equals the nf=0 pairing sum."""
-    if m < 0 or n < 0:
-        raise ConstraintViolation("m, n must be non-negative")
-    return criterion_weight(m + n)[m]
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +258,7 @@ def hurwitz(nmax: int) -> list:
     |b| <= a <= c, and b >= 0 if |b| = a or a = c.  Each adds 1 to
     H(4ac - b^2), but a(x^2 + y^2) adds 1/2 and a(x^2 + xy + y^2) 1/3
     (Zagier, C. R. Acad. Sci. Paris 281 (1975)); the pass counts 6 H(n)."""
-    if nmax < 0:
-        return []
+    check_index("nmax", nmax)
     six = [0] * (nmax + 1)
     for a in range(1, isqrt(nmax // 3) + 1):
         for b in range(1 - a, a + 1):
@@ -304,7 +273,7 @@ def hurwitz(nmax: int) -> list:
 
 def vafa_witten_series(kmax: int) -> QSeries:
     """Euler-characteristic generating series over eta^6, to q^(kmax - 1/2)."""
-    h = hurwitz(4 * kmax + 3)
+    h = hurwitz(4 * check_index("kmax", kmax) + 3)
     num = QSeries.from_terms(
         {k: 3 * h[4 * k - 1] for k in range(1, kmax + 1)}, kmax + 1)
     eta6 = forms.eta_power(1, -6, kmax + Fraction(3, 4))  # q^(-1/4) + ...
@@ -364,6 +333,7 @@ def weight_grid(max_weight: int) -> list:
 def invariant_table(nf: int, max_weight: int) -> list:
     """Rows [(m, n, label, DCell)] for all m + n <= max_weight, one pass per
     weight, from the highest down so that memoized series serve the rest."""
+    check_index("max_weight", max_weight)
     cells = {w: uplane_weight(nf, w) for w in range(max_weight, -1, -1)}
     return [(m, n, monomial_label(m, n), cells[m + n][m])
             for m, n in weight_grid(max_weight)]
@@ -372,7 +342,7 @@ def invariant_table(nf: int, max_weight: int) -> list:
 def goettsche_table(max_weight: int) -> list:
     """Rows [(k, m, n, label, value)] for even m + n = 2(k - 1) <= max_weight,
     computed from the highest weight down as in :func:`invariant_table`."""
-    values = {w: goettsche_weight(w)
-              for w in range(max_weight - max_weight % 2, -1, -2)}
+    top = check_index("max_weight", max_weight) // 2 * 2
+    values = {w: goettsche_weight(w) for w in range(top, -1, -2)}
     return [((m + n) // 2 + 1, m, n, monomial_label(m, n), values[m + n][m])
             for m, n in weight_grid(max_weight) if (m + n) % 2 == 0]

@@ -17,11 +17,7 @@ from fractions import Fraction
 from math import ceil, comb, factorial
 
 from . import forms
-from .series import QSeries, factor_window, memo
-
-
-class OddT(ValueError):
-    pass
+from .series import QSeries, check_index, factor_window, memo
 
 
 def gamma_half_ratio(j: int) -> Fraction:
@@ -32,11 +28,9 @@ def gamma_half_ratio(j: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # F_t and its renormalization
 
-@memo
+@memo(check=lambda t: check_index("t", t, step=2))
 def cal_f(t: int, prec) -> QSeries:
     """calF_t = sum_{b>=0} sum_{a>b} (-1)^(a+b) (2b+1)^t q^(4a^2-(2b+1)^2)."""
-    if t < 0 or t % 2:
-        raise OddT("t must be a non-negative even integer")
     top = ceil(prec)
     terms: dict = {}
     beta = 0
@@ -103,8 +97,7 @@ def lerch_mu_weighted(t: int, prec) -> QSeries:
     under n -> -1 - n, x -> x + 1 (same exponent, weight and sign), so the
     two halves times -1/2 give -S.
     """
-    if t < 0 or t % 2:
-        raise OddT("t must be a non-negative even integer")
+    check_index("t", t, step=2)
     return (-_lerch_quotient(
         lambda n: ((2 * n + 1) * (2 * n + 3), 8 * n + 4, (-1) ** n),
         0, 1, lambda x: (2 * x + 1) ** t, 4, prec)).truncate(prec)
@@ -136,7 +129,7 @@ def q_plus(prec) -> QSeries:
 
 def h_coefficients(count: int) -> list:
     """H_0, H_1, ... coefficients of Q+ = q^(-1/8) sum H_a q^(a/2)."""
-    q = cal_q(4 * count + 4)
+    q = cal_q(4 * check_index("count", count) + 4)
     return [q.coeff(Fraction(4 * a - 1)) for a in range(count)]
 
 
@@ -194,8 +187,7 @@ def e_bracket(i: int, j: int, prec) -> QSeries:
     """(i, j) summand of the half-integral-weight bracket of Q+:
     (-1)^j C(i,j) [Gamma(1/2)/Gamma(1/2+j)] 4^j 3^j E2^(i-j) (q d/dq)^j Q+.
     """
-    if not 0 <= j <= i:
-        raise ValueError("need 0 <= j <= i")
+    check_index("i", i, low=check_index("j", j))
     p = Fraction(prec)
     c = Fraction((-1) ** j * comb(i, j)) * gamma_half_ratio(j) * (12 ** j)
     # E2 meets Q+ = q^(-1/8) + ...

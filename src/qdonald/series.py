@@ -64,10 +64,28 @@ class NotRational(TypeError):
     pass
 
 
+class BadParameter(ValueError):
+    """An index (nf, a weight, t, m, ...) outside its range, named."""
+
+
+def check_index(name: str, value, low=0, step=1, choices=None) -> int:
+    """``value`` if it is an int in ``choices``, or else at least ``low``
+    (None: any int) and a multiple of ``step``; else BadParameter.  Each
+    constructor checks its indices before it reads a memo or computes."""
+    if isinstance(value, int) and (
+            value in choices if choices
+            else (low is None or value >= low) and value % step == 0):
+        return value
+    rule = (f"one of {', '.join(map(str, choices))}" if choices else
+            ("an even integer" if step == 2 else "an integer")
+            + ("" if low is None else f" >= {low}"))
+    raise BadParameter(f"{name} must be {rule}, not {value!r}")
+
+
 _ZERO = Fraction(0)
 
 
-def memo(fn):
+def memo(fn=None, *, check=None):
     """Memoize a series constructor whose last argument is a precision.
 
     This is the one caching policy.  An entry belongs to a constructor that
@@ -84,12 +102,18 @@ def memo(fn):
     returns one series, and at a precision p what it returns at any higher
     one, truncated at p.  An int and an equal Fraction precision share the
     entry.  ``fn.entries`` is the cache; ``fn.clear()`` empties it.
+    ``@memo(check=f)`` calls f on the other arguments before the memo is
+    read, so that a bad index (2.0 for 2, say) never meets an entry.
     """
+    if fn is None:
+        return lambda fn: memo(fn, check=check)
     entries = {}
 
     @wraps(fn)
     def call(*args):
         key, prec = args[:-1], Fraction(args[-1])
+        if check is not None:
+            check(*key)
         held = entries.get(key)
         if held is None or held[0] < prec:
             held = entries[key] = (prec, fn(*key, prec))

@@ -21,11 +21,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import forms
-from .series import InsufficientPrecision, QSeries, factor_window
-
-
-class UnsupportedFamily(ValueError):
-    pass
+from .series import (InsufficientPrecision, QSeries, check_index,
+                     factor_window)
 
 
 # the chart of one family: u, W = (omega/pi)^2 and 1/W, known below q^prec
@@ -52,9 +49,7 @@ _WEIERSTRASS = {
 
 def _chart(nf: int, p) -> tuple:
     """(u, W, 1/W) of one family, W = (omega/pi)^2, each known below q^p."""
-    if nf not in _CURVE:
-        raise UnsupportedFamily(f"no massless modular family for nf={nf}")
-    c, s, w = _CURVE[nf]
+    c, s, w = _CURVE[check_index("nf", nf, choices=_CURVE)]
     inv, g = (forms.eta_quotient(f, c * p)
               for f in ([(2, 4), (4, -8)], [(2, -4), (4, 8)]))
     return tuple(x.rescale(1, c)
@@ -70,8 +65,7 @@ def sw_family(nf: int, prec) -> SWFamily:
 def weierstrass_residual(nf: int) -> QSeries:
     """g2^3 - 27 g3^2 - Delta, an exact u-polynomial that is zero for a
     consistent family; a failing record's exponent is a power of u."""
-    if nf not in _WEIERSTRASS:
-        raise UnsupportedFamily(f"no massless modular family for nf={nf}")
+    check_index("nf", nf, choices=_CURVE)
     g2, g3, delta = (f(QSeries.monomial(1)) for f in _WEIERSTRASS[nf])
     return g2 ** 3 - 27 * g3 ** 2 - delta
 
@@ -121,10 +115,9 @@ def vanishing(label: str, series: QSeries, below=None) -> tuple:
 
 def check_family(nf: int, prec) -> list:
     """Run the per-family identity suite; returns vanishing records."""
-    p = Fraction(prec)
+    p, nf = Fraction(prec), check_index("nf", nf, choices=_CURVE)
     # u is built below p - 5 val(u), past where every residual reaches q^p
-    # (an unsupported nf fails in sw_family)
-    pf = factor_window(p, 5 * _U_VALUATION.get(nf, 0))
+    pf = factor_window(p, 5 * _U_VALUATION[nf])
     if nf == 3:  # u3's nf=0 chart reads the same curve: the wider first
         _chart(3, max(pf, 4 * factor_window(p, 0, _U_VALUATION[0])))
         u0 = _chart(0, factor_window(p, 0, _U_VALUATION[0]))[0]

@@ -421,6 +421,12 @@ MUTANTS = [
      "test_decimal_digits_are_str_of_the_decimal[long]",
      "the divide-and-conquer conversion drops the low half of each split, "
      "so only the top bits of a long coefficient are written"),
+    ("windows-int-check-dropped", INVARIANTS,
+     'check_index("w", w)', 'check_index("w", int(w) if w >= 0 else w)',
+     "tests/test_invariants.py::"
+     "test_bad_index_raises_bad_parameter[goettsche_weight(1.5,)]",
+     "a weight pass lets a float or Fraction weight into the computation, "
+     "where it fails with a TypeError, not a BadParameter that names w"),
 ]
 
 EQUIVALENT = {"truncate-below-lead"}

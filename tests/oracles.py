@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, gcd, lcm
 
-from qdonald import forms, invariants as inv, mock, sw
+from qdonald import BadParameter, forms, invariants as inv, mock, sw
 from qdonald.exact import Cyclo, cyclotomic_polynomial, euler_phi, unity
 from qdonald.mock import gamma_half_ratio
 from qdonald.series import (InsufficientPrecision, NotInvertible,
@@ -961,17 +961,17 @@ def phi_euler_combo(nf: int, k: int, m: int, n: int) -> Fraction:
     value at p^(m+l) S^(2(n+j)); the y^(2j) term of that exponential is
     (nf J2/4)^j / j! exp(nf J3)."""
     if m < 0 or n < 0:
-        raise inv.ConstraintViolation("m, n must be non-negative")
+        raise BadParameter("m, n must be non-negative")
     if nf == 2:
         if k % 2 or m + n + 2 != k:
-            raise inv.ConstraintViolation("nf=2 needs k even and m+n+2=k")
+            raise BadParameter("nf=2 needs k even and m+n+2=k")
         big = k
     elif nf == 3:
         if k % 2 or 2 * m + 2 * n + 4 != k:
-            raise inv.ConstraintViolation("nf=3 needs k even and 2m+2n+4=k")
+            raise BadParameter("nf=3 needs k even and 2m+2n+4=k")
         big = 3 * k // 2
     else:
-        raise inv.ConstraintViolation("nf must be 2 or 3")
+        raise BadParameter("nf must be 2 or 3")
     _, j2, j3 = _chern_series(k, 0, big + 1)
     yj = series_exp(nf * j3)
     phi = inv.goettsche_weight(2 * k - 2)  # m + n + big = 2(k - 1)

@@ -7,11 +7,11 @@ from types import SimpleNamespace
 import oracles
 import pytest
 from conftest import theta_forbidden
-from counters import counting_memo_builds
+from counters import counting_memo_builds, memoized
 from hypothesis import given, settings, strategies as st
 
-from qdonald import (InsufficientPrecision, NotRational, QSeries, forms,
-                     invariants as inv, mock)
+from qdonald import (BadParameter, InsufficientPrecision, NotRational,
+                     QSeries, forms, invariants as inv, mock, sw)
 from qdonald.series import factor_window
 
 
@@ -36,19 +36,12 @@ PRINTED_NF0_COMBOS = {
 
 def test_goettsche_printed_small():
     for (m, n), value in PRINTED_NF0.items():
-        k = (m + n) // 2 + 1
-        assert inv.goettsche_phi(k, m, n) == value
-
-
-def test_goettsche_zero_off_stratum():
-    assert inv.goettsche_phi(2, 0, 0) == 0
-    assert inv.goettsche_phi(1, 1, 1) == 0
-    assert inv.goettsche_phi(3, 1, 1) == 0
+        assert inv.goettsche_weight(m + n)[m] == value
 
 
 def test_uplane_nf0_values_and_combos():
     for (m, n), value in PRINTED_NF0.items():
-        cell = inv.uplane_D(0, m, n)
+        cell = inv.uplane_weight(0, m + n)[m]
         assert cell.value == value
         if (m, n) in PRINTED_NF0_COMBOS:
             assert cell.h_combo == PRINTED_NF0_COMBOS[(m, n)]
@@ -57,15 +50,14 @@ def test_uplane_nf0_values_and_combos():
 def test_main_theorem_small_grid():
     for weight in (0, 2, 4):
         for m in range(weight + 1):
-            n = weight - m
-            assert inv.goettsche_phi(weight // 2 + 1, m, n) == \
-                inv.uplane_D(0, m, n).value
+            assert inv.goettsche_weight(weight)[m] == \
+                inv.uplane_weight(0, weight)[m].value
 
 
 @pytest.mark.parametrize("nf", [0, 2])
 def test_parity_vanishing(nf):
     for (m, n) in [(0, 1), (1, 0), (0, 3), (2, 1)]:
-        assert inv.uplane_D(nf, m, n).value == 0
+        assert inv.uplane_weight(nf, m + n)[m].value == 0
 
 
 PRINTED_NF2 = {
@@ -84,20 +76,20 @@ PRINTED_NF3 = {
 
 def test_uplane_nf2_printed():
     for (m, n), value in PRINTED_NF2.items():
-        assert inv.uplane_D(2, m, n).value == value
+        assert inv.uplane_weight(2, m + n)[m].value == value
     # zero rows carry non-trivial combinations
-    cell = inv.uplane_D(2, 0, 1)
+    cell = inv.uplane_weight(2, 1)[0]
     assert cell.value == 0
     assert cell.h_combo == ((1, F(77, 16)), (3, F(-11, 16)))
 
 
 def test_uplane_nf3_printed():
     for (m, n), value in PRINTED_NF3.items():
-        assert inv.uplane_D(3, m, n).value == value
-    assert inv.uplane_D(3, 0, 0).h_combo == \
+        assert inv.uplane_weight(3, m + n)[m].value == value
+    assert inv.uplane_weight(3, 0)[0].h_combo == \
         ((0, F(3, 2)), (2, F(3, 16)), (4, F(-1, 16)))
     # the pS^2 row pins the corrected reading of the printed 743/3072 entry
-    assert inv.uplane_D(3, 1, 1).h_combo == \
+    assert inv.uplane_weight(3, 2)[1].h_combo == \
         ((0, F(-991, 384)), (2, F(-4577, 3072)), (4, F(-5, 24)),
          (6, F(743, 3072)), (8, F(-31, 1024)))
 
@@ -109,7 +101,7 @@ def test_combos_evaluate_to_values():
     assert h[:6] == [1, 28, 39, 196, 161, 756]
     for nf, table in ((0, PRINTED_NF0), (2, PRINTED_NF2), (3, PRINTED_NF3)):
         for (m, n), value in table.items():
-            cell = inv.uplane_D(nf, m, n)
+            cell = inv.uplane_weight(nf, m + n)[m]
             assert inv.evaluate_h_combo(cell.h_combo, h) == value
 
 
@@ -118,14 +110,14 @@ def test_tables_match_kernel_products(nf):
     """Every cell to weight 8 equals the route that multiplies every kernel
     out and pairs it coefficient by coefficient, value and H-combination."""
     for m, n in inv.weight_grid(8):
-        cell = inv.uplane_D(nf, m, n)
+        cell = inv.uplane_weight(nf, m + n)[m]
         assert (cell.value, cell.h_combo) == oracles.uplane_cell(nf, m, n)
 
 
 def test_goettsche_matches_kernel_products():
     for m, n in inv.weight_grid(8):
         if (m + n) % 2 == 0:
-            assert inv.goettsche_phi((m + n) // 2 + 1, m, n) == \
+            assert inv.goettsche_weight(m + n)[m] == \
                 oracles.goettsche_value(m, n)
 
 
@@ -183,7 +175,7 @@ def test_nf3_s_duality():
         kernels = oracles.uplane_kernels(m, n, oracles.uplane_frame(3, m, n))
         value = sum((c * oracles.pair_constant_term(k, slot, j)
                      for _, c, k, _, j in kernels), F(0))
-        assert value == inv.uplane_D(3, m, n).value
+        assert value == inv.uplane_weight(3, m + n)[m].value
 
 
 def _shorten(monkeypatch, module, name, step):
@@ -204,8 +196,8 @@ def _cells(nf) -> list:
 
 def _cell(nf, m, n):
     if nf == "goettsche":
-        return inv.goettsche_phi((m + n) // 2 + 1, m, n)
-    return inv.uplane_D(nf, m, n)
+        return inv.goettsche_weight(m + n)[m]
+    return inv.uplane_weight(nf, m + n)[m]
 
 
 # the IDs name each family's slot (F_t, Q+, Q+ at tau/2, the S-transform of
@@ -377,7 +369,7 @@ def test_lambda_general_corner_agreement():
 def test_lambda_sums_recover_both_sides():
     """Summing the renormalized summands recovers the two invariant values:
     side 1 totals the instanton side, side 2 the u-plane side, and each
-    equals the pairing sum that criterion_check compares."""
+    equals the pairing sum that criterion_weight compares."""
     for (m, n) in inv.weight_grid(3):
         side1, side2 = oracles.criterion_summands(m, n, 8)
         s1 = sum(side1[(k, j)].constant_term()
@@ -387,19 +379,14 @@ def test_lambda_sums_recover_both_sides():
         goettsche, nf0 = oracles.criterion_kernels(m, n, 0)
         assert s1 == oracles.pair_sum(goettsche)
         assert s2 == oracles.pair_sum(nf0)
-        k_inst = (m + n) // 2 + 1
-        assert s1 == inv.goettsche_phi(k_inst, m, n)
-        assert s2 == inv.uplane_D(0, m, n).value
+        assert s1 == inv.goettsche_weight(m + n)[m]
+        assert s2 == inv.uplane_weight(0, m + n)[m].value
         assert s1 == s2
 
 
 def test_criterion_small_grid():
     for weight in range(4):
-        for m in range(weight + 1):
-            assert inv.criterion_check(m, weight - m)
-    for m, n in [(-1, 2), (2, -1)]:
-        with pytest.raises(inv.ConstraintViolation):
-            inv.criterion_check(m, n)
+        assert all(inv.criterion_weight(weight))
 
 
 @pytest.mark.parametrize("call, args", [
@@ -409,13 +396,46 @@ def test_criterion_small_grid():
     (inv.uplane_weight, (3, -2)),
     (inv.goettsche_weight, (-1,)),
     (inv.criterion_weight, (-1,)),
-    (inv.uplane_D, (5, 0, 0)),
 ])
 def test_weight_passes_refuse_bad_input(call, args):
     """An nf without a u-plane family or a negative weight is a
-    ConstraintViolation, not a KeyError, a NotInvertible or an empty list."""
-    with pytest.raises(inv.ConstraintViolation):
+    BadParameter that names it, not a KeyError, a NotInvertible or an empty
+    list."""
+    with pytest.raises(BadParameter, match=r"^(nf|w) must be "):
         call(*args)
+
+
+BAD_INDICES = [
+    (inv.uplane_weight, (0, 1.5), "w"),
+    (inv.goettsche_weight, (1.5,), "w"),
+    (inv.hurwitz, (2.5,), "nmax"),
+    (inv.uplane_weight, (0.0, 2), "nf"),
+    (inv.invariant_table, (0, 1.5), "max_weight"),
+    (inv.goettsche_table, (2.0,), "max_weight"),
+    (inv.criterion_weight, (F(3, 2),), "w"),
+    (forms.form_fm, (1.5, 3), "m"),
+    (mock.cal_f, (2.0, 10), "t"),
+    (mock.e_bracket, (1.5, 0, 5), "i"),
+    (sw.check_family, (0.0, 5), "nf"),
+    (sw.sw_family, (3.0, 5), "nf"),
+]
+
+
+@pytest.mark.parametrize("call, args, name", BAD_INDICES, ids=[
+    f"{call.__name__}{args}".replace(" ", "") for call, args, _ in BAD_INDICES])
+def test_bad_index_raises_bad_parameter(call, args, name, monkeypatch):
+    """A float or Fraction index raises one BadParameter line that names
+    it, before any memo is read: every other memoized constructor refuses
+    to run, and calF_2, which t = 2.0 would hit, is held in its memo."""
+    def refuse(*a):
+        raise AssertionError(f"a memo was read: {a}")
+    mock.cal_f(2, 10)
+    for module, attr, fn in memoized():
+        if fn is not call:
+            monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(BadParameter, match=rf"^{name} must be ") as raised:
+        call(*args)
+    assert "\n" not in str(raised.value)
 
 
 def test_criterion_series_window():
@@ -603,19 +623,19 @@ def test_series_exp_refuses_exact_nonzero():
 
 
 def test_phi_euler_combo_negative_degrees():
-    """m, n < 0 are refused, as by uplane_D, not read off the end of the
-    Goettsche cells."""
+    """m, n < 0 are refused, not read off the end of the Goettsche
+    cells."""
     for nf, k, m, n in ((2, 2, -1, 1), (2, 2, 1, -1), (3, 4, -1, 1)):
-        with pytest.raises(inv.ConstraintViolation):
+        with pytest.raises(BadParameter, match="m, n must be"):
             oracles.phi_euler_combo(nf, k, m, n)
 
 
 def test_phi_euler_combo_constraints():
-    with pytest.raises(inv.ConstraintViolation):
+    with pytest.raises(BadParameter, match="nf=2 needs k even"):
         oracles.phi_euler_combo(2, 3, 1, 0)
-    with pytest.raises(inv.ConstraintViolation):
+    with pytest.raises(BadParameter, match="nf=2 needs k even"):
         oracles.phi_euler_combo(2, 2, 1, 0)
-    with pytest.raises(inv.ConstraintViolation):
+    with pytest.raises(BadParameter, match="nf=3 needs k even"):
         oracles.phi_euler_combo(3, 4, 1, 1)
 
 

@@ -596,7 +596,8 @@ def test_package_exports_the_series_ring_only():
     import qdonald
     assert sorted(qdonald.__all__) == sorted(
         ["QSeries", "NotInvertible", "NotRational", "PrecisionUnderflow",
-         "InsufficientPrecision", "IrrepresentableExponent"])
+         "InsufficientPrecision", "IrrepresentableExponent",
+         "BadParameter"])
     for name in ("Cyclo", "root_of_unity", "unity", "DivisionByZero",
                  "IncompatibleOrder"):
         assert not hasattr(qdonald, name)

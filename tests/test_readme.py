@@ -48,5 +48,5 @@ def test_quick_start_values():
         want = eval(literal, {"Fraction": Fraction})
         assert repr(got) == repr(want), line
         checked += 1
-    # q.coeff, cell.value, cell.h_combo, goettsche_phi and the h identity
+    # q.coeff, cell.value, cell.h_combo, goettsche_weight and the h identity
     assert checked == 5

@@ -7,7 +7,7 @@ import oracles
 import pytest
 from conftest import theta_forbidden
 
-from qdonald import QSeries, forms, sw
+from qdonald import BadParameter, QSeries, forms, sw
 from qdonald.series import factor_window
 
 
@@ -32,9 +32,9 @@ def test_vanishing_sees_the_whole_window():
 
 def test_unsupported_family():
     for nf in (1, 4):
-        with pytest.raises(sw.UnsupportedFamily):
+        with pytest.raises(BadParameter, match="^nf must be one of"):
             sw.sw_family(nf, 8)
-        with pytest.raises(sw.UnsupportedFamily):
+        with pytest.raises(BadParameter, match="^nf must be one of"):
             sw.weierstrass_residual(nf)
 
 
