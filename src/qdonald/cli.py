@@ -168,12 +168,19 @@ def _format_table(fmt: str, rows: list, meta: dict, title: tuple,
     return "\n".join(lines) + "\n"
 
 
+def _monomial(m: int, n: int) -> str:
+    """The label of p^m S^(2n): "1", "p", "S^2", "p^2 S^4", ..."""
+    p = "" if m == 0 else "p" if m == 1 else f"p^{m}"
+    return " ".join(filter(None, (p, f"S^{2 * n}" if n else ""))) or "1"
+
+
 def cmd_invariants(args) -> int:
-    rows = [{"m": m, "n": n, "monomial": label,
+    table = invariants.weight_table(
+        partial(invariants.uplane_weight, args.nf), args.max_weight)
+    rows = [{"m": m, "n": n, "monomial": _monomial(m, n),
              "value": exact_str(cell.value),
              "h_combo": [[f"H{a}", exact_str(w)] for a, w in cell.h_combo]}
-            for m, n, label, cell
-            in invariants.invariant_table(args.nf, args.max_weight)]
+            for (m, n), cell in table.items()]
     _emit(_format_table(args.format, rows, {"nf": args.nf},
                         (f"# u-plane invariants, nf={args.nf}",),
                         "{monomial:<12} {value:>16}   = {h_combo}"), args.out)
@@ -181,9 +188,11 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_goettsche(args) -> int:
-    rows = [{"k": k, "m": m, "n": n, "monomial": label,
-             "value": exact_str(v)}
-            for k, m, n, label, v in invariants.goettsche_table(args.max_weight)]
+    table = invariants.weight_table(invariants.goettsche_weight,
+                                    args.max_weight, step=2)
+    rows = [{"k": (m + n) // 2 + 1, "m": m, "n": n,
+             "monomial": _monomial(m, n), "value": exact_str(v)}
+            for (m, n), v in table.items()]
     _emit(_format_table(args.format, rows, {}, (),
                         "k={k} {monomial:<12} {value}"), args.out)
     return 0
@@ -215,10 +224,9 @@ def cmd_nf4(args) -> int:
 # verification
 
 def _suite_criterion(max_weight: int) -> list:
-    checks = {w: invariants.criterion_weight(w)
-              for w in range(max_weight, -1, -1)}  # widest windows first
-    return [(f"criterion constant term ({m},{n})", checks[m + n][m], None, None)
-            for m, n in invariants.weight_grid(max_weight)]
+    table = invariants.weight_table(invariants.criterion_weight, max_weight)
+    return [(f"criterion constant term ({m},{n})", ok, None, None)
+            for (m, n), ok in table.items()]
 
 
 def _suite_identities(order) -> list:
@@ -312,21 +320,21 @@ def _suite_tables() -> list:
     checks.append(("H_0..H_5 = 1, 28, 39, 196, 161, 756",
                    h[:6] == [1, 28, 39, 196, 161, 756], None, None))
     for nf, table in ((0, _TABLE_NF0), (2, _TABLE_NF2), (3, _TABLE_NF3)):
-        cells = {(m, n): cell for m, n, _, cell
-                 in invariants.invariant_table(nf, max(map(sum, table)))}
+        cells = invariants.weight_table(
+            partial(invariants.uplane_weight, nf), max(map(sum, table)))
         for (m, n), expected in sorted(table.items()):
-            cell = cells[(m, n)]
+            cell = cells[m, n]
             ok = str(cell.value) == expected
             # against the printed value: value and combination share reads
             combo_ok = str(invariants.evaluate_h_combo(cell.h_combo, h)) == expected
             checks.append((f"nf={nf} D[{m},{n}] = {expected}", ok, None, None))
             checks.append((f"nf={nf} combo[{m},{n}] evaluates", combo_ok, None, None))
-    phi = {(m, n): (k, v) for k, m, n, _, v
-           in invariants.goettsche_table(max(map(sum, _TABLE_NF0)))}
+    phi = invariants.weight_table(invariants.goettsche_weight,
+                                  max(map(sum, _TABLE_NF0)), step=2)
     for (m, n), expected in sorted(_TABLE_NF0.items()):
-        k, v = phi[(m, n)]
-        ok = str(v) == expected
-        checks.append((f"goettsche ({k},{m},{n}) = {expected}", ok, None, None))
+        ok = str(phi[m, n]) == expected
+        checks.append((f"goettsche ({(m + n) // 2 + 1},{m},{n}) = {expected}",
+                       ok, None, None))
     return checks
 
 

@@ -179,7 +179,7 @@ def goettsche_weight(w: int) -> list:
 # and only this choice also satisfies the duality between the two slots.
 
 # h_combo: ((alpha, weight), ...) with value = sum w_a H_a
-DCell = namedtuple("DCell", "nf m n value h_combo")
+DCell = namedtuple("DCell", "value h_combo")
 
 
 def _d_scale(nf: int, m: int, n: int) -> Fraction:
@@ -218,7 +218,7 @@ def uplane_weight(nf: int, w: int) -> list:
             f *= n - i
         scale = _d_scale(nf, w - n, n) / (big * factorial(n))
         h = -scale if nf == 3 else scale  # nf=3: against -Q
-        cells.append(DCell(nf, w - n, n, scale * sum(map(mul, s, sv)) / sden,
+        cells.append(DCell(scale * sum(map(mul, s, sv)) / sden,
                            tuple((a, h * v) for a, v in enumerate(s) if v)))
     return cells
 
@@ -313,36 +313,12 @@ def nf4_partition(prec) -> QSeries:
 # ---------------------------------------------------------------------------
 # tables
 
-def monomial_label(m: int, n: int) -> str:
-    if m == 0 and n == 0:
-        return "1"
-    parts = []
-    if m:
-        parts.append("p" if m == 1 else f"p^{m}")
-    if n:
-        parts.append(f"S^{2 * n}")
-    return " ".join(parts)
-
-
-def weight_grid(max_weight: int) -> list:
-    """The (m, n) with m + n <= max_weight, by weight, then by m."""
-    return [(m, weight - m) for weight in range(max_weight + 1)
-            for m in range(weight + 1)]
-
-
-def invariant_table(nf: int, max_weight: int) -> list:
-    """Rows [(m, n, label, DCell)] for all m + n <= max_weight, one pass per
-    weight, from the highest down so that memoized series serve the rest."""
-    check_index("max_weight", max_weight)
-    cells = {w: uplane_weight(nf, w) for w in range(max_weight, -1, -1)}
-    return [(m, n, monomial_label(m, n), cells[m + n][m])
-            for m, n in weight_grid(max_weight)]
-
-
-def goettsche_table(max_weight: int) -> list:
-    """Rows [(k, m, n, label, value)] for even m + n = 2(k - 1) <= max_weight,
-    computed from the highest weight down as in :func:`invariant_table`."""
-    top = check_index("max_weight", max_weight) // 2 * 2
-    values = {w: goettsche_weight(w) for w in range(top, -1, -2)}
-    return [((m + n) // 2 + 1, m, n, monomial_label(m, n), values[m + n][m])
-            for m, n in weight_grid(max_weight) if (m + n) % 2 == 0]
+def weight_table(weight, max_weight: int, step: int = 1) -> dict:
+    """{(m, n): weight(m + n)[m]} for every m + n <= max_weight that is a
+    multiple of step, by weight, then by m.  The passes run from the highest
+    weight down, where the windows are widest, so that the memoized series
+    of the first pass serve the rest."""
+    top = check_index("max_weight", max_weight) // step * step
+    cells = {w: weight(w) for w in range(top, -1, -step)}
+    return {(m, w - m): cells[w][m] for w in sorted(cells)
+            for m in range(w + 1)}

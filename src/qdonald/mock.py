@@ -20,11 +20,6 @@ from . import forms
 from .series import QSeries, check_index, factor_window, memo
 
 
-def gamma_half_ratio(j: int) -> Fraction:
-    """Gamma(1/2) / Gamma(1/2 + j) = 4^j j! / (2j)!, exactly."""
-    return Fraction(4 ** j * factorial(j), factorial(2 * j))
-
-
 # ---------------------------------------------------------------------------
 # F_t and its renormalization
 
@@ -189,7 +184,9 @@ def e_bracket(i: int, j: int, prec) -> QSeries:
     """
     check_index("i", i, low=check_index("j", j))
     p = Fraction(prec)
-    c = Fraction((-1) ** j * comb(i, j)) * gamma_half_ratio(j) * (12 ** j)
+    # Gamma(1/2) / Gamma(1/2 + j) = 4^j j! / (2j)!, and 4^j 4^j 3^j = 48^j
+    c = Fraction((-1) ** j * comb(i, j) * 48 ** j * factorial(j),
+                 factorial(2 * j))
     # E2 meets Q+ = q^(-1/8) + ...
     e2 = forms.eisenstein_e2(factor_window(p, Fraction(-1, 8))) ** (i - j)
     return (c * e2 * q_plus(p).qdq(j)).truncate(p)

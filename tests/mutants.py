@@ -427,6 +427,12 @@ MUTANTS = [
      "test_bad_index_raises_bad_parameter[goettsche_weight(1.5,)]",
      "a weight pass lets a float or Fraction weight into the computation, "
      "where it fails with a TypeError, not a BadParameter that names w"),
+    ("weight-table-lowest-first", INVARIANTS,
+     "range(top, -1, -step)", "range(0, top + 1, step)",
+     "tests/test_invariants.py::"
+     "test_invariant_table_builds_each_series_once[0]",
+     "a table runs its weight passes from the lowest up, so each wider "
+     "weight rebuilds the series that a narrower one built"),
 ]
 
 EQUIVALENT = {"truncate-below-lead"}

@@ -13,12 +13,16 @@ from math import ceil, factorial, gcd, lcm
 
 from qdonald import BadParameter, forms, invariants as inv, mock, sw
 from qdonald.exact import Cyclo, cyclotomic_polynomial, euler_phi, unity
-from qdonald.mock import gamma_half_ratio
 from qdonald.series import (InsufficientPrecision, NotInvertible,
                             NotRational, PrecisionUnderflow, QSeries, _to_w,
                             factor_window)
 
 _ZERO = Fraction(0)
+
+
+def gamma_half_ratio(j: int) -> Fraction:
+    """Gamma(1/2) / Gamma(1/2 + j) = 4^j j! / (2j)!, exactly."""
+    return Fraction(4 ** j * factorial(j), factorial(2 * j))
 
 
 class ThetaNotInvertible(ArithmeticError):

@@ -92,6 +92,8 @@ def test_invariants_json_schema(capsys):
     row0 = payload["rows"][0]
     assert row0 == {"m": 0, "n": 0, "monomial": "1", "value": "-1",
                     "h_combo": [["H0", "6"], ["H1", "-1/4"]]}
+    assert [r["monomial"] for r in payload["rows"]] == [
+        "1", "S^2", "p", "S^4", "p S^2", "p^2"]
     s4 = next(r for r in payload["rows"] if r["monomial"] == "S^4")
     assert s4["value"] == "-3/16"
 

@@ -1,6 +1,7 @@
 """Invariant tables, the vanishing criterion, and the auxiliary series."""
 
 from fractions import Fraction as F
+from functools import partial
 from math import lcm
 from types import SimpleNamespace
 
@@ -32,6 +33,11 @@ PRINTED_NF0_COMBOS = {
     (4, 0): ((0, F(1725, 128)), (1, F(-505, 1024)), (2, F(-7, 128)),
              (3, F(-1, 1024))),
 }
+
+
+def _grid(max_weight) -> list:
+    """The (m, n) with m + n <= max_weight, by weight, then by m."""
+    return [(m, w - m) for w in range(max_weight + 1) for m in range(w + 1)]
 
 
 def test_goettsche_printed_small():
@@ -109,13 +115,13 @@ def test_combos_evaluate_to_values():
 def test_tables_match_kernel_products(nf):
     """Every cell to weight 8 equals the route that multiplies every kernel
     out and pairs it coefficient by coefficient, value and H-combination."""
-    for m, n in inv.weight_grid(8):
+    for m, n in _grid(8):
         cell = inv.uplane_weight(nf, m + n)[m]
         assert (cell.value, cell.h_combo) == oracles.uplane_cell(nf, m, n)
 
 
 def test_goettsche_matches_kernel_products():
-    for m, n in inv.weight_grid(8):
+    for m, n in _grid(8):
         if (m + n) % 2 == 0:
             assert inv.goettsche_weight(m + n)[m] == \
                 oracles.goettsche_value(m, n)
@@ -188,7 +194,7 @@ def _shorten(monkeypatch, module, name, step):
 
 def _cells(nf) -> list:
     """The cells of weight <= 4, the Goettsche ones on their stratum."""
-    cells = inv.weight_grid(4)
+    cells = _grid(4)
     if nf == "goettsche":
         cells = [(m, n) for m, n in cells if (m + n) % 2 == 0]
     return cells
@@ -370,7 +376,7 @@ def test_lambda_sums_recover_both_sides():
     """Summing the renormalized summands recovers the two invariant values:
     side 1 totals the instanton side, side 2 the u-plane side, and each
     equals the pairing sum that criterion_weight compares."""
-    for (m, n) in inv.weight_grid(3):
+    for (m, n) in _grid(3):
         side1, side2 = oracles.criterion_summands(m, n, 8)
         s1 = sum(side1[(k, j)].constant_term()
                  for k in range(n + 1) for j in range(k + 1))
@@ -410,8 +416,8 @@ BAD_INDICES = [
     (inv.goettsche_weight, (1.5,), "w"),
     (inv.hurwitz, (2.5,), "nmax"),
     (inv.uplane_weight, (0.0, 2), "nf"),
-    (inv.invariant_table, (0, 1.5), "max_weight"),
-    (inv.goettsche_table, (2.0,), "max_weight"),
+    (inv.weight_table, (inv.criterion_weight, 1.5), "max_weight"),
+    (inv.weight_table, (inv.goettsche_weight, 2.0, 2), "max_weight"),
     (inv.criterion_weight, (F(3, 2),), "w"),
     (forms.form_fm, (1.5, 3), "m"),
     (mock.cal_f, (2.0, 10), "t"),
@@ -422,7 +428,8 @@ BAD_INDICES = [
 
 
 @pytest.mark.parametrize("call, args, name", BAD_INDICES, ids=[
-    f"{call.__name__}{args}".replace(" ", "") for call, args, _ in BAD_INDICES])
+    f"{call.__name__}{tuple(getattr(a, '__name__', a) for a in args)}"
+    .replace(" ", "").replace("'", "") for call, args, _ in BAD_INDICES])
 def test_bad_index_raises_bad_parameter(call, args, name, monkeypatch):
     """A float or Fraction index raises one BadParameter line that names
     it, before any memo is read: every other memoized constructor refuses
@@ -778,17 +785,34 @@ def test_q_plus_shift_two_invariance():
     assert (twisted - q).is_zero() and twisted.prec == q.prec
 
 
-@pytest.mark.parametrize("nf", [0, 2, 3])
-def test_invariant_table_builds_each_series_once(nf, memo_builds):
+@pytest.mark.parametrize("weight, step", [
+    (partial(inv.uplane_weight, 0), 1), (partial(inv.uplane_weight, 2), 1),
+    (partial(inv.uplane_weight, 3), 1), (inv.goettsche_weight, 2),
+    (inv.criterion_weight, 1),
+], ids=["0", "2", "3", "goettsche", "criterion"])
+def test_invariant_table_builds_each_series_once(weight, step, memo_builds):
     """A table runs its weights from the highest down, and each weight asks
     a series at its widest window first: every memo entry is built once.
     nf=2 reads E2 at tau/2 as well as at tau."""
-    inv.invariant_table(nf, 7)
+    inv.weight_table(weight, 7, step)
     assert memo_builds and set(memo_builds.values()) == {1}, memo_builds
 
 
 def test_invariant_table_shape():
-    rows = inv.invariant_table(0, 2)
-    labels = [label for _, _, label, _ in rows]
-    assert labels == ["1", "S^2", "p", "S^4", "p S^2", "p^2"]
-    assert rows[0][3].value == -1
+    """Cells are keyed by weight, then by m; step keeps the weights that
+    are its multiples, and the passes run from the highest weight down."""
+    passes = []
+
+    def weight(w):
+        passes.append(w)
+        return [(m, w - m) for m in range(w + 1)]
+    table = inv.weight_table(weight, 2)
+    assert list(table) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    assert all(cell == key for key, cell in table.items())
+    assert passes == [2, 1, 0]
+    passes.clear()
+    assert list(inv.weight_table(weight, 5, step=2)) == [
+        (0, 0), (0, 2), (1, 1), (2, 0),
+        (0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
+    assert passes == [4, 2, 0]
+    assert inv.weight_table(partial(inv.uplane_weight, 0), 0)[0, 0].value == -1

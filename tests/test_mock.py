@@ -241,12 +241,15 @@ def test_s_duality():
 
 def test_e_bracket():
     assert (mock.e_bracket(0, 0, 6) - mock.q_plus(6)).is_zero()
-    assert mock.gamma_half_ratio(2) == F(4, 3)
+    assert oracles.gamma_half_ratio(2) == F(4, 3)
     # direct evaluation of the (1,1) summand at leading order:
     # -1 * C(1,1) * (4^1 1!/2!) * 12 * qdq(Q+) has leading 24 * (1/8) = 3
     b11 = mock.e_bracket(1, 1, 4)
     assert b11.coeff(F(-1, 8)) == 3
     direct = -1 * F(4 * 1, 2) * 12 * mock.q_plus(4).qdq(1)
     assert (b11 - direct).is_zero()
+    b22 = mock.e_bracket(2, 2, 4)
+    assert (b22 - oracles.gamma_half_ratio(2) * 144
+            * mock.q_plus(4).qdq(2)).is_zero()
     with pytest.raises(BadParameter, match="^i must be an integer >= 2"):
         mock.e_bracket(1, 2, 4)
