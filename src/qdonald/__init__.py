@@ -2,12 +2,12 @@
 
 from .series import (BadParameter, InsufficientPrecision,
                      IrrepresentableExponent, NotInvertible, NotRational,
-                     PrecisionUnderflow, QSeries)
+                     QSeries)
 
 __all__ = [
     "QSeries",
-    "NotInvertible", "NotRational", "PrecisionUnderflow",
-    "InsufficientPrecision", "IrrepresentableExponent", "BadParameter",
+    "NotInvertible", "NotRational", "InsufficientPrecision",
+    "IrrepresentableExponent", "BadParameter",
 ]
 
 __version__ = "0.1.0"

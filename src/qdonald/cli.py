@@ -20,7 +20,8 @@ numbers cannot be allocated, an ``--out`` file that cannot be written, a
 command that runs out of memory) is one stderr line of the form
 ``qdonald[ <command>]: error: <message>``; all but the last two are
 reported before anything is computed, as each constructor checks its
-parameters first.
+parameters first.  A window too short for the order exits 1 with one
+stderr line that asks for a larger ``--order``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import io
 import sys
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from types import SimpleNamespace
 
 from . import forms, invariants, mock, sw
@@ -265,12 +267,13 @@ def _suite_identities(order) -> list:
     eodd = forms.eisenstein_eodd(factor_window(p, 2 * h.valuation()))
     zero_check("h ODE: qdq(h) = -E*(2tau) h + 64 E_odd",
                h.qdq(1) + est2 * h - 64 * eodd)
+    h2 = h ** 2
     zero_check("h ODE: qdq(h) = -E_odd (h^2 - 64)  [sign corrected]",
-               h.qdq(1) + eodd * (h ** 2 - 64))
-    printed_defect = (h.qdq(1) + eodd * (h ** 2 + 64)) - 128 * eodd
+               h.qdq(1) + eodd * (h2 - 64))
+    printed_defect = (h.qdq(1) + eodd * (h2 + 64)) - 128 * eodd
     zero_check("h ODE as printed is off by exactly 128 E_odd", printed_defect)
     zero_check("Delta(2tau)/Delta(4tau) = h^2 - 64",
-               forms.eta_quotient([(2, 24), (4, -24)], p) - (h ** 2 - 64))
+               forms.eta_quotient([(2, 24), (4, -24)], p) - (h2 - 64))
     zero_check("Jacobi: vtheta3^4 - vtheta4^4 - vtheta2^4",
                t3 ** 4 - t4 ** 4 - t2 ** 4)
     zero_check("2 eta^3 = vtheta2 vtheta3 vtheta4", 2 * eta3 - t2 * t3 * t4)
@@ -321,7 +324,8 @@ def _suite_tables() -> list:
                    h[:6] == [1, 28, 39, 196, 161, 756], None, None))
     for nf, table in ((0, _TABLE_NF0), (2, _TABLE_NF2), (3, _TABLE_NF3)):
         cells = invariants.weight_table(
-            partial(invariants.uplane_weight, nf), max(map(sum, table)))
+            partial(invariants.uplane_weight, nf), max(map(sum, table)),
+            step=gcd(*map(sum, table)))
         for (m, n), expected in sorted(table.items()):
             cell = cells[m, n]
             ok = str(cell.value) == expected

@@ -14,13 +14,14 @@ series in the package, the series ring's and ``Cyclo``'s alike, runs on one
 of the two entries of the integer kernel below: ``int_product(x, y, n)``,
 the first n coefficients of x * y, and ``int_power(u, r, n)``, the first n
 coefficients of u^r for r < 0 as ``(nums, den)`` in lowest terms with
-den > 0; the reciprocal is r = -1.  Both follow one shape rule: when the
-gcd g of the indices of the nonzero terms is 2 or more, the entry works on
-``v[::g]`` and spreads the result back; then the product loops over the
-nonzero pairs or makes one Kronecker multiply, and the power runs J. C. P.
-Miller's recurrence over the nonzero terms of its base.  A ``Cyclo``
-product is reduced modulo Phi_N by monic division, and an inverse is the
-product of the other Galois conjugates over the rational norm.
+den > 0.  Both follow one shape rule: when the gcd g of the indices of the
+nonzero terms is 2 or more, the entry works on ``v[::g]`` and spreads the
+result back; then the product loops over the nonzero pairs or makes one
+Kronecker multiply, and the power runs one loop of J. C. P. Miller's
+recurrence over the nonzero terms of its base for every r < 0, the
+reciprocal being its r = -1.  A ``Cyclo`` product is reduced modulo Phi_N
+by monic division, and an inverse is the product of the other Galois
+conjugates over the rational norm.
 """
 
 from __future__ import annotations
@@ -67,13 +68,13 @@ def int_product(x, y, n) -> list:
 
 def int_power(u, r, n) -> tuple:
     """``(nums, den)`` with (u_0 + u_1 q + ...)^r = sum nums[m] q^m / den
-    + O(q^n) for integer u, u_0 != 0 and r < 0, in lowest terms with den > 0;
-    the reciprocal is r = -1.
+    + O(q^n) for integer u, u_0 != 0 and r < 0, in lowest terms with den > 0.
 
-    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) m A_m = sum_k
-    ((r + 1) k - m) t_k A_(m-k) over the nonzero u_k, t_k = u_k u_0^(k-1)
-    and A_0 = 1, gives integers A_m, the coefficients of (1 + sum t_k
-    q^k)^r.  Then u^r = sum A_m q^m / u_0^(m-r), which is nums[m] = A_m
+    One loop of J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) m
+    A_m = sum_k ((r + 1) k - m) t_k A_(m-k) over the nonzero u_k, t_k = u_k
+    u_0^(k-1) and A_0 = 1, gives integers A_m, the coefficients of (1 + sum
+    t_k q^k)^r, for every r < 0; the reciprocal is r = -1, where each weight
+    is -m.  Then u^r = sum A_m q^m / u_0^(m-r), which is nums[m] = A_m
     u_0^(n-1-m) over u_0^(n-1-r) before the sign and the gcd are taken out.
     """
     iu = [k for k, v in enumerate(u) if v]
@@ -82,22 +83,15 @@ def int_power(u, r, n) -> tuple:
         nums, den = int_power(u[::g], r, len(range(0, n, g)))
         return _spread(nums, g, n), den
     u0 = u[0]
-    steps = [(k, u[k] * u0 ** (k - 1)) for k in iu[1:]]
+    steps = [(k, (r + 1) * k, u[k] * u0 ** (k - 1)) for k in iu[1:]]
     vs = [1] + [0] * (n - 1)
     for m in range(1, n):
         acc = 0
-        if r == -1:  # (r + 1) k vanishes: one product a step
-            for k, t in steps:
-                if k > m:
-                    break
-                acc -= t * vs[m - k]
-            vs[m] = acc
-        else:
-            for k, t in steps:
-                if k > m:
-                    break
-                acc += ((r + 1) * k - m) * t * vs[m - k]
-            vs[m] = acc // m
+        for k, rk, t in steps:
+            if k > m:
+                break
+            acc += (rk - m) * t * vs[m - k]
+        vs[m] = acc // m
     nums, den = [], 1
     for v in reversed(vs):
         nums.append(v * den)

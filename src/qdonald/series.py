@@ -48,10 +48,6 @@ class NotInvertible(ZeroDivisionError):
     pass
 
 
-class PrecisionUnderflow(ArithmeticError):
-    pass
-
-
 class InsufficientPrecision(ArithmeticError):
     pass
 
@@ -366,7 +362,7 @@ class QSeries:
             cands.append(b.prec + a.lead)
         prec = min(cands) if cands else None
         if prec is not None and prec <= lead:
-            raise PrecisionUnderflow("product has an empty known window")
+            raise InsufficientPrecision("product has an empty known window")
         n = (prec if prec is not None
              else lead + len(a.nums) + len(b.nums) - 1) - lead
         prod = int_product(a.nums[:n], b.nums[:n], n)
@@ -405,7 +401,7 @@ class QSeries:
                 raise ValueError("inverting an exact series needs a precision")
             n = _to_w(prec, self.ram) - k * self.lead
             if n <= 0:
-                raise PrecisionUnderflow("inverse has an empty known window")
+                raise InsufficientPrecision("inverse has an empty known window")
         else:
             n = self.prec - self.lead
         nums, d = int_power(self.nums[:n], k, n)
@@ -478,8 +474,6 @@ class QSeries:
     def shift_tau(self, k: int) -> "QSeries":
         """tau -> tau + k: multiply the w^m coefficient by zeta_ram^(k m),
         which must be 1 or -1 wherever the coefficient is nonzero."""
-        if self.ram == 1 or k % self.ram == 0:
-            return self
         ram, lead = self.ram, self.lead
         out = []
         for m, c in enumerate(self.nums, lead):
@@ -496,8 +490,6 @@ class QSeries:
         """j-fold q d/dq: multiply the coefficient at exponent e by e^j."""
         if j < 0:
             raise ValueError("derivative order must be non-negative")
-        if j == 0:
-            return self
         ram, lead = self.ram, self.lead
         out = [v and v * (lead + i) ** j for i, v in enumerate(self.nums)]
         return _make(ram, lead, *_lowest(out, self.den * ram ** j), self.prec)

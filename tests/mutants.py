@@ -91,7 +91,7 @@ MUTANTS = [
      "tests/test_ring_kernel.py::test_int_power_on_fixed_bases[r=-5]",
      "a power that is not in lowest terms, as for a base with content 3"),
     ("power-miller-weight", EXACT,
-     "((r + 1) * k - m)", "(r * k - m)",
+     "(r + 1) * k,", "r * k,",
      "tests/test_ring_kernel.py::test_int_power_on_fixed_bases[r=-3]",
      "the power recurrence weighs t_k A_(m-k) by r k - m, not (r + 1) k - "
      "m, so every power below -1 is wrong"),
@@ -144,6 +144,14 @@ MUTANTS = [
      "tests/test_acceptance.py::test_criterion_01_calq_coefficients",
      "an eta quotient whose arguments share a factor g is read on Z, not "
      "spread back onto gZ"),
+    ("precision-handler-dropped", CLI,
+     "    except InsufficientPrecision as exc:\n        sys.stderr.write("
+     "f\"insufficient precision: {exc}; retry with a \"\n"
+     "                         f\"larger --order\\n\")\n        return 1\n",
+     "",
+     "tests/test_cli.py::test_short_window_exits_one",
+     "a window too short escapes main as a traceback, not one stderr line "
+     "and exit 1"),
     ("nf4-order-capped", CLI,
      "_suite_nf4(min(args.order, 16))", "_suite_nf4(min(args.order, 8))",
      "tests/test_cli.py::test_nf4_residual_reaches_the_capped_order[40]",

@@ -14,8 +14,7 @@ from math import ceil, factorial, gcd, lcm
 from qdonald import BadParameter, forms, invariants as inv, mock, sw
 from qdonald.exact import Cyclo, cyclotomic_polynomial, euler_phi, unity
 from qdonald.series import (InsufficientPrecision, NotInvertible,
-                            NotRational, PrecisionUnderflow, QSeries, _to_w,
-                            factor_window)
+                            NotRational, QSeries, _to_w, factor_window)
 
 _ZERO = Fraction(0)
 
@@ -166,7 +165,7 @@ class CycloSeries:
                  if p is not None]
         prec = min(cands) if cands else None
         if prec is not None and prec <= lead:
-            raise PrecisionUnderflow("product has an empty known window")
+            raise InsufficientPrecision("product has an empty known window")
         out = {}
         for i, x in a.terms.items():
             for j, y in b.terms.items():
@@ -186,7 +185,7 @@ class CycloSeries:
         n = self.prec - lead if self.prec is not None \
             else _to_w(prec, self.ram) + lead
         if n <= 0:
-            raise PrecisionUnderflow("inverse has an empty known window")
+            raise InsufficientPrecision("inverse has an empty known window")
         u = sorted((m - lead, c) for m, c in self.terms.items() if m - lead < n)
         u0 = u[0][1]
         inv0 = u0.inverse() if isinstance(u0, Cyclo) else 1 / u0

@@ -13,7 +13,7 @@ import pytest
 from counters import clear_memos
 from hypothesis import given, settings, strategies as st
 
-from qdonald import (NotRational, PrecisionUnderflow, QSeries, forms,
+from qdonald import (InsufficientPrecision, NotRational, QSeries, forms,
                      invariants as inv, mock, sw)
 
 
@@ -340,7 +340,7 @@ def test_criterion_15_ring_laws(a, b, c):
 def test_criterion_15_qdq_derivation(a, b):
     try:
         prod = (a * b).qdq(1)
-    except PrecisionUnderflow:
+    except InsufficientPrecision:
         return
     assert (prod - (a.qdq(1) * b + a * b.qdq(1))).is_zero()
 

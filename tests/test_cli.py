@@ -446,6 +446,19 @@ def test_swcheck_failure_contract(monkeypatch, capsys):
     ]
 
 
+def test_short_window_exits_one(monkeypatch, capsys):
+    """A window too short, here an inverse whose known window is empty, is
+    one stderr line that asks for a larger order, exit 1 and no stdout."""
+    monkeypatch.setattr(forms, "delta",
+                        lambda p: QSeries.monomial(5).inverse(-5))
+    code = main(["series", "--name", "Delta", "--order", "4"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.splitlines() == [
+        "insufficient precision: inverse has an empty known window; retry "
+        "with a larger --order"]
+
+
 def test_hurwitz_output(capsys):
     code, out = run_cli(capsys, "hurwitz", "--max", "7")
     assert code == 0

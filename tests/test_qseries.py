@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from qdonald import (InsufficientPrecision, IrrepresentableExponent,
-                     NotInvertible, NotRational, PrecisionUnderflow, QSeries)
+                     NotInvertible, NotRational, QSeries)
 from qdonald import forms, mock
 from qdonald.exact import Cyclo, root_of_unity
 from qdonald import series
@@ -193,7 +193,7 @@ def test_exact_inverse_is_known_below_its_precision_argument():
     inv = s.inverse(F(7, 2))
     assert (inv.valuation(), inv.prec_q()) == (F(1, 2), F(7, 2))
     assert (inv * s - 1).truncate(3).is_zero()
-    with pytest.raises(PrecisionUnderflow):
+    with pytest.raises(InsufficientPrecision):
         QSeries.monomial(5).inverse(-5)
 
 
@@ -295,7 +295,7 @@ def test_coeff_of_a_cyclo_series():
         s.coeff(4)
 
 
-@pytest.mark.parametrize("j", [1, 2, 3])
+@pytest.mark.parametrize("j", [0, 1, 2, 3])
 def test_qdq_of_a_cyclo_series(j):
     """qdq of the rational part, term by term, on its whole window."""
     s = _rational_part()
@@ -449,7 +449,7 @@ def test_product_matches_brute_convolution(a, b):
     min(a.prec + b.lead, b.prec + a.lead)."""
     try:
         prod = a * b
-    except PrecisionUnderflow:
+    except InsufficientPrecision:
         return
     if a.is_zero() or b.is_zero():
         assert prod.is_zero()
@@ -595,9 +595,8 @@ def test_package_exports_the_series_ring_only():
     two series are compared by their difference."""
     import qdonald
     assert sorted(qdonald.__all__) == sorted(
-        ["QSeries", "NotInvertible", "NotRational", "PrecisionUnderflow",
-         "InsufficientPrecision", "IrrepresentableExponent",
-         "BadParameter"])
+        ["QSeries", "NotInvertible", "NotRational", "InsufficientPrecision",
+         "IrrepresentableExponent", "BadParameter"])
     for name in ("Cyclo", "root_of_unity", "unity", "DivisionByZero",
                  "IncompatibleOrder"):
         assert not hasattr(qdonald, name)
