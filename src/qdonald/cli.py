@@ -24,8 +24,6 @@ parameters first.  A window too short for the order exits 1 with one
 stderr line that asks for a larger ``--order``.
 """
 
-from __future__ import annotations
-
 import atexit
 import gc
 import io

@@ -24,8 +24,6 @@ by monic division, and an inverse is the product of the other Galois
 conjugates over the rational norm.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm

@@ -19,14 +19,13 @@ spread onto gZ and shifted by q^s, which puts it on its coarsest grid while
 it is known to its lattice end, and only then truncated.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import reduce
 from math import ceil, gcd
 from operator import mul
 
-from .series import BadParameter, QSeries, check_index, factor_window, memo
+from .series import (BadParameter, QSeries, check_index, check_precision,
+                     factor_window, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +35,7 @@ def euler_product(prec, arg: int = 1) -> QSeries:
     """prod_{n>=1} (1 - q^(arg*n)) = sum_k (-1)^k q^(arg k (3k - 1)/2) over
     k in Z (Euler's pentagonal number theorem), known below q^ceil(prec)."""
     check_index("euler_product arg", arg, low=1)
-    top = ceil(prec)
+    top = ceil(check_precision(prec))
     nums = [0] * max(top, 0)
     k = e1 = 0
     while e1 < top:  # e1 = arg k (3k - 1)/2, and its partner at -k
@@ -83,7 +82,7 @@ def _eta_quotient(factors: tuple, prec) -> QSeries:
     # truncate rounds up to a known point (an empty window: its bound's grid)
     s = sum(Fraction(d * r, 24) for d, r in factors)
     g = gcd(*(d for d, _ in factors))
-    top = factor_window((Fraction(prec) - s) / g, 0, 0)
+    top = factor_window((prec - s) / g, 0, 0)
     out = reduce(mul, (euler_product(top, d // g) ** r for d, r in factors))
     return out.rescale(g).shift_exponent(s).truncate(prec)
 
@@ -100,7 +99,7 @@ def theta_big(which: int, prec) -> QSeries:
     """Theta_2/3/4 by direct lattice sum (integer exponents): sum q^(m^2)
     over odd m > 0, and 1 + 2 sum (+-1)^(m/2) q^(m^2) over even m > 0."""
     check_index("which", which, choices=(2, 3, 4))
-    top = ceil(prec)
+    top = ceil(check_precision(prec))
     nums = [0] * max(top, 0)
     m = int(which == 2)
     while m * m < top:
@@ -122,7 +121,8 @@ def theta_inverse(which: int, prec) -> QSeries:
     memoized eta quotient, known one q-step past its lead at least."""
     check_index("which", which, choices=_THETA_INVERSE)
     lead = 1 if which == 2 else 0  # Theta2 = q + ..., Theta3/4 = 1 + ...
-    return _eta_quotient(_THETA_INVERSE[which], max(prec, 1 - lead))
+    return _eta_quotient(_THETA_INVERSE[which],
+                         max(check_precision(prec), 1 - lead))
 
 
 def vartheta(which: int, prec) -> QSeries:
@@ -131,7 +131,7 @@ def vartheta(which: int, prec) -> QSeries:
     known term is stored on the grid of its bound, as ``truncate`` stores
     it."""
     step = 1 if which == 2 else 4  # the lattice sum's exponents lie in step*Z
-    base = theta_big(which, prec * 8)
+    base = theta_big(which, check_precision(prec) * 8)
     series = QSeries.from_numerators(8 // step, -(-base.lead // step),
                                      base.nums[::step], base.den,
                                      -(-base.prec // step))
@@ -145,7 +145,7 @@ def _divisor_series(const: int, scale: int, power: int, step: int,
                     stride: int, prec) -> QSeries:
     """const + scale sum sigma(n) q^n over n = 1, 1 + stride, ..., with
     sigma(n) the sum of d^power over the divisors d = 1 mod step of n."""
-    top = ceil(prec)
+    top = ceil(check_precision(prec))
     sig = [0] * max(top, 1)
     for d in range(1, top, step):
         for m in range(d, top, d):
@@ -215,10 +215,9 @@ def form_h(prec) -> QSeries:
     """h = eta(2t)^4/eta(4t)^8 * E*(2t) = E*(2t)/g, g = eta(4t)^8/eta(2t)^4,
     equal to 8 + eta^8/eta(4t)^8 = q^-1 + 20q - 62q^3 + ...: the function
     every Seiberg-Witten chart of ``sw`` reads u off."""
-    p = Fraction(prec)
-    quot = eta_quotient([(2, 4), (4, -8)], max(p, 0))  # q^-1 + ..., to q^0
-    est = eisenstein_estar(factor_window(p, -1) / 2).rescale(2, 1)
-    return (quot * est).truncate(p)
+    quot = eta_quotient([(2, 4), (4, -8)], max(prec, 0))  # q^-1 + ..., to q^0
+    est = eisenstein_estar(factor_window(prec, -1) / 2).rescale(2, 1)
+    return (quot * est).truncate(prec)
 
 
 def form_fm(m: int, prec) -> QSeries:
@@ -226,6 +225,7 @@ def form_fm(m: int, prec) -> QSeries:
     the nf=0 u-plane kernel of weight m read at 8 tau; as theta constants,
     Theta4^9 (16 Theta2^4 + Theta3^4)^m / (Theta2 Theta3)^(2m+3)."""
     check_index("m", m)
+    prec = check_precision(prec)
     quot = eta_quotient([(4, 4 * m + 24), (8, -8 * m - 21)], prec)
-    est = eisenstein_estar(Fraction(factor_window(prec, -2 * m - 3), 4))
+    est = eisenstein_estar(factor_window(prec, -2 * m - 3) / 4)
     return (quot * est.rescale(4, 1) ** m).truncate(prec)

@@ -9,8 +9,6 @@ here is an exact Fraction.  Each family computes all cells of one weight in
 one pass over integer kernel reads.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
@@ -19,7 +17,7 @@ from operator import mul
 
 from . import forms, mock
 from .series import (InsufficientPrecision, QSeries, check_index,
-                     factor_window)
+                     check_precision, factor_window)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +243,7 @@ def z0_series(prec) -> QSeries:
     """Z0 = E*(4 tau)/eta(8 tau)^3 = q^-1 + 24 q^3 + ....  The paper defines
     Z0 as calQ + 4 calF0 / Theta4; ``verify --suite identities`` checks that
     definition against this closed form."""
-    p = Fraction(prec)
+    p = check_precision(prec)
     est = forms.eisenstein_estar(factor_window(p, -1) / 4).rescale(4, 1)
     return (est * forms.eta_power(8, -3, p)).truncate(p)
 
@@ -285,7 +283,7 @@ def vafa_witten_series(kmax: int) -> QSeries:
 
 def z_bold(prec) -> QSeries:
     """Z = eta^3 * Q+ (exponents in (1/2) Z)."""
-    p = Fraction(prec)
+    p = check_precision(prec)
     eta3 = forms.eta_power(1, 3, factor_window(p, Fraction(-1, 8)))  # Q+ = q^(-1/8)...
     return (eta3 * mock.q_plus(p)).truncate(p)
 
@@ -302,7 +300,7 @@ def nf4_partition(prec) -> QSeries:
     (1/36) E4 F), with S_k = D - (k/12) E2 the Serre derivative: a modular
     differential operator from weight 0 to weight 4."""
     # each factor f of a product q^V + ... below has val(f) - V <= 1/2
-    top = factor_window(prec, Fraction(-1, 2))
+    top = factor_window(check_precision(prec), Fraction(-1, 2))
     f = mock.q_plus(top) * forms.eta_power(1, -1, top)
     eta4inv = forms.eta_power(1, -4, top)
     dd = (f.qdq(1) * eta4inv).qdq(1)

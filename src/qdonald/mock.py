@@ -10,14 +10,13 @@ so no series here is inverted.  The weighted kernels, which no command asks
 twice, hold no memo entry (see :func:`~qdonald.series.memo`).
 """
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 from math import ceil, comb, factorial
 
 from . import forms
-from .series import QSeries, check_index, factor_window, memo
+from .series import (QSeries, check_index, check_precision, factor_window,
+                     memo)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +44,7 @@ def cal_f(t: int, prec) -> QSeries:
 
 def f_t(t: int, prec) -> QSeries:
     """F_t: same series read in q^(1/8) (exponents (4a^2-(2b+1)^2)/8)."""
-    return cal_f(t, Fraction(prec) * 8).rescale(1, 8)
+    return cal_f(t, check_precision(prec) * 8).rescale(1, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +92,7 @@ def lerch_mu_weighted(t: int, prec) -> QSeries:
     two halves times -1/2 give -S.
     """
     check_index("t", t, step=2)
+    prec = check_precision(prec)
     return (-_lerch_quotient(
         lambda n: ((2 * n + 1) * (2 * n + 3), 8 * n + 4, (-1) ** n),
         0, 1, lambda x: (2 * x + 1) ** t, 4, prec)).truncate(prec)
@@ -111,15 +111,15 @@ def _q_combination(parts: dict) -> QSeries:
 @memo
 def cal_q(prec) -> QSeries:
     """calQ from A38, A78, B and M (integer exponents)."""
-    p = Fraction(prec)
-    return _q_combination({"A38": forms.form_a38(p), "A78": forms.form_a78(p),
-                           "B": forms.form_b(p), "M": mock_m(p)}
-                          ).truncate(p)
+    return _q_combination({"A38": forms.form_a38(prec),
+                           "A78": forms.form_a78(prec),
+                           "B": forms.form_b(prec), "M": mock_m(prec)}
+                          ).truncate(prec)
 
 
 def q_plus(prec) -> QSeries:
     """Q+ = calQ read in q^(1/8): support in -1/8 + (1/2) Z>=0."""
-    return cal_q(Fraction(prec) * 8).rescale(1, 8)
+    return cal_q(check_precision(prec) * 8).rescale(1, 8)
 
 
 def h_coefficients(count: int) -> list:
@@ -150,7 +150,7 @@ def s_transform_parts(prec) -> dict:
     It is read on the q^(1/4) grid of theta's q^(-1/4), which fixes where its
     window ends at a fractional precision when it holds a known term.
     """
-    p = Fraction(prec)
+    p = check_precision(prec)
     eta8 = forms.eta_quotient([(2, 8), (8, -3), (4, -4)], p)
     sA38 = Fraction(-1, 2) * forms.form_a(p)
     sB = 4 * forms.eta_quotient([(8, 5), (4, -4)], p)
@@ -172,7 +172,7 @@ def q_transform_s_ren(prec) -> QSeries:
 
 def q_transform_s(prec) -> QSeries:
     """(1/sqrt(-i tau)) Q(-1/tau) as a q^(1/8)-ramified series."""
-    return q_transform_s_ren(Fraction(prec) * 8).rescale(1, 8)
+    return q_transform_s_ren(check_precision(prec) * 8).rescale(1, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def e_bracket(i: int, j: int, prec) -> QSeries:
     (-1)^j C(i,j) [Gamma(1/2)/Gamma(1/2+j)] 4^j 3^j E2^(i-j) (q d/dq)^j Q+.
     """
     check_index("i", i, low=check_index("j", j))
-    p = Fraction(prec)
+    p = check_precision(prec)
     # Gamma(1/2) / Gamma(1/2 + j) = 4^j j! / (2j)!, and 4^j 4^j 3^j = 48^j
     c = Fraction((-1) ** j * comb(i, j) * 48 ** j * factorial(j),
                  factorial(2 * j))

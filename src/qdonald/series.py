@@ -33,8 +33,6 @@ tau + k twists a nonzero term by another root of unity.  Series over
 Q(zeta) are a test reference (``tests/oracles.py``), not a production path.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import wraps
 from itertools import compress, count, islice
@@ -78,6 +76,15 @@ def check_index(name: str, value, low=0, step=1, choices=None) -> int:
     raise BadParameter(f"{name} must be {rule}, not {value!r}")
 
 
+def check_precision(prec) -> Fraction:
+    """``prec`` as a Fraction if it is an int or a Fraction; else
+    BadParameter, before any memo is read or anything computed."""
+    if isinstance(prec, (int, Fraction)):
+        return Fraction(prec)
+    raise BadParameter(
+        f"precision must be an int or a Fraction, not {prec!r}")
+
+
 _ZERO = Fraction(0)
 
 
@@ -96,10 +103,12 @@ def memo(fn=None, *, check=None):
     one gets its ``truncate``.  So memory grows with the distinct keys only,
     one entry per key at its widest window.  Every memoized constructor
     returns one series, and at a precision p what it returns at any higher
-    one, truncated at p.  An int and an equal Fraction precision share the
-    entry.  ``fn.entries`` is the cache; ``fn.clear()`` empties it.
-    ``@memo(check=f)`` calls f on the other arguments before the memo is
-    read, so that a bad index (2.0 for 2, say) never meets an entry.
+    one, truncated at p.  ``fn.entries`` is the cache; ``fn.clear()``
+    empties it.  The precision is read through :func:`check_precision`, so
+    the body gets a Fraction, an int and an equal Fraction share the entry,
+    and a float or a str never meets one; ``@memo(check=f)`` calls f on the
+    other arguments before the memo is read, so that a bad index (2.0 for
+    2, say) never meets an entry either.
     """
     if fn is None:
         return lambda fn: memo(fn, check=check)
@@ -107,7 +116,7 @@ def memo(fn=None, *, check=None):
 
     @wraps(fn)
     def call(*args):
-        key, prec = args[:-1], Fraction(args[-1])
+        key, prec = args[:-1], check_precision(args[-1])
         if check is not None:
             check(*key)
         held = entries.get(key)

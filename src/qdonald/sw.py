@@ -15,14 +15,12 @@ formed once per family, in the contact term T = -E2/(3W) + u/3 (+1/2 for
 nf=3), and the normalized A-period is read off it as a = 2u - (4 - nf) T.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 
 from . import forms
 from .series import (InsufficientPrecision, QSeries, check_index,
-                     factor_window)
+                     check_precision, factor_window)
 
 
 # the chart of one family: u, W = (omega/pi)^2 and 1/W, known below q^prec
@@ -58,7 +56,7 @@ def _chart(nf: int, p) -> tuple:
 
 def sw_family(nf: int, prec) -> SWFamily:
     """Build u, (omega/pi)^2 and its inverse for one family."""
-    p = Fraction(prec)
+    p = check_precision(prec)
     return SWFamily(nf, *(x.truncate(p) for x in _chart(nf, p)))
 
 
@@ -115,7 +113,7 @@ def vanishing(label: str, series: QSeries, below=None) -> tuple:
 
 def check_family(nf: int, prec) -> list:
     """Run the per-family identity suite; returns vanishing records."""
-    p, nf = Fraction(prec), check_index("nf", nf, choices=_CURVE)
+    p, nf = check_precision(prec), check_index("nf", nf, choices=_CURVE)
     # u is built below p - 5 val(u), past where every residual reaches q^p
     pf = factor_window(p, 5 * _U_VALUATION[nf])
     if nf == 3:  # u3's nf=0 chart reads the same curve: the wider first

@@ -133,8 +133,8 @@ MUTANTS = [
      "tests/test_qseries.py::test_coeff_of_a_cyclo_series",
      "a Cyclo coefficient passes the check where a series is built"),
     ("eta-window-no-floor", FORMS,
-     "factor_window((Fraction(prec) - s) / g, 0, 0)",
-     "factor_window((Fraction(prec) - s) / g, 0)",
+     "factor_window((prec - s) / g, 0, 0)",
+     "factor_window((prec - s) / g, 0)",
      "tests/test_forms.py::"
      "test_eta_builders_match_the_per_factor_route[((1, 24),)]",
      "an eta quotient whose shift reaches past the precision is multiplied "
@@ -435,6 +435,19 @@ MUTANTS = [
      "test_bad_index_raises_bad_parameter[goettsche_weight(1.5,)]",
      "a weight pass lets a float or Fraction weight into the computation, "
      "where it fails with a TypeError, not a BadParameter that names w"),
+    ("memo-precision-unchecked", SERIES,
+     "check_precision(args[-1])", "Fraction(args[-1])",
+     "tests/test_invariants.py::"
+     "test_bad_precision_raises_bad_parameter[eisenstein_e2-2.5]",
+     "the memo launders a float precision into a Fraction key, so E2 at 2.5 "
+     "is built and held under 5/2"),
+    ("theta-big-precision-unchecked", FORMS,
+     "choices=(2, 3, 4))\n    top = ceil(check_precision(prec))",
+     "choices=(2, 3, 4))\n    top = ceil(prec)",
+     "tests/test_invariants.py::"
+     "test_bad_precision_raises_bad_parameter[theta_big-str]",
+     "Theta_3 at the precision \"5\" fails in ceil with a TypeError, not a "
+     "BadParameter that names the precision"),
     ("weight-table-lowest-first", INVARIANTS,
      "range(top, -1, -step)", "range(0, top + 1, step)",
      "tests/test_invariants.py::"

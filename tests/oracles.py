@@ -1049,7 +1049,8 @@ def sw_chart_theta(nf: int, p) -> tuple:
         inverse = omega2.inverse()
         return (t2 ** 4 + t3 ** 4) * inverse, omega2, inverse
     if nf == 2:
-        return tuple(s.rescale(2, 1) for s in sw_chart_theta(0, p / 2))
+        return tuple(s.rescale(2, 1)
+                     for s in sw_chart_theta(0, Fraction(p) / 2))
     t3, t4 = (forms.vartheta(i, factor_window(p, 0, 1)) for i in (3, 4))
     omega2 = -((t3 ** 2 - t4 ** 2) ** 2) / 4
     inverse = omega2.inverse()
@@ -1066,7 +1067,8 @@ def sw_chart_quotient(nf: int, p) -> tuple:
     h = 8 + eta^8/eta(4t)^8, g = eta(4t)^8/eta(2t)^4 and 1/g as u = s h,
     W = w g and 1/W = 1/(w g)."""
     if nf == 2:
-        return tuple(s.rescale(2, 1) for s in sw_chart_quotient(0, p / 2))
+        return tuple(s.rescale(2, 1)
+                     for s in sw_chart_quotient(0, Fraction(p) / 2))
     c, s, w = _SW_CURVE[nf]
     h, inv, g = (forms.eta_quotient(f, c * p).rescale(1, c) for f in
                  ([(1, 8), (4, -8)], [(2, 4), (4, -8)], [(2, -4), (4, 8)]))

@@ -633,11 +633,12 @@ def _fresh_modules(code: str) -> set:
 
 def test_import_pulls_in_no_dataclasses_or_inspect():
     """A fresh ``import qdonald.cli`` loads no argument parser, no output
-    format module, and neither dataclasses nor inspect (nor, through them,
-    ast and dis), which would add to every command's start-up time."""
+    format module, neither dataclasses nor inspect (nor, through them, ast
+    and dis), and no ``__future__``, each of which would add to every
+    command's start-up time."""
     loaded = _fresh_modules("import qdonald.cli")
     assert not loaded & {"argparse", "gettext", "json", "csv", "dataclasses",
-                         "inspect"}
+                         "inspect", "__future__"}
 
 
 def test_text_command_loads_no_format_module():

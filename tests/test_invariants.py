@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import oracles
 import pytest
 from conftest import theta_forbidden
-from counters import counting_memo_builds, memoized
+from counters import clear_memos, counting_memo_builds, memoized
 from hypothesis import given, settings, strategies as st
 
 from qdonald import (BadParameter, InsufficientPrecision, NotRational,
@@ -443,6 +443,77 @@ def test_bad_index_raises_bad_parameter(call, args, name, monkeypatch):
     with pytest.raises(BadParameter, match=rf"^{name} must be ") as raised:
         call(*args)
     assert "\n" not in str(raised.value)
+
+
+# every public constructor of forms, mock, invariants and sw that takes a
+# precision, with the indices it is called with before it
+PRECISION_CALLS = [
+    (forms.euler_product, ()), (forms.eta_power, (1, 3)), (forms.eta, ()),
+    (forms.eta_quotient, ([(2, 4), (4, -8)],)), (forms.delta, ()),
+    (forms.theta_big, (3,)), (forms.theta_inverse, (2,)),
+    (forms.vartheta, (2,)), (forms.eisenstein_e2, ()),
+    (forms.eisenstein_e4, ()), (forms.eisenstein_estar, ()),
+    (forms.eisenstein_eodd, ()), (forms.form_a, ()), (forms.form_b, ()),
+    (forms.form_a38, ()), (forms.form_a78, ()), (forms.form_h, ()),
+    (forms.form_fm, (1,)), (mock.cal_f, (2,)), (mock.f_t, (2,)),
+    (mock.mock_m, ()), (mock.lerch_mu_weighted, (2,)), (mock.cal_q, ()),
+    (mock.q_plus, ()), (mock.s_transform_parts, ()),
+    (mock.q_transform_s_ren, ()), (mock.q_transform_s, ()),
+    (mock.e_bracket, (2, 1)), (inv.z0_series, ()), (inv.z_bold, ()),
+    (inv.rho4, ()), (inv.nf4_partition, ()), (sw.sw_family, (0,)),
+    (sw.check_family, (0,)),
+]
+PRECISION_IDS = [call.__name__ for call, _ in PRECISION_CALLS]
+
+
+@pytest.mark.parametrize("prec", [2.5, "5", None, float("nan")],
+                         ids=["2.5", "str", "None", "nan"])
+@pytest.mark.parametrize("call, args", PRECISION_CALLS, ids=PRECISION_IDS)
+def test_bad_precision_raises_bad_parameter(call, args, prec):
+    """A precision that is neither an int nor a Fraction raises one
+    BadParameter line that names it, before any memo is read: no entry is
+    made, as Fraction(prec) would make one under 5/2 for 2.5 or 5 for "5"."""
+    clear_memos()
+    with pytest.raises(BadParameter, match="^precision must be an int or "
+                       "a Fraction, not ") as raised:
+        call(*args, prec)
+    assert "\n" not in str(raised.value)
+    assert not any(fn.entries for _, _, fn in memoized())
+
+
+def _stored(result):
+    """Each series of a constructor's result as it is stored: grid, window
+    and integers, in a dict, a list or a tuple alike."""
+    if isinstance(result, QSeries):
+        return result.ram, result.lead, result.prec, result.den, result.nums
+    if isinstance(result, dict):
+        return {key: _stored(v) for key, v in result.items()}
+    if isinstance(result, (list, tuple)):
+        return [_stored(v) for v in result]
+    return result
+
+
+@pytest.mark.parametrize("call, args", PRECISION_CALLS, ids=PRECISION_IDS)
+def test_int_and_fraction_precisions_are_accepted(call, args):
+    """An int and an equal Fraction precision, each from empty memos, give
+    one stored result; 7/2 and -3 give one too, but for the nf=0 checks,
+    whose family known below q^-3 is too short for the contact term."""
+    results = []
+    for prec in (6, F(6)):
+        clear_memos()
+        results.append(_stored(call(*args, prec)))
+    assert results[0] == results[1]
+    call(*args, F(7, 2))
+    if call is sw.check_family:
+        with pytest.raises(InsufficientPrecision):
+            call(*args, -3)
+    else:
+        call(*args, -3)
+
+
+def test_negative_precision_is_an_empty_window():
+    eta = forms.eta(-3)
+    assert (eta.ram, eta.lead, eta.prec, eta.nums) == (1, -3, -3, ())
 
 
 def test_criterion_series_window():
