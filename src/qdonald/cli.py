@@ -240,9 +240,9 @@ def _suite_identities(order) -> list:
     # reads eta^3 past q^p below order 1/3, and h reads E* as far as f_6 does
     wide = max(p, Fraction(13, 2))
     t2, t3, t4 = (forms.vartheta(i, p) for i in (2, 3, 4))
-    eta3 = forms.eta_power(1, 3, wide).truncate(p)
+    eta3 = forms.eta_quotient([(1, 3)], wide).truncate(p)
     h = forms.form_h(factor_window(wide, -1)).truncate(factor_window(p, -1))
-    eta4inv = forms.eta_power(1, -4, p / 8)
+    eta4inv = forms.eta_quotient([(1, -4)], p / 8)
     zp = factor_window(p / 8, eta4inv.valuation())
     z = invariants.z_bold(zp)
     z0 = invariants.z0_series(max(p, factor_window(1, -15)))  # f_6 = q^-15

@@ -8,8 +8,9 @@ A38, A78 and h, which commands ask for again, are memoized with
 The rest are built where they are read: the one-pass Euler products and
 theta constants, and E_4, E_odd and f_m, which no command asks twice.
 
-Every eta power and eta quotient q^s prod_d P(q^d)^r, with P = prod (1 - q^n)
-and s = sum d r / 24, is built by ``_eta_quotient``: the powers of P are
+Every eta quotient q^s prod_d P(q^d)^r, with P = prod (1 - q^n) and s =
+sum d r / 24, an eta power too, is one ``eta_quotient``, which checks its
+factors and calls its memoized body ``_eta_quotient``: the powers of P are
 multiplied on integer exponents, on the lattice gZ of the gcd g of the
 arguments read as Z, each known exactly to the window the result needs.
 A negative power of P is one call of the power recurrence of
@@ -48,14 +49,9 @@ def euler_product(prec, arg: int = 1) -> QSeries:
     return QSeries.from_numerators(1, min(top, 0), nums, 1, top)
 
 
-def eta_power(arg: int, exp: int, prec) -> QSeries:
-    """eta(arg*tau)^exp as an exact-exponent ramified series."""
-    return _eta_quotient(_eta_key([(arg, exp)]), prec)
-
-
 def eta(prec) -> QSeries:
     """eta(tau) = q^(1/24) prod (1 - q^n)."""
-    return eta_power(1, 1, prec)
+    return eta_quotient([(1, 1)], prec)
 
 
 def eta_quotient(factors, prec) -> QSeries:
@@ -89,7 +85,7 @@ def _eta_quotient(factors: tuple, prec) -> QSeries:
 
 def delta(prec) -> QSeries:
     """Discriminant form eta(tau)^24."""
-    return eta_power(1, 24, prec)
+    return eta_quotient([(1, 24)], prec)
 
 
 # ---------------------------------------------------------------------------

@@ -43,33 +43,32 @@ from .series import (InsufficientPrecision, QSeries, check_index,
 # below top - val; and the slot known through -val, at the least grid point
 # above it.
 
-# family: (t0, dt, ram, (a, b), c, (e0, e1), ((d, r0, r1), ...), pows, e),
-# the slot grid X = a dt - t0 on the kernel grid q^(1/ram), with val = -(a w
-# + b)/ram; the slots are F_t, Q+, Q+ at tau/2 and S-transformed Q+
+# family: (t0, dt, ram, c, (e0, e1), ((d, r0, r1), ...), pows, e), the slot
+# grid X = a dt - t0 on the kernel grid q^(1/ram); the slots are F_t, Q+, Q+
+# at tau/2 and S-transformed Q+
 _FAMILIES = {
-    "goettsche": (-3, 4, 8, (2, 3), 2, (-3, -2),
-                  ((1, 22, 4), (2, -20, -8)), None, 2),
-    0: (1, 4, 8, (2, 3), 2, (-3, -2), ((1, 24, 4), (2, -21, -8)), None, 2),
-    2: (1, 4, 16, (4, 7), 2, (-4, -2), ((1, 27, 4), (2, -24, -8)), None, 1),
-    3: (1, 4, 8, (8, 15), 1, (-9, -6),
-        ((1, 3, 0), (2, 24, 4), (4, -24, -8)), ((1, 8), (2, -4)), 1),
+    "goettsche": (-3, 4, 8, 2, (-3, -2), ((1, 22, 4), (2, -20, -8)), None, 2),
+    0: (1, 4, 8, 2, (-3, -2), ((1, 24, 4), (2, -21, -8)), None, 2),
+    2: (1, 4, 16, 2, (-4, -2), ((1, 27, 4), (2, -24, -8)), None, 1),
+    3: (1, 4, 8, 1, (-9, -6), ((1, 3, 0), (2, 24, 4), (4, -24, -8)),
+        ((1, 8), (2, -4)), 1),
 }
 
 
 def _windows(family, w: int) -> tuple:
-    """(top, val, ps): the family's weight-w kernels have valuation val and
-    are read below q^top; kernels times a slot known below q^ps, the least
-    kernel-grid point above -val, are known through q^0."""
+    """(top, val, ps): the weight-w kernels have valuation val = sum d (r0 +
+    r1 w) / (24 c) and are read below q^top; times a slot known below q^ps,
+    the least kernel-grid point above -val, they are known through q^0."""
     check_index("w", w)
-    t0, _, ram, (a, b) = _FAMILIES[family][:4]
-    return (Fraction(t0 + 1, ram), Fraction(-(a * w + b), ram),
-            Fraction(a * w + b + 1, ram))
+    t0, _, ram, c, _, etas = _FAMILIES[family][:6]
+    val = sum(Fraction(d * (r0 + r1 * w), 24 * c) for d, r0, r1 in etas)
+    return Fraction(t0 + 1, ram), val, Fraction(1, ram) - val
 
 
 def _factors(family, w: int) -> tuple:
     """(base, pows, e2) of the family's weight-w kernels base * pows^k *
     e2^l, each known as far as the reads need."""
-    c, (e0, e1), etas, ladder, e = _FAMILIES[family][4:]
+    c, (e0, e1), etas, ladder, e = _FAMILIES[family][3:]
     top, val, _ = _windows(family, w)
     lt = c * factor_window(top, val)
     base = forms.eta_quotient([(d, r0 + r1 * w) for d, r0, r1 in etas],
@@ -245,7 +244,7 @@ def z0_series(prec) -> QSeries:
     definition against this closed form."""
     p = check_precision(prec)
     est = forms.eisenstein_estar(factor_window(p, -1) / 4).rescale(4, 1)
-    return (est * forms.eta_power(8, -3, p)).truncate(p)
+    return (est * forms.eta_quotient([(8, -3)], p)).truncate(p)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +273,7 @@ def vafa_witten_series(kmax: int) -> QSeries:
     h = hurwitz(4 * check_index("kmax", kmax) + 3)
     num = QSeries.from_terms(
         {k: 3 * h[4 * k - 1] for k in range(1, kmax + 1)}, kmax + 1)
-    eta6 = forms.eta_power(1, -6, kmax + Fraction(3, 4))  # q^(-1/4) + ...
+    eta6 = forms.eta_quotient([(1, -6)], kmax + Fraction(3, 4))  # q^(-1/4)...
     return (num * eta6).shift_exponent(Fraction(-1, 4)).truncate(kmax + Fraction(1, 2))
 
 
@@ -284,7 +283,7 @@ def vafa_witten_series(kmax: int) -> QSeries:
 def z_bold(prec) -> QSeries:
     """Z = eta^3 * Q+ (exponents in (1/2) Z)."""
     p = check_precision(prec)
-    eta3 = forms.eta_power(1, 3, factor_window(p, Fraction(-1, 8)))  # Q+ = q^(-1/8)...
+    eta3 = forms.eta_quotient([(1, 3)], factor_window(p, Fraction(-1, 8)))  # Q+ = q^(-1/8)...
     return (eta3 * mock.q_plus(p)).truncate(p)
 
 
@@ -301,8 +300,8 @@ def nf4_partition(prec) -> QSeries:
     differential operator from weight 0 to weight 4."""
     # each factor f of a product q^V + ... below has val(f) - V <= 1/2
     top = factor_window(check_precision(prec), Fraction(-1, 2))
-    f = mock.q_plus(top) * forms.eta_power(1, -1, top)
-    eta4inv = forms.eta_power(1, -4, top)
+    f = mock.q_plus(top) * forms.eta_quotient([(1, -1)], top)
+    eta4inv = forms.eta_quotient([(1, -4)], top)
     dd = (f.qdq(1) * eta4inv).qdq(1)
     e4f = Fraction(1, 36) * forms.eisenstein_e4(top) * eta4inv * f
     return (eta4inv * (dd / 2 - e4f)).truncate(prec)

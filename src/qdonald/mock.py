@@ -22,9 +22,13 @@ from .series import (QSeries, check_index, check_precision, factor_window,
 # ---------------------------------------------------------------------------
 # F_t and its renormalization
 
-@memo(check=lambda t: check_index("t", t, step=2))
 def cal_f(t: int, prec) -> QSeries:
     """calF_t = sum_{b>=0} sum_{a>b} (-1)^(a+b) (2b+1)^t q^(4a^2-(2b+1)^2)."""
+    return _cal_f(check_index("t", t, step=2), prec)
+
+
+@memo
+def _cal_f(t: int, prec) -> QSeries:
     top = ceil(prec)
     terms: dict = {}
     beta = 0

@@ -88,7 +88,7 @@ def check_precision(prec) -> Fraction:
 _ZERO = Fraction(0)
 
 
-def memo(fn=None, *, check=None):
+def memo(fn):
     """Memoize a series constructor whose last argument is a precision.
 
     This is the one caching policy.  An entry belongs to a constructor that
@@ -106,19 +106,16 @@ def memo(fn=None, *, check=None):
     one, truncated at p.  ``fn.entries`` is the cache; ``fn.clear()``
     empties it.  The precision is read through :func:`check_precision`, so
     the body gets a Fraction, an int and an equal Fraction share the entry,
-    and a float or a str never meets one; ``@memo(check=f)`` calls f on the
-    other arguments before the memo is read, so that a bad index (2.0 for
-    2, say) never meets an entry either.
+    and a float or a str never meets one.  An index-taking constructor
+    checks its index, then calls its private memoized body, as
+    ``eta_quotient`` calls ``_eta_quotient``: so a bad index (2.0 for 2,
+    say) never meets an entry either.
     """
-    if fn is None:
-        return lambda fn: memo(fn, check=check)
     entries = {}
 
     @wraps(fn)
     def call(*args):
         key, prec = args[:-1], check_precision(args[-1])
-        if check is not None:
-            check(*key)
         held = entries.get(key)
         if held is None or held[0] < prec:
             held = entries[key] = (prec, fn(*key, prec))
@@ -394,9 +391,10 @@ class QSeries:
     def inverse(self, prec=None) -> "QSeries":
         """Multiplicative inverse, the power -1.  An exact series has an
         infinite inverse, so it needs ``prec``: the q-exponent below which
-        the result is known.  A truncated series ignores ``prec``; its own
-        window sets the result's.
-        """
+        the result is known.  A truncated series checks ``prec`` and ignores
+        it; its own window sets the result's."""
+        if prec is not None:
+            check_precision(prec)
         return self._negative_power(-1, prec)
 
     def _negative_power(self, k: int, prec) -> "QSeries":
@@ -606,7 +604,7 @@ def _to_w(prec, ram: int, up: bool = True) -> int:
     constructors claiming knowledge from supplied terms round down so the
     claim never exceeds what was filled in.
     """
-    p = Fraction(prec) * ram
+    p = check_precision(prec) * ram
     if up:
         return -((-p.numerator) // p.denominator)
     return p.numerator // p.denominator

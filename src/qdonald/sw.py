@@ -45,19 +45,14 @@ _WEIERSTRASS = {
         lambda u: Fraction(-1, 512) * (2 * u - 1) * (2 * u + 1) ** 4)}
 
 
-def _chart(nf: int, p) -> tuple:
-    """(u, W, 1/W) of one family, W = (omega/pi)^2, each known below q^p."""
+def sw_family(nf: int, prec) -> SWFamily:
+    """u, W = (omega/pi)^2 and 1/W of one family, each known below q^prec."""
     c, s, w = _CURVE[check_index("nf", nf, choices=_CURVE)]
+    p = check_precision(prec)
     inv, g = (forms.eta_quotient(f, c * p)
               for f in ([(2, 4), (4, -8)], [(2, -4), (4, 8)]))
-    return tuple(x.rescale(1, c)
-                 for x in (s * forms.form_h(c * p), w * g, inv / w))
-
-
-def sw_family(nf: int, prec) -> SWFamily:
-    """Build u, (omega/pi)^2 and its inverse for one family."""
-    p = check_precision(prec)
-    return SWFamily(nf, *(x.truncate(p) for x in _chart(nf, p)))
+    return SWFamily(nf, *(x.rescale(1, c).truncate(p)
+                          for x in (s * forms.form_h(c * p), w * g, inv / w)))
 
 
 def weierstrass_residual(nf: int) -> QSeries:
@@ -117,8 +112,8 @@ def check_family(nf: int, prec) -> list:
     # u is built below p - 5 val(u), past where every residual reaches q^p
     pf = factor_window(p, 5 * _U_VALUATION[nf])
     if nf == 3:  # u3's nf=0 chart reads the same curve: the wider first
-        _chart(3, max(pf, 4 * factor_window(p, 0, _U_VALUATION[0])))
-        u0 = _chart(0, factor_window(p, 0, _U_VALUATION[0]))[0]
+        sw_family(3, max(pf, 4 * factor_window(p, 0, _U_VALUATION[0])))
+        u0 = sw_family(0, factor_window(p, 0, _U_VALUATION[0])).u
     fam = sw_family(nf, pf)
     t = contact_term(fam)
     results = [

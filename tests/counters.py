@@ -47,7 +47,7 @@ MEMO_KEYS = {
         ((2, 4), (4, -8)), *forms._THETA_INVERSE.values())],
     "eisenstein_e2": [()], "eisenstein_e4": [()], "eisenstein_estar": [()],
     "eisenstein_eodd": [()], "form_a38": [()], "form_a78": [()],
-    "form_h": [()], "form_fm": [(0,), (3,)], "cal_f": [(0,), (2,)],
+    "form_h": [()], "form_fm": [(0,), (3,)], "_cal_f": [(0,), (2,)],
     "mock_m": [()], "lerch_mu_weighted": [(0,), (2,)], "cal_q": [()],
     "q_transform_s_ren": [()]}
 

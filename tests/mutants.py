@@ -283,7 +283,7 @@ MUTANTS = [
      "the chart reads 1/W off a dense inverse of W instead of the eta "
      "quotient eta(2t)^4/eta(4t)^8"),
     ("nf2-kernel-power-of-two", INVARIANTS,
-     "16, (4, 7), 2, (-4, -2),", "16, (4, 7), 2, (-3, -2),",
+     "16, 2, (-4, -2),", "16, 2, (-3, -2),",
      "tests/test_invariants.py::test_kernel_factors_match_the_theta_oracle[2]",
      "the nf=2 base is 2^-(2w+3), not 2^-(2w+4), times its eta quotient, so "
      "every nf=2 cell doubles"),
@@ -384,7 +384,7 @@ MUTANTS = [
      "the CLI no longer freezes the heap at exit, so shutdown runs its "
      "cyclic collections over every object the command left"),
     ("z0-eta-power", INVARIANTS,
-     "forms.eta_power(8, -3, p)", "forms.eta_power(8, -2, p)",
+     "forms.eta_quotient([(8, -3)], p)", "forms.eta_quotient([(8, -2)], p)",
      "tests/test_invariants.py::test_z0_series_printed",
      "Z0 divides E*(4 tau) by eta(8 tau)^2, not eta(8 tau)^3"),
     ("z0-check-weight", CLI,
@@ -448,6 +448,28 @@ MUTANTS = [
      "test_bad_precision_raises_bad_parameter[theta_big-str]",
      "Theta_3 at the precision \"5\" fails in ceil with a TypeError, not a "
      "BadParameter that names the precision"),
+    ("kernel-r1-entry", INVARIANTS,
+     "((1, 24, 4), (2, -21, -8))", "((1, 24, 4), (2, -21, -7))",
+     "tests/test_invariants.py::test_kernels_are_read_off_the_sw_chart[0]",
+     "the nf=0 base divides by eta(tau)^(7w+21), not eta(tau)^(8w+21), so "
+     "its window moves with it but it is no longer the chart's kernel"),
+    ("kernel-valuation-unscaled", INVARIANTS,
+     "24 * c) for d, r0, r1 in etas", "24) for d, r0, r1 in etas",
+     "tests/test_invariants.py::test_windows_read_the_base_valuation[0]",
+     "the kernel valuation is read off eta(d tau) instead of eta(d tau/c), "
+     "so a family at tau/2 reads its slot twice as far as it needs"),
+    ("ring-precision-unchecked", SERIES,
+     "p = check_precision(prec) * ram", "p = Fraction(prec) * ram",
+     "tests/test_qseries.py::test_ring_refuses_a_bad_precision[truncate-2.5]",
+     "the ring launders a float precision into a Fraction, so eta truncated "
+     "at 2.5 is known below q^(5/2)"),
+    ("inverse-precision-unread", SERIES,
+     "        if prec is not None:\n            check_precision(prec)\n",
+     "",
+     "tests/test_qseries.py::"
+     "test_ring_refuses_a_bad_precision[inverse-truncated-str]",
+     "the inverse of a truncated series, which does not use its precision, "
+     "takes a str precision without reading it"),
     ("weight-table-lowest-first", INVARIANTS,
      "range(top, -1, -step)", "range(0, top + 1, step)",
      "tests/test_invariants.py::"

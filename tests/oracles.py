@@ -1022,9 +1022,9 @@ def nf4_partition_theta(prec) -> QSeries:
     vartheta3/eta, at the windows of nf4_partition."""
     top = factor_window(prec, Fraction(-1, 2))
     qp = mock.q_plus(top)
-    eta_inv = forms.eta_power(1, -1, top)
+    eta_inv = forms.eta_quotient([(1, -1)], top)
     q_over_eta = qp * eta_inv
-    eta4inv = forms.eta_power(1, -4, top)
+    eta4inv = forms.eta_quotient([(1, -4)], top)
     r2 = forms.vartheta(2, top) * eta_inv
     r3 = forms.vartheta(3, top) * eta_inv
     g = Fraction(-1, 36) * (r2 ** 8 - r2 ** 4 * r3 ** 4 + r3 ** 8)
@@ -1034,7 +1034,7 @@ def nf4_partition_theta(prec) -> QSeries:
 
 # ---------------------------------------------------------------------------
 # The Seiberg-Witten charts by theta constants, which the level-4 eta
-# quotients in sw._chart replaced.
+# quotients in sw.sw_family replaced.
 
 def sw_chart_theta(nf: int, p) -> tuple:
     """(u, W, 1/W), W = (omega/pi)^2, of one family with u known below q^p:
@@ -1057,7 +1057,7 @@ def sw_chart_theta(nf: int, p) -> tuple:
     return (t3 * t4) ** 2 * inverse - Fraction(1, 2), omega2, inverse
 
 
-# sw._chart as three eta quotients, before u was read off forms.form_h:
+# sw.sw_family as three eta quotients, before u was read off forms.form_h:
 # (c, s, w) of the nf=0 and nf=3 rows; nf=2 is the nf=0 chart at 2 tau
 _SW_CURVE = {0: (4, Fraction(1, 8), 8), 3: (1, Fraction(-1, 16), -16)}
 
@@ -1085,7 +1085,7 @@ def u3_from_u0(prec) -> QSeries:
     This is the expansion of the nf=3 coordinate at the nf=0 cusp; it equals
     the theta realization of sw_family(3) with theta_2 and theta_4 exchanged.
     """
-    u0 = sw._chart(0, factor_window(prec, 0, sw._U_VALUATION[0]))[0]
+    u0 = sw.sw_family(0, factor_window(prec, 0, sw._U_VALUATION[0])).u
     return (-2 * (u0 - 1).inverse() - Fraction(1, 2)).truncate(prec)
 
 

@@ -302,7 +302,7 @@ def test_criterion_14_z_transformation():
              - 56 * forms.eta_quotient([(2, 8), (1, -4)], p))
     ok = resid.is_zero() and resid.prec_q() >= 50
     alt = (z - z.shift_tau(1) + z.shift_tau(2) - z.shift_tau(3)) \
-        * forms.eta_power(1, -4, p)
+        * forms.eta_quotient([(1, -4)], p)
     ok = ok and (alt - 28 * inv.rho4(p)).is_zero()
     z4 = inv.nf4_partition(8)
     ok = ok and (z4.shift_tau(2) - z4).is_zero()

@@ -283,6 +283,9 @@ HISTORY_CASES = [
                        " ", ""))
       for _, name, fn in constructors() for key in MEMO_KEYS[name]
       for order in MEMO_ORDERS + NAME_ORDERS),
+    # calF_t as its callers ask for it, through the index check before its memo
+    *(pytest.param(partial(mock.cal_f, t), order, id=f"cal_f[{t}]-{order}")
+      for t in (0, 2) for order in MEMO_ORDERS + NAME_ORDERS),
     *(pytest.param(_series_name(name), order, id=f"{name}-{order}")
       for name in SERIES_NAMES for order in NAME_ORDERS)]
 
@@ -608,7 +611,7 @@ def test_out_file(tmp_path, capsys):
 def test_series_name_registry():
     assert (_series_name("theta2")(20) - forms.theta_big(2, 20)).is_zero()
     assert (_series_name("fm:2")(12) - forms.form_fm(2, 12)).is_zero()
-    assert (_series_name("Delta")(6) - forms.eta_power(1, 24, 6)).is_zero()
+    assert (_series_name("Delta")(6) - forms.eta_quotient([(1, 24)], 6)).is_zero()
     with pytest.raises(UsageError):
         _series_name("nope")
 

@@ -31,12 +31,12 @@ def test_eta_against_literal_product():
 
 
 def test_eta_unit_inverse():
-    assert (forms.eta(10) * forms.eta_power(1, -1, 10) - 1).is_zero()
+    assert (forms.eta(10) * forms.eta_quotient([(1, -1)], 10) - 1).is_zero()
 
 
 def test_eta8_cubed_classical_identity():
     """eta(8 tau)^3 = sum (-1)^n (2n+1) q^((2n+1)^2)."""
-    lhs = forms.eta_power(8, 3, 200)
+    lhs = forms.eta_quotient([(8, 3)], 200)
     rhs = QSeries.from_terms(
         {(2 * n + 1) ** 2: F((-1) ** n * (2 * n + 1)) for n in range(8)}, 200)
     assert (lhs - rhs).is_zero()
@@ -112,8 +112,8 @@ ETA_FACTOR_SETS = [
 @pytest.mark.parametrize("factors", ETA_FACTOR_SETS, ids=str)
 def test_eta_builders_match_the_per_factor_route(factors):
     """eta_quotient equals the product of per-factor powers, each shifted
-    onto its ramified grid and padded, and eta_power for one factor the
-    per-factor power, in the stored form: grid, window and integers.  That
+    onto its ramified grid and padded, and for one factor the per-factor
+    power, in the stored form: grid, window and integers.  That
     covers the windows with no known term, whose grid the result is read
     on decides."""
     def stored(s):
@@ -125,7 +125,7 @@ def test_eta_builders_match_the_per_factor_route(factors):
             stored(oracles.eta_quotient_per_factor(factors, prec)), prec
         if len(factors) == 1:
             forms._eta_quotient.clear()
-            assert stored(forms.eta_power(*factors[0], prec)) == \
+            assert stored(forms.eta_quotient(factors, prec)) == \
                 stored(oracles.eta_power_per_factor(*factors[0], prec)), prec
 
 
@@ -159,7 +159,7 @@ def test_theta_inverse_is_the_lattice_inverse(which):
     (forms.euler_product, (5, 0), "arg"),
     (forms.euler_product, (5, -1), "arg"),
     (forms.eta_quotient, ([(0, 2)], 3), "argument d"),
-    (forms.eta_power, (0, 1, 5), "argument d"),
+    (forms.eta_quotient, ([(0, 1)], 5), "argument d"),
     (forms.eta_quotient, ([(-2, 2)], 3), "argument d"),
     (forms.theta_inverse, (5, 3), "which"),
     (forms.euler_product, (5, 1.5), "arg"),
@@ -223,7 +223,7 @@ def test_jacobi_identity():
 
 
 def test_two_eta_cubed_identity():
-    lhs = 2 * forms.eta_power(1, 3, 30)
+    lhs = 2 * forms.eta_quotient([(1, 3)], 30)
     rhs = (forms.vartheta(2, 30) * forms.vartheta(3, 30)
            * forms.vartheta(4, 30))
     assert (lhs - rhs).is_zero()
@@ -254,7 +254,7 @@ def test_e4_is_the_theta_polynomial():
 
 def test_eta_power_derivative():
     """D eta^-4 = -(1/6) E2 eta^-4 to q^200, D = q d/dq: D log eta = E2/24."""
-    eta4inv = forms.eta_power(1, -4, 200)
+    eta4inv = forms.eta_quotient([(1, -4)], 200)
     e2 = forms.eisenstein_e2(factor_window(200, eta4inv.valuation()))
     residual = eta4inv.qdq(1) + e2 * eta4inv / 6
     assert residual.prec_q() >= 200 and residual.is_zero()
@@ -439,7 +439,7 @@ def test_repeated_requests_of_held_keys_do_not_grow_memory():
     precisions replace no entry, and the traced size grows by less than
     64 KB.  A memo that kept each request's series grew by 1.1 MB here; what
     does grow is the interpreter's free lists, which fill up and stop."""
-    keys = [(forms.form_a38, ()), (forms.form_h, ()), (mock.cal_f, (2,)),
+    keys = [(forms.form_a38, ()), (forms.form_h, ()), (mock._cal_f, (2,)),
             (forms.eisenstein_e2, ()), (forms._eta_quotient, (((8, -3),),)),
             (mock.cal_q, ()), (forms.eisenstein_estar, ())]
     for fn, key in keys:

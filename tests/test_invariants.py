@@ -268,6 +268,50 @@ def test_kernel_factors_match_the_theta_oracle(family):
             assert _agree(ours, theirs, window), (family, w)
 
 
+@pytest.mark.parametrize("family", ["goettsche", 0, 2, 3])
+def test_windows_read_the_base_valuation(family):
+    """The valuation that _windows reads off the eta exponents is that of
+    the base _factors builds, and the slot is read one kernel-grid step
+    past its negative, for every weight to 12."""
+    ram = inv._FAMILIES[family][2]
+    for w in range(13):
+        val = inv._factors(family, w)[0].valuation()
+        assert inv._windows(family, w)[1:] == (val, F(1, ram) - val), w
+
+
+# each family's kernels on the Seiberg-Witten chart (u, W) of sw_family(nf):
+# (nf, a, lam, e, factors), with pows = (u + a) W and base W^(w+6) lam^-w =
+# 2^e prod eta(d tau/c)^r over the factors (d, r), the same for every w
+SW_KERNELS = {
+    "goettsche": (0, 0, F(2), 15, [(1, -2), (2, 28)]),
+    0: (0, 0, F(2), 15, [(2, 27)]),
+    2: (0, 0, F(2), 14, [(1, 3), (2, 24)]),
+    3: (3, F(1, 2), F(-1, 4), 15, [(1, 3), (4, 24)]),
+}
+
+
+@pytest.mark.parametrize("family", ["goettsche", 0, 2, 3])
+def test_kernels_are_read_off_the_sw_chart(family):
+    """Every kernel follows from a Seiberg-Witten chart: for each weight w
+    <= 8, on the windows _factors builds, the power ladder is (u + a) W, and
+    the base times W^(w+6) lam^-w is one eta quotient, whatever w.  The
+    chart is built far enough that each product is known as far as its
+    kernel factor lets it be: the ladder's window, and the base's shifted
+    by the valuation of W^(w+6), which holds as many terms as the base and
+    reaches past the quotient's lead."""
+    nf, a, lam, e, factors = SW_KERNELS[family]
+    c = inv._FAMILIES[family][3]
+    for w in range(9):
+        base, pows, _ = inv._factors(family, w)
+        top, val = base.prec_q(), base.valuation()
+        fam = sw.sw_family(nf, max(pows.prec_q(), top - val) + 1)
+        assert _agree(pows, (fam.u + a) * fam.omega2, pows.prec_q()), w
+        product = base * fam.omega2 ** (w + 6) * lam ** -w
+        window = top + (w + 6) * fam.omega2.valuation()
+        mu = 2 ** e * forms.eta_quotient(factors, c * window).rescale(1, c)
+        assert mu.nums and _agree(product, mu, window), w
+
+
 def _as_fractions(reads) -> dict:
     return {key: [F(v, den) for v in ints]
             for key, (ints, den) in reads[0].items()}
@@ -448,7 +492,7 @@ def test_bad_index_raises_bad_parameter(call, args, name, monkeypatch):
 # every public constructor of forms, mock, invariants and sw that takes a
 # precision, with the indices it is called with before it
 PRECISION_CALLS = [
-    (forms.euler_product, ()), (forms.eta_power, (1, 3)), (forms.eta, ()),
+    (forms.euler_product, ()), (forms.eta, ()),
     (forms.eta_quotient, ([(2, 4), (4, -8)],)), (forms.delta, ()),
     (forms.theta_big, (3,)), (forms.theta_inverse, (2,)),
     (forms.vartheta, (2,)), (forms.eisenstein_e2, ()),
@@ -584,7 +628,7 @@ def test_vafa_witten_series_printed():
 def test_vafa_witten_eta6_crosscheck():
     """Multiplying back by eta^6 recovers 3 H(4k-1) exactly."""
     vw = inv.vafa_witten_series(10)
-    back = vw * forms.eta_power(1, 6, 10)
+    back = vw * forms.eta_quotient([(1, 6)], 10)
     h = inv.hurwitz(43)
     for k in range(1, 10):
         assert back.coeff(k - F(1, 4)) == 3 * h[4 * k - 1]
@@ -760,7 +804,7 @@ def test_nf4_partition():
     z4 = inv.nf4_partition(6)
     assert (z4.shift_tau(2) - z4).is_zero()
     # g-factor leading term: -(1/36) q^(-1/3)
-    eta_inv = forms.eta_power(1, -1, 8)
+    eta_inv = forms.eta_quotient([(1, -1)], 8)
     r2 = forms.vartheta(2, 8) * eta_inv
     r3 = forms.vartheta(3, 8) * eta_inv
     g = F(-1, 36) * (r2 ** 8 - r2 ** 4 * r3 ** 4 + r3 ** 8)
@@ -824,12 +868,12 @@ def test_z_transformation_lemma():
     rhs = 56 * forms.eta_quotient([(2, 8), (1, -4)], p)
     assert (lhs - rhs).is_zero()
     alt = (z - z.shift_tau(1) + z.shift_tau(2) - z.shift_tau(3)) \
-        * forms.eta_power(1, -4, p)
+        * forms.eta_quotient([(1, -4)], p)
     assert (alt - 28 * inv.rho4(p)).is_zero()
     assert (alt - 112 * forms.eta_quotient([(2, 8), (1, -8)], p)).is_zero()
     h = mock.h_coefficients(2 * p + 2)
     odd = QSeries.from_terms({m: h[2 * m + 1] for m in range(p)}, p)
-    via_h = 4 * odd.shift_exponent(F(3, 8)) * forms.eta_power(1, -1, p)
+    via_h = 4 * odd.shift_exponent(F(3, 8)) * forms.eta_quotient([(1, -1)], p)
     assert (alt - via_h).is_zero()
 
 

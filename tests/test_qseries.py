@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from qdonald import (InsufficientPrecision, IrrepresentableExponent,
-                     NotInvertible, NotRational, QSeries)
+from qdonald import (BadParameter, InsufficientPrecision,
+                     IrrepresentableExponent, NotInvertible, NotRational,
+                     QSeries)
 from qdonald import forms, mock
 from qdonald.exact import Cyclo, root_of_unity
 from qdonald import series
@@ -107,7 +108,7 @@ def test_shift_tau_eta_cubed():
     """eta^3(tau+2) twists every coefficient by the same primitive phase,
     i = zeta_8^2: no rational series, so shift_tau refuses it and the
     reference twist computes it."""
-    eta3 = forms.eta_power(1, 3, 8)
+    eta3 = forms.eta_quotient([(1, 3)], 8)
     with pytest.raises(NotRational):
         eta3.shift_tau(2)
     expected = root_of_unity(8, 2) * oracles.CycloSeries.of(eta3)
@@ -195,6 +196,29 @@ def test_exact_inverse_is_known_below_its_precision_argument():
     assert (inv * s - 1).truncate(3).is_zero()
     with pytest.raises(InsufficientPrecision):
         QSeries.monomial(5).inverse(-5)
+
+
+# each ring method that takes a precision, called with one
+RING_PRECISION_CALLS = {
+    "truncate": lambda p: forms.eta(10).truncate(p),
+    "inverse": lambda p: QSeries.one().inverse(p),  # exact: p is used
+    "inverse-truncated": lambda p: forms.eta(10).inverse(p),  # p is unused
+    "zero": QSeries.zero,
+    "from_terms": lambda p: QSeries.from_terms({0: 1}, p),
+}
+
+
+@pytest.mark.parametrize("prec", [2.5, "3", float("nan")],
+                         ids=["2.5", "str", "nan"])
+@pytest.mark.parametrize("method", RING_PRECISION_CALLS)
+def test_ring_refuses_a_bad_precision(method, prec):
+    """The ring reads a precision as the constructors do: anything but an
+    int or a Fraction is one BadParameter line that names it, where a float
+    gave a window of 5/2 and a str one of 3 before."""
+    with pytest.raises(BadParameter, match="^precision must be an int or "
+                       "a Fraction, not ") as raised:
+        RING_PRECISION_CALLS[method](prec)
+    assert "\n" not in str(raised.value)
 
 
 def test_division_by_an_exact_series_keeps_the_numerator_window():

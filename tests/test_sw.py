@@ -98,14 +98,13 @@ def _perturb_u(monkeypatch, family):
     """Add q^2 to the u-series of one family's chart: for nf=2 the image at
     2 tau of q added to the nf=0 one; for nf=0 the u0 that the u3 relation
     reads."""
-    chart = sw._chart
+    build = sw.sw_family
 
     def perturbed(nf, p):
-        u, omega2, inv = chart(nf, p)
-        if nf == family:
-            u = u + QSeries.monomial(2)
-        return u, omega2, inv
-    monkeypatch.setattr(sw, "_chart", perturbed)
+        fam = build(nf, p)
+        return fam._replace(u=fam.u + QSeries.monomial(2)) \
+            if nf == family else fam
+    monkeypatch.setattr(sw, "sw_family", perturbed)
 
 
 def test_nf2_eta_quotient_check_sees_a_perturbed_u(monkeypatch):
@@ -207,16 +206,21 @@ def test_period_series_match_a_direct_inverse(nf, prec):
         a_hat.qdq(1) * w + a_hat * w.qdq(1) / 2 - w * fam.u.qdq(1))
 
 
+# what a family check builds: the chart's form_h, the E* that form_h reads,
+# W and 1/W, and the E2 and eta^24 that the checks read
+CHECK_BUILDS = [("form_h", ()), ("eisenstein_estar", ()),
+                ("_eta_quotient", (((2, -4), (4, 8)),)),
+                ("_eta_quotient", (((2, 4), (4, -8)),)),
+                ("eisenstein_e2", ()), ("_eta_quotient", (((1, 24),),))]
+
+
 @pytest.mark.parametrize("nf", [0, 2, 3])
-def test_family_check_builds_one_family(nf, monkeypatch):
-    """check_family builds the family it checks and no other: the u3
-    relation reads the nf=0 chart, not a whole nf=0 family."""
-    calls = []
-    build = sw.sw_family
-    monkeypatch.setattr(sw, "sw_family",
-                        lambda *a: calls.append(a[0]) or build(*a))
+def test_family_check_builds_one_family(nf, memo_builds):
+    """check_family builds the series of one chart and of its checks, each
+    once: the u3 relation reads the nf=0 chart through sw_family after the
+    wider nf=3 chart, so it is served from the entries that chart built."""
     sw.check_family(nf, 24)
-    assert calls == [nf]
+    assert dict(memo_builds) == {key: 1 for key in CHECK_BUILDS}
 
 
 def test_nf0_check_builds_no_theta4(memo_builds):
@@ -239,7 +243,7 @@ def test_family_check_divides_only_by_euler_products(nf, memo_builds,
     outside is named by (base lead, power), each inverse by its leading
     term."""
     with theta_forbidden():
-        sw._chart(nf, 40)
+        sw.sw_family(nf, 40)
     assert {name for name, _ in memo_builds} == \
         {"_eta_quotient", "form_h", "eisenstein_estar"}
     seen = {"powers": [], "inverses": []}
@@ -297,7 +301,8 @@ def test_chart_matches_the_theta_oracle(nf, prec):
     """u, W and 1/W of the level-4 curve equal the theta-constant charts
     below q^prec, as far as sw_family reads them."""
     assert all(_agree(s, t, prec) for s, t in
-               zip(sw._chart(nf, prec), oracles.sw_chart_theta(nf, prec)))
+               zip(sw.sw_family(nf, prec)[1:],
+                   oracles.sw_chart_theta(nf, prec)))
 
 
 @pytest.mark.parametrize("p", [0, F(1, 3), F(1, 2), F(5, 2), 24, 121, 600])
@@ -308,7 +313,7 @@ def test_chart_is_stored_as_the_eta_quotient_oracle(nf, p):
     chart at 2 tau."""
     def stored(s):
         return s.ram, s.lead, s.prec, s.den, s.nums
-    assert [stored(s) for s in sw._chart(nf, p)] == \
+    assert [stored(s) for s in sw.sw_family(nf, p)[1:]] == \
         [stored(s) for s in oracles.sw_chart_quotient(nf, p)]
 
 
