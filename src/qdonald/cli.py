@@ -101,9 +101,9 @@ def _series_name(text: str):
     raise UsageError(f"unknown series name {text!r}")
 
 
-def _within(low: int, parse, what: str, high=None):
+def _within(low: int, parse, what: str):
     """A converter: ``parse`` the text and reject values below ``low`` or
-    above ``high``."""
+    above ``sys.maxsize``."""
     def convert(text: str):
         try:
             value = parse(text)
@@ -111,15 +111,15 @@ def _within(low: int, parse, what: str, high=None):
             raise UsageError(f"invalid {what} {text!r}") from None
         if value < low:
             raise UsageError(f"{what} must be >= {low}, got {text}")
-        if high is not None and value > high:
-            raise UsageError(f"{what} must be <= {high}, got {text}")
+        if value > sys.maxsize:
+            raise UsageError(f"{what} must be <= {sys.maxsize}, got {text}")
         return value
     return convert
 
 
-_order = _within(0, Fraction, "order", sys.maxsize)  # such as 60 or 5/2
-_bound = _within(0, int, "bound", sys.maxsize)
-_terms = _within(1, int, "terms", sys.maxsize)
+_order = _within(0, Fraction, "order")  # such as 60 or 5/2
+_bound = _within(0, int, "bound")
+_terms = _within(1, int, "terms")
 
 
 def cmd_series(args) -> int:

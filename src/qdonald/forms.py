@@ -185,13 +185,10 @@ def form_b(prec) -> QSeries:
     return eta_quotient([(8, 5), (16, -4)], prec)
 
 
-def _sieve(series: QSeries, residue: int, modulus: int) -> QSeries:
-    r = series.reduce_ram()
-    if r.ram != 1:
-        raise ValueError("sieving expects integer exponents")
+def _sieve(s: QSeries, residue: int, modulus: int) -> QSeries:
     kept = [v if m % modulus == residue else 0
-            for m, v in enumerate(r.nums, r.lead)]
-    return QSeries.from_numerators(1, r.lead, kept, r.den, r.prec)
+            for m, v in enumerate(s.nums, s.lead)]
+    return QSeries.from_numerators(1, s.lead, kept, s.den, s.prec)
 
 
 @memo

@@ -256,9 +256,7 @@ class QSeries:
         return Fraction(v, self.den) if v else _ZERO
 
     def constant_term(self):
-        """Coefficient of q^0; a hard error when 0 is outside the window."""
-        if self.prec is not None and self.prec <= 0:
-            raise InsufficientPrecision("window does not reach exponent 0")
+        """Coefficient of q^0; ``coeff`` refuses it outside the window."""
         return self.coeff(0)
 
     def terms(self):
@@ -360,6 +358,7 @@ class QSeries:
                      if not z.nums and z.prec is not None]
             prec = min(precs) if precs else None
             return _make(a.ram, 0, (), 1, prec)
+        # a nonzero factor has lead < prec, so this window is never empty
         lead = a.lead + b.lead
         cands = []
         if a.prec is not None:
@@ -367,8 +366,6 @@ class QSeries:
         if b.prec is not None:
             cands.append(b.prec + a.lead)
         prec = min(cands) if cands else None
-        if prec is not None and prec <= lead:
-            raise InsufficientPrecision("product has an empty known window")
         n = (prec if prec is not None
              else lead + len(a.nums) + len(b.nums) - 1) - lead
         prod = int_product(a.nums[:n], b.nums[:n], n)
@@ -456,8 +453,8 @@ class QSeries:
     # ------------------------------------------------------------------
     # operators beyond the ring structure
     def truncate(self, prec) -> "QSeries":
-        """Restrict the known window to q-exponents below prec; a window
-        with no known term is stored on the grid of its bound."""
+        """Restrict the known window to q-exponents below prec; an empty
+        window, as one below the lead, is stored on the grid of its bound."""
         w = _to_w(prec, self.ram)
         if self.prec is not None and self.prec <= w:
             return self if self.nums else self.reduce_ram()
@@ -465,11 +462,10 @@ class QSeries:
         nums, den = self.nums[:keep], self.den
         if keep < len(self.nums):
             nums, den = _lowest(nums, den)
-        lead = min(self.lead, w)
-        pad = w - lead - len(nums)
-        if pad:
+        pad = w - self.lead - len(nums)
+        if pad > 0:
             nums = list(nums) + [0] * pad
-        out = _make(self.ram, lead, nums, den, w)
+        out = _make(self.ram, self.lead, nums, den, w)
         return out if out.nums else out.reduce_ram()
 
     def rescale(self, num: int, den: int = 1) -> "QSeries":

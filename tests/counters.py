@@ -1,7 +1,7 @@
-"""Counters of the memo requests and builds of ``forms`` and ``mock`` and
-of the calls of the integer kernel's entries.  They import no pytest, so
-the golden script counts as the ``memo_builds`` fixture does, under any
-interpreter."""
+"""Counters of the memo requests and builds of ``forms`` and ``mock``, of
+the calls of the integer kernel's entries and of the bytes its Kronecker
+products pack.  They import no pytest, so the golden script counts as the
+``memo_builds`` fixture does, under any interpreter."""
 
 from collections import Counter
 from contextlib import contextmanager
@@ -115,3 +115,20 @@ def counting_kernel_calls():
         return counted
     with _wrapped(KERNEL_ENTRIES, wrap):
         yield calls
+
+
+@contextmanager
+def counting_packed_bytes():
+    """The bytes that ``_kronecker`` packs inside the block: a list with
+    the k len(x) bytes of each ``_pack(x, k)``, two per Kronecker product.
+    A slot one byte wider than the product needs shows here, where no value
+    or call count changes."""
+    packed = []
+
+    def wrap(name, fn):
+        def counted(x, k):
+            packed.append(len(x) * k)
+            return fn(x, k)
+        return counted
+    with _wrapped(((exact, "_pack"),), wrap):
+        yield packed

@@ -1,14 +1,17 @@
 """Certificates at scale for the product kernel: classical identities whose
 every coefficient is known in closed form, checked on series long enough
 that their dense products take ``exact._kronecker``.  Hypothesis operands
-never reach these sizes.  Each certificate counts its kernel calls through
-:mod:`counters`, so a product that stops taking the Kronecker branch shows
-here, and each starts from empty memos, so that it builds what it checks."""
+never reach these sizes.  Each certificate counts its kernel calls and the
+bytes its Kronecker products pack through :mod:`counters`, so a product
+that stops taking the Kronecker branch, or packs into wider slots, shows
+here, and each starts from empty memos, so that it builds what it
+checks."""
 
 from fractions import Fraction as F
 from math import gcd, isqrt
 
-from counters import clear_memos, counting_kernel_calls
+from counters import (clear_memos, counting_kernel_calls,
+                      counting_packed_bytes)
 from qdonald import QSeries, forms, invariants as inv
 
 
@@ -30,9 +33,10 @@ def test_ramanujan_tau_is_multiplicative():
     eta^24, whose powers of P but the first square are Kronecker products."""
     clear_memos()
     top = 20000
-    with counting_kernel_calls() as calls:
+    with counting_kernel_calls() as calls, counting_packed_bytes() as packed:
         delta = forms.eta_quotient([(1, 24)], top)
     assert dict(calls) == {"_pairs": 1, "_kronecker": 4}
+    assert sum(packed) == 1159942
     assert (delta.ram, delta.lead, delta.prec, delta.den) == (1, 1, top, 1)
     tau = (0, *delta.nums)
     assert tau[1:4] == (1, -24, 252)
@@ -55,9 +59,10 @@ def test_jacobi_four_squares():
     divide, below q^80000: the second squaring, of the dense Theta_3^2 on
     its sublattice, is a Kronecker product."""
     top = 80000
-    with counting_kernel_calls() as calls:
+    with counting_kernel_calls() as calls, counting_packed_bytes() as packed:
         r4 = forms.theta_big(3, top) ** 4
     assert dict(calls) == {"_pairs": 1, "_kronecker": 1}
+    assert sum(packed) == 160000
     sums = _divisor_sums(top // 4, skip=4)
     assert r4 == QSeries.from_terms(
         {0: 1} | {4 * n: 8 * sums[n] for n in range(1, top // 4)}, top)
@@ -67,9 +72,10 @@ def test_e4_squared_is_e8():
     """E_4^2 = E_8 = 1 + 480 sum sigma_7(n) q^n below q^20000, one
     Kronecker squaring."""
     top = 20000
-    with counting_kernel_calls() as calls:
+    with counting_kernel_calls() as calls, counting_packed_bytes() as packed:
         square = forms.eisenstein_e4(top) ** 2
     assert dict(calls) == {"_kronecker": 1}
+    assert sum(packed) == 600000
     sigma7 = _divisor_sums(top, 7)
     e8 = QSeries.from_terms({0: 1} | {n: 480 * sigma7[n]
                                       for n in range(1, top)}, top)
@@ -84,10 +90,11 @@ def test_kronecker_hurwitz_relation():
     top = 3000
     h = inv.hurwitz(4 * top)
     window = 4 * top + 1
-    with counting_kernel_calls() as calls:
+    with counting_kernel_calls() as calls, counting_packed_bytes() as packed:
         series = QSeries.from_terms(dict(enumerate(h)), window)
         product = series * forms.theta_big(3, 4 * window).rescale(1, 4)
     assert dict(calls) == {"_kronecker": 1}
+    assert sum(packed) == 72006
     sigma, mins = [0] * (top + 1), [0] * (top + 1)
     for d in range(1, top + 1):
         for m in range(d, top + 1, d):

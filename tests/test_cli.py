@@ -540,6 +540,15 @@ def test_usage_error_exit_code(argv, capsys):
     assert "error:" in captured.err
 
 
+def test_a_bad_choice_lists_the_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "--nf", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "qdonald invariants: error: argument "
+                                   "--nf: invalid choice 'x' (choose from "
+                                   "0, 2, 3)\n")
+
+
 def test_out_of_memory_is_a_usage_error():
     """A valid order too large for memory is a usage error, not a traceback:
     in a child that lowers only its own address-space limit, to 400 MB,

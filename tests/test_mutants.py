@@ -10,7 +10,7 @@ import subprocess
 import pytest
 from hypothesis import is_hypothesis_test
 
-from mutants import EQUIVALENT, MUTANTS, ROOT, TIER1
+from mutants import MUTANTS, ROOT, TIER1
 
 
 @pytest.mark.parametrize("name, file, old", [m[:3] for m in MUTANTS],
@@ -21,14 +21,14 @@ def test_mutant_old_text_occurs_once(name, file, old):
 
 def test_mutant_names_are_unique():
     names = [m[0] for m in MUTANTS]
-    assert len(set(names)) == len(names) and EQUIVALENT <= set(names)
+    assert len(set(names)) == len(names)
 
 
 def test_mutant_killers_are_tier1_tests():
-    """Every mutant but the equivalent ones names its killer, and the Tier-1
-    command of the mutation run collects each killer by its ID."""
-    killers = [m[4] for m in MUTANTS if m[4]]
-    assert {m[0] for m in MUTANTS if not m[4]} == EQUIVALENT
+    """Every mutant names its killer, and the Tier-1 command of the
+    mutation run collects each killer by its ID."""
+    assert [m[0] for m in MUTANTS if not m[4]] == []
+    killers = [m[4] for m in MUTANTS]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(TIER1 + ["--collect-only", *killers], cwd=ROOT,
                           env=env, text=True, capture_output=True)
@@ -41,9 +41,8 @@ def test_mutant_killers_are_not_hypothesis_properties():
     whose examples may miss the fault."""
     properties = []
     for name, _, _, _, killer, _ in MUTANTS:
-        if killer:
-            path, test = killer.split("::")
-            module = importlib.import_module(os.path.basename(path)[:-3])
-            if is_hypothesis_test(getattr(module, test.split("[")[0])):
-                properties.append((name, killer))
+        path, test = killer.split("::")
+        module = importlib.import_module(os.path.basename(path)[:-3])
+        if is_hypothesis_test(getattr(module, test.split("[")[0])):
+            properties.append((name, killer))
     assert not properties

@@ -221,6 +221,52 @@ def test_ring_refuses_a_bad_precision(method, prec):
     assert "\n" not in str(raised.value)
 
 
+_WINDOW = "coefficient window does not match [lead, prec)"
+
+# each error path of the ring and of the eta quotients that a call reaches:
+# the call, the exception it raises and its message
+ERROR_PATHS = {
+    "window-mismatch": (lambda: QSeries(1, 0, [1, 2], 5), ValueError,
+                        _WINDOW),
+    "numerators-window-mismatch": (
+        lambda: QSeries.from_numerators(1, 0, [1], 1, 5), ValueError,
+        _WINDOW),
+    "denominator-not-positive": (
+        lambda: QSeries.from_numerators(1, 0, [1], 0, 1), ValueError,
+        "the common denominator must be positive"),
+    "zero-valuation": (lambda: QSeries.zero(5).valuation(), ValueError,
+                       "zero series has no valuation"),
+    "to-ram-not-a-multiple": (lambda: QSeries.monomial(F(1, 2)).to_ram(3),
+                              ValueError, "2 does not divide 3"),
+    "division-by-zero": (lambda: forms.eta(5) / 0, NotInvertible,
+                         "division by zero scalar"),
+    "exact-by-exact": (lambda: QSeries.one() / QSeries.monomial(1),
+                       ValueError, "dividing exact by exact needs a "
+                       "precision; use .inverse(prec) explicitly"),
+    "rescale-by-zero": (lambda: forms.eta(5).rescale(0), ValueError,
+                        "rescale factors must be positive"),
+    "negative-derivative": (lambda: forms.eta(5).qdq(-1), ValueError,
+                            "derivative order must be non-negative"),
+    "empty-eta-quotient": (lambda: forms.eta_quotient([], 5), BadParameter,
+                           "eta quotient needs at least one factor"),
+}
+
+
+@pytest.mark.parametrize("case", ERROR_PATHS)
+def test_error_paths_raise_their_message(case):
+    call, kind, message = ERROR_PATHS[case]
+    with pytest.raises(kind) as raised:
+        call()
+    assert type(raised.value) is kind and str(raised.value) == message
+
+
+def test_scalar_minus_a_series():
+    """``1 - eta`` is ``__rsub__``: the scalar minus the series."""
+    diff = 1 - forms.eta(5)
+    assert diff.to_text() == "(1 - q^(1/24) + q^(25/24) + q^(49/24) ...)"
+    assert diff == QSeries.from_terms({0: 1, 1: -1, 25: 1, 49: 1}, 5, ram=24)
+
+
 def test_division_by_an_exact_series_keeps_the_numerator_window():
     num = forms.theta_big(3, 20)
     den = QSeries.from_terms({2: F(1), 3: F(-1)}, None)   # q^2 - q^3
