@@ -262,10 +262,10 @@ def _suite_identities(order) -> list:
         ct = (z0 * forms.form_fm(m, fm_window)).constant_term()
         checks.append((f"constant term of Z0 f_{m}", ct == 0, None, None))
     est2 = forms.eisenstein_estar(factor_window(p, h.valuation()) / 2).rescale(2, 1)
-    eodd = forms.eisenstein_eodd(factor_window(p, 2 * h.valuation()))
+    h2 = h ** 2
+    eodd = forms.eisenstein_eodd(factor_window(p, h2.valuation()))
     zero_check("h ODE: qdq(h) = -E*(2tau) h + 64 E_odd",
                h.qdq(1) + est2 * h - 64 * eodd)
-    h2 = h ** 2
     zero_check("h ODE: qdq(h) = -E_odd (h^2 - 64)  [sign corrected]",
                h.qdq(1) + eodd * (h2 - 64))
     printed_defect = (h.qdq(1) + eodd * (h2 + 64)) - 128 * eodd

@@ -137,7 +137,7 @@ def _kronecker(x, y, n, ix, iy) -> list:
     half.
     """
     bound = max(map(abs, x)) * max(map(abs, y)) * min(len(ix), len(iy))
-    k = (bound.bit_length() + 9) // 8
+    k = (bound.bit_length() + 8) // 8
     half = 1 << (8 * k - 1)
     low = (_pack(x, k) * _pack(y, k) + _bias(n, k)) & ((1 << (8 * k * n)) - 1)
     buf = low.to_bytes(k * n, "little")

@@ -209,8 +209,8 @@ def form_h(prec) -> QSeries:
     equal to 8 + eta^8/eta(4t)^8 = q^-1 + 20q - 62q^3 + ...: the function
     every Seiberg-Witten chart of ``sw`` reads u off."""
     quot = eta_quotient([(2, 4), (4, -8)], max(prec, 0))  # q^-1 + ..., to q^0
-    est = eisenstein_estar(factor_window(prec, -1) / 2).rescale(2, 1)
-    return (quot * est).truncate(prec)
+    est = eisenstein_estar(factor_window(prec, quot.valuation()) / 2)
+    return (quot * est.rescale(2, 1)).truncate(prec)
 
 
 def form_fm(m: int, prec) -> QSeries:

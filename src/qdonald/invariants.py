@@ -39,9 +39,8 @@ from .series import (InsufficientPrecision, QSeries, check_index,
 # Windows.  A product a * b is known through q^e when a is known through
 # e - val(b) and b through e - val(a).  So a pairing (e = 0) needs the
 # kernels known below top = (t0 + 1)/ram, one grid step past their highest
-# read q^(t0/ram): the base, of valuation val, below top, and pows and E2
-# below top - val; and the slot known through -val, at the least grid point
-# above it.
+# read q^(t0/ram): the base below top, and then, val read off it, pows and
+# E2 below top - val, and the slot through -val, to the next grid point.
 
 # family: (t0, dt, ram, c, (e0, e1), ((d, r0, r1), ...), pows, e), the slot
 # grid X = a dt - t0 on the kernel grid q^(1/ram); the slots are F_t, Q+, Q+
@@ -55,37 +54,28 @@ _FAMILIES = {
 }
 
 
-def _windows(family, w: int) -> tuple:
-    """(top, val, ps): the weight-w kernels have valuation val = sum d (r0 +
-    r1 w) / (24 c) and are read below q^top; times a slot known below q^ps,
-    the least kernel-grid point above -val, they are known through q^0."""
-    check_index("w", w)
-    t0, _, ram, c, _, etas = _FAMILIES[family][:6]
-    val = sum(Fraction(d * (r0 + r1 * w), 24 * c) for d, r0, r1 in etas)
-    return Fraction(t0 + 1, ram), val, Fraction(1, ram) - val
-
-
 def _factors(family, w: int) -> tuple:
-    """(base, pows, e2) of the family's weight-w kernels base * pows^k *
-    e2^l, each known as far as the reads need."""
-    c, (e0, e1), etas, ladder, e = _FAMILIES[family][3:]
-    top, val, _ = _windows(family, w)
-    lt = c * factor_window(top, val)
-    base = forms.eta_quotient([(d, r0 + r1 * w) for d, r0, r1 in etas],
-                              c * top)
+    """(base, pows, e2) of the weight-w kernels base pows^k e2^l."""
+    check_index("w", w)
+    t0, _, ram, c, (e0, e1), etas, ladder, e = _FAMILIES[family]
+    top = Fraction(t0 + 1, ram)
+    base = Fraction(2) ** (e0 + e1 * w) * forms.eta_quotient(
+        [(d, r0 + r1 * w) for d, r0, r1 in etas], c * top).rescale(1, c)
+    if not base.nums:  # no known term, so no valuation to size pows by
+        raise InsufficientPrecision("kernel window too short to read")
+    lt = c * factor_window(top, base.valuation())
     pows = (forms.eisenstein_estar(lt) if ladder is None
             else forms.eta_quotient(ladder, lt))
-    return (Fraction(2) ** (e0 + e1 * w) * base.rescale(1, c),
-            pows.rescale(1, c), forms.eisenstein_e2(lt / e).rescale(e, c))
+    return base, pows.rescale(1, c), forms.eisenstein_e2(lt / e).rescale(e, c)
 
 
 def _reads(family, w: int) -> tuple:
-    """(reads, xs): the family's weight-w kernels P_k E_l, k + l <= w, read
-    at the integer slot-grid points xs = [a dt - t0], X = ram x: P_k E_l at
-    q^(-X/ram), its w-exponent t0 - a dt, is ints[a] / den, (ints, den) =
-    reads[k, l], one integer dot product, as E2^l = 1 + O(q) has integer
-    coefficients and P_k one denominator.  Reading a product where it is not
-    known raises InsufficientPrecision."""
+    """(reads, ps, xs): the family's weight-w kernels P_k E_l, k + l <= w,
+    read at the integer slot-grid points xs = [a dt - t0], X = ram x, and
+    the slot window ps: P_k E_l at q^(-X/ram) is ints[a] / den, (ints, den)
+    = reads[k, l], one integer dot product, as E2^l = 1 + O(q) has integer
+    coefficients and P_k one denominator.  Reading a product where it is
+    not known raises InsufficientPrecision."""
     t0, dt, ram = _FAMILIES[family][:3]
     base, pows, e2 = _factors(family, w)
     r = ram // e2.ram
@@ -97,26 +87,25 @@ def _reads(family, w: int) -> tuple:
            for k, p in enumerate(kernels) for e in ladder[:w + 1 - k]):
         raise InsufficientPrecision("kernel window too short to read")
     count = max((t0 - min(p.lead for p in kernels)) // dt + 1, 0)
-    reads = {}
+    xs, reads = [a * dt - t0 for a in range(count)], {}
     for k, p in enumerate(kernels):
         ints, den = p.nums, p.den
         # P_k at q^-x, q^-x - 1/e2.ram, ...: what E_l from q^0 up meets
-        cols = [ints[t0 - a * dt - p.lead::-r] if t0 - a * dt >= p.lead
-                else [] for a in range(count)]
+        cols = [ints[-x - p.lead::-r] if -x >= p.lead else [] for x in xs]
         for l, e in enumerate(ladder[:w + 1 - k]):
             reads[k, l] = ([sum(map(mul, e.nums, col)) for col in cols],
                            den * e.den)
-    return reads, [a * dt - t0 for a in range(count)]
+    return reads, Fraction(1, ram) - base.valuation(), xs
 
 
-def _slot(family, w: int, xs, t=None) -> tuple:
+def _slot(family, ps, xs, t=None) -> tuple:
     """The family's slot (F_t in the Goettsche family) at the integer
     slot-grid points xs, X = ram x, as (ints, den), known below q^ps (see
-    _windows) or InsufficientPrecision.  Its memo holds it at q^X, ram the
+    _reads) or InsufficientPrecision.  Its memo holds it at q^X, ram the
     family's: F_t, Q+ and Q+'s S-transform at x are calF_t, calQ and
     q_transform_s_ren at 8x, and Q+ at tau/2 is calQ at 16x; so X is read at
     w-exponent X slot.ram - lead of the memo's series."""
-    ps, scale = _windows(family, w)[2], _FAMILIES[family][2]
+    scale = _FAMILIES[family][2]
     slot = (mock.cal_f(t, scale * ps) if family == "goettsche" else
             mock.q_transform_s_ren(scale * ps) if family == 3 else
             mock.cal_q(scale * ps))
@@ -139,10 +128,10 @@ def goettsche_weight(w: int) -> list:
     denominator big, and T[s, l] = sum_j (-1)^j C(l, j) pair(s, l - j) once
     per (s, l); cell n is then 8 (-1)^n (2n)! / big sum_l T[n - l, l] /
     (6^l (2n - 2l)! l!), O(n) terms."""
-    reads, xs = _reads("goettsche", w)
+    reads, ps, xs = _reads("goettsche", w)
     pairs = {}
     for s in range(w + 1):
-        sv, sden = _slot("goettsche", w, xs, 2 * s)
+        sv, sden = _slot("goettsche", ps, xs, 2 * s)
         for l in range(w - s + 1):
             ints, den = reads[w - s - l, l]
             pairs[s, l] = sum(map(mul, ints, sv)), den * sden
@@ -195,8 +184,8 @@ def uplane_weight(nf: int, w: int) -> list:
     the weights with the slot; for nf=3, whose slot is the inversion
     transform, they are taken against -Q, by the duality of the slots."""
     check_index("nf", nf, choices=(0, 2, 3))
-    reads, xs = _reads(nf, w)
-    sv, sden = _slot(nf, w, xs)
+    reads, ps, xs = _reads(nf, w)
+    sv, sden = _slot(nf, ps, xs)
     powers = [[x ** j for x in xs] for j in range(w + 1)]
     dens = {(i, j): factorial(2 * j) * factorial(i - j)
             * reads[w - i, i - j][1]

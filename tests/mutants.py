@@ -60,8 +60,8 @@ MUTANTS = [
      "test_kernel_reads_need_the_last_term_they_read[goettsche-4-e2]",
      "a kernel read stops one E2 term short"),
     ("kronecker-slot-narrower", EXACT,
-     "k = (bound.bit_length() + 9) // 8",
-     "k = (bound.bit_length() + 9) // 8 - 1",
+     "k = (bound.bit_length() + 8) // 8",
+     "k = (bound.bit_length() + 8) // 8 - 1",
      "tests/test_acceptance.py::test_criterion_02_qasmu",
      "a Kronecker slot one byte too narrow for the product coefficients"),
     ("product-choice-inverted", EXACT,
@@ -158,8 +158,7 @@ MUTANTS = [
      "verify runs the swcurves suite at min(--order, 12), so an --order "
      "between 12 and 24 checks no further than 12"),
     ("slot-nf2-scale", INVARIANTS,
-     "ps, scale = _windows(family, w)[2], _FAMILIES[family][2]",
-     "ps, scale = _windows(family, w)[2], 8",
+     "scale = _FAMILIES[family][2]", "scale = 8",
      "tests/test_acceptance.py::test_criterion_08_h_combination_columns",
      "every slot is read at 8x, so the nf=2 slot reads calQ at 8x, which "
      "is Q+ at tau, not at tau/2"),
@@ -447,11 +446,6 @@ MUTANTS = [
      "tests/test_invariants.py::test_kernels_are_read_off_the_sw_chart[0]",
      "the nf=0 base divides by eta(tau)^(7w+21), not eta(tau)^(8w+21), so "
      "its window moves with it but it is no longer the chart's kernel"),
-    ("kernel-valuation-unscaled", INVARIANTS,
-     "24 * c) for d, r0, r1 in etas", "24) for d, r0, r1 in etas",
-     "tests/test_invariants.py::test_windows_read_the_base_valuation[0]",
-     "the kernel valuation is read off eta(d tau) instead of eta(d tau/c), "
-     "so a family at tau/2 reads its slot twice as far as it needs"),
     ("ring-precision-unchecked", SERIES,
      "p = check_precision(prec) * ram", "p = Fraction(prec) * ram",
      "tests/test_qseries.py::test_ring_refuses_a_bad_precision[truncate-2.5]",
@@ -471,8 +465,8 @@ MUTANTS = [
      "a table runs its weight passes from the lowest up, so each wider "
      "weight rebuilds the series that a narrower one built"),
     ("kronecker-slot-widened", EXACT,
-     "k = (bound.bit_length() + 9) // 8",
-     "k = (bound.bit_length() + 9) // 8 + 1",
+     "k = (bound.bit_length() + 8) // 8",
+     "k = (bound.bit_length() + 8) // 8 + 1",
      "tests/test_certificates.py::test_e4_squared_is_e8",
      "a Kronecker slot one byte wider than it needs: every value and call "
      "count stays, and only the bytes packed grow"),
@@ -484,6 +478,24 @@ MUTANTS = [
      "test_error_paths_raise_their_message[to-ram-not-a-multiple]",
      "a series on the 1/2 grid is read on the 1/3 grid, which does not "
      "hold its exponents: q^(1/2) comes out as q^(1/3)"),
+    ("kronecker-slot-plus-nine", EXACT,
+     "k = (bound.bit_length() + 8) // 8",
+     "k = (bound.bit_length() + 9) // 8",
+     "tests/test_ring_kernel.py::"
+     "test_kronecker_slot_is_as_wide_as_its_bound[7]",
+     "a bound of 8j + 7 bits takes slots of j + 2 bytes, one more than its "
+     "coefficients need: every value stays, and only the bytes packed grow"),
+    ("slot-window-no-grid-step", INVARIANTS,
+     "return reads, Fraction(1, ram) - base.valuation(), xs",
+     "return reads, -base.valuation(), xs",
+     "tests/test_acceptance.py::test_criterion_07_main_theorem_grid",
+     "the slot is asked below q^-val, not through it, so a pairing whose "
+     "last read falls at -val reads a zero past the slot's window"),
+    ("empty-base-unchecked", INVARIANTS,
+     "    if not base.nums:", "    if False:",
+     "tests/test_invariants.py::test_theta_windows_are_exact[goettsche]",
+     "a base with no known term reaches base.valuation(), which raises "
+     "ValueError instead of InsufficientPrecision"),
     ("rsub-operands-swapped", SERIES,
      "return (-self) + other", "return self - other",
      "tests/test_qseries.py::test_scalar_minus_a_series",

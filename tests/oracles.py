@@ -627,6 +627,14 @@ def _theta_val(m: int, n: int) -> Fraction:
     return Fraction(-(2 * m + 2 * n + 3), 8)
 
 
+def _theta_base_val(family, w: int) -> Fraction:
+    """The valuation of the family's weight-w theta base, read off t2 = 2
+    q^(1/8) + ..., t2(tau/2) = 2 q^(1/16) + ..., t3 = 1 + ..., t4 = 1 + ...
+    and t3^2 - t4^2 = 4 q^(1/2) + ...."""
+    return (Fraction(-(4 * w + 7), 16) if family == 2 else
+            Fraction(-(8 * w + 15), 8) if family == 3 else _theta_val(w, 0))
+
+
 def _power_list(series: QSeries, top: int) -> list:
     pows = [QSeries.one()]
     for _ in range(top):
@@ -690,7 +698,7 @@ def uplane_frame(nf: int, m: int, n: int):
         return _nf0_frame(n, ps, _theta_frame(m, n, pt, forms.eisenstein_e2))
     w = m + n
     if nf == 2:
-        pt, ps = _windows(0, Fraction(-(4 * w + 7), 16), Fraction(-1, 16),
+        pt, ps = _windows(0, _theta_base_val(2, w), Fraction(-1, 16),
                           Fraction(1, 16))
         t4, base, pows, e2_pows = _theta_frame(
             m, n, pt, lambda p: forms.eisenstein_e2(2 * p).rescale(1, 2))
@@ -699,7 +707,7 @@ def uplane_frame(nf: int, m: int, n: int):
         slot = mock.q_plus(2 * ps).rescale(1, 2)
         return (base, pows, e2_pows, slot, (Fraction(-1, 16), Fraction(1, 4)),
                 1, row_constants(2, m, n))
-    pt, ps = _windows(0, Fraction(-(8 * w + 15), 8), Fraction(-1, 8),
+    pt, ps = _windows(0, _theta_base_val(3, w), Fraction(-1, 8),
                       loss=Fraction(1, 2))
     t2, t3, t4 = (forms.vartheta(i, pt) for i in (2, 3, 4))
     tt = t3 * t4
@@ -794,7 +802,7 @@ def kernel_frame(family, w: int) -> dict:
     Each term is a sum over the two factors; reading a product where it is
     not known raises InsufficientPrecision."""
     t0, dt, ram = inv._FAMILIES[family][:3]
-    top = inv._windows(family, w)[0]  # one grid step past q^(t0/ram)
+    top = Fraction(t0 + 1, ram)  # one grid step past q^(t0/ram)
     base, pows, e2 = inv._factors(family, w)
     ladder = [e.to_ram(ram) for e in _power_list(e2, w)]
     frame = {}
@@ -822,6 +830,8 @@ def pairing(family, w: int, rows, frame) -> tuple:
     point x = (a dt - t0) / ram, so that value = sum of weights[a] *
     slot(x)."""
     t0, dt, ram = inv._FAMILIES[family][:3]
+    # the slot is known through -val, val the kernels' valuation
+    ps = Fraction(1, ram) - inv._factors(family, w)[0].valuation()
     weights = {}  # t: {a: weight}
     for _, c, k, l, t, d in rows:
         read = frame[k, l]
@@ -833,7 +843,7 @@ def pairing(family, w: int, rows, frame) -> tuple:
                 acc[a] = acc.get(a, 0) + v
     value = Fraction(0)
     for t, acc in weights.items():
-        ints, den = inv._slot(family, w, [a * dt - t0 for a in acc], t)
+        ints, den = inv._slot(family, ps, [a * dt - t0 for a in acc], t)
         for v, c in zip(acc.values(), ints):
             value += v * Fraction(c, den)
     return value, weights.get(None, {})
@@ -865,12 +875,14 @@ _THETA_LOSS = {"goettsche": Fraction(1, 8), 0: Fraction(1, 8),
 def kernel_factors_theta(family, w: int) -> tuple:
     """(base, pows, e2) of the family's weight-w kernels base * pows^k *
     e2^l from theta constants and E2 known below q^pt, the least integer at
-    which the kernels are known below the top of invariants._windows: the
-    base is t4^8 / (t2 t3)^(2w+3) times t4 (nf=0) or t4^2 / t2(tau/2)
-    (nf=2), pows = t2^4 + t3^4, or t2^9 (t3 t4)^3 / (t3^2 - t4^2)^(2w+6)
-    and pows = (t3 t4)^2 for nf=3; E2 is read at tau/2 for nf=2."""
-    top, val, _ = inv._windows(family, w)
-    pt = -((val - _THETA_LOSS[family] - top) // 1)
+    which the kernels are known below q^top, one grid step past their
+    highest read q^(t0/ram): the base is t4^8 / (t2 t3)^(2w+3) times t4
+    (nf=0) or t4^2 / t2(tau/2) (nf=2), pows = t2^4 + t3^4, or t2^9 (t3
+    t4)^3 / (t3^2 - t4^2)^(2w+6) and pows = (t3 t4)^2 for nf=3; E2 is read
+    at tau/2 for nf=2."""
+    t0, _, ram = inv._FAMILIES[family][:3]
+    val = _theta_base_val(family, w) - _THETA_LOSS[family]
+    pt = -((val - Fraction(t0 + 1, ram)) // 1)
     if family == 2:
         t2_half = forms.vartheta(2, 2 * pt).rescale(1, 2)
         e2 = forms.eisenstein_e2(2 * pt).rescale(1, 2)

@@ -260,23 +260,14 @@ def test_kernel_factors_match_the_theta_oracle(family):
     below q^top, the ladder and E2 below q^(top - val).  (Past that window
     the routes know different amounts: a Goettsche ladder of weight 0 or 1,
     E*(tau/2) from E* known below q^1, is known below q^(1/2) only.)"""
+    t0, _, ram = inv._FAMILIES[family][:3]
+    top = F(t0 + 1, ram)
     for w in range(13):
-        top, val, _ = inv._windows(family, w)
-        pairs = zip(inv._factors(family, w),
-                    oracles.kernel_factors_theta(family, w))
+        factors = inv._factors(family, w)
+        val = factors[0].valuation()
+        pairs = zip(factors, oracles.kernel_factors_theta(family, w))
         for (ours, theirs), window in zip(pairs, (top, top - val, top - val)):
             assert _agree(ours, theirs, window), (family, w)
-
-
-@pytest.mark.parametrize("family", ["goettsche", 0, 2, 3])
-def test_windows_read_the_base_valuation(family):
-    """The valuation that _windows reads off the eta exponents is that of
-    the base _factors builds, and the slot is read one kernel-grid step
-    past its negative, for every weight to 12."""
-    ram = inv._FAMILIES[family][2]
-    for w in range(13):
-        val = inv._factors(family, w)[0].valuation()
-        assert inv._windows(family, w)[1:] == (val, F(1, ram) - val), w
 
 
 # each family's kernels on the Seiberg-Witten chart (u, W) of sw_family(nf):
@@ -350,7 +341,7 @@ def test_kernel_reads_need_the_last_term_they_read(nf, w, factor,
         else:
             reads = inv._reads(nf, w)
             assert _as_fractions(reads) == _as_fractions(full)
-            assert reads[1] == full[1]
+            assert reads[1:] == full[1:]
 
 
 def test_criterion_summand_windows_are_exact(monkeypatch):
@@ -517,6 +508,29 @@ def test_bad_precision_raises_bad_parameter(call, args, prec):
     """A precision that is neither an int nor a Fraction raises one
     BadParameter line that names it, before any memo is read: no entry is
     made, as Fraction(prec) would make one under 5/2 for 2.5 or 5 for "5"."""
+    clear_memos()
+    with pytest.raises(BadParameter, match="^precision must be an int or "
+                       "a Fraction, not ") as raised:
+        call(*args, prec)
+    assert "\n" not in str(raised.value)
+    assert not any(fn.entries for _, _, fn in memoized())
+
+
+# precisions that are neither an int nor a Fraction: floats, NaN and +-inf
+# among them, text, None, Decimals and complex numbers
+NON_RATIONAL_PRECISIONS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.none(), st.decimals(allow_nan=True, allow_infinity=True),
+    st.complex_numbers())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRECISION_CALLS), NON_RATIONAL_PRECISIONS)
+def test_every_constructor_refuses_a_non_rational_precision(call_args, prec):
+    """Whatever the precision's type, if it is not an int or a Fraction,
+    every public constructor raises one BadParameter line and adds no memo
+    entry."""
+    call, args = call_args
     clear_memos()
     with pytest.raises(BadParameter, match="^precision must be an int or "
                        "a Fraction, not ") as raised:

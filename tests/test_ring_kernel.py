@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from counters import counting_packed_bytes
 from oracles import (int_power_schoolbook, schoolbook_inverse, schoolbook_mul,
                      schoolbook_pow)
 from qdonald import InsufficientPrecision, NotRational, QSeries
@@ -277,6 +278,32 @@ def test_kronecker_slot_edges(b):
                 for n in range(1, lx + ly + 3):
                     assert exact_arith._kronecker(x, y, n, *_nonzero(x, y)) \
                         == _int_schoolbook(x, y, n), (lx, ly, n)
+
+
+# the bytes of one packed vector of four slots for a bound of b bits: k =
+# ceil((b + 1) / 8) bytes a slot, since |c| <= bound < 2^b <= 2^(8k - 1)
+SLOT_BYTES = {7: 4, 8: 8, 9: 8, 15: 8, 16: 12, 17: 12, 23: 12, 24: 16, 25: 16}
+
+
+@pytest.mark.parametrize("b", sorted(SLOT_BYTES))
+def test_kronecker_slot_is_as_wide_as_its_bound(b):
+    """Four terms each of +-X and of +-3, with 12 X of b bits: every product
+    coefficient sits at or near +-bound, so a slot one byte narrower
+    misreads them, and at b = 8j - 1 they fit in j bytes a slot.  Every
+    sign pattern equals the schoolbook product and packs SLOT_BYTES[b]
+    bytes per operand."""
+    big = (2 ** b - 1) // 12
+    assert (12 * big).bit_length() == b
+    signs = (lambda i: 1, lambda i: -1, lambda i: (-1) ** i,
+             lambda i: -1 if i % 3 else 1)
+    for sx in signs:
+        for sy in signs:
+            x = [sx(i) * big for i in range(4)]
+            y = [sy(i) * 3 for i in range(4)]
+            with counting_packed_bytes() as packed:
+                got = exact_arith._kronecker(x, y, 7, *_nonzero(x, y))
+            assert got == _int_schoolbook(x, y, 7)
+            assert packed == [SLOT_BYTES[b]] * 2
 
 
 def _sparse_ints(bits):
