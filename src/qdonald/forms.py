@@ -218,7 +218,7 @@ def form_fm(m: int, prec) -> QSeries:
     the nf=0 u-plane kernel of weight m read at 8 tau; as theta constants,
     Theta4^9 (16 Theta2^4 + Theta3^4)^m / (Theta2 Theta3)^(2m+3)."""
     check_index("m", m)
-    prec = check_precision(prec)
-    quot = eta_quotient([(4, 4 * m + 24), (8, -8 * m - 21)], prec)
-    est = eisenstein_estar(factor_window(prec, -2 * m - 3) / 4)
+    quot = eta_quotient([(4, 4 * m + 24), (8, -8 * m - 21)],
+                        max(check_precision(prec), 0))  # to q^0, past its lead
+    est = eisenstein_estar(factor_window(prec, quot.valuation()) / 4)
     return (quot * est.rescale(4, 1) ** m).truncate(prec)

@@ -231,9 +231,9 @@ def z0_series(prec) -> QSeries:
     """Z0 = E*(4 tau)/eta(8 tau)^3 = q^-1 + 24 q^3 + ....  The paper defines
     Z0 as calQ + 4 calF0 / Theta4; ``verify --suite identities`` checks that
     definition against this closed form."""
-    p = check_precision(prec)
-    est = forms.eisenstein_estar(factor_window(p, -1) / 4).rescale(4, 1)
-    return (est * forms.eta_quotient([(8, -3)], p)).truncate(p)
+    quot = forms.eta_quotient([(8, -3)], max(check_precision(prec), 0))
+    est = forms.eisenstein_estar(factor_window(prec, quot.valuation()) / 4)
+    return (est.rescale(4, 1) * quot).truncate(prec)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +271,9 @@ def vafa_witten_series(kmax: int) -> QSeries:
 
 def z_bold(prec) -> QSeries:
     """Z = eta^3 * Q+ (exponents in (1/2) Z)."""
-    p = check_precision(prec)
-    eta3 = forms.eta_quotient([(1, 3)], factor_window(p, Fraction(-1, 8)))  # Q+ = q^(-1/8)...
-    return (eta3 * mock.q_plus(p)).truncate(p)
+    qp = mock.q_plus(max(check_precision(prec), 0))  # to q^0, past its lead
+    eta3 = forms.eta_quotient([(1, 3)], factor_window(prec, qp.valuation()))
+    return (eta3 * qp).truncate(prec)
 
 
 def rho4(prec) -> QSeries:

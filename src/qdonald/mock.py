@@ -187,10 +187,9 @@ def e_bracket(i: int, j: int, prec) -> QSeries:
     (-1)^j C(i,j) [Gamma(1/2)/Gamma(1/2+j)] 4^j 3^j E2^(i-j) (q d/dq)^j Q+.
     """
     check_index("i", i, low=check_index("j", j))
-    p = check_precision(prec)
     # Gamma(1/2) / Gamma(1/2 + j) = 4^j j! / (2j)!, and 4^j 4^j 3^j = 48^j
     c = Fraction((-1) ** j * comb(i, j) * 48 ** j * factorial(j),
                  factorial(2 * j))
-    # E2 meets Q+ = q^(-1/8) + ...
-    e2 = forms.eisenstein_e2(factor_window(p, Fraction(-1, 8))) ** (i - j)
-    return (c * e2 * q_plus(p).qdq(j)).truncate(p)
+    qp = q_plus(max(check_precision(prec), 0))  # to q^0, past its lead
+    e2 = forms.eisenstein_e2(factor_window(prec, qp.valuation())) ** (i - j)
+    return (c * e2 * qp.qdq(j)).truncate(prec)

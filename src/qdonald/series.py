@@ -368,7 +368,8 @@ class QSeries:
         prec = min(cands) if cands else None
         n = (prec if prec is not None
              else lead + len(a.nums) + len(b.nums) - 1) - lead
-        prod = int_product(a.nums[:n], b.nums[:n], n)
+        x = a.nums[:n]  # a squaring passes one operand, packed once
+        prod = int_product(x, x if a is b else b.nums[:n], n)
         return _make(a.ram, lead, *_lowest(prod, a.den * b.den), prec)
 
     def __rmul__(self, other):

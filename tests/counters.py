@@ -1,7 +1,8 @@
 """Counters of the memo requests and builds of ``forms`` and ``mock``, of
-the calls of the integer kernel's entries and of the bytes its Kronecker
-products pack.  They import no pytest, so the golden script counts as the
-``memo_builds`` fixture does, under any interpreter."""
+the calls of the integer kernel's entries, of the multiply-adds of its pair
+loops and of the bytes its Kronecker products pack.  They import no pytest,
+so the golden script counts as the ``memo_builds`` fixture does, under any
+interpreter."""
 
 from collections import Counter
 from contextlib import contextmanager
@@ -132,3 +133,30 @@ def counting_packed_bytes():
         return counted
     with _wrapped(((exact, "_pack"),), wrap):
         yield packed
+
+
+@contextmanager
+def counting_pair_products():
+    """The multiply-adds that ``_pairs`` makes inside the block: a list with
+    the count of each call.  Each nonzero term of its first operand comes in
+    as an int that counts the products it takes part in, so a loop that
+    multiplies pairs past its window shows here, where no value or call
+    count changes."""
+    counts = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            counts[-1] += 1
+            return int(self) * other
+        __rmul__ = __mul__
+
+    def wrap(name, fn):
+        def counted(x, y, n, ix, iy):
+            counts.append(0)
+            x = list(x)
+            for i in ix:
+                x[i] = Counted(x[i])
+            return fn(x, y, n, ix, iy)
+        return counted
+    with _wrapped(((exact, "_pairs"),), wrap):
+        yield counts

@@ -7,11 +7,13 @@ killer a Tier-1 test ID that fails on the mutant every time, as a rule the
 first one to fail at its last full run.
 For each mutant (all, or the named ones) the script copies the repository
 to a temporary directory, replaces the old text, which must occur exactly
-once, with the new one, and runs the killer alone there.  A mutant is
-killed when a Tier-1 test fails on it: the killer, or else a test of the
-Tier-1 suite, run with -x (all of it but tests/test_mutants.py, which
-checks this list against the unmutated tree).  The failing test is printed
-with the verdict, marked "new killer" where the full run found another.
+once, with the new one, and runs the killer alone there.  The mutants run
+concurrently, one per CPU, and their verdicts print in list order.  A
+mutant is killed when a Tier-1 test fails on it: the killer, or else a
+test of the Tier-1 suite, run with -x (all of it but tests/test_mutants.py,
+which checks this list against the unmutated tree).  The failing test is
+printed with the verdict, marked "new killer" where the full run found
+another.
 The script exits 1 when any mutant survives or an old text is not found
 once.
 
@@ -25,6 +27,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -377,7 +380,7 @@ MUTANTS = [
      "the CLI no longer freezes the heap at exit, so shutdown runs its "
      "cyclic collections over every object the command left"),
     ("z0-eta-power", INVARIANTS,
-     "forms.eta_quotient([(8, -3)], p)", "forms.eta_quotient([(8, -2)], p)",
+     "forms.eta_quotient([(8, -3)],", "forms.eta_quotient([(8, -2)],",
      "tests/test_invariants.py::test_z0_series_printed",
      "Z0 divides E*(4 tau) by eta(8 tau)^2, not eta(8 tau)^3"),
     ("z0-check-weight", CLI,
@@ -501,6 +504,59 @@ MUTANTS = [
      "tests/test_qseries.py::test_scalar_minus_a_series",
      "a scalar minus a series is the series minus the scalar, so 1 - eta "
      "is eta - 1"),
+    ("fm-valuation-written", FORMS,
+     "factor_window(prec, quot.valuation()) / 4",
+     "factor_window(prec, -2 * m) / 4",
+     "tests/test_invariants.py::"
+     "test_cofactor_windows_reach_the_precision[fm1-60]",
+     "f_m sizes E*(4t) off a hand-written lead q^-2m, three q-steps above "
+     "its eta quotient's q^-(2m+3), so its window stops short of prec"),
+    ("z0-valuation-written", INVARIANTS,
+     "factor_window(prec, quot.valuation()) / 4",
+     "factor_window(prec, 0) / 4",
+     "tests/test_invariants.py::"
+     "test_cofactor_windows_reach_the_precision[z0-60]",
+     "Z0 sizes E*(4 tau) as if eta(8 tau)^-3 started at q^0, not q^-1, so "
+     "its window stops one q-step short of prec"),
+    ("z-bold-valuation-written", INVARIANTS,
+     "factor_window(prec, qp.valuation())", "factor_window(prec, 0)",
+     "tests/test_invariants.py::"
+     "test_cofactor_windows_reach_the_precision[zbold-60]",
+     "Z sizes eta^3 as if Q+ started at q^0, not q^(-1/8), so its window "
+     "stops short of prec"),
+    ("e-bracket-valuation-written", MOCK,
+     "factor_window(prec, qp.valuation())", "factor_window(prec, 0)",
+     "tests/test_invariants.py::"
+     "test_cofactor_windows_reach_the_precision[ebracket10-60]",
+     "a bracket of Q+ sizes E2 as if Q+ started at q^0, not q^(-1/8), so "
+     "its window stops short of prec"),
+    ("squaring-packing-by-length", EXACT,
+     "px if y is x else _pack(y, k)", "px if len(y) == len(x) else "
+     "_pack(y, k)",
+     "tests/test_ring_kernel.py::"
+     "test_kronecker_slot_is_as_wide_as_its_bound[7]",
+     "a Kronecker product reuses x's packing for any y of x's length, so a "
+     "product of two distinct vectors of one length is x squared"),
+    ("pairs-past-the-window", EXACT,
+     "    out = [0] * n\n"
+     "    for i in ix:\n"
+     "        u, top = x[i], n - i\n"
+     "        for j, v in ny:\n"
+     "            if j >= top:\n"
+     "                break\n"
+     "            out[i + j] += u * v\n"
+     "    return out\n",
+     "    out = [0] * (len(x) + len(y))\n"
+     "    for i in ix:\n"
+     "        u = x[i]\n"
+     "        for j, v in ny:\n"
+     "            out[i + j] += u * v\n"
+     "    return out[:n]\n",
+     "tests/test_golden.py::"
+     "test_golden_pair_products[series --name Delta --order 60 --format json]",
+     "the pair loop multiplies every pair and keeps the first n sums, so it "
+     "does the work of the whole product: every value and call count stays, "
+     "and only the multiply-adds grow"),
 ]
 
 
@@ -542,20 +598,27 @@ def run(name, file, old, new, killer) -> tuple:
         return killed, detail
 
 
+def verdict(mutant) -> tuple:
+    """(line, unexpected) for one mutant: its verdict line, and whether it
+    survived or its old text was not found once."""
+    name, file, old, new, killer, why = mutant
+    try:
+        killed, detail = run(name, file, old, new, killer)
+    except LookupError as exc:
+        return f"missing   {exc}", True
+    state = "killed" if killed else "survived"
+    mark = "" if killed else f"  UNEXPECTED: {why}"
+    return f"{state:9s} {name}: {detail}{mark}", not killed
+
+
 def main(names) -> int:
     chosen = [m for m in MUTANTS if not names or m[0] in names]
     unexpected = 0
-    for name, file, old, new, killer, why in chosen:
-        try:
-            killed, detail = run(name, file, old, new, killer)
-        except LookupError as exc:
-            print(f"missing   {exc}", flush=True)
-            unexpected += 1
-            continue
-        unexpected += not killed
-        state = "killed" if killed else "survived"
-        mark = "" if killed else f"  UNEXPECTED: {why}"
-        print(f"{state:9s} {name}: {detail}{mark}", flush=True)
+    # the threads only wait on their pytest subprocesses
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        for line, bad in pool.map(verdict, chosen):
+            print(line, flush=True)
+            unexpected += bad
     return 1 if unexpected else 0
 
 

@@ -9,7 +9,7 @@ paper objects that no command computes and no printed value confirms.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, gcd, lcm
+from math import ceil, comb, factorial, gcd, lcm
 
 from qdonald import BadParameter, forms, invariants as inv, mock, sw
 from qdonald.exact import Cyclo, cyclotomic_polynomial, euler_phi, unity
@@ -565,6 +565,36 @@ def z0_from_mock(prec) -> QSeries:
     p = Fraction(prec)
     return (mock.cal_q(p) + 4 * mock.cal_f(0, p) * forms.theta_inverse(4, p)
             ).truncate(p)
+
+
+def _product_wide(prec, factors) -> QSeries:
+    """The product of the series that each of *factors*, a function of a
+    precision, builds one q-step past prec and past q^0, truncated at prec:
+    every factor is known further than the product needs, whatever the
+    leads, so no window is sized off a lead."""
+    top = max(Fraction(prec), 0) + 1
+    out = QSeries.one()
+    for factor in factors:
+        out = out * factor(top)
+    return out.truncate(prec)
+
+
+def z_bold_wide(prec) -> QSeries:
+    """Z = eta^3 Q+ from factors built wider than its window, the
+    reference for :func:`qdonald.invariants.z_bold`, which builds eta^3 as
+    far as Q+'s lead needs."""
+    return _product_wide(prec, [lambda t: forms.eta_quotient([(1, 3)], t),
+                                mock.q_plus])
+
+
+def e_bracket_wide(i: int, j: int, prec) -> QSeries:
+    """(-1)^j C(i, j) [Gamma(1/2)/Gamma(1/2+j)] 12^j E2^(i-j) (q d/dq)^j Q+
+    from factors built wider than its window, the reference for
+    :func:`qdonald.mock.e_bracket`, which builds E2 as far as Q+'s lead
+    needs."""
+    c = (-1) ** j * comb(i, j) * gamma_half_ratio(j) * 12 ** j
+    return _product_wide(prec, [lambda t: forms.eisenstein_e2(t) ** (i - j),
+                                lambda t: c * mock.q_plus(t).qdq(j)])
 
 
 # ---------------------------------------------------------------------------

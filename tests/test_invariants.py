@@ -589,9 +589,8 @@ def test_z0_series_printed():
 def test_z0_series_is_stored_as_the_mock_route(order):
     """The closed form E*(4 tau)/eta(8 tau)^3 is stored as the paper's
     calQ + 4 calF0 / Theta4 is, on the same grid and window."""
-    def stored(s):
-        return s.ram, s.lead, s.prec, s.den, s.nums
-    assert stored(inv.z0_series(order)) == stored(oracles.z0_from_mock(order))
+    assert _stored(inv.z0_series(order)) == \
+        _stored(oracles.z0_from_mock(order))
 
 
 def test_z0_fm_products_printed():
@@ -602,6 +601,35 @@ def test_z0_fm_products_printed():
     prod3 = z0 * forms.form_fm(3, 40)
     assert [prod3.coeff(e) for e in (-10, -6, -2, 0, 2)] == \
         [1, 60, 738, 0, -11256]
+
+
+# f_m, Z0, Z and the brackets of Q+, each one factor times a cofactor whose
+# window is read off that factor's lead, with the route each is checked by
+WINDOW_CASES = (
+    [(f"fm{m}", partial(forms.form_fm, m), partial(oracles.form_fm_theta, m))
+     for m in range(7)]
+    + [("z0", inv.z0_series, oracles.z0_from_mock),
+       ("zbold", inv.z_bold, oracles.z_bold_wide)]
+    + [(f"ebracket{i}{j}", partial(mock.e_bracket, i, j),
+        partial(oracles.e_bracket_wide, i, j))
+       for i, j in ((0, 0), (1, 0), (1, 1), (2, 1), (3, 2))])
+# below, at and past the leads q^-(2m+3), q^-1 and q^(-1/8)
+WINDOW_PRECS = (-5, -1, 0, F(1, 8), F(1, 3), 1, F(13, 2), 60)
+
+
+@pytest.mark.parametrize(
+    "build, reference, prec",
+    [(b, r, p) for _, b, r in WINDOW_CASES for p in WINDOW_PRECS],
+    ids=[f"{name}-{p}" for name, _, _ in WINDOW_CASES for p in WINDOW_PRECS])
+def test_cofactor_windows_reach_the_precision(build, reference, prec):
+    """Each series sizes its cofactor off the lead of the factor it builds
+    first, to q^0 at least: its window reaches the precision asked, below
+    that lead too, and it is stored as its reference route stores it (the
+    theta quotient, the mock route, or the product of factors built wider
+    than they need to be)."""
+    series = build(prec)
+    assert series.prec_q() >= prec
+    assert _stored(series) == _stored(reference(prec))
 
 
 def test_hurwitz_values():

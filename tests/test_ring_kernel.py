@@ -425,6 +425,20 @@ def test_every_product_path_is_taken(monkeypatch):
         assert packed == lengths
 
 
+@pytest.mark.parametrize("g", [1, 3])
+def test_a_squaring_packs_once(g):
+    """s * s of a long dense series, on the integers and read on the 1/3
+    grid, where the kernel squares on the sublattice 3Z: the schoolbook
+    square, from one Kronecker multiply that packs its operand once."""
+    rng = random.Random(11)
+    s = QSeries(1, -2, [F(rng.randint(-50, 50), 6) for _ in range(150)], 148)
+    s = s.to_ram(g)
+    with counting_packed_bytes() as packed:
+        square = s * s
+    assert window(square) == window(schoolbook_mul(s, s))
+    assert len(packed) == 1
+
+
 # ---------------------------------------------------------------------------
 # sums, scalars and window changes on the integer form
 
