@@ -285,10 +285,10 @@ def nf4_partition(prec) -> QSeries:
     """Holomorphic part of the conformal-point partition function, Z4 =
     eta^-4 [(1/2) D(eta^-4 D F) - (1/36) E4 eta^-4 F], F = Q+/eta, D = q d/dq.
     By D eta^-4 = -(1/6) E2 eta^-4 the bracket is eta^-4 ((1/2) S_2 S_0 F -
-    (1/36) E4 F), with S_k = D - (k/12) E2 the Serre derivative: a modular
-    differential operator from weight 0 to weight 4."""
+    (1/36) E4 F), S_k = D - (k/12) E2 the Serre derivative, weight 0 to 4.
+    The factors are sized from max(prec, 0), and the product cut at prec."""
     # each factor f of a product q^V + ... below has val(f) - V <= 1/2
-    top = factor_window(check_precision(prec), Fraction(-1, 2))
+    top = factor_window(max(check_precision(prec), 0), Fraction(-1, 2))
     f = mock.q_plus(top) * forms.eta_quotient([(1, -1)], top)
     eta4inv = forms.eta_quotient([(1, -4)], top)
     dd = (f.qdq(1) * eta4inv).qdq(1)

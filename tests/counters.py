@@ -1,14 +1,14 @@
 """Counters of the memo requests and builds of ``forms`` and ``mock``, of
 the calls of the integer kernel's entries, of the multiply-adds of its pair
-loops and of the bytes its Kronecker products pack.  They import no pytest,
-so the golden script counts as the ``memo_builds`` fixture does, under any
-interpreter."""
+loops and of the bytes its Kronecker products pack, and the stored form that
+tests compare series by.  They import no pytest, so the golden script counts
+as the ``memo_builds`` fixture does, under any interpreter."""
 
 from collections import Counter
 from contextlib import contextmanager
 from functools import update_wrapper
 
-from qdonald import exact, forms, invariants, mock, series
+from qdonald import QSeries, exact, forms, invariants, mock, series
 
 # the kernel entries counted: the two product branches, and the power
 # recurrence where the ring calls it, so that the call that raises a base on
@@ -51,6 +51,18 @@ MEMO_KEYS = {
     "form_h": [()], "form_fm": [(0,), (3,)], "_cal_f": [(0,), (2,)],
     "mock_m": [()], "lerch_mu_weighted": [(0,), (2,)], "cal_q": [()],
     "q_transform_s_ren": [()]}
+
+
+def stored(result):
+    """Each series of a result as it is stored, (ram, lead, prec, den,
+    nums): grid, window and integers, in a dict, a list or a tuple alike."""
+    if isinstance(result, QSeries):
+        return result.ram, result.lead, result.prec, result.den, result.nums
+    if isinstance(result, dict):
+        return {key: stored(v) for key, v in result.items()}
+    if isinstance(result, (list, tuple)):
+        return [stored(v) for v in result]
+    return result
 
 
 def clear_memos() -> None:

@@ -530,6 +530,13 @@ MUTANTS = [
      "test_cofactor_windows_reach_the_precision[ebracket10-60]",
      "a bracket of Q+ sizes E2 as if Q+ started at q^0, not q^(-1/8), so "
      "its window stops short of prec"),
+    ("nf4-window-unfloored", INVARIANTS,
+     "factor_window(max(check_precision(prec), 0), Fraction(-1, 2))",
+     "factor_window(check_precision(prec), Fraction(-1, 2))",
+     "tests/test_invariants.py::"
+     "test_every_constructor_keeps_the_window_contract[nf4_partition--5]",
+     "Z4 sizes its factors from prec, not from max(prec, 0), so below q^0 "
+     "its empty window stops short of prec: at -5 it is known below q^-22"),
     ("squaring-packing-by-length", EXACT,
      "px if y is x else _pack(y, k)", "px if len(y) == len(x) else "
      "_pack(y, k)",

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import oracles
 import pytest
 from conftest import theta_forbidden
-from counters import MEMO_KEYS, memoized
+from counters import MEMO_KEYS, memoized, stored
 
 from qdonald import QSeries, forms, mock
 from qdonald.series import factor_window
@@ -64,10 +64,6 @@ THETA_DIGESTS = {
 }
 
 
-def stored(s: QSeries) -> tuple:
-    return s.ram, s.lead, s.prec, s.den, s.nums
-
-
 def lattice_digest(build) -> str:
     kept = [stored(build(p)) for p in LATTICE_PRECS]
     return hashlib.sha256(repr(kept).encode()).hexdigest()[:16]
@@ -116,8 +112,6 @@ def test_eta_builders_match_the_per_factor_route(factors):
     power, in the stored form: grid, window and integers.  That
     covers the windows with no known term, whose grid the result is read
     on decides."""
-    def stored(s):
-        return s.ram, s.lead, s.prec, s.nums, s.den
     for prec in (0, F(1, 3), F(7, 8), 1, 2, 5, F(17, 3), 10, 31, F(121, 2),
                  100, 257):
         forms._eta_quotient.clear()
@@ -325,9 +319,8 @@ def test_form_fm_matches_the_theta_oracle(m, prec):
     """f_m = eta(4t)^(4m+24) / eta(8t)^(8m+21) E*(4t)^m, built anew, is the
     theta quotient Theta4^9 (16 Theta2^4 + Theta3^4)^m / (Theta2
     Theta3)^(2m+3): the same grid, lead, window, denominator and integers."""
-    fm, theta = forms.form_fm(m, prec), oracles.form_fm_theta(m, prec)
-    assert (fm.ram, fm.lead, fm.prec, fm.den, fm.nums) == \
-        (theta.ram, theta.lead, theta.prec, theta.den, theta.nums)
+    assert stored(forms.form_fm(m, prec)) == \
+        stored(oracles.form_fm_theta(m, prec))
 
 
 def test_form_fm_builds_no_theta_constant(memo_builds):

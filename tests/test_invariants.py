@@ -1,5 +1,7 @@
 """Invariant tables, the vanishing criterion, and the auxiliary series."""
 
+import inspect
+import random
 from fractions import Fraction as F
 from functools import partial
 from math import lcm
@@ -8,7 +10,8 @@ from types import SimpleNamespace
 import oracles
 import pytest
 from conftest import theta_forbidden
-from counters import clear_memos, counting_memo_builds, memoized
+from counters import (MEMO_KEYS, clear_memos, counting_memo_builds,
+                      memoized, stored)
 from hypothesis import given, settings, strategies as st
 
 from qdonald import (BadParameter, InsufficientPrecision, NotRational,
@@ -539,18 +542,6 @@ def test_every_constructor_refuses_a_non_rational_precision(call_args, prec):
     assert not any(fn.entries for _, _, fn in memoized())
 
 
-def _stored(result):
-    """Each series of a constructor's result as it is stored: grid, window
-    and integers, in a dict, a list or a tuple alike."""
-    if isinstance(result, QSeries):
-        return result.ram, result.lead, result.prec, result.den, result.nums
-    if isinstance(result, dict):
-        return {key: _stored(v) for key, v in result.items()}
-    if isinstance(result, (list, tuple)):
-        return [_stored(v) for v in result]
-    return result
-
-
 @pytest.mark.parametrize("call, args", PRECISION_CALLS, ids=PRECISION_IDS)
 def test_int_and_fraction_precisions_are_accepted(call, args):
     """An int and an equal Fraction precision, each from empty memos, give
@@ -559,7 +550,7 @@ def test_int_and_fraction_precisions_are_accepted(call, args):
     results = []
     for prec in (6, F(6)):
         clear_memos()
-        results.append(_stored(call(*args, prec)))
+        results.append(stored(call(*args, prec)))
     assert results[0] == results[1]
     call(*args, F(7, 2))
     if call is sw.check_family:
@@ -567,6 +558,82 @@ def test_int_and_fraction_precisions_are_accepted(call, args):
             call(*args, -3)
     else:
         call(*args, -3)
+
+
+def test_every_constructor_with_a_precision_is_listed():
+    """PRECISION_CALLS holds every public function of forms, mock,
+    invariants and sw with a parameter named prec, and nothing else, so
+    that the window contract and the BadParameter tests over it see a
+    constructor added later."""
+    found = {fn for module in (forms, mock, inv, sw)
+             for name, fn in vars(module).items()
+             if inspect.isfunction(fn) and fn.__module__ == module.__name__
+             and not name.startswith("_")
+             and "prec" in inspect.signature(fn).parameters}
+    assert found == {call for call, _ in PRECISION_CALLS}
+
+
+# below, at and past the constructors' leads (q^-5 of f_1, q^-1 of Z0,
+# q^(-1/8) of Q+), on and off their grids
+CONTRACT_PRECS = [-5, F(-3, 2), -1, F(-1, 8), 0, F(1, 16), F(1, 8), F(1, 3),
+                  F(1, 2), 1, F(9, 8), F(13, 6), F(5, 2), 7, F(21, 2), 30]
+# check_family returns check records, not series
+CONTRACT_CALLS = [(call, args) for call, args in PRECISION_CALLS
+                  if call is not sw.check_family]
+
+
+def _series(result) -> list:
+    """The series of a constructor's result, in order: the result itself, or
+    those of a dict, a list or a tuple."""
+    if isinstance(result, QSeries):
+        return [result]
+    if isinstance(result, (dict, list, tuple)):
+        values = result.values() if isinstance(result, dict) else result
+        return [s for v in values for s in _series(v)]
+    return []
+
+
+@pytest.mark.parametrize("prec", CONTRACT_PRECS, ids=str)
+@pytest.mark.parametrize("call, args", CONTRACT_CALLS,
+                         ids=[call.__name__ for call, _ in CONTRACT_CALLS])
+def test_every_constructor_keeps_the_window_contract(call, args, prec):
+    """The window contract: with every memo empty, each series of a
+    constructor's result at prec is known below q^prec, below its lead too,
+    and is the build at prec + 40 truncated at its window, stored alike: a
+    window with no known term too, as truncate stores it on the grid of its
+    bound."""
+    clear_memos()
+    narrow = _series(call(*args, prec))
+    clear_memos()
+    wide = _series(call(*args, prec + 40))
+    assert narrow and len(narrow) == len(wide)
+    for s, w in zip(narrow, wide):
+        assert s.prec_q() >= prec
+        assert stored(s) == stored(w.truncate(s.prec_q()))
+
+
+def test_memo_history_changes_no_result():
+    """Requests interleaved over the memoized constructors at random
+    precisions, each served from what the requests before it left in the
+    memos, are each stored as a build with every memo empty stores it: 60
+    runs of 12 requests, each run from empty memos."""
+    rng = random.Random(27)
+    keys = [(fn, key) for _, name, fn in memoized() for key in MEMO_KEYS[name]]
+    runs = []
+    for _ in range(60):
+        clear_memos()
+        asks = []
+        for _ in range(12):
+            den = rng.choice((1, 2, 3, 8, 16, 24))
+            asks.append((*rng.choice(keys),
+                         F(rng.randrange(-5 * den, 30 * den + 1), den)))
+        runs += [(fn, key, p, fn(*key, p)) for fn, key, p in asks]
+    fresh = {}
+    for fn, key, p, served in runs:
+        if (fn, key, p) not in fresh:
+            clear_memos()
+            fresh[fn, key, p] = fn(*key, p)
+        assert stored(served) == stored(fresh[fn, key, p]), (fn, key, p)
 
 
 def test_negative_precision_is_an_empty_window():
@@ -589,8 +656,7 @@ def test_z0_series_printed():
 def test_z0_series_is_stored_as_the_mock_route(order):
     """The closed form E*(4 tau)/eta(8 tau)^3 is stored as the paper's
     calQ + 4 calF0 / Theta4 is, on the same grid and window."""
-    assert _stored(inv.z0_series(order)) == \
-        _stored(oracles.z0_from_mock(order))
+    assert stored(inv.z0_series(order)) == stored(oracles.z0_from_mock(order))
 
 
 def test_z0_fm_products_printed():
@@ -623,13 +689,11 @@ WINDOW_PRECS = (-5, -1, 0, F(1, 8), F(1, 3), 1, F(13, 2), 60)
     ids=[f"{name}-{p}" for name, _, _ in WINDOW_CASES for p in WINDOW_PRECS])
 def test_cofactor_windows_reach_the_precision(build, reference, prec):
     """Each series sizes its cofactor off the lead of the factor it builds
-    first, to q^0 at least: its window reaches the precision asked, below
-    that lead too, and it is stored as its reference route stores it (the
-    theta quotient, the mock route, or the product of factors built wider
-    than they need to be)."""
-    series = build(prec)
-    assert series.prec_q() >= prec
-    assert _stored(series) == _stored(reference(prec))
+    first, to q^0 at least, and it is stored as its reference route stores
+    it (the theta quotient, the mock route, or the product of factors built
+    wider than they need to be); that its window reaches the precision asked
+    is test_every_window_reaches_its_precision's."""
+    assert stored(build(prec)) == stored(reference(prec))
 
 
 def test_hurwitz_values():
@@ -861,9 +925,8 @@ def test_nf4_partition_matches_theta_route(p):
     """The modular differential operator on E4 gives the series of the
     theta polynomial route: the same grid, window, denominator and
     integers."""
-    z4, ref = inv.nf4_partition(p), oracles.nf4_partition_theta(p)
-    assert (z4.ram, z4.lead, z4.prec, z4.den, list(z4.nums)) == \
-        (ref.ram, ref.lead, ref.prec, ref.den, list(ref.nums))
+    assert stored(inv.nf4_partition(p)) == \
+        stored(oracles.nf4_partition_theta(p))
 
 
 def test_nf4_partition_asks_no_theta_and_makes_five_products(monkeypatch):
