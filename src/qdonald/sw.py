@@ -74,12 +74,12 @@ def contact_term(fam: SWFamily) -> QSeries:
     O(1/u): its exponents below -val(u) are zero.
 
     The hatted two-observable differs from T only by the non-holomorphic
-    completion of E2, so this series is exactly its holomorphic part.
+    completion of E2, so this series is exactly its holomorphic part.  It
+    refuses only a family whose 1/W has no known term to size E2 by.
     """
-    prec = fam.omega2.prec_q()
-    if prec is None or prec <= 1:
-        raise InsufficientPrecision("family built to insufficient precision")
     inv = fam.omega2_inv
+    if not inv.nums:
+        raise InsufficientPrecision("family built to insufficient precision")
     e2 = forms.eisenstein_e2(factor_window(inv.prec_q(), inv.valuation()))
     t = -e2 * inv / 3 + fam.u / 3
     return t + Fraction(1, 2) if fam.nf == 3 else t

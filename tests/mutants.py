@@ -564,6 +564,26 @@ MUTANTS = [
      "the pair loop multiplies every pair and keeps the first n sums, so it "
      "does the work of the whole product: every value and call count stays, "
      "and only the multiply-adds grow"),
+    ("qdq-shortcut-restored", SERIES,
+     "raise ValueError(\"derivative order must be non-negative\")\n",
+     "raise ValueError(\"derivative order must be non-negative\")\n"
+     "        if j == 0:\n"
+     "            return self\n",
+     "tests/test_reach.py::test_every_statement_is_reached_or_kept",
+     "qdq returns the series itself at j = 0, a shortcut that keeps every "
+     "value and that no command takes"),
+    ("contact-guard-threshold", SW,
+     "if not inv.nums:", "if inv.prec_q() <= 1:",
+     "tests/test_sw.py::"
+     "test_contact_term_serves_every_family_with_an_inverse_term[1/2]",
+     "the contact term refuses every family whose 1/W is known to q^1 or "
+     "less, though it can serve each one with a known term"),
+    ("contact-guard-dropped", SW,
+     "if not inv.nums:", "if False:",
+     "tests/test_sw.py::"
+     "test_contact_term_refuses_a_family_with_no_inverse_term",
+     "a family whose 1/W has no known term reaches the valuation of 1/W, "
+     "which raises ValueError, not InsufficientPrecision"),
 ]
 
 

@@ -8,7 +8,7 @@ import pytest
 from conftest import theta_forbidden
 from counters import stored
 
-from qdonald import BadParameter, QSeries, forms, sw
+from qdonald import BadParameter, InsufficientPrecision, QSeries, forms, sw
 from qdonald.series import factor_window
 
 
@@ -73,6 +73,27 @@ def test_contact_term_thresholds():
         fam = sw.sw_family(nf, 16)
         assert -fam.u.valuation() == threshold
         assert all(e >= threshold for e, _ in sw.contact_term(fam).terms())
+
+
+def test_contact_term_refuses_a_family_with_no_inverse_term():
+    """Known below q^-1, 1/W has no known term, so E2 has no window to be
+    sized by, and the contact term refuses the family."""
+    for nf in (0, 2, 3):
+        fam = sw.sw_family(nf, -1)
+        assert not fam.omega2_inv.nums
+        with pytest.raises(InsufficientPrecision):
+            sw.contact_term(fam)
+
+
+@pytest.mark.parametrize("prec", [0, F(1, 2), 1], ids=str)
+def test_contact_term_serves_every_family_with_an_inverse_term(prec):
+    """W known to q^1 or less, but 1/W with a known term: the contact term
+    reaches prec, and it is a wide family's truncated to its window."""
+    for nf in (0, 2, 3):
+        t = sw.contact_term(sw.sw_family(nf, prec))
+        assert t.prec_q() >= prec
+        wide = sw.contact_term(sw.sw_family(nf, 40))
+        assert t == wide.truncate(t.prec_q())
 
 
 def test_nf3_leading_constant():
