@@ -1,12 +1,14 @@
 """Counters of the memo requests and builds of ``forms`` and ``mock``, of
 the calls of the integer kernel's entries, of the multiply-adds of its pair
-loops and of the bytes its Kronecker products pack, and the stored form that
-tests compare series by.  They import no pytest, so the golden script counts
-as the ``memo_builds`` fixture does, under any interpreter."""
+loops and of the bytes its Kronecker products pack, and the stored form,
+window and agreement that tests compare series by.  They import no pytest,
+so the golden script counts as the ``memo_builds`` fixture does, under any
+interpreter."""
 
 from collections import Counter
 from contextlib import contextmanager
 from functools import update_wrapper
+from math import gcd
 
 from qdonald import QSeries, exact, forms, invariants, mock, series
 
@@ -63,6 +65,35 @@ def stored(result):
     if isinstance(result, (list, tuple)):
         return [stored(v) for v in result]
     return result
+
+
+def canonical(s: QSeries) -> QSeries:
+    """s, checked to be stored in canonical form: integers over a positive
+    denominator in lowest terms, no leading zero, no trailing zero when
+    exact, and the empty window at its bound over 1."""
+    assert type(s.den) is int and s.den > 0
+    assert all(type(v) is int for v in s.nums)
+    assert gcd(s.den, *s.nums) == 1
+    if s.nums:
+        assert s.nums[0] and (s.prec is not None or s.nums[-1])
+    else:
+        assert s.den == 1 and s.lead == (0 if s.prec is None else s.prec)
+    if s.prec is not None:
+        assert len(s.nums) == s.prec - s.lead
+    return s
+
+
+def window(s: QSeries):
+    """The Fraction view of canonical s: grid, window, coefficients and
+    their types."""
+    canonical(s)
+    return s.ram, s.lead, s.prec, s.coeffs, [type(c) for c in s.coeffs]
+
+
+def agree(a: QSeries, b: QSeries, window) -> bool:
+    """a and b agree below their common window, which reaches ``window``."""
+    common = min(a.prec_q(), b.prec_q())
+    return common >= window and a.truncate(common) == b.truncate(common)
 
 
 def clear_memos() -> None:

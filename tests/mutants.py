@@ -52,6 +52,12 @@ MUTANTS = [
      "test_zero_product_window_adds_the_other_lead[other0-2]",
      "a known-zero product ignores the other factor's lead, so zero(5) * "
      "q^-3 claims to be known below q^5"),
+    ("exact-zero-factor-dropped", SERIES,
+     "if not a.nums or not b.nums:", "if not a.nums and not b.nums:",
+     "tests/test_qseries.py::"
+     "test_exact_zero_factor_gives_an_exact_zero[other2]",
+     "an exact zero times a nonzero truncated factor takes the product path "
+     "and is known zero below the factor's precision only"),
     ("reads-kernel-guard", INVARIANTS,
      "p.prec <= t0 - r * e.lead", "p.prec < t0 - r * e.lead",
      "tests/test_invariants.py::"

@@ -278,6 +278,17 @@ def schoolbook_pow(s: QSeries, k: int) -> QSeries:
     return out
 
 
+def int_product_schoolbook(x, y, n: int) -> list:
+    """The first n coefficients of the product of integer vectors x and y,
+    every pair multiplied: the reference of ``exact.int_product``."""
+    out = [0] * n
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            if i + j < n:
+                out[i + j] += u * v
+    return out
+
+
 def int_power_schoolbook(u, r: int, n: int) -> list:
     """The first n coefficients of u^r, r < 0, for an integer vector u with
     u_0 != 0, as Fractions: :func:`schoolbook_pow` of u cut or padded to n

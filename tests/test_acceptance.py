@@ -12,8 +12,9 @@ import oracles
 import pytest
 from counters import clear_memos
 from hypothesis import given, settings, strategies as st
+from test_qseries import qseries
 
-from qdonald import (InsufficientPrecision, NotRational, QSeries, forms,
+from qdonald import (InsufficientPrecision, NotRational, forms,
                      invariants as inv, mock, sw)
 
 
@@ -314,18 +315,6 @@ def test_criterion_14_z_transformation():
 # ---------------------------------------------------------------------------
 # criterion 15: randomized property suites, >= 1000 cases each
 
-small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
-
-
-@st.composite
-def qseries(draw, ram=None):
-    r = ram or draw(st.sampled_from([1, 2, 3, 4, 8]))
-    lead = draw(st.integers(min_value=-6, max_value=6))
-    n = draw(st.integers(min_value=1, max_value=6))
-    coeffs = draw(st.lists(small_fracs, min_size=n, max_size=n))
-    return QSeries(r, lead, coeffs, lead + n)
-
-
 @settings(max_examples=1000, deadline=None)
 @given(qseries(), qseries(), qseries())
 def test_criterion_15_ring_laws(a, b, c):
@@ -355,10 +344,11 @@ def test_criterion_15_rescale_inverse(a, p, q):
 @settings(max_examples=1000, deadline=None)
 @given(qseries(), st.integers(min_value=-3, max_value=3))
 def test_criterion_15_shift_inverse(a, k):
-    """tau -> tau + k round-trips where it twists each nonzero term by 1 or
-    -1 and raises NotRational elsewhere; the reference twist round-trips
-    every draw."""
+    """tau -> tau + k is the reference twist and round-trips where it twists
+    each nonzero term by 1 or -1, and raises NotRational elsewhere; the
+    reference twist round-trips every draw."""
     if oracles.is_sign_twist(a, k):
+        assert a.shift_tau(k) == oracles.twist(a, k).to_rational()
         assert (a.shift_tau(k).shift_tau(-k) - a).is_zero()
     else:
         with pytest.raises(NotRational):

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import oracles
 import pytest
 from conftest import theta_forbidden
-from counters import MEMO_KEYS, memoized, stored
+from counters import MEMO_KEYS, memoized, stored, window
 
 from qdonald import QSeries, forms, mock
 from qdonald.series import factor_window
@@ -374,10 +374,6 @@ def test_h_ode_printed_defect_is_pinned():
 MEMOIZED = [(fn, key) for _, name, fn in memoized() for key in MEMO_KEYS[name]]
 
 
-def _window(s):
-    return s.ram, s.lead, s.prec, s.coeffs, tuple(type(c) for c in s.coeffs)
-
-
 def test_memo_keys_share_entries():
     """Equal requests hit one memo entry: the constructors return the same
     object for an int and an equal Fraction precision, and for eta-quotient
@@ -410,7 +406,7 @@ def test_memo_serves_lower_precisions_by_truncation(prec):
         assert len(fn.entries) == 1
         f = fn.__wrapped__(*key, F(prec))
         if f.coeffs:
-            assert _window(s) == _window(f), fn
+            assert window(s) == window(f), fn
         else:
             assert not s.coeffs and s.prec_q() >= f.prec_q(), fn
 

@@ -20,21 +20,30 @@ of every row run fresh, then every digest again with the memos the earlier
 runs left.  It prints each mismatch with its row and pin and exits 1 on
 any.  A test runs the script
 under ``PYTHONHASHSEED`` 0 and 1: both seeds give the same bytes and counts.
+
+``POOL`` is ``qdbench/golden.json``: each job of the benchmark's pools with
+the byte count and sha256 of its stdout.  Under pytest each job runs once
+in process, with every memo empty, against both.
 """
 
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stdout
 from functools import lru_cache
+from pathlib import Path
 
-from counters import (KERNEL_ENTRIES, UNMEMOIZED, counting_kernel_calls,
-                      counting_memo_builds, counting_packed_bytes,
-                      counting_pair_products, memoized)
+from counters import (KERNEL_ENTRIES, UNMEMOIZED, clear_memos,
+                      counting_kernel_calls, counting_memo_builds,
+                      counting_packed_bytes, counting_pair_products, memoized)
 from qdonald.cli import COMMANDS, main
+
+POOL = json.loads((Path(__file__).resolve().parents[1] / "qdbench"
+                   / "golden.json").read_text())
 
 GOLDEN = [
     (["series", "--name", "Qplus", "--order", "20", "--format", "json"],
@@ -241,14 +250,22 @@ def pytest_generate_tests(metafunc):
     if "row" in metafunc.fixturenames:
         metafunc.parametrize("row", GOLDEN,
                              ids=[" ".join(argv) for argv, *_ in GOLDEN])
+    if "job" in metafunc.fixturenames:
+        metafunc.parametrize("job", sorted(POOL))
+
+
+def _stdout(argv) -> tuple:
+    """(exit code, stdout bytes) of ``qdonald <argv>``."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue().encode()
 
 
 def _run(argv) -> tuple:
     """(exit code, sha256 of stdout) of ``qdonald <argv>``."""
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(argv)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    code, out = _stdout(argv)
+    return code, hashlib.sha256(out).hexdigest()
 
 
 def run_row(argv) -> tuple:
@@ -291,6 +308,15 @@ def test_golden_packed_bytes(row):
 
 def test_golden_pair_products(row):
     assert _ran(tuple(row[0]))[5] == row[5]
+
+
+def test_pool_job_prints_its_golden_bytes(job):
+    """A job of the benchmark's pools, run with every memo empty, exits 0
+    and prints as many bytes as ``POOL`` pins, with its sha256."""
+    clear_memos()
+    code, out = _stdout(job.split())
+    assert (code, len(out), hashlib.sha256(out).hexdigest()) == \
+        (0, int(POOL[job]["bytes"]), POOL[job]["sha256"])
 
 
 def test_memo_entries_serve_requests():

@@ -4,13 +4,12 @@ import inspect
 import random
 from fractions import Fraction as F
 from functools import partial
-from math import lcm
 from types import SimpleNamespace
 
 import oracles
 import pytest
 from conftest import theta_forbidden
-from counters import (MEMO_KEYS, clear_memos, counting_memo_builds,
+from counters import (MEMO_KEYS, agree, clear_memos, counting_memo_builds,
                       memoized, stored)
 from hypothesis import given, settings, strategies as st
 
@@ -248,14 +247,6 @@ def test_theta_windows_are_exact(nf, monkeypatch):
             _cell(nf, m, n)
 
 
-def _agree(a, b, window) -> bool:
-    """a and b are both known below q^window and agree there."""
-    ram = lcm(a.ram, b.ram)
-    a, b = a.to_ram(ram), b.to_ram(ram)
-    return min(a.prec_q(), b.prec_q()) >= window and \
-        a.truncate(window) == b.truncate(window)
-
-
 @pytest.mark.parametrize("family", ["goettsche", 0, 2, 3])
 def test_kernel_factors_match_the_theta_oracle(family):
     """The eta-quotient base, power ladder and E2 of every weight 0 to 12
@@ -270,7 +261,7 @@ def test_kernel_factors_match_the_theta_oracle(family):
         val = factors[0].valuation()
         pairs = zip(factors, oracles.kernel_factors_theta(family, w))
         for (ours, theirs), window in zip(pairs, (top, top - val, top - val)):
-            assert _agree(ours, theirs, window), (family, w)
+            assert agree(ours, theirs, window), (family, w)
 
 
 # each family's kernels on the Seiberg-Witten chart (u, W) of sw_family(nf):
@@ -299,11 +290,11 @@ def test_kernels_are_read_off_the_sw_chart(family):
         base, pows, _ = inv._factors(family, w)
         top, val = base.prec_q(), base.valuation()
         fam = sw.sw_family(nf, max(pows.prec_q(), top - val) + 1)
-        assert _agree(pows, (fam.u + a) * fam.omega2, pows.prec_q()), w
+        assert agree(pows, (fam.u + a) * fam.omega2, pows.prec_q()), w
         product = base * fam.omega2 ** (w + 6) * lam ** -w
         window = top + (w + 6) * fam.omega2.valuation()
         mu = 2 ** e * forms.eta_quotient(factors, c * window).rescale(1, c)
-        assert mu.nums and _agree(product, mu, window), w
+        assert mu.nums and agree(product, mu, window), w
 
 
 def _as_fractions(reads) -> dict:

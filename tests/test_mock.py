@@ -5,14 +5,11 @@ from fractions import Fraction as F
 
 import oracles
 import pytest
+from counters import window
 
 from qdonald import BadParameter, QSeries, forms, mock
 from qdonald.exact import root_of_unity
 from oracles import LerchSpec, NonExpandableDenominator, ThetaNotInvertible
-
-
-def _window(s):
-    return s.ram, s.lead, s.prec, s.coeffs, tuple(type(c) for c in s.coeffs)
 
 
 def brute_cal_f(t: int, top: int) -> QSeries:
@@ -70,12 +67,9 @@ def test_mock_m_matches_oracles(prec):
     at negative precision included, and the mu route from -1 (at -5/2 its
     theta vanishes in the window) up to 61 (beyond, it is slow)."""
     m = mock.mock_m(prec)
-    window = (m.ram, m.lead, m.prec, m.coeffs)
-    hyp = oracles.mock_m_hypergeometric(prec)
-    assert window == (hyp.ram, hyp.lead, hyp.prec, hyp.coeffs)
+    assert window(m) == window(oracles.mock_m_hypergeometric(prec))
     if -1 <= prec <= 61:
-        mu = oracles.mock_m_mu(prec)
-        assert window == (mu.ram, mu.lead, mu.prec, mu.coeffs)
+        assert window(m) == window(oracles.mock_m_mu(prec))
 
 
 def test_jacobi_theta_specialization():
@@ -117,7 +111,7 @@ def test_lerch_mu_weighted_at_negative_precision(t, prec):
     s = mock.lerch_mu_weighted(t, prec)
     assert not s.coeffs
     high = mock.lerch_mu_weighted(t, 10)
-    assert _window(s) == _window(high.truncate(prec))
+    assert window(s) == window(high.truncate(prec))
 
 
 def test_nonexpandable_denominator_detected():
@@ -191,7 +185,7 @@ def test_s_transform_m_matches_lerch_oracle(prec):
     """The bilateral sum over Theta4 equals the two mu-specializations in
     Q(zeta8), windows on the q^(1/4) grid and coefficient types included."""
     m = mock.s_transform_parts(prec)["M"]
-    assert _window(m) == _window(oracles.s_transform_m_lerch(prec))
+    assert window(m) == window(oracles.s_transform_m_lerch(prec))
 
 
 def test_s_transform_m_at_negative_precision():

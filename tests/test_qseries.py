@@ -19,15 +19,6 @@ from qdonald import series
 from qdonald.series import exact_str, factor_window
 
 
-def brute_convolution(a: QSeries, b: QSeries):
-    """Independent schoolbook oracle for series products."""
-    terms = {}
-    for ea, ca in a.terms():
-        for eb, cb in b.terms():
-            terms[ea + eb] = terms.get(ea + eb, 0) + ca * cb
-    return terms
-
-
 def test_inverse_of_theta4():
     t4 = forms.theta_big(4, 16)
     inv = t4.inverse()
@@ -432,7 +423,9 @@ def test_decimal_digits_are_str_of_the_decimal(n):
 
 # ---------------------------------------------------------------------------
 # randomized property suites (the 1000-case suites of criterion 15 run in
-# the acceptance module, and none of them is repeated here)
+# the acceptance module and the comparisons with the plain references of
+# tests/oracles.py in test_ring_kernel, both on the qseries drawn here;
+# none of them is repeated here)
 
 small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
@@ -510,41 +503,16 @@ def test_factor_window_inverts_the_inverse_rule(a, u, p):
         assert (x / low).prec_q() < p
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(qseries(), qseries(exact=True)),
-       st.one_of(qseries(), qseries(exact=True)))
-def test_product_matches_brute_convolution(a, b):
-    """Every exponent of the product window, and every oracle term inside
-    it, agree; the window is lead a.lead + b.lead and prec
-    min(a.prec + b.lead, b.prec + a.lead)."""
-    try:
-        prod = a * b
-    except InsufficientPrecision:
-        return
-    if a.is_zero() or b.is_zero():
-        assert prod.is_zero()
-        return
-    val = a.valuation() + b.valuation()
-    bounds = [p + v for p, v in ((a.prec_q(), b.valuation()),
-                                 (b.prec_q(), a.valuation())) if p is not None]
-    prec = min(bounds) if bounds else None
-    assert prod.valuation() == val
-    assert prod.prec_q() == prec
-    oracle = brute_convolution(a, b)
-    top = prod.lead + len(prod.coeffs) if prec is None else prod.prec
-    for m in range(prod.lead, top):
-        e = F(m, prod.ram)
-        assert prod.coeff(e) == oracle.get(e, 0)
-    for e, c in oracle.items():
-        if prec is None or e < prec:
-            assert prod.coeff(e) == c
-
-
-@pytest.mark.parametrize("other, below", [
+# exact and truncated factors, with a lead of either sign, and the window
+# of their product with 0 + O(q^5)
+_ZERO_TIMES = [
     (QSeries.monomial(-3), 2), (QSeries.monomial(2), 7),
     (QSeries(1, -3, [F(2), F(0), F(-1)], 0), 2),
     (QSeries(2, -5, [F(1), F(3)], -3), F(5, 2)),
-    (QSeries(1, 2, [F(1), F(1)], 4), 7)])
+    (QSeries(1, 2, [F(1), F(1)], 4), 7)]
+
+
+@pytest.mark.parametrize("other, below", _ZERO_TIMES)
 def test_zero_product_window_adds_the_other_lead(other, below):
     """0 + O(q^5) times c q^v (1 + ...) is known zero below q^(5 + v), in
     either order, for an exact or a truncated factor whose lead has either
@@ -553,60 +521,31 @@ def test_zero_product_window_adds_the_other_lead(other, below):
         assert prod.is_zero() and prod.prec_q() == below
 
 
+@pytest.mark.parametrize("other", [other for other, _ in _ZERO_TIMES])
+def test_exact_zero_factor_gives_an_exact_zero(other):
+    """An exact zero times a nonzero factor, exact or truncated, is an
+    exact zero in either order: the factor's window bounds nothing."""
+    for prod in (QSeries.zero() * other, other * QSeries.zero()):
+        assert prod == QSeries.zero()
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_fracs, st.sampled_from([1, 2, 4]),
        st.one_of(qseries(), qseries(exact=True), small_fracs))
 def test_zero_product_window_is_exact(p, ram, other):
     """A known zero O(q^p) times a factor that starts at q^v, or is
     O(q^v) itself, is known zero below q^(p + v), and no further; other
-    is a series with a lead of either sign, or a zero window."""
+    is a series with a lead of either sign, a zero window, or an exact
+    zero, which leaves the window O(q^p)."""
     z = QSeries.zero(p, ram)
     if not isinstance(other, QSeries):
         other = QSeries.zero(other, 2)
-    if other.is_zero() and other.prec is None:
-        return  # an exact zero: no window to add
-    v = other.valuation() if not other.is_zero() else other.prec_q()
+    if not other.is_zero():
+        v = other.valuation()
+    else:
+        v = 0 if other.prec is None else other.prec_q()
     for prod in (z * other, other * z):
         assert prod.is_zero() and prod.prec_q() == z.prec_q() + v
-
-
-@settings(max_examples=200, deadline=None)
-@given(qseries(), st.integers(min_value=1, max_value=4),
-       st.integers(min_value=1, max_value=4))
-def test_rescale_roundtrip(a, p, q):
-    assert (a.rescale(p, q).rescale(q, p) - a).is_zero()
-
-
-def spread_reference(a: QSeries, s: int, ram: int) -> QSeries:
-    """Plain reference for the coefficient spread of to_ram and rescale:
-    the w^i coefficient moves to w^(s i) on the 1/ram grid."""
-    coeffs = []
-    if a.coeffs:
-        coeffs = [F(0)] * (s * (len(a.coeffs) - 1) + 1)
-        for i, c in enumerate(a.coeffs):
-            coeffs[s * i] = c
-    lead = a.lead * s
-    prec = None if a.prec is None else a.prec * s
-    if prec is not None and coeffs:
-        coeffs += [F(0)] * (prec - lead - len(coeffs))
-    return QSeries(ram, lead, coeffs, prec)
-
-
-def window(s: QSeries):
-    return s.ram, s.lead, s.prec, s.coeffs
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(qseries(), qseries(exact=True)),
-       st.integers(min_value=1, max_value=4),
-       st.integers(min_value=1, max_value=4),
-       st.integers(min_value=1, max_value=4))
-def test_spread_matches_reference(a, num, den, k):
-    """rescale and to_ram keep the exact window of the plain spread."""
-    assert window(a.rescale(num, den)) == \
-        window(spread_reference(a, num, a.ram * den).reduce_ram())
-    assert window(a.to_ram(k * a.ram)) == \
-        window(spread_reference(a, k, k * a.ram))
 
 
 @st.composite
@@ -641,22 +580,6 @@ def test_grid_changes_claim_exactly_what_they_know(parts, num, den, op):
     got = change(short)
     assert got.prec_q() == short.prec_q() * scale
     assert (got - change(full)).is_zero()
-
-
-@settings(max_examples=200, deadline=None)
-@given(qseries())
-def test_shift_inverse(a):
-    """tau -> tau + 1 is the reference twist where every nonzero term is
-    twisted by 1 or -1, and NotRational where one is not; the reference
-    twist round-trips."""
-    if oracles.is_sign_twist(a, 1):
-        assert a.shift_tau(1) == oracles.twist(a, 1).to_rational()
-        assert (a.shift_tau(1).shift_tau(-1) - a).is_zero()
-    else:
-        with pytest.raises(NotRational):
-            a.shift_tau(1)
-    assert (oracles.twist(oracles.twist(a, 1), -1).to_rational() - a).is_zero()
-    assert (a.shift_tau(a.ram) - a).is_zero()
 
 
 def test_package_exports_the_series_ring_only():

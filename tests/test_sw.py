@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import oracles
 import pytest
 from conftest import theta_forbidden
-from counters import stored
+from counters import agree, stored
 
 from qdonald import BadParameter, InsufficientPrecision, QSeries, forms, sw
 from qdonald.series import factor_window
@@ -311,18 +311,12 @@ def test_duplication_window_reaches_the_order(p, monkeypatch):
         assert record[3] == (p - F(1, 8) if short else p)
 
 
-def _agree(a, b, window):
-    """a and b agree below their common window, which reaches ``window``."""
-    common = min(a.prec_q(), b.prec_q())
-    return common >= window and a.truncate(common) == b.truncate(common)
-
-
 @pytest.mark.parametrize("prec", [0, F(1, 3), 1, F(5, 2), 24, 100])
 @pytest.mark.parametrize("nf", [0, 2, 3])
 def test_chart_matches_the_theta_oracle(nf, prec):
     """u, W and 1/W of the level-4 curve equal the theta-constant charts
     below q^prec, as far as sw_family reads them."""
-    assert all(_agree(s, t, prec) for s, t in
+    assert all(agree(s, t, prec) for s, t in
                zip(sw.sw_family(nf, prec)[1:],
                    oracles.sw_chart_theta(nf, prec)))
 
